@@ -22,7 +22,14 @@ import numpy as np
 from . import dispersion
 from ._rng import substream
 from .errors import ReservingError
-from .glm import Family, _irls, build_design
+from .glm import Family, _irls, _irls_batch, build_design
+
+
+# share of failed refits tolerated before a run is abandoned
+MAX_FAILURE_FRACTION = 0.2
+
+# most replicates refitted together in one batch
+_BATCH = 500
 
 
 @dataclass(frozen=True)
@@ -36,12 +43,11 @@ class EngineSpec:
     n_dy: int
     ay_idx: np.ndarray  # 0-based, observed cells
     dy_idx: np.ndarray
-    X: np.ndarray  # full treatment design for the observed cells
     base_coef: Optional[np.ndarray]
     mu_obs: np.ndarray
     obs_tag: str  # family used to simulate observed cells
     obs_param: Optional[float]  # kappa or phi
-    refit_tag: str  # poisson | odp | nb
+    refit_tag: str  # poisson | odp | nb; also the family of the future draws
     correct: bool  # apply (n - p) / n to the refitted kappa
     n0: int  # base-design dimensions for the correction factor
     p0: int
@@ -65,41 +71,54 @@ def draw_counts(tag: str, param: Optional[float], mu: np.ndarray, rng: np.random
 
 
 def _effects_from_coef(coef: np.ndarray, n_ay: int) -> Tuple[np.ndarray, np.ndarray]:
-    row = coef[0] + np.concatenate(([0.0], coef[1:n_ay]))
-    col = np.concatenate(([0.0], coef[n_ay:]))
+    """Log-scale row and column effects for each row of ``coef``."""
+    zero = np.zeros((len(coef), 1))
+    row = coef[:, :1] + np.hstack((zero, coef[:, 1:n_ay]))
+    col = np.hstack((zero, coef[:, n_ay:]))
     return row, col
 
 
+def _levels_present(y_star: np.ndarray, spec: EngineSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """Which accident and development years have a positive total, per replicate."""
+    ay = y_star @ (spec.ay_idx[:, None] == np.arange(spec.n_ay)) > 0
+    dy = y_star @ (spec.dy_idx[:, None] == np.arange(spec.n_dy)) > 0
+    return ay, dy
+
+
+def _reduced_design(spec: EngineSpec, ay_keep: np.ndarray, dy_keep: np.ndarray):
+    """Design over the kept levels; returns (cells, keep_ay, keep_dy, design) or None.
+
+    With every level kept this is the full design. None means the kept
+    cells cannot identify the kept levels' effects.
+    """
+    keep_ay = np.nonzero(ay_keep)[0]
+    keep_dy = np.nonzero(dy_keep)[0]
+    cells = ay_keep[spec.ay_idx] & dy_keep[spec.dy_idx]
+    if not cells.any():
+        return None
+    ay_new = np.searchsorted(keep_ay, spec.ay_idx[cells])
+    dy_new = np.searchsorted(keep_dy, spec.dy_idx[cells])
+    design = build_design(ay_new + 1, dy_new, len(keep_ay), len(keep_dy))
+    if design.n < design.p:
+        return None
+    return cells, keep_ay, keep_dy, design
+
+
 def _refit(y_star: np.ndarray, spec: EngineSpec) -> Optional[Tuple[np.ndarray, np.ndarray, Optional[float]]]:
-    """Refit the replicate model; returns (row_eff, col_eff, dispersion).
+    """Refit one replicate with the scalar fits; returns (row_eff, col_eff, dispersion).
 
     Row and column effects are on the log scale with dropped levels at
     -inf, so exp(row + col) gives zero means there. The dispersion slot
-    holds kappa for nb refits and phi for odp refits.
+    holds kappa for nb refits and phi for odp refits. The engine runs
+    :func:`_refit_batch`; this one-replicate form is its reference.
     """
-    ay_tot = np.bincount(spec.ay_idx, weights=y_star, minlength=spec.n_ay)
-    dy_tot = np.bincount(spec.dy_idx, weights=y_star, minlength=spec.n_dy)
-    full = bool(np.all(ay_tot > 0) and np.all(dy_tot > 0))
-
-    if full:
-        y_fit = y_star.astype(float)
-        design = build_design(spec.ay_idx + 1, spec.dy_idx, spec.n_ay, spec.n_dy)
-        keep_ay = np.arange(spec.n_ay)
-        keep_dy = np.arange(spec.n_dy)
-        start = spec.base_coef
-    else:
-        keep_ay = np.nonzero(ay_tot > 0)[0]
-        keep_dy = np.nonzero(dy_tot > 0)[0]
-        mask = (ay_tot[spec.ay_idx] > 0) & (dy_tot[spec.dy_idx] > 0)
-        if not mask.any():
-            return None
-        y_fit = y_star[mask].astype(float)
-        ay_new = np.searchsorted(keep_ay, spec.ay_idx[mask])
-        dy_new = np.searchsorted(keep_dy, spec.dy_idx[mask])
-        design = build_design(ay_new + 1, dy_new, len(keep_ay), len(keep_dy))
-        start = None
-    if design.n < design.p:
+    ay_keep, dy_keep = _levels_present(y_star[None], spec)
+    reduced = _reduced_design(spec, ay_keep[0], dy_keep[0])
+    if reduced is None:
         return None
+    cells, keep_ay, keep_dy, design = reduced
+    y_fit = y_star[cells].astype(float)
+    start = spec.base_coef if cells.all() else None
 
     try:
         if spec.refit_tag == "nb":
@@ -118,34 +137,81 @@ def _refit(y_star: np.ndarray, spec: EngineSpec) -> Optional[Tuple[np.ndarray, n
     except (ReservingError, np.linalg.LinAlgError):
         return None
 
-    row_red, col_red = _effects_from_coef(coef, len(keep_ay))
+    row_red, col_red = _effects_from_coef(coef[None], len(keep_ay))
     row_eff = np.full(spec.n_ay, -np.inf)
     col_eff = np.full(spec.n_dy, -np.inf)
-    row_eff[keep_ay] = row_red
-    col_eff[keep_dy] = col_red
+    row_eff[keep_ay] = row_red[0]
+    col_eff[keep_dy] = col_red[0]
     return row_eff, col_eff, disp
 
 
-def _run_chunk(spec: EngineSpec, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run replicates lo..hi-1; returns (ok, totals, by_ay)."""
-    count = hi - lo
-    ok = np.zeros(count, dtype=bool)
-    totals = np.zeros(count, dtype=np.int64)
-    by_ay = np.zeros((count, spec.n_ay), dtype=np.int64)
-    for offset in range(count):
-        b = lo + offset
-        rng = substream(spec.seed, *spec.prefix, b)
-        y_star = draw_counts(spec.obs_tag, spec.obs_param, spec.mu_obs, rng)
-        refit = _refit(y_star, spec)
-        if refit is None:
+def _refit_batch(y_star: np.ndarray, spec: EngineSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Refit every row of the (m, n) replicate matrix ``y_star``.
+
+    Replicates are grouped by which levels sum to zero, and each group
+    is fitted as one batch on its reduced design. Returns (ok,
+    row_eff, col_eff, disp) with one row per replicate, holding what
+    :func:`_refit` returns; ok is False where it returns None, and disp
+    is NaN for Poisson refits.
+    """
+    m = len(y_star)
+    ok = np.zeros(m, dtype=bool)
+    row_eff = np.full((m, spec.n_ay), -np.inf)
+    col_eff = np.full((m, spec.n_dy), -np.inf)
+    disp = np.full(m, np.nan)
+    ay_keep, dy_keep = _levels_present(y_star, spec)
+    patterns, group = np.unique(np.hstack((ay_keep, dy_keep)), axis=0, return_inverse=True)
+    group = group.ravel()
+    for g, pattern in enumerate(patterns):
+        rows = np.nonzero(group == g)[0]
+        reduced = _reduced_design(spec, pattern[: spec.n_ay], pattern[spec.n_ay :])
+        if reduced is None:
             continue
-        row_eff, col_eff, disp = refit
-        mu_fut = np.exp(row_eff[spec.fut_ay] + col_eff[spec.fut_dy])
-        fut_tag = "poisson" if spec.refit_tag == "poisson" else ("nb" if spec.refit_tag == "nb" else "odp")
-        draws = draw_counts(fut_tag, disp, mu_fut, rng)
-        ok[offset] = True
-        totals[offset] = draws.sum()
-        np.add.at(by_ay[offset], spec.fut_ay, draws)
+        cells, keep_ay, keep_dy, design = reduced
+        Y = y_star[np.ix_(rows, np.nonzero(cells)[0])].astype(float)
+        start = spec.base_coef if cells.all() else None
+        if spec.refit_tag == "nb":
+            coef, _, kappa, fit_ok = dispersion._nb_mle_batch(Y, design.X, start=start)
+            if spec.correct:
+                kappa[fit_ok] = [dispersion.bias_correct(k, spec.n0, spec.p0) for k in kappa[fit_ok]]
+            disp[rows] = kappa
+        else:
+            coef, mu, fit_ok = _irls_batch(Y, design.X, start=start)
+            if spec.refit_tag == "odp":
+                dof = design.n - design.p
+                if dof <= 0:
+                    continue
+                disp[rows] = np.sum((Y - mu) ** 2 / mu, axis=1) / dof
+        row_red, col_red = _effects_from_coef(coef, len(keep_ay))
+        row_eff[np.ix_(rows, keep_ay)] = row_red
+        col_eff[np.ix_(rows, keep_dy)] = col_red
+        ok[rows] = fit_ok
+    return ok, row_eff, col_eff, disp
+
+
+def _run_chunk(spec: EngineSpec, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run replicates lo..hi-1; returns (ok, totals, by_ay).
+
+    Replicates are refitted in batches of at most ``_BATCH``, which
+    bounds the memory of the stacked normal equations. Each replicate
+    draws its synthetic triangle and, after the refit, its future cells
+    from its own substream, so its draws do not depend on which
+    replicates share its batch.
+    """
+    ok = np.zeros(hi - lo, dtype=bool)
+    totals = np.zeros(hi - lo, dtype=np.int64)
+    by_ay = np.zeros((hi - lo, spec.n_ay), dtype=np.int64)
+    for first in range(lo, hi, _BATCH):
+        rngs = [substream(spec.seed, *spec.prefix, b) for b in range(first, min(first + _BATCH, hi))]
+        y_star = np.array([draw_counts(spec.obs_tag, spec.obs_param, spec.mu_obs, rng) for rng in rngs])
+        fitted, row_eff, col_eff, disp = _refit_batch(y_star, spec)
+        for i in np.nonzero(fitted)[0]:
+            mu_fut = np.exp(row_eff[i, spec.fut_ay] + col_eff[i, spec.fut_dy])
+            draws = draw_counts(spec.refit_tag, disp[i], mu_fut, rngs[i])
+            slot = first - lo + i
+            ok[slot] = True
+            totals[slot] = draws.sum()
+            np.add.at(by_ay[slot], spec.fut_ay, draws)
     return ok, totals, by_ay
 
 

@@ -295,9 +295,8 @@ def cmd_simulate(scenario, kappa, nsim, b, threads, config_path, out_dir, seed):
             raise FileNotFoundError(f"config file not found: {config_path}")
         with open(config_path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
-        for key in ("true_alpha", "true_dev_weights", "kappa_by_dy"):
-            if key in loaded and loaded[key] is not None:
-                loaded[key] = tuple(loaded[key])
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(loaded).__name__}")
         overrides.update(loaded)
     config = simulation.default_config(**overrides)
     workers = threads if threads is not None else (os.cpu_count() or 1)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import polygamma, psi
 
 from .errors import FlatProfileError, NotConvergedError, SingularInformationError
-from .glm import Design, Family, _irls, build_design, _check_levels, nb_loglik, poisson_loglik
+from .glm import Design, Family, _irls, _irls_batch, build_design, _check_levels, nb_loglik, poisson_loglik
 
 KAPPA_MIN = 1e-3
 KAPPA_CAP = 1e8
@@ -214,39 +214,58 @@ def profile_kappa(data: Sequence, grid_size: int = _GRID_SIZE) -> KappaEstimate:
     )
 
 
-def _kappa_score(y: np.ndarray, mu: np.ndarray, kappa: float) -> float:
-    """d/d kappa of the NB log-likelihood at fixed means."""
-    return float(
-        np.sum(psi(y + kappa)) - y.size * psi(kappa)
-        + y.size * math.log(kappa)
-        - np.sum(np.log(kappa + mu))
-        + np.sum((mu - y) / (kappa + mu))
+def _kappa_score(y: np.ndarray, mu: np.ndarray, kappa):
+    """d/d kappa of the NB log-likelihood at fixed means.
+
+    ``y`` and ``mu`` are one triangle's cells with a scalar ``kappa``,
+    or matrices whose rows are triangles with one kappa each.
+    """
+    k = np.asarray(kappa)[..., None]
+    n = y.shape[-1]
+    return (
+        np.sum(psi(y + k), axis=-1) - n * psi(kappa)
+        + n * np.log(kappa)
+        - np.sum(np.log(k + mu), axis=-1)
+        + np.sum((mu - y) / (k + mu), axis=-1)
     )
 
 
-def _kappa_score_deriv(y: np.ndarray, mu: np.ndarray, kappa: float) -> float:
-    return float(
-        np.sum(polygamma(1, y + kappa)) - y.size * polygamma(1, kappa)
-        + y.size / kappa
-        - np.sum(1.0 / (kappa + mu))
-        - np.sum((mu - y) / (kappa + mu) ** 2)
+def _kappa_score_deriv(y: np.ndarray, mu: np.ndarray, kappa):
+    k = np.asarray(kappa)[..., None]
+    n = y.shape[-1]
+    return (
+        np.sum(polygamma(1, y + k), axis=-1) - n * polygamma(1, kappa)
+        + n / kappa
+        - np.sum(1.0 / (k + mu), axis=-1)
+        - np.sum((mu - y) / (k + mu) ** 2, axis=-1)
     )
+
+
+def _at_poisson_boundary(y: np.ndarray, mu: np.ndarray):
+    """Whether the kappa maximiser is the cap, per triangle.
+
+    As kappa grows the score tends to -sum((y - mu)^2 - y) / (2 kappa^2),
+    so the likelihood still rises toward the cap when that sum is not
+    positive. At the cap itself the score is at rounding level and its
+    sign says nothing.
+    """
+    return np.sum((y - mu) ** 2 - y, axis=-1) <= 0.0
 
 
 def _solve_kappa(y: np.ndarray, mu: np.ndarray, kappa0: float) -> float:
     """Maximise the NB log-likelihood over kappa at fixed means.
 
-    Safeguarded Newton iteration on log kappa; returns KAPPA_CAP when
-    the score is still positive at the cap (the Poisson boundary).
+    Safeguarded Newton iteration on log kappa within [KAPPA_MIN,
+    KAPPA_CAP]; returns KAPPA_CAP at the Poisson boundary.
     """
-    if _kappa_score(y, mu, KAPPA_CAP) >= 0.0:
+    if _at_poisson_boundary(y, mu):
         return KAPPA_CAP
-    lo, hi = math.log(KAPPA_MIN * 0.1), math.log(KAPPA_CAP)
-    if _kappa_score(y, mu, math.exp(lo)) <= 0.0:
-        return KAPPA_MIN * 0.1
-    theta = min(max(math.log(kappa0), lo), hi)
+    if _kappa_score(y, mu, KAPPA_MIN) <= 0.0:
+        return KAPPA_MIN
+    lo, hi = math.log(KAPPA_MIN), math.log(KAPPA_CAP)
+    theta = min(max(np.log(kappa0), lo), hi)
     for _ in range(100):
-        kappa = math.exp(theta)
+        kappa = np.exp(theta)
         s = _kappa_score(y, mu, kappa)
         if s > 0.0:
             lo = max(lo, theta)
@@ -266,7 +285,52 @@ def _solve_kappa(y: np.ndarray, mu: np.ndarray, kappa0: float) -> float:
             theta = theta_new
             break
         theta = theta_new
-    return math.exp(theta)
+    return float(np.exp(theta))
+
+
+def _solve_kappa_batch(Y: np.ndarray, mu: np.ndarray, kappa0: np.ndarray) -> np.ndarray:
+    """:func:`_solve_kappa` for each row of ``Y`` and ``mu`` at once.
+
+    Every row takes the scalar iteration's steps and leaves the loop when
+    it would; the scalar form stays for single fits, where it is faster.
+    """
+    out = np.full(len(Y), KAPPA_CAP)
+    live = np.nonzero(~_at_poisson_boundary(Y, mu))[0]
+    floor = _kappa_score(Y[live], mu[live], np.full(live.size, KAPPA_MIN)) <= 0.0
+    out[live[floor]] = KAPPA_MIN
+    live = live[~floor]
+    lo = np.full(live.size, math.log(KAPPA_MIN))
+    hi = np.full(live.size, math.log(KAPPA_CAP))
+    theta = np.clip(np.log(kappa0[live]), lo, hi)
+    for _ in range(100):
+        if live.size == 0:
+            break
+        y, m = Y[live], mu[live]
+        kappa = np.exp(theta)
+        s = _kappa_score(y, m, kappa)
+        rising = s > 0.0
+        lo = np.where(rising, np.maximum(lo, theta), lo)
+        hi = np.where(rising, hi, np.minimum(hi, theta))
+        g = kappa * s
+        h = kappa * s + kappa * kappa * _kappa_score_deriv(y, m, kappa)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = theta + (-g / h)
+        theta_new = np.where((h < 0.0) & (lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
+        settled = np.abs(theta_new - theta) < 1e-10
+        theta = theta_new
+        out[live[settled]] = np.exp(theta[settled])
+        keep = ~settled
+        live, theta, lo, hi = live[keep], theta[keep], lo[keep], hi[keep]
+    out[live] = np.exp(theta)
+    return out
+
+
+def _moment_kappa(y: np.ndarray, mu: np.ndarray):
+    """Moment starting value for kappa from the Pearson statistic, per triangle."""
+    excess = np.sum(((y - mu) ** 2 - mu) / (mu * mu), axis=-1)
+    with np.errstate(divide="ignore"):
+        kappa = np.where(excess > 0, y.shape[-1] / excess, KAPPA_CAP)
+    return np.clip(kappa, KAPPA_MIN, KAPPA_CAP)
 
 
 def nb_mle(
@@ -288,11 +352,7 @@ def nb_mle(
     if not converged:
         raise NotConvergedError("Poisson stage of the joint fit did not converge")
 
-    # moment starting value from the Pearson statistic
-    excess = float(np.sum(((y - mu) ** 2 - mu) / (mu * mu)))
-    kappa = y.size / excess if excess > 0 else KAPPA_CAP
-    kappa = min(max(kappa, KAPPA_MIN), KAPPA_CAP)
-
+    kappa = float(_moment_kappa(y, mu))
     for _ in range(max_outer):
         kappa_new = _solve_kappa(y, mu, kappa)
         if kappa_new >= KAPPA_CAP:
@@ -300,10 +360,48 @@ def nb_mle(
         coef, mu, _, _, converged, _ = _irls(y, design, Family.negbin(kappa_new), start=coef)
         if not converged:
             raise NotConvergedError("mean refit in the joint NB fit did not converge")
-        if abs(math.log(kappa_new) - math.log(kappa)) < 1e-9:
+        if abs(np.log(kappa_new) - np.log(kappa)) < 1e-9:
             return coef, mu, kappa_new, False
         kappa = kappa_new
     raise NotConvergedError(f"joint NB fit did not settle in {max_outer} sweeps")
+
+
+def _nb_mle_batch(
+    Y: np.ndarray,
+    X: np.ndarray,
+    start: Optional[np.ndarray] = None,
+    max_outer: int = 50,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`nb_mle` for each row of the count matrix ``Y`` at once.
+
+    All rows share the design matrix ``X``; ``start`` is as for
+    :func:`nbreserve.glm._irls_batch`. Each row runs its own alternation
+    and leaves it when it settles, reaches the cap or fails.
+
+    Returns (coef, mu, kappa, ok); ok is False for rows where the
+    scalar fit would raise.
+    """
+    coef, mu, poisson_ok = _irls_batch(Y, X, start=start)
+    kappa = np.full(len(Y), np.nan)
+    ok = np.zeros(len(Y), dtype=bool)
+    live = np.nonzero(poisson_ok)[0]
+    prev = _moment_kappa(Y[live], mu[live])
+    for _ in range(max_outer):
+        if live.size == 0:
+            break
+        new = _solve_kappa_batch(Y[live], mu[live], prev)
+        capped = new >= KAPPA_CAP
+        kappa[live[capped]] = KAPPA_CAP
+        ok[live[capped]] = True
+        live, new, prev = live[~capped], new[~capped], prev[~capped]
+        c, m, converged = _irls_batch(Y[live], X, kappa=new, start=coef[live])
+        coef[live], mu[live] = c, m
+        settled = converged & (np.abs(np.log(new) - np.log(prev)) < 1e-9)
+        kappa[live[settled]] = new[settled]
+        ok[live[settled]] = True
+        keep = converged & ~settled
+        live, prev = live[keep], new[keep]
+    return coef, mu, kappa, ok
 
 
 def overdispersion_test(data: Sequence) -> SelectionReport:

@@ -71,10 +71,17 @@ class Family:
         return mu
 
     def deviance(self, y: np.ndarray, mu: np.ndarray) -> float:
-        if self.tag == "negbin":
-            k = self.kappa
-            return float(2.0 * np.sum(xlogy(y, y / mu) - (y + k) * np.log((y + k) / (mu + k))))
-        return float(2.0 * np.sum(xlogy(y, y / mu) - (y - mu)))
+        return float(2.0 * np.sum(_unit_deviance(y, mu, self.kappa if self.tag == "negbin" else None)))
+
+
+def _unit_deviance(y: np.ndarray, mu: np.ndarray, kappa) -> np.ndarray:
+    """Per-cell deviance halves; ``kappa`` None is Poisson, else negative binomial.
+
+    ``kappa`` may be a column of per-row values broadcasting over rows of ``y``.
+    """
+    if kappa is None:
+        return xlogy(y, y / mu) - (y - mu)
+    return xlogy(y, y / mu) - (y + kappa) * np.log((y + kappa) / (mu + kappa))
 
 
 def poisson_loglik(counts, mu) -> float:
@@ -228,6 +235,124 @@ def _irls(
         dev = dev_new
 
     return coef, mu, dev, dev_path, converged, n_iter
+
+
+def _rows_dot(X: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Linear predictor X @ coef[r] for each row r of ``coef``.
+
+    A stacked matmul computes each row on its own, so a row's result
+    does not depend on which other rows share the batch.
+    """
+    return (X @ coef[:, :, None])[:, :, 0]
+
+
+def _solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve each system A[r] x = b[r]; rows with a singular A give NaN."""
+    try:
+        return np.linalg.solve(A, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for r in range(len(A)):
+            try:
+                out[r] = np.linalg.solve(A[r], b[r])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _irls_batch(
+    Y: np.ndarray,
+    X: np.ndarray,
+    kappa: Optional[np.ndarray] = None,
+    start: Optional[np.ndarray] = None,
+    tol: float = 1e-10,
+    max_iter: int = 100,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_irls` on every row of the count matrix ``Y`` at once.
+
+    Row r is fitted on the shared design matrix ``X`` under the
+    negative binomial with dispersion ``kappa[r]``, or the Poisson when
+    ``kappa`` is None. ``start`` is one coefficient vector for all rows,
+    a matrix with one per row, or None for the log(y + 0.5) start. Each
+    row keeps its own step halving and two-small-steps stop rule, and
+    stops iterating once it has converged.
+
+    Returns (coef, mu, ok); ok is False for rows whose normal equations
+    were singular or that did not converge in ``max_iter`` iterations.
+    """
+    m, p = len(Y), X.shape[1]
+    k = None if kappa is None else np.asarray(kappa, dtype=float)[:, None]
+    coef = np.full((m, p), np.nan)
+    dev = np.full(m, np.inf)
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        coef[:] = start
+        eta = np.tile(X @ start, (m, 1)) if start.ndim == 1 else _rows_dot(X, coef)
+        eta = np.clip(eta, -_ETA_BOUND, _ETA_BOUND)
+        mu = np.exp(eta)
+        dev = 2.0 * np.sum(_unit_deviance(Y, mu, k), axis=1)
+    else:
+        eta = np.log(Y + 0.5)
+        mu = np.exp(np.clip(eta, -_ETA_BOUND, _ETA_BOUND))
+    small_steps = np.zeros(m, dtype=np.int64)
+    ok = np.zeros(m, dtype=bool)
+    live = np.arange(m)
+
+    for it in range(max_iter):
+        if live.size == 0:
+            break
+        y, mu_l, k_l = Y[live], mu[live], None if k is None else k[live]
+        w = mu_l if k_l is None else mu_l * k_l / (k_l + mu_l)
+        z = eta[live] + (y - mu_l) / mu_l
+        A = (X * w[:, :, None]).transpose(0, 2, 1) @ X
+        b = (X.T @ (w * z)[:, :, None])[:, :, 0]
+        proposal = _solve_rows(A, b)
+        singular = np.isnan(proposal).any(axis=1)
+
+        if it == 0 and start is None:
+            # first step from the log(y + 0.5) start takes the proposal whole
+            step = ~singular
+            cand, eta_c = proposal, np.clip(_rows_dot(X, proposal), -_ETA_BOUND, _ETA_BOUND)
+            dev_c = 2.0 * np.sum(_unit_deviance(y, np.exp(eta_c), k_l), axis=1)
+        else:
+            # step halving keeps each row's deviance non-increasing
+            cand = proposal.copy()
+            eta_c = np.empty_like(y)
+            dev_c = np.empty(live.size)
+            step = np.zeros(live.size, dtype=bool)
+            pend = np.nonzero(~singular)[0]
+            old = coef[live]
+            for _ in range(30):
+                e = np.clip(_rows_dot(X, cand[pend]), -_ETA_BOUND, _ETA_BOUND)
+                d = 2.0 * np.sum(_unit_deviance(y[pend], np.exp(e), None if k_l is None else k_l[pend]), axis=1)
+                good = np.isfinite(d) & (d <= dev[live[pend]] * (1.0 + 1e-13) + 1e-13)
+                hit = pend[good]
+                step[hit] = True
+                eta_c[hit] = e[good]
+                dev_c[hit] = d[good]
+                pend = pend[~good]
+                if pend.size == 0:
+                    break
+                cand[pend] = 0.5 * (cand[pend] + old[pend])
+            # no descent direction left: already at the optimum
+            ok[live[pend]] = True
+
+        idx = live[step]
+        coef[idx] = cand[step]
+        eta[idx] = eta_c[step]
+        mu[idx] = np.exp(eta_c[step])
+        dev_old = dev[idx]
+        dev_new = dev_c[step]
+        finite = np.isfinite(dev_old)
+        with np.errstate(invalid="ignore"):
+            rel = np.abs(dev_old - dev_new) / (np.abs(dev_new) + 0.1)
+        small_steps[idx] = np.where(finite & (rel < tol), small_steps[idx] + 1, 0)
+        dev[idx] = dev_new
+        done = small_steps[idx] >= 2
+        ok[idx[done]] = True
+        live = idx[~done]
+
+    return coef, mu, ok
 
 
 @dataclass(frozen=True)

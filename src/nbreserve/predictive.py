@@ -23,9 +23,6 @@ from .errors import BaseFitFailedError, ExcessiveFailuresError, ReservingError, 
 from .glm import ModelFit
 from .triangle import RunOffTriangle, to_long
 
-# share of failed refits tolerated before the run is abandoned
-_MAX_FAILURE_FRACTION = 0.2
-
 _MIN_DRAWS = 100
 
 
@@ -157,7 +154,6 @@ def bootstrap(
         n_dy=I,
         ay_idx=design.ay_idx,
         dy_idx=design.dy_idx,
-        X=design.X,
         base_coef=coef,
         mu_obs=mu,
         obs_tag="nb",
@@ -170,9 +166,9 @@ def bootstrap(
         fut_dy=fut_dy,
     )
     totals, by_ay, failures = _bootstrap.run(spec, workers=workers)
-    if failures > _MAX_FAILURE_FRACTION * b:
+    if failures > _bootstrap.MAX_FAILURE_FRACTION * b:
         raise ExcessiveFailuresError(
-            f"{failures} of {b} bootstrap refits failed (more than {_MAX_FAILURE_FRACTION:.0%})"
+            f"{failures} of {b} bootstrap refits failed (more than {_bootstrap.MAX_FAILURE_FRACTION:.0%})"
         )
 
     cl = chain_ladder(t)

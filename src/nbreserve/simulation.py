@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,9 +29,6 @@ SCENARIOS = ("correct", "poisson", "calendar", "varying-kappa")
 METHODS = ("poisson", "odp", "nb_mle", "nb_corrected")
 KAPPA_GRID = (2.0, 3.0, 5.0, 10.0, 20.0, 50.0)
 LEVELS = (0.75, 0.95)
-
-# share of failed refits tolerated within one method's bootstrap
-_MAX_FAILURE_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -105,8 +102,17 @@ def default_config(**overrides) -> DgpConfig:
         kappa_true=10.0,
         kappa_by_dy=_DEFAULT_KAPPA_BY_DY,
     )
+    unknown = sorted(set(overrides) - {f.name for f in fields(DgpConfig)})
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     base.update(overrides)
-    return DgpConfig(**base)
+    for key in ("true_alpha", "true_dev_weights", "kappa_by_dy"):
+        if isinstance(base[key], list):
+            base[key] = tuple(base[key])
+    try:
+        return DgpConfig(**base)
+    except TypeError as exc:
+        raise ConfigError(f"invalid config value: {exc}") from None
 
 
 def _mean_matrix(config: DgpConfig) -> np.ndarray:
@@ -225,7 +231,6 @@ def _run_replicate(config: DgpConfig, s: int, methods: Sequence[str]) -> Dict[st
             n_dy=I,
             ay_idx=design.ay_idx,
             dy_idx=design.dy_idx,
-            X=design.X,
             base_coef=coef,
             mu_obs=mu,
             obs_tag=obs_tag,
@@ -238,7 +243,7 @@ def _run_replicate(config: DgpConfig, s: int, methods: Sequence[str]) -> Dict[st
             fut_dy=fut_dy,
         )
         totals, _, failures = _bootstrap.run(spec)
-        if failures > _MAX_FAILURE_FRACTION * config.b:
+        if failures > _bootstrap.MAX_FAILURE_FRACTION * config.b:
             continue
         rec = {"point": point, "true": true_out, "kappa": kappa, "at_boundary": at_boundary}
         for level in LEVELS:

@@ -141,6 +141,21 @@ class TestSimulate:
         assert doc["config"]["dimension"] == 6
 
 
+    @pytest.mark.parametrize(
+        "payload, needle",
+        [({"kapa_true": 5}, "kapa_true"), ([1, 2], "JSON object"), ({"true_alpha": 5}, "invalid config value")],
+    )
+    def test_bad_config_is_typed_error(self, runner, tmp_path, payload, needle):
+        cfg = tmp_path / "dgp.json"
+        cfg.write_text(json.dumps(payload))
+        result = runner.invoke(main, ["simulate", "--config", str(cfg), "--threads", "1",
+                                      "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err["error"]["kind"] == "Config"
+        assert needle in err["error"]["message"]
+
+
 class TestDiagnose:
     def test_outputs(self, runner, triangle_csv, tmp_path):
         out = str(tmp_path / "out")

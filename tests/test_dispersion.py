@@ -13,7 +13,8 @@ from nbreserve import (
     profile_kappa,
     to_long,
 )
-from nbreserve.dispersion import CHI2_1_95, KAPPA_CAP
+from nbreserve import RunOffTriangle
+from nbreserve.dispersion import CHI2_1_95, KAPPA_CAP, KAPPA_MIN, _solve_kappa, _solve_kappa_batch
 from nbreserve.glm import build_design
 from conftest import random_triangle
 
@@ -126,6 +127,44 @@ class TestJointMle:
         _, _, kappa, at_boundary = nb_mle(y, design)
         assert at_boundary
         assert kappa == KAPPA_CAP
+
+
+class TestKappaSolve:
+    # an overdispersed draw (kappa about 125) on which nb_mle used to stop
+    # at the cap, below the profile maximum, because it tested the sign of
+    # a rounding-level score at kappa = 1e8
+    NEAR_POISSON = [
+        [114, 103, 100, 27, 27, 10, 7], [123, 73, 65, 48, 14, 9], [94, 54, 41, 24, 18],
+        [90, 87, 55, 9], [97, 74, 55], [91, 71], [82],
+    ]
+
+    def test_joint_fit_reaches_profile_maximum(self):
+        records = to_long(RunOffTriangle.from_rows(self.NEAR_POISSON))
+        est = profile_kappa(records)
+        report = overdispersion_test(records)
+        assert not est.at_boundary
+        assert report.loglik_nb >= est.loglik - 1e-6
+        assert report.kappa_mle == pytest.approx(est.kappa_mle, rel=1e-3)
+
+    @pytest.mark.parametrize("ratio", [1e3, 1e6])
+    def test_stays_in_search_range(self, ratio):
+        # one huge count among zeros puts the maximiser below the search range
+        y = np.array([0.0] * 5 + [1000.0])
+        mu = np.full(6, 1000.0 / 6)
+        mu[-1] = 1000.0 / ratio
+        assert _solve_kappa(y, mu, 1.0) == KAPPA_MIN
+
+    def test_batch_matches_scalar(self, australian):
+        recs = to_long(australian)
+        y = np.array([r.count for r in recs], dtype=float)
+        _, mu, _, _ = nb_mle(y, build_design([r.ay for r in recs], [r.dy for r in recs]))
+        rng = np.random.default_rng(3)
+        Y = np.vstack([y, rng.poisson(mu, size=(3, y.size)), np.r_[np.zeros(y.size - 1), 1e5]])
+        M = np.vstack([mu] * 4 + [np.full(y.size, 1e5 / 28 / 1e3)])
+        kappa0 = np.array([1.0, 50.0, 1e4, 3.0, 1.0])
+        rows = _solve_kappa_batch(Y, M, kappa0)
+        assert rows.tolist() == [_solve_kappa(a, b, k) for a, b, k in zip(Y, M, kappa0)]
+        assert np.all((rows >= KAPPA_MIN) & (rows <= KAPPA_CAP))
 
 
 class TestSelection:

@@ -248,3 +248,48 @@ def to_long_rows(rows):
     from nbreserve import RunOffTriangle
 
     return to_long(RunOffTriangle.from_rows(rows))
+
+
+class TestBatchedIrls:
+    """``_irls_batch`` row by row against the scalar ``_irls``."""
+
+    @staticmethod
+    def _rows(australian, m=12):
+        from nbreserve.dispersion import _prepare
+
+        y, design = _prepare(to_long(australian))
+        rng = np.random.default_rng(11)
+        return rng.negative_binomial(3.0, 3.0 / (3.0 + y), size=(m, y.size)).astype(float), y, design
+
+    @pytest.mark.parametrize("kappa", [None, 2.5])
+    @pytest.mark.parametrize("with_start", [False, True])
+    def test_rows_match_scalar(self, australian, kappa, with_start):
+        from nbreserve.glm import _irls, _irls_batch
+
+        Y, y, design = self._rows(australian)
+        family = Family.poisson() if kappa is None else Family.negbin(kappa)
+        start = fit(to_long(australian), Family.poisson()).coefficients() if with_start else None
+        kappas = None if kappa is None else np.full(len(Y), kappa)
+        coef, mu, ok = _irls_batch(Y, design.X, kappa=kappas, start=start)
+        for r, row in enumerate(Y):
+            c, m, _, _, converged, _ = _irls(row, design, family, start=start)
+            assert ok[r] == converged
+            assert np.array_equal(coef[r], c)
+            assert np.array_equal(mu[r], m)
+
+    def test_iteration_budget_fails_rows(self, australian):
+        from nbreserve.glm import _irls_batch
+
+        Y, _, design = self._rows(australian)
+        _, _, ok = _irls_batch(Y, design.X, max_iter=2)
+        assert not ok.any()
+
+    def test_singular_system_fails_its_row_only(self):
+        from nbreserve.glm import _solve_rows
+
+        A = np.stack([np.eye(3), np.zeros((3, 3)), 2.0 * np.eye(3)])
+        b = np.ones((3, 3))
+        x = _solve_rows(A, b)
+        assert np.array_equal(x[0], np.ones(3))
+        assert np.isnan(x[1]).all()
+        assert np.array_equal(x[2], np.full(3, 0.5))

@@ -144,9 +144,90 @@ class TestBootstrap:
     def test_excessive_failures_guard(self, australian, monkeypatch):
         import nbreserve._bootstrap as bt
 
-        monkeypatch.setattr(bt, "_refit", lambda *a, **k: None)
+        def all_fail(y_star, spec):
+            m = len(y_star)
+            return np.zeros(m, dtype=bool), np.zeros((m, spec.n_ay)), np.zeros((m, spec.n_dy)), np.zeros(m)
+
+        monkeypatch.setattr(bt, "_refit_batch", all_fail)
         with pytest.raises(ExcessiveFailuresError):
             bootstrap(australian, b=120, seed=0)
+
+    def test_worker_count_invariance_taylor_ashe(self, taylor):
+        # million-scale means turn any batch-composition dependence of the
+        # refit arithmetic into different integer draws
+        one = bootstrap(taylor, b=150, seed=3)
+        for workers in (2, 3):
+            d = bootstrap(taylor, b=150, seed=3, workers=workers)
+            assert np.array_equal(d.draws_total, one.draws_total)
+            for ay in d.draws_by_ay:
+                assert np.array_equal(d.draws_by_ay[ay], one.draws_by_ay[ay])
+
+
+class TestBatchedRefit:
+    """The engine's batched refit against the one-replicate scalar refit."""
+
+    @staticmethod
+    def _spec(t, b, refit_tag="nb"):
+        import nbreserve._bootstrap as bt
+        from nbreserve.dispersion import _prepare, bias_correct, nb_mle
+        from nbreserve.predictive import _future_cells
+
+        y, design = _prepare(to_long(t))
+        coef, mu, kappa, _ = nb_mle(y, design)
+        fut_ay, fut_dy = _future_cells(t.dimension, t.dimension)
+        obs_param = bias_correct(kappa, design.n, design.p)
+        return bt.EngineSpec(
+            seed=0, prefix=(), b=b, n_ay=t.dimension, n_dy=t.dimension,
+            ay_idx=design.ay_idx, dy_idx=design.dy_idx, base_coef=coef, mu_obs=mu,
+            obs_tag="nb", obs_param=obs_param, refit_tag=refit_tag, correct=refit_tag == "nb",
+            n0=design.n, p0=design.p, fut_ay=fut_ay, fut_dy=fut_dy,
+        )
+
+    @pytest.mark.parametrize(
+        "name, b, refit_tag",
+        [("australian", 400, "nb"), ("taylor", 200, "nb"), ("australian", 200, "odp"), ("australian", 200, "poisson")],
+    )
+    def test_matches_scalar_refit(self, request, name, b, refit_tag):
+        import nbreserve._bootstrap as bt
+
+        t = request.getfixturevalue(name)
+        spec = self._spec(t, b, refit_tag)
+        y_star = np.array(
+            [bt.draw_counts("nb", spec.obs_param, spec.mu_obs, bt.substream(0, r)) for r in range(b)]
+        )
+        ok, row_eff, col_eff, disp = bt._refit_batch(y_star, spec)
+        ref = [bt._refit(y, spec) for y in y_star]
+        assert ok.tolist() == [r is not None for r in ref]
+        dropped = 0
+        for i in np.nonzero(ok)[0]:
+            row_ref, col_ref, disp_ref = ref[i]
+            assert np.array_equal(np.isinf(row_eff[i]), np.isinf(row_ref))
+            assert np.array_equal(np.isinf(col_eff[i]), np.isinf(col_ref))
+            dropped += bool(np.isinf(row_ref).any() or np.isinf(col_ref).any())
+            fin = np.isfinite(row_ref)
+            assert row_eff[i][fin] == pytest.approx(row_ref[fin], rel=1e-6, abs=1e-6)
+            fin = np.isfinite(col_ref)
+            assert col_eff[i][fin] == pytest.approx(col_ref[fin], rel=1e-6, abs=1e-6)
+            if disp_ref is None:
+                assert np.isnan(disp[i])
+            else:
+                assert disp[i] == pytest.approx(disp_ref, rel=1e-8)
+        if name == "australian":
+            # the single-cell newest accident year draws zero in about a fifth of replicates
+            assert dropped > b // 10
+
+    def test_failed_rows_stay_failed(self, australian):
+        import nbreserve._bootstrap as bt
+
+        spec = self._spec(australian, 4)
+        y_star = np.array(
+            [bt.draw_counts("nb", spec.obs_param, spec.mu_obs, bt.substream(0, r)) for r in range(4)]
+        )
+        y_star[1] = 0  # nothing left to fit
+        y_star[2, spec.ay_idx > 0] = 0  # only the first accident year has counts
+        ok, _, _, _ = bt._refit_batch(y_star, spec)
+        assert ok.tolist() == [bt._refit(y, spec) is not None for y in y_star]
+        assert not ok[1]
 
 
 class TestSummaries:
