@@ -32,6 +32,9 @@ CHI2_1_95 = 3.841458820694124
 
 _GRID_SIZE = 60
 
+# sweeps the joint NB alternation may take, scalar and batched
+_MAX_OUTER = 50
+
 
 @dataclass(frozen=True)
 class KappaEstimate:
@@ -214,13 +217,37 @@ def profile_kappa(data: Sequence, grid_size: int = _GRID_SIZE) -> KappaEstimate:
     )
 
 
+# kappa from which the score is summed from its large-kappa expansion
+_KAPPA_SERIES = 1e3
+
+
 def _kappa_score(y: np.ndarray, mu: np.ndarray, kappa):
     """d/d kappa of the NB log-likelihood at fixed means.
 
     ``y`` and ``mu`` are one triangle's cells with a scalar ``kappa``,
     or matrices whose rows are triangles with one kappa each.
+
+    The score is a sum of O(y / kappa) terms that cancel to
+    -sum((y - mu)^2 - y) / (2 kappa^2). Summed from digamma values of
+    size log kappa, it carries an absolute rounding error near 1e-13,
+    which from kappa ~ 1e4 on moves the root by more than the joint
+    fit's 1e-9 stop. From ``_KAPPA_SERIES`` on it is therefore summed
+    from a form whose every term has the size of the result.
     """
-    k = np.asarray(kappa)[..., None]
+    kappa = np.asarray(kappa, dtype=float)
+    big = kappa >= _KAPPA_SERIES
+    if not big.any():
+        return _score_digamma(y, mu, kappa)
+    if big.all():
+        return _score_series(y, mu, kappa)
+    out = np.empty(kappa.shape)
+    out[~big] = _score_digamma(y[~big], mu[~big], kappa[~big])
+    out[big] = _score_series(y[big], mu[big], kappa[big])
+    return out
+
+
+def _score_digamma(y: np.ndarray, mu: np.ndarray, kappa: np.ndarray):
+    k = kappa[..., None]
     n = y.shape[-1]
     return (
         np.sum(psi(y + k), axis=-1) - n * psi(kappa)
@@ -228,6 +255,25 @@ def _kappa_score(y: np.ndarray, mu: np.ndarray, kappa):
         - np.sum(np.log(k + mu), axis=-1)
         + np.sum((mu - y) / (k + mu), axis=-1)
     )
+
+
+def _score_series(y: np.ndarray, mu: np.ndarray, kappa: np.ndarray):
+    """The score as sum(log1p(u) - u + d(y + kappa) - d(kappa)).
+
+    Here u = (y - mu) / (kappa + mu) and d(x) = psi(x) - log(x), taken
+    from its asymptotic series; the first omitted term is below
+    1 / (240 kappa^8).
+    """
+    k = kappa[..., None]
+    u = (y - mu) / (k + mu)
+    ky = k + y
+    d_diff = (
+        y / (2.0 * k * ky)
+        + y * (2.0 * k + y) / (12.0 * (k * ky) ** 2)
+        - (k**-4 - ky**-4) / 120.0
+        + (k**-6 - ky**-6) / 252.0
+    )
+    return np.sum(np.log1p(u) - u + d_diff, axis=-1)
 
 
 def _kappa_score_deriv(y: np.ndarray, mu: np.ndarray, kappa):
@@ -246,8 +292,8 @@ def _at_poisson_boundary(y: np.ndarray, mu: np.ndarray):
 
     As kappa grows the score tends to -sum((y - mu)^2 - y) / (2 kappa^2),
     so the likelihood still rises toward the cap when that sum is not
-    positive. At the cap itself the score is at rounding level and its
-    sign says nothing.
+    positive. The sign of the sum decides this exactly, without summing
+    a score of order 1e-14 at the cap.
     """
     return np.sum((y - mu) ** 2 - y, axis=-1) <= 0.0
 
@@ -337,7 +383,7 @@ def nb_mle(
     y: np.ndarray,
     design: Design,
     start: Optional[np.ndarray] = None,
-    max_outer: int = 50,
+    max_outer: int = _MAX_OUTER,
 ) -> Tuple[np.ndarray, np.ndarray, float, bool]:
     """Joint maximum likelihood over (mean effects, kappa).
 
@@ -370,7 +416,6 @@ def _nb_mle_batch(
     Y: np.ndarray,
     X: np.ndarray,
     start: Optional[np.ndarray] = None,
-    max_outer: int = 50,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`nb_mle` for each row of the count matrix ``Y`` at once.
 
@@ -386,7 +431,7 @@ def _nb_mle_batch(
     ok = np.zeros(len(Y), dtype=bool)
     live = np.nonzero(poisson_ok)[0]
     prev = _moment_kappa(Y[live], mu[live])
-    for _ in range(max_outer):
+    for _ in range(_MAX_OUTER):
         if live.size == 0:
             break
         new = _solve_kappa_batch(Y[live], mu[live], prev)

@@ -29,6 +29,10 @@ _ETA_BOUND = 500.0
 
 _CONDITION_WARN = 1e3
 
+# IRLS stop rule and iteration budget, shared by the scalar and batched fits
+_IRLS_TOL = 1e-10
+_IRLS_MAX_ITER = 100
+
 
 class ConditioningWarning(UserWarning):
     """Weighted information matrix is poorly conditioned."""
@@ -168,8 +172,8 @@ def _irls(
     design: Design,
     family: Family,
     start: Optional[np.ndarray] = None,
-    tol: float = 1e-10,
-    max_iter: int = 100,
+    tol: float = _IRLS_TOL,
+    max_iter: int = _IRLS_MAX_ITER,
 ) -> Tuple[np.ndarray, np.ndarray, float, List[float], bool, int]:
     """Fisher-scoring IRLS with step halving.
 
@@ -265,8 +269,6 @@ def _irls_batch(
     X: np.ndarray,
     kappa: Optional[np.ndarray] = None,
     start: Optional[np.ndarray] = None,
-    tol: float = 1e-10,
-    max_iter: int = 100,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_irls` on every row of the count matrix ``Y`` at once.
 
@@ -278,7 +280,7 @@ def _irls_batch(
     stops iterating once it has converged.
 
     Returns (coef, mu, ok); ok is False for rows whose normal equations
-    were singular or that did not converge in ``max_iter`` iterations.
+    were singular or that did not converge in ``_IRLS_MAX_ITER`` iterations.
     """
     m, p = len(Y), X.shape[1]
     k = None if kappa is None else np.asarray(kappa, dtype=float)[:, None]
@@ -298,7 +300,7 @@ def _irls_batch(
     ok = np.zeros(m, dtype=bool)
     live = np.arange(m)
 
-    for it in range(max_iter):
+    for it in range(_IRLS_MAX_ITER):
         if live.size == 0:
             break
         y, mu_l, k_l = Y[live], mu[live], None if k is None else k[live]
@@ -346,7 +348,7 @@ def _irls_batch(
         finite = np.isfinite(dev_old)
         with np.errstate(invalid="ignore"):
             rel = np.abs(dev_old - dev_new) / (np.abs(dev_new) + 0.1)
-        small_steps[idx] = np.where(finite & (rel < tol), small_steps[idx] + 1, 0)
+        small_steps[idx] = np.where(finite & (rel < _IRLS_TOL), small_steps[idx] + 1, 0)
         dev[idx] = dev_new
         done = small_steps[idx] >= 2
         ok[idx[done]] = True
@@ -447,8 +449,8 @@ def _check_levels(y: np.ndarray, design: Design) -> None:
 def fit(
     data: Sequence,
     family: Family,
-    tol: float = 1e-10,
-    max_iter: int = 100,
+    tol: float = _IRLS_TOL,
+    max_iter: int = _IRLS_MAX_ITER,
 ) -> ModelFit:
     """Fit the two-way log-link count model by IRLS.
 

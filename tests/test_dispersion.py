@@ -14,8 +14,18 @@ from nbreserve import (
     to_long,
 )
 from nbreserve import RunOffTriangle
-from nbreserve.dispersion import CHI2_1_95, KAPPA_CAP, KAPPA_MIN, _solve_kappa, _solve_kappa_batch
-from nbreserve.glm import build_design
+from nbreserve.dispersion import (
+    CHI2_1_95,
+    KAPPA_CAP,
+    KAPPA_MIN,
+    _KAPPA_SERIES,
+    _kappa_score,
+    _moment_kappa,
+    _prepare,
+    _solve_kappa,
+    _solve_kappa_batch,
+)
+from nbreserve.glm import _irls, build_design
 from conftest import random_triangle
 
 
@@ -138,13 +148,69 @@ class TestKappaSolve:
         [90, 87, 55, 9], [97, 74, 55], [91, 71], [82],
     ]
 
-    def test_joint_fit_reaches_profile_maximum(self):
-        records = to_long(RunOffTriangle.from_rows(self.NEAR_POISSON))
+    # seeded draws whose Pearson excess at the Poisson means is not
+    # positive while sum((y - mu)^2 - y) is: the moment start is the cap,
+    # where the score used to be rounding noise, and the Newton iteration
+    # stopped there although the maximiser is interior (profile kappa
+    # about 2480 and 730)
+    CAP_START = [
+        [[216, 455, 256, 178, 69, 78, 39, 19, 26, 7], [183, 306, 228, 180, 54, 47, 32, 17, 18],
+         [241, 431, 319, 217, 82, 96, 46, 27], [191, 324, 206, 119, 54, 65, 26],
+         [266, 392, 309, 168, 67, 90], [251, 414, 311, 165, 68], [198, 354, 238, 141],
+         [167, 310, 195], [234, 410], [210]],
+        [[92, 143, 63, 38, 21, 25, 9, 10, 17, 1, 3], [142, 157, 64, 33, 43, 21, 19, 10, 6, 0],
+         [103, 150, 56, 43, 19, 24, 9, 3, 5], [95, 116, 80, 40, 22, 25, 10, 5],
+         [93, 135, 76, 34, 30, 29, 10], [116, 130, 76, 55, 30, 21], [94, 122, 48, 47, 27],
+         [96, 151, 93, 44], [75, 98, 62], [125, 182], [98]],
+    ]
+
+    # a near-Poisson draw (profile kappa about 17900) on which the joint fit
+    # used to stop at the cap, 8e-4 below the profile maximum; near its root
+    # a digamma-based score is so noisy that the root moves by about 1e-7
+    # in log kappa from sweep to sweep, more than the joint fit's 1e-9 stop
+    FLAT_TOP = [
+        [260, 276, 198, 80, 65, 37, 40, 18, 19, 7, 6, 3], [183, 209, 146, 55, 76, 26, 20, 15, 8, 5, 6],
+        [238, 251, 207, 77, 66, 44, 29, 24, 6, 6], [167, 235, 186, 81, 83, 46, 24, 29, 12],
+        [192, 211, 125, 63, 67, 24, 25, 11], [165, 177, 138, 47, 49, 32, 16], [235, 230, 171, 73, 106, 32],
+        [219, 208, 165, 75, 80], [235, 220, 191, 65], [183, 208, 138], [227, 238], [149],
+    ]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [NEAR_POISSON] + CAP_START + [FLAT_TOP],
+        ids=["near-poisson", "cap-start-10", "cap-start-11", "flat-top"],
+    )
+    def test_joint_fit_reaches_profile_maximum(self, rows):
+        records = to_long(RunOffTriangle.from_rows(rows))
         est = profile_kappa(records)
         report = overdispersion_test(records)
         assert not est.at_boundary
         assert report.loglik_nb >= est.loglik - 1e-6
         assert report.kappa_mle == pytest.approx(est.kappa_mle, rel=1e-3)
+
+    @pytest.mark.parametrize("rows", CAP_START, ids=["cap-start-10", "cap-start-11"])
+    def test_batch_leaves_the_cap_start(self, rows):
+        y, design = _prepare(to_long(RunOffTriangle.from_rows(rows)))
+        _, mu, *_ = _irls(y, design, Family.poisson())
+        assert _moment_kappa(y, mu) == KAPPA_CAP
+        scalar = _solve_kappa(y, mu, KAPPA_CAP)
+        assert scalar < 1e4
+        assert _solve_kappa_batch(y[None], mu[None], np.array([KAPPA_CAP])).tolist() == [scalar]
+
+    @pytest.mark.parametrize("kappa", [1e7, 1e8])
+    def test_score_accurate_at_large_kappa(self, kappa):
+        # the score tends to -sum((y - mu)^2 - y) / (2 kappa^2), here about
+        # 3e-13 and 3e-15, below the rounding error of a digamma-based sum
+        y, design = _prepare(to_long(RunOffTriangle.from_rows(self.FLAT_TOP)))
+        _, mu, *_ = _irls(y, design, Family.poisson())
+        leading = -np.sum((y - mu) ** 2 - y) / (2.0 * kappa**2)
+        assert _kappa_score(y, mu, kappa) == pytest.approx(leading, rel=1e-2, abs=0.0)
+
+    def test_score_continuous_at_series_switch(self, australian):
+        y, design = _prepare(to_long(australian))
+        _, mu, *_ = _irls(y, design, Family.poisson())
+        below = _kappa_score(y, mu, np.nextafter(_KAPPA_SERIES, 0.0))
+        assert below == pytest.approx(_kappa_score(y, mu, _KAPPA_SERIES), rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("ratio", [1e3, 1e6])
     def test_stays_in_search_range(self, ratio):

@@ -277,11 +277,12 @@ class TestBatchedIrls:
             assert np.array_equal(coef[r], c)
             assert np.array_equal(mu[r], m)
 
-    def test_iteration_budget_fails_rows(self, australian):
-        from nbreserve.glm import _irls_batch
+    def test_iteration_budget_fails_rows(self, australian, monkeypatch):
+        from nbreserve import glm
 
         Y, _, design = self._rows(australian)
-        _, _, ok = _irls_batch(Y, design.X, max_iter=2)
+        monkeypatch.setattr(glm, "_IRLS_MAX_ITER", 2)
+        _, _, ok = glm._irls_batch(Y, design.X)
         assert not ok.any()
 
     def test_singular_system_fails_its_row_only(self):
