@@ -106,6 +106,15 @@ class _Run:
         click.echo(f"outputs written to {self.out_dir} (run_id {self.run_id})")
 
 
+def _input(path: str) -> dict:
+    """Run parameters naming an input file: its path and the SHA-256 of its bytes.
+
+    The digest makes the run id depend on the data, not only on where it
+    was read from.
+    """
+    return {"input": path, "input_sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+
+
 def _load_triangle(path: str, round_amounts: bool):
     if not os.path.exists(path):
         raise FileNotFoundError(f"input file not found: {path}")
@@ -145,7 +154,7 @@ def main():
 def cmd_fit(triangle: str, family: str, round_amounts: bool, out_dir: str, seed: int):
     """Fit the chain-ladder count model and report parameter estimates."""
     t = _load_triangle(triangle, round_amounts)
-    run = _Run("fit", {"input": triangle, "family": family, "seed": seed}, out_dir)
+    run = _Run("fit", {**_input(triangle), "family": family, "seed": seed}, out_dir)
     records = to_long(t)
     cl = chain_ladder(t)
 
@@ -239,7 +248,7 @@ def cmd_reserve(triangle, b, levels, no_correct, threads, round_amounts, out_dir
     workers = threads if threads is not None else (os.cpu_count() or 1)
     run = _Run(
         "reserve",
-        {"input": triangle, "b": b, "levels": sorted(levels), "correct": not no_correct, "seed": seed},
+        {**_input(triangle), "b": b, "levels": sorted(levels), "correct": not no_correct, "seed": seed},
         out_dir,
     )
     dist = predictive.bootstrap(t, b=b, correct=not no_correct, seed=seed, workers=workers)
@@ -322,9 +331,9 @@ def cmd_simulate(scenario, kappa, nsim, b, threads, config_path, out_dir, seed):
 def cmd_diagnose(triangle, round_amounts, out_dir, seed):
     """Export Pearson residuals and the dispersion profile curve."""
     t = _load_triangle(triangle, round_amounts)
-    run = _Run("diagnose", {"input": triangle, "seed": seed}, out_dir)
+    run = _Run("diagnose", {**_input(triangle), "seed": seed}, out_dir)
     records = to_long(t)
-    est = dispersion.profile_kappa(records)
+    est = dispersion.profile_kappa(records, grid_size=dispersion._GRID_SIZE)
     model = glm_fit(records, Family.negbin(est.kappa_mle))
     rs = pearson_residuals(model)
     run.write_text("residuals.csv", residuals_csv(rs))

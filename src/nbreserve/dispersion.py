@@ -1,15 +1,18 @@
 """Dispersion estimation for the negative binomial count model.
 
-The dispersion kappa is estimated by profiling the log-likelihood:
-for each candidate kappa the mean structure is refitted and
-l_p(kappa) = l(alpha_hat(kappa), beta_hat(kappa), kappa) is maximised
-over a logarithmic grid with golden-section refinement. Confidence
-intervals invert the likelihood-ratio statistic at the chi-square(1)
-0.95 quantile. The maximum-likelihood kappa is biased high in small
-triangles because every cell carries its own mean parameter; the
-default remedy is the closed-form correction kappa * (n - p) / n, with
-a numerical maximiser of the Cox-Reid adjusted profile likelihood
-available as an alternative.
+The dispersion kappa is estimated by maximum likelihood: the joint fit
+:func:`nb_mle` alternates the mean refit at fixed kappa with a Newton
+solve for kappa at fixed means, and so maximises the profile
+l_p(kappa) = l(alpha_hat(kappa), beta_hat(kappa), kappa) over log kappa
+in [1e-3, 1e8]. Confidence intervals invert the likelihood-ratio
+statistic at the chi-square(1) 0.95 quantile; each endpoint is
+bracketed by a doubling walk from the estimate and found by Newton's
+method on l_p, whose slope the envelope theorem gives from the kappa
+score at the refitted means. The maximum-likelihood kappa is biased
+high in small triangles because every cell carries its own mean
+parameter; the default remedy is the closed-form correction
+kappa * (n - p) / n, with a numerical maximiser of the Cox-Reid
+adjusted profile likelihood available as an alternative.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from scipy.special import polygamma, psi
 
 from .errors import FlatProfileError, NotConvergedError, SingularInformationError
-from .glm import Design, Family, _irls, _irls_batch, build_design, _check_levels, nb_loglik, poisson_loglik
+from .glm import _KAPPA_SERIES, Design, Family, _irls, _irls_batch, build_design, _check_levels, nb_loglik, poisson_loglik
 
 KAPPA_MIN = 1e-3
 KAPPA_CAP = 1e8
@@ -30,6 +33,7 @@ KAPPA_CAP = 1e8
 # chi-square(1) quantile at 0.95, used to invert the profile LRT
 CHI2_1_95 = 3.841458820694124
 
+# log-spaced profile points `nbreserve diagnose` adds to the exported curve
 _GRID_SIZE = 60
 
 # sweeps the joint NB alternation may take, scalar and batched
@@ -88,22 +92,27 @@ def _prepare(data) -> Tuple[np.ndarray, Design]:
 
 
 class _ProfileCache:
-    """Profile log-likelihood evaluator with warm-started refits."""
+    """Profile log-likelihood evaluator with warm-started refits.
 
-    def __init__(self, y: np.ndarray, design: Design):
+    Each call refits the means at one kappa, starting from the previous
+    call's coefficients (or ``warm``), and records (kappa, loglik);
+    ``mu`` holds the last call's fitted means.
+    """
+
+    def __init__(self, y: np.ndarray, design: Design, warm: Optional[np.ndarray] = None):
         self.y = y
         self.design = design
-        self.warm: Optional[np.ndarray] = None
+        self.warm = warm
+        self.mu: Optional[np.ndarray] = None
         self.evals: List[Tuple[float, float]] = []
 
-    def __call__(self, log_kappa: float) -> float:
-        kappa = math.exp(log_kappa)
+    def __call__(self, kappa: float) -> float:
         coef, mu, _, _, converged, _ = _irls(
             self.y, self.design, Family.negbin(kappa), start=self.warm
         )
         if not converged:
             raise NotConvergedError(f"profile refit at kappa={kappa:.4g} did not converge")
-        self.warm = coef
+        self.warm, self.mu = coef, mu
         ll = nb_loglik(self.y, mu, kappa)
         self.evals.append((kappa, ll))
         return ll
@@ -128,79 +137,95 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-7) -> Tuple[float, floa
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _bisect_root(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float = 1e-6) -> float:
-    """Root of a monotone-sign-change f on [lo, hi] by bisection."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if (f_lo <= 0.0) == (f_mid <= 0.0):
-            lo, f_lo = mid, f_mid
+def _ci_endpoint(profile: _ProfileCache, theta_hat: float, target: float, bound: float) -> float:
+    """Kappa between exp(theta_hat) and ``bound`` where the profile falls to ``target``.
+
+    Walks outward from theta_hat in log-kappa steps of 1, 2, 4, ...
+    until the profile drops below the target, then runs a safeguarded
+    Newton iteration on the profile inside that bracket. By the envelope
+    theorem the refitted means do not move l_p to first order, so its
+    slope in log kappa is kappa times the kappa score at those means.
+    Returns ``bound`` when the profile stays above the target up to it.
+    """
+    end = math.log(bound)
+    side = 1.0 if end > theta_hat else -1.0
+    inner, step = theta_hat, 1.0
+    while True:
+        theta = inner + side * step
+        kappa = bound if side * (theta - end) >= 0.0 else math.exp(theta)
+        theta = math.log(kappa)
+        drop = profile(kappa) - target
+        if drop < 0.0:
+            break
+        if kappa == bound:
+            return bound
+        inner, step = theta, 2.0 * step
+    outer = theta
+    for _ in range(100):
+        slope = kappa * float(_kappa_score(profile.y, profile.mu, kappa))
+        theta_new = theta - drop / slope if slope != 0.0 else math.inf
+        if not min(inner, outer) < theta_new < max(inner, outer):
+            theta_new = 0.5 * (inner + outer)
+        if abs(theta_new - theta) < 1e-9:
+            return kappa
+        theta = theta_new
+        kappa = math.exp(theta)
+        drop = profile(kappa) - target
+        if drop < 0.0:
+            outer = theta
         else:
-            hi, f_hi = mid, f_mid
-    return 0.5 * (lo + hi)
+            inner = theta
+    raise NotConvergedError(f"profile interval endpoint near kappa={kappa:.4g} did not settle")
 
 
-def profile_kappa(data: Sequence, grid_size: int = _GRID_SIZE) -> KappaEstimate:
+def profile_kappa(data: Sequence, grid_size: int = 0) -> KappaEstimate:
     """Profile-likelihood dispersion estimate with 95% interval.
 
-    Searches log kappa over [1e-3, 1e8] on a coarse grid, refines the
-    optimum by golden section, and inverts the profile LRT at 3.841 for
-    the interval. A maximiser pinned at the upper cap is reported with
-    ``at_boundary=True`` and means the data are Poisson-compatible.
+    The estimate is the joint maximum-likelihood fit of :func:`nb_mle`,
+    the maximiser of the profile over log kappa in [1e-3, 1e8]. Each
+    interval endpoint is where the profile falls 3.841 / 2 below its
+    maximum, found by :func:`_ci_endpoint`, or the end of the search
+    range if the profile stays above that level. A maximiser at the
+    upper cap is reported with ``at_boundary=True`` and means the data
+    are Poisson-compatible.
+
+    ``profile_curve`` holds every profile point computed on the way;
+    ``grid_size`` > 0 adds that many log-spaced points over the search
+    range, for plotting. They change neither the estimate nor the
+    interval.
 
     Raises:
         FlatProfileError: interior optimum with curvature below 1e-6 on
             the log-kappa scale, so kappa is not identified.
+        NotConvergedError: the joint fit, a refit on the way to the
+            interval, or the endpoint iteration did not converge.
     """
     y, design = _prepare(data)
-    profile = _ProfileCache(y, design)
-
-    thetas = np.linspace(math.log(KAPPA_MIN), math.log(KAPPA_CAP), grid_size)
-    values = np.array([profile(t) for t in thetas])
-    best = int(np.argmax(values))
-
-    at_boundary = best == grid_size - 1
-    if at_boundary:
-        theta_hat = thetas[-1]
-        ll_hat = values[-1]
-    else:
-        lo = thetas[max(best - 1, 0)]
-        hi = thetas[min(best + 1, grid_size - 1)]
-        theta_hat, ll_hat = _golden_max(profile, lo, hi)
+    coef, _, kappa_hat, at_boundary = nb_mle(y, design)
+    # refit at kappa_hat: at the cap nb_mle's means belong to the kappa it left
+    profile = _ProfileCache(y, design, warm=coef)
+    ll_hat = profile(kappa_hat)
+    coef_hat = profile.warm
+    theta_hat = math.log(kappa_hat)
+    if not at_boundary:
         h = 0.05
-        curv = (profile(theta_hat + h) + profile(theta_hat - h) - 2.0 * ll_hat) / h**2
+        curv = (profile(math.exp(theta_hat + h)) + profile(math.exp(theta_hat - h)) - 2.0 * ll_hat) / h**2
         if curv > -1e-6:
             raise FlatProfileError(
-                f"profile curvature {curv:.3g} at kappa={math.exp(theta_hat):.4g}; "
+                f"profile curvature {curv:.3g} at kappa={kappa_hat:.4g}; "
                 "dispersion not identified"
             )
 
-    # exp(log(cap)) rounds away from the cap; snap it back
-    kappa_hat = KAPPA_CAP if at_boundary else math.exp(theta_hat)
     target = ll_hat - 0.5 * CHI2_1_95
+    lower = _ci_endpoint(profile, theta_hat, target, KAPPA_MIN)
+    profile.warm = coef_hat
+    upper = KAPPA_CAP if at_boundary else _ci_endpoint(profile, theta_hat, target, KAPPA_CAP)
 
-    def drop(theta: float) -> float:
-        return profile(theta) - target
-
-    # lower endpoint: scan the grid left of the optimum for a sign change
-    lower = KAPPA_MIN
-    below = np.nonzero((thetas < theta_hat) & (values < target))[0]
-    if below.size:
-        t_lo = thetas[below[-1]]
-        lower = math.exp(_bisect_root(drop, t_lo, theta_hat, values[below[-1]] - target, ll_hat - target))
-
-    upper = KAPPA_CAP
-    if not at_boundary:
-        above = np.nonzero((thetas > theta_hat) & (values < target))[0]
-        if above.size:
-            t_hi = thetas[above[0]]
-            upper = math.exp(
-                _bisect_root(lambda t: -drop(t), theta_hat, t_hi, -(ll_hat - target), -(values[above[0]] - target))
-            )
-
-    # register exact curve rows for the estimate and interval endpoints
-    for point in (kappa_hat, lower, upper):
-        profile(math.log(point))
+    for kappa in np.geomspace(KAPPA_MIN, KAPPA_CAP, grid_size):
+        try:
+            profile(float(kappa))
+        except NotConvergedError:
+            pass  # a plotting point whose refit fails is left out
     seen = {}
     for kappa, ll in profile.evals:
         seen.setdefault(kappa, ll)
@@ -215,10 +240,6 @@ def profile_kappa(data: Sequence, grid_size: int = _GRID_SIZE) -> KappaEstimate:
         n_obs=design.n,
         n_params=design.p,
     )
-
-
-# kappa from which the score is summed from its large-kappa expansion
-_KAPPA_SERIES = 1e3
 
 
 def _kappa_score(y: np.ndarray, mu: np.ndarray, kappa):
@@ -390,7 +411,7 @@ def nb_mle(
     Alternates the IRLS mean fit at fixed kappa with the one-dimensional
     kappa score solve at fixed means; mean and dispersion parameters are
     information-orthogonal for this family, so alternation converges in
-    a handful of sweeps to the same optimum as the grid profile search.
+    a handful of sweeps to the maximum of the profile likelihood.
 
     Returns (coef, mu, kappa, at_boundary).
     """
@@ -488,15 +509,14 @@ def adjusted_profile_loglik(data: Sequence, kappa: float) -> float:
     expected information for the mean effects at the constrained fit.
     """
     y, design = _prepare(data)
-    return _adjusted_profile(y, design, kappa, _ProfileCache(y, design))
+    return _adjusted_profile(_ProfileCache(y, design), kappa)
 
 
-def _adjusted_profile(y: np.ndarray, design: Design, kappa: float, profile: _ProfileCache) -> float:
-    ll = profile(math.log(kappa))
-    family = Family.negbin(kappa)
-    coef, mu, _, _, _, _ = _irls(y, design, family, start=profile.warm)
-    w = family.working_weight(mu)
-    info = (design.X * w[:, None]).T @ design.X
+def _adjusted_profile(profile: _ProfileCache, kappa: float) -> float:
+    ll = profile(kappa)
+    w = Family.negbin(kappa).working_weight(profile.mu)
+    X = profile.design.X
+    info = (X * w[:, None]).T @ X
     sign, logdet = np.linalg.slogdet(info)
     if sign <= 0:
         raise SingularInformationError(f"information matrix not positive definite at kappa={kappa:.4g}")
@@ -513,7 +533,7 @@ def maximize_adjusted_profile(data: Sequence, grid_size: int = 40) -> float:
     profile = _ProfileCache(y, design)
 
     def f(theta: float) -> float:
-        return _adjusted_profile(y, design, math.exp(theta), profile)
+        return _adjusted_profile(profile, math.exp(theta))
 
     thetas = np.linspace(math.log(KAPPA_MIN), math.log(KAPPA_CAP), grid_size)
     values = np.array([f(t) for t in thetas])

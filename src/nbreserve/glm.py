@@ -33,6 +33,10 @@ _CONDITION_WARN = 1e3
 _IRLS_TOL = 1e-10
 _IRLS_MAX_ITER = 100
 
+# kappa from which the NB log-likelihood and its kappa score are summed
+# from large-kappa expansions
+_KAPPA_SERIES = 1e3
+
 
 class ConditioningWarning(UserWarning):
     """Weighted information matrix is poorly conditioned."""
@@ -99,22 +103,34 @@ def nb_loglik(counts, mu, kappa: float) -> float:
     """Negative binomial log-likelihood in the mean-dispersion form.
 
     Uses log1p(mu / kappa) so the Poisson limit is reached cleanly as
-    kappa grows toward the search cap.
+    kappa grows toward the search cap. There gammaln(y + kappa) and
+    gammaln(kappa) are of size kappa log kappa and cancel to a term of
+    size y, losing about 1e-6 at kappa = 1e8; from ``_KAPPA_SERIES`` on
+    their difference is therefore taken from Stirling's series, whose
+    every term has the size of y.
     """
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     y = _as_counts(counts)
     mu = np.asarray(mu, dtype=float)
-    ratio = np.log1p(mu / kappa)
-    return float(
-        np.sum(
-            gammaln(y + kappa)
-            - gammaln(kappa)
-            - gammaln(y + 1.0)
-            - (y + kappa) * ratio
-            + xlogy(y, mu / kappa)
+    ky = y + kappa
+    # log Gamma(y + kappa) - log Gamma(kappa) - y log kappa
+    if kappa < _KAPPA_SERIES:
+        lgamma_ratio = gammaln(ky) - gammaln(kappa) - y * np.log(kappa)
+    else:
+        lgamma_ratio = (
+            (ky - 0.5) * np.log1p(y / kappa) - y + _stirling_remainder(ky) - _stirling_remainder(kappa)
         )
-    )
+    return float(np.sum(lgamma_ratio - gammaln(y + 1.0) - ky * np.log1p(mu / kappa) + xlogy(y, mu)))
+
+
+def _stirling_remainder(x):
+    """gammaln(x) - ((x - 1/2) log x - x + log(2 pi) / 2) for x >= ``_KAPPA_SERIES``.
+
+    The first omitted term of the series is below 1 / (1680 x^7).
+    """
+    x2 = x * x
+    return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * x2)) / x2) / x
 
 
 def _as_counts(counts) -> np.ndarray:

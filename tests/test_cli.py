@@ -1,10 +1,11 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from nbreserve import serialize_triangle
+from nbreserve import RunOffTriangle, serialize_triangle
 from nbreserve.cli import main
 
 
@@ -62,6 +63,34 @@ class TestFit:
         assert "fit.json" in manifest["outputs"]
         fit_doc = json.loads((Path(out) / "fit.json").read_text())
         assert fit_doc["run_id"] == manifest["run_id"]
+
+    def test_fit_json_keys(self, runner, triangle_csv, tmp_path):
+        out = str(tmp_path / "out")
+        run_ok(runner, ["fit", triangle_csv, "--out-dir", out])
+        doc = json.loads((Path(out) / "fit.json").read_text())
+        assert set(doc) == {
+            "run_id", "family", "kappa_mle", "kappa_adj", "kappa_ci95", "at_boundary",
+            "loglik_nb", "loglik_poisson", "lambda", "p_value", "aic_nb", "aic_poisson",
+            "bic_nb", "bic_poisson", "expected_ultimates", "dev_weights", "future_sum",
+            "cl_total_reserve", "condition_number", "n_obs", "n_params",
+        }
+
+    def test_run_id_follows_input_content(self, runner, australian, tmp_path):
+        # the same path and flags with other counts is another run
+        path = tmp_path / "triangle.csv"
+        rows = [australian.row(i).tolist() for i in range(1, australian.dimension + 1)]
+        manifests = []
+        for bump in (0, 1):
+            rows[0][0] += bump
+            path.write_text(serialize_triangle(RunOffTriangle(rows)), encoding="utf-8")
+            out = tmp_path / f"out{bump}"
+            run_ok(runner, ["fit", str(path), "--family", "poisson", "--out-dir", str(out)])
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+        first, second = manifests
+        assert first["params"]["input"] == second["params"]["input"]
+        assert first["params"]["input_sha256"] != second["params"]["input_sha256"]
+        assert first["run_id"] != second["run_id"]
+        assert second["params"]["input_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestReserve:
@@ -163,6 +192,17 @@ class TestDiagnose:
         assert "28 cells" in result.output
         assert (Path(out) / "residuals.csv").exists()
         assert (Path(out) / "profile.csv").exists()
+
+    def test_profile_csv_has_grid_and_markers(self, runner, triangle_csv, tmp_path):
+        out = str(tmp_path / "out")
+        run_ok(runner, ["diagnose", triangle_csv, "--out-dir", out])
+        lines = (Path(out) / "profile.csv").read_text().strip().splitlines()
+        assert lines[0].startswith("# run_id:")
+        assert lines[1] == "kappa,loglik,marker"
+        rows = [line.split(",") for line in lines[2:]]
+        assert len(rows) >= 60
+        markers = {m for row in rows for m in row[2].split(";") if m}
+        assert markers == {"mle", "ci_lower", "ci_upper"}
 
 
 class TestErrors:

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nbreserve import (
     Family,
     adjusted_profile_loglik,
     bias_correct,
+    bootstrap,
     fit,
     maximize_adjusted_profile,
     nb_loglik,
@@ -233,6 +237,85 @@ class TestKappaSolve:
         assert np.all((rows >= KAPPA_MIN) & (rows <= KAPPA_CAP))
 
 
+PROFILE_TRIANGLES = {
+    "near-poisson": TestKappaSolve.NEAR_POISSON,
+    "cap-start-10": TestKappaSolve.CAP_START[0],
+    "cap-start-11": TestKappaSolve.CAP_START[1],
+    "flat-top": TestKappaSolve.FLAT_TOP,
+}
+
+
+@pytest.fixture(params=["australian", "taylor", *PROFILE_TRIANGLES])
+def interior_triangle(request):
+    if request.param in PROFILE_TRIANGLES:
+        return RunOffTriangle.from_rows(PROFILE_TRIANGLES[request.param])
+    return request.getfixturevalue(request.param)
+
+
+def _without_and_with_grid(recs):
+    sparse = profile_kappa(recs)
+    dense = profile_kappa(recs, grid_size=60)
+    for field in ("kappa_mle", "kappa_adj", "ci95", "at_boundary", "loglik"):
+        assert getattr(dense, field) == getattr(sparse, field)
+    return sparse, dense
+
+
+class TestProfileSearch:
+    def test_grid_changes_only_the_curve(self, interior_triangle):
+        sparse, dense = _without_and_with_grid(to_long(interior_triangle))
+        assert len(dense.profile_curve) >= 60 > len(sparse.profile_curve)
+
+    def test_grid_changes_only_the_curve_at_the_cap(self):
+        sparse, _ = _without_and_with_grid(to_long(random_triangle(np.random.default_rng(101), 7)))
+        assert sparse.at_boundary
+
+    def test_grid_leaves_out_points_whose_refit_fails(self):
+        # near-separated: the refit at kappa = 1e-3 does not converge within
+        # the IRLS budget, which must not sink the estimate
+        recs = to_long(RunOffTriangle.from_rows([[31, 64, 8, 15], [0, 3, 14], [0, 390], [1]]))
+        _, dense = _without_and_with_grid(recs)
+        assert KAPPA_MIN not in dense.profile_curve[:, 0]
+        assert len(dense.profile_curve) >= 59
+
+    def test_no_curve_row_above_the_estimate(self, interior_triangle):
+        est = profile_kappa(to_long(interior_triangle), grid_size=60)
+        assert np.all(est.profile_curve[:, 1] <= est.loglik + 1e-9)
+
+    def test_one_kappa_for_fit_test_and_bootstrap(self, interior_triangle):
+        recs = to_long(interior_triangle)
+        est = profile_kappa(recs)
+        assert not est.at_boundary
+        assert est.kappa_mle == overdispersion_test(recs).kappa_mle
+        assert est.kappa_mle == bootstrap(interior_triangle, b=20, seed=0, workers=1).kappa_mle
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dimension=st.integers(4, 7),
+    kappa=st.sampled_from([1.0, 5.0, 30.0, math.inf]),
+)
+def test_profile_no_lower_than_fixed_kappa_fits(seed, dimension, kappa):
+    # the profile maximum is at least the best negative binomial fit on a
+    # kappa grid, whatever the triangle
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.5, 2.0, size=dimension)
+    weights /= weights.sum()
+    rows = []
+    for i in range(dimension):
+        mu = np.exp(rng.uniform(5.0, 7.0)) * weights[: dimension - i]
+        lam = mu if math.isinf(kappa) else rng.gamma(kappa, mu / kappa)
+        rows.append(rng.poisson(lam).tolist())
+    cols = np.zeros(dimension)
+    for r in rows:
+        cols[: len(r)] += r
+    assume(np.all(cols > 0) and all(sum(r) > 0 for r in rows))
+    recs = to_long(RunOffTriangle.from_rows(rows))
+    est = profile_kappa(recs)
+    best = max(fit(recs, Family.negbin(k)).loglik for k in np.geomspace(0.1, 1e6, 16))
+    assert est.loglik >= best - 1e-6
+
+
 class TestSelection:
     def test_statistic_frozen(self, report):
         assert report.statistic == pytest.approx(2550.0684, abs=0.01)
@@ -282,3 +365,10 @@ class TestTaylorAshe:
         assert est.kappa_mle == pytest.approx(13.8347, abs=0.001)
         assert est.kappa_adj == pytest.approx(bias_correct(est.kappa_mle, 55, 19), rel=1e-12)
         assert not est.at_boundary
+
+    def test_ci_inverts_likelihood_ratio(self, taylor):
+        recs = to_long(taylor)
+        est = profile_kappa(recs)
+        for bound in est.ci95:
+            m = fit(recs, Family.negbin(bound))
+            assert 2 * (est.loglik - nb_loglik(m.y, m.fitted_mu, bound)) == pytest.approx(CHI2_1_95, abs=1e-4)

@@ -1,5 +1,6 @@
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -42,6 +43,21 @@ class TestLoglik:
         y = np.array([3, 0, 7, 12, 1])
         mu = np.array([2.5, 0.4, 8.0, 11.0, 1.5])
         assert nb_loglik(y, mu, 1e8) == pytest.approx(poisson_loglik(y, mu), abs=1e-4)
+
+    @pytest.mark.parametrize("kappa", [1e3, 1e4, 1e5, 1e6, 1e7, 7.5e7, 1e8])
+    def test_negbin_accurate_at_large_kappa(self, australian, kappa):
+        # against 40-digit arithmetic; summed from gammaln(y + kappa) -
+        # gammaln(kappa), the error reached 5e-6 at kappa = 7.5e7
+        model = fit(to_long(australian), Family.poisson())
+        y, mu = model.y, model.fitted_mu
+        with mpmath.workdps(40):
+            k = mpmath.mpf(kappa)
+            exact = mpmath.fsum(
+                mpmath.loggamma(a + k) - mpmath.loggamma(k) - mpmath.loggamma(a + 1)
+                + k * mpmath.log(k / (k + m)) + a * mpmath.log(m / (k + m))
+                for a, m in zip(map(mpmath.mpf, y), map(mpmath.mpf, mu))
+            )
+            assert abs(nb_loglik(y, mu, kappa) - float(exact)) <= 1e-8
 
     def test_kappa_must_be_positive(self):
         with pytest.raises(ValueError):
