@@ -9,6 +9,12 @@ Replicate refits on synthetic data can meet factor levels whose counts
 are all zero. The maximum-likelihood limit sends those level means to
 zero, so the refit drops the level and pins its fitted means at zero
 rather than failing; only genuine non-convergence counts as a failure.
+
+The engine refits a batch of replicates at once on the full design.
+Each replicate leaves out the cells of its dropped levels and holds
+their coefficients at zero, so one batched iteration serves every drop
+pattern and a replicate that drops nothing gets exactly the fit it
+would get alone.
 """
 
 from __future__ import annotations
@@ -146,14 +152,37 @@ def _refit(y_star: np.ndarray, spec: EngineSpec) -> Optional[Tuple[np.ndarray, n
     return row_eff, col_eff, disp
 
 
-def _refit_batch(y_star: np.ndarray, spec: EngineSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Refit every row of the (m, n) replicate matrix ``y_star``.
+def _refit_masks(spec: EngineSpec, ay_keep: np.ndarray, dy_keep: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Kept cells (m, n) and pinned coefficients (m, p) of the full design.
 
-    Replicates are grouped by which levels sum to zero, and each group
-    is fitted as one batch on its reduced design. Returns (ok,
+    A replicate keeps the cells whose accident and development years
+    both have a positive total. Each dropped level's coefficient is
+    pinned at zero; when a baseline level (accident year 1 or development
+    year 0) is dropped, the first kept level of its factor is pinned too,
+    so the intercept takes its place. What is left free is then the
+    reduced design's parameterisation of the kept levels.
+    """
+    m = len(ay_keep)
+    mask = ay_keep[:, spec.ay_idx] & dy_keep[:, spec.dy_idx]
+    rows = np.arange(m)
+    ay_pin, dy_pin = ~ay_keep, ~dy_keep
+    ay_pin[rows, np.argmax(ay_keep, axis=1)] |= ay_pin[:, 0]
+    dy_pin[rows, np.argmax(dy_keep, axis=1)] |= dy_pin[:, 0]
+    pin = np.hstack((np.zeros((m, 1), dtype=bool), ay_pin[:, 1:], dy_pin[:, 1:]))
+    return mask, pin
+
+
+def _refit_batch(y_star: np.ndarray, spec: EngineSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Refit every row of the (m, n) replicate matrix ``y_star`` as one batch.
+
+    All rows are fitted together on the full design, each on its own
+    kept cells and free coefficients (:func:`_refit_masks`), from the
+    base fit's coefficients with the pinned ones at zero. Returns (ok,
     row_eff, col_eff, disp) with one row per replicate, holding what
     :func:`_refit` returns; ok is False where it returns None, and disp
-    is NaN for Poisson refits.
+    is NaN for Poisson refits. A row fails, as there, when it has fewer
+    kept cells than free coefficients, when its normal equations are
+    singular, or when its fit does not converge.
     """
     m = len(y_star)
     ok = np.zeros(m, dtype=bool)
@@ -161,32 +190,35 @@ def _refit_batch(y_star: np.ndarray, spec: EngineSpec) -> Tuple[np.ndarray, np.n
     col_eff = np.full((m, spec.n_dy), -np.inf)
     disp = np.full(m, np.nan)
     ay_keep, dy_keep = _levels_present(y_star, spec)
-    patterns, group = np.unique(np.hstack((ay_keep, dy_keep)), axis=0, return_inverse=True)
-    group = group.ravel()
-    for g, pattern in enumerate(patterns):
-        rows = np.nonzero(group == g)[0]
-        reduced = _reduced_design(spec, pattern[: spec.n_ay], pattern[spec.n_ay :])
-        if reduced is None:
-            continue
-        cells, keep_ay, keep_dy, design = reduced
-        Y = y_star[np.ix_(rows, np.nonzero(cells)[0])].astype(float)
-        start = spec.base_coef if cells.all() else None
-        if spec.refit_tag == "nb":
-            coef, _, kappa, fit_ok = dispersion._nb_mle_batch(Y, design.X, start=start)
-            if spec.correct:
-                kappa[fit_ok] = [dispersion.bias_correct(k, spec.n0, spec.p0) for k in kappa[fit_ok]]
-            disp[rows] = kappa
-        else:
-            coef, mu, fit_ok = _irls_batch(Y, design.X, start=start)
-            if spec.refit_tag == "odp":
-                dof = design.n - design.p
-                if dof <= 0:
-                    continue
-                disp[rows] = np.sum((Y - mu) ** 2 / mu, axis=1) / dof
-        row_red, col_red = _effects_from_coef(coef, len(keep_ay))
-        row_eff[np.ix_(rows, keep_ay)] = row_red
-        col_eff[np.ix_(rows, keep_dy)] = col_red
-        ok[rows] = fit_ok
+    mask, pin = _refit_masks(spec, ay_keep, dy_keep)
+    n_kept = mask.sum(axis=1)
+    dof = n_kept - (pin.shape[1] - pin.sum(axis=1))  # kept cells less free coefficients
+    min_dof = 1 if spec.refit_tag == "odp" else 0  # the Pearson phi divides by dof
+    fit = np.nonzero((n_kept > 0) & (dof >= min_dof))[0]
+    if fit.size == 0:
+        return ok, row_eff, col_eff, disp
+    kept, pin = mask[fit], pin[fit]
+    X = build_design(spec.ay_idx + 1, spec.dy_idx, spec.n_ay, spec.n_dy).X
+    Y = y_star[fit].astype(float)
+    if kept.all():  # nothing dropped: the plain batched fit, without the masking arithmetic
+        mask = pin = None
+        start = spec.base_coef
+    else:
+        mask = kept
+        start = None if spec.base_coef is None else np.where(pin, 0.0, spec.base_coef)
+    if spec.refit_tag == "nb":
+        coef, _, kappa, fit_ok = dispersion._nb_mle_batch(Y, X, start=start, mask=mask, pin=pin)
+        if spec.correct:
+            kappa[fit_ok] = kappa[fit_ok] * (spec.n0 - spec.p0) / spec.n0
+        disp[fit] = kappa
+    else:
+        coef, mu, fit_ok = _irls_batch(Y, X, start=start, mask=mask, pin=pin)
+        if spec.refit_tag == "odp":
+            disp[fit] = np.sum((Y - mu) ** 2 / mu * kept, axis=1) / dof[fit]
+    row_eff[fit], col_eff[fit] = _effects_from_coef(coef, spec.n_ay)
+    row_eff[~ay_keep] = -np.inf
+    col_eff[~dy_keep] = -np.inf
+    ok[fit] = fit_ok
     return ok, row_eff, col_eff, disp
 
 
@@ -194,10 +226,11 @@ def _run_chunk(spec: EngineSpec, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarr
     """Run replicates lo..hi-1; returns (ok, totals, by_ay).
 
     Replicates are refitted in batches of at most ``_BATCH``, which
-    bounds the memory of the stacked normal equations. Each replicate
-    draws its synthetic triangle and, after the refit, its future cells
-    from its own substream, so its draws do not depend on which
-    replicates share its batch.
+    bounds the memory of the stacked normal equations; each batch is one
+    :func:`_refit_batch` call, whatever levels its replicates drop. Each
+    replicate draws its synthetic triangle and, after the refit, its
+    future cells from its own substream, so its draws do not depend on
+    which replicates share its batch.
     """
     ok = np.zeros(hi - lo, dtype=bool)
     totals = np.zeros(hi - lo, dtype=np.int64)

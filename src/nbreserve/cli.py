@@ -15,6 +15,7 @@ invocation. Exit codes: 0 on success, 1 on model or numerical failure,
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -309,11 +310,8 @@ def cmd_simulate(scenario, kappa, nsim, b, threads, config_path, out_dir, seed):
         overrides.update(loaded)
     config = simulation.default_config(**overrides)
     workers = threads if threads is not None else (os.cpu_count() or 1)
-    run = _Run(
-        "simulate",
-        {"scenario": config.scenario, "kappa": config.kappa_true, "nsim": config.n_sim, "b": config.b, "seed": config.seed},
-        out_dir,
-    )
+    # every resolved setting enters the run id, config-file keys included
+    run = _Run("simulate", dataclasses.asdict(config), out_dir)
     result = simulation.run_study(config, workers=workers)
     csv_text = simulation.study_csv(result)
     click.echo(csv_text.rstrip("\n"))

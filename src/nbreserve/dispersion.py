@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import polygamma, psi
+from scipy.special import psi
 
 from .errors import FlatProfileError, NotConvergedError, SingularInformationError
 from .glm import _KAPPA_SERIES, Design, Family, _irls, _irls_batch, build_design, _check_levels, nb_loglik, poisson_loglik
@@ -297,11 +297,51 @@ def _score_series(y: np.ndarray, mu: np.ndarray, kappa: np.ndarray):
     return np.sum(np.log1p(u) - u + d_diff, axis=-1)
 
 
+# arguments from which trigamma is summed from its asymptotic series alone
+_TRIGAMMA_SHIFT = 10.0
+
+# 1 / x^(2k + 1) coefficients of that series: the Bernoulli numbers B_2 .. B_14
+_TRIGAMMA_SERIES = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0, -691.0 / 2730.0, 7.0 / 6.0)
+
+
+def _trigamma(x):
+    """Trigamma psi'(x) for x > 0, elementwise.
+
+    From x = 10 on, the asymptotic series 1/x + 1/(2 x^2) + sum B_2k /
+    x^(2k + 1) through B_14 is exact to rounding. Below, the recurrence
+    psi'(x) = 1 / x^2 + psi'(x + 1) moves the argument to x + 10 first;
+    its ten terms are one broadcast over a leading axis, added in a
+    fixed order. Each element's arithmetic depends on its value alone,
+    not on the shape of ``x``, so a batched solve agrees with the
+    scalar one bit for bit. This is several times faster than
+    ``scipy.special.polygamma(1, x)``, which evaluates a Hurwitz zeta.
+    """
+    x = np.asarray(x, dtype=float)
+    small = x < _TRIGAMMA_SHIFT
+    z = np.where(small, x + _TRIGAMMA_SHIFT, x) if small.any() else x
+    inv2 = 1.0 / (z * z)
+    tail = 0.0
+    for c in reversed(_TRIGAMMA_SERIES):
+        tail = (tail + c) * inv2
+    out = np.asarray((1.0 + (0.5 + tail * z) / z) / z)
+    if z is not x:
+        terms = x[small] + np.arange(_TRIGAMMA_SHIFT)[:, None]
+        terms *= terms
+        np.divide(1.0, terms, out=terms)
+        head = terms[0]
+        for term in terms[1:]:
+            head = head + term
+        out[small] = head + out[small]
+    return out
+
+
 def _kappa_score_deriv(y: np.ndarray, mu: np.ndarray, kappa):
     k = np.asarray(kappa)[..., None]
     n = y.shape[-1]
+    # one kernel call for the cells and kappa itself, in the last column
+    tri = _trigamma(np.concatenate((y + k, k), axis=-1))
     return (
-        np.sum(polygamma(1, y + k), axis=-1) - n * polygamma(1, kappa)
+        np.sum(tri[..., :-1], axis=-1) - n * tri[..., -1]
         + n / kappa
         - np.sum(1.0 / (k + mu), axis=-1)
         - np.sum((mu - y) / (k + mu) ** 2, axis=-1)
@@ -392,11 +432,18 @@ def _solve_kappa_batch(Y: np.ndarray, mu: np.ndarray, kappa0: np.ndarray) -> np.
     return out
 
 
-def _moment_kappa(y: np.ndarray, mu: np.ndarray):
-    """Moment starting value for kappa from the Pearson statistic, per triangle."""
-    excess = np.sum(((y - mu) ** 2 - mu) / (mu * mu), axis=-1)
+def _moment_kappa(y: np.ndarray, mu: np.ndarray, mask: Optional[np.ndarray] = None):
+    """Moment starting value for kappa from the Pearson statistic, per triangle.
+
+    With ``mask``, only the cells it marks are counted.
+    """
+    excess = ((y - mu) ** 2 - mu) / (mu * mu)
+    n = y.shape[-1]
+    if mask is not None:
+        excess, n = excess * mask, np.sum(mask, axis=-1)
+    excess = np.sum(excess, axis=-1)
     with np.errstate(divide="ignore"):
-        kappa = np.where(excess > 0, y.shape[-1] / excess, KAPPA_CAP)
+        kappa = np.where(excess > 0, n / excess, KAPPA_CAP)
     return np.clip(kappa, KAPPA_MIN, KAPPA_CAP)
 
 
@@ -437,30 +484,39 @@ def _nb_mle_batch(
     Y: np.ndarray,
     X: np.ndarray,
     start: Optional[np.ndarray] = None,
+    mask: Optional[np.ndarray] = None,
+    pin: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`nb_mle` for each row of the count matrix ``Y`` at once.
 
-    All rows share the design matrix ``X``; ``start`` is as for
-    :func:`nbreserve.glm._irls_batch`. Each row runs its own alternation
-    and leaves it when it settles, reaches the cap or fails.
+    All rows share the design matrix ``X``; ``start``, ``mask`` and
+    ``pin`` are as for :func:`nbreserve.glm._irls_batch`. A cell
+    outside the mask must hold a zero count; the kappa solve sees it at
+    its limit y = mu = 0, where it adds nothing to the kappa score, so
+    each row's kappa is that of its kept cells. Each row runs its own
+    alternation and leaves it when it settles, reaches the cap or fails.
 
     Returns (coef, mu, kappa, ok); ok is False for rows where the
     scalar fit would raise.
     """
-    coef, mu, poisson_ok = _irls_batch(Y, X, start=start)
+    coef, mu, poisson_ok = _irls_batch(Y, X, start=start, mask=mask, pin=pin)
     kappa = np.full(len(Y), np.nan)
     ok = np.zeros(len(Y), dtype=bool)
     live = np.nonzero(poisson_ok)[0]
-    prev = _moment_kappa(Y[live], mu[live])
+    prev = _moment_kappa(Y[live], mu[live], None if mask is None else mask[live])
     for _ in range(_MAX_OUTER):
         if live.size == 0:
             break
-        new = _solve_kappa_batch(Y[live], mu[live], prev)
+        mu_kept = mu[live] if mask is None else mu[live] * mask[live]
+        new = _solve_kappa_batch(Y[live], mu_kept, prev)
         capped = new >= KAPPA_CAP
         kappa[live[capped]] = KAPPA_CAP
         ok[live[capped]] = True
         live, new, prev = live[~capped], new[~capped], prev[~capped]
-        c, m, converged = _irls_batch(Y[live], X, kappa=new, start=coef[live])
+        c, m, converged = _irls_batch(
+            Y[live], X, kappa=new, start=coef[live],
+            mask=None if mask is None else mask[live], pin=None if pin is None else pin[live],
+        )
         coef[live], mu[live] = c, m
         settled = converged & (np.abs(np.log(new) - np.log(prev)) < 1e-9)
         kappa[live[settled]] = new[settled]

@@ -224,6 +224,8 @@ def _irls(
 
         if coef is None:
             coef = proposal
+            eta_c = np.clip(X @ coef, -_ETA_BOUND, _ETA_BOUND)
+            dev_c = family.deviance(y, np.exp(eta_c))
         else:
             # step halving keeps the deviance non-increasing
             cand = proposal
@@ -241,9 +243,9 @@ def _irls(
                 break
             coef = cand
 
-        eta = np.clip(X @ coef, -_ETA_BOUND, _ETA_BOUND)
+        eta = eta_c
         mu = np.exp(eta)
-        dev_new = family.deviance(y, mu)
+        dev_new = dev_c
         dev_path.append(dev_new)
         if np.isfinite(dev):
             rel = abs(dev - dev_new) / (abs(dev_new) + 0.1)
@@ -285,6 +287,8 @@ def _irls_batch(
     X: np.ndarray,
     kappa: Optional[np.ndarray] = None,
     start: Optional[np.ndarray] = None,
+    mask: Optional[np.ndarray] = None,
+    pin: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_irls` on every row of the count matrix ``Y`` at once.
 
@@ -295,11 +299,35 @@ def _irls_batch(
     row keeps its own step halving and two-small-steps stop rule, and
     stops iterating once it has converged.
 
+    ``mask`` (m, n) marks the cells each row is fitted on and ``pin``
+    (m, p) the coefficients it holds at zero; both default to none left
+    out. A cell outside the mask gets zero working weight and adds
+    nothing to the deviance. A pinned coefficient's equation becomes
+    x = 0, so row r solves the fit of its kept cells on its free
+    coefficients; its start must have the pinned entries at zero. A row
+    with every cell kept and nothing pinned gets bit for bit the result
+    it gets without masks.
+
     Returns (coef, mu, ok); ok is False for rows whose normal equations
     were singular or that did not converge in ``_IRLS_MAX_ITER`` iterations.
     """
     m, p = len(Y), X.shape[1]
     k = None if kappa is None else np.asarray(kappa, dtype=float)[:, None]
+    # each iteration writes the weighted design W X into X's nonzero
+    # entries of this buffer; the rest stays zero
+    cell, col = np.nonzero(X)
+    xval = X[cell, col]
+    xw_buf = np.zeros((m,) + X.shape)
+    if pin is not None:
+        free = ~pin
+        keep_a = free[:, :, None] & free[:, None, :]
+
+    def deviance(rows, y, mu_r, k_r):
+        unit = _unit_deviance(y, mu_r, k_r)
+        if mask is not None:
+            unit = unit * mask[rows]
+        return 2.0 * np.sum(unit, axis=1)
+
     coef = np.full((m, p), np.nan)
     dev = np.full(m, np.inf)
     if start is not None:
@@ -308,7 +336,7 @@ def _irls_batch(
         eta = np.tile(X @ start, (m, 1)) if start.ndim == 1 else _rows_dot(X, coef)
         eta = np.clip(eta, -_ETA_BOUND, _ETA_BOUND)
         mu = np.exp(eta)
-        dev = 2.0 * np.sum(_unit_deviance(Y, mu, k), axis=1)
+        dev = deviance(slice(None), Y, mu, k)
     else:
         eta = np.log(Y + 0.5)
         mu = np.exp(np.clip(eta, -_ETA_BOUND, _ETA_BOUND))
@@ -321,9 +349,17 @@ def _irls_batch(
             break
         y, mu_l, k_l = Y[live], mu[live], None if k is None else k[live]
         w = mu_l if k_l is None else mu_l * k_l / (k_l + mu_l)
+        if mask is not None:
+            w = w * mask[live]
         z = eta[live] + (y - mu_l) / mu_l
-        A = (X * w[:, :, None]).transpose(0, 2, 1) @ X
+        Xw = xw_buf[: live.size]
+        Xw[:, cell, col] = w[:, cell] * xval
+        A = Xw.transpose(0, 2, 1) @ X
         b = (X.T @ (w * z)[:, :, None])[:, :, 0]
+        if pin is not None:
+            A = A * keep_a[live]
+            A[:, np.arange(p), np.arange(p)] += pin[live]
+            b = b * free[live]
         proposal = _solve_rows(A, b)
         singular = np.isnan(proposal).any(axis=1)
 
@@ -331,7 +367,7 @@ def _irls_batch(
             # first step from the log(y + 0.5) start takes the proposal whole
             step = ~singular
             cand, eta_c = proposal, np.clip(_rows_dot(X, proposal), -_ETA_BOUND, _ETA_BOUND)
-            dev_c = 2.0 * np.sum(_unit_deviance(y, np.exp(eta_c), k_l), axis=1)
+            dev_c = deviance(live, y, np.exp(eta_c), k_l)
         else:
             # step halving keeps each row's deviance non-increasing
             cand = proposal.copy()
@@ -342,7 +378,7 @@ def _irls_batch(
             old = coef[live]
             for _ in range(30):
                 e = np.clip(_rows_dot(X, cand[pend]), -_ETA_BOUND, _ETA_BOUND)
-                d = 2.0 * np.sum(_unit_deviance(y[pend], np.exp(e), None if k_l is None else k_l[pend]), axis=1)
+                d = deviance(live[pend], y[pend], np.exp(e), None if k_l is None else k_l[pend])
                 good = np.isfinite(d) & (d <= dev[live[pend]] * (1.0 + 1e-13) + 1e-13)
                 hit = pend[good]
                 step[hit] = True

@@ -169,6 +169,21 @@ class TestSimulate:
         doc = json.loads((Path(out) / "study.json").read_text())
         assert doc["config"]["dimension"] == 6
 
+    def test_run_id_follows_config_file(self, runner, tmp_path):
+        # two configs that differ only in a key the CLI has no option for
+        ids = []
+        for name, level in (("a", 6.0), ("b", 6.5)):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"dimension": 6, "true_alpha": [level] * 6,
+                                       "true_dev_weights": [0.5, 0.2, 0.12, 0.08, 0.06, 0.04],
+                                       "n_sim": 1, "b": 20, "kappa_true": 5.0}))
+            out = tmp_path / f"out_{name}"
+            run_ok(runner, ["simulate", "--config", str(cfg), "--threads", "1", "--out-dir", str(out)])
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["params"]["true_alpha"] == [level] * 6
+            ids.append(manifest["run_id"])
+        assert ids[0] != ids[1]
+
 
     @pytest.mark.parametrize(
         "payload, needle",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.special import polygamma
 
 from nbreserve import (
     Family,
@@ -28,6 +29,7 @@ from nbreserve.dispersion import (
     _prepare,
     _solve_kappa,
     _solve_kappa_batch,
+    _trigamma,
 )
 from nbreserve.glm import _irls, build_design
 from conftest import random_triangle
@@ -235,6 +237,25 @@ class TestKappaSolve:
         rows = _solve_kappa_batch(Y, M, kappa0)
         assert rows.tolist() == [_solve_kappa(a, b, k) for a, b, k in zip(Y, M, kappa0)]
         assert np.all((rows >= KAPPA_MIN) & (rows <= KAPPA_CAP))
+
+
+class TestTrigamma:
+    """The trigamma kernel of the kappa Newton step against scipy's."""
+
+    def test_log_spaced_range(self):
+        x = np.geomspace(KAPPA_MIN, KAPPA_CAP, 4001)
+        assert np.max(np.abs(_trigamma(x) / polygamma(1, x) - 1.0)) < 2e-15
+
+    def test_matrix_and_shape_free(self):
+        # counts plus kappa, as the batched solve passes them
+        rng = np.random.default_rng(2)
+        x = rng.poisson(rng.gamma(2.0, 50.0, size=(40, 55))) + rng.uniform(1e-3, 30.0, size=(40, 1))
+        got = _trigamma(x)
+        assert got.shape == x.shape
+        assert np.max(np.abs(got / polygamma(1, x) - 1.0)) < 2e-15
+        # each element's value does not depend on the array it came in
+        assert np.array_equal(got[7], _trigamma(x[7]))
+        assert all(_trigamma(v) == g for v, g in zip(x[3, :10], got[3, :10]))
 
 
 PROFILE_TRIANGLES = {

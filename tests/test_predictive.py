@@ -216,6 +216,127 @@ class TestBatchedRefit:
             # the single-cell newest accident year draws zero in about a fifth of replicates
             assert dropped > b // 10
 
+    @staticmethod
+    def _patterns(spec, base):
+        """``base`` rows with constructed levels zeroed, one pattern per row."""
+        a, d, last = spec.ay_idx, spec.dy_idx, spec.n_ay - 1
+        zeroed = [
+            a == 0,  # accident year 1, a baseline
+            d == 0,  # development year 0, the other baseline
+            (a == 0) | (d == 0),  # both baselines
+            (a == last) | (d == last),  # the newest year and the last development year
+            a > 0,  # a single accident year left
+            d > 0,  # a single development year left
+            (a == 2) | (d == 3),
+            np.zeros_like(a, dtype=bool),  # nothing dropped
+        ]
+        y_star = base[: len(zeroed)].copy()
+        for row, cells in zip(y_star, zeroed):
+            row[cells] = 0
+        return y_star
+
+    @pytest.mark.parametrize("name", ["australian", "taylor"])
+    @pytest.mark.parametrize("refit_tag", ["nb", "odp", "poisson"])
+    def test_masked_patterns_match_scalar_refit(self, request, name, refit_tag):
+        import nbreserve._bootstrap as bt
+
+        t = request.getfixturevalue(name)
+        spec = self._spec(t, 8, refit_tag)
+        base = np.array(
+            [bt.draw_counts("nb", spec.obs_param, spec.mu_obs, bt.substream(5, r)) for r in range(8)]
+        )
+        y_star = self._patterns(spec, base)
+        ok, row_eff, col_eff, disp = bt._refit_batch(y_star, spec)
+        ref = [bt._refit(y, spec) for y in y_star]
+        assert ok.tolist() == [r is not None for r in ref]
+        # one accident or development year left: saturated, so no ODP dispersion
+        assert ok.sum() == (6 if refit_tag == "odp" else 8)
+        for i in np.nonzero(ok)[0]:
+            row_ref, col_ref, disp_ref = ref[i]
+            log_mu = row_eff[i][spec.ay_idx] + col_eff[i][spec.dy_idx]
+            log_mu_ref = row_ref[spec.ay_idx] + col_ref[spec.dy_idx]
+            assert np.array_equal(np.isinf(row_eff[i]), np.isinf(row_ref))
+            assert np.array_equal(np.isinf(col_eff[i]), np.isinf(col_ref))
+            kept = np.isfinite(log_mu_ref)
+            assert np.abs(log_mu[kept] - log_mu_ref[kept]).max() < 2e-6
+            if disp_ref is None:
+                assert np.isnan(disp[i])
+            else:
+                assert disp[i] == pytest.approx(disp_ref, rel=1e-10)
+
+    @pytest.mark.parametrize("refit_tag", ["nb", "odp", "poisson"])
+    def test_full_rows_ignore_masked_neighbours(self, taylor, refit_tag):
+        import nbreserve._bootstrap as bt
+
+        spec = self._spec(taylor, 30, refit_tag)
+        y_star = np.array(
+            [bt.draw_counts("nb", spec.obs_param, spec.mu_obs, bt.substream(9, r)) for r in range(30)]
+        )
+        y_star[::3, spec.ay_idx == 9] = 0
+        y_star[1::6, spec.dy_idx == 0] = 0
+        full = np.arange(30) % 3 != 0
+        full[1::6] = False
+        mixed = bt._refit_batch(y_star, spec)
+        alone = bt._refit_batch(y_star[full], spec)
+        for got, want in zip(mixed, alone):
+            assert np.array_equal(got[full], want, equal_nan=True)
+        # and each equals the scalar refit bit for bit
+        for i, y in enumerate(y_star[full]):
+            row_ref, col_ref, disp_ref = bt._refit(y, spec)
+            assert np.array_equal(alone[1][i], row_ref)
+            assert np.array_equal(alone[2][i], col_ref)
+            assert np.isnan(alone[3][i]) if disp_ref is None else alone[3][i] == disp_ref
+
+    @staticmethod
+    def _study_spec(s, b, method):
+        """Engine spec of one simulation-study method on study triangle ``s``."""
+        import nbreserve._bootstrap as bt
+        from nbreserve import simulation
+        from nbreserve.dispersion import _prepare
+        from nbreserve.predictive import _future_cells
+
+        t, _ = simulation.generate(simulation.default_config(), s)
+        y, design = _prepare(to_long(t))
+        mu, coef, obs_tag, obs_param, refit_tag, correct, _, _ = simulation._method_base(
+            method, y, design, (design.n, design.p)
+        )
+        fut_ay, fut_dy = _future_cells(t.dimension, t.dimension)
+        return bt.EngineSpec(
+            seed=0, prefix=(1, s, 1), b=b, n_ay=t.dimension, n_dy=t.dimension,
+            ay_idx=design.ay_idx, dy_idx=design.dy_idx, base_coef=coef, mu_obs=mu,
+            obs_tag=obs_tag, obs_param=obs_param, refit_tag=refit_tag, correct=correct,
+            n0=design.n, p0=design.p, fut_ay=fut_ay, fut_dy=fut_dy,
+        )
+
+    def test_study_odp_drop_patterns(self):
+        import nbreserve._bootstrap as bt
+
+        spec = self._study_spec(4, 120, "odp")
+        y_star = np.array(
+            [bt.draw_counts(spec.obs_tag, spec.obs_param, spec.mu_obs, bt.substream(0, r)) for r in range(60)]
+        )
+        ay_keep, dy_keep = bt._levels_present(y_star, spec)
+        assert len(np.unique(np.hstack((ay_keep, dy_keep)), axis=0)) >= 5
+        ok, row_eff, col_eff, disp = bt._refit_batch(y_star, spec)
+        ref = [bt._refit(y, spec) for y in y_star]
+        assert ok.tolist() == [r is not None for r in ref]
+        for i in np.nonzero(ok)[0]:
+            row_ref, col_ref, disp_ref = ref[i]
+            assert np.array_equal(np.isinf(row_eff[i]), np.isinf(row_ref))
+            fin = np.isfinite(row_ref)
+            assert row_eff[i][fin] == pytest.approx(row_ref[fin], abs=2e-6)
+            fin = np.isfinite(col_ref)
+            assert col_eff[i][fin] == pytest.approx(col_ref[fin], abs=2e-6)
+            assert disp[i] == pytest.approx(disp_ref, rel=1e-10)
+
+        # one batch per chunk, so the draws must not depend on the chunking
+        one = bt.run(spec, workers=1)
+        for workers in (2, 3):
+            other = bt.run(spec, workers=workers)
+            assert np.array_equal(other[0], one[0])
+            assert np.array_equal(other[1], one[1])
+            assert other[2] == one[2]
+
     def test_failed_rows_stay_failed(self, australian):
         import nbreserve._bootstrap as bt
 
