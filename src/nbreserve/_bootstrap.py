@@ -2,8 +2,12 @@
 
 One replicate simulates the observed cells from the base fit, refits
 the model on the synthetic triangle, then simulates the future cells
-from the refitted means. The engine is family-generic so the same loop
-serves Poisson, overdispersed Poisson, and negative binomial methods.
+from the refitted means. The engine is family-generic: one
+:class:`~nbreserve.glm.Family` tag (``poisson``, ``quasipoisson`` or
+``negbin``) picks the law of both draws and the refit, so the same
+loop serves the Poisson, overdispersed Poisson and negative binomial
+methods. Everything about the triangle's cells comes from its
+:class:`~nbreserve.glm.Design` and :func:`~nbreserve.glm.triangle_cells`.
 
 Replicate refits on synthetic data can meet factor levels whose counts
 are all zero. The maximum-likelihood limit sends those level means to
@@ -19,16 +23,17 @@ would get alone.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from . import dispersion
 from ._rng import substream
 from .errors import ReservingError
-from .glm import Family, _irls, _irls_batch, build_design
+from .glm import Design, Family, _irls, _irls_batch, build_design, pearson_statistic, triangle_cells
 
 
 # share of failed refits tolerated before a run is abandoned
@@ -41,36 +46,60 @@ _BATCH = 100
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """Everything one bootstrap replicate needs, in picklable form."""
+    """Everything one bootstrap replicate needs, in picklable form.
+
+    ``design`` is the design of the full square triangle, whose observed
+    cells ``mu_obs`` and ``base_coef`` describe; the future cells are
+    those :func:`~nbreserve.glm.triangle_cells` gives for its size.
+    ``family`` is a ``Family`` tag: the law of the observed-cell draws,
+    of the refit and of the future draws. ``param`` is the kappa
+    (``negbin``) or phi (``quasipoisson``) of the observed-cell draws.
+    ``correct`` applies (n - p) / n of ``design`` to each refitted kappa.
+    """
 
     seed: int
     prefix: Tuple[int, ...]
     b: int
-    n_ay: int
-    n_dy: int
-    ay_idx: np.ndarray  # 0-based, observed cells
-    dy_idx: np.ndarray
+    design: Design
     base_coef: Optional[np.ndarray]
     mu_obs: np.ndarray
-    obs_tag: str  # family used to simulate observed cells
-    obs_param: Optional[float]  # kappa or phi
-    refit_tag: str  # poisson | odp | nb; also the family of the future draws
-    correct: bool  # apply (n - p) / n to the refitted kappa
-    n0: int  # base-design dimensions for the correction factor
-    p0: int
-    fut_ay: np.ndarray  # 0-based, future cells
-    fut_dy: np.ndarray
+    family: str
+    param: Optional[float]
+    correct: bool
+
+
+def sample_nb(mu, kappa, rng: np.random.Generator, size=None) -> np.ndarray:
+    """Sample negative binomial counts through the gamma-Poisson mixture.
+
+    Draws lambda ~ Gamma(shape=kappa, rate=kappa / mu) and then
+    Poisson(lambda), which has mean mu and variance mu + mu^2 / kappa.
+    ``mu`` and ``kappa`` broadcast; a scalar kappa at or above the
+    search cap short-circuits to a plain Poisson draw.
+    """
+    mu = np.asarray(mu, dtype=float)
+    if np.isscalar(kappa) or np.ndim(kappa) == 0:
+        kappa = float(kappa)
+        if not kappa > 0:
+            raise ValueError(f"kappa must be positive, got {kappa}")
+        if math.isinf(kappa) or kappa >= dispersion.KAPPA_CAP:
+            return rng.poisson(mu, size=size)
+        lam = rng.gamma(kappa, mu / kappa, size=size)
+        return rng.poisson(lam)
+    kappa = np.asarray(kappa, dtype=float)
+    if not np.all(kappa > 0) or not np.all(np.isfinite(kappa)):
+        raise ValueError("kappa entries must be positive and finite")
+    shape = np.broadcast_shapes(mu.shape, kappa.shape) if size is None else size
+    lam = rng.gamma(np.broadcast_to(kappa, shape), np.broadcast_to(mu / kappa, shape))
+    return rng.poisson(lam)
 
 
 def draw_counts(tag: str, param: Optional[float], mu: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw one synthetic count per cell mean under the given family."""
+    """Draw one synthetic count per cell mean under the family ``tag``."""
     if tag == "poisson":
         return rng.poisson(mu)
-    if tag == "nb":
-        from .predictive import sample_nb
-
+    if tag == "negbin":
         return sample_nb(mu, param, rng)
-    if tag == "odp":
+    if tag == "quasipoisson":
         # integer-valued approximation with Var = phi * mu
         phi = max(param, 1e-8)
         return np.floor(phi * rng.poisson(mu / phi) + 0.5).astype(np.int64)
@@ -87,8 +116,9 @@ def _effects_from_coef(coef: np.ndarray, n_ay: int) -> Tuple[np.ndarray, np.ndar
 
 def _levels_present(y_star: np.ndarray, spec: EngineSpec) -> Tuple[np.ndarray, np.ndarray]:
     """Which accident and development years have a positive total, per replicate."""
-    ay = y_star @ (spec.ay_idx[:, None] == np.arange(spec.n_ay)) > 0
-    dy = y_star @ (spec.dy_idx[:, None] == np.arange(spec.n_dy)) > 0
+    d = spec.design
+    ay = y_star @ (d.ay_idx[:, None] == np.arange(d.n_ay)) > 0
+    dy = y_star @ (d.dy_idx[:, None] == np.arange(d.n_dy)) > 0
     return ay, dy
 
 
@@ -98,13 +128,14 @@ def _reduced_design(spec: EngineSpec, ay_keep: np.ndarray, dy_keep: np.ndarray):
     With every level kept this is the full design. None means the kept
     cells cannot identify the kept levels' effects.
     """
+    d = spec.design
     keep_ay = np.nonzero(ay_keep)[0]
     keep_dy = np.nonzero(dy_keep)[0]
-    cells = ay_keep[spec.ay_idx] & dy_keep[spec.dy_idx]
+    cells = ay_keep[d.ay_idx] & dy_keep[d.dy_idx]
     if not cells.any():
         return None
-    ay_new = np.searchsorted(keep_ay, spec.ay_idx[cells])
-    dy_new = np.searchsorted(keep_dy, spec.dy_idx[cells])
+    ay_new = np.searchsorted(keep_ay, d.ay_idx[cells])
+    dy_new = np.searchsorted(keep_dy, d.dy_idx[cells])
     design = build_design(ay_new + 1, dy_new, len(keep_ay), len(keep_dy))
     if design.n < design.p:
         return None
@@ -116,7 +147,7 @@ def _refit(y_star: np.ndarray, spec: EngineSpec) -> Optional[Tuple[np.ndarray, n
 
     Row and column effects are on the log scale with dropped levels at
     -inf, so exp(row + col) gives zero means there. The dispersion slot
-    holds kappa for nb refits and phi for odp refits. The engine runs
+    holds kappa for negbin refits and phi for quasipoisson refits. The engine runs
     :func:`_refit_batch`; this one-replicate form is its reference.
     """
     ay_keep, dy_keep = _levels_present(y_star[None], spec)
@@ -128,25 +159,25 @@ def _refit(y_star: np.ndarray, spec: EngineSpec) -> Optional[Tuple[np.ndarray, n
     start = spec.base_coef if cells.all() else None
 
     try:
-        if spec.refit_tag == "nb":
+        if spec.family == "negbin":
             coef, _, kappa, _ = dispersion.nb_mle(y_fit, design, start=start)
-            disp = dispersion.bias_correct(kappa, spec.n0, spec.p0) if spec.correct else kappa
+            disp = dispersion.bias_correct(kappa, spec.design.n, spec.design.p) if spec.correct else kappa
         else:
             coef, mu, _, _, converged, _ = _irls(y_fit, design, Family.poisson(), start=start)
             if not converged:
                 return None
             disp = None
-            if spec.refit_tag == "odp":
+            if spec.family == "quasipoisson":
                 dof = design.n - design.p
                 if dof <= 0:
                     return None
-                disp = float(np.sum((y_fit - mu) ** 2 / mu)) / dof
+                disp = float(pearson_statistic(y_fit, mu)) / dof
     except (ReservingError, np.linalg.LinAlgError):
         return None
 
     row_red, col_red = _effects_from_coef(coef[None], len(keep_ay))
-    row_eff = np.full(spec.n_ay, -np.inf)
-    col_eff = np.full(spec.n_dy, -np.inf)
+    row_eff = np.full(spec.design.n_ay, -np.inf)
+    col_eff = np.full(spec.design.n_dy, -np.inf)
     row_eff[keep_ay] = row_red[0]
     col_eff[keep_dy] = col_red[0]
     return row_eff, col_eff, disp
@@ -163,7 +194,7 @@ def _refit_masks(spec: EngineSpec, ay_keep: np.ndarray, dy_keep: np.ndarray) -> 
     reduced design's parameterisation of the kept levels.
     """
     m = len(ay_keep)
-    mask = ay_keep[:, spec.ay_idx] & dy_keep[:, spec.dy_idx]
+    mask = ay_keep[:, spec.design.ay_idx] & dy_keep[:, spec.design.dy_idx]
     rows = np.arange(m)
     ay_pin, dy_pin = ~ay_keep, ~dy_keep
     ay_pin[rows, np.argmax(ay_keep, axis=1)] |= ay_pin[:, 0]
@@ -184,21 +215,20 @@ def _refit_batch(y_star: np.ndarray, spec: EngineSpec) -> Tuple[np.ndarray, np.n
     kept cells than free coefficients, when its normal equations are
     singular, or when its fit does not converge.
     """
-    m = len(y_star)
+    m, design = len(y_star), spec.design
     ok = np.zeros(m, dtype=bool)
-    row_eff = np.full((m, spec.n_ay), -np.inf)
-    col_eff = np.full((m, spec.n_dy), -np.inf)
+    row_eff = np.full((m, design.n_ay), -np.inf)
+    col_eff = np.full((m, design.n_dy), -np.inf)
     disp = np.full(m, np.nan)
     ay_keep, dy_keep = _levels_present(y_star, spec)
     mask, pin = _refit_masks(spec, ay_keep, dy_keep)
     n_kept = mask.sum(axis=1)
     dof = n_kept - (pin.shape[1] - pin.sum(axis=1))  # kept cells less free coefficients
-    min_dof = 1 if spec.refit_tag == "odp" else 0  # the Pearson phi divides by dof
+    min_dof = 1 if spec.family == "quasipoisson" else 0  # the Pearson phi divides by dof
     fit = np.nonzero((n_kept > 0) & (dof >= min_dof))[0]
     if fit.size == 0:
         return ok, row_eff, col_eff, disp
     kept, pin = mask[fit], pin[fit]
-    X = build_design(spec.ay_idx + 1, spec.dy_idx, spec.n_ay, spec.n_dy).X
     Y = y_star[fit].astype(float)
     if kept.all():  # nothing dropped: the plain batched fit, without the masking arithmetic
         mask = pin = None
@@ -206,16 +236,16 @@ def _refit_batch(y_star: np.ndarray, spec: EngineSpec) -> Tuple[np.ndarray, np.n
     else:
         mask = kept
         start = None if spec.base_coef is None else np.where(pin, 0.0, spec.base_coef)
-    if spec.refit_tag == "nb":
-        coef, _, kappa, fit_ok = dispersion._nb_mle_batch(Y, X, start=start, mask=mask, pin=pin)
+    if spec.family == "negbin":
+        coef, _, kappa, fit_ok = dispersion._nb_mle_batch(Y, design.X, start=start, mask=mask, pin=pin)
         if spec.correct:
-            kappa[fit_ok] = kappa[fit_ok] * (spec.n0 - spec.p0) / spec.n0
+            kappa[fit_ok] = kappa[fit_ok] * (design.n - design.p) / design.n
         disp[fit] = kappa
     else:
-        coef, mu, fit_ok = _irls_batch(Y, X, start=start, mask=mask, pin=pin)
-        if spec.refit_tag == "odp":
-            disp[fit] = np.sum((Y - mu) ** 2 / mu * kept, axis=1) / dof[fit]
-    row_eff[fit], col_eff[fit] = _effects_from_coef(coef, spec.n_ay)
+        coef, mu, fit_ok = _irls_batch(Y, design.X, start=start, mask=mask, pin=pin)
+        if spec.family == "quasipoisson":
+            disp[fit] = pearson_statistic(Y, mu, mask) / dof[fit]
+    row_eff[fit], col_eff[fit] = _effects_from_coef(coef, design.n_ay)
     row_eff[~ay_keep] = -np.inf
     col_eff[~dy_keep] = -np.inf
     ok[fit] = fit_ok
@@ -232,21 +262,42 @@ def _run_chunk(spec: EngineSpec, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarr
     future cells from its own substream, so its draws do not depend on
     which replicates share its batch.
     """
+    n_ay = spec.design.n_ay
+    _, (fut_ay, fut_dy) = triangle_cells(n_ay)
     ok = np.zeros(hi - lo, dtype=bool)
     totals = np.zeros(hi - lo, dtype=np.int64)
-    by_ay = np.zeros((hi - lo, spec.n_ay), dtype=np.int64)
+    by_ay = np.zeros((hi - lo, n_ay), dtype=np.int64)
     for first in range(lo, hi, _BATCH):
         rngs = [substream(spec.seed, *spec.prefix, b) for b in range(first, min(first + _BATCH, hi))]
-        y_star = np.array([draw_counts(spec.obs_tag, spec.obs_param, spec.mu_obs, rng) for rng in rngs])
+        y_star = np.array([draw_counts(spec.family, spec.param, spec.mu_obs, rng) for rng in rngs])
         fitted, row_eff, col_eff, disp = _refit_batch(y_star, spec)
         for i in np.nonzero(fitted)[0]:
-            mu_fut = np.exp(row_eff[i, spec.fut_ay] + col_eff[i, spec.fut_dy])
-            draws = draw_counts(spec.refit_tag, disp[i], mu_fut, rngs[i])
+            mu_fut = np.exp(row_eff[i, fut_ay] + col_eff[i, fut_dy])
+            draws = draw_counts(spec.family, disp[i], mu_fut, rngs[i])
             slot = first - lo + i
             ok[slot] = True
             totals[slot] = draws.sum()
-            np.add.at(by_ay[slot], spec.fut_ay, draws)
+            np.add.at(by_ay[slot], fut_ay, draws)
     return ok, totals, by_ay
+
+
+def split_run(func: Callable, n: int, workers: int, *args) -> List:
+    """Results of ``func(*args, lo, hi)`` over contiguous chunks of range(n), in order.
+
+    One call covers everything when ``workers`` <= 1 or n < 4; otherwise
+    the range is cut into ``workers`` near-equal chunks, each run in its
+    own process.
+    """
+    if workers <= 1 or n < 4:
+        return [func(*args, 0, n)]
+    bounds = np.linspace(0, n, workers + 1, dtype=int)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(func, *args, int(lo), int(hi))
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+            if hi > lo
+        ]
+        return [f.result() for f in futures]
 
 
 def run(spec: EngineSpec, workers: int = 1) -> Tuple[np.ndarray, np.ndarray, int]:
@@ -255,20 +306,7 @@ def run(spec: EngineSpec, workers: int = 1) -> Tuple[np.ndarray, np.ndarray, int
     Results are identical for any worker count because each replicate
     draws from its own counter-based substream.
     """
-    if workers <= 1 or spec.b < 4:
-        ok, totals, by_ay = _run_chunk(spec, 0, spec.b)
-    else:
-        bounds = np.linspace(0, spec.b, workers + 1, dtype=int)
-        parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_chunk, spec, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            parts = [f.result() for f in futures]
-        ok = np.concatenate([p[0] for p in parts])
-        totals = np.concatenate([p[1] for p in parts])
-        by_ay = np.concatenate([p[2] for p in parts])
+    parts = split_run(_run_chunk, spec.b, workers, spec)
+    ok, totals, by_ay = (np.concatenate(p) for p in zip(*parts))
     failures = int(spec.b - ok.sum())
     return totals[ok], by_ay[ok], failures

@@ -32,7 +32,7 @@ from . import __version__, dispersion, predictive, simulation
 from .chainladder import chain_ladder
 from .diagnostics import export_profile, pearson_residuals, residuals_csv
 from .errors import ConfigError, ReservingError, TriangleError
-from .glm import Family, fit as glm_fit
+from .glm import Family, fit as glm_fit, triangle_cells
 from .triangle import read_triangle, to_long
 
 _SEED_ENV = "NBRESERVE_SEED"
@@ -225,12 +225,9 @@ def cmd_fit(triangle: str, family: str, round_amounts: bool, out_dir: str, seed:
 
 
 def _future_sum(model) -> float:
-    total = 0.0
-    for i in range(1, model.n_ay + 1):
-        for j in range(model.n_dy):
-            if i + j > model.n_ay:
-                total += model.mu_at(i, j)
-    return total
+    # summed left to right: np.sum's pairwise order would move the last digits
+    _, (ay, dy) = triangle_cells(model.n_ay)
+    return sum(np.exp(model.simplex_alpha[ay] + model.simplex_beta[dy]).tolist())
 
 
 @main.command("reserve")

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import psi
 
 from .errors import FlatProfileError, NotConvergedError, SingularInformationError
-from .glm import _KAPPA_SERIES, Design, Family, _irls, _irls_batch, build_design, _check_levels, nb_loglik, poisson_loglik
+from .glm import _KAPPA_SERIES, Design, Family, _irls, _irls_batch, _prepare, nb_loglik, poisson_loglik
 
 KAPPA_MIN = 1e-3
 KAPPA_CAP = 1e8
@@ -80,15 +80,6 @@ def bias_correct(kappa_mle: float, n_obs: int, n_params: int) -> float:
     if n_params < 0 or n_obs <= n_params:
         raise ValueError(f"need n_obs > n_params >= 0, got ({n_obs}, {n_params})")
     return kappa_mle * (n_obs - n_params) / n_obs
-
-
-def _prepare(data) -> Tuple[np.ndarray, Design]:
-    ay = np.array([r.ay for r in data], dtype=np.int64)
-    dy = np.array([r.dy for r in data], dtype=np.int64)
-    y = np.array([r.count for r in data], dtype=float)
-    design = build_design(ay, dy)
-    _check_levels(y, design)
-    return y, design
 
 
 class _ProfileCache:
@@ -451,7 +442,6 @@ def nb_mle(
     y: np.ndarray,
     design: Design,
     start: Optional[np.ndarray] = None,
-    max_outer: int = _MAX_OUTER,
 ) -> Tuple[np.ndarray, np.ndarray, float, bool]:
     """Joint maximum likelihood over (mean effects, kappa).
 
@@ -467,7 +457,7 @@ def nb_mle(
         raise NotConvergedError("Poisson stage of the joint fit did not converge")
 
     kappa = float(_moment_kappa(y, mu))
-    for _ in range(max_outer):
+    for _ in range(_MAX_OUTER):
         kappa_new = _solve_kappa(y, mu, kappa)
         if kappa_new >= KAPPA_CAP:
             return coef, mu, KAPPA_CAP, True
@@ -477,7 +467,7 @@ def nb_mle(
         if abs(np.log(kappa_new) - np.log(kappa)) < 1e-9:
             return coef, mu, kappa_new, False
         kappa = kappa_new
-    raise NotConvergedError(f"joint NB fit did not settle in {max_outer} sweeps")
+    raise NotConvergedError(f"joint NB fit did not settle in {_MAX_OUTER} sweeps")
 
 
 def _nb_mle_batch(

@@ -10,6 +10,11 @@ so kappa -> infinity recovers the Poisson.
 Fits are computed under treatment contrasts (first accident year and
 development year 0 as baselines) and re-expressed on the simplex scale,
 where the development effects exponentiate to weights summing to one.
+
+The other modules share its layout: the observed and future cells of
+a square triangle (:func:`triangle_cells`), records to counts and a
+design (:func:`_prepare`), and the Pearson statistic behind every
+quasi-Poisson phi (:func:`pearson_statistic`).
 """
 
 from __future__ import annotations
@@ -183,20 +188,29 @@ def build_design(ay: Sequence[int], dy: Sequence[int], n_ay: Optional[int] = Non
     return Design(ay_idx=ay_idx, dy_idx=dy_idx, n_ay=n_ay, n_dy=n_dy, X=X)
 
 
+def triangle_cells(I: int) -> Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+    """0-based (ay, dy) indices of the observed and the future cells of an I x I triangle.
+
+    A cell is future when ay + dy >= I. Both sets are row-major, so the
+    observed cells come in the order of ``triangle.to_long``.
+    """
+    future = np.add.outer(np.arange(I), np.arange(I)) >= I
+    return np.nonzero(~future), np.nonzero(future)
+
+
 def _irls(
     y: np.ndarray,
     design: Design,
     family: Family,
     start: Optional[np.ndarray] = None,
-    tol: float = _IRLS_TOL,
-    max_iter: int = _IRLS_MAX_ITER,
 ) -> Tuple[np.ndarray, np.ndarray, float, List[float], bool, int]:
     """Fisher-scoring IRLS with step halving.
 
     Returns (coef, mu, deviance, deviance_path, converged, n_iter).
     Convergence requires two consecutive relative deviance changes below
-    ``tol``; the extra polishing step leaves the score at essentially
-    machine-level precision.
+    ``_IRLS_TOL``, within ``_IRLS_MAX_ITER`` iterations; the extra
+    polishing step leaves the score at essentially machine-level
+    precision.
     """
     X = design.X
     if start is not None:
@@ -212,7 +226,7 @@ def _irls(
     small_steps = 0
     n_iter = 0
 
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, _IRLS_MAX_ITER + 1):
         w = family.working_weight(mu)
         z = eta + (y - mu) / mu
         A = (X * w[:, None]).T @ X
@@ -249,7 +263,7 @@ def _irls(
         dev_path.append(dev_new)
         if np.isfinite(dev):
             rel = abs(dev - dev_new) / (abs(dev_new) + 0.1)
-            small_steps = small_steps + 1 if rel < tol else 0
+            small_steps = small_steps + 1 if rel < _IRLS_TOL else 0
             if small_steps >= 2:
                 dev = dev_new
                 converged = True
@@ -498,12 +512,23 @@ def _check_levels(y: np.ndarray, design: Design) -> None:
             )
 
 
-def fit(
-    data: Sequence,
-    family: Family,
-    tol: float = _IRLS_TOL,
-    max_iter: int = _IRLS_MAX_ITER,
-) -> ModelFit:
+def _prepare(data: Sequence) -> Tuple[np.ndarray, Design]:
+    """Counts and design of long-format records, with :func:`fit`'s input checks."""
+    ay = np.array([r.ay for r in data], dtype=np.int64)
+    dy = np.array([r.dy for r in data], dtype=np.int64)
+    y = np.array([r.count for r in data], dtype=float)
+    if np.any(y < 0):
+        raise ValueError("counts must be nonnegative")
+    design = build_design(ay, dy)
+    if design.n < design.p:
+        raise RankDeficientError(
+            f"{design.n} observations cannot identify {design.p} parameters"
+        )
+    _check_levels(y, design)
+    return y, design
+
+
+def fit(data: Sequence, family: Family) -> ModelFit:
     """Fit the two-way log-link count model by IRLS.
 
     Args:
@@ -518,24 +543,12 @@ def fit(
             equations are singular.
         NotConvergedError: iteration budget exhausted.
     """
-    ay = np.array([r.ay for r in data], dtype=np.int64)
-    dy = np.array([r.dy for r in data], dtype=np.int64)
-    y = np.array([r.count for r in data], dtype=float)
-    if np.any(y < 0):
-        raise ValueError("counts must be nonnegative")
-    design = build_design(ay, dy)
-    if design.n < design.p:
-        raise RankDeficientError(
-            f"{design.n} observations cannot identify {design.p} parameters"
-        )
-    _check_levels(y, design)
+    y, design = _prepare(data)
 
     irls_family = Family.poisson() if family.tag == "quasipoisson" else family
-    coef, mu, dev, dev_path, converged, n_iter = _irls(
-        y, design, irls_family, tol=tol, max_iter=max_iter
-    )
+    coef, mu, dev, dev_path, converged, n_iter = _irls(y, design, irls_family)
     if not converged:
-        raise NotConvergedError(f"IRLS did not converge in {max_iter} iterations")
+        raise NotConvergedError(f"IRLS did not converge in {_IRLS_MAX_ITER} iterations")
 
     w = irls_family.working_weight(mu)
     info = (design.X * w[:, None]).T @ design.X
@@ -561,8 +574,8 @@ def fit(
         family=family,
         n_ay=design.n_ay,
         n_dy=design.n_dy,
-        ay=ay,
-        dy=dy,
+        ay=design.ay_idx + 1,
+        dy=design.dy_idx,
         y=y,
         intercept=intercept,
         ay_effects=ay_effects,
@@ -594,13 +607,27 @@ def pearson_dispersion(fit: ModelFit) -> float:
     """
     if fit.family.tag == "negbin":
         raise ValueError("Pearson dispersion applies to Poisson-family fits")
-    ss = float(np.sum((fit.y - fit.fitted_mu) ** 2 / fit.fitted_mu))
+    ss = float(pearson_statistic(fit.y, fit.fitted_mu))
     if ss == 0.0:
         return 0.0
     dof = fit.n_obs - fit.n_params
     if dof <= 0:
         raise ValueError("Pearson dispersion undefined: no residual degrees of freedom")
     return ss / dof
+
+
+def pearson_statistic(y: np.ndarray, mu: np.ndarray, mask: Optional[np.ndarray] = None):
+    """Pearson statistic sum((y - mu)^2 / mu) over the last axis.
+
+    ``y`` and ``mu`` are one triangle's cells or matrices with one
+    triangle per row; ``mask`` marks the cells that count. Divided by
+    the residual degrees of freedom this is the quasi-Poisson phi; each
+    caller decides what a zero statistic or no degrees of freedom means.
+    """
+    terms = (y - mu) ** 2 / mu
+    if mask is not None:
+        terms = terms * mask
+    return np.sum(terms, axis=-1)
 
 
 def score(fit: ModelFit) -> np.ndarray:

@@ -17,38 +17,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _bootstrap
+from ._bootstrap import sample_nb
 from .chainladder import chain_ladder
-from .dispersion import KAPPA_CAP, bias_correct, nb_mle, _prepare
+from .dispersion import KAPPA_CAP, bias_correct, nb_mle
 from .errors import BaseFitFailedError, ExcessiveFailuresError, ReservingError, TooFewDrawsError
-from .glm import ModelFit
+from .glm import ModelFit, _prepare, triangle_cells
 from .triangle import RunOffTriangle, to_long
 
 _MIN_DRAWS = 100
-
-
-def sample_nb(mu, kappa, rng: np.random.Generator, size=None) -> np.ndarray:
-    """Sample negative binomial counts through the gamma-Poisson mixture.
-
-    Draws lambda ~ Gamma(shape=kappa, rate=kappa / mu) and then
-    Poisson(lambda), which has mean mu and variance mu + mu^2 / kappa.
-    ``mu`` and ``kappa`` broadcast; a scalar kappa at or above the
-    search cap short-circuits to a plain Poisson draw.
-    """
-    mu = np.asarray(mu, dtype=float)
-    if np.isscalar(kappa) or np.ndim(kappa) == 0:
-        kappa = float(kappa)
-        if not kappa > 0:
-            raise ValueError(f"kappa must be positive, got {kappa}")
-        if math.isinf(kappa) or kappa >= KAPPA_CAP:
-            return rng.poisson(mu, size=size)
-        lam = rng.gamma(kappa, mu / kappa, size=size)
-        return rng.poisson(lam)
-    kappa = np.asarray(kappa, dtype=float)
-    if not np.all(kappa > 0) or not np.all(np.isfinite(kappa)):
-        raise ValueError("kappa entries must be positive and finite")
-    shape = np.broadcast_shapes(mu.shape, kappa.shape) if size is None else size
-    lam = rng.gamma(np.broadcast_to(kappa, shape), np.broadcast_to(mu / kappa, shape))
-    return rng.poisson(lam)
 
 
 @dataclass(frozen=True)
@@ -73,15 +49,12 @@ def plugin_predict(fit: ModelFit, kappa: float) -> List[CellPrediction]:
     """
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
-    I = fit.n_ay
+    _, (ay, dy) = triangle_cells(fit.n_ay)
     out = []
-    for i in range(1, I + 1):
-        for j in range(fit.n_dy):
-            if i + j <= I:
-                continue
-            mu = fit.mu_at(i, j)
-            var = mu if (math.isinf(kappa) or kappa >= KAPPA_CAP) else mu + mu * mu / kappa
-            out.append(CellPrediction(ay=i, dy=j, mean=mu, variance=var, kappa=kappa))
+    for i, j in zip(ay.tolist(), dy.tolist()):
+        mu = fit.mu_at(i + 1, j)
+        var = mu if (math.isinf(kappa) or kappa >= KAPPA_CAP) else mu + mu * mu / kappa
+        out.append(CellPrediction(ay=i + 1, dy=j, mean=mu, variance=var, kappa=kappa))
     return out
 
 
@@ -144,26 +117,16 @@ def bootstrap(
     kappa_adj = bias_correct(kappa_mle, design.n, design.p)
     kappa_used = kappa_adj if correct else kappa_mle
 
-    I = t.dimension
-    fut_ay, fut_dy = _future_cells(I, I)
     spec = _bootstrap.EngineSpec(
         seed=seed,
         prefix=(),
         b=b,
-        n_ay=I,
-        n_dy=I,
-        ay_idx=design.ay_idx,
-        dy_idx=design.dy_idx,
+        design=design,
         base_coef=coef,
         mu_obs=mu,
-        obs_tag="nb",
-        obs_param=kappa_used,
-        refit_tag="nb",
+        family="negbin",
+        param=kappa_used,
         correct=correct,
-        n0=design.n,
-        p0=design.p,
-        fut_ay=fut_ay,
-        fut_dy=fut_dy,
     )
     totals, by_ay, failures = _bootstrap.run(spec, workers=workers)
     if failures > _bootstrap.MAX_FAILURE_FRACTION * b:
@@ -174,7 +137,7 @@ def bootstrap(
     cl = chain_ladder(t)
     return ReserveDistribution(
         draws_total=totals,
-        draws_by_ay={i: by_ay[:, i - 1] for i in range(2, I + 1)},
+        draws_by_ay={i: by_ay[:, i - 1] for i in range(2, t.dimension + 1)},
         b_requested=b,
         b_effective=int(totals.size),
         refit_failures=failures,
@@ -186,16 +149,6 @@ def bootstrap(
         point_by_ay=cl.reserves,
         origin_label=t.origin_label,
     )
-
-
-def _future_cells(n_ay: int, n_dy: int) -> Tuple[np.ndarray, np.ndarray]:
-    ay, dy = [], []
-    for i in range(1, n_ay + 1):
-        for j in range(n_dy):
-            if i + j > n_ay:
-                ay.append(i - 1)
-                dy.append(j)
-    return np.array(ay, dtype=np.int64), np.array(dy, dtype=np.int64)
 
 
 def _interval(draws: np.ndarray, level: float) -> Tuple[float, float]:

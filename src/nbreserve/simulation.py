@@ -5,28 +5,37 @@ two-way count model, hands the observed half to each reserving method,
 and scores the bootstrap intervals against the realised outstanding
 count. Methods share the deterministic chain-ladder point estimate and
 differ only in the distribution driving their bootstrap.
+
+The observed and future cells follow :func:`nbreserve.glm.triangle_cells`
+and the engine runs in :mod:`nbreserve._bootstrap`, whose ``sample_nb``
+also draws the simulated squares. Each method maps to one ``Family``
+tag; the Poisson base fit serves the poisson and odp methods and the
+joint NB fit serves nb_mle and nb_corrected, once per triangle.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import _bootstrap
+from ._bootstrap import sample_nb
 from ._rng import substream
 from .chainladder import chain_ladder
 from .dispersion import bias_correct, nb_mle
 from .errors import ConfigError, ReservingError
-from .glm import Family, _irls, build_design
-from .predictive import sample_nb
+from .glm import Design, Family, _irls, build_design, pearson_statistic, triangle_cells
+from .predictive import _interval
 from .triangle import RunOffTriangle
 
 SCENARIOS = ("correct", "poisson", "calendar", "varying-kappa")
 METHODS = ("poisson", "odp", "nb_mle", "nb_corrected")
+# each method's Family tag in the bootstrap engine, and whether it bias-corrects kappa
+_METHOD_FAMILY = {"poisson": ("poisson", False), "odp": ("quasipoisson", False),
+                  "nb_mle": ("negbin", False), "nb_corrected": ("negbin", True)}
 KAPPA_GRID = (2.0, 3.0, 5.0, 10.0, 20.0, 50.0)
 LEVELS = (0.75, 0.95)
 
@@ -152,10 +161,9 @@ def generate(config: DgpConfig, replicate_index: int) -> Tuple[RunOffTriangle, i
     rng = substream(config.seed, 0, replicate_index)
     full = simulate_square(config, rng)
     I = config.dimension
-    rows = [full[i, : I - i].tolist() for i in range(I)]
-    t = RunOffTriangle.from_rows(rows)
-    true_outstanding = int(full.sum() - sum(sum(r) for r in rows))
-    return t, true_outstanding
+    t = RunOffTriangle.from_rows([full[i, : I - i].tolist() for i in range(I)])
+    _, future = triangle_cells(I)
+    return t, int(full[future].sum())
 
 
 @dataclass(frozen=True)
@@ -180,91 +188,81 @@ class StudyResult:
     levels: Tuple[float, ...] = LEVELS
 
 
-def _method_base(method: str, y: np.ndarray, design, correct_np: Tuple[int, int]):
-    """Fit one method's base model; returns engine sampling parameters.
+def _observed(t: RunOffTriangle) -> Tuple[np.ndarray, Design]:
+    """Counts and design of a study triangle's observed cells, in ``to_long`` order.
 
-    Gives (mu_obs, coef, obs_tag, obs_param, refit_tag, correct,
-    kappa_mle, at_boundary).
+    Unlike ``glm._prepare`` this does not reject all-zero levels: about
+    a fifth of default-process triangles have one, and the study fits
+    them as they are.
     """
-    if method in ("poisson", "odp"):
-        coef, mu, _, _, converged, _ = _irls(y, design, Family.poisson())
-        if not converged:
-            raise ReservingError("Poisson base fit did not converge")
-        if method == "poisson":
-            return mu, coef, "poisson", None, "poisson", False, None, None
-        phi = float(np.sum((y - mu) ** 2 / mu)) / (design.n - design.p)
-        return mu, coef, "odp", max(phi, 1e-8), "odp", False, None, None
-    coef, mu, kappa, at_boundary = nb_mle(y, design)
-    if method == "nb_mle":
-        return mu, coef, "nb", kappa, "nb", False, kappa, at_boundary
-    n0, p0 = correct_np
-    return mu, coef, "nb", bias_correct(kappa, n0, p0), "nb", True, kappa, at_boundary
+    (ay, dy), _ = triangle_cells(t.dimension)
+    return t.to_matrix()[ay, dy], build_design(ay + 1, dy, t.dimension, t.dimension)
+
+
+def _method_base(tag: str, y: np.ndarray, design: Design):
+    """Base fit shared by the study methods of one family; returns (coef, mu, kappa, at_boundary).
+
+    ``tag`` ``negbin`` is the joint NB fit of the nb_mle and
+    nb_corrected methods; ``poisson`` is the Poisson fit of the poisson
+    and odp methods, whose kappa and at_boundary are None.
+    """
+    if tag == "negbin":
+        return nb_mle(y, design)
+    coef, mu, _, _, converged, _ = _irls(y, design, Family.poisson())
+    if not converged:
+        raise ReservingError("Poisson base fit did not converge")
+    return coef, mu, None, None
 
 
 def _run_replicate(config: DgpConfig, s: int, methods: Sequence[str]) -> Dict[str, Optional[dict]]:
-    """All methods on one simulated triangle; None marks a failed method."""
+    """All methods on one simulated triangle; None marks a failed method.
+
+    Each family is fitted once; a failed fit fails every method that
+    shares it, and so does a triangle with no residual degree of freedom
+    for the methods that divide by it (odp, nb_corrected).
+    """
     t, true_out = generate(config, s)
-    I = config.dimension
     out: Dict[str, Optional[dict]] = {m: None for m in methods}
     try:
         point = chain_ladder(t).total_reserve
-        ay = np.concatenate([np.full(I - i, i + 1, dtype=np.int64) for i in range(I)])
-        dy = np.concatenate([np.arange(I - i, dtype=np.int64) for i in range(I)])
-        y = np.concatenate([t.row(i + 1) for i in range(I)]).astype(float)
-        design = build_design(ay, dy, I, I)
-        fut_ay, fut_dy = _future_cells(I)
     except ReservingError:
         return out
+    y, design = _observed(t)
+    dof = design.n - design.p
+    bases: Dict[str, Optional[tuple]] = {}
 
     for m_index, method in enumerate(methods):
-        try:
-            mu, coef, obs_tag, obs_param, refit_tag, correct, kappa, at_boundary = _method_base(
-                method, y, design, (design.n, design.p)
-            )
-        except (ReservingError, np.linalg.LinAlgError):
+        family, correct = _METHOD_FAMILY[method]
+        base = "negbin" if family == "negbin" else "poisson"
+        if base not in bases:
+            try:
+                bases[base] = _method_base(base, y, design)
+            except (ReservingError, np.linalg.LinAlgError):
+                bases[base] = None
+        if bases[base] is None or (dof <= 0 and (correct or family == "quasipoisson")):
             continue
+        coef, mu, kappa, at_boundary = bases[base]
+        if family == "quasipoisson":
+            param = float(pearson_statistic(y, mu)) / dof
+        else:
+            param = bias_correct(kappa, design.n, design.p) if correct else kappa
         spec = _bootstrap.EngineSpec(
-            seed=config.seed,
-            prefix=(1, s, m_index),
-            b=config.b,
-            n_ay=I,
-            n_dy=I,
-            ay_idx=design.ay_idx,
-            dy_idx=design.dy_idx,
-            base_coef=coef,
-            mu_obs=mu,
-            obs_tag=obs_tag,
-            obs_param=obs_param,
-            refit_tag=refit_tag,
-            correct=correct,
-            n0=design.n,
-            p0=design.p,
-            fut_ay=fut_ay,
-            fut_dy=fut_dy,
+            seed=config.seed, prefix=(1, s, m_index), b=config.b, design=design,
+            base_coef=coef, mu_obs=mu, family=family, param=param, correct=correct,
         )
         totals, _, failures = _bootstrap.run(spec)
         if failures > _bootstrap.MAX_FAILURE_FRACTION * config.b:
             continue
         rec = {"point": point, "true": true_out, "kappa": kappa, "at_boundary": at_boundary}
         for level in LEVELS:
-            lo, hi = np.quantile(totals, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
+            lo, hi = _interval(totals, level)
             rec[("cover", level)] = bool(lo <= true_out <= hi)
-            rec[("width", level)] = float(hi - lo)
+            rec[("width", level)] = hi - lo
         out[method] = rec
     return out
 
 
-def _future_cells(I: int) -> Tuple[np.ndarray, np.ndarray]:
-    ay, dy = [], []
-    for i in range(1, I + 1):
-        for j in range(I):
-            if i + j > I:
-                ay.append(i - 1)
-                dy.append(j)
-    return np.array(ay, dtype=np.int64), np.array(dy, dtype=np.int64)
-
-
-def _replicate_range(config: DgpConfig, lo: int, hi: int, methods: Tuple[str, ...]) -> List[Dict]:
+def _replicate_range(config: DgpConfig, methods: Tuple[str, ...], lo: int, hi: int) -> List[Dict]:
     return [_run_replicate(config, s, methods) for s in range(lo, hi)]
 
 
@@ -285,17 +283,8 @@ def run_study(
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
 
-    if workers <= 1 or config.n_sim < 4:
-        records = _replicate_range(config, 0, config.n_sim, methods)
-    else:
-        bounds = np.linspace(0, config.n_sim, workers + 1, dtype=int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_replicate_range, config, int(lo), int(hi), methods)
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            records = [rec for f in futures for rec in f.result()]
+    parts = _bootstrap.split_run(_replicate_range, config.n_sim, workers, config, methods)
+    records = [rec for part in parts for rec in part]
 
     results = []
     for method in methods:

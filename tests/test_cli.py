@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from nbreserve import RunOffTriangle, serialize_triangle
-from nbreserve.cli import main
+from nbreserve import Family, RunOffTriangle, fit, serialize_triangle, to_long
+from nbreserve.cli import _future_sum, main
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +46,20 @@ class TestFit:
         run_ok(runner, ["fit", triangle_csv, "--family", "poisson", "--out-dir", out])
         doc = json.loads((Path(out) / "fit.json").read_text())
         assert doc["future_sum"] == pytest.approx(doc["cl_total_reserve"], rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "family", [Family.poisson(), Family.quasi_poisson(), Family.negbin(4.8)], ids=["poisson", "odp", "nb"]
+    )
+    @pytest.mark.parametrize("name", ["australian", "taylor"])
+    def test_future_sum_equals_cell_loop(self, request, name, family):
+        # the reported future sum is the left-to-right sum of the future cell means
+        model = fit(to_long(request.getfixturevalue(name)), family)
+        I, loop = model.n_ay, 0.0
+        for i in range(1, I + 1):
+            for j in range(I):
+                if i + j > I:
+                    loop += model.mu_at(i, j)
+        assert _future_sum(model) == loop
 
     def test_odp_reports_phi(self, runner, triangle_csv, tmp_path):
         out = str(tmp_path / "out")

@@ -310,3 +310,36 @@ class TestBatchedIrls:
         assert np.array_equal(x[0], np.ones(3))
         assert np.isnan(x[1]).all()
         assert np.array_equal(x[2], np.full(3, 0.5))
+
+
+class TestTriangleCells:
+    """The one observed/future layout rule of a square triangle."""
+
+    @pytest.mark.parametrize("I", range(1, 16))
+    def test_partition_and_order(self, I):
+        from nbreserve import RunOffTriangle
+        from nbreserve.glm import triangle_cells
+
+        (obs_ay, obs_dy), (fut_ay, fut_dy) = triangle_cells(I)
+        observed = list(zip(obs_ay.tolist(), obs_dy.tolist()))
+        future = list(zip(fut_ay.tolist(), fut_dy.tolist()))
+        assert sorted(observed + future) == [(i, j) for i in range(I) for j in range(I)]
+        assert len(future) == I * (I - 1) // 2
+        assert all(i + j >= I for i, j in future)
+        assert future == sorted(future)  # row-major
+        assert observed == [(i, j) for i in range(I) for j in range(I - i)]
+        if I >= 2:
+            t = RunOffTriangle.from_rows([[1] * (I - i) for i in range(I)])
+            assert observed == [(r.ay - 1, r.dy) for r in to_long(t)]
+
+    def test_study_counts_match_prepare(self):
+        from nbreserve import simulation
+        from nbreserve.glm import _prepare
+
+        t, _ = simulation.generate(simulation.default_config(), 4)
+        y, design = simulation._observed(t)
+        y_ref, design_ref = _prepare(to_long(t))
+        assert np.array_equal(y, y_ref)
+        assert np.array_equal(design.X, design_ref.X)
+        assert np.array_equal(design.ay_idx, design_ref.ay_idx)
+        assert np.array_equal(design.dy_idx, design_ref.dy_idx)

@@ -146,7 +146,8 @@ class TestBootstrap:
 
         def all_fail(y_star, spec):
             m = len(y_star)
-            return np.zeros(m, dtype=bool), np.zeros((m, spec.n_ay)), np.zeros((m, spec.n_dy)), np.zeros(m)
+            n_ay, n_dy = spec.design.n_ay, spec.design.n_dy
+            return np.zeros(m, dtype=bool), np.zeros((m, n_ay)), np.zeros((m, n_dy)), np.zeros(m)
 
         monkeypatch.setattr(bt, "_refit_batch", all_fail)
         with pytest.raises(ExcessiveFailuresError):
@@ -167,33 +168,33 @@ class TestBatchedRefit:
     """The engine's batched refit against the one-replicate scalar refit."""
 
     @staticmethod
-    def _spec(t, b, refit_tag="nb"):
+    def _spec(t, b, family="negbin"):
         import nbreserve._bootstrap as bt
         from nbreserve.dispersion import _prepare, bias_correct, nb_mle
-        from nbreserve.predictive import _future_cells
 
         y, design = _prepare(to_long(t))
         coef, mu, kappa, _ = nb_mle(y, design)
-        fut_ay, fut_dy = _future_cells(t.dimension, t.dimension)
-        obs_param = bias_correct(kappa, design.n, design.p)
+        param = bias_correct(kappa, design.n, design.p)
         return bt.EngineSpec(
-            seed=0, prefix=(), b=b, n_ay=t.dimension, n_dy=t.dimension,
-            ay_idx=design.ay_idx, dy_idx=design.dy_idx, base_coef=coef, mu_obs=mu,
-            obs_tag="nb", obs_param=obs_param, refit_tag=refit_tag, correct=refit_tag == "nb",
-            n0=design.n, p0=design.p, fut_ay=fut_ay, fut_dy=fut_dy,
+            seed=0, prefix=(), b=b, design=design, base_coef=coef, mu_obs=mu,
+            family=family, param=param, correct=family == "negbin",
         )
 
     @pytest.mark.parametrize(
-        "name, b, refit_tag",
-        [("australian", 400, "nb"), ("taylor", 200, "nb"), ("australian", 200, "odp"), ("australian", 200, "poisson")],
+        "name, b, family",
+        [
+            ("australian", 400, "negbin"), ("taylor", 200, "negbin"),
+            ("australian", 200, "quasipoisson"), ("australian", 200, "poisson"),
+        ],
+        ids=["australian-400-nb", "taylor-200-nb", "australian-200-odp", "australian-200-poisson"],
     )
-    def test_matches_scalar_refit(self, request, name, b, refit_tag):
+    def test_matches_scalar_refit(self, request, name, b, family):
         import nbreserve._bootstrap as bt
 
         t = request.getfixturevalue(name)
-        spec = self._spec(t, b, refit_tag)
+        spec = self._spec(t, b, family)
         y_star = np.array(
-            [bt.draw_counts("nb", spec.obs_param, spec.mu_obs, bt.substream(0, r)) for r in range(b)]
+            [bt.draw_counts("negbin", spec.param, spec.mu_obs, bt.substream(0, r)) for r in range(b)]
         )
         ok, row_eff, col_eff, disp = bt._refit_batch(y_star, spec)
         ref = [bt._refit(y, spec) for y in y_star]
@@ -219,7 +220,7 @@ class TestBatchedRefit:
     @staticmethod
     def _patterns(spec, base):
         """``base`` rows with constructed levels zeroed, one pattern per row."""
-        a, d, last = spec.ay_idx, spec.dy_idx, spec.n_ay - 1
+        a, d, last = spec.design.ay_idx, spec.design.dy_idx, spec.design.n_ay - 1
         zeroed = [
             a == 0,  # accident year 1, a baseline
             d == 0,  # development year 0, the other baseline
@@ -236,25 +237,26 @@ class TestBatchedRefit:
         return y_star
 
     @pytest.mark.parametrize("name", ["australian", "taylor"])
-    @pytest.mark.parametrize("refit_tag", ["nb", "odp", "poisson"])
-    def test_masked_patterns_match_scalar_refit(self, request, name, refit_tag):
+    @pytest.mark.parametrize("family", ["negbin", "quasipoisson", "poisson"], ids=["nb", "odp", "poisson"])
+    def test_masked_patterns_match_scalar_refit(self, request, name, family):
         import nbreserve._bootstrap as bt
 
         t = request.getfixturevalue(name)
-        spec = self._spec(t, 8, refit_tag)
+        spec = self._spec(t, 8, family)
         base = np.array(
-            [bt.draw_counts("nb", spec.obs_param, spec.mu_obs, bt.substream(5, r)) for r in range(8)]
+            [bt.draw_counts("negbin", spec.param, spec.mu_obs, bt.substream(5, r)) for r in range(8)]
         )
         y_star = self._patterns(spec, base)
         ok, row_eff, col_eff, disp = bt._refit_batch(y_star, spec)
         ref = [bt._refit(y, spec) for y in y_star]
         assert ok.tolist() == [r is not None for r in ref]
         # one accident or development year left: saturated, so no ODP dispersion
-        assert ok.sum() == (6 if refit_tag == "odp" else 8)
+        assert ok.sum() == (6 if family == "quasipoisson" else 8)
+        a, d = spec.design.ay_idx, spec.design.dy_idx
         for i in np.nonzero(ok)[0]:
             row_ref, col_ref, disp_ref = ref[i]
-            log_mu = row_eff[i][spec.ay_idx] + col_eff[i][spec.dy_idx]
-            log_mu_ref = row_ref[spec.ay_idx] + col_ref[spec.dy_idx]
+            log_mu = row_eff[i][a] + col_eff[i][d]
+            log_mu_ref = row_ref[a] + col_ref[d]
             assert np.array_equal(np.isinf(row_eff[i]), np.isinf(row_ref))
             assert np.array_equal(np.isinf(col_eff[i]), np.isinf(col_ref))
             kept = np.isfinite(log_mu_ref)
@@ -264,16 +266,16 @@ class TestBatchedRefit:
             else:
                 assert disp[i] == pytest.approx(disp_ref, rel=1e-10)
 
-    @pytest.mark.parametrize("refit_tag", ["nb", "odp", "poisson"])
-    def test_full_rows_ignore_masked_neighbours(self, taylor, refit_tag):
+    @pytest.mark.parametrize("family", ["negbin", "quasipoisson", "poisson"], ids=["nb", "odp", "poisson"])
+    def test_full_rows_ignore_masked_neighbours(self, taylor, family):
         import nbreserve._bootstrap as bt
 
-        spec = self._spec(taylor, 30, refit_tag)
+        spec = self._spec(taylor, 30, family)
         y_star = np.array(
-            [bt.draw_counts("nb", spec.obs_param, spec.mu_obs, bt.substream(9, r)) for r in range(30)]
+            [bt.draw_counts("negbin", spec.param, spec.mu_obs, bt.substream(9, r)) for r in range(30)]
         )
-        y_star[::3, spec.ay_idx == 9] = 0
-        y_star[1::6, spec.dy_idx == 0] = 0
+        y_star[::3, spec.design.ay_idx == 9] = 0
+        y_star[1::6, spec.design.dy_idx == 0] = 0
         full = np.arange(30) % 3 != 0
         full[1::6] = False
         mixed = bt._refit_batch(y_star, spec)
@@ -288,32 +290,28 @@ class TestBatchedRefit:
             assert np.isnan(alone[3][i]) if disp_ref is None else alone[3][i] == disp_ref
 
     @staticmethod
-    def _study_spec(s, b, method):
-        """Engine spec of one simulation-study method on study triangle ``s``."""
+    def _study_spec(s, b):
+        """Engine spec of the simulation study's odp method on study triangle ``s``."""
         import nbreserve._bootstrap as bt
         from nbreserve import simulation
         from nbreserve.dispersion import _prepare
-        from nbreserve.predictive import _future_cells
+        from nbreserve.glm import pearson_statistic
 
         t, _ = simulation.generate(simulation.default_config(), s)
         y, design = _prepare(to_long(t))
-        mu, coef, obs_tag, obs_param, refit_tag, correct, _, _ = simulation._method_base(
-            method, y, design, (design.n, design.p)
-        )
-        fut_ay, fut_dy = _future_cells(t.dimension, t.dimension)
+        coef, mu, _, _ = simulation._method_base("poisson", y, design)
+        phi = float(pearson_statistic(y, mu)) / (design.n - design.p)
         return bt.EngineSpec(
-            seed=0, prefix=(1, s, 1), b=b, n_ay=t.dimension, n_dy=t.dimension,
-            ay_idx=design.ay_idx, dy_idx=design.dy_idx, base_coef=coef, mu_obs=mu,
-            obs_tag=obs_tag, obs_param=obs_param, refit_tag=refit_tag, correct=correct,
-            n0=design.n, p0=design.p, fut_ay=fut_ay, fut_dy=fut_dy,
+            seed=0, prefix=(1, s, 1), b=b, design=design, base_coef=coef, mu_obs=mu,
+            family="quasipoisson", param=phi, correct=False,
         )
 
     def test_study_odp_drop_patterns(self):
         import nbreserve._bootstrap as bt
 
-        spec = self._study_spec(4, 120, "odp")
+        spec = self._study_spec(4, 120)
         y_star = np.array(
-            [bt.draw_counts(spec.obs_tag, spec.obs_param, spec.mu_obs, bt.substream(0, r)) for r in range(60)]
+            [bt.draw_counts(spec.family, spec.param, spec.mu_obs, bt.substream(0, r)) for r in range(60)]
         )
         ay_keep, dy_keep = bt._levels_present(y_star, spec)
         assert len(np.unique(np.hstack((ay_keep, dy_keep)), axis=0)) >= 5
@@ -342,10 +340,10 @@ class TestBatchedRefit:
 
         spec = self._spec(australian, 4)
         y_star = np.array(
-            [bt.draw_counts("nb", spec.obs_param, spec.mu_obs, bt.substream(0, r)) for r in range(4)]
+            [bt.draw_counts("negbin", spec.param, spec.mu_obs, bt.substream(0, r)) for r in range(4)]
         )
         y_star[1] = 0  # nothing left to fit
-        y_star[2, spec.ay_idx > 0] = 0  # only the first accident year has counts
+        y_star[2, spec.design.ay_idx > 0] = 0  # only the first accident year has counts
         ok, _, _, _ = bt._refit_batch(y_star, spec)
         assert ok.tolist() == [bt._refit(y, spec) is not None for y in y_star]
         assert not ok[1]

@@ -208,3 +208,42 @@ class TestExport:
         (entry,) = doc["methods"]
         assert entry["method"] == "poisson"
         assert "coverage" in entry and "mean_width" in entry
+
+
+class TestStudyPinned:
+    # study_json of default_config(n_sim=3, b=50, seed=8) before the model
+    # core shared one base fit per family; replicates 1 and 2 have an
+    # all-zero development year 9, which the study fits without the
+    # separated-level check
+    PINNED = {
+        "poisson": (0.0, 0.0, 203.91666666666666, 358.59999999999997, None, None),
+        "odp": (0.3333333333333333, 1.0, 982.875, 1606.3833333333332, None, None),
+        "nb_mle": (0.3333333333333333, 0.3333333333333333, 1135.1666666666667, 1734.4999999999998, 18.10875263236112, 0.0),
+        "nb_corrected": (0.3333333333333333, 1.0, 1371.7083333333333, 2266.6916666666666, 18.10875263236112, 0.0),
+    }
+
+    def test_study_json_pinned(self):
+        config = default_config(n_sim=3, b=50, seed=8)
+        for s in (1, 2):
+            t, _ = generate(config, s)
+            assert t.cell(1, 9) == 0
+        doc = study_json(run_study(config))
+        assert [m["method"] for m in doc["methods"]] == list(self.PINNED)
+        for m in doc["methods"]:
+            cov75, cov95, w75, w95, kappa, at_boundary = self.PINNED[m["method"]]
+            assert m["bias"] == 146.83928075724543
+            assert m["rmse"] == 553.5753707630877
+            assert m["coverage"] == {"0.75": cov75, "0.95": cov95}
+            assert m["mean_width"] == {"0.75": w75, "0.95": w95}
+            assert m["mean_kappa"] == kappa
+            assert m["at_boundary_fraction"] == at_boundary
+            assert (m["n_failed"], m["n_completed"]) == (0, 3)
+
+    def test_no_residual_dof_fails_dividing_methods(self):
+        # a 2x2 triangle has as many observed cells as parameters: odp has
+        # no phi and nb_corrected no correction, so both fail; the others run
+        config = DgpConfig(
+            dimension=2, true_alpha=(5.0, 5.0), true_dev_weights=(0.6, 0.4), kappa_true=10.0, n_sim=2, b=20
+        )
+        failed = {m.method: m.n_failed for m in run_study(config).methods}
+        assert failed == {"poisson": 0, "odp": 2, "nb_mle": 0, "nb_corrected": 2}
