@@ -16,9 +16,12 @@ rather than failing; only genuine non-convergence counts as a failure.
 
 The engine refits a batch of replicates at once on the full design.
 Each replicate leaves out the cells of its dropped levels and holds
-their coefficients at zero, so one batched iteration serves every drop
+their coefficients at zero, so one batched fit serves every drop
 pattern and a replicate that drops nothing gets exactly the fit it
-would get alone.
+would get alone. Poisson and overdispersed Poisson refits are the
+closed-form chain-ladder (:func:`~nbreserve.glm._poisson_batch`);
+negative binomial refits are the joint fit of
+:func:`~nbreserve.dispersion._nb_mle_batch`, started from it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,10 @@ import numpy as np
 from . import dispersion
 from ._rng import substream
 from .errors import ReservingError
-from .glm import Design, Family, _irls, _irls_batch, build_design, pearson_statistic, triangle_cells
+from .glm import (
+    Design, Family, _chain_ladder_batch, _irls, _poisson_batch, build_design, drop_masks, pearson_statistic,
+    triangle_cells,
+)
 
 
 # share of failed refits tolerated before a run is abandoned
@@ -143,12 +149,14 @@ def _reduced_design(spec: EngineSpec, ay_keep: np.ndarray, dy_keep: np.ndarray):
 
 
 def _refit(y_star: np.ndarray, spec: EngineSpec) -> Optional[Tuple[np.ndarray, np.ndarray, Optional[float]]]:
-    """Refit one replicate with the scalar fits; returns (row_eff, col_eff, dispersion).
+    """Refit one replicate on its reduced design; returns (row_eff, col_eff, dispersion).
 
     Row and column effects are on the log scale with dropped levels at
     -inf, so exp(row + col) gives zero means there. The dispersion slot
-    holds kappa for negbin refits and phi for quasipoisson refits. The engine runs
-    :func:`_refit_batch`; this one-replicate form is its reference.
+    holds kappa for negbin refits and phi for quasipoisson refits. A
+    Poisson refit is the closed-form chain-ladder, or the scalar IRLS
+    where that does not apply. The engine runs :func:`_refit_batch`;
+    this one-replicate form is its reference.
     """
     ay_keep, dy_keep = _levels_present(y_star[None], spec)
     reduced = _reduced_design(spec, ay_keep[0], dy_keep[0])
@@ -163,9 +171,12 @@ def _refit(y_star: np.ndarray, spec: EngineSpec) -> Optional[Tuple[np.ndarray, n
             coef, _, kappa, _ = dispersion.nb_mle(y_fit, design, start=start)
             disp = dispersion.bias_correct(kappa, spec.design.n, spec.design.p) if spec.correct else kappa
         else:
-            coef, mu, _, _, converged, _ = _irls(y_fit, design, Family.poisson(), start=start)
-            if not converged:
-                return None
+            coef, mu, closed = _chain_ladder_batch(y_fit[None], design)
+            coef, mu = coef[0], mu[0]
+            if not closed[0]:
+                coef, mu, _, _, converged, _ = _irls(y_fit, design, Family.poisson(), start=start)
+                if not converged:
+                    return None
             disp = None
             if spec.family == "quasipoisson":
                 dof = design.n - design.p
@@ -183,31 +194,11 @@ def _refit(y_star: np.ndarray, spec: EngineSpec) -> Optional[Tuple[np.ndarray, n
     return row_eff, col_eff, disp
 
 
-def _refit_masks(spec: EngineSpec, ay_keep: np.ndarray, dy_keep: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Kept cells (m, n) and pinned coefficients (m, p) of the full design.
-
-    A replicate keeps the cells whose accident and development years
-    both have a positive total. Each dropped level's coefficient is
-    pinned at zero; when a baseline level (accident year 1 or development
-    year 0) is dropped, the first kept level of its factor is pinned too,
-    so the intercept takes its place. What is left free is then the
-    reduced design's parameterisation of the kept levels.
-    """
-    m = len(ay_keep)
-    mask = ay_keep[:, spec.design.ay_idx] & dy_keep[:, spec.design.dy_idx]
-    rows = np.arange(m)
-    ay_pin, dy_pin = ~ay_keep, ~dy_keep
-    ay_pin[rows, np.argmax(ay_keep, axis=1)] |= ay_pin[:, 0]
-    dy_pin[rows, np.argmax(dy_keep, axis=1)] |= dy_pin[:, 0]
-    pin = np.hstack((np.zeros((m, 1), dtype=bool), ay_pin[:, 1:], dy_pin[:, 1:]))
-    return mask, pin
-
-
 def _refit_batch(y_star: np.ndarray, spec: EngineSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Refit every row of the (m, n) replicate matrix ``y_star`` as one batch.
 
     All rows are fitted together on the full design, each on its own
-    kept cells and free coefficients (:func:`_refit_masks`), from the
+    kept cells and free coefficients (:func:`~nbreserve.glm.drop_masks`), from the
     base fit's coefficients with the pinned ones at zero. Returns (ok,
     row_eff, col_eff, disp) with one row per replicate, holding what
     :func:`_refit` returns; ok is False where it returns None, and disp
@@ -221,7 +212,7 @@ def _refit_batch(y_star: np.ndarray, spec: EngineSpec) -> Tuple[np.ndarray, np.n
     col_eff = np.full((m, design.n_dy), -np.inf)
     disp = np.full(m, np.nan)
     ay_keep, dy_keep = _levels_present(y_star, spec)
-    mask, pin = _refit_masks(spec, ay_keep, dy_keep)
+    mask, pin = drop_masks(design, ay_keep, dy_keep)
     n_kept = mask.sum(axis=1)
     dof = n_kept - (pin.shape[1] - pin.sum(axis=1))  # kept cells less free coefficients
     min_dof = 1 if spec.family == "quasipoisson" else 0  # the Pearson phi divides by dof
@@ -237,12 +228,12 @@ def _refit_batch(y_star: np.ndarray, spec: EngineSpec) -> Tuple[np.ndarray, np.n
         mask = kept
         start = None if spec.base_coef is None else np.where(pin, 0.0, spec.base_coef)
     if spec.family == "negbin":
-        coef, _, kappa, fit_ok = dispersion._nb_mle_batch(Y, design.X, start=start, mask=mask, pin=pin)
+        coef, _, kappa, fit_ok, _ = dispersion._nb_mle_batch(Y, design, start=start, mask=mask, pin=pin)
         if spec.correct:
             kappa[fit_ok] = kappa[fit_ok] * (design.n - design.p) / design.n
         disp[fit] = kappa
     else:
-        coef, mu, fit_ok = _irls_batch(Y, design.X, start=start, mask=mask, pin=pin)
+        coef, mu, fit_ok = _poisson_batch(Y, design, start=start, mask=mask, pin=pin)
         if spec.family == "quasipoisson":
             disp[fit] = pearson_statistic(Y, mu, mask) / dof[fit]
     row_eff[fit], col_eff[fit] = _effects_from_coef(coef, design.n_ay)

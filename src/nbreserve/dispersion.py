@@ -1,10 +1,13 @@
 """Dispersion estimation for the negative binomial count model.
 
 The dispersion kappa is estimated by maximum likelihood: the joint fit
-:func:`nb_mle` alternates the mean refit at fixed kappa with a Newton
-solve for kappa at fixed means, and so maximises the profile
+:func:`nb_mle` runs Newton iterations over the mean effects and log
+kappa together, from the closed-form chain-ladder Poisson fit, and so
+maximises the profile
 l_p(kappa) = l(alpha_hat(kappa), beta_hat(kappa), kappa) over log kappa
-in [1e-3, 1e8]. Confidence intervals invert the likelihood-ratio
+in [1e-3, 1e8]. The bootstrap engine refits its replicates with the
+same kernel, :func:`_nb_mle_batch`, of which :func:`nb_mle` is the
+batch of one. Confidence intervals invert the likelihood-ratio
 statistic at the chi-square(1) 0.95 quantile; each endpoint is
 bracketed by a doubling walk from the estimate and found by Newton's
 method on l_p, whose slope the envelope theorem gives from the kappa
@@ -25,7 +28,10 @@ import numpy as np
 from scipy.special import psi
 
 from .errors import FlatProfileError, NotConvergedError, SingularInformationError
-from .glm import _KAPPA_SERIES, Design, Family, _irls, _irls_batch, _prepare, nb_loglik, poisson_loglik
+from .glm import (
+    _ETA_BOUND, _IRLS_MAX_ITER, _KAPPA_SERIES, Design, Family, _halve_steps, _irls, _NormalEquations,
+    _poisson_batch, _prepare, _unit_deviance, nb_loglik, poisson_loglik,
+)
 
 KAPPA_MIN = 1e-3
 KAPPA_CAP = 1e8
@@ -35,9 +41,6 @@ CHI2_1_95 = 3.841458820694124
 
 # log-spaced profile points `nbreserve diagnose` adds to the exported curve
 _GRID_SIZE = 60
-
-# sweeps the joint NB alternation may take, scalar and batched
-_MAX_OUTER = 50
 
 
 @dataclass(frozen=True)
@@ -445,75 +448,136 @@ def nb_mle(
 ) -> Tuple[np.ndarray, np.ndarray, float, bool]:
     """Joint maximum likelihood over (mean effects, kappa).
 
-    Alternates the IRLS mean fit at fixed kappa with the one-dimensional
-    kappa score solve at fixed means; mean and dispersion parameters are
-    information-orthogonal for this family, so alternation converges in
-    a handful of sweeps to the maximum of the profile likelihood.
+    The fit of one triangle by :func:`_nb_mle_batch`, as a batch of one:
+    joint Newton iterations over the coefficients and log kappa from
+    the closed-form Poisson fit. ``start`` is used only where that
+    Poisson fit needs IRLS.
 
     Returns (coef, mu, kappa, at_boundary).
-    """
-    coef, mu, _, _, converged, _ = _irls(y, design, Family.poisson(), start=start)
-    if not converged:
-        raise NotConvergedError("Poisson stage of the joint fit did not converge")
 
-    kappa = float(_moment_kappa(y, mu))
-    for _ in range(_MAX_OUTER):
-        kappa_new = _solve_kappa(y, mu, kappa)
-        if kappa_new >= KAPPA_CAP:
-            return coef, mu, KAPPA_CAP, True
-        coef, mu, _, _, converged, _ = _irls(y, design, Family.negbin(kappa_new), start=coef)
-        if not converged:
-            raise NotConvergedError("mean refit in the joint NB fit did not converge")
-        if abs(np.log(kappa_new) - np.log(kappa)) < 1e-9:
-            return coef, mu, kappa_new, False
-        kappa = kappa_new
-    raise NotConvergedError(f"joint NB fit did not settle in {_MAX_OUTER} sweeps")
+    Raises:
+        NotConvergedError: the fit failed as :func:`_nb_mle_batch`
+            describes.
+    """
+    coef, mu, kappa, ok, _ = _nb_mle_batch(np.asarray(y, dtype=float)[None], design, start=start)
+    if not ok[0]:
+        raise NotConvergedError(
+            f"joint NB fit failed: singular, unbounded or not converged in {_IRLS_MAX_ITER} iterations"
+        )
+    return coef[0], mu[0], float(kappa[0]), bool(kappa[0] == KAPPA_CAP)
 
 
 def _nb_mle_batch(
     Y: np.ndarray,
-    X: np.ndarray,
+    design: Design,
     start: Optional[np.ndarray] = None,
     mask: Optional[np.ndarray] = None,
     pin: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`nb_mle` for each row of the count matrix ``Y`` at once.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Joint maximum likelihood over (mean effects, kappa) for each row of ``Y``.
 
-    All rows share the design matrix ``X``; ``start``, ``mask`` and
-    ``pin`` are as for :func:`nbreserve.glm._irls_batch`. A cell
-    outside the mask must hold a zero count; the kappa solve sees it at
-    its limit y = mu = 0, where it adds nothing to the kappa score, so
-    each row's kappa is that of its kept cells. Each row runs its own
-    alternation and leaves it when it settles, reaches the cap or fails.
+    All rows share ``design``; ``start``, ``mask`` and ``pin`` are as
+    for :func:`nbreserve.glm._irls_batch`. A cell outside the mask must
+    hold a zero count; the kappa score sees it at its limit y = mu = 0,
+    where it adds nothing, so each row's kappa is that of its kept cells.
 
-    Returns (coef, mu, kappa, ok); ok is False for rows where the
-    scalar fit would raise.
+    The Poisson fit (:func:`nbreserve.glm._poisson_batch`, the
+    closed-form chain-ladder where it applies) gives the means from
+    which :func:`_solve_kappa_batch` takes the first kappa. From there
+    each iteration takes one Newton step for the coefficients at fixed
+    kappa, with the observed information, whose working weights
+    mu kappa (kappa + y) / (kappa + mu)^2 stay positive, and step
+    halving on the deviance; then one Newton step in log kappa at the
+    new means, capped at one unit and kept in [KAPPA_MIN, KAPPA_CAP].
+    Mean and dispersion are information-orthogonal in this family, so
+    the two steps together converge about as fast as a full Newton
+    step. A row stops when its Newton decrement, the log-likelihood
+    gain the two steps predict, is at rounding level (1e-20); it stops
+    at KAPPA_CAP when :func:`_at_poisson_boundary` holds at its means
+    or a kappa step reaches the cap, with the coefficients of its last
+    step. Each row's arithmetic does not depend on the other rows of
+    the batch.
+
+    Returns (coef, mu, kappa, ok, n_iter); n_iter counts each row's
+    joint iterations, and ok is False for rows whose Poisson fit
+    failed, whose normal equations were singular, whose likelihood
+    rises without bound (no halving of a step lowers the deviance, or a
+    kept mean reaches the clip of the linear predictor) or that did not
+    converge in ``_IRLS_MAX_ITER`` iterations.
     """
-    coef, mu, poisson_ok = _irls_batch(Y, X, start=start, mask=mask, pin=pin)
-    kappa = np.full(len(Y), np.nan)
-    ok = np.zeros(len(Y), dtype=bool)
+    m, X = len(Y), design.X
+    coef, mu, poisson_ok = _poisson_batch(Y, design, start=start, mask=mask, pin=pin)
+    kappa = np.full(m, np.nan)
+    ok = np.zeros(m, dtype=bool)
+    n_iter = np.zeros(m, dtype=np.int64)
+
+    def kept(a, rows):
+        return a if mask is None else a * mask[rows]
+
+    def deviance(rows, y, mu_r, k_r):
+        return 2.0 * np.sum(kept(_unit_deviance(y, mu_r, k_r), rows), axis=1)
+
     live = np.nonzero(poisson_ok)[0]
-    prev = _moment_kappa(Y[live], mu[live], None if mask is None else mask[live])
-    for _ in range(_MAX_OUTER):
+    kappa[live] = _solve_kappa_batch(
+        Y[live], kept(mu[live], live), _moment_kappa(Y[live], mu[live], None if mask is None else mask[live])
+    )
+    cap = kappa >= KAPPA_CAP
+    kappa[cap], ok[cap] = KAPPA_CAP, True
+    live = live[~cap[live]]
+    normal = _NormalEquations(X, live.size, pin)
+    log_min, log_cap = math.log(KAPPA_MIN), math.log(KAPPA_CAP)
+
+    for _ in range(_IRLS_MAX_ITER):
         if live.size == 0:
             break
-        mu_kept = mu[live] if mask is None else mu[live] * mask[live]
-        new = _solve_kappa_batch(Y[live], mu_kept, prev)
-        capped = new >= KAPPA_CAP
-        kappa[live[capped]] = KAPPA_CAP
-        ok[live[capped]] = True
-        live, new, prev = live[~capped], new[~capped], prev[~capped]
-        c, m, converged = _irls_batch(
-            Y[live], X, kappa=new, start=coef[live],
-            mask=None if mask is None else mask[live], pin=None if pin is None else pin[live],
+        n_iter[live] += 1
+        y, old, mu_l, k = Y[live], coef[live], mu[live], kappa[live][:, None]
+        # Newton step for the coefficients: X^T W X delta = X^T W z, z the
+        # score per unit of observed information
+        Xw, A = normal.weigh(live, kept(mu_l / (k + mu_l) * (k / (k + mu_l)) * (k + y), live))
+        z = (y - mu_l) / mu_l * ((k + mu_l) / (k + y))
+        g = (Xw.transpose(0, 2, 1) @ z[:, :, None])[:, :, 0]
+        delta = normal.solve(live, A, g)
+        failed = np.isnan(delta).any(axis=1)
+        decrement = np.sum(g * delta, axis=1)
+        cand = old + delta
+        # each cell's deviance carries a rounding error of about
+        # 1e-16 (y + kappa), which near the optimum exceeds a step's gain
+        slack = 1e-14 * np.sum(kept(y + k, live), axis=1)
+        step, eta, _, stuck = _halve_steps(
+            X, cand, old, deviance(live, y, mu_l, k) + slack, np.nonzero(~failed)[0],
+            lambda rows, mu_r: deviance(live[rows], y[rows], mu_r, k[rows]),
         )
-        coef[live], mu[live] = c, m
-        settled = converged & (np.abs(np.log(new) - np.log(prev)) < 1e-9)
-        kappa[live[settled]] = new[settled]
-        ok[live[settled]] = True
-        keep = converged & ~settled
-        live, prev = live[keep], new[keep]
-    return coef, mu, kappa, ok
+        # within that slack a Newton step near the optimum is always
+        # taken; a row that takes none, or whose kept means reach the
+        # clip of the linear predictor, has a likelihood rising without bound
+        failed[stuck] = True
+        failed[step] |= np.any(kept(np.abs(eta[step]) >= _ETA_BOUND, live[step]), axis=1)
+        coef[live[step]] = cand[step]
+        mu[live[step]] = np.exp(eta[step])
+
+        # Newton step in theta = log kappa at the new means; the squares
+        # of a diverging fit's means may overflow here, leaving it to fail
+        mu_k, kap = kept(mu[live], live), kappa[live]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            g_t = kap * _kappa_score(y, mu_k, kap)
+            h_t = g_t + kap * kap * _kappa_score_deriv(y, mu_k, kap)
+            newton = -g_t / h_t
+            cap = _at_poisson_boundary(y, mu_k)
+        concave = h_t < 0.0
+        theta = np.log(kap) + np.where(concave, np.clip(newton, -1.0, 1.0), np.sign(g_t))
+        floor = theta <= log_min
+        # at the floor with the score pointing below it, kappa is settled
+        settled = floor & (kap == KAPPA_MIN) & (g_t <= 0.0)
+        decrement += np.where(settled, 0.0, np.where(concave, g_t * newton, np.inf))
+        kappa[live] = np.where(floor, KAPPA_MIN, np.exp(theta))
+
+        cap |= theta >= log_cap
+        kappa[live[cap]] = KAPPA_CAP
+        done = ~failed & (cap | (np.abs(decrement) <= 1e-20))
+        ok[live[done]] = True
+        live = live[~(done | failed)]
+    return coef, mu, kappa, ok, n_iter
 
 
 def overdispersion_test(data: Sequence) -> SelectionReport:

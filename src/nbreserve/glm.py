@@ -296,6 +296,71 @@ def _solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
 
 
+class _NormalEquations:
+    """Weighted normal equations X^T W X of one design for a batch of rows.
+
+    Each call writes the weighted design W X into X's nonzero entries of
+    one buffer, whose other entries stay zero. ``pin`` (m, p) marks the
+    coefficients each row holds at zero: a pinned coefficient's equation
+    becomes x = 0. Rows are addressed by their index into ``pin``.
+    """
+
+    def __init__(self, X: np.ndarray, m: int, pin: Optional[np.ndarray] = None):
+        self.X, self.pin = X, pin
+        self.cell, self.col = np.nonzero(X)
+        self.xval = X[self.cell, self.col]
+        self.buf = np.zeros((m,) + X.shape)
+        if pin is not None:
+            self.free = ~pin
+            self.keep = self.free[:, :, None] & self.free[:, None, :]
+
+    def weigh(self, rows: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Weighted design W X and information X^T W X of ``rows``, pins applied."""
+        Xw = self.buf[: rows.size]
+        Xw[:, self.cell, self.col] = w[:, self.cell] * self.xval
+        A = Xw.transpose(0, 2, 1) @ self.X
+        if self.pin is not None:
+            p = self.X.shape[1]
+            A = A * self.keep[rows]
+            A[:, np.arange(p), np.arange(p)] += self.pin[rows]
+        return Xw, A
+
+    def solve(self, rows: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Each row's solution of A x = b with its pinned entries zero; NaN where A is singular."""
+        if self.pin is not None:
+            b = b * self.free[rows]
+        return _solve_rows(A, b)
+
+
+def _halve_steps(X: np.ndarray, cand: np.ndarray, old: np.ndarray, dev: np.ndarray, pend: np.ndarray, deviance):
+    """Step halving for a batch of coefficient steps from ``old`` to ``cand``.
+
+    Each row in ``pend`` takes the first of cand, (cand + old) / 2, ...
+    within 30 halvings whose deviance does not rise above ``dev``;
+    ``deviance(rows, mu)`` gives those rows' deviance at means ``mu``.
+    ``cand`` is updated in place to the steps taken. Returns (step, eta,
+    dev_new, stuck): which rows took a step, their linear predictors and
+    deviances, and the rows that found none, which have no descent
+    direction left.
+    """
+    step = np.zeros(len(cand), dtype=bool)
+    eta = np.empty((len(cand), X.shape[0]))
+    dev_new = np.empty(len(cand))
+    for _ in range(30):
+        e = np.clip(_rows_dot(X, cand[pend]), -_ETA_BOUND, _ETA_BOUND)
+        d = deviance(pend, np.exp(e))
+        good = np.isfinite(d) & (d <= dev[pend] * (1.0 + 1e-13) + 1e-13)
+        hit = pend[good]
+        step[hit] = True
+        eta[hit] = e[good]
+        dev_new[hit] = d[good]
+        pend = pend[~good]
+        if pend.size == 0:
+            break
+        cand[pend] = 0.5 * (cand[pend] + old[pend])
+    return step, eta, dev_new, pend
+
+
 def _irls_batch(
     Y: np.ndarray,
     X: np.ndarray,
@@ -327,14 +392,7 @@ def _irls_batch(
     """
     m, p = len(Y), X.shape[1]
     k = None if kappa is None else np.asarray(kappa, dtype=float)[:, None]
-    # each iteration writes the weighted design W X into X's nonzero
-    # entries of this buffer; the rest stays zero
-    cell, col = np.nonzero(X)
-    xval = X[cell, col]
-    xw_buf = np.zeros((m,) + X.shape)
-    if pin is not None:
-        free = ~pin
-        keep_a = free[:, :, None] & free[:, None, :]
+    normal = _NormalEquations(X, m, pin)
 
     def deviance(rows, y, mu_r, k_r):
         unit = _unit_deviance(y, mu_r, k_r)
@@ -366,15 +424,9 @@ def _irls_batch(
         if mask is not None:
             w = w * mask[live]
         z = eta[live] + (y - mu_l) / mu_l
-        Xw = xw_buf[: live.size]
-        Xw[:, cell, col] = w[:, cell] * xval
-        A = Xw.transpose(0, 2, 1) @ X
+        _, A = normal.weigh(live, w)
         b = (X.T @ (w * z)[:, :, None])[:, :, 0]
-        if pin is not None:
-            A = A * keep_a[live]
-            A[:, np.arange(p), np.arange(p)] += pin[live]
-            b = b * free[live]
-        proposal = _solve_rows(A, b)
+        proposal = normal.solve(live, A, b)
         singular = np.isnan(proposal).any(axis=1)
 
         if it == 0 and start is None:
@@ -385,25 +437,12 @@ def _irls_batch(
         else:
             # step halving keeps each row's deviance non-increasing
             cand = proposal.copy()
-            eta_c = np.empty_like(y)
-            dev_c = np.empty(live.size)
-            step = np.zeros(live.size, dtype=bool)
-            pend = np.nonzero(~singular)[0]
-            old = coef[live]
-            for _ in range(30):
-                e = np.clip(_rows_dot(X, cand[pend]), -_ETA_BOUND, _ETA_BOUND)
-                d = deviance(live[pend], y[pend], np.exp(e), None if k_l is None else k_l[pend])
-                good = np.isfinite(d) & (d <= dev[live[pend]] * (1.0 + 1e-13) + 1e-13)
-                hit = pend[good]
-                step[hit] = True
-                eta_c[hit] = e[good]
-                dev_c[hit] = d[good]
-                pend = pend[~good]
-                if pend.size == 0:
-                    break
-                cand[pend] = 0.5 * (cand[pend] + old[pend])
+            step, eta_c, dev_c, stuck = _halve_steps(
+                X, cand, coef[live], dev[live], np.nonzero(~singular)[0],
+                lambda rows, mu_r: deviance(live[rows], y[rows], mu_r, None if k_l is None else k_l[rows]),
+            )
             # no descent direction left: already at the optimum
-            ok[live[pend]] = True
+            ok[live[stuck]] = True
 
         idx = live[step]
         coef[idx] = cand[step]
@@ -420,6 +459,119 @@ def _irls_batch(
         ok[idx[done]] = True
         live = idx[~done]
 
+    return coef, mu, ok
+
+
+def drop_masks(design: Design, ay_keep: np.ndarray, dy_keep: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Kept cells (m, n) and pinned coefficients (m, p) of ``design`` for rows keeping the given levels.
+
+    ``ay_keep`` (m, n_ay) and ``dy_keep`` (m, n_dy) mark each row's
+    kept accident and development years; a cell is kept when both of
+    its levels are. Each dropped level's coefficient is pinned at zero;
+    when a baseline level (accident year 1 or development year 0) is
+    dropped, the first kept level of its factor is pinned too, so the
+    intercept takes its place. What is left free is then the reduced
+    design's parameterisation of the kept levels.
+    """
+    m = len(ay_keep)
+    mask = ay_keep[:, design.ay_idx] & dy_keep[:, design.dy_idx]
+    rows = np.arange(m)
+    ay_pin, dy_pin = ~ay_keep, ~dy_keep
+    ay_pin[rows, np.argmax(ay_keep, axis=1)] |= ay_pin[:, 0]
+    dy_pin[rows, np.argmax(dy_keep, axis=1)] |= dy_pin[:, 0]
+    pin = np.hstack((np.zeros((m, 1), dtype=bool), ay_pin[:, 1:], dy_pin[:, 1:]))
+    return mask, pin
+
+
+def _chain_ladder_batch(
+    Y: np.ndarray,
+    design: Design,
+    mask: Optional[np.ndarray] = None,
+    pin: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Poisson fit of every row of ``Y`` in closed form, by the chain-ladder.
+
+    On a layout whose every accident year is observed on a prefix of the
+    development years, the Poisson maximum-likelihood means are the
+    chain-ladder's (Renshaw & Verrall 1998): with C the cumulated counts,
+    the factor f_j = sum C[i, j] / sum C[i, j - 1] over the years
+    observed at j gives the share of development year j of the
+    ultimate, and each year's observed total gives its ultimate. A
+    level with a zero total adds nothing to those sums, so the same
+    recursion fits the kept levels of a drop pattern.
+
+    ``mask`` and ``pin`` are as for :func:`_irls_batch`; a row is taken
+    when they are what :func:`drop_masks` gives for its zero-total
+    levels (no mask and no pin when it has none). Its coefficients are
+    those parameters, with the first kept level of each factor as the
+    baseline, and its means are exp(X coef). Returns (coef, mu, ok); ok
+    is False for rows not taken, which are the rows of another drop
+    pattern, rows whose recursion divides by zero or leaves a kept
+    level with a zero mean (a maximum on the boundary), and every row
+    when the layout is not of that form.
+    """
+    m, I, J = len(Y), design.n_ay, design.n_dy
+    coef = np.full((m, design.p), np.nan)
+    mu = np.full(Y.shape, np.nan)
+    ok = np.zeros(m, dtype=bool)
+    reach = np.zeros((J, I), dtype=np.int64)  # development year first: sums over accident years run last
+    np.add.at(reach, (design.dy_idx, design.ay_idx), 1)
+    length = reach.sum(axis=0)
+    if not np.array_equal(reach, np.arange(J)[:, None] < length):
+        return coef, mu, ok
+    grid = np.zeros((m, J, I))
+    grid[:, design.dy_idx, design.ay_idx] = Y if mask is None else Y * mask
+    cum = np.cumsum(grid, axis=1)
+    row_tot = cum[:, -1]
+    col_tot = np.sum(grid, axis=-1)
+    seen = np.sum(cum * reach, axis=-1)  # sum C[i, j] over the years observed at j
+    before = np.sum(cum[:, :-1] * reach[1:], axis=-1)  # sum C[i, j - 1] over the same years
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # cumulative share of the ultimate reached by the end of each development year
+        share = np.ones((m, J))
+        for j in range(J - 1, 0, -1):
+            share[:, j - 1] = share[:, j] * before[:, j - 1] / seen[:, j]
+        log_u = np.log(row_tot / share[:, length - 1])
+        log_p = np.log(share * col_tot / seen)
+        ay_keep, dy_keep = row_tot > 0, col_tot > 0
+        rows = np.arange(m)
+        base_u, base_p = log_u[rows, np.argmax(ay_keep, axis=1)], log_p[rows, np.argmax(dy_keep, axis=1)]
+        a = np.where(ay_keep, log_u - base_u[:, None], 0.0)
+        b = np.where(dy_keep, log_p - base_p[:, None], 0.0)
+        full = np.hstack(((base_u + base_p)[:, None], a[:, 1:], b[:, 1:]))
+    want_mask, want_pin = drop_masks(design, ay_keep, dy_keep)
+    ok = (
+        np.all(np.isfinite(full), axis=1)
+        & np.all(want_mask if mask is None else want_mask == mask, axis=1)
+        & ~np.any(want_pin if pin is None else want_pin != pin, axis=1)
+    )
+    coef[ok] = full[ok]
+    mu[ok] = np.exp(np.clip(_rows_dot(design.X, coef[ok]), -_ETA_BOUND, _ETA_BOUND))
+    return coef, mu, ok
+
+
+def _poisson_batch(
+    Y: np.ndarray,
+    design: Design,
+    start: Optional[np.ndarray] = None,
+    mask: Optional[np.ndarray] = None,
+    pin: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Poisson fit of every row of ``Y``, as :func:`_irls_batch` returns it.
+
+    Rows the closed form of :func:`_chain_ladder_batch` takes get it;
+    the rest get what :func:`_irls_batch` gives them, from ``start``.
+    """
+    coef, mu, ok = _chain_ladder_batch(Y, design, mask, pin)
+    rest = np.nonzero(~ok)[0]
+    if rest.size:
+        start = None if start is None else np.asarray(start, dtype=float)
+        coef[rest], mu[rest], ok[rest] = _irls_batch(
+            Y[rest], design.X,
+            start=start if start is None or start.ndim == 1 else start[rest],
+            mask=None if mask is None else mask[rest],
+            pin=None if pin is None else pin[rest],
+        )
     return coef, mu, ok
 
 

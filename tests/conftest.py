@@ -33,3 +33,15 @@ def random_triangle(rng: np.random.Generator, dimension: int) -> RunOffTriangle:
 @pytest.fixture
 def make_triangle():
     return random_triangle
+
+
+def drop_pattern(Y: np.ndarray, design):
+    """Kept cells and pinned coefficients of each row of ``Y``, by the engine's rule.
+
+    A level is dropped when its total in the row is zero.
+    """
+    from nbreserve.glm import drop_masks
+
+    ay_keep = Y @ (design.ay_idx[:, None] == np.arange(design.n_ay)) > 0
+    dy_keep = Y @ (design.dy_idx[:, None] == np.arange(design.n_dy)) > 0
+    return drop_masks(design, ay_keep, dy_keep)

@@ -26,13 +26,15 @@ from nbreserve.dispersion import (
     _KAPPA_SERIES,
     _kappa_score,
     _moment_kappa,
+    _nb_mle_batch,
     _prepare,
     _solve_kappa,
     _solve_kappa_batch,
     _trigamma,
 )
-from nbreserve.glm import _irls, build_design
-from conftest import random_triangle
+from nbreserve.errors import NotConvergedError
+from nbreserve.glm import _irls, build_design, triangle_cells
+from conftest import drop_pattern, random_triangle
 
 
 class TestBiasCorrect:
@@ -335,6 +337,64 @@ def test_profile_no_lower_than_fixed_kappa_fits(seed, dimension, kappa):
     est = profile_kappa(recs)
     best = max(fit(recs, Family.negbin(k)).loglik for k in np.geomspace(0.1, 1e6, 16))
     assert est.loglik >= best - 1e-6
+
+
+@st.composite
+def nb_batches(draw):
+    """A triangle design and a batch of count rows of mixed kinds.
+
+    Rows are overdispersed, Poisson (whose fit stops at the cap),
+    wildly overdispersed (kappa 0.05, many zero cells) or overdispersed
+    with one accident or development year zeroed, baselines included.
+    The joint fit does not reach KAPPA_MIN on counts: there the kappa
+    score is about the number of positive cells over KAPPA_MIN.
+    """
+    dim = draw(st.integers(4, 8))
+    (ay, dy), _ = triangle_cells(dim)
+    design = build_design(ay + 1, dy, dim, dim)
+    kinds = draw(st.lists(st.sampled_from(["nb", "poisson", "wild", "dropped"]), min_size=5, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in kinds:
+        mean = np.exp(rng.uniform(4.0, 8.0, size=dim))[ay] * rng.dirichlet(np.full(dim, 5.0))[dy]
+        kappa = 0.05 if kind == "wild" else rng.uniform(1.0, 20.0)
+        lam = mean if kind == "poisson" else rng.gamma(kappa, mean / kappa)
+        y = rng.poisson(lam).astype(float)
+        if kind == "dropped":
+            level = rng.integers(dim)
+            y[(ay if rng.random() < 0.5 else dy) == level] = 0.0
+        rows.append(y)
+    return np.array(rows), design
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(batch=nb_batches())
+def test_one_joint_estimator(batch):
+    # each row's fit is the same whatever rows share its batch, and an
+    # unmasked row's is exactly nb_mle's
+    Y, design = batch
+    mask, pin = drop_pattern(Y, design)
+    out = _nb_mle_batch(Y, design, mask=mask, pin=pin)
+    coef, mu, kappa, ok, _ = out
+    for r in range(len(Y)):
+        alone = _nb_mle_batch(Y[r : r + 1], design, mask=mask[r : r + 1], pin=pin[r : r + 1])
+        for got, want in zip(out, alone):
+            assert np.array_equal(got[r], want[0], equal_nan=True)
+        if not mask[r].all():
+            continue
+        if ok[r]:
+            c, m, k, at_boundary = nb_mle(Y[r], design)
+            assert np.array_equal(c, coef[r]) and np.array_equal(m, mu[r])
+            assert k == kappa[r] and at_boundary == (k == KAPPA_CAP)
+        else:
+            with pytest.raises(NotConvergedError):
+                nb_mle(Y[r], design)
+    # converged rows below the cap sit at the joint maximum
+    inner = ok & (kappa < KAPPA_CAP)
+    k, m = kappa[inner], mu[inner] * mask[inner]
+    s = k[:, None] * (Y[inner] - m) / (k[:, None] + m) * mask[inner]
+    assert np.all(np.abs(s @ design.X).max(axis=1) <= 1e-9 * Y[inner].sum(axis=1))
+    assert np.all(np.abs(k * _kappa_score(Y[inner], m, k)) <= 1e-9)
 
 
 class TestSelection:

@@ -3,12 +3,13 @@ import dataclasses
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from nbreserve import Family, chain_ladder, fit, nb_loglik, pearson_dispersion, poisson_loglik, to_long, to_simplex
 from nbreserve.glm import ConditioningWarning, build_design, score
 from nbreserve.errors import RankDeficientError, SeparationError
-from conftest import random_triangle
+from conftest import drop_pattern, random_triangle
 
 
 def future_sum(model):
@@ -310,6 +311,119 @@ class TestBatchedIrls:
         assert np.array_equal(x[0], np.ones(3))
         assert np.isnan(x[1]).all()
         assert np.array_equal(x[2], np.full(3, 0.5))
+
+
+@st.composite
+def staircase_batches(draw):
+    """A staircase layout and a batch of counts on it, with zero levels.
+
+    Each accident year is observed on a prefix of the development
+    years: a square triangle, or prefixes of random lengths. Some rows
+    of the batch zero a few levels, baselines included, or all but one
+    accident or development year; some cells are zero at random.
+    """
+    from nbreserve.glm import build_design
+
+    n_ay = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        n_ay = max(n_ay, 2)
+        n_dy, lengths = n_ay, [n_ay - i for i in range(n_ay)]
+    else:
+        n_dy = draw(st.integers(1, 12))
+        lengths = [n_dy] + draw(st.lists(st.integers(1, n_dy), min_size=n_ay - 1, max_size=n_ay - 1))
+    ay = np.repeat(np.arange(n_ay), lengths)
+    dy = np.concatenate([np.arange(n) for n in lengths])
+    design = build_design(ay + 1, dy, n_ay, n_dy)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = 6
+    mean = np.exp(rng.uniform(0.0, 8.0, size=(m, n_ay)))[:, ay] * rng.dirichlet(np.ones(n_dy), size=m)[:, dy]
+    Y = rng.poisson(mean).astype(float)
+    Y[rng.random(Y.shape) < draw(st.sampled_from([0.0, 0.1, 0.3]))] = 0.0
+    for r in range(m):
+        kind = rng.integers(4)
+        if kind == 1:
+            Y[r, (rng.random(n_ay) < 0.3)[ay] | (rng.random(n_dy) < 0.3)[dy]] = 0.0
+        elif kind == 2:
+            Y[r, ay != rng.integers(n_ay)] = 0.0
+        elif kind == 3:
+            Y[r, dy != rng.integers(n_dy)] = 0.0
+    return Y, design
+
+
+class TestClosedFormPoisson:
+    """The chain-ladder Poisson fit against the iterative ``_irls_batch``."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(batch=staircase_batches())
+    def test_matches_irls(self, batch):
+        from nbreserve.glm import _chain_ladder_batch, _irls_batch, _poisson_batch
+
+        Y, design = batch
+        mask, pin = drop_pattern(Y, design)
+        closed = _chain_ladder_batch(Y, design, mask, pin)[2]
+        coef, mu, ok = _poisson_batch(Y, design, mask=mask, pin=pin)
+        coef_i, mu_i, ok_i = _irls_batch(Y, design.X, mask=mask, pin=pin)
+        assert np.array_equal(ok, ok_i)
+        # rows the closed form does not take get exactly the IRLS fit
+        assert np.array_equal(coef[~closed], coef_i[~closed], equal_nan=True)
+        assert np.array_equal(mu[~closed], mu_i[~closed], equal_nan=True)
+        # the closed form solves the score equations to rounding level,
+        # and a positive solution is the unique maximum
+        resid = np.where(mask, Y - mu, 0.0)[closed]
+        assert np.all(np.abs(resid @ design.X).max(axis=1) <= 1e-13 * Y[closed].sum(axis=1))
+        # IRLS stops on the deviance change and leaves up to about 2e-10
+        # of the counts in its score, so it agrees only to its own precision
+        gap = np.where(mask, np.abs(mu - mu_i), 0.0)[closed]
+        assert np.all(gap.max(axis=1) <= 1e-8 * np.where(mask, mu_i, 0.0)[closed].max(axis=1))
+        assert np.all(coef[pin & closed[:, None]] == 0.0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(batch=staircase_batches())
+    def test_rows_do_not_depend_on_the_batch(self, batch):
+        from nbreserve.glm import _chain_ladder_batch
+
+        Y, design = batch
+        mask, pin = drop_pattern(Y, design)
+        coef, mu, ok = _chain_ladder_batch(Y, design, mask, pin)
+        for r in range(len(Y)):
+            c, m, o = _chain_ladder_batch(Y[r : r + 1], design, mask[r : r + 1], pin[r : r + 1])
+            assert o[0] == ok[r]
+            assert np.array_equal(c[0], coef[r], equal_nan=True) and np.array_equal(m[0], mu[r], equal_nan=True)
+
+    @pytest.mark.parametrize("name", ["australian", "taylor"])
+    def test_reserve_is_chain_ladder(self, request, name):
+        from nbreserve.glm import _chain_ladder_batch, _prepare, triangle_cells
+
+        t = request.getfixturevalue(name)
+        y, design = _prepare(to_long(t))
+        coef, _, ok = _chain_ladder_batch(y[None], design)
+        assert ok[0]
+        _, (fut_ay, fut_dy) = triangle_cells(t.dimension)
+        row = coef[0, 0] + np.concatenate(([0.0], coef[0, 1 : design.n_ay]))
+        col = np.concatenate(([0.0], coef[0, design.n_ay :]))
+        future = np.exp(row[fut_ay] + col[fut_dy]).sum()
+        assert future == pytest.approx(chain_ladder(t).total_reserve, rel=1e-12)
+
+    def test_other_layouts_fall_back(self, australian):
+        from nbreserve.glm import _chain_ladder_batch, _irls_batch, _poisson_batch, _prepare
+
+        y, design = _prepare(to_long(australian))
+        # leave out one inner cell: its accident year is no longer a prefix
+        keep = np.arange(design.n) != 2
+        holed = build_design(design.ay_idx[keep] + 1, design.dy_idx[keep])
+        Y = np.vstack([y[keep], y[keep][::-1]])
+        assert not _chain_ladder_batch(Y, holed)[2].any()
+        for got, want in zip(_poisson_batch(Y, holed), _irls_batch(Y, holed.X)):
+            assert np.array_equal(got, want)
+
+    def test_boundary_maximum_falls_back(self):
+        # [[0, 5], [3]]: the Poisson maximum puts the first cell's mean at
+        # zero although its levels have positive totals
+        from nbreserve.glm import _chain_ladder_batch
+
+        design = build_design([1, 1, 2], [0, 1, 0])
+        Y = np.array([[0.0, 5.0, 3.0], [1.0, 5.0, 3.0]])
+        assert _chain_ladder_batch(Y, design)[2].tolist() == [False, True]
 
 
 class TestTriangleCells:

@@ -15,6 +15,7 @@ from nbreserve import (
 from nbreserve.errors import ExcessiveFailuresError, TooFewDrawsError
 from nbreserve.predictive import ay_summary, draws_csv, summary_json
 from nbreserve._rng import substream
+from conftest import drop_pattern
 
 
 class TestSampler:
@@ -216,6 +217,23 @@ class TestBatchedRefit:
         if name == "australian":
             # the single-cell newest accident year draws zero in about a fifth of replicates
             assert dropped > b // 10
+
+    @pytest.mark.parametrize("name", ["australian", "taylor"])
+    def test_joint_iterations(self, request, name):
+        # the engine's replicates of a B=200 bootstrap at seed 0; the
+        # counts are deterministic, so this guards the kernel's speed
+        import nbreserve._bootstrap as bt
+        from nbreserve.dispersion import _nb_mle_batch
+
+        spec = self._spec(request.getfixturevalue(name), 200)
+        y_star = np.array(
+            [bt.draw_counts("negbin", spec.param, spec.mu_obs, bt.substream(0, r)) for r in range(200)]
+        ).astype(float)
+        mask, pin = drop_pattern(y_star, spec.design)
+        start = np.where(pin, 0.0, spec.base_coef)
+        _, _, _, ok, n_iter = _nb_mle_batch(y_star, spec.design, start=start, mask=mask, pin=pin)
+        assert ok.all()
+        assert n_iter.mean() <= 8 and n_iter.max() <= 12
 
     @staticmethod
     def _patterns(spec, base):
