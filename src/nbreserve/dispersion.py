@@ -11,11 +11,18 @@ batch of one. Confidence intervals invert the likelihood-ratio
 statistic at the chi-square(1) 0.95 quantile; each endpoint is
 bracketed by a doubling walk from the estimate and found by Newton's
 method on l_p, whose slope the envelope theorem gives from the kappa
-score at the refitted means. The maximum-likelihood kappa is biased
-high in small triangles because every cell carries its own mean
-parameter; the default remedy is the closed-form correction
-kappa * (n - p) / n, with a numerical maximiser of the Cox-Reid
-adjusted profile likelihood available as an alternative.
+score at the refitted means. Each profile point refits the means at
+fixed kappa with the joint fit's coefficient Newton step
+(:func:`_refit`), warm-started from the previous point; the estimate
+itself needs no refit, and the curvature that tests it is identified is
+analytic (:func:`_profile_curvature`). :func:`profile_kappa` and
+:func:`overdispersion_test` on the same data share one joint fit.
+
+The maximum-likelihood kappa is biased high in small triangles because
+every cell carries its own mean parameter; the default remedy is the
+closed-form correction kappa * (n - p) / n, with a numerical maximiser
+of the Cox-Reid adjusted profile likelihood available as an
+alternative.
 """
 
 from __future__ import annotations
@@ -29,9 +36,10 @@ from scipy.special import psi
 
 from .errors import FlatProfileError, NotConvergedError, SingularInformationError
 from .glm import (
-    _ETA_BOUND, _IRLS_MAX_ITER, _KAPPA_SERIES, Design, Family, _halve_steps, _irls, _NormalEquations,
+    _ETA_BOUND, _IRLS_MAX_ITER, _KAPPA_SERIES, Design, Family, _halve_steps, _NormalEquations,
     _poisson_batch, _prepare, _unit_deviance, nb_loglik, poisson_loglik,
 )
+from .glm import _irls  # noqa: F401  (no caller here; bench/spans.py still hooks this binding)
 
 KAPPA_MIN = 1e-3
 KAPPA_CAP = 1e8
@@ -85,15 +93,93 @@ def bias_correct(kappa_mle: float, n_obs: int, n_params: int) -> float:
     return kappa_mle * (n_obs - n_params) / n_obs
 
 
-class _ProfileCache:
-    """Profile log-likelihood evaluator with warm-started refits.
+# Stop rule and rounding slack of the coefficient Newton step, shared by
+# the profile refits and the joint fit. Each cell's deviance carries a
+# rounding error of about 1e-16 (y + kappa), which near the optimum
+# exceeds a step's gain; a fit stops when its Newton decrement, the
+# log-likelihood gain the step predicts, is at rounding level.
+_DEV_SLACK = 1e-14
+_DECREMENT_TOL = 1e-20
 
-    Each call refits the means at one kappa, starting from the previous
-    call's coefficients (or ``warm``), and records (kappa, loglik);
-    ``mu`` holds the last call's fitted means.
+
+def _newton_terms(y: np.ndarray, mu: np.ndarray, kappa):
+    """Working weights and response of the coefficient Newton step at fixed kappa.
+
+    The weights mu kappa (kappa + y) / (kappa + mu)^2 are each cell's
+    observed information, positive for every count; the response z is
+    the cell's score kappa (y - mu) / (kappa + mu) per unit of it, so the
+    step solves X^T W X delta = X^T W z. ``kappa`` is a scalar or a
+    column of per-row values.
+    """
+    w = mu / (kappa + mu) * (kappa / (kappa + mu)) * (kappa + y)
+    z = (y - mu) / mu * ((kappa + mu) / (kappa + y))
+    return w, z
+
+
+def _refit(y: np.ndarray, X: np.ndarray, kappa: float, coef: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Coefficients and means of the NB fit at fixed ``kappa``, by Newton steps from ``coef``.
+
+    Each step is the coefficient step of :func:`_nb_mle_batch` with
+    kappa held fixed: observed-information weights from
+    :func:`_newton_terms`, halved until the deviance does not rise by
+    more than its rounding slack. The fit stops when the Newton
+    decrement is at most ``_DECREMENT_TOL``. Warm-started from a nearby
+    kappa's fit it takes about three steps. The observed information
+    also carries it where Fisher scoring (:func:`nbreserve.glm._irls`)
+    exhausts its budget: at small kappa on near-separated triangles.
+
+    Raises:
+        NotConvergedError: the normal equations were singular, no
+            halving of a step kept the deviance down, a mean reached
+            the clip of the linear predictor, or the fit did not stop
+            in ``_IRLS_MAX_ITER`` steps.
+    """
+    slack = _DEV_SLACK * np.sum(y + kappa)
+    mu = np.exp(np.clip(X @ coef, -_ETA_BOUND, _ETA_BOUND))
+    dev = 2.0 * np.sum(_unit_deviance(y, mu, kappa))
+    for _ in range(_IRLS_MAX_ITER):
+        w, z = _newton_terms(y, mu, kappa)
+        Xw = X * w[:, None]
+        g = Xw.T @ z
+        try:
+            delta = np.linalg.solve(Xw.T @ X, g)
+        except np.linalg.LinAlgError:
+            break
+        limit = (dev + slack) * (1.0 + 1e-13) + 1e-13
+        cand = coef + delta
+        for _ in range(30):
+            eta = np.clip(X @ cand, -_ETA_BOUND, _ETA_BOUND)
+            mu_c = np.exp(eta)
+            dev_c = 2.0 * np.sum(_unit_deviance(y, mu_c, kappa))
+            if np.isfinite(dev_c) and dev_c <= limit:
+                break
+            cand = 0.5 * (cand + coef)
+        else:
+            break
+        if np.any(np.abs(eta) >= _ETA_BOUND):
+            break
+        coef, mu, dev = cand, mu_c, dev_c
+        if abs(g @ delta) <= _DECREMENT_TOL:
+            return coef, mu
+    raise NotConvergedError(f"profile refit at kappa={kappa:.4g} did not converge")
+
+
+class _ProfileCache:
+    """Profile log-likelihood evaluator with warm-started Newton refits.
+
+    Each call refits the means at one kappa by :func:`_refit`, starting
+    from the previous call's coefficients (or ``warm``, by default the
+    closed-form Poisson fit), and records (kappa, loglik); ``mu`` holds
+    the last call's fitted means. A point known without a refit, such
+    as the joint fit's, may be appended to ``evals`` directly.
     """
 
     def __init__(self, y: np.ndarray, design: Design, warm: Optional[np.ndarray] = None):
+        if warm is None:
+            coef, _, ok = _poisson_batch(y[None], design)
+            if not ok[0]:
+                raise NotConvergedError("Poisson fit did not converge")
+            warm = coef[0]
         self.y = y
         self.design = design
         self.warm = warm
@@ -101,13 +187,8 @@ class _ProfileCache:
         self.evals: List[Tuple[float, float]] = []
 
     def __call__(self, kappa: float) -> float:
-        coef, mu, _, _, converged, _ = _irls(
-            self.y, self.design, Family.negbin(kappa), start=self.warm
-        )
-        if not converged:
-            raise NotConvergedError(f"profile refit at kappa={kappa:.4g} did not converge")
-        self.warm, self.mu = coef, mu
-        ll = nb_loglik(self.y, mu, kappa)
+        self.warm, self.mu = _refit(self.y, self.design.X, kappa, self.warm)
+        ll = nb_loglik(self.y, self.mu, kappa)
         self.evals.append((kappa, ll))
         return ll
 
@@ -176,17 +257,22 @@ def profile_kappa(data: Sequence, grid_size: int = 0) -> KappaEstimate:
     """Profile-likelihood dispersion estimate with 95% interval.
 
     The estimate is the joint maximum-likelihood fit of :func:`nb_mle`,
-    the maximiser of the profile over log kappa in [1e-3, 1e8]. Each
-    interval endpoint is where the profile falls 3.841 / 2 below its
+    the maximiser of the profile over log kappa in [1e-3, 1e8], whose
+    log-likelihood is the profile's maximum; only an estimate at the
+    cap is refitted there, since the fit's means belong to the last
+    kappa it tried. An :func:`overdispersion_test` on the same data
+    reuses that fit. Interior estimates whose analytic profile curvature
+    (:func:`_profile_curvature`) is flat are rejected. Each interval
+    endpoint is where the profile falls 3.841 / 2 below its
     maximum, found by :func:`_ci_endpoint`, or the end of the search
     range if the profile stays above that level. A maximiser at the
     upper cap is reported with ``at_boundary=True`` and means the data
     are Poisson-compatible.
 
-    ``profile_curve`` holds every profile point computed on the way;
-    ``grid_size`` > 0 adds that many log-spaced points over the search
-    range, for plotting. They change neither the estimate nor the
-    interval.
+    ``profile_curve`` holds every profile point computed on the way,
+    about a dozen; ``grid_size`` > 0 adds that many log-spaced points
+    over the search range, for plotting. They change neither the
+    estimate nor the interval.
 
     Raises:
         FlatProfileError: interior optimum with curvature below 1e-6 on
@@ -195,21 +281,23 @@ def profile_kappa(data: Sequence, grid_size: int = 0) -> KappaEstimate:
             interval, or the endpoint iteration did not converge.
     """
     y, design = _prepare(data)
-    coef, _, kappa_hat, at_boundary = nb_mle(y, design)
-    # refit at kappa_hat: at the cap nb_mle's means belong to the kappa it left
+    coef, mu, kappa_hat, at_boundary = _joint_fit(y, design)
     profile = _ProfileCache(y, design, warm=coef)
-    ll_hat = profile(kappa_hat)
-    coef_hat = profile.warm
     theta_hat = math.log(kappa_hat)
-    if not at_boundary:
-        h = 0.05
-        curv = (profile(math.exp(theta_hat + h)) + profile(math.exp(theta_hat - h)) - 2.0 * ll_hat) / h**2
+    if at_boundary:
+        # at the cap the joint fit's means belong to the kappa it left
+        ll_hat = profile(kappa_hat)
+    else:
+        ll_hat = nb_loglik(y, mu, kappa_hat)
+        profile.evals.append((kappa_hat, ll_hat))
+        curv = _profile_curvature(y, design.X, mu, kappa_hat)
         if curv > -1e-6:
             raise FlatProfileError(
                 f"profile curvature {curv:.3g} at kappa={kappa_hat:.4g}; "
                 "dispersion not identified"
             )
 
+    coef_hat = profile.warm
     target = ll_hat - 0.5 * CHI2_1_95
     lower = _ci_endpoint(profile, theta_hat, target, KAPPA_MIN)
     profile.warm = coef_hat
@@ -234,6 +322,22 @@ def profile_kappa(data: Sequence, grid_size: int = 0) -> KappaEstimate:
         n_obs=design.n,
         n_params=design.p,
     )
+
+
+def _profile_curvature(y: np.ndarray, X: np.ndarray, mu: np.ndarray, kappa: float) -> float:
+    """Second derivative of the profile l_p in log kappa at a joint maximum (mu, kappa).
+
+    Along the profile the coefficients follow kappa so that their score
+    stays zero, which gives h + c^T (X^T W X)^-1 c: h = kappa s +
+    kappa^2 s' is the log-kappa curvature at fixed means (s the kappa
+    score), X^T W X the coefficients' observed information and
+    c = X^T [kappa (y - mu) mu / (kappa + mu)^2] the log-kappa derivative
+    of their score.
+    """
+    w, _ = _newton_terms(y, mu, kappa)
+    c = X.T @ (kappa * (y - mu) * mu / (kappa + mu) ** 2)
+    h = kappa * float(_kappa_score(y, mu, kappa)) + kappa * kappa * float(_kappa_score_deriv(y, mu, kappa))
+    return h + float(c @ np.linalg.solve((X * w[:, None]).T @ X, c))
 
 
 def _kappa_score(y: np.ndarray, mu: np.ndarray, kappa):
@@ -532,18 +636,15 @@ def _nb_mle_batch(
             break
         n_iter[live] += 1
         y, old, mu_l, k = Y[live], coef[live], mu[live], kappa[live][:, None]
-        # Newton step for the coefficients: X^T W X delta = X^T W z, z the
-        # score per unit of observed information
-        Xw, A = normal.weigh(live, kept(mu_l / (k + mu_l) * (k / (k + mu_l)) * (k + y), live))
-        z = (y - mu_l) / mu_l * ((k + mu_l) / (k + y))
+        # Newton step for the coefficients: X^T W X delta = X^T W z
+        w, z = _newton_terms(y, mu_l, k)
+        Xw, A = normal.weigh(live, kept(w, live))
         g = (Xw.transpose(0, 2, 1) @ z[:, :, None])[:, :, 0]
         delta = normal.solve(live, A, g)
         failed = np.isnan(delta).any(axis=1)
         decrement = np.sum(g * delta, axis=1)
         cand = old + delta
-        # each cell's deviance carries a rounding error of about
-        # 1e-16 (y + kappa), which near the optimum exceeds a step's gain
-        slack = 1e-14 * np.sum(kept(y + k, live), axis=1)
+        slack = _DEV_SLACK * np.sum(kept(y + k, live), axis=1)
         step, eta, _, stuck = _halve_steps(
             X, cand, old, deviance(live, y, mu_l, k) + slack, np.nonzero(~failed)[0],
             lambda rows, mu_r: deviance(live[rows], y[rows], mu_r, k[rows]),
@@ -574,10 +675,33 @@ def _nb_mle_batch(
 
         cap |= theta >= log_cap
         kappa[live[cap]] = KAPPA_CAP
-        done = ~failed & (cap | (np.abs(decrement) <= 1e-20))
+        done = ~failed & (cap | (np.abs(decrement) <= _DECREMENT_TOL))
         ok[live[done]] = True
         live = live[~(done | failed)]
     return coef, mu, kappa, ok, n_iter
+
+
+# The last joint fit and the key of its data: ``profile_kappa`` and
+# ``overdispersion_test`` on one data set, as ``nbreserve fit`` runs
+# them, share it.
+_last_joint_fit: Tuple[tuple, Optional[tuple]] = ((), None)
+
+
+def _joint_fit(y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray, float, bool]:
+    """:func:`nb_mle` of prepared counts, remembered for the next call on the same data.
+
+    The data are the same when the counts and both factor indices are
+    equal bit for bit; the fit is deterministic, so a remembered one is
+    the fit a new call would give. Returns copies of the arrays.
+    """
+    global _last_joint_fit
+    key = (y.tobytes(), design.ay_idx.tobytes(), design.dy_idx.tobytes())
+    seen, fit = _last_joint_fit
+    if seen != key:
+        fit = nb_mle(y, design)
+        _last_joint_fit = (key, fit)
+    coef, mu, kappa, at_boundary = fit
+    return coef.copy(), mu.copy(), kappa, at_boundary
 
 
 def overdispersion_test(data: Sequence) -> SelectionReport:
@@ -586,13 +710,16 @@ def overdispersion_test(data: Sequence) -> SelectionReport:
     The null (Poisson) puts kappa on the boundary of the parameter
     space, so the p-value is half a chi-square(1) tail, computed through
     the complementary error function. Equal likelihoods give p = 0.5.
+    The Poisson fit is :func:`nbreserve.glm._poisson_batch`, on a
+    triangle the closed-form chain-ladder, and the negative binomial fit
+    is the joint fit :func:`profile_kappa` takes its estimate from.
     """
     y, design = _prepare(data)
-    _, mu_p, _, _, converged, _ = _irls(y, design, Family.poisson())
-    if not converged:
+    _, mu_p, ok = _poisson_batch(y[None], design)
+    if not ok[0]:
         raise NotConvergedError("Poisson fit did not converge")
-    ll_p = poisson_loglik(y, mu_p)
-    _, mu_nb, kappa, _ = nb_mle(y, design)
+    ll_p = poisson_loglik(y, mu_p[0])
+    _, mu_nb, kappa, _ = _joint_fit(y, design)
     ll_nb = nb_loglik(y, mu_nb, kappa)
 
     statistic = max(0.0, 2.0 * (ll_nb - ll_p))

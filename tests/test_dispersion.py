@@ -19,15 +19,19 @@ from nbreserve import (
     to_long,
 )
 from nbreserve import RunOffTriangle
+from nbreserve import dispersion
 from nbreserve.dispersion import (
     CHI2_1_95,
     KAPPA_CAP,
     KAPPA_MIN,
     _KAPPA_SERIES,
+    _joint_fit,
     _kappa_score,
     _moment_kappa,
     _nb_mle_batch,
     _prepare,
+    _profile_curvature,
+    _ProfileCache,
     _solve_kappa,
     _solve_kappa_batch,
     _trigamma,
@@ -275,6 +279,11 @@ def interior_triangle(request):
     return request.getfixturevalue(request.param)
 
 
+# a near-separated triangle on which profile_kappa used to raise
+# NotConvergedError
+NEAR_SEPARATED = [[63, 0, 0, 40], [137, 12, 370], [338, 448], [11]]
+
+
 def _without_and_with_grid(recs):
     sparse = profile_kappa(recs)
     dense = profile_kappa(recs, grid_size=60)
@@ -292,13 +301,48 @@ class TestProfileSearch:
         sparse, _ = _without_and_with_grid(to_long(random_triangle(np.random.default_rng(101), 7)))
         assert sparse.at_boundary
 
-    def test_grid_leaves_out_points_whose_refit_fails(self):
-        # near-separated: the refit at kappa = 1e-3 does not converge within
-        # the IRLS budget, which must not sink the estimate
+    def test_grid_leaves_out_points_whose_refit_fails(self, monkeypatch):
+        # a grid refit that fails (here the one at kappa = 1e-3, made to)
+        # must not sink the estimate
+        refit = dispersion._refit
+
+        def failing_at_floor(y, X, kappa, coef):
+            if kappa == KAPPA_MIN:
+                raise NotConvergedError("refit made to fail")
+            return refit(y, X, kappa, coef)
+
+        monkeypatch.setattr(dispersion, "_refit", failing_at_floor)
         recs = to_long(RunOffTriangle.from_rows([[31, 64, 8, 15], [0, 3, 14], [0, 390], [1]]))
         _, dense = _without_and_with_grid(recs)
         assert KAPPA_MIN not in dense.profile_curve[:, 0]
         assert len(dense.profile_curve) >= 59
+
+    def test_ci_inverts_likelihood_ratio(self, interior_triangle):
+        # every endpoint inside the search range, against IRLS fits
+        recs = to_long(interior_triangle)
+        est = profile_kappa(recs)
+        for bound in est.ci95:
+            if KAPPA_MIN < bound < KAPPA_CAP:
+                m = fit(recs, Family.negbin(bound))
+                assert 2 * (est.loglik - m.loglik) == pytest.approx(CHI2_1_95, abs=1e-4)
+
+    def test_near_separated_triangle(self):
+        # the lower endpoint walk refits at kappa about 0.04, where Fisher
+        # scoring ran out of iterations; IRLS does not converge at the upper
+        # endpoint either, so the profile there comes from a cold refit
+        # whose coefficient score must vanish
+        recs = to_long(RunOffTriangle.from_rows(NEAR_SEPARATED))
+        est = profile_kappa(recs)
+        y, design = _prepare(recs)
+        assert not est.at_boundary
+        finite = [bound for bound in est.ci95 if KAPPA_MIN < bound < KAPPA_CAP]
+        assert len(finite) == 2
+        for bound in finite:
+            cold = _ProfileCache(y, design)
+            ll = cold(bound)
+            score = design.X.T @ (bound * (y - cold.mu) / (bound + cold.mu))
+            assert np.abs(score).max() <= 1e-9 * y.sum()
+            assert 2 * (est.loglik - ll) == pytest.approx(CHI2_1_95, abs=1e-4)
 
     def test_no_curve_row_above_the_estimate(self, interior_triangle):
         est = profile_kappa(to_long(interior_triangle), grid_size=60)
@@ -310,6 +354,74 @@ class TestProfileSearch:
         assert not est.at_boundary
         assert est.kappa_mle == overdispersion_test(recs).kappa_mle
         assert est.kappa_mle == bootstrap(interior_triangle, b=20, seed=0, workers=1).kappa_mle
+
+
+class TestProfileRefits:
+    """The profile's Newton refits, analytic curvature and shared joint fit."""
+
+    def test_curvature_matches_central_difference(self, interior_triangle):
+        recs = to_long(interior_triangle)
+        y, design = _prepare(recs)
+        _, mu, kappa, _ = nb_mle(y, design)
+        h = 0.01
+
+        def prof(theta):
+            return fit(recs, Family.negbin(kappa * math.exp(theta))).loglik
+
+        numeric = (prof(h) + prof(-h) - 2.0 * prof(0.0)) / h**2
+        assert _profile_curvature(y, design.X, mu, kappa) == pytest.approx(numeric, rel=1e-3)
+
+    @pytest.mark.parametrize("name, most", [("australian", 12), ("taylor", 16)])
+    def test_refit_count(self, name, most, request, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return refit(*args)
+
+        refit = dispersion._refit
+        monkeypatch.setattr(dispersion, "_refit", counted)
+        profile_kappa(to_long(request.getfixturevalue(name)))
+        assert 0 < len(calls) <= most
+
+    @pytest.fixture
+    def joint_fits(self, monkeypatch):
+        """Forget the remembered joint fit and count the fits made."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return batch(*args, **kwargs)
+
+        batch = dispersion._nb_mle_batch
+        monkeypatch.setattr(dispersion, "_last_joint_fit", ((), None))
+        monkeypatch.setattr(dispersion, "_nb_mle_batch", counted)
+        return calls
+
+    def test_one_joint_fit_for_profile_and_test(self, australian, joint_fits):
+        recs = to_long(australian)
+        est = profile_kappa(recs)
+        report = overdispersion_test(recs)
+        assert len(joint_fits) == 1
+        assert report.kappa_mle == est.kappa_mle and report.loglik_nb == est.loglik
+
+    def test_other_data_forces_a_new_fit(self, australian, taylor, joint_fits):
+        profile_kappa(to_long(australian))
+        overdispersion_test(to_long(taylor))
+        overdispersion_test(to_long(australian))
+        assert len(joint_fits) == 3
+
+    def test_remembered_fit_is_a_fresh_fit(self, taylor, joint_fits):
+        y, design = _prepare(to_long(taylor))
+        first = _joint_fit(y, design)
+        first[0][:] = 0.0
+        first[1][:] = 0.0
+        again = _joint_fit(y, design)
+        assert len(joint_fits) == 1
+        fresh = nb_mle(y, design)
+        assert len(joint_fits) == 2
+        for got, want in zip(again, fresh):
+            assert np.array_equal(got, want)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
