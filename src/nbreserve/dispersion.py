@@ -12,10 +12,10 @@ statistic at the chi-square(1) 0.95 quantile; each endpoint is
 bracketed by a doubling walk from the estimate and found by Newton's
 method on l_p, whose slope the envelope theorem gives from the kappa
 score at the refitted means. Each profile point refits the means at
-fixed kappa with the joint fit's coefficient Newton step
-(:func:`_refit`), warm-started from the previous point; the estimate
-itself needs no refit, and the curvature that tests it is identified is
-analytic (:func:`_profile_curvature`). :func:`profile_kappa` and
+fixed kappa by :func:`nbreserve.glm._irls`, whose Newton step is the
+joint fit's coefficient step, warm-started from the previous point; the
+estimate itself needs no refit, and the curvature that tests it is
+identified is analytic (:func:`_profile_curvature`). :func:`profile_kappa` and
 :func:`overdispersion_test` on the same data share one joint fit.
 
 The maximum-likelihood kappa is biased high in small triangles because
@@ -36,10 +36,9 @@ from scipy.special import psi
 
 from .errors import FlatProfileError, NotConvergedError, SingularInformationError
 from .glm import (
-    _ETA_BOUND, _IRLS_MAX_ITER, _KAPPA_SERIES, Design, Family, _halve_steps, _NormalEquations,
-    _poisson_batch, _prepare, _unit_deviance, nb_loglik, poisson_loglik,
+    _DECREMENT_TOL, _IRLS_MAX_ITER, _KAPPA_SERIES, Design, Family, _irls, _newton_step, _newton_terms,
+    _NormalEquations, _poisson_batch, _prepare, nb_loglik, poisson_loglik,
 )
-from .glm import _irls  # noqa: F401  (no caller here; bench/spans.py still hooks this binding)
 
 KAPPA_MIN = 1e-3
 KAPPA_CAP = 1e8
@@ -93,85 +92,19 @@ def bias_correct(kappa_mle: float, n_obs: int, n_params: int) -> float:
     return kappa_mle * (n_obs - n_params) / n_obs
 
 
-# Stop rule and rounding slack of the coefficient Newton step, shared by
-# the profile refits and the joint fit. Each cell's deviance carries a
-# rounding error of about 1e-16 (y + kappa), which near the optimum
-# exceeds a step's gain; a fit stops when its Newton decrement, the
-# log-likelihood gain the step predicts, is at rounding level.
-_DEV_SLACK = 1e-14
-_DECREMENT_TOL = 1e-20
-
-
-def _newton_terms(y: np.ndarray, mu: np.ndarray, kappa):
-    """Working weights and response of the coefficient Newton step at fixed kappa.
-
-    The weights mu kappa (kappa + y) / (kappa + mu)^2 are each cell's
-    observed information, positive for every count; the response z is
-    the cell's score kappa (y - mu) / (kappa + mu) per unit of it, so the
-    step solves X^T W X delta = X^T W z. ``kappa`` is a scalar or a
-    column of per-row values.
-    """
-    w = mu / (kappa + mu) * (kappa / (kappa + mu)) * (kappa + y)
-    z = (y - mu) / mu * ((kappa + mu) / (kappa + y))
-    return w, z
-
-
-def _refit(y: np.ndarray, X: np.ndarray, kappa: float, coef: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Coefficients and means of the NB fit at fixed ``kappa``, by Newton steps from ``coef``.
-
-    Each step is the coefficient step of :func:`_nb_mle_batch` with
-    kappa held fixed: observed-information weights from
-    :func:`_newton_terms`, halved until the deviance does not rise by
-    more than its rounding slack. The fit stops when the Newton
-    decrement is at most ``_DECREMENT_TOL``. Warm-started from a nearby
-    kappa's fit it takes about three steps. The observed information
-    also carries it where Fisher scoring (:func:`nbreserve.glm._irls`)
-    exhausts its budget: at small kappa on near-separated triangles.
-
-    Raises:
-        NotConvergedError: the normal equations were singular, no
-            halving of a step kept the deviance down, a mean reached
-            the clip of the linear predictor, or the fit did not stop
-            in ``_IRLS_MAX_ITER`` steps.
-    """
-    slack = _DEV_SLACK * np.sum(y + kappa)
-    mu = np.exp(np.clip(X @ coef, -_ETA_BOUND, _ETA_BOUND))
-    dev = 2.0 * np.sum(_unit_deviance(y, mu, kappa))
-    for _ in range(_IRLS_MAX_ITER):
-        w, z = _newton_terms(y, mu, kappa)
-        Xw = X * w[:, None]
-        g = Xw.T @ z
-        try:
-            delta = np.linalg.solve(Xw.T @ X, g)
-        except np.linalg.LinAlgError:
-            break
-        limit = (dev + slack) * (1.0 + 1e-13) + 1e-13
-        cand = coef + delta
-        for _ in range(30):
-            eta = np.clip(X @ cand, -_ETA_BOUND, _ETA_BOUND)
-            mu_c = np.exp(eta)
-            dev_c = 2.0 * np.sum(_unit_deviance(y, mu_c, kappa))
-            if np.isfinite(dev_c) and dev_c <= limit:
-                break
-            cand = 0.5 * (cand + coef)
-        else:
-            break
-        if np.any(np.abs(eta) >= _ETA_BOUND):
-            break
-        coef, mu, dev = cand, mu_c, dev_c
-        if abs(g @ delta) <= _DECREMENT_TOL:
-            return coef, mu
-    raise NotConvergedError(f"profile refit at kappa={kappa:.4g} did not converge")
-
-
 class _ProfileCache:
     """Profile log-likelihood evaluator with warm-started Newton refits.
 
-    Each call refits the means at one kappa by :func:`_refit`, starting
-    from the previous call's coefficients (or ``warm``, by default the
-    closed-form Poisson fit), and records (kappa, loglik); ``mu`` holds
-    the last call's fitted means. A point known without a refit, such
-    as the joint fit's, may be appended to ``evals`` directly.
+    Each call refits the means at one kappa by
+    :func:`nbreserve.glm._irls`, starting from the previous call's
+    coefficients (or ``warm``, by default the closed-form Poisson fit),
+    and records (kappa, loglik); ``mu`` holds the last call's fitted
+    means. A point known without a refit, such as the joint fit's, may
+    be appended to ``evals`` directly. Warm-started from a nearby
+    kappa's fit a refit takes about three steps.
+
+    Raises:
+        NotConvergedError: a refit did not converge.
     """
 
     def __init__(self, y: np.ndarray, design: Design, warm: Optional[np.ndarray] = None):
@@ -187,7 +120,10 @@ class _ProfileCache:
         self.evals: List[Tuple[float, float]] = []
 
     def __call__(self, kappa: float) -> float:
-        self.warm, self.mu = _refit(self.y, self.design.X, kappa, self.warm)
+        coef, mu, _, _, converged, _ = _irls(self.y, self.design, Family.negbin(kappa), start=self.warm)
+        if not converged:
+            raise NotConvergedError(f"profile refit at kappa={kappa:.4g} did not converge")
+        self.warm, self.mu = coef, mu
         ll = nb_loglik(self.y, self.mu, kappa)
         self.evals.append((kappa, ll))
         return ll
@@ -458,46 +394,23 @@ def _at_poisson_boundary(y: np.ndarray, mu: np.ndarray):
 
 
 def _solve_kappa(y: np.ndarray, mu: np.ndarray, kappa0: float) -> float:
-    """Maximise the NB log-likelihood over kappa at fixed means.
+    """:func:`_solve_kappa_batch` on one row.
 
-    Safeguarded Newton iteration on log kappa within [KAPPA_MIN,
-    KAPPA_CAP]; returns KAPPA_CAP at the Poisson boundary.
+    No fit calls it; it keeps the one-triangle name that the traced
+    benchmark (``bench/spans.py``) hooks.
     """
-    if _at_poisson_boundary(y, mu):
-        return KAPPA_CAP
-    if _kappa_score(y, mu, KAPPA_MIN) <= 0.0:
-        return KAPPA_MIN
-    lo, hi = math.log(KAPPA_MIN), math.log(KAPPA_CAP)
-    theta = min(max(np.log(kappa0), lo), hi)
-    for _ in range(100):
-        kappa = np.exp(theta)
-        s = _kappa_score(y, mu, kappa)
-        if s > 0.0:
-            lo = max(lo, theta)
-        else:
-            hi = min(hi, theta)
-        # d l/d theta and d^2 l/d theta^2 under theta = log kappa
-        g = kappa * s
-        h = kappa * s + kappa * kappa * _kappa_score_deriv(y, mu, kappa)
-        if h < 0.0:
-            step = -g / h
-            theta_new = theta + step
-            if not lo < theta_new < hi:
-                theta_new = 0.5 * (lo + hi)
-        else:
-            theta_new = 0.5 * (lo + hi)
-        if abs(theta_new - theta) < 1e-10:
-            theta = theta_new
-            break
-        theta = theta_new
-    return float(np.exp(theta))
+    y, mu = np.asarray(y, dtype=float), np.asarray(mu, dtype=float)
+    return float(_solve_kappa_batch(y[None], mu[None], np.array([kappa0], dtype=float))[0])
 
 
 def _solve_kappa_batch(Y: np.ndarray, mu: np.ndarray, kappa0: np.ndarray) -> np.ndarray:
-    """:func:`_solve_kappa` for each row of ``Y`` and ``mu`` at once.
+    """Maximise the NB log-likelihood over kappa at fixed means, for each row of ``Y`` and ``mu``.
 
-    Every row takes the scalar iteration's steps and leaves the loop when
-    it would; the scalar form stays for single fits, where it is faster.
+    Safeguarded Newton iteration on log kappa within [KAPPA_MIN,
+    KAPPA_CAP] from ``kappa0``, keeping a bracket of the root of the
+    score; a row leaves the loop when its step is below 1e-10. Returns
+    KAPPA_CAP for rows at the Poisson boundary and KAPPA_MIN for rows
+    whose score is not positive there.
     """
     out = np.full(len(Y), KAPPA_CAP)
     live = np.nonzero(~_at_poisson_boundary(Y, mu))[0]
@@ -589,7 +502,8 @@ def _nb_mle_batch(
     closed-form chain-ladder where it applies) gives the means from
     which :func:`_solve_kappa_batch` takes the first kappa. From there
     each iteration takes one Newton step for the coefficients at fixed
-    kappa, with the observed information, whose working weights
+    kappa (:func:`nbreserve.glm._newton_step`, the step of every fit at
+    fixed kappa), with the observed information, whose working weights
     mu kappa (kappa + y) / (kappa + mu)^2 stay positive, and step
     halving on the deviance; then one Newton step in log kappa at the
     new means, capped at one unit and kept in [KAPPA_MIN, KAPPA_CAP].
@@ -609,7 +523,7 @@ def _nb_mle_batch(
     kept mean reaches the clip of the linear predictor) or that did not
     converge in ``_IRLS_MAX_ITER`` iterations.
     """
-    m, X = len(Y), design.X
+    m = len(Y)
     coef, mu, poisson_ok = _poisson_batch(Y, design, start=start, mask=mask, pin=pin)
     kappa = np.full(m, np.nan)
     ok = np.zeros(m, dtype=bool)
@@ -618,9 +532,6 @@ def _nb_mle_batch(
     def kept(a, rows):
         return a if mask is None else a * mask[rows]
 
-    def deviance(rows, y, mu_r, k_r):
-        return 2.0 * np.sum(kept(_unit_deviance(y, mu_r, k_r), rows), axis=1)
-
     live = np.nonzero(poisson_ok)[0]
     kappa[live] = _solve_kappa_batch(
         Y[live], kept(mu[live], live), _moment_kappa(Y[live], mu[live], None if mask is None else mask[live])
@@ -628,34 +539,16 @@ def _nb_mle_batch(
     cap = kappa >= KAPPA_CAP
     kappa[cap], ok[cap] = KAPPA_CAP, True
     live = live[~cap[live]]
-    normal = _NormalEquations(X, live.size, pin)
+    normal = _NormalEquations(design.X, live.size, pin)
     log_min, log_cap = math.log(KAPPA_MIN), math.log(KAPPA_CAP)
 
     for _ in range(_IRLS_MAX_ITER):
         if live.size == 0:
             break
         n_iter[live] += 1
-        y, old, mu_l, k = Y[live], coef[live], mu[live], kappa[live][:, None]
-        # Newton step for the coefficients: X^T W X delta = X^T W z
-        w, z = _newton_terms(y, mu_l, k)
-        Xw, A = normal.weigh(live, kept(w, live))
-        g = (Xw.transpose(0, 2, 1) @ z[:, :, None])[:, :, 0]
-        delta = normal.solve(live, A, g)
-        failed = np.isnan(delta).any(axis=1)
-        decrement = np.sum(g * delta, axis=1)
-        cand = old + delta
-        slack = _DEV_SLACK * np.sum(kept(y + k, live), axis=1)
-        step, eta, _, stuck = _halve_steps(
-            X, cand, old, deviance(live, y, mu_l, k) + slack, np.nonzero(~failed)[0],
-            lambda rows, mu_r: deviance(live[rows], y[rows], mu_r, k[rows]),
-        )
-        # within that slack a Newton step near the optimum is always
-        # taken; a row that takes none, or whose kept means reach the
-        # clip of the linear predictor, has a likelihood rising without bound
-        failed[stuck] = True
-        failed[step] |= np.any(kept(np.abs(eta[step]) >= _ETA_BOUND, live[step]), axis=1)
-        coef[live[step]] = cand[step]
-        mu[live[step]] = np.exp(eta[step])
+        y = Y[live]
+        # Newton step for the coefficients at fixed kappa, as glm._irls takes it
+        decrement, _, failed = _newton_step(normal, live, Y, coef, mu, kappa[live][:, None], mask)
 
         # Newton step in theta = log kappa at the new means; the squares
         # of a diverging fit's means may overflow here, leaving it to fail

@@ -1,11 +1,21 @@
 """Two-way cross-classified count GLM with a log link.
 
 The model is log mu[i, j] = alpha_i + beta_j over accident-year and
-development-year factors, fitted by iteratively reweighted least
-squares (IRLS) under Poisson, quasi-Poisson, or fixed-dispersion
-negative binomial families. The negative binomial uses the
-mean-dispersion parameterisation E[N] = mu, Var[N] = mu + mu^2 / kappa,
+development-year factors, fitted under Poisson, quasi-Poisson, or
+fixed-dispersion negative binomial families. The negative binomial uses
+the mean-dispersion parameterisation E[N] = mu, Var[N] = mu + mu^2 / kappa,
 so kappa -> infinity recovers the Poisson.
+
+Every fit takes the same iteratively reweighted least-squares step: a
+Newton step with the observed information (:func:`_newton_terms`),
+halved within the deviance's rounding slack. :func:`_irls` fits one
+triangle, :func:`_irls_batch` a batch of triangles with the same
+arithmetic, and the joint dispersion fit of :mod:`nbreserve.dispersion`
+takes its coefficient steps from :func:`_newton_step`. Under the log
+link the Poisson's observed and expected information coincide, so its
+step is the Fisher-scoring step; it is taken in the IRLS form and stops
+on the relative deviance change, while a negative binomial fit stops
+when its Newton decrement is at rounding level.
 
 Fits are computed under treatment contrasts (first accident year and
 development year 0 as baselines) and re-expressed on the simplex scale,
@@ -34,9 +44,16 @@ _ETA_BOUND = 500.0
 
 _CONDITION_WARN = 1e3
 
-# IRLS stop rule and iteration budget, shared by the scalar and batched fits
-_IRLS_TOL = 1e-10
+# Iteration budget, rounding slack and stop rules of the coefficient
+# Newton step, shared by every fit. Each cell's deviance carries a
+# rounding error of about 1e-16 (y + kappa), which near the optimum
+# exceeds a step's gain; a negative binomial fit stops when its Newton
+# decrement, the log-likelihood gain the step predicts, is at rounding
+# level, a Poisson fit when its relative deviance change is.
 _IRLS_MAX_ITER = 100
+_DEV_SLACK = 1e-14
+_DECREMENT_TOL = 1e-20
+_IRLS_TOL = 1e-10
 
 # kappa from which the NB log-likelihood and its kappa score are summed
 # from large-kappa expansions
@@ -198,77 +215,96 @@ def triangle_cells(I: int) -> Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndar
     return np.nonzero(~future), np.nonzero(future)
 
 
+def _newton_terms(y: np.ndarray, mu: np.ndarray, kappa):
+    """Working weights and response of the coefficient Newton step at fixed kappa.
+
+    The weights mu kappa (kappa + y) / (kappa + mu)^2 are each cell's
+    observed information, positive for every count; the response z is
+    the cell's score kappa (y - mu) / (kappa + mu) per unit of it, so the
+    step solves X^T W X delta = X^T W z. ``kappa`` is a scalar, a column
+    of per-row values, or None for the Poisson, whose weights mu and
+    response (y - mu) / mu are the limit as kappa grows; under the log
+    link they are also its Fisher-scoring weights and response.
+    """
+    if kappa is None:
+        return mu, (y - mu) / mu
+    w = mu / (kappa + mu) * (kappa / (kappa + mu)) * (kappa + y)
+    z = (y - mu) / mu * ((kappa + mu) / (kappa + y))
+    return w, z
+
+
 def _irls(
     y: np.ndarray,
     design: Design,
     family: Family,
     start: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, float, List[float], bool, int]:
-    """Fisher-scoring IRLS with step halving.
+    """Newton iterations with the observed information, at the family's fixed kappa.
+
+    Each step solves X^T W X delta = X^T W z with the weights and
+    response of :func:`_newton_terms` and is halved until the deviance
+    does not rise by more than its rounding slack, ``_DEV_SLACK`` times
+    sum(y + kappa) (kappa 0 for the Poisson). With no ``start`` the
+    first step is taken whole from log(y + 0.5). That step, and every
+    Poisson step, is taken in the IRLS form, solving for the new
+    coefficients from the working response eta + z.
+
+    A negative binomial fit has converged when a step's Newton
+    decrement is at most ``_DECREMENT_TOL``; a Poisson fit when two
+    steps in a row change the deviance by less than ``_IRLS_TOL``
+    relative to it, which does not depend on the scale of the counts.
+    A fit stops unconverged on a singular system, when no halving keeps
+    the deviance down, when a mean reaches the clip of the linear
+    predictor, or after ``_IRLS_MAX_ITER`` steps.
 
     Returns (coef, mu, deviance, deviance_path, converged, n_iter).
-    Convergence requires two consecutive relative deviance changes below
-    ``_IRLS_TOL``, within ``_IRLS_MAX_ITER`` iterations; the extra
-    polishing step leaves the score at essentially machine-level
-    precision.
     """
     X = design.X
-    if start is not None:
-        coef = np.asarray(start, dtype=float).copy()
-        eta = np.clip(X @ coef, -_ETA_BOUND, _ETA_BOUND)
+    kappa = family.kappa if family.tag == "negbin" else None
+    slack = _DEV_SLACK * np.sum(y if kappa is None else y + kappa)
+    if start is None:
+        coef, eta, dev = np.full(design.p, np.nan), np.log(y + 0.5), np.inf
+        mu = np.exp(np.clip(eta, -_ETA_BOUND, _ETA_BOUND))
     else:
-        coef = None
-        eta = np.log(y + 0.5)
-    mu = np.exp(np.clip(eta, -_ETA_BOUND, _ETA_BOUND))
-    dev = family.deviance(y, mu) if coef is not None else np.inf
+        coef = np.asarray(start, dtype=float)
+        eta = np.clip(X @ coef, -_ETA_BOUND, _ETA_BOUND)
+        mu = np.exp(eta)
+        dev = family.deviance(y, mu)
     dev_path: List[float] = []
     converged = False
-    small_steps = 0
-    n_iter = 0
+    small_steps = n_iter = 0
 
     for n_iter in range(1, _IRLS_MAX_ITER + 1):
-        w = family.working_weight(mu)
-        z = eta + (y - mu) / mu
-        A = (X * w[:, None]).T @ X
-        b = X.T @ (w * z)
+        irls_form = kappa is None or n_iter == 1 and start is None
+        w, z = _newton_terms(y, mu, kappa)
+        Xw = X * w[:, None]
+        g = X.T @ (w * (eta + z)) if irls_form else Xw.T @ z
         try:
-            proposal = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficientError(f"weighted normal equations singular: {exc}") from None
-
-        if coef is None:
-            coef = proposal
-            eta_c = np.clip(X @ coef, -_ETA_BOUND, _ETA_BOUND)
-            dev_c = family.deviance(y, np.exp(eta_c))
+            delta = np.linalg.solve(Xw.T @ X, g)
+        except np.linalg.LinAlgError:
+            break
+        cand = delta if irls_form else coef + delta
+        limit = dev + slack
+        for _ in range(30):
+            eta = np.clip(X @ cand, -_ETA_BOUND, _ETA_BOUND)
+            mu_c = np.exp(eta)
+            dev_c = family.deviance(y, mu_c)
+            if np.isfinite(dev_c) and dev_c <= limit:
+                break
+            cand = 0.5 * (cand + coef)
         else:
-            # step halving keeps the deviance non-increasing
-            cand = proposal
-            accepted = False
-            for _ in range(30):
-                eta_c = np.clip(X @ cand, -_ETA_BOUND, _ETA_BOUND)
-                dev_c = family.deviance(y, np.exp(eta_c))
-                if np.isfinite(dev_c) and dev_c <= dev * (1.0 + 1e-13) + 1e-13:
-                    accepted = True
-                    break
-                cand = 0.5 * (cand + coef)
-            if not accepted:
-                # no descent direction left: already at the optimum
-                converged = True
-                break
-            coef = cand
-
-        eta = eta_c
-        mu = np.exp(eta)
-        dev_new = dev_c
-        dev_path.append(dev_new)
-        if np.isfinite(dev):
-            rel = abs(dev - dev_new) / (abs(dev_new) + 0.1)
-            small_steps = small_steps + 1 if rel < _IRLS_TOL else 0
-            if small_steps >= 2:
-                dev = dev_new
-                converged = True
-                break
-        dev = dev_new
+            break
+        small_steps = small_steps + 1 if abs(dev - dev_c) / (abs(dev_c) + 0.1) < _IRLS_TOL else 0
+        coef, mu, dev = cand, mu_c, dev_c
+        dev_path.append(dev)
+        if np.any(np.abs(eta) >= _ETA_BOUND):
+            break
+        if kappa is None:
+            converged = small_steps >= 2
+        else:
+            converged = not irls_form and abs(g @ delta) <= _DECREMENT_TOL
+        if converged:
+            break
 
     return coef, mu, dev, dev_path, converged, n_iter
 
@@ -332,33 +368,83 @@ class _NormalEquations:
         return _solve_rows(A, b)
 
 
-def _halve_steps(X: np.ndarray, cand: np.ndarray, old: np.ndarray, dev: np.ndarray, pend: np.ndarray, deviance):
-    """Step halving for a batch of coefficient steps from ``old`` to ``cand``.
+def _newton_step(
+    normal: _NormalEquations, live: np.ndarray, Y: np.ndarray, coef: np.ndarray, mu: np.ndarray,
+    k: Optional[np.ndarray], mask: Optional[np.ndarray], eta: Optional[np.ndarray] = None, whole: bool = False,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The step of :func:`_irls` for the rows ``live`` of a batch, at fixed kappa.
 
-    Each row in ``pend`` takes the first of cand, (cand + old) / 2, ...
-    within 30 halvings whose deviance does not rise above ``dev``;
-    ``deviance(rows, mu)`` gives those rows' deviance at means ``mu``.
-    ``cand`` is updated in place to the steps taken. Returns (step, eta,
-    dev_new, stuck): which rows took a step, their linear predictors and
-    deviances, and the rows that found none, which have no descent
-    direction left.
+    Row r's weights and response come from :func:`_newton_terms` at its
+    counts Y[r], means mu[r] and kappa (``k``, a column over ``live``,
+    or None for the Poisson); its normal equations are ``normal``'s,
+    with its pins. The step is halved until the row's deviance does not
+    rise by more than ``_DEV_SLACK`` times its sum of y + kappa, or
+    taken ``whole``, as from a cold start. Cells outside ``mask`` get
+    zero weight and add nothing to either. Given the linear predictors
+    ``eta`` (m, n) of the batch, the step is taken in the IRLS form,
+    from the working response eta + z. ``coef``, ``mu`` and ``eta`` are
+    updated in place for the rows that take a step.
+
+    Returns (decrement, change, failed) per row of ``live``: the Newton
+    decrement g^T delta (infinite in the IRLS form), the step's
+    deviance change relative to the new deviance (infinite for a whole
+    step), and whether the system was singular, no halving kept the
+    deviance down or a kept mean reached the clip of the linear
+    predictor.
     """
-    step = np.zeros(len(cand), dtype=bool)
-    eta = np.empty((len(cand), X.shape[0]))
-    dev_new = np.empty(len(cand))
+    X = normal.X
+    y, old, mu_l = Y[live], coef[live], mu[live]
+
+    def kept(a, rows):
+        return a if mask is None else a * mask[rows]
+
+    def deviance(rows, mu_r):
+        return 2.0 * np.sum(kept(_unit_deviance(y[rows], mu_r, None if k is None else k[rows]), live[rows]), axis=1)
+
+    w, z = _newton_terms(y, mu_l, k)
+    w = kept(w, live)
+    Xw, A = normal.weigh(live, w)
+    if eta is None:
+        g = (Xw.transpose(0, 2, 1) @ z[:, :, None])[:, :, 0]
+    else:
+        g = (X.T @ (w * (eta[live] + z))[:, :, None])[:, :, 0]
+    delta = normal.solve(live, A, g)
+    failed = np.isnan(delta).any(axis=1)
+    if eta is None:
+        decrement, cand = np.sum(g * delta, axis=1), old + delta
+    else:
+        decrement, cand = np.full(live.size, np.inf), delta
+    dev = np.full(live.size, np.inf) if whole else deviance(slice(None), mu_l)
+    limit = dev + _DEV_SLACK * np.sum(kept(y if k is None else y + k, live), axis=1)
+
+    # step halving: each row takes the first of cand, (cand + old) / 2, ...
+    # within 30 halvings that keeps its deviance within the slack
+    step = np.zeros(live.size, dtype=bool)
+    eta_c = np.empty((live.size, X.shape[0]))
+    dev_c = np.full(live.size, np.inf)
+    pend = np.nonzero(~failed)[0]
     for _ in range(30):
         e = np.clip(_rows_dot(X, cand[pend]), -_ETA_BOUND, _ETA_BOUND)
         d = deviance(pend, np.exp(e))
-        good = np.isfinite(d) & (d <= dev[pend] * (1.0 + 1e-13) + 1e-13)
-        hit = pend[good]
-        step[hit] = True
-        eta[hit] = e[good]
-        dev_new[hit] = d[good]
+        good = np.isfinite(d) & (d <= limit[pend])
+        step[pend[good]] = True
+        eta_c[pend[good]], dev_c[pend[good]] = e[good], d[good]
         pend = pend[~good]
         if pend.size == 0:
             break
         cand[pend] = 0.5 * (cand[pend] + old[pend])
-    return step, eta, dev_new, pend
+    # within the slack a Newton step near the optimum is always taken; a
+    # row that takes none, or whose kept means reach the clip, has a
+    # likelihood rising without bound
+    failed[pend] = True
+    failed[step] |= np.any(kept(np.abs(eta_c[step]) >= _ETA_BOUND, live[step]), axis=1)
+    coef[live[step]] = cand[step]
+    mu[live[step]] = np.exp(eta_c[step])
+    if eta is not None:
+        eta[live[step]] = eta_c[step]
+    with np.errstate(invalid="ignore"):
+        change = np.abs(dev - dev_c) / (np.abs(dev_c) + 0.1)
+    return decrement, change, failed
 
 
 def _irls_batch(
@@ -375,8 +461,10 @@ def _irls_batch(
     negative binomial with dispersion ``kappa[r]``, or the Poisson when
     ``kappa`` is None. ``start`` is one coefficient vector for all rows,
     a matrix with one per row, or None for the log(y + 0.5) start. Each
-    row keeps its own step halving and two-small-steps stop rule, and
-    stops iterating once it has converged.
+    row takes :func:`_irls`'s steps (:func:`_newton_step`) with the same
+    arithmetic and stop rule, so it gets the scalar fit's coefficients
+    and means bit for bit, and stops iterating once it has converged or
+    failed.
 
     ``mask`` (m, n) marks the cells each row is fitted on and ``pin``
     (m, p) the coefficients it holds at zero; both default to none left
@@ -387,31 +475,20 @@ def _irls_batch(
     with every cell kept and nothing pinned gets bit for bit the result
     it gets without masks.
 
-    Returns (coef, mu, ok); ok is False for rows whose normal equations
-    were singular or that did not converge in ``_IRLS_MAX_ITER`` iterations.
+    Returns (coef, mu, ok); ok is False for rows on which :func:`_irls`
+    would not converge.
     """
     m, p = len(Y), X.shape[1]
     k = None if kappa is None else np.asarray(kappa, dtype=float)[:, None]
     normal = _NormalEquations(X, m, pin)
-
-    def deviance(rows, y, mu_r, k_r):
-        unit = _unit_deviance(y, mu_r, k_r)
-        if mask is not None:
-            unit = unit * mask[rows]
-        return 2.0 * np.sum(unit, axis=1)
-
     coef = np.full((m, p), np.nan)
-    dev = np.full(m, np.inf)
-    if start is not None:
+    if start is None:
+        eta = np.log(Y + 0.5)
+    else:
         start = np.asarray(start, dtype=float)
         coef[:] = start
-        eta = np.tile(X @ start, (m, 1)) if start.ndim == 1 else _rows_dot(X, coef)
-        eta = np.clip(eta, -_ETA_BOUND, _ETA_BOUND)
-        mu = np.exp(eta)
-        dev = deviance(slice(None), Y, mu, k)
-    else:
-        eta = np.log(Y + 0.5)
-        mu = np.exp(np.clip(eta, -_ETA_BOUND, _ETA_BOUND))
+        eta = np.clip(np.tile(X @ start, (m, 1)) if start.ndim == 1 else _rows_dot(X, coef), -_ETA_BOUND, _ETA_BOUND)
+    mu = np.exp(np.clip(eta, -_ETA_BOUND, _ETA_BOUND))
     small_steps = np.zeros(m, dtype=np.int64)
     ok = np.zeros(m, dtype=bool)
     live = np.arange(m)
@@ -419,45 +496,18 @@ def _irls_batch(
     for it in range(_IRLS_MAX_ITER):
         if live.size == 0:
             break
-        y, mu_l, k_l = Y[live], mu[live], None if k is None else k[live]
-        w = mu_l if k_l is None else mu_l * k_l / (k_l + mu_l)
-        if mask is not None:
-            w = w * mask[live]
-        z = eta[live] + (y - mu_l) / mu_l
-        _, A = normal.weigh(live, w)
-        b = (X.T @ (w * z)[:, :, None])[:, :, 0]
-        proposal = normal.solve(live, A, b)
-        singular = np.isnan(proposal).any(axis=1)
-
-        if it == 0 and start is None:
-            # first step from the log(y + 0.5) start takes the proposal whole
-            step = ~singular
-            cand, eta_c = proposal, np.clip(_rows_dot(X, proposal), -_ETA_BOUND, _ETA_BOUND)
-            dev_c = deviance(live, y, np.exp(eta_c), k_l)
+        whole = it == 0 and start is None
+        irls_form = k is None or whole
+        decrement, change, failed = _newton_step(
+            normal, live, Y, coef, mu, None if k is None else k[live], mask, eta if irls_form else None, whole
+        )
+        if k is None:
+            small_steps[live] = np.where(change < _IRLS_TOL, small_steps[live] + 1, 0)
+            done = ~failed & (small_steps[live] >= 2)
         else:
-            # step halving keeps each row's deviance non-increasing
-            cand = proposal.copy()
-            step, eta_c, dev_c, stuck = _halve_steps(
-                X, cand, coef[live], dev[live], np.nonzero(~singular)[0],
-                lambda rows, mu_r: deviance(live[rows], y[rows], mu_r, None if k_l is None else k_l[rows]),
-            )
-            # no descent direction left: already at the optimum
-            ok[live[stuck]] = True
-
-        idx = live[step]
-        coef[idx] = cand[step]
-        eta[idx] = eta_c[step]
-        mu[idx] = np.exp(eta_c[step])
-        dev_old = dev[idx]
-        dev_new = dev_c[step]
-        finite = np.isfinite(dev_old)
-        with np.errstate(invalid="ignore"):
-            rel = np.abs(dev_old - dev_new) / (np.abs(dev_new) + 0.1)
-        small_steps[idx] = np.where(finite & (rel < _IRLS_TOL), small_steps[idx] + 1, 0)
-        dev[idx] = dev_new
-        done = small_steps[idx] >= 2
-        ok[idx[done]] = True
-        live = idx[~done]
+            done = ~failed & (np.abs(decrement) <= _DECREMENT_TOL)
+        ok[live[done]] = True
+        live = live[~(done | failed)]
 
     return coef, mu, ok
 
@@ -681,7 +731,13 @@ def _prepare(data: Sequence) -> Tuple[np.ndarray, Design]:
 
 
 def fit(data: Sequence, family: Family) -> ModelFit:
-    """Fit the two-way log-link count model by IRLS.
+    """Fit the two-way log-link count model by Newton steps with the observed information.
+
+    The fit is :func:`_irls` from its cold start. For the Poisson and
+    quasi-Poisson these are the Fisher-scoring steps, since the two
+    informations coincide under the log link; for the negative binomial
+    the observed information also converges fast on near-separated
+    triangles, where Fisher scoring converges linearly.
 
     Args:
         data: long-format records with ``ay`` (1-based), ``dy``
@@ -691,16 +747,17 @@ def fit(data: Sequence, family: Family) -> ModelFit:
 
     Raises:
         SeparationError: a factor level has all-zero counts.
-        RankDeficientError: a factor level is absent or the normal
-            equations are singular.
-        NotConvergedError: iteration budget exhausted.
+        RankDeficientError: a factor level is absent or there are
+            fewer observations than parameters.
+        NotConvergedError: the fit stopped unconverged, as
+            :func:`_irls` describes.
     """
     y, design = _prepare(data)
 
     irls_family = Family.poisson() if family.tag == "quasipoisson" else family
     coef, mu, dev, dev_path, converged, n_iter = _irls(y, design, irls_family)
     if not converged:
-        raise NotConvergedError(f"IRLS did not converge in {_IRLS_MAX_ITER} iterations")
+        raise NotConvergedError(f"IRLS stopped unconverged after {n_iter} iterations")
 
     w = irls_family.working_weight(mu)
     info = (design.X * w[:, None]).T @ design.X

@@ -280,7 +280,8 @@ def interior_triangle(request):
 
 
 # a near-separated triangle on which profile_kappa used to raise
-# NotConvergedError
+# NotConvergedError, and Fisher-scoring fits at fixed kappa converged
+# linearly or not at all
 NEAR_SEPARATED = [[63, 0, 0, 40], [137, 12, 370], [338, 448], [11]]
 
 
@@ -304,14 +305,14 @@ class TestProfileSearch:
     def test_grid_leaves_out_points_whose_refit_fails(self, monkeypatch):
         # a grid refit that fails (here the one at kappa = 1e-3, made to)
         # must not sink the estimate
-        refit = dispersion._refit
+        refit = dispersion._irls
 
-        def failing_at_floor(y, X, kappa, coef):
-            if kappa == KAPPA_MIN:
+        def failing_at_floor(y, design, family, start=None):
+            if family.kappa == KAPPA_MIN:
                 raise NotConvergedError("refit made to fail")
-            return refit(y, X, kappa, coef)
+            return refit(y, design, family, start=start)
 
-        monkeypatch.setattr(dispersion, "_refit", failing_at_floor)
+        monkeypatch.setattr(dispersion, "_irls", failing_at_floor)
         recs = to_long(RunOffTriangle.from_rows([[31, 64, 8, 15], [0, 3, 14], [0, 390], [1]]))
         _, dense = _without_and_with_grid(recs)
         assert KAPPA_MIN not in dense.profile_curve[:, 0]
@@ -328,9 +329,8 @@ class TestProfileSearch:
 
     def test_near_separated_triangle(self):
         # the lower endpoint walk refits at kappa about 0.04, where Fisher
-        # scoring ran out of iterations; IRLS does not converge at the upper
-        # endpoint either, so the profile there comes from a cold refit
-        # whose coefficient score must vanish
+        # scoring ran out of iterations; the profile at each endpoint comes
+        # from a cold refit whose coefficient score must vanish
         recs = to_long(RunOffTriangle.from_rows(NEAR_SEPARATED))
         est = profile_kappa(recs)
         y, design = _prepare(recs)
@@ -343,6 +343,15 @@ class TestProfileSearch:
             score = design.X.T @ (bound * (y - cold.mu) / (bound + cold.mu))
             assert np.abs(score).max() <= 1e-9 * y.sum()
             assert 2 * (est.loglik - ll) == pytest.approx(CHI2_1_95, abs=1e-4)
+
+    @pytest.mark.parametrize("kappa", [0.300, 0.858, 2.105])
+    def test_fit_converges_on_near_separated_triangle(self, kappa):
+        # the profile estimate and interval endpoints of NEAR_SEPARATED:
+        # Fisher scoring took 41-53 iterations at the first two and ran out
+        # of iterations at the third
+        model = fit(to_long(RunOffTriangle.from_rows(NEAR_SEPARATED)), Family.negbin(kappa))
+        assert model.converged
+        assert model.n_iter <= 10
 
     def test_no_curve_row_above_the_estimate(self, interior_triangle):
         est = profile_kappa(to_long(interior_triangle), grid_size=60)
@@ -375,12 +384,12 @@ class TestProfileRefits:
     def test_refit_count(self, name, most, request, monkeypatch):
         calls = []
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args[2])
-            return refit(*args)
+            return refit(*args, **kwargs)
 
-        refit = dispersion._refit
-        monkeypatch.setattr(dispersion, "_refit", counted)
+        refit = dispersion._irls
+        monkeypatch.setattr(dispersion, "_irls", counted)
         profile_kappa(to_long(request.getfixturevalue(name)))
         assert 0 < len(calls) <= most
 

@@ -3,7 +3,7 @@ import dataclasses
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 from nbreserve import Family, chain_ladder, fit, nb_loglik, pearson_dispersion, poisson_loglik, to_long, to_simplex
@@ -125,6 +125,23 @@ class TestPoissonFit:
             assert model.converged
             assert np.all(np.diff(path) <= 1e-9 * max(1.0, path[0]))
 
+    @pytest.mark.parametrize("name", ["australian", "taylor"])
+    @pytest.mark.parametrize("scale", [1e3, 1e5])
+    @pytest.mark.parametrize("family", [Family.poisson(), Family.quasi_poisson()], ids=["poisson", "quasipoisson"])
+    def test_converges_at_any_scale(self, request, name, scale, family):
+        # amounts in cents or a large book's triangle: the stop must not
+        # depend on the size of the counts
+        from nbreserve import RunOffTriangle
+
+        t = request.getfixturevalue(name)
+        I = t.dimension
+        scaled = RunOffTriangle.from_rows(
+            [[round(t.cell(i, j) * scale) for j in range(I - i + 1)] for i in range(1, I + 1)]
+        )
+        model = fit(to_long(scaled), family)
+        assert model.converged
+        assert future_sum(model) == pytest.approx(chain_ladder(scaled).total_reserve, rel=1e-8)
+
     def test_permutation_equivariance(self, australian):
         recs = to_long(australian)
         rng = np.random.default_rng(31)
@@ -216,6 +233,14 @@ class TestScore:
             model = fit(to_long(australian), fam)
             assert np.max(np.abs(score(model))) < 1e-8 * model.y.sum()
 
+    @pytest.mark.parametrize("name", ["australian", "taylor"])
+    @pytest.mark.parametrize("family", [Family.poisson(), Family.negbin(5.0)], ids=["poisson", "negbin"])
+    def test_at_rounding_level(self, request, name, family):
+        # the NB Newton fit stops at a decrement at rounding level; the
+        # Fisher-scoring NB fit left 6e-9 of the largest count on Australian
+        model = fit(to_long(request.getfixturevalue(name)), family)
+        assert np.max(np.abs(score(model))) <= 1e-12 * model.y.max()
+
     @pytest.mark.parametrize("tag", ["poisson", "negbin"])
     def test_matches_finite_differences(self, australian, tag):
         fam = Family.poisson() if tag == "poisson" else Family.negbin(3.7)
@@ -267,52 +292,6 @@ def to_long_rows(rows):
     return to_long(RunOffTriangle.from_rows(rows))
 
 
-class TestBatchedIrls:
-    """``_irls_batch`` row by row against the scalar ``_irls``."""
-
-    @staticmethod
-    def _rows(australian, m=12):
-        from nbreserve.dispersion import _prepare
-
-        y, design = _prepare(to_long(australian))
-        rng = np.random.default_rng(11)
-        return rng.negative_binomial(3.0, 3.0 / (3.0 + y), size=(m, y.size)).astype(float), y, design
-
-    @pytest.mark.parametrize("kappa", [None, 2.5])
-    @pytest.mark.parametrize("with_start", [False, True])
-    def test_rows_match_scalar(self, australian, kappa, with_start):
-        from nbreserve.glm import _irls, _irls_batch
-
-        Y, y, design = self._rows(australian)
-        family = Family.poisson() if kappa is None else Family.negbin(kappa)
-        start = fit(to_long(australian), Family.poisson()).coefficients() if with_start else None
-        kappas = None if kappa is None else np.full(len(Y), kappa)
-        coef, mu, ok = _irls_batch(Y, design.X, kappa=kappas, start=start)
-        for r, row in enumerate(Y):
-            c, m, _, _, converged, _ = _irls(row, design, family, start=start)
-            assert ok[r] == converged
-            assert np.array_equal(coef[r], c)
-            assert np.array_equal(mu[r], m)
-
-    def test_iteration_budget_fails_rows(self, australian, monkeypatch):
-        from nbreserve import glm
-
-        Y, _, design = self._rows(australian)
-        monkeypatch.setattr(glm, "_IRLS_MAX_ITER", 2)
-        _, _, ok = glm._irls_batch(Y, design.X)
-        assert not ok.any()
-
-    def test_singular_system_fails_its_row_only(self):
-        from nbreserve.glm import _solve_rows
-
-        A = np.stack([np.eye(3), np.zeros((3, 3)), 2.0 * np.eye(3)])
-        b = np.ones((3, 3))
-        x = _solve_rows(A, b)
-        assert np.array_equal(x[0], np.ones(3))
-        assert np.isnan(x[1]).all()
-        assert np.array_equal(x[2], np.full(3, 0.5))
-
-
 @st.composite
 def staircase_batches(draw):
     """A staircase layout and a batch of counts on it, with zero levels.
@@ -350,6 +329,73 @@ def staircase_batches(draw):
     return Y, design
 
 
+class TestBatchedIrls:
+    """``_irls_batch`` row by row against the scalar ``_irls``."""
+
+    @staticmethod
+    def _rows(australian, m=12):
+        from nbreserve.dispersion import _prepare
+
+        y, design = _prepare(to_long(australian))
+        rng = np.random.default_rng(11)
+        return rng.negative_binomial(3.0, 3.0 / (3.0 + y), size=(m, y.size)).astype(float), y, design
+
+    @pytest.mark.parametrize("kappa", [None, 2.5])
+    @pytest.mark.parametrize("with_start", [False, True])
+    def test_rows_match_scalar(self, australian, kappa, with_start):
+        from nbreserve.glm import _irls, _irls_batch
+
+        Y, y, design = self._rows(australian)
+        family = Family.poisson() if kappa is None else Family.negbin(kappa)
+        start = fit(to_long(australian), Family.poisson()).coefficients() if with_start else None
+        kappas = None if kappa is None else np.full(len(Y), kappa)
+        coef, mu, ok = _irls_batch(Y, design.X, kappa=kappas, start=start)
+        for r, row in enumerate(Y):
+            c, m, _, _, converged, _ = _irls(row, design, family, start=start)
+            assert ok[r] == converged
+            assert np.array_equal(coef[r], c)
+            assert np.array_equal(mu[r], m)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(batch=staircase_batches(), log_kappa=st.lists(st.floats(-3.0, 9.0), min_size=6, max_size=6))
+    @pytest.mark.parametrize("poisson", [True, False], ids=["poisson", "negbin"])
+    def test_random_rows_match_scalar(self, poisson, batch, log_kappa):
+        from nbreserve.glm import _DEV_SLACK, _irls, _irls_batch
+
+        Y, design = batch
+        mask, _ = drop_pattern(Y, design)
+        Y = Y[mask.all(axis=1)]  # rows with no all-zero level
+        assume(len(Y) > 0)
+        kappas = None if poisson else np.exp(log_kappa)[: len(Y)]
+        coef, mu, ok = _irls_batch(Y, design.X, kappa=kappas)
+        for r, y in enumerate(Y):
+            family = Family.poisson() if poisson else Family.negbin(kappas[r])
+            c, m, _, path, converged, _ = _irls(y, design, family)
+            assert ok[r] == converged
+            assert np.array_equal(coef[r], c, equal_nan=True)
+            assert np.array_equal(mu[r], m)
+            slack = _DEV_SLACK * np.sum(y if poisson else y + kappas[r])
+            assert np.all(np.diff(path) <= slack)
+
+    def test_iteration_budget_fails_rows(self, australian, monkeypatch):
+        from nbreserve import glm
+
+        Y, _, design = self._rows(australian)
+        monkeypatch.setattr(glm, "_IRLS_MAX_ITER", 2)
+        _, _, ok = glm._irls_batch(Y, design.X)
+        assert not ok.any()
+
+    def test_singular_system_fails_its_row_only(self):
+        from nbreserve.glm import _solve_rows
+
+        A = np.stack([np.eye(3), np.zeros((3, 3)), 2.0 * np.eye(3)])
+        b = np.ones((3, 3))
+        x = _solve_rows(A, b)
+        assert np.array_equal(x[0], np.ones(3))
+        assert np.isnan(x[1]).all()
+        assert np.array_equal(x[2], np.full(3, 0.5))
+
+
 class TestClosedFormPoisson:
     """The chain-ladder Poisson fit against the iterative ``_irls_batch``."""
 
@@ -371,8 +417,7 @@ class TestClosedFormPoisson:
         # and a positive solution is the unique maximum
         resid = np.where(mask, Y - mu, 0.0)[closed]
         assert np.all(np.abs(resid @ design.X).max(axis=1) <= 1e-13 * Y[closed].sum(axis=1))
-        # IRLS stops on the deviance change and leaves up to about 2e-10
-        # of the counts in its score, so it agrees only to its own precision
+        # the iterative fit agrees to its own precision
         gap = np.where(mask, np.abs(mu - mu_i), 0.0)[closed]
         assert np.all(gap.max(axis=1) <= 1e-8 * np.where(mask, mu_i, 0.0)[closed].max(axis=1))
         assert np.all(coef[pin & closed[:, None]] == 0.0)
