@@ -13,6 +13,8 @@ Replicate refits on synthetic data can meet factor levels whose counts
 are all zero. The maximum-likelihood limit sends those level means to
 zero, so the refit drops the level and pins its fitted means at zero
 rather than failing; only genuine non-convergence counts as a failure.
+The study's base fits, also on synthetic data, share that rule
+(:func:`fit_kept_levels`); a user's triangle is rejected instead.
 
 The engine refits a batch of replicates at once on the full design.
 Each replicate leaves out the cells of its dropped levels and holds
@@ -36,10 +38,8 @@ import numpy as np
 from . import dispersion
 from ._rng import substream
 from .errors import ReservingError
-from .glm import (
-    Design, Family, _chain_ladder_batch, _irls, _poisson_batch, build_design, drop_masks, pearson_statistic,
-    triangle_cells,
-)
+from .glm import Design, _poisson_batch, build_design, drop_masks, pearson_statistic, triangle_cells
+from .glm import _irls  # not called here: bench/spans.py hooks _bootstrap:_irls
 
 
 # share of failed refits tolerated before a run is abandoned
@@ -60,7 +60,9 @@ class EngineSpec:
     ``family`` is a ``Family`` tag: the law of the observed-cell draws,
     of the refit and of the future draws. ``param`` is the kappa
     (``negbin``) or phi (``quasipoisson``) of the observed-cell draws.
-    ``correct`` applies (n - p) / n of ``design`` to each refitted kappa.
+    ``correct`` applies (n - p) / n of the full ``design`` to each
+    refitted kappa, whatever levels it drops; a refitted phi, like the
+    study's base phi, divides by the kept cells less the free coefficients.
     """
 
     seed: int
@@ -120,49 +122,35 @@ def _effects_from_coef(coef: np.ndarray, n_ay: int) -> Tuple[np.ndarray, np.ndar
     return row, col
 
 
-def _levels_present(y_star: np.ndarray, spec: EngineSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Which accident and development years have a positive total, per replicate."""
-    d = spec.design
-    ay = y_star @ (d.ay_idx[:, None] == np.arange(d.n_ay)) > 0
-    dy = y_star @ (d.dy_idx[:, None] == np.arange(d.n_dy)) > 0
+def _levels_present(Y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray]:
+    """Which accident and development years have a positive total, per row of ``Y``."""
+    ay = Y @ (design.ay_idx[:, None] == np.arange(design.n_ay)) > 0
+    dy = Y @ (design.dy_idx[:, None] == np.arange(design.n_dy)) > 0
     return ay, dy
-
-
-def _reduced_design(spec: EngineSpec, ay_keep: np.ndarray, dy_keep: np.ndarray):
-    """Design over the kept levels; returns (cells, keep_ay, keep_dy, design) or None.
-
-    With every level kept this is the full design. None means the kept
-    cells cannot identify the kept levels' effects.
-    """
-    d = spec.design
-    keep_ay = np.nonzero(ay_keep)[0]
-    keep_dy = np.nonzero(dy_keep)[0]
-    cells = ay_keep[d.ay_idx] & dy_keep[d.dy_idx]
-    if not cells.any():
-        return None
-    ay_new = np.searchsorted(keep_ay, d.ay_idx[cells])
-    dy_new = np.searchsorted(keep_dy, d.dy_idx[cells])
-    design = build_design(ay_new + 1, dy_new, len(keep_ay), len(keep_dy))
-    if design.n < design.p:
-        return None
-    return cells, keep_ay, keep_dy, design
 
 
 def _refit(y_star: np.ndarray, spec: EngineSpec) -> Optional[Tuple[np.ndarray, np.ndarray, Optional[float]]]:
     """Refit one replicate on its reduced design; returns (row_eff, col_eff, dispersion).
 
-    Row and column effects are on the log scale with dropped levels at
-    -inf, so exp(row + col) gives zero means there. The dispersion slot
-    holds kappa for negbin refits and phi for quasipoisson refits. A
-    Poisson refit is the closed-form chain-ladder, or the scalar IRLS
-    where that does not apply. The engine runs :func:`_refit_batch`;
-    this one-replicate form is its reference.
+    The reduced design has the replicate's kept levels only; None means
+    its kept cells cannot identify their effects. Row and column effects
+    are on the log scale with dropped levels at -inf, so exp(row + col)
+    gives zero means there. The dispersion slot holds kappa for negbin
+    refits and phi for quasipoisson refits. A Poisson refit is the
+    closed-form chain-ladder, or IRLS where that does not apply. The
+    engine runs :func:`_refit_batch`; this one-replicate form is its
+    reference.
     """
-    ay_keep, dy_keep = _levels_present(y_star[None], spec)
-    reduced = _reduced_design(spec, ay_keep[0], dy_keep[0])
-    if reduced is None:
+    d = spec.design
+    ay_keep, dy_keep = (keep[0] for keep in _levels_present(y_star[None], d))
+    keep_ay, keep_dy = np.nonzero(ay_keep)[0], np.nonzero(dy_keep)[0]
+    cells = ay_keep[d.ay_idx] & dy_keep[d.dy_idx]
+    if not cells.any():
         return None
-    cells, keep_ay, keep_dy, design = reduced
+    ay_new, dy_new = np.searchsorted(keep_ay, d.ay_idx[cells]), np.searchsorted(keep_dy, d.dy_idx[cells])
+    design = build_design(ay_new + 1, dy_new, len(keep_ay), len(keep_dy))
+    if design.n < design.p:
+        return None
     y_fit = y_star[cells].astype(float)
     start = spec.base_coef if cells.all() else None
 
@@ -171,19 +159,16 @@ def _refit(y_star: np.ndarray, spec: EngineSpec) -> Optional[Tuple[np.ndarray, n
             coef, _, kappa, _ = dispersion.nb_mle(y_fit, design, start=start)
             disp = dispersion.bias_correct(kappa, spec.design.n, spec.design.p) if spec.correct else kappa
         else:
-            coef, mu, closed = _chain_ladder_batch(y_fit[None], design)
-            coef, mu = coef[0], mu[0]
-            if not closed[0]:
-                coef, mu, _, _, converged, _ = _irls(y_fit, design, Family.poisson(), start=start)
-                if not converged:
-                    return None
+            coef, mu, converged = (a[0] for a in _poisson_batch(y_fit[None], design, start=start))
+            if not converged:
+                return None
             disp = None
             if spec.family == "quasipoisson":
                 dof = design.n - design.p
                 if dof <= 0:
                     return None
                 disp = float(pearson_statistic(y_fit, mu)) / dof
-    except (ReservingError, np.linalg.LinAlgError):
+    except ReservingError:
         return None
 
     row_red, col_red = _effects_from_coef(coef[None], len(keep_ay))
@@ -194,52 +179,69 @@ def _refit(y_star: np.ndarray, spec: EngineSpec) -> Optional[Tuple[np.ndarray, n
     return row_eff, col_eff, disp
 
 
-def _refit_batch(y_star: np.ndarray, spec: EngineSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Refit every row of the (m, n) replicate matrix ``y_star`` as one batch.
+def fit_kept_levels(
+    Y: np.ndarray, design: Design, family: str, start: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fit every row of the count matrix ``Y`` on its levels with a positive total.
 
-    All rows are fitted together on the full design, each on its own
-    kept cells and free coefficients (:func:`~nbreserve.glm.drop_masks`), from the
-    base fit's coefficients with the pinned ones at zero. Returns (ok,
-    row_eff, col_eff, disp) with one row per replicate, holding what
-    :func:`_refit` returns; ok is False where it returns None, and disp
-    is NaN for Poisson refits. A row fails, as there, when it has fewer
-    kept cells than free coefficients, when its normal equations are
-    singular, or when its fit does not converge.
+    An all-zero level's maximum-likelihood limit is zero means, so a row
+    leaves out its cells and pins its coefficients at zero, in the fit
+    and in ``start`` (:func:`~nbreserve.glm.drop_masks`). ``negbin`` is
+    the joint fit :func:`~nbreserve.dispersion._nb_mle_batch`, the other
+    families the Poisson fit :func:`~nbreserve.glm._poisson_batch`.
+    Returns (ok, coef, mu, disp, ay_keep, dy_keep): mu is zero on the
+    left-out cells; disp is kappa, the ``quasipoisson`` Pearson phi over
+    the kept cells less the free coefficients (NaN with none left), or
+    NaN. ok is False for rows that keep no cell or fewer cells than
+    free coefficients, and for fits that fail.
     """
-    m, design = len(y_star), spec.design
+    m = len(Y)
     ok = np.zeros(m, dtype=bool)
-    row_eff = np.full((m, design.n_ay), -np.inf)
-    col_eff = np.full((m, design.n_dy), -np.inf)
+    coef = np.full((m, design.p), np.nan)
+    mu = np.zeros((m, design.n))
     disp = np.full(m, np.nan)
-    ay_keep, dy_keep = _levels_present(y_star, spec)
+    ay_keep, dy_keep = _levels_present(Y, design)
     mask, pin = drop_masks(design, ay_keep, dy_keep)
     n_kept = mask.sum(axis=1)
     dof = n_kept - (pin.shape[1] - pin.sum(axis=1))  # kept cells less free coefficients
-    min_dof = 1 if spec.family == "quasipoisson" else 0  # the Pearson phi divides by dof
-    fit = np.nonzero((n_kept > 0) & (dof >= min_dof))[0]
+    fit = np.nonzero((n_kept > 0) & (dof >= 0))[0]
     if fit.size == 0:
-        return ok, row_eff, col_eff, disp
+        return ok, coef, mu, disp, ay_keep, dy_keep
     kept, pin = mask[fit], pin[fit]
-    Y = y_star[fit].astype(float)
+    Y = Y[fit]
     if kept.all():  # nothing dropped: the plain batched fit, without the masking arithmetic
         mask = pin = None
-        start = spec.base_coef
     else:
         mask = kept
-        start = None if spec.base_coef is None else np.where(pin, 0.0, spec.base_coef)
-    if spec.family == "negbin":
-        coef, _, kappa, fit_ok, _ = dispersion._nb_mle_batch(Y, design, start=start, mask=mask, pin=pin)
-        if spec.correct:
-            kappa[fit_ok] = kappa[fit_ok] * (design.n - design.p) / design.n
-        disp[fit] = kappa
+        start = None if start is None else np.where(pin, 0.0, start)
+    if family == "negbin":
+        coef[fit], mu_fit, disp[fit], ok[fit], _ = dispersion._nb_mle_batch(Y, design, start=start, mask=mask, pin=pin)
     else:
-        coef, mu, fit_ok = _poisson_batch(Y, design, start=start, mask=mask, pin=pin)
-        if spec.family == "quasipoisson":
-            disp[fit] = pearson_statistic(Y, mu, mask) / dof[fit]
-    row_eff[fit], col_eff[fit] = _effects_from_coef(coef, design.n_ay)
+        coef[fit], mu_fit, ok[fit] = _poisson_batch(Y, design, start=start, mask=mask, pin=pin)
+        if family == "quasipoisson":
+            disp[fit] = pearson_statistic(Y, mu_fit, mask) / np.where(dof[fit] > 0, dof[fit], np.nan)
+    mu[fit] = mu_fit * kept
+    return ok, coef, mu, disp, ay_keep, dy_keep
+
+
+def _refit_batch(y_star: np.ndarray, spec: EngineSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Refit every row of the (m, n) replicate matrix ``y_star`` as one batch.
+
+    The rows are one :func:`fit_kept_levels` call from the base fit's
+    coefficients. Returns (ok, row_eff, col_eff, disp) with one row per
+    replicate, holding what :func:`_refit` returns; ok is False where it
+    returns None (also for an ODP refit with no residual degree of
+    freedom), and disp is NaN for Poisson refits.
+    """
+    design = spec.design
+    ok, coef, _, disp, ay_keep, dy_keep = fit_kept_levels(y_star.astype(float), design, spec.family, spec.base_coef)
+    if spec.family == "quasipoisson":
+        ok &= ~np.isnan(disp)
+    if spec.correct:
+        disp[ok] = disp[ok] * (design.n - design.p) / design.n
+    row_eff, col_eff = _effects_from_coef(coef, design.n_ay)
     row_eff[~ay_keep] = -np.inf
     col_eff[~dy_keep] = -np.inf
-    ok[fit] = fit_ok
     return ok, row_eff, col_eff, disp
 
 

@@ -36,8 +36,8 @@ from scipy.special import psi
 
 from .errors import FlatProfileError, NotConvergedError, SingularInformationError
 from .glm import (
-    _DECREMENT_TOL, _IRLS_MAX_ITER, _KAPPA_SERIES, Design, Family, _irls, _newton_step, _newton_terms,
-    _NormalEquations, _poisson_batch, _prepare, nb_loglik, poisson_loglik,
+    _IRLS_MAX_ITER, _KAPPA_SERIES, Design, Family, _irls, _newton_step, _newton_terms, _NormalEquations,
+    _poisson_batch, _prepare, nb_loglik, poisson_loglik,
 )
 
 KAPPA_MIN = 1e-3
@@ -510,7 +510,8 @@ def _nb_mle_batch(
     Mean and dispersion are information-orthogonal in this family, so
     the two steps together converge about as fast as a full Newton
     step. A row stops when its Newton decrement, the log-likelihood
-    gain the two steps predict, is at rounding level (1e-20); it stops
+    gain the two steps predict, is at most the tolerance the coefficient
+    step returns, the stop rule of every fit at fixed kappa; it stops
     at KAPPA_CAP when :func:`_at_poisson_boundary` holds at its means
     or a kappa step reaches the cap, with the coefficients of its last
     step. Each row's arithmetic does not depend on the other rows of
@@ -548,7 +549,7 @@ def _nb_mle_batch(
         n_iter[live] += 1
         y = Y[live]
         # Newton step for the coefficients at fixed kappa, as glm._irls takes it
-        decrement, _, failed = _newton_step(normal, live, Y, coef, mu, kappa[live][:, None], mask)
+        decrement, tol, failed = _newton_step(normal, live, Y, coef, mu, kappa[live][:, None], mask)
 
         # Newton step in theta = log kappa at the new means; the squares
         # of a diverging fit's means may overflow here, leaving it to fail
@@ -568,7 +569,7 @@ def _nb_mle_batch(
 
         cap |= theta >= log_cap
         kappa[live[cap]] = KAPPA_CAP
-        done = ~failed & (cap | (np.abs(decrement) <= _DECREMENT_TOL))
+        done = ~failed & (cap | (np.abs(decrement) <= tol))
         ok[live[done]] = True
         live = live[~(done | failed)]
     return coef, mu, kappa, ok, n_iter

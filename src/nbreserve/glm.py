@@ -8,14 +8,14 @@ so kappa -> infinity recovers the Poisson.
 
 Every fit takes the same iteratively reweighted least-squares step: a
 Newton step with the observed information (:func:`_newton_terms`),
-halved within the deviance's rounding slack. :func:`_irls` fits one
-triangle, :func:`_irls_batch` a batch of triangles with the same
-arithmetic, and the joint dispersion fit of :mod:`nbreserve.dispersion`
-takes its coefficient steps from :func:`_newton_step`. Under the log
-link the Poisson's observed and expected information coincide, so its
-step is the Fisher-scoring step; it is taken in the IRLS form and stops
-on the relative deviance change, while a negative binomial fit stops
-when its Newton decrement is at rounding level.
+halved within the deviance's rounding slack, and stops on one rule:
+when its Newton decrement is at rounding level, on a scale set by its
+total working weight. :func:`_irls` fits one triangle, :func:`_irls_batch`
+a batch of triangles with the same arithmetic, and the joint dispersion
+fit of :mod:`nbreserve.dispersion` takes its coefficient steps from
+:func:`_newton_step`. Under the log link the Poisson's observed and
+expected information coincide, so its step is the Fisher-scoring step;
+the Poisson is the kappa -> infinity end of the same step.
 
 Fits are computed under treatment contrasts (first accident year and
 development year 0 as baselines) and re-expressed on the simplex scale,
@@ -44,16 +44,18 @@ _ETA_BOUND = 500.0
 
 _CONDITION_WARN = 1e3
 
-# Iteration budget, rounding slack and stop rules of the coefficient
+# Iteration budget, rounding slack and stop rule of the coefficient
 # Newton step, shared by every fit. Each cell's deviance carries a
 # rounding error of about 1e-16 (y + kappa), which near the optimum
-# exceeds a step's gain; a negative binomial fit stops when its Newton
-# decrement, the log-likelihood gain the step predicts, is at rounding
-# level, a Poisson fit when its relative deviance change is.
+# exceeds a step's gain. A fit stops when its Newton decrement, the
+# log-likelihood gain the step predicts, is at most
+# max(_DECREMENT_TOL, _DECREMENT_PER_WEIGHT * sum(w)): the decrement's
+# rounding floor grows with the total working weight sum(w), so the
+# rule holds at any scale of the counts.
 _IRLS_MAX_ITER = 100
 _DEV_SLACK = 1e-14
 _DECREMENT_TOL = 1e-20
-_IRLS_TOL = 1e-10
+_DECREMENT_PER_WEIGHT = 1e-26
 
 # kappa from which the NB log-likelihood and its kappa score are summed
 # from large-kappa expansions
@@ -245,17 +247,15 @@ def _irls(
     response of :func:`_newton_terms` and is halved until the deviance
     does not rise by more than its rounding slack, ``_DEV_SLACK`` times
     sum(y + kappa) (kappa 0 for the Poisson). With no ``start`` the
-    first step is taken whole from log(y + 0.5). That step, and every
-    Poisson step, is taken in the IRLS form, solving for the new
-    coefficients from the working response eta + z.
+    first step is taken whole from log(y + 0.5), in the IRLS form, which
+    solves for the new coefficients from the working response eta + z.
 
-    A negative binomial fit has converged when a step's Newton
-    decrement is at most ``_DECREMENT_TOL``; a Poisson fit when two
-    steps in a row change the deviance by less than ``_IRLS_TOL``
-    relative to it, which does not depend on the scale of the counts.
-    A fit stops unconverged on a singular system, when no halving keeps
-    the deviance down, when a mean reaches the clip of the linear
-    predictor, or after ``_IRLS_MAX_ITER`` steps.
+    A fit has converged when a step's Newton decrement is at most
+    max(``_DECREMENT_TOL``, ``_DECREMENT_PER_WEIGHT`` * sum(w)), which
+    does not depend on the scale of the counts. It stops unconverged on
+    a singular system, when no halving keeps the deviance down, when a
+    mean reaches the clip of the linear predictor, or after
+    ``_IRLS_MAX_ITER`` steps.
 
     Returns (coef, mu, deviance, deviance_path, converged, n_iter).
     """
@@ -267,23 +267,22 @@ def _irls(
         mu = np.exp(np.clip(eta, -_ETA_BOUND, _ETA_BOUND))
     else:
         coef = np.asarray(start, dtype=float)
-        eta = np.clip(X @ coef, -_ETA_BOUND, _ETA_BOUND)
-        mu = np.exp(eta)
+        mu = np.exp(np.clip(X @ coef, -_ETA_BOUND, _ETA_BOUND))
         dev = family.deviance(y, mu)
     dev_path: List[float] = []
     converged = False
-    small_steps = n_iter = 0
+    n_iter = 0
 
     for n_iter in range(1, _IRLS_MAX_ITER + 1):
-        irls_form = kappa is None or n_iter == 1 and start is None
+        whole = n_iter == 1 and start is None
         w, z = _newton_terms(y, mu, kappa)
         Xw = X * w[:, None]
-        g = X.T @ (w * (eta + z)) if irls_form else Xw.T @ z
+        g = X.T @ (w * (eta + z)) if whole else Xw.T @ z
         try:
             delta = np.linalg.solve(Xw.T @ X, g)
         except np.linalg.LinAlgError:
             break
-        cand = delta if irls_form else coef + delta
+        cand = delta if whole else coef + delta
         limit = dev + slack
         for _ in range(30):
             eta = np.clip(X @ cand, -_ETA_BOUND, _ETA_BOUND)
@@ -294,15 +293,11 @@ def _irls(
             cand = 0.5 * (cand + coef)
         else:
             break
-        small_steps = small_steps + 1 if abs(dev - dev_c) / (abs(dev_c) + 0.1) < _IRLS_TOL else 0
         coef, mu, dev = cand, mu_c, dev_c
         dev_path.append(dev)
         if np.any(np.abs(eta) >= _ETA_BOUND):
             break
-        if kappa is None:
-            converged = small_steps >= 2
-        else:
-            converged = not irls_form and abs(g @ delta) <= _DECREMENT_TOL
+        converged = not whole and abs(g @ delta) <= max(_DECREMENT_TOL, _DECREMENT_PER_WEIGHT * np.sum(w))
         if converged:
             break
 
@@ -370,7 +365,7 @@ class _NormalEquations:
 
 def _newton_step(
     normal: _NormalEquations, live: np.ndarray, Y: np.ndarray, coef: np.ndarray, mu: np.ndarray,
-    k: Optional[np.ndarray], mask: Optional[np.ndarray], eta: Optional[np.ndarray] = None, whole: bool = False,
+    k: Optional[np.ndarray], mask: Optional[np.ndarray], eta: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The step of :func:`_irls` for the rows ``live`` of a batch, at fixed kappa.
 
@@ -378,19 +373,19 @@ def _newton_step(
     counts Y[r], means mu[r] and kappa (``k``, a column over ``live``,
     or None for the Poisson); its normal equations are ``normal``'s,
     with its pins. The step is halved until the row's deviance does not
-    rise by more than ``_DEV_SLACK`` times its sum of y + kappa, or
-    taken ``whole``, as from a cold start. Cells outside ``mask`` get
-    zero weight and add nothing to either. Given the linear predictors
-    ``eta`` (m, n) of the batch, the step is taken in the IRLS form,
-    from the working response eta + z. ``coef``, ``mu`` and ``eta`` are
-    updated in place for the rows that take a step.
+    rise by more than ``_DEV_SLACK`` times its sum of y + kappa. Cells
+    outside ``mask`` get zero weight and add nothing to either. Given
+    the linear predictors ``eta`` (m, n) of the batch, the step is a
+    cold start's: taken whole, in the IRLS form, from the working
+    response eta + z. ``coef`` and ``mu`` are updated in place for the
+    rows that take a step.
 
-    Returns (decrement, change, failed) per row of ``live``: the Newton
-    decrement g^T delta (infinite in the IRLS form), the step's
-    deviance change relative to the new deviance (infinite for a whole
-    step), and whether the system was singular, no halving kept the
-    deviance down or a kept mean reached the clip of the linear
-    predictor.
+    Returns (decrement, tol, failed) per row of ``live``: the Newton
+    decrement g^T delta (infinite for a whole step), the decrement at
+    or below which the row has converged, max(``_DECREMENT_TOL``,
+    ``_DECREMENT_PER_WEIGHT`` times its total working weight), and
+    whether the system was singular, no halving kept the deviance down
+    or a kept mean reached the clip of the linear predictor.
     """
     X = normal.X
     y, old, mu_l = Y[live], coef[live], mu[live]
@@ -403,6 +398,7 @@ def _newton_step(
 
     w, z = _newton_terms(y, mu_l, k)
     w = kept(w, live)
+    tol = np.maximum(_DECREMENT_TOL, _DECREMENT_PER_WEIGHT * np.sum(w, axis=1))
     Xw, A = normal.weigh(live, w)
     if eta is None:
         g = (Xw.transpose(0, 2, 1) @ z[:, :, None])[:, :, 0]
@@ -412,23 +408,21 @@ def _newton_step(
     failed = np.isnan(delta).any(axis=1)
     if eta is None:
         decrement, cand = np.sum(g * delta, axis=1), old + delta
+        limit = deviance(slice(None), mu_l) + _DEV_SLACK * np.sum(kept(y if k is None else y + k, live), axis=1)
     else:
-        decrement, cand = np.full(live.size, np.inf), delta
-    dev = np.full(live.size, np.inf) if whole else deviance(slice(None), mu_l)
-    limit = dev + _DEV_SLACK * np.sum(kept(y if k is None else y + k, live), axis=1)
+        decrement, cand, limit = np.full(live.size, np.inf), delta, np.full(live.size, np.inf)
 
     # step halving: each row takes the first of cand, (cand + old) / 2, ...
     # within 30 halvings that keeps its deviance within the slack
     step = np.zeros(live.size, dtype=bool)
     eta_c = np.empty((live.size, X.shape[0]))
-    dev_c = np.full(live.size, np.inf)
     pend = np.nonzero(~failed)[0]
     for _ in range(30):
         e = np.clip(_rows_dot(X, cand[pend]), -_ETA_BOUND, _ETA_BOUND)
         d = deviance(pend, np.exp(e))
         good = np.isfinite(d) & (d <= limit[pend])
         step[pend[good]] = True
-        eta_c[pend[good]], dev_c[pend[good]] = e[good], d[good]
+        eta_c[pend[good]] = e[good]
         pend = pend[~good]
         if pend.size == 0:
             break
@@ -440,11 +434,7 @@ def _newton_step(
     failed[step] |= np.any(kept(np.abs(eta_c[step]) >= _ETA_BOUND, live[step]), axis=1)
     coef[live[step]] = cand[step]
     mu[live[step]] = np.exp(eta_c[step])
-    if eta is not None:
-        eta[live[step]] = eta_c[step]
-    with np.errstate(invalid="ignore"):
-        change = np.abs(dev - dev_c) / (np.abs(dev_c) + 0.1)
-    return decrement, change, failed
+    return decrement, tol, failed
 
 
 def _irls_batch(
@@ -487,9 +477,8 @@ def _irls_batch(
     else:
         start = np.asarray(start, dtype=float)
         coef[:] = start
-        eta = np.clip(np.tile(X @ start, (m, 1)) if start.ndim == 1 else _rows_dot(X, coef), -_ETA_BOUND, _ETA_BOUND)
+        eta = np.tile(X @ start, (m, 1)) if start.ndim == 1 else _rows_dot(X, coef)
     mu = np.exp(np.clip(eta, -_ETA_BOUND, _ETA_BOUND))
-    small_steps = np.zeros(m, dtype=np.int64)
     ok = np.zeros(m, dtype=bool)
     live = np.arange(m)
 
@@ -497,15 +486,10 @@ def _irls_batch(
         if live.size == 0:
             break
         whole = it == 0 and start is None
-        irls_form = k is None or whole
-        decrement, change, failed = _newton_step(
-            normal, live, Y, coef, mu, None if k is None else k[live], mask, eta if irls_form else None, whole
+        decrement, tol, failed = _newton_step(
+            normal, live, Y, coef, mu, None if k is None else k[live], mask, eta if whole else None
         )
-        if k is None:
-            small_steps[live] = np.where(change < _IRLS_TOL, small_steps[live] + 1, 0)
-            done = ~failed & (small_steps[live] >= 2)
-        else:
-            done = ~failed & (np.abs(decrement) <= _DECREMENT_TOL)
+        done = ~failed & (np.abs(decrement) <= tol)
         ok[live[done]] = True
         live = live[~(done | failed)]
 

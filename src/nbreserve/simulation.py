@@ -10,7 +10,9 @@ The observed and future cells follow :func:`nbreserve.glm.triangle_cells`
 and the engine runs in :mod:`nbreserve._bootstrap`, whose ``sample_nb``
 also draws the simulated squares. Each method maps to one ``Family``
 tag; the Poisson base fit serves the poisson and odp methods and the
-joint NB fit serves nb_mle and nb_corrected, once per triangle.
+joint NB fit serves nb_mle and nb_corrected, once per triangle. Like
+the engine's refits, and unlike ``fit`` and ``bootstrap``, base fits
+drop an all-zero level, whose means are then zero.
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ from . import _bootstrap
 from ._bootstrap import sample_nb
 from ._rng import substream
 from .chainladder import chain_ladder
-from .dispersion import bias_correct, nb_mle
+from .dispersion import KAPPA_CAP, bias_correct
+from .dispersion import nb_mle  # not called here: bench/spans.py hooks simulation:nb_mle
 from .errors import ConfigError, ReservingError
-from .glm import Design, Family, _irls, build_design, pearson_statistic, triangle_cells
+from .glm import Design, build_design, triangle_cells
+from .glm import _irls  # not called here: bench/spans.py hooks simulation:_irls
 from .predictive import _interval
 from .triangle import RunOffTriangle
 
@@ -192,26 +196,28 @@ def _observed(t: RunOffTriangle) -> Tuple[np.ndarray, Design]:
     """Counts and design of a study triangle's observed cells, in ``to_long`` order.
 
     Unlike ``glm._prepare`` this does not reject all-zero levels: about
-    a fifth of default-process triangles have one, and the study fits
-    them as they are.
+    a fifth of default-process triangles have one, and the study's base
+    fits drop it, as the engine's refits do.
     """
     (ay, dy), _ = triangle_cells(t.dimension)
     return t.to_matrix()[ay, dy], build_design(ay + 1, dy, t.dimension, t.dimension)
 
 
 def _method_base(tag: str, y: np.ndarray, design: Design):
-    """Base fit shared by the study methods of one family; returns (coef, mu, kappa, at_boundary).
+    """Base fit shared by the study methods of one family; returns (coef, mu, disp, at_boundary) or None.
 
-    ``tag`` ``negbin`` is the joint NB fit of the nb_mle and
-    nb_corrected methods; ``poisson`` is the Poisson fit of the poisson
-    and odp methods, whose kappa and at_boundary are None.
+    The fit is :func:`nbreserve._bootstrap.fit_kept_levels` on one row.
+    ``tag`` ``negbin`` is the joint NB fit of nb_mle and nb_corrected,
+    with its kappa; ``poisson`` the Poisson fit of poisson and odp, with
+    odp's phi (NaN with no residual dof) and at_boundary None. None
+    marks a failed fit.
     """
-    if tag == "negbin":
-        return nb_mle(y, design)
-    coef, mu, _, _, converged, _ = _irls(y, design, Family.poisson())
-    if not converged:
-        raise ReservingError("Poisson base fit did not converge")
-    return coef, mu, None, None
+    family = "negbin" if tag == "negbin" else "quasipoisson"
+    ok, coef, mu, disp, _, _ = _bootstrap.fit_kept_levels(y[None], design, family)
+    if not ok[0]:
+        return None
+    disp = float(disp[0])
+    return coef[0], mu[0], disp, disp == KAPPA_CAP if tag == "negbin" else None
 
 
 def _run_replicate(config: DgpConfig, s: int, methods: Sequence[str]) -> Dict[str, Optional[dict]]:
@@ -219,7 +225,8 @@ def _run_replicate(config: DgpConfig, s: int, methods: Sequence[str]) -> Dict[st
 
     Each family is fitted once; a failed fit fails every method that
     shares it, and so does a triangle with no residual degree of freedom
-    for the methods that divide by it (odp, nb_corrected).
+    for the methods that divide by it: odp (its kept cells less free
+    coefficients) and nb_corrected (the full design's n - p).
     """
     t, true_out = generate(config, s)
     out: Dict[str, Optional[dict]] = {m: None for m in methods}
@@ -228,24 +235,22 @@ def _run_replicate(config: DgpConfig, s: int, methods: Sequence[str]) -> Dict[st
     except ReservingError:
         return out
     y, design = _observed(t)
-    dof = design.n - design.p
     bases: Dict[str, Optional[tuple]] = {}
 
     for m_index, method in enumerate(methods):
         family, correct = _METHOD_FAMILY[method]
         base = "negbin" if family == "negbin" else "poisson"
         if base not in bases:
-            try:
-                bases[base] = _method_base(base, y, design)
-            except (ReservingError, np.linalg.LinAlgError):
-                bases[base] = None
-        if bases[base] is None or (dof <= 0 and (correct or family == "quasipoisson")):
+            bases[base] = _method_base(base, y, design)
+        if bases[base] is None or (correct and design.n <= design.p):
             continue
-        coef, mu, kappa, at_boundary = bases[base]
-        if family == "quasipoisson":
-            param = float(pearson_statistic(y, mu)) / dof
-        else:
-            param = bias_correct(kappa, design.n, design.p) if correct else kappa
+        coef, mu, disp, at_boundary = bases[base]
+        if family == "quasipoisson" and math.isnan(disp):
+            continue
+        kappa = disp if base == "negbin" else None
+        param = disp if family == "quasipoisson" else kappa
+        if correct:
+            param = bias_correct(kappa, design.n, design.p)
         spec = _bootstrap.EngineSpec(
             seed=config.seed, prefix=(1, s, m_index), b=config.b, design=design,
             base_coef=coef, mu_obs=mu, family=family, param=param, correct=correct,

@@ -126,11 +126,16 @@ class TestPoissonFit:
             assert np.all(np.diff(path) <= 1e-9 * max(1.0, path[0]))
 
     @pytest.mark.parametrize("name", ["australian", "taylor"])
-    @pytest.mark.parametrize("scale", [1e3, 1e5])
-    @pytest.mark.parametrize("family", [Family.poisson(), Family.quasi_poisson()], ids=["poisson", "quasipoisson"])
+    @pytest.mark.parametrize(
+        "family, scale",
+        [(f, s) for f in (Family.poisson(), Family.quasi_poisson()) for s in (1e3, 1e5)]
+        + [(Family.negbin(1.0), 1e4), (Family.negbin(1e8), 1e4)],
+        ids=lambda v: (v.tag if v.kappa is None else f"negbin{v.kappa:g}") if isinstance(v, Family) else None,
+    )
     def test_converges_at_any_scale(self, request, name, scale, family):
         # amounts in cents or a large book's triangle: the stop must not
-        # depend on the size of the counts
+        # depend on the size of the counts, for the Poisson or for the
+        # negative binomial at any kappa up to the cap
         from nbreserve import RunOffTriangle
 
         t = request.getfixturevalue(name)
@@ -139,8 +144,11 @@ class TestPoissonFit:
             [[round(t.cell(i, j) * scale) for j in range(I - i + 1)] for i in range(1, I + 1)]
         )
         model = fit(to_long(scaled), family)
-        assert model.converged
-        assert future_sum(model) == pytest.approx(chain_ladder(scaled).total_reserve, rel=1e-8)
+        assert model.converged and model.n_iter <= 8
+        weight = np.sum(family.working_weight(model.fitted_mu))
+        assert np.abs(score(model)).max() <= 1e-12 * weight
+        if family.tag != "negbin":
+            assert future_sum(model) == pytest.approx(chain_ladder(scaled).total_reserve, rel=1e-8)
 
     def test_permutation_equivariance(self, australian):
         recs = to_long(australian)

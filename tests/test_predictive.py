@@ -331,7 +331,7 @@ class TestBatchedRefit:
         y_star = np.array(
             [bt.draw_counts(spec.family, spec.param, spec.mu_obs, bt.substream(0, r)) for r in range(60)]
         )
-        ay_keep, dy_keep = bt._levels_present(y_star, spec)
+        ay_keep, dy_keep = bt._levels_present(y_star, spec.design)
         assert len(np.unique(np.hstack((ay_keep, dy_keep)), axis=0)) >= 5
         ok, row_eff, col_eff, disp = bt._refit_batch(y_star, spec)
         ref = [bt._refit(y, spec) for y in y_star]

@@ -211,16 +211,17 @@ class TestExport:
 
 
 class TestStudyPinned:
-    # study_json of default_config(n_sim=3, b=50, seed=8) before the model
-    # core shared one base fit per family; replicates 1 and 2 have an
-    # all-zero development year 9, which the study fits without the
-    # separated-level check. mean_kappa is that of the joint Newton fit,
-    # whose kappa scores are at rounding level (about 2e-12)
+    # study_json of default_config(n_sim=3, b=50, seed=8). Replicates 1
+    # and 2 have an all-zero development year 9 (one cell), which the
+    # base fits drop: its base means are exactly zero, and rng.poisson(0)
+    # consumes no variate, so these numbers depend on that rule.
+    # mean_kappa is that of the joint Newton fit, whose kappa scores are
+    # at rounding level
     PINNED = {
-        "poisson": (0.0, 0.0, 203.91666666666666, 358.59999999999997, None, None),
-        "odp": (0.3333333333333333, 1.0, 982.875, 1606.3833333333332, None, None),
-        "nb_mle": (0.3333333333333333, 0.3333333333333333, 1135.1666666666667, 1734.4999999999998, 18.108752632452333, 0.0),
-        "nb_corrected": (0.3333333333333333, 1.0, 1371.7083333333333, 2266.6916666666666, 18.108752632452333, 0.0),
+        "poisson": (0.0, 0.0, 193.625, 343.9833333333333, None, None),
+        "odp": (0.3333333333333333, 0.6666666666666666, 1008.5833333333334, 1547.7583333333332, None, None),
+        "nb_mle": (0.3333333333333333, 0.3333333333333333, 1081.4583333333333, 1780.8916666666664, 18.108752632451345, 0.0),
+        "nb_corrected": (0.3333333333333333, 1.0, 1394.3333333333333, 2362.825, 18.108752632451345, 0.0),
     }
 
     def test_study_json_pinned(self):
@@ -239,6 +240,46 @@ class TestStudyPinned:
             assert m["mean_kappa"] == kappa
             assert m["at_boundary_fraction"] == at_boundary
             assert (m["n_failed"], m["n_completed"]) == (0, 3)
+
+    def test_base_fits_drop_all_zero_level(self):
+        # user data raise, synthetic data drop: the study's base fits
+        # take the engine's masked fit, while fit and bootstrap reject
+        # the same triangle
+        from nbreserve import bootstrap, fit
+        from nbreserve.dispersion import _nb_mle_batch
+        from nbreserve.errors import BaseFitFailedError, SeparationError
+        from nbreserve.glm import Family, drop_masks, pearson_statistic
+        from nbreserve.simulation import _method_base, _observed
+        from nbreserve.triangle import to_long
+
+        t, _ = generate(default_config(n_sim=3, b=50, seed=8), 1)
+        y, design = _observed(t)
+        ay_keep = np.ones((1, design.n_ay), dtype=bool)
+        dy_keep = np.arange(design.n_dy)[None] != 9
+        assert np.array_equal(np.bincount(design.dy_idx, y) == 0, ~dy_keep[0])
+        mask, pin = drop_masks(design, ay_keep, dy_keep)
+        dropped = ~mask[0]
+        assert dropped.sum() == 1
+
+        coef, mu, kappa, at_boundary = _method_base("negbin", y, design)
+        ref_coef, ref_mu, ref_kappa, ok, n_iter = _nb_mle_batch(y[None], design, mask=mask, pin=pin)
+        assert ok[0] and n_iter[0] <= 10
+        assert np.array_equal(coef, ref_coef[0])
+        assert kappa == ref_kappa[0] and at_boundary is False
+        assert np.all(mu[dropped] == 0.0)
+        assert np.array_equal(mu[~dropped], ref_mu[0][~dropped])
+
+        # the odp phi counts the kept cells less the free coefficients
+        coef, mu, phi, at_boundary = _method_base("poisson", y, design)
+        assert np.all(mu[dropped] == 0.0) and coef[pin[0]].tolist() == [0.0]
+        dof = (design.n - 1) - (design.p - 1)
+        assert phi == pytest.approx(float(pearson_statistic(y[~dropped], mu[~dropped])) / dof, rel=1e-14)
+        assert at_boundary is None
+
+        with pytest.raises(SeparationError):
+            fit(to_long(t), Family.poisson())
+        with pytest.raises(BaseFitFailedError):
+            bootstrap(t, b=20)
 
     def test_no_residual_dof_fails_dividing_methods(self):
         # a 2x2 triangle has as many observed cells as parameters: odp has
