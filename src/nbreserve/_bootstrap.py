@@ -83,6 +83,11 @@ def sample_nb(mu, kappa, rng: np.random.Generator, size=None) -> np.ndarray:
     Poisson(lambda), which has mean mu and variance mu + mu^2 / kappa.
     ``mu`` and ``kappa`` broadcast; a scalar kappa at or above the
     search cap short-circuits to a plain Poisson draw.
+
+    Lambda is ``standard_gamma(kappa) * (mu / kappa)``: numpy draws
+    ``Generator.gamma(kappa, scale)`` as ``scale * standard_gamma(kappa)``,
+    cell by cell in the same stream order, so the variates are bit for
+    bit those of ``gamma`` without its per-call cost on an array scale.
     """
     mu = np.asarray(mu, dtype=float)
     if np.isscalar(kappa) or np.ndim(kappa) == 0:
@@ -91,13 +96,15 @@ def sample_nb(mu, kappa, rng: np.random.Generator, size=None) -> np.ndarray:
             raise ValueError(f"kappa must be positive, got {kappa}")
         if math.isinf(kappa) or kappa >= dispersion.KAPPA_CAP:
             return rng.poisson(mu, size=size)
-        lam = rng.gamma(kappa, mu / kappa, size=size)
-        return rng.poisson(lam)
+        scale = mu / kappa
+        if size is not None:  # a size that mu does not broadcast to raises, as in gamma
+            scale = np.broadcast_to(scale, size)
+        return rng.poisson(rng.standard_gamma(kappa, size=scale.shape) * scale)
     kappa = np.asarray(kappa, dtype=float)
     if not np.all(kappa > 0) or not np.all(np.isfinite(kappa)):
         raise ValueError("kappa entries must be positive and finite")
     shape = np.broadcast_shapes(mu.shape, kappa.shape) if size is None else size
-    lam = rng.gamma(np.broadcast_to(kappa, shape), np.broadcast_to(mu / kappa, shape))
+    lam = rng.standard_gamma(np.broadcast_to(kappa, shape)) * np.broadcast_to(mu / kappa, shape)
     return rng.poisson(lam)
 
 
@@ -253,10 +260,12 @@ def _run_chunk(spec: EngineSpec, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarr
     :func:`_refit_batch` call, whatever levels its replicates drop. Each
     replicate draws its synthetic triangle and, after the refit, its
     future cells from its own substream, so its draws do not depend on
-    which replicates share its batch.
+    which replicates share its batch. The batch's future means and its
+    totals by accident year are computed once for all its replicates.
     """
     n_ay = spec.design.n_ay
     _, (fut_ay, fut_dy) = triangle_cells(n_ay)
+    fut_onehot = (fut_ay[:, None] == np.arange(n_ay)).astype(np.int64)
     ok = np.zeros(hi - lo, dtype=bool)
     totals = np.zeros(hi - lo, dtype=np.int64)
     by_ay = np.zeros((hi - lo, n_ay), dtype=np.int64)
@@ -264,13 +273,15 @@ def _run_chunk(spec: EngineSpec, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarr
         rngs = [substream(spec.seed, *spec.prefix, b) for b in range(first, min(first + _BATCH, hi))]
         y_star = np.array([draw_counts(spec.family, spec.param, spec.mu_obs, rng) for rng in rngs])
         fitted, row_eff, col_eff, disp = _refit_batch(y_star, spec)
-        for i in np.nonzero(fitted)[0]:
-            mu_fut = np.exp(row_eff[i, fut_ay] + col_eff[i, fut_dy])
-            draws = draw_counts(spec.family, disp[i], mu_fut, rngs[i])
-            slot = first - lo + i
-            ok[slot] = True
-            totals[slot] = draws.sum()
-            np.add.at(by_ay[slot], fut_ay, draws)
+        idx = np.nonzero(fitted)[0]
+        mu_fut = np.exp(row_eff[idx][:, fut_ay] + col_eff[idx][:, fut_dy])
+        draws = np.empty(mu_fut.shape, dtype=np.int64)
+        for j, i in enumerate(idx):
+            draws[j] = draw_counts(spec.family, disp[i], mu_fut[j], rngs[i])
+        slots = first - lo + idx
+        ok[slots] = True
+        totals[slots] = draws.sum(axis=1)
+        by_ay[slots] = draws @ fut_onehot
     return ok, totals, by_ay
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from nbreserve import (
@@ -16,6 +17,36 @@ from nbreserve.errors import ExcessiveFailuresError, TooFewDrawsError
 from nbreserve.predictive import ay_summary, draws_csv, summary_json
 from nbreserve._rng import substream
 from conftest import drop_pattern
+
+
+def _study_spec(s, b, family="quasipoisson"):
+    """Engine spec of the simulation study's odp (or poisson) method on study triangle ``s``."""
+    import nbreserve._bootstrap as bt
+    from nbreserve import simulation
+
+    config = simulation.default_config()
+    t, _ = simulation.generate(config, s)
+    y, design = simulation._observed(t)
+    coef, mu, phi, _ = simulation._method_base("poisson", y, design)
+    return bt.EngineSpec(
+        seed=config.seed, prefix=(1, s, 1), b=b, design=design, base_coef=coef, mu_obs=mu,
+        family=family, param=phi if family == "quasipoisson" else None, correct=False,
+    )
+
+
+@st.composite
+def sampler_args(draw):
+    """(mu, kappa, size) for sample_nb: scalar or array mu and kappa, size None or a tuple."""
+    mu_shape = draw(st.sampled_from([(), (3,), (2, 3)]))
+    kappa_shape = draw(st.sampled_from([(), (3,), (1, 3)]))
+    shape = np.broadcast_shapes(mu_shape, kappa_shape)
+    size = draw(st.sampled_from([None, shape, (4,) + shape]))
+
+    def values(shape, lo, hi):
+        x = np.array(draw(st.lists(st.floats(lo, hi), min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))))
+        return float(x[0]) if shape == () else x.reshape(shape)
+
+    return values(mu_shape, 0.0, 1e6), values(kappa_shape, 1e-2, 1e7), size
 
 
 class TestSampler:
@@ -48,6 +79,24 @@ class TestSampler:
         x = sample_nb(mu, kappa, rng, size=(200_000, 3))
         expect = mu + mu * mu / np.array([2.0, 10.0, np.inf])
         assert x.var(axis=0, ddof=1) == pytest.approx(expect, rel=0.05)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(args=sampler_args(), seed=st.integers(0, 2**32 - 1))
+    def test_stream_contract(self, args, seed):
+        # the same variates, bit for bit, as the textbook gamma then Poisson draw
+        mu, kappa, size = args
+        mu_a = np.asarray(mu, dtype=float)
+        ref = substream(seed, 0)
+        want = ref.poisson(ref.gamma(kappa, mu_a / kappa, size))
+        got = sample_nb(mu, kappa, substream(seed, 0), size=size)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kappa", [2.0, np.full(3, 2.0)], ids=["scalar", "array"])
+    def test_size_must_fit_mu(self, kappa):
+        # one draw is not silently broadcast over three means
+        with pytest.raises(ValueError):
+            sample_nb(np.ones(3), kappa, substream(0, 8), size=(1,))
 
     def test_nonnegative_integers(self):
         rng = substream(0, 6)
@@ -101,6 +150,24 @@ class TestBootstrap:
 
     def test_first_draws_frozen(self, dist):
         assert dist.draws_total[:6].tolist() == [3095, 5606, 2099, 3487, 2845, 3145]
+
+    def test_first_draws_frozen_taylor_ashe(self, taylor):
+        d = bootstrap(taylor, b=150, seed=3)
+        assert d.draws_total[:6].tolist() == [17491547, 14734054, 13058017, 17714513, 16045047, 15679517]
+
+    @pytest.mark.parametrize(
+        "family, first",
+        [
+            ("poisson", [2883, 2855, 3021, 2940, 2802, 2795]),
+            ("quasipoisson", [3342, 2854, 2648, 3629, 2150, 2527]),
+        ],
+    )
+    def test_first_draws_frozen_study_families(self, family, first):
+        import nbreserve._bootstrap as bt
+
+        totals, _, failures = bt.run(_study_spec(4, 120, family))
+        assert failures == 0
+        assert totals[:6].tolist() == first
 
     def test_draws_are_counts(self, dist):
         assert np.issubdtype(dist.draws_total.dtype, np.integer)
@@ -307,27 +374,10 @@ class TestBatchedRefit:
             assert np.array_equal(alone[2][i], col_ref)
             assert np.isnan(alone[3][i]) if disp_ref is None else alone[3][i] == disp_ref
 
-    @staticmethod
-    def _study_spec(s, b):
-        """Engine spec of the simulation study's odp method on study triangle ``s``."""
-        import nbreserve._bootstrap as bt
-        from nbreserve import simulation
-        from nbreserve.dispersion import _prepare
-        from nbreserve.glm import pearson_statistic
-
-        t, _ = simulation.generate(simulation.default_config(), s)
-        y, design = _prepare(to_long(t))
-        coef, mu, _, _ = simulation._method_base("poisson", y, design)
-        phi = float(pearson_statistic(y, mu)) / (design.n - design.p)
-        return bt.EngineSpec(
-            seed=0, prefix=(1, s, 1), b=b, design=design, base_coef=coef, mu_obs=mu,
-            family="quasipoisson", param=phi, correct=False,
-        )
-
     def test_study_odp_drop_patterns(self):
         import nbreserve._bootstrap as bt
 
-        spec = self._study_spec(4, 120)
+        spec = _study_spec(4, 120)
         y_star = np.array(
             [bt.draw_counts(spec.family, spec.param, spec.mu_obs, bt.substream(0, r)) for r in range(60)]
         )
@@ -365,6 +415,39 @@ class TestBatchedRefit:
         ok, _, _, _ = bt._refit_batch(y_star, spec)
         assert ok.tolist() == [bt._refit(y, spec) is not None for y in y_star]
         assert not ok[1]
+
+
+class TestChunking:
+    """Draws are identical for any split of the replicates into chunks and batches."""
+
+    @staticmethod
+    def _spec(case, australian, b):
+        if case == "study-odp":
+            return _study_spec(4, b)
+        return TestBatchedRefit._spec(australian, b, case)
+
+    @pytest.mark.parametrize("case", ["negbin", "poisson", "quasipoisson", "study-odp"])
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(cuts=st.lists(st.integers(1, 59), max_size=4))
+    def test_any_split(self, australian, case, cuts):
+        import nbreserve._bootstrap as bt
+
+        b = 60
+        spec = self._spec(case, australian, b)
+        one = bt._run_chunk(spec, 0, b)  # a single batch
+        bounds = [0, *sorted(set(cuts)), b]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bt, "_BATCH", 7)
+            parts = [bt._run_chunk(spec, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        for got, want in zip((np.concatenate(p) for p in zip(*parts)), one):
+            assert np.array_equal(got, want)
+        # the splits cross replicates that drop a level: on Australian the
+        # single-cell newest accident year draws zero in about a fifth of them
+        y_star = np.array(
+            [bt.draw_counts(spec.family, spec.param, spec.mu_obs, bt.substream(spec.seed, *spec.prefix, r)) for r in range(b)]
+        )
+        ay_keep, dy_keep = bt._levels_present(y_star, spec.design)
+        assert (~np.hstack((ay_keep, dy_keep))).any(axis=1).sum() >= b // 10
 
 
 class TestSummaries:
