@@ -8,15 +8,14 @@ l_p(kappa) = l(alpha_hat(kappa), beta_hat(kappa), kappa) over log kappa
 in [1e-3, 1e8]. The bootstrap engine refits its replicates with the
 same kernel, :func:`_nb_mle_batch`, of which :func:`nb_mle` is the
 batch of one. Confidence intervals invert the likelihood-ratio
-statistic at the chi-square(1) 0.95 quantile; each endpoint is
-bracketed by a doubling walk from the estimate and found by Newton's
-method on l_p, whose slope the envelope theorem gives from the kappa
-score at the refitted means. Each profile point refits the means at
-fixed kappa by :func:`nbreserve.glm._irls`, whose Newton step is the
-joint fit's coefficient step, warm-started from the previous point; the
-estimate itself needs no refit, and the curvature that tests it is
-identified is analytic (:func:`_profile_curvature`). :func:`profile_kappa` and
-:func:`overdispersion_test` on the same data share one joint fit.
+statistic at the chi-square(1) 0.95 quantile. Each endpoint is one
+Newton solve of {coefficient score = 0, l = l_hat - 3.841 / 2} for the
+coefficients and log kappa together (Venzon and Moolgavkar, 1988),
+started from the quadratic profile, whose curvature is analytic
+(:func:`_profile_curvature`). Refits of the means at fixed kappa
+(:func:`nbreserve.glm._irls`) remain for the estimate at the cap, a
+bound, a fallback search and the plotting grid. :func:`profile_kappa`
+and :func:`overdispersion_test` on the same data share one joint fit.
 
 The maximum-likelihood kappa is biased high in small triangles because
 every cell carries its own mean parameter; the default remedy is the
@@ -34,9 +33,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import psi
 
-from .errors import FlatProfileError, NotConvergedError, SingularInformationError
+from .errors import FlatProfileError, NoResidualDofError, NotConvergedError, SingularInformationError
 from .glm import (
-    _IRLS_MAX_ITER, _KAPPA_SERIES, Design, Family, _irls, _newton_step, _newton_terms, _NormalEquations,
+    _ETA_BOUND, _IRLS_MAX_ITER, _KAPPA_SERIES, Design, Family, _irls, _newton_step, _newton_terms, _NormalEquations,
     _poisson_batch, _prepare, nb_loglik, poisson_loglik,
 )
 
@@ -48,6 +47,9 @@ CHI2_1_95 = 3.841458820694124
 
 # log-spaced profile points `nbreserve diagnose` adds to the exported curve
 _GRID_SIZE = 60
+
+# Newton steps after which an interval endpoint's solve counts as not settled
+_ENDPOINT_STEPS = 20
 
 
 @dataclass(frozen=True)
@@ -84,11 +86,16 @@ def bias_correct(kappa_mle: float, n_obs: int, n_params: int) -> float:
 
     The correction removes the first-order bias from profiling out the
     p mean parameters; with p = 0 it is the identity.
+
+    Raises:
+        NoResidualDofError: n_obs <= n_params, as in a 2 x 2 triangle.
     """
     if not kappa_mle > 0:
         raise ValueError(f"kappa_mle must be positive, got {kappa_mle}")
-    if n_params < 0 or n_obs <= n_params:
-        raise ValueError(f"need n_obs > n_params >= 0, got ({n_obs}, {n_params})")
+    if n_params < 0:
+        raise ValueError(f"n_params must be nonnegative, got {n_params}")
+    if n_obs <= n_params:
+        raise NoResidualDofError(f"no residual degrees of freedom: {n_obs} observed cells for {n_params} parameters")
     return kappa_mle * (n_obs - n_params) / n_obs
 
 
@@ -148,30 +155,98 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-7) -> Tuple[float, floa
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _ci_endpoint(profile: _ProfileCache, theta_hat: float, target: float, bound: float) -> float:
+def _ci_endpoint(profile: _ProfileCache, theta_hat: float, target: float, bound: float, start=None) -> float:
     """Kappa between exp(theta_hat) and ``bound`` where the profile falls to ``target``.
 
-    Walks outward from theta_hat in log-kappa steps of 1, 2, 4, ...
-    until the profile drops below the target, then runs a safeguarded
-    Newton iteration on the profile inside that bracket. By the envelope
-    theorem the refitted means do not move l_p to first order, so its
-    slope in log kappa is kappa times the kappa score at those means.
-    Returns ``bound`` when the profile stays above the target up to it.
+    :func:`_endpoint_newton` solves for it from ``start`` (coefficients,
+    log kappa) or, without one, from the first refit below the target
+    of a walk from theta_hat in log-kappa steps of 1, 2, 4, ... If the
+    solve fails, one refit at ``bound`` (unless the walk made it) tells
+    whether the profile stays above the target up to ``bound``, the
+    endpoint then; otherwise :func:`_bracketed_endpoint` searches.
     """
     end = math.log(bound)
     side = 1.0 if end > theta_hat else -1.0
-    inner, step = theta_hat, 1.0
-    while True:
-        theta = inner + side * step
-        kappa = bound if side * (theta - end) >= 0.0 else math.exp(theta)
-        theta = math.log(kappa)
-        drop = profile(kappa) - target
-        if drop < 0.0:
-            break
-        if kappa == bound:
+    inner, outer = theta_hat, None
+    if start is None:
+        step = 1.0
+        while True:
+            theta = inner + side * step
+            kappa = bound if side * (theta - end) >= 0.0 else math.exp(theta)
+            theta = math.log(kappa)
+            if profile(kappa) < target:
+                break
+            if kappa == bound:
+                return bound
+            inner, step = theta, 2.0 * step
+        outer = theta
+        start = (profile.warm, outer)
+    solved = _endpoint_newton(profile.y, profile.design.X, *start, target, inner, end if outer is None else outer)
+    if solved is not None:
+        theta, _, ll, _ = solved
+        kappa = math.exp(theta)
+        profile.evals.append((kappa, ll))
+        return kappa
+    if outer is None:
+        outer = end
+        if profile(bound) >= target:
             return bound
-        inner, step = theta, 2.0 * step
-    outer = theta
+    return _bracketed_endpoint(profile, inner, outer, target)
+
+
+def _endpoint_newton(
+    y: np.ndarray, X: np.ndarray, coef: np.ndarray, theta: float, target: float, inner: float, outer: float,
+) -> Optional[Tuple[float, np.ndarray, float, int]]:
+    """A profile-interval endpoint by Newton's method (Venzon & Moolgavkar 1988, Appl. Statist. 37:87-94).
+
+    Solves {X^T s = 0, l(coef, theta) = target} for the coefficients and
+    theta = log kappa together, s being each cell's coefficient score
+    kappa (y - mu) / (kappa + mu); with a zero score the solution lies on
+    the profile. The Jacobian [[-X^T W X, c], [(X^T s)^T, kappa s_kappa]]
+    is solved by eliminating its coefficient block.
+
+    Returns (theta, coef, loglik, steps) after the first step that moves
+    neither theta nor a coefficient by more than 1e-6, which by Newton's
+    quadratic convergence leaves an error of order 1e-12; None when an
+    iterate leaves (inner, outer] or ``_ENDPOINT_STEPS`` steps pass.
+    """
+    side = 1.0 if outer > inner else -1.0
+    # a diverging iterate's means may overflow here; its next theta is
+    # then not finite, or outside the bracket, and the iteration fails
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for steps in range(1, _ENDPOINT_STEPS + 1):
+            kappa = math.exp(theta)
+            mu = np.exp(np.clip(X @ coef, -_ETA_BOUND, _ETA_BOUND))
+            g = X.T @ (kappa * (y - mu) / (kappa + mu))
+            info, c = _tangent_terms(y, X, mu, kappa)
+            try:
+                u, v = np.linalg.solve(info, np.column_stack((g, c))).T
+            except np.linalg.LinAlgError:
+                return None
+            slope = g @ v + kappa * float(_kappa_score(y, mu, kappa))
+            d_theta = -(nb_loglik(y, mu, kappa) - target + g @ u) / slope
+            d_coef = u + v * d_theta
+            theta += d_theta
+            coef = coef + d_coef
+            if not (side * (theta - inner) > 0.0 and side * (theta - outer) <= 0.0):
+                return None
+            if max(abs(d_theta), float(np.max(np.abs(d_coef)))) <= 1e-6:
+                mu = np.exp(np.clip(X @ coef, -_ETA_BOUND, _ETA_BOUND))
+                return theta, coef, nb_loglik(y, mu, math.exp(theta)), steps
+    return None
+
+
+def _bracketed_endpoint(profile: _ProfileCache, inner: float, outer: float, target: float) -> float:
+    """The endpoint between log kappas ``inner`` (profile above ``target``) and ``outer`` (below).
+
+    Newton's method on the profile, refitting the means at each point,
+    from the profile's last refit, which must be at ``outer``; a step
+    leaving the bracket is replaced by bisection. By the envelope
+    theorem the slope of l_p in log kappa is kappa times the kappa score
+    at the refitted means.
+    """
+    kappa, ll = profile.evals[-1]
+    theta, drop = outer, ll - target
     for _ in range(100):
         slope = kappa * float(_kappa_score(profile.y, profile.mu, kappa))
         theta_new = theta - drop / slope if slope != 0.0 else math.inf
@@ -199,22 +274,22 @@ def profile_kappa(data: Sequence, grid_size: int = 0) -> KappaEstimate:
     kappa it tried. An :func:`overdispersion_test` on the same data
     reuses that fit. Interior estimates whose analytic profile curvature
     (:func:`_profile_curvature`) is flat are rejected. Each interval
-    endpoint is where the profile falls 3.841 / 2 below its
-    maximum, found by :func:`_ci_endpoint`, or the end of the search
-    range if the profile stays above that level. A maximiser at the
-    upper cap is reported with ``at_boundary=True`` and means the data
-    are Poisson-compatible.
+    endpoint is where the profile falls 3.841 / 2 below its maximum,
+    found by :func:`_ci_endpoint`, or the end of the search range if
+    the profile stays above that level. A maximiser at the upper cap is
+    reported with ``at_boundary=True`` and means the data are
+    Poisson-compatible.
 
-    ``profile_curve`` holds every profile point computed on the way,
-    about a dozen; ``grid_size`` > 0 adds that many log-spaced points
-    over the search range, for plotting. They change neither the
-    estimate nor the interval.
+    ``profile_curve`` holds the estimate, the endpoints and any refits
+    on the way to them; ``grid_size`` > 0 adds that many log-spaced
+    points over the search range, for plotting. They change neither
+    the estimate nor the interval.
 
     Raises:
         FlatProfileError: interior optimum with curvature below 1e-6 on
             the log-kappa scale, so kappa is not identified.
         NotConvergedError: the joint fit, a refit on the way to the
-            interval, or the endpoint iteration did not converge.
+            interval, or the bracketed endpoint search did not converge.
     """
     y, design = _prepare(data)
     coef, mu, kappa_hat, at_boundary = _joint_fit(y, design)
@@ -233,11 +308,20 @@ def profile_kappa(data: Sequence, grid_size: int = 0) -> KappaEstimate:
                 "dispersion not identified"
             )
 
-    coef_hat = profile.warm
     target = ll_hat - 0.5 * CHI2_1_95
-    lower = _ci_endpoint(profile, theta_hat, target, KAPPA_MIN)
-    profile.warm = coef_hat
-    upper = KAPPA_CAP if at_boundary else _ci_endpoint(profile, theta_hat, target, KAPPA_CAP)
+    if at_boundary:
+        lower, upper = _ci_endpoint(profile, theta_hat, target, KAPPA_MIN), KAPPA_CAP
+    else:
+        # start from the quadratic profile's endpoints, moving the
+        # coefficients along the profile's tangent (X^T W X)^-1 c
+        info, c = _tangent_terms(y, design.X, mu, kappa_hat)
+        tangent = np.linalg.solve(info, c)
+        half_width = math.sqrt(CHI2_1_95 / -curv)
+        ends = []
+        for bound, d in ((KAPPA_MIN, -half_width), (KAPPA_CAP, half_width)):
+            profile.warm = coef  # where a refit at the bound starts
+            ends.append(_ci_endpoint(profile, theta_hat, target, bound, (coef + tangent * d, theta_hat + d)))
+        lower, upper = ends
 
     for kappa in np.geomspace(KAPPA_MIN, KAPPA_CAP, grid_size):
         try:
@@ -270,10 +354,16 @@ def _profile_curvature(y: np.ndarray, X: np.ndarray, mu: np.ndarray, kappa: floa
     c = X^T [kappa (y - mu) mu / (kappa + mu)^2] the log-kappa derivative
     of their score.
     """
+    info, c = _tangent_terms(y, X, mu, kappa)
+    h = kappa * float(_kappa_score(y, mu, kappa)) + kappa * kappa * float(_kappa_score_deriv(y, mu, kappa))
+    return h + float(c @ np.linalg.solve(info, c))
+
+
+def _tangent_terms(y: np.ndarray, X: np.ndarray, mu: np.ndarray, kappa: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The coefficients' observed information X^T W X and c, the log-kappa derivative of their score."""
     w, _ = _newton_terms(y, mu, kappa)
     c = X.T @ (kappa * (y - mu) * mu / (kappa + mu) ** 2)
-    h = kappa * float(_kappa_score(y, mu, kappa)) + kappa * kappa * float(_kappa_score_deriv(y, mu, kappa))
-    return h + float(c @ np.linalg.solve((X * w[:, None]).T @ X, c))
+    return (X * w[:, None]).T @ X, c
 
 
 def _kappa_score(y: np.ndarray, mu: np.ndarray, kappa):

@@ -33,6 +33,14 @@ class NonIntegerCountError(TriangleError):
     """A cell holds a non-integer value and rounding was not requested."""
 
 
+class CountTooLargeError(TriangleError):
+    """A cell holds a count of 2**53 or more, which float64 fits cannot hold exactly."""
+
+
+class NoResidualDofError(TriangleError, ValueError):
+    """The model has as many parameters as observed cells, so no residual degrees of freedom."""
+
+
 class MissingCellError(TriangleError):
     """An observed cell (accident year i, development year j with i + j <= I) is absent."""
 

@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .errors import NotConvergedError, RankDeficientError, SeparationError
+from .errors import NoResidualDofError, NotConvergedError, RankDeficientError, SeparationError
 
 # Linear predictors are clipped here before exponentiation; exp(+-500)
 # stays finite in float64 while leaving real fits untouched.
@@ -805,7 +805,7 @@ def pearson_dispersion(fit: ModelFit) -> float:
         return 0.0
     dof = fit.n_obs - fit.n_params
     if dof <= 0:
-        raise ValueError("Pearson dispersion undefined: no residual degrees of freedom")
+        raise NoResidualDofError("Pearson dispersion undefined: no residual degrees of freedom")
     return ss / dof
 
 

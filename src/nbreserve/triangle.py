@@ -17,6 +17,7 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .errors import (
+    CountTooLargeError,
     FutureCellError,
     MissingCellError,
     NegativeCountError,
@@ -25,6 +26,11 @@ from .errors import (
 )
 
 Label = Union[int, str]
+
+# The largest count accepted. Every integer up to 2**53 is exact in
+# float64, which the fits use; 2**53 itself is refused because a text
+# cell parsed as float64 cannot tell it from 2**53 + 1.
+_MAX_COUNT = 2**53 - 1
 
 
 class CellRecord(NamedTuple):
@@ -45,6 +51,8 @@ def _coerce_count(value, where: str, round_amounts: bool) -> int:
         raise NonIntegerCountError(f"cell {where}: {value!r} is not finite")
     if x < 0:
         raise NegativeCountError(f"cell {where}: negative count {value!r}")
+    if x > _MAX_COUNT:
+        raise CountTooLargeError(f"cell {where}: count {value!r} is 2**53 or more")
     if round_amounts:
         return int(math.floor(x + 0.5))
     if x != int(x):
@@ -69,6 +77,8 @@ class _TriangleBase:
                 raise RaggedRowsError(
                     f"accident year {idx + 1}: expected {expected} observed cells, got {len(row)}"
                 )
+            if any(v > _MAX_COUNT for v in row):
+                raise CountTooLargeError(f"accident year {idx + 1}: a count is 2**53 or more")
             grid[idx, :expected] = row
         grid.setflags(write=False)
         self.dimension = dimension

@@ -258,6 +258,37 @@ class TestErrors:
         assert err["error"]["kind"] == "NonIntegerCount"
         assert "round_amounts" in err["error"]["message"]
 
+    # [[5e18, 5e18, 1], [5e18, 1], [1]] used to wrap int64 in the cumulated
+    # counts (fit printed a chain-ladder total of -1.3 and exited 0); a
+    # 1e300 cell used to raise a raw OverflowError
+    @pytest.mark.parametrize("command", ["fit", "reserve", "diagnose"])
+    @pytest.mark.parametrize(
+        "text", ["5e18,5e18,1\n5e18,1,\n1,,\n", "1e300,3\n4,\n"], ids=["int64-wrap", "float-overflow"]
+    )
+    def test_count_too_large(self, runner, tmp_path, command, text):
+        path = tmp_path / "big.csv"
+        path.write_text(text)
+        extra = ["-B", "20", "--threads", "1"] if command == "reserve" else []
+        result = runner.invoke(main, [command, str(path), "--out-dir", str(tmp_path / "out"), *extra])
+        assert result.exit_code == 2
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err["error"]["kind"] == "CountTooLarge"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("fit", []), ("fit", ["--family", "odp"]), ("reserve", ["-B", "20", "--threads", "1"]), ("diagnose", [])],
+        ids=["fit", "fit-odp", "reserve", "diagnose"],
+    )
+    def test_two_by_two_has_no_residual_dof(self, runner, tmp_path, command, extra):
+        path = tmp_path / "small.csv"
+        path.write_text("5,3\n4,\n")
+        result = runner.invoke(main, [command, str(path), "--out-dir", str(tmp_path / "out"), *extra])
+        assert result.exit_code == 2
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err["error"]["kind"] == "NoResidualDof"
+        assert "no residual degrees of freedom" in err["error"]["message"]
+
     def test_version(self, runner):
         result = run_ok(runner, ["--version"])
         assert "nbreserve" in result.output

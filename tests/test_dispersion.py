@@ -36,7 +36,7 @@ from nbreserve.dispersion import (
     _solve_kappa_batch,
     _trigamma,
 )
-from nbreserve.errors import NotConvergedError
+from nbreserve.errors import NoResidualDofError, NotConvergedError
 from nbreserve.glm import _irls, build_design, triangle_cells
 from conftest import drop_pattern, random_triangle
 
@@ -59,6 +59,10 @@ class TestBiasCorrect:
             bias_correct(5.0, 10, 10)
         with pytest.raises(ValueError):
             bias_correct(5.0, 10, -1)
+
+    def test_no_residual_dof_is_typed(self):
+        with pytest.raises(NoResidualDofError, match="no residual degrees of freedom"):
+            bias_correct(5.0, 3, 3)
 
 
 @pytest.fixture(scope="module")
@@ -380,18 +384,28 @@ class TestProfileRefits:
         numeric = (prof(h) + prof(-h) - 2.0 * prof(0.0)) / h**2
         assert _profile_curvature(y, design.X, mu, kappa) == pytest.approx(numeric, rel=1e-3)
 
-    @pytest.mark.parametrize("name, most", [("australian", 12), ("taylor", 16)])
-    def test_refit_count(self, name, most, request, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("name", ["australian", "taylor"])
+    def test_interior_estimate_needs_no_refit(self, name, request, monkeypatch):
+        # each endpoint is one Newton solve from the quadratic start; no
+        # means are refitted at fixed kappa on the way
+        refits, steps = [], []
 
-        def counted(*args, **kwargs):
-            calls.append(args[2])
+        def counted_refit(*args, **kwargs):
+            refits.append(args[2])
             return refit(*args, **kwargs)
 
-        refit = dispersion._irls
-        monkeypatch.setattr(dispersion, "_irls", counted)
-        profile_kappa(to_long(request.getfixturevalue(name)))
-        assert 0 < len(calls) <= most
+        def counted_solve(*args):
+            solved = solve(*args)
+            steps.append(None if solved is None else solved[3])
+            return solved
+
+        refit, solve = dispersion._irls, dispersion._endpoint_newton
+        monkeypatch.setattr(dispersion, "_irls", counted_refit)
+        monkeypatch.setattr(dispersion, "_endpoint_newton", counted_solve)
+        est = profile_kappa(to_long(request.getfixturevalue(name)))
+        assert not est.at_boundary
+        assert refits == []
+        assert len(steps) == 2 and all(s is not None and s <= 5 for s in steps)
 
     @pytest.fixture
     def joint_fits(self, monkeypatch):
@@ -433,16 +447,11 @@ class TestProfileRefits:
             assert np.array_equal(got, want)
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    dimension=st.integers(4, 7),
-    kappa=st.sampled_from([1.0, 5.0, 30.0, math.inf]),
-)
-def test_profile_no_lower_than_fixed_kappa_fits(seed, dimension, kappa):
-    # the profile maximum is at least the best negative binomial fit on a
-    # kappa grid, whatever the triangle
-    rng = np.random.default_rng(seed)
+def _gamma_poisson_rows(rng: np.random.Generator, dimension: int, kappa: float):
+    """Rows of a gamma-Poisson triangle with dispersion ``kappa`` (inf: Poisson).
+
+    None when an accident or development year sums to zero.
+    """
     weights = rng.uniform(0.5, 2.0, size=dimension)
     weights /= weights.sum()
     rows = []
@@ -453,7 +462,127 @@ def test_profile_no_lower_than_fixed_kappa_fits(seed, dimension, kappa):
     cols = np.zeros(dimension)
     for r in rows:
         cols[: len(r)] += r
-    assume(np.all(cols > 0) and all(sum(r) > 0 for r in rows))
+    return rows if np.all(cols > 0) and all(sum(r) > 0 for r in rows) else None
+
+
+class TestEndpointSolve:
+    """Each interval endpoint as one Newton solve, and the fallbacks around it."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Record each endpoint solve's result."""
+        results = []
+
+        def recorded(*args):
+            results.append(solve(*args))
+            return results[-1]
+
+        solve = dispersion._endpoint_newton
+        monkeypatch.setattr(dispersion, "_endpoint_newton", recorded)
+        return results
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_endpoint_on_profile_at_the_cut(self, seed, solves):
+        # a finite endpoint's coefficients have a zero score, so the point
+        # is on the profile, and a cold fit there sits 3.841 / 2 below
+        # the maximum
+        rng = np.random.default_rng([seed, 11])
+        rows = None
+        while rows is None:
+            rows = _gamma_poisson_rows(rng, int(rng.integers(5, 11)), float(rng.uniform(2.0, 50.0)))
+        recs = to_long(RunOffTriangle.from_rows(rows))
+        y, design = _prepare(recs)
+        est = profile_kappa(recs)
+        solved = {math.exp(r[0]): r for r in solves if r is not None}
+        finite = [bound for bound in est.ci95 if KAPPA_MIN < bound < KAPPA_CAP]
+        assert finite
+        for bound in finite:
+            _, coef, ll, _ = solved[bound]
+            mu = np.exp(design.X @ coef)
+            score = design.X.T @ (bound * (y - mu) / (bound + mu))
+            assert np.abs(score).max() <= 1e-9 * y.sum()
+            assert 2 * (est.loglik - fit(recs, Family.negbin(bound)).loglik) == pytest.approx(CHI2_1_95, abs=1e-7)
+            assert ll == pytest.approx(est.loglik - 0.5 * CHI2_1_95, abs=1e-8)
+
+    @pytest.mark.parametrize("rows", [None, NEAR_SEPARATED], ids=["australian", "near-separated"])
+    def test_bracketed_fallback(self, rows, australian, monkeypatch):
+        # an iteration allowed a single step does not settle, so every
+        # endpoint falls back to the refit at the bound and the bracketed
+        # search, which must find the same interval
+        recs = to_long(australian if rows is None else RunOffTriangle.from_rows(rows))
+        solved = profile_kappa(recs)
+        searches = []
+
+        def counted(*args):
+            searches.append(args)
+            return search(*args)
+
+        search = dispersion._bracketed_endpoint
+        monkeypatch.setattr(dispersion, "_bracketed_endpoint", counted)
+        monkeypatch.setattr(dispersion, "_ENDPOINT_STEPS", 1)
+        searched = profile_kappa(recs)
+        assert len(searches) == 2
+        assert (searched.kappa_mle, searched.loglik) == (solved.kappa_mle, solved.loglik)
+        assert np.allclose(np.log(searched.ci95), np.log(solved.ci95), rtol=0.0, atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "rows, at_cap",
+        [
+            ([[13, 4, 0, 3, 2], [16, 5, 0, 4], [9, 18, 1], [15, 12], [37]], False),
+            ([[4, 589, 988], [10, 151], [48]], True),
+        ],
+        ids=["interior", "at-cap"],
+    )
+    def test_solve_leaving_its_bracket_falls_back(self, rows, at_cap, monkeypatch):
+        # the lower endpoint's solve leaves its bracket: from the quadratic
+        # start of a skewed profile (kappa_hat about 580, lower endpoint
+        # about 5.6), and from the walk's bracket of an estimate at the cap;
+        # the bracketed search finds the endpoint
+        searches = []
+
+        def counted(*args):
+            searches.append(args)
+            return search(*args)
+
+        search = dispersion._bracketed_endpoint
+        monkeypatch.setattr(dispersion, "_bracketed_endpoint", counted)
+        recs = to_long(RunOffTriangle.from_rows(rows))
+        est = profile_kappa(recs)
+        assert est.at_boundary == at_cap and len(searches) == 1
+        lower = est.ci95[0]
+        assert KAPPA_MIN < lower < est.kappa_mle
+        assert 2 * (est.loglik - fit(recs, Family.negbin(lower)).loglik) == pytest.approx(CHI2_1_95, abs=1e-6)
+
+    def test_endpoint_at_the_cap_takes_one_refit_there(self, monkeypatch):
+        # an interior estimate (kappa about 132) whose profile stays above
+        # the cut up to KAPPA_CAP: the iteration leaves the search range,
+        # and one refit at the cap decides
+        recs = to_long(RunOffTriangle.from_rows([[75, 48, 72, 93], [108, 48, 107], [271, 70], [168]]))
+        refits = []
+
+        def counted(y, design, family, start=None):
+            refits.append(family.kappa)
+            return refit(y, design, family, start=start)
+
+        refit = dispersion._irls
+        monkeypatch.setattr(dispersion, "_irls", counted)
+        est = profile_kappa(recs)
+        assert not est.at_boundary and KAPPA_MIN < est.ci95[0]
+        assert est.ci95[1] == KAPPA_CAP
+        assert refits == [KAPPA_CAP]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dimension=st.integers(4, 7),
+    kappa=st.sampled_from([1.0, 5.0, 30.0, math.inf]),
+)
+def test_profile_no_lower_than_fixed_kappa_fits(seed, dimension, kappa):
+    # the profile maximum is at least the best negative binomial fit on a
+    # kappa grid, whatever the triangle
+    rows = _gamma_poisson_rows(np.random.default_rng(seed), dimension, kappa)
+    assume(rows is not None)
     recs = to_long(RunOffTriangle.from_rows(rows))
     est = profile_kappa(recs)
     best = max(fit(recs, Family.negbin(k)).loglik for k in np.geomspace(0.1, 1e6, 16))

@@ -13,6 +13,7 @@ from nbreserve import (
     to_long,
 )
 from nbreserve.errors import (
+    CountTooLargeError,
     FutureCellError,
     MissingCellError,
     NegativeCountError,
@@ -56,6 +57,22 @@ class TestConstruction:
     def test_nan_rejected(self):
         with pytest.raises(NonIntegerCountError):
             RunOffTriangle.from_rows([[float("nan"), 2], [3]])
+
+    def test_counts_from_2_pow_53_rejected(self):
+        # every accepted count is exact in float64; a text cell of 2**53 + 1
+        # parses to the float 2**53, so 2**53 itself is refused as well
+        assert RunOffTriangle.from_rows([[str(2**53 - 1), 2], [3]]).cell(1, 0) == 2**53 - 1
+        for value in (str(2**53), str(2**53 + 1), 5e18, 1e300):
+            with pytest.raises(CountTooLargeError):
+                RunOffTriangle.from_rows([[value, 2], [3]])
+        with pytest.raises(CountTooLargeError):
+            RunOffTriangle([[2**53, 2], [3]])
+
+    def test_cumulative_counts_from_2_pow_53_rejected(self):
+        # incremental counts that fit, whose running sum does not
+        t = RunOffTriangle.from_rows([[2**52, 2**52], [3]])
+        with pytest.raises(CountTooLargeError):
+            cumulate(t)
 
     def test_future_cell_access_raises(self):
         t = RunOffTriangle.from_rows([[10, 5], [20]])
