@@ -12,7 +12,8 @@ statistic at the chi-square(1) 0.95 quantile. Each endpoint is one
 Newton solve of {coefficient score = 0, l = l_hat - 3.841 / 2} for the
 coefficients and log kappa together (Venzon and Moolgavkar, 1988),
 started from the quadratic profile, whose curvature is analytic
-(:func:`_profile_curvature`). Refits of the means at fixed kappa
+(:func:`_profile_curvature`), or at the cap from the profile's
+large-kappa expansion. Refits of the means at fixed kappa
 (:func:`nbreserve.glm._irls`) remain for the estimate at the cap, a
 bound, a fallback search and the plotting grid. :func:`profile_kappa`
 and :func:`overdispersion_test` on the same data share one joint fit.
@@ -155,43 +156,24 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-7) -> Tuple[float, floa
     return (c, fc) if fc >= fd else (d, fd)
 
 
-def _ci_endpoint(profile: _ProfileCache, theta_hat: float, target: float, bound: float, start=None) -> float:
+def _ci_endpoint(profile: _ProfileCache, theta_hat: float, target: float, bound: float, start) -> float:
     """Kappa between exp(theta_hat) and ``bound`` where the profile falls to ``target``.
 
     :func:`_endpoint_newton` solves for it from ``start`` (coefficients,
-    log kappa) or, without one, from the first refit below the target
-    of a walk from theta_hat in log-kappa steps of 1, 2, 4, ... If the
-    solve fails, one refit at ``bound`` (unless the walk made it) tells
-    whether the profile stays above the target up to ``bound``, the
-    endpoint then; otherwise :func:`_bracketed_endpoint` searches.
+    log kappa). If the solve fails, one refit at ``bound`` tells whether
+    the profile stays above the target up to ``bound``, the endpoint
+    then; otherwise :func:`_bracketed_endpoint` searches.
     """
     end = math.log(bound)
-    side = 1.0 if end > theta_hat else -1.0
-    inner, outer = theta_hat, None
-    if start is None:
-        step = 1.0
-        while True:
-            theta = inner + side * step
-            kappa = bound if side * (theta - end) >= 0.0 else math.exp(theta)
-            theta = math.log(kappa)
-            if profile(kappa) < target:
-                break
-            if kappa == bound:
-                return bound
-            inner, step = theta, 2.0 * step
-        outer = theta
-        start = (profile.warm, outer)
-    solved = _endpoint_newton(profile.y, profile.design.X, *start, target, inner, end if outer is None else outer)
+    solved = _endpoint_newton(profile.y, profile.design.X, *start, target, theta_hat, end)
     if solved is not None:
         theta, _, ll, _ = solved
         kappa = math.exp(theta)
         profile.evals.append((kappa, ll))
         return kappa
-    if outer is None:
-        outer = end
-        if profile(bound) >= target:
-            return bound
-    return _bracketed_endpoint(profile, inner, outer, target)
+    if profile(bound) >= target:
+        return bound
+    return _bracketed_endpoint(profile, theta_hat, end, target)
 
 
 def _endpoint_newton(
@@ -278,12 +260,13 @@ def profile_kappa(data: Sequence, grid_size: int = 0) -> KappaEstimate:
     found by :func:`_ci_endpoint`, or the end of the search range if
     the profile stays above that level. A maximiser at the upper cap is
     reported with ``at_boundary=True`` and means the data are
-    Poisson-compatible.
+    Poisson-compatible; its interval runs up to the cap, and only its
+    lower endpoint is solved for, from the large-kappa expansion.
 
     ``profile_curve`` holds the estimate, the endpoints and any refits
-    on the way to them; ``grid_size`` > 0 adds that many log-spaced
-    points over the search range, for plotting. They change neither
-    the estimate nor the interval.
+    at a bound or in a fallback search; ``grid_size`` > 0 adds that
+    many log-spaced points over the search range, for plotting. They
+    change neither the estimate nor the interval.
 
     Raises:
         FlatProfileError: interior optimum with curvature below 1e-6 on
@@ -292,7 +275,7 @@ def profile_kappa(data: Sequence, grid_size: int = 0) -> KappaEstimate:
             interval, or the bracketed endpoint search did not converge.
     """
     y, design = _prepare(data)
-    coef, mu, kappa_hat, at_boundary = _joint_fit(y, design)
+    coef, mu, kappa_hat, at_boundary, _ = _joint_fit(y, design)
     profile = _ProfileCache(y, design, warm=coef)
     theta_hat = math.log(kappa_hat)
     if at_boundary:
@@ -301,7 +284,7 @@ def profile_kappa(data: Sequence, grid_size: int = 0) -> KappaEstimate:
     else:
         ll_hat = nb_loglik(y, mu, kappa_hat)
         profile.evals.append((kappa_hat, ll_hat))
-        curv = _profile_curvature(y, design.X, mu, kappa_hat)
+        curv, tangent = _profile_curvature(y, design.X, mu, kappa_hat)
         if curv > -1e-6:
             raise FlatProfileError(
                 f"profile curvature {curv:.3g} at kappa={kappa_hat:.4g}; "
@@ -310,12 +293,14 @@ def profile_kappa(data: Sequence, grid_size: int = 0) -> KappaEstimate:
 
     target = ll_hat - 0.5 * CHI2_1_95
     if at_boundary:
-        lower, upper = _ci_endpoint(profile, theta_hat, target, KAPPA_MIN), KAPPA_CAP
+        # near the cap l_p(kappa) ~ l_hat + S / (2 kappa), S = sum((y - mu)^2 - y),
+        # which falls to the target at kappa = -S / 3.841: start there
+        s = float(np.sum((y - profile.mu) ** 2 - y))
+        theta = min(math.log(max(-s / CHI2_1_95, KAPPA_MIN)), math.nextafter(theta_hat, -math.inf))
+        lower, upper = _ci_endpoint(profile, theta_hat, target, KAPPA_MIN, (profile.warm, theta)), KAPPA_CAP
     else:
         # start from the quadratic profile's endpoints, moving the
         # coefficients along the profile's tangent (X^T W X)^-1 c
-        info, c = _tangent_terms(y, design.X, mu, kappa_hat)
-        tangent = np.linalg.solve(info, c)
         half_width = math.sqrt(CHI2_1_95 / -curv)
         ends = []
         for bound, d in ((KAPPA_MIN, -half_width), (KAPPA_CAP, half_width)):
@@ -344,19 +329,21 @@ def profile_kappa(data: Sequence, grid_size: int = 0) -> KappaEstimate:
     )
 
 
-def _profile_curvature(y: np.ndarray, X: np.ndarray, mu: np.ndarray, kappa: float) -> float:
-    """Second derivative of the profile l_p in log kappa at a joint maximum (mu, kappa).
+def _profile_curvature(y: np.ndarray, X: np.ndarray, mu: np.ndarray, kappa: float) -> Tuple[float, np.ndarray]:
+    """Second derivative of the profile l_p in log kappa at a joint maximum (mu, kappa), and the tangent.
 
     Along the profile the coefficients follow kappa so that their score
-    stays zero, which gives h + c^T (X^T W X)^-1 c: h = kappa s +
-    kappa^2 s' is the log-kappa curvature at fixed means (s the kappa
-    score), X^T W X the coefficients' observed information and
+    stays zero, by the tangent (X^T W X)^-1 c per unit of log kappa,
+    which gives h + c^T (X^T W X)^-1 c: h = kappa s + kappa^2 s' is the
+    log-kappa curvature at fixed means (s the kappa score), X^T W X the
+    coefficients' observed information and
     c = X^T [kappa (y - mu) mu / (kappa + mu)^2] the log-kappa derivative
     of their score.
     """
     info, c = _tangent_terms(y, X, mu, kappa)
+    tangent = np.linalg.solve(info, c)
     h = kappa * float(_kappa_score(y, mu, kappa)) + kappa * kappa * float(_kappa_score_deriv(y, mu, kappa))
-    return h + float(c @ np.linalg.solve(info, c))
+    return h + float(c @ tangent), tangent
 
 
 def _tangent_terms(y: np.ndarray, X: np.ndarray, mu: np.ndarray, kappa: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -566,7 +553,12 @@ def nb_mle(
         NotConvergedError: the fit failed as :func:`_nb_mle_batch`
             describes.
     """
-    coef, mu, kappa, ok, _ = _nb_mle_batch(np.asarray(y, dtype=float)[None], design, start=start)
+    return _one_fit(_nb_mle_batch(np.asarray(y, dtype=float)[None], design, start=start))
+
+
+def _one_fit(batch: tuple) -> Tuple[np.ndarray, np.ndarray, float, bool]:
+    """(coef, mu, kappa, at_boundary) of a one-row :func:`_nb_mle_batch` result, which must be ok."""
+    coef, mu, kappa, ok, _ = batch
     if not ok[0]:
         raise NotConvergedError(
             f"joint NB fit failed: singular, unbounded or not converged in {_IRLS_MAX_ITER} iterations"
@@ -580,6 +572,7 @@ def _nb_mle_batch(
     start: Optional[np.ndarray] = None,
     mask: Optional[np.ndarray] = None,
     pin: Optional[np.ndarray] = None,
+    poisson: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Joint maximum likelihood over (mean effects, kappa) for each row of ``Y``.
 
@@ -590,7 +583,9 @@ def _nb_mle_batch(
 
     The Poisson fit (:func:`nbreserve.glm._poisson_batch`, the
     closed-form chain-ladder where it applies) gives the means from
-    which :func:`_solve_kappa_batch` takes the first kappa. From there
+    which :func:`_solve_kappa_batch` takes the first kappa, unless the
+    caller passes it as ``poisson`` (whose arrays the fit updates in
+    place). From there
     each iteration takes one Newton step for the coefficients at fixed
     kappa (:func:`nbreserve.glm._newton_step`, the step of every fit at
     fixed kappa), with the observed information, whose working weights
@@ -615,7 +610,9 @@ def _nb_mle_batch(
     converge in ``_IRLS_MAX_ITER`` iterations.
     """
     m = len(Y)
-    coef, mu, poisson_ok = _poisson_batch(Y, design, start=start, mask=mask, pin=pin)
+    if poisson is None:
+        poisson = _poisson_batch(Y, design, start=start, mask=mask, pin=pin)
+    coef, mu, poisson_ok = poisson
     kappa = np.full(m, np.nan)
     ok = np.zeros(m, dtype=bool)
     n_iter = np.zeros(m, dtype=np.int64)
@@ -671,21 +668,24 @@ def _nb_mle_batch(
 _last_joint_fit: Tuple[tuple, Optional[tuple]] = ((), None)
 
 
-def _joint_fit(y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray, float, bool]:
-    """:func:`nb_mle` of prepared counts, remembered for the next call on the same data.
+def _joint_fit(y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray, float, bool, np.ndarray]:
+    """:func:`nb_mle` of prepared counts and the means of the Poisson fit it starts from.
 
-    The data are the same when the counts and both factor indices are
-    equal bit for bit; the fit is deterministic, so a remembered one is
-    the fit a new call would give. Returns copies of the arrays.
+    Both are remembered for the next call on the same data, which are
+    the same when the counts and both factor indices are equal bit for
+    bit; the fits are deterministic, so remembered ones are the fits a
+    new call would give. Returns copies of the arrays.
     """
     global _last_joint_fit
     key = (y.tobytes(), design.ay_idx.tobytes(), design.dy_idx.tobytes())
     seen, fit = _last_joint_fit
     if seen != key:
-        fit = nb_mle(y, design)
+        poisson = _poisson_batch(y[None], design)
+        mu_p = poisson[1][0].copy()  # the joint fit moves the means in place
+        fit = (*_one_fit(_nb_mle_batch(y[None], design, poisson=poisson)), mu_p)
         _last_joint_fit = (key, fit)
-    coef, mu, kappa, at_boundary = fit
-    return coef.copy(), mu.copy(), kappa, at_boundary
+    coef, mu, kappa, at_boundary, mu_p = fit
+    return coef.copy(), mu.copy(), kappa, at_boundary, mu_p.copy()
 
 
 def overdispersion_test(data: Sequence) -> SelectionReport:
@@ -696,14 +696,12 @@ def overdispersion_test(data: Sequence) -> SelectionReport:
     the complementary error function. Equal likelihoods give p = 0.5.
     The Poisson fit is :func:`nbreserve.glm._poisson_batch`, on a
     triangle the closed-form chain-ladder, and the negative binomial fit
-    is the joint fit :func:`profile_kappa` takes its estimate from.
+    is the joint fit :func:`profile_kappa` takes its estimate from,
+    which starts from that Poisson fit.
     """
     y, design = _prepare(data)
-    _, mu_p, ok = _poisson_batch(y[None], design)
-    if not ok[0]:
-        raise NotConvergedError("Poisson fit did not converge")
-    ll_p = poisson_loglik(y, mu_p[0])
-    _, mu_nb, kappa, _ = _joint_fit(y, design)
+    _, mu_nb, kappa, _, mu_p = _joint_fit(y, design)
+    ll_p = poisson_loglik(y, mu_p)
     ll_nb = nb_loglik(y, mu_nb, kappa)
 
     statistic = max(0.0, 2.0 * (ll_nb - ll_p))

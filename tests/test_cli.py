@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from nbreserve import Family, RunOffTriangle, fit, serialize_triangle, to_long
+from nbreserve import Family, RunOffTriangle, errors, fit, serialize_triangle, to_long
 from nbreserve.cli import _future_sum, main
 
 
@@ -288,6 +288,22 @@ class TestErrors:
         err = json.loads(result.output.strip().splitlines()[-1])
         assert err["error"]["kind"] == "NoResidualDof"
         assert "no residual degrees of freedom" in err["error"]["message"]
+
+    # accident year 1's only nonzero count is the lone cell of development
+    # year 4, so that year's coefficient can drift without bound; whatever
+    # the failure is called, it is one typed line with its documented code
+    @pytest.mark.parametrize("command", ["fit", "diagnose"])
+    def test_quasi_separated_triangle_fails_typed(self, runner, tmp_path, command):
+        path = tmp_path / "quasi.csv"
+        path.write_text("0,0,0,0,1\n2,0,4,5,\n3,0,1,,\n3,3,,,\n1,,,,\n")
+        result = runner.invoke(main, [command, str(path), "--out-dir", str(tmp_path / "out")])
+        assert isinstance(result.exception, SystemExit) and "Traceback" not in result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        cls = getattr(errors, err["kind"] + "Error")
+        assert issubclass(cls, errors.ReservingError) and err["message"]
+        assert result.exit_code == (2 if issubclass(cls, (errors.TriangleError, errors.ConfigError)) else 1)
 
     def test_version(self, runner):
         result = run_ok(runner, ["--version"])

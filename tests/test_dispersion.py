@@ -382,7 +382,8 @@ class TestProfileRefits:
             return fit(recs, Family.negbin(kappa * math.exp(theta))).loglik
 
         numeric = (prof(h) + prof(-h) - 2.0 * prof(0.0)) / h**2
-        assert _profile_curvature(y, design.X, mu, kappa) == pytest.approx(numeric, rel=1e-3)
+        curv, _ = _profile_curvature(y, design.X, mu, kappa)
+        assert curv == pytest.approx(numeric, rel=1e-3)
 
     @pytest.mark.parametrize("name", ["australian", "taylor"])
     def test_interior_estimate_needs_no_refit(self, name, request, monkeypatch):
@@ -526,18 +527,21 @@ class TestEndpointSolve:
         assert np.allclose(np.log(searched.ci95), np.log(solved.ci95), rtol=0.0, atol=1e-8)
 
     @pytest.mark.parametrize(
-        "rows, at_cap",
+        "rows, at_cap, steps",
         [
-            ([[13, 4, 0, 3, 2], [16, 5, 0, 4], [9, 18, 1], [15, 12], [37]], False),
-            ([[4, 589, 988], [10, 151], [48]], True),
+            ([[13, 4, 0, 3, 2], [16, 5, 0, 4], [9, 18, 1], [15, 12], [37]], False, None),
+            ([[4, 589, 988], [10, 151], [48]], True, 1),
         ],
         ids=["interior", "at-cap"],
     )
-    def test_solve_leaving_its_bracket_falls_back(self, rows, at_cap, monkeypatch):
-        # the lower endpoint's solve leaves its bracket: from the quadratic
+    def test_solve_leaving_its_bracket_falls_back(self, rows, at_cap, steps, monkeypatch):
+        # the lower endpoint's solve leaves its bracket from the quadratic
         # start of a skewed profile (kappa_hat about 580, lower endpoint
-        # about 5.6), and from the walk's bracket of an estimate at the cap;
-        # the bracketed search finds the endpoint
+        # about 5.6); the solve for an estimate at the cap settles from
+        # its large-kappa start, so a one-step budget makes it fail. The
+        # bracketed search finds the endpoint the solve finds
+        recs = to_long(RunOffTriangle.from_rows(rows))
+        solved = profile_kappa(recs)
         searches = []
 
         def counted(*args):
@@ -546,11 +550,45 @@ class TestEndpointSolve:
 
         search = dispersion._bracketed_endpoint
         monkeypatch.setattr(dispersion, "_bracketed_endpoint", counted)
-        recs = to_long(RunOffTriangle.from_rows(rows))
+        if steps is not None:
+            monkeypatch.setattr(dispersion, "_ENDPOINT_STEPS", steps)
         est = profile_kappa(recs)
         assert est.at_boundary == at_cap and len(searches) == 1
+        assert np.allclose(np.log(est.ci95), np.log(solved.ci95), rtol=0.0, atol=1e-8)
         lower = est.ci95[0]
         assert KAPPA_MIN < lower < est.kappa_mle
+        assert 2 * (est.loglik - fit(recs, Family.negbin(lower)).loglik) == pytest.approx(CHI2_1_95, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_estimate_at_the_cap_solves_its_lower_endpoint_directly(self, seed, solves, monkeypatch):
+        # a Poisson triangle whose estimate is the cap: one refit there,
+        # then the lower endpoint's solve from the large-kappa expansion
+        # settles on the profile at the cut
+        rng = np.random.default_rng([seed, 12])
+        while True:
+            rows = _gamma_poisson_rows(rng, int(rng.integers(4, 13)), math.inf)
+            if rows is not None:
+                recs = to_long(RunOffTriangle.from_rows(rows))
+                y, design = _prepare(recs)
+                if nb_mle(y, design)[3]:
+                    break
+        refits = []
+
+        def counted(y, design, family, start=None):
+            refits.append(family.kappa)
+            return refit(y, design, family, start=start)
+
+        refit = dispersion._irls
+        monkeypatch.setattr(dispersion, "_irls", counted)
+        est = profile_kappa(recs)
+        assert est.at_boundary and refits == [KAPPA_CAP]
+        lower = est.ci95[0]
+        assert KAPPA_MIN < lower and est.ci95[1] == KAPPA_CAP
+        theta, coef, _, _ = solves[-1]
+        assert math.exp(theta) == lower
+        mu = np.exp(design.X @ coef)
+        score = design.X.T @ (lower * (y - mu) / (lower + mu))
+        assert np.abs(score).max() <= 1e-9 * y.sum()
         assert 2 * (est.loglik - fit(recs, Family.negbin(lower)).loglik) == pytest.approx(CHI2_1_95, abs=1e-6)
 
     def test_endpoint_at_the_cap_takes_one_refit_there(self, monkeypatch):
