@@ -29,7 +29,6 @@ negative binomial refits are the joint fit of
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -40,6 +39,7 @@ from ._rng import substream
 from .errors import ReservingError
 from .glm import Design, _poisson_batch, build_design, drop_masks, pearson_statistic, triangle_cells
 from .glm import _irls  # not called here: bench/spans.py hooks _bootstrap:_irls
+from .triangle import _MAX_COUNT
 
 
 # share of failed refits tolerated before a run is abandoned
@@ -261,7 +261,9 @@ def _run_chunk(spec: EngineSpec, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarr
     replicate draws its synthetic triangle and, after the refit, its
     future cells from its own substream, so its draws do not depend on
     which replicates share its batch. The batch's future means and its
-    totals by accident year are computed once for all its replicates.
+    totals by accident year are computed once for all its replicates. A
+    replicate with a future mean above 2**53 - 1, the largest count the
+    package reads, fails.
     """
     n_ay = spec.design.n_ay
     _, (fut_ay, fut_dy) = triangle_cells(n_ay)
@@ -275,6 +277,11 @@ def _run_chunk(spec: EngineSpec, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarr
         fitted, row_eff, col_eff, disp = _refit_batch(y_star, spec)
         idx = np.nonzero(fitted)[0]
         mu_fut = np.exp(row_eff[idx][:, fut_ay] + col_eff[idx][:, fut_dy])
+        # a future mean above the largest count the package reads comes from
+        # effects grown without bound, as on a quasi-separated level; such
+        # a refit fails, like a fit whose likelihood rises without bound
+        bounded = mu_fut.max(axis=1, initial=0.0) <= _MAX_COUNT
+        idx, mu_fut = idx[bounded], mu_fut[bounded]
         draws = np.empty(mu_fut.shape, dtype=np.int64)
         for j, i in enumerate(idx):
             draws[j] = draw_counts(spec.family, disp[i], mu_fut[j], rngs[i])
@@ -294,6 +301,9 @@ def split_run(func: Callable, n: int, workers: int, *args) -> List:
     """
     if workers <= 1 or n < 4:
         return [func(*args, 0, n)]
+    # imported here: it loads multiprocessing, which a serial run never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     bounds = np.linspace(0, n, workers + 1, dtype=int)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [

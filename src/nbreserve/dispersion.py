@@ -32,12 +32,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import psi
 
 from .errors import FlatProfileError, NoResidualDofError, NotConvergedError, SingularInformationError
 from .glm import (
     _ETA_BOUND, _IRLS_MAX_ITER, _KAPPA_SERIES, Design, Family, _irls, _newton_step, _newton_terms, _NormalEquations,
-    _poisson_batch, _prepare, nb_loglik, poisson_loglik,
+    _lgamma, _nb_loglik, _poisson_batch, _prepare, nb_loglik, poisson_loglik,
 )
 
 KAPPA_MIN = 1e-3
@@ -124,6 +123,7 @@ class _ProfileCache:
         self.y = y
         self.design = design
         self.warm = warm
+        self.log_factorials = _lgamma(y + 1.0)  # each cell's log y!, the same at every kappa
         self.mu: Optional[np.ndarray] = None
         self.evals: List[Tuple[float, float]] = []
 
@@ -132,7 +132,7 @@ class _ProfileCache:
         if not converged:
             raise NotConvergedError(f"profile refit at kappa={kappa:.4g} did not converge")
         self.warm, self.mu = coef, mu
-        ll = nb_loglik(self.y, self.mu, kappa)
+        ll = _nb_loglik(self.y, self.mu, kappa, self.log_factorials)
         self.evals.append((kappa, ll))
         return ll
 
@@ -193,12 +193,13 @@ def _endpoint_newton(
     iterate leaves (inner, outer] or ``_ENDPOINT_STEPS`` steps pass.
     """
     side = 1.0 if outer > inner else -1.0
+    log_factorials = _lgamma(y + 1.0)  # each cell's log y!, the same at every step
     # a diverging iterate's means may overflow here; its next theta is
     # then not finite, or outside the bracket, and the iteration fails
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for steps in range(1, _ENDPOINT_STEPS + 1):
             kappa = math.exp(theta)
-            mu = np.exp(np.clip(X @ coef, -_ETA_BOUND, _ETA_BOUND))
+            mu = np.exp((X @ coef).clip(-_ETA_BOUND, _ETA_BOUND))
             g = X.T @ (kappa * (y - mu) / (kappa + mu))
             info, c = _tangent_terms(y, X, mu, kappa)
             try:
@@ -206,15 +207,15 @@ def _endpoint_newton(
             except np.linalg.LinAlgError:
                 return None
             slope = g @ v + kappa * float(_kappa_score(y, mu, kappa))
-            d_theta = -(nb_loglik(y, mu, kappa) - target + g @ u) / slope
+            d_theta = -(_nb_loglik(y, mu, kappa, log_factorials) - target + g @ u) / slope
             d_coef = u + v * d_theta
             theta += d_theta
             coef = coef + d_coef
             if not (side * (theta - inner) > 0.0 and side * (theta - outer) <= 0.0):
                 return None
-            if max(abs(d_theta), float(np.max(np.abs(d_coef)))) <= 1e-6:
-                mu = np.exp(np.clip(X @ coef, -_ETA_BOUND, _ETA_BOUND))
-                return theta, coef, nb_loglik(y, mu, math.exp(theta)), steps
+            if max(abs(d_theta), float(np.abs(d_coef).max())) <= 1e-6:
+                mu = np.exp((X @ coef).clip(-_ETA_BOUND, _ETA_BOUND))
+                return theta, coef, _nb_loglik(y, mu, math.exp(theta), log_factorials), steps
     return None
 
 
@@ -342,7 +343,8 @@ def _profile_curvature(y: np.ndarray, X: np.ndarray, mu: np.ndarray, kappa: floa
     """
     info, c = _tangent_terms(y, X, mu, kappa)
     tangent = np.linalg.solve(info, c)
-    h = kappa * float(_kappa_score(y, mu, kappa)) + kappa * kappa * float(_kappa_score_deriv(y, mu, kappa))
+    s, s_kappa = _kappa_score(y, mu, kappa, deriv=True)
+    h = kappa * float(s) + kappa * kappa * float(s_kappa)
     return h + float(c @ tangent), tangent
 
 
@@ -353,40 +355,52 @@ def _tangent_terms(y: np.ndarray, X: np.ndarray, mu: np.ndarray, kappa: float) -
     return (X * w[:, None]).T @ X, c
 
 
-def _kappa_score(y: np.ndarray, mu: np.ndarray, kappa):
-    """d/d kappa of the NB log-likelihood at fixed means.
+def _kappa_score(y: np.ndarray, mu: np.ndarray, kappa, deriv: bool = False):
+    """d/d kappa of the NB log-likelihood at fixed means, and with ``deriv`` its own kappa derivative.
 
     ``y`` and ``mu`` are one triangle's cells with a scalar ``kappa``,
-    or matrices whose rows are triangles with one kappa each.
+    or matrices whose rows are triangles with one kappa each. Returns
+    the score, or (score, derivative) from one :func:`_polygamma` call.
 
     The score is a sum of O(y / kappa) terms that cancel to
     -sum((y - mu)^2 - y) / (2 kappa^2). Summed from digamma values of
     size log kappa, it carries an absolute rounding error near 1e-13,
     which from kappa ~ 1e4 on moves the root by more than the joint
     fit's 1e-9 stop. From ``_KAPPA_SERIES`` on it is therefore summed
-    from a form whose every term has the size of the result.
+    from a form whose every term has the size of the result
+    (:func:`_score_series`); the derivative always comes from trigamma
+    values.
     """
     kappa = np.asarray(kappa, dtype=float)
-    big = kappa >= _KAPPA_SERIES
-    if not big.any():
-        return _score_digamma(y, mu, kappa)
-    if big.all():
+    # one reduction settles the common case, no kappa in the series range;
+    # fmax skips a NaN kappa, which must not decide the other rows' form
+    big = kappa >= _KAPPA_SERIES if np.fmax.reduce(kappa, axis=None, initial=0.0) >= _KAPPA_SERIES else None
+    if big is not None and not deriv and big.all():
         return _score_series(y, mu, kappa)
-    out = np.empty(kappa.shape)
-    out[~big] = _score_digamma(y[~big], mu[~big], kappa[~big])
-    out[big] = _score_series(y[big], mu[big], kappa[big])
-    return out
-
-
-def _score_digamma(y: np.ndarray, mu: np.ndarray, kappa: np.ndarray):
     k = kappa[..., None]
     n = y.shape[-1]
-    return (
-        np.sum(psi(y + k), axis=-1) - n * psi(kappa)
+    # one kernel call for the cells and kappa itself, in the last column
+    poly = _polygamma(np.concatenate((y + k, k), axis=-1), deriv)
+    psi, tri = poly if deriv else (poly, None)
+    k_mu = k + mu
+    excess = mu - y
+    score = (
+        psi[..., :-1].sum(-1) - n * psi[..., -1]
         + n * np.log(kappa)
-        - np.sum(np.log(k + mu), axis=-1)
-        + np.sum((mu - y) / (k + mu), axis=-1)
+        - np.log(k_mu).sum(-1)
+        + (excess / k_mu).sum(-1)
     )
+    if big is not None:
+        score = np.where(big, _score_series(y, mu, kappa), score)
+    if not deriv:
+        return score
+    slope = (
+        tri[..., :-1].sum(-1) - n * tri[..., -1]
+        + n / kappa
+        - (1.0 / k_mu).sum(-1)
+        - (excess / k_mu**2).sum(-1)
+    )
+    return score, slope
 
 
 def _score_series(y: np.ndarray, mu: np.ndarray, kappa: np.ndarray):
@@ -405,58 +419,74 @@ def _score_series(y: np.ndarray, mu: np.ndarray, kappa: np.ndarray):
         - (k**-4 - ky**-4) / 120.0
         + (k**-6 - ky**-6) / 252.0
     )
-    return np.sum(np.log1p(u) - u + d_diff, axis=-1)
+    return (np.log1p(u) - u + d_diff).sum(-1)
 
 
-# arguments from which trigamma is summed from its asymptotic series alone
-_TRIGAMMA_SHIFT = 10.0
+# arguments from which psi and psi' are summed from their asymptotic series alone
+_POLYGAMMA_SHIFT = 10.0
 
-# 1 / x^(2k + 1) coefficients of that series: the Bernoulli numbers B_2 .. B_14
-_TRIGAMMA_SERIES = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0, -691.0 / 2730.0, 7.0 / 6.0)
+# coefficients of 1 / x^2k in the digamma series, B_2k / 2k, and of
+# 1 / x^(2k + 1) in the trigamma series, the Bernoulli numbers B_2k, for
+# k = 7 down to 1
+_DIGAMMA_SERIES = tuple(map(np.float64, (
+    1.0 / 12.0, -691.0 / 32760.0, 1.0 / 132.0, -1.0 / 240.0, 1.0 / 252.0, -1.0 / 120.0, 1.0 / 12.0,
+)))
+_TRIGAMMA_SERIES = tuple(map(np.float64, (
+    7.0 / 6.0, -691.0 / 2730.0, 5.0 / 66.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 1.0 / 6.0,
+)))
+
+_SHIFT_STEPS = np.arange(_POLYGAMMA_SHIFT)
 
 
-def _trigamma(x):
-    """Trigamma psi'(x) for x > 0, elementwise.
+def _polygamma(x: np.ndarray, trigamma: bool = False):
+    """Digamma psi(x), and with ``trigamma`` also psi'(x), for an array of x > 0, elementwise.
 
-    From x = 10 on, the asymptotic series 1/x + 1/(2 x^2) + sum B_2k /
-    x^(2k + 1) through B_14 is exact to rounding. Below, the recurrence
-    psi'(x) = 1 / x^2 + psi'(x + 1) moves the argument to x + 10 first;
-    its ten terms are one broadcast over a leading axis, added in a
-    fixed order. Each element's arithmetic depends on its value alone,
-    not on the shape of ``x``, so a batched solve agrees with the
-    scalar one bit for bit. This is several times faster than
-    ``scipy.special.polygamma(1, x)``, which evaluates a Hurwitz zeta.
+    From x = 10 on, the asymptotic series psi(x) = log x - 1/(2x) -
+    sum B_2k / (2k x^2k) and psi'(x) = 1/x + 1/(2 x^2) + sum B_2k /
+    x^(2k + 1), through B_14, are exact to rounding. Below, the
+    recurrences psi(x) = psi(x + 1) - 1/x and psi'(x) = psi'(x + 1) +
+    1/x^2 first move the argument to x + 10 (Bernardo 1976, Appl.
+    Statist. 25:315-317, Algorithm AS 103); one shift serves both. Its
+    ten terms are one broadcast over a last axis, added in a fixed
+    order, first to last. Each element's arithmetic depends on its
+    value alone, not on the shape of ``x``, so a batched solve agrees
+    with the scalar one bit for bit. The digamma series is summed as
+    log x - 1/(2x) - tail, with the tail by Horner's rule, as scipy's
+    ``psi`` sums it from x = 10 on, so fits whose arguments lie there
+    keep the bits they had when the package used scipy.
     """
     x = np.asarray(x, dtype=float)
-    small = x < _TRIGAMMA_SHIFT
-    z = np.where(small, x + _TRIGAMMA_SHIFT, x) if small.any() else x
+    shape = x.shape
+    x = x.reshape(-1)
+    shift = np.fmin.reduce(x, initial=np.inf) < _POLYGAMMA_SHIFT  # NaN-blind, like x < 10
+    if shift:
+        small = x < _POLYGAMMA_SHIFT
+        z = x + _POLYGAMMA_SHIFT * small
+    else:
+        z = x
     inv2 = 1.0 / (z * z)
-    tail = 0.0
-    for c in reversed(_TRIGAMMA_SERIES):
-        tail = (tail + c) * inv2
-    out = np.asarray((1.0 + (0.5 + tail * z) / z) / z)
-    if z is not x:
-        terms = x[small] + np.arange(_TRIGAMMA_SHIFT)[:, None]
-        terms *= terms
-        np.divide(1.0, terms, out=terms)
-        head = terms[0]
-        for term in terms[1:]:
-            head = head + term
-        out[small] = head + out[small]
-    return out
+    psi = np.log(z) - 0.5 / z - _horner(_DIGAMMA_SERIES, inv2)
+    if trigamma:
+        tri = (1.0 + (0.5 + _horner(_TRIGAMMA_SERIES, inv2) * z) / z) / z
+    if shift:
+        terms = x[small][:, None] + _SHIFT_STEPS
+        psi[small] -= np.add.accumulate(1.0 / terms, axis=-1)[:, -1]
+        if trigamma:
+            terms *= terms
+            np.divide(1.0, terms, out=terms)
+            tri[small] += np.add.accumulate(terms, axis=-1)[:, -1]
+    if not trigamma:
+        return psi.reshape(shape)
+    return psi.reshape(shape), tri.reshape(shape)
 
 
-def _kappa_score_deriv(y: np.ndarray, mu: np.ndarray, kappa):
-    k = np.asarray(kappa)[..., None]
-    n = y.shape[-1]
-    # one kernel call for the cells and kappa itself, in the last column
-    tri = _trigamma(np.concatenate((y + k, k), axis=-1))
-    return (
-        np.sum(tri[..., :-1], axis=-1) - n * tri[..., -1]
-        + n / kappa
-        - np.sum(1.0 / (k + mu), axis=-1)
-        - np.sum((mu - y) / (k + mu) ** 2, axis=-1)
-    )
+def _horner(coefs: Tuple[np.float64, ...], u: np.ndarray) -> np.ndarray:
+    """sum coefs[-k] u^k over k = 1 .. len(coefs), by Horner's rule."""
+    tail = coefs[0] * u
+    for c in coefs[1:]:
+        tail += c
+        tail *= u
+    return tail
 
 
 def _at_poisson_boundary(y: np.ndarray, mu: np.ndarray):
@@ -467,7 +497,7 @@ def _at_poisson_boundary(y: np.ndarray, mu: np.ndarray):
     positive. The sign of the sum decides this exactly, without summing
     a score of order 1e-14 at the cap.
     """
-    return np.sum((y - mu) ** 2 - y, axis=-1) <= 0.0
+    return ((y - mu) ** 2 - y).sum(-1) <= 0.0
 
 
 def _solve_kappa(y: np.ndarray, mu: np.ndarray, kappa0: float) -> float:
@@ -485,7 +515,8 @@ def _solve_kappa_batch(Y: np.ndarray, mu: np.ndarray, kappa0: np.ndarray) -> np.
 
     Safeguarded Newton iteration on log kappa within [KAPPA_MIN,
     KAPPA_CAP] from ``kappa0``, keeping a bracket of the root of the
-    score; a row leaves the loop when its step is below 1e-10. Returns
+    score; a row leaves the loop when its step is below 1e-10 or its
+    score is exactly zero. Returns
     KAPPA_CAP for rows at the Poisson boundary and KAPPA_MIN for rows
     whose score is not positive there.
     """
@@ -502,17 +533,19 @@ def _solve_kappa_batch(Y: np.ndarray, mu: np.ndarray, kappa0: np.ndarray) -> np.
             break
         y, m = Y[live], mu[live]
         kappa = np.exp(theta)
-        s = _kappa_score(y, m, kappa)
+        s, s_kappa = _kappa_score(y, m, kappa, deriv=True)
         rising = s > 0.0
         lo = np.where(rising, np.maximum(lo, theta), lo)
         hi = np.where(rising, hi, np.minimum(hi, theta))
         g = kappa * s
-        h = kappa * s + kappa * kappa * _kappa_score_deriv(y, m, kappa)
+        h = kappa * s + kappa * kappa * s_kappa
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = theta + (-g / h)
         theta_new = np.where((h < 0.0) & (lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
-        settled = np.abs(theta_new - theta) < 1e-10
-        theta = theta_new
+        # an iterate whose score is exactly zero is the root
+        root = s == 0.0
+        settled = root | (np.abs(theta_new - theta) < 1e-10)
+        theta = np.where(root, theta, theta_new)
         out[live[settled]] = np.exp(theta[settled])
         keep = ~settled
         live, theta, lo, hi = live[keep], theta[keep], lo[keep], hi[keep]
@@ -642,12 +675,13 @@ def _nb_mle_batch(
         # of a diverging fit's means may overflow here, leaving it to fail
         mu_k, kap = kept(mu[live], live), kappa[live]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            g_t = kap * _kappa_score(y, mu_k, kap)
-            h_t = g_t + kap * kap * _kappa_score_deriv(y, mu_k, kap)
+            s, s_kappa = _kappa_score(y, mu_k, kap, deriv=True)
+            g_t = kap * s
+            h_t = g_t + kap * kap * s_kappa
             newton = -g_t / h_t
             cap = _at_poisson_boundary(y, mu_k)
         concave = h_t < 0.0
-        theta = np.log(kap) + np.where(concave, np.clip(newton, -1.0, 1.0), np.sign(g_t))
+        theta = np.log(kap) + np.where(concave, newton.clip(-1.0, 1.0), np.sign(g_t))
         floor = theta <= log_min
         # at the floor with the score pointing below it, kappa is settled
         settled = floor & (kap == KAPPA_MIN) & (g_t <= 0.0)

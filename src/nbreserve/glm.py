@@ -29,12 +29,12 @@ quasi-Poisson phi (:func:`pearson_statistic`).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .errors import NoResidualDofError, NotConvergedError, RankDeficientError, SeparationError
 
@@ -103,7 +103,7 @@ class Family:
         return mu
 
     def deviance(self, y: np.ndarray, mu: np.ndarray) -> float:
-        return float(2.0 * np.sum(_unit_deviance(y, mu, self.kappa if self.tag == "negbin" else None)))
+        return float(2.0 * _unit_deviance(y, mu, self.kappa if self.tag == "negbin" else None).sum())
 
 
 def _unit_deviance(y: np.ndarray, mu: np.ndarray, kappa) -> np.ndarray:
@@ -112,23 +112,33 @@ def _unit_deviance(y: np.ndarray, mu: np.ndarray, kappa) -> np.ndarray:
     ``kappa`` may be a column of per-row values broadcasting over rows of ``y``.
     """
     if kappa is None:
-        return xlogy(y, y / mu) - (y - mu)
-    return xlogy(y, y / mu) - (y + kappa) * np.log((y + kappa) / (mu + kappa))
+        return _xlogy(y, y / mu) - (y - mu)
+    return _xlogy(y, y / mu) - (y + kappa) * np.log((y + kappa) / (mu + kappa))
+
+
+def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x log y elementwise, zero where x is zero, with no warning where y is zero there too."""
+    return x * np.log(np.where(x == 0.0, 1.0, y))
+
+
+def _lgamma(x: np.ndarray) -> np.ndarray:
+    """log Gamma(x) for an array of x > 0, elementwise by ``math.lgamma``."""
+    return np.fromiter(map(math.lgamma, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def poisson_loglik(counts, mu) -> float:
     """Poisson log-likelihood of ``counts`` at cell means ``mu``."""
     y = _as_counts(counts)
     mu = np.asarray(mu, dtype=float)
-    return float(np.sum(xlogy(y, mu) - mu - gammaln(y + 1.0)))
+    return float((_xlogy(y, mu) - mu - _lgamma(y + 1.0)).sum())
 
 
 def nb_loglik(counts, mu, kappa: float) -> float:
     """Negative binomial log-likelihood in the mean-dispersion form.
 
     Uses log1p(mu / kappa) so the Poisson limit is reached cleanly as
-    kappa grows toward the search cap. There gammaln(y + kappa) and
-    gammaln(kappa) are of size kappa log kappa and cancel to a term of
+    kappa grows toward the search cap. There log Gamma(y + kappa) and
+    log Gamma(kappa) are of size kappa log kappa and cancel to a term of
     size y, losing about 1e-6 at kappa = 1e8; from ``_KAPPA_SERIES`` on
     their difference is therefore taken from Stirling's series, whose
     every term has the size of y.
@@ -136,20 +146,24 @@ def nb_loglik(counts, mu, kappa: float) -> float:
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     y = _as_counts(counts)
-    mu = np.asarray(mu, dtype=float)
+    return _nb_loglik(y, np.asarray(mu, dtype=float), kappa, _lgamma(y + 1.0))
+
+
+def _nb_loglik(y: np.ndarray, mu: np.ndarray, kappa: float, log_factorials: np.ndarray) -> float:
+    """:func:`nb_loglik` of float arrays, given each cell's log y! (a caller refitting the same counts keeps them)."""
     ky = y + kappa
     # log Gamma(y + kappa) - log Gamma(kappa) - y log kappa
     if kappa < _KAPPA_SERIES:
-        lgamma_ratio = gammaln(ky) - gammaln(kappa) - y * np.log(kappa)
+        lgamma_ratio = _lgamma(ky) - math.lgamma(kappa) - y * math.log(kappa)
     else:
         lgamma_ratio = (
             (ky - 0.5) * np.log1p(y / kappa) - y + _stirling_remainder(ky) - _stirling_remainder(kappa)
         )
-    return float(np.sum(lgamma_ratio - gammaln(y + 1.0) - ky * np.log1p(mu / kappa) + xlogy(y, mu)))
+    return float((lgamma_ratio - log_factorials - ky * np.log1p(mu / kappa) + _xlogy(y, mu)).sum())
 
 
 def _stirling_remainder(x):
-    """gammaln(x) - ((x - 1/2) log x - x + log(2 pi) / 2) for x >= ``_KAPPA_SERIES``.
+    """log Gamma(x) - ((x - 1/2) log x - x + log(2 pi) / 2) for x >= ``_KAPPA_SERIES``.
 
     The first omitted term of the series is below 1 / (1680 x^7).
     """
@@ -261,13 +275,13 @@ def _irls(
     """
     X = design.X
     kappa = family.kappa if family.tag == "negbin" else None
-    slack = _DEV_SLACK * np.sum(y if kappa is None else y + kappa)
+    slack = _DEV_SLACK * (y if kappa is None else y + kappa).sum()
     if start is None:
         coef, eta, dev = np.full(design.p, np.nan), np.log(y + 0.5), np.inf
-        mu = np.exp(np.clip(eta, -_ETA_BOUND, _ETA_BOUND))
+        mu = np.exp(eta.clip(-_ETA_BOUND, _ETA_BOUND))
     else:
         coef = np.asarray(start, dtype=float)
-        mu = np.exp(np.clip(X @ coef, -_ETA_BOUND, _ETA_BOUND))
+        mu = np.exp((X @ coef).clip(-_ETA_BOUND, _ETA_BOUND))
         dev = family.deviance(y, mu)
     dev_path: List[float] = []
     converged = False
@@ -285,7 +299,7 @@ def _irls(
         cand = delta if whole else coef + delta
         limit = dev + slack
         for _ in range(30):
-            eta = np.clip(X @ cand, -_ETA_BOUND, _ETA_BOUND)
+            eta = (X @ cand).clip(-_ETA_BOUND, _ETA_BOUND)
             mu_c = np.exp(eta)
             dev_c = family.deviance(y, mu_c)
             if np.isfinite(dev_c) and dev_c <= limit:
@@ -295,9 +309,9 @@ def _irls(
             break
         coef, mu, dev = cand, mu_c, dev_c
         dev_path.append(dev)
-        if np.any(np.abs(eta) >= _ETA_BOUND):
+        if (np.abs(eta) >= _ETA_BOUND).any():
             break
-        converged = not whole and abs(g @ delta) <= max(_DECREMENT_TOL, _DECREMENT_PER_WEIGHT * np.sum(w))
+        converged = not whole and abs(g @ delta) <= max(_DECREMENT_TOL, _DECREMENT_PER_WEIGHT * w.sum())
         if converged:
             break
 
@@ -394,11 +408,11 @@ def _newton_step(
         return a if mask is None else a * mask[rows]
 
     def deviance(rows, mu_r):
-        return 2.0 * np.sum(kept(_unit_deviance(y[rows], mu_r, None if k is None else k[rows]), live[rows]), axis=1)
+        return 2.0 * kept(_unit_deviance(y[rows], mu_r, None if k is None else k[rows]), live[rows]).sum(axis=1)
 
     w, z = _newton_terms(y, mu_l, k)
     w = kept(w, live)
-    tol = np.maximum(_DECREMENT_TOL, _DECREMENT_PER_WEIGHT * np.sum(w, axis=1))
+    tol = np.maximum(_DECREMENT_TOL, _DECREMENT_PER_WEIGHT * w.sum(axis=1))
     Xw, A = normal.weigh(live, w)
     if eta is None:
         g = (Xw.transpose(0, 2, 1) @ z[:, :, None])[:, :, 0]
@@ -407,8 +421,8 @@ def _newton_step(
     delta = normal.solve(live, A, g)
     failed = np.isnan(delta).any(axis=1)
     if eta is None:
-        decrement, cand = np.sum(g * delta, axis=1), old + delta
-        limit = deviance(slice(None), mu_l) + _DEV_SLACK * np.sum(kept(y if k is None else y + k, live), axis=1)
+        decrement, cand = (g * delta).sum(axis=1), old + delta
+        limit = deviance(slice(None), mu_l) + _DEV_SLACK * kept(y if k is None else y + k, live).sum(axis=1)
     else:
         decrement, cand, limit = np.full(live.size, np.inf), delta, np.full(live.size, np.inf)
 
@@ -418,7 +432,7 @@ def _newton_step(
     eta_c = np.empty((live.size, X.shape[0]))
     pend = np.nonzero(~failed)[0]
     for _ in range(30):
-        e = np.clip(_rows_dot(X, cand[pend]), -_ETA_BOUND, _ETA_BOUND)
+        e = _rows_dot(X, cand[pend]).clip(-_ETA_BOUND, _ETA_BOUND)
         d = deviance(pend, np.exp(e))
         good = np.isfinite(d) & (d <= limit[pend])
         step[pend[good]] = True
@@ -431,7 +445,7 @@ def _newton_step(
     # row that takes none, or whose kept means reach the clip, has a
     # likelihood rising without bound
     failed[pend] = True
-    failed[step] |= np.any(kept(np.abs(eta_c[step]) >= _ETA_BOUND, live[step]), axis=1)
+    failed[step] |= kept(np.abs(eta_c[step]) >= _ETA_BOUND, live[step]).any(axis=1)
     coef[live[step]] = cand[step]
     mu[live[step]] = np.exp(eta_c[step])
     return decrement, tol, failed
@@ -687,11 +701,11 @@ def _check_levels(y: np.ndarray, design: Design) -> None:
         ("development year", design.dy_idx, design.n_dy),
     ):
         present = np.bincount(idx, minlength=size)
-        if np.any(present == 0):
+        if (present == 0).any():
             lvl = int(np.argmin(present != 0))
             raise RankDeficientError(f"{name} level {lvl} has no observations")
         totals = np.bincount(idx, weights=y, minlength=size)
-        if np.any(totals == 0):
+        if (totals == 0).any():
             lvl = int(np.argmax(totals == 0))
             raise SeparationError(
                 f"{name} level {lvl} has all-zero counts; its coefficient diverges"
@@ -703,7 +717,7 @@ def _prepare(data: Sequence) -> Tuple[np.ndarray, Design]:
     ay = np.array([r.ay for r in data], dtype=np.int64)
     dy = np.array([r.dy for r in data], dtype=np.int64)
     y = np.array([r.count for r in data], dtype=float)
-    if np.any(y < 0):
+    if (y < 0).any():
         raise ValueError("counts must be nonnegative")
     design = build_design(ay, dy)
     if design.n < design.p:

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import nbreserve
 from nbreserve import Family, RunOffTriangle, errors, fit, serialize_triangle, to_long
 from nbreserve.cli import _future_sum, main
 
@@ -25,6 +29,19 @@ def run_ok(runner, args, **kwargs):
     result = runner.invoke(main, args, catch_exceptions=False, **kwargs)
     assert result.exit_code == 0, result.output
     return result
+
+
+def test_import_loads_neither_scipy_nor_multiprocessing():
+    # the runtime needs numpy and click only; scipy is a test dependency,
+    # and a serial run never starts worker processes
+    code = (
+        "import sys, nbreserve.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')))"
+    )
+    src = str(Path(nbreserve.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestFit:
@@ -291,12 +308,18 @@ class TestErrors:
 
     # accident year 1's only nonzero count is the lone cell of development
     # year 4, so that year's coefficient can drift without bound; whatever
-    # the failure is called, it is one typed line with its documented code
-    @pytest.mark.parametrize("command", ["fit", "diagnose"])
-    def test_quasi_separated_triangle_fails_typed(self, runner, tmp_path, command):
+    # the failure is called, it is one typed line with its documented code.
+    # reserve's replicate refits reach future means above 1e19, which numpy's
+    # Poisson sampler refuses; those replicates count as failed refits
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("fit", []), ("diagnose", []), ("reserve", ["-B", "100", "--threads", "1"])],
+        ids=["fit", "diagnose", "reserve"],
+    )
+    def test_quasi_separated_triangle_fails_typed(self, runner, tmp_path, command, extra):
         path = tmp_path / "quasi.csv"
         path.write_text("0,0,0,0,1\n2,0,4,5,\n3,0,1,,\n3,3,,,\n1,,,,\n")
-        result = runner.invoke(main, [command, str(path), "--out-dir", str(tmp_path / "out")])
+        result = runner.invoke(main, [command, str(path), "--out-dir", str(tmp_path / "out"), *extra])
         assert isinstance(result.exception, SystemExit) and "Traceback" not in result.output
         lines = result.output.strip().splitlines()
         assert len(lines) == 1

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -29,15 +30,15 @@ from nbreserve.dispersion import (
     _kappa_score,
     _moment_kappa,
     _nb_mle_batch,
+    _polygamma,
     _prepare,
     _profile_curvature,
     _ProfileCache,
     _solve_kappa,
     _solve_kappa_batch,
-    _trigamma,
 )
 from nbreserve.errors import NoResidualDofError, NotConvergedError
-from nbreserve.glm import _irls, build_design, triangle_cells
+from nbreserve.glm import _irls, _lgamma, build_design, triangle_cells
 from conftest import drop_pattern, random_triangle
 
 
@@ -236,6 +237,39 @@ class TestKappaSolve:
         mu[-1] = 1000.0 / ratio
         assert _solve_kappa(y, mu, 1.0) == KAPPA_MIN
 
+    def test_exact_zero_score_settles_at_once(self, monkeypatch):
+        # two cells whose score, summed in floating point, is exactly 0.0 at
+        # several kappas next to its root: such an iterate is the root, and
+        # the solve settles there rather than bisecting back to it
+        y, mu = np.array([10.0, 20.0]), np.array([15.0, 15.0])
+        root = _solve_kappa(y, mu, 1.0)
+        near = root + np.arange(-300, 301) * np.spacing(root)
+        s = _kappa_score(np.tile(y, (near.size, 1)), np.tile(mu, (near.size, 1)), near)
+        zeros = near[(s == 0.0) & (np.exp(np.log(near)) == near)]
+        assert zeros.size
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return _kappa_score(*args, **kwargs)
+
+        monkeypatch.setattr(dispersion, "_kappa_score", counted)
+        for kappa0 in zeros:
+            calls.clear()
+            assert _solve_kappa_batch(y[None], mu[None], np.array([kappa0])).tolist() == [kappa0]
+            assert len(calls) == 2  # the check at KAPPA_MIN, then one Newton iteration
+
+    def test_score_rows_do_not_see_a_nan_row(self, australian):
+        # a diverging row's NaN kappa changes neither another row's score
+        # and slope nor its choice between the digamma and the series form
+        y, design = _prepare(to_long(australian))
+        _, mu, *_ = _irls(y, design, Family.poisson())
+        kappa = np.array([np.nan, 4.8, 5e3])
+        with np.errstate(invalid="ignore"):
+            score, slope = _kappa_score(np.tile(y, (3, 1)), np.tile(mu, (3, 1)), kappa, deriv=True)
+        for r in (1, 2):
+            assert (score[r], slope[r]) == _kappa_score(y, mu, kappa[r], deriv=True)
+
     def test_batch_matches_scalar(self, australian):
         recs = to_long(australian)
         y = np.array([r.count for r in recs], dtype=float)
@@ -250,22 +284,76 @@ class TestKappaSolve:
 
 
 class TestTrigamma:
-    """The trigamma kernel of the kappa Newton step against scipy's."""
+    """The digamma-trigamma kernel of the kappa Newton step against scipy's."""
 
     def test_log_spaced_range(self):
         x = np.geomspace(KAPPA_MIN, KAPPA_CAP, 4001)
-        assert np.max(np.abs(_trigamma(x) / polygamma(1, x) - 1.0)) < 2e-15
+        _, tri = _polygamma(x, trigamma=True)
+        assert np.max(np.abs(tri / polygamma(1, x) - 1.0)) < 2e-15
 
     def test_matrix_and_shape_free(self):
         # counts plus kappa, as the batched solve passes them
         rng = np.random.default_rng(2)
         x = rng.poisson(rng.gamma(2.0, 50.0, size=(40, 55))) + rng.uniform(1e-3, 30.0, size=(40, 1))
-        got = _trigamma(x)
-        assert got.shape == x.shape
-        assert np.max(np.abs(got / polygamma(1, x) - 1.0)) < 2e-15
-        # each element's value does not depend on the array it came in
-        assert np.array_equal(got[7], _trigamma(x[7]))
-        assert all(_trigamma(v) == g for v, g in zip(x[3, :10], got[3, :10]))
+        psi, tri = _polygamma(x, trigamma=True)
+        assert psi.shape == tri.shape == x.shape
+        assert np.max(np.abs(tri / polygamma(1, x) - 1.0)) < 2e-15
+        assert np.max(np.abs(psi - polygamma(0, x)) / np.maximum(np.abs(psi), 1.0)) < 2e-15
+        # each element's values do not depend on the array it came in,
+        # nor psi on whether psi' is asked for too
+        assert np.array_equal(_polygamma(x), psi)
+        for got, want in zip(_polygamma(x[7], trigamma=True), (psi[7], tri[7])):
+            assert np.array_equal(got, want)
+        for j, v in enumerate(x[3, :10]):
+            assert _polygamma(v, trigamma=True) == (psi[3, j], tri[3, j])
+            assert _polygamma(v) == psi[3, j]
+        # nor on a NaN elsewhere, as a diverging row of a batch may hold
+        x[0, 0] = np.nan
+        for got, want in zip(_polygamma(x, trigamma=True), (psi, tri)):
+            assert np.array_equal(got[1:], want[1:])
+
+
+def _error_against(got, exact) -> float:
+    """Largest error of ``got`` against mpmath values: relative, or absolute where |exact| < 1."""
+    return max(float(abs(mpmath.mpf(float(g)) - e) / max(abs(e), 1)) for g, e in zip(got, exact))
+
+
+class TestSpecialFunctionsAgainstMpmath:
+    """psi, psi' and log Gamma against 40-digit mpmath values, to 2e-15."""
+
+    @pytest.fixture(autouse=True)
+    def _digits(self):
+        with mpmath.workdps(40):
+            yield
+
+    @staticmethod
+    def arguments():
+        rng = np.random.default_rng(5)
+        counts = rng.poisson(rng.gamma(2.0, 50.0, size=(8, 55))) + rng.uniform(1e-3, 30.0, size=(8, 1))
+        return {
+            "log-spaced": np.geomspace(KAPPA_MIN, 1e9, 600),
+            "counts-plus-kappa": counts.ravel(),
+            # psi's positive root is 1.46163214496836...
+            "near-psi-root": np.linspace(1.40, 1.52, 241),
+        }
+
+    @pytest.mark.parametrize("where", ["log-spaced", "counts-plus-kappa", "near-psi-root"])
+    def test_polygamma(self, where):
+        x = self.arguments()[where]
+        psi, tri = _polygamma(x, trigamma=True)
+        assert _error_against(psi, [mpmath.digamma(mpmath.mpf(v)) for v in x.tolist()]) <= 2e-15
+        assert _error_against(tri, [mpmath.polygamma(1, mpmath.mpf(v)) for v in x.tolist()]) <= 2e-15
+
+    @pytest.mark.parametrize("where", ["log-spaced", "counts-plus-kappa", "near-psi-root"])
+    def test_lgamma(self, where):
+        x = self.arguments()[where]
+        assert _error_against(_lgamma(x), [mpmath.loggamma(mpmath.mpf(v)) for v in x.tolist()]) <= 2e-15
+
+    def test_lgamma_of_counts_is_log_factorial(self):
+        y = np.arange(0.0, 200.0)
+        got = _lgamma(y + 1.0)
+        assert got[0] == got[1] == 0.0  # 0! = 1! = 1
+        assert _error_against(got, [mpmath.log(mpmath.factorial(int(v))) for v in y.tolist()]) <= 2e-15
 
 
 PROFILE_TRIANGLES = {

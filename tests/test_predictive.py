@@ -5,6 +5,7 @@ from scipy import stats
 
 from nbreserve import (
     Family,
+    RunOffTriangle,
     bootstrap,
     chain_ladder,
     fit,
@@ -448,6 +449,54 @@ class TestChunking:
         )
         ay_keep, dy_keep = bt._levels_present(y_star, spec.design)
         assert (~np.hstack((ay_keep, dy_keep))).any(axis=1).sum() >= b // 10
+
+
+class TestUnboundedRefit:
+    """A replicate whose refitted future means run off without bound fails; the others keep their draws."""
+
+    # accident year 1's only nonzero count is the lone cell of development
+    # year 4, so that year's coefficient can drift without bound: replicate
+    # refits that converge reach future means of 3.6e18 to 6.9e19, beyond
+    # any count; numpy's Poisson sampler refuses those above about 9.2e18
+    QUASI_SEPARATED = [[0, 0, 0, 0, 1], [2, 0, 4, 5], [3, 0, 1], [3, 3], [1]]
+
+    @staticmethod
+    def _largest_future_mean(spec):
+        import nbreserve._bootstrap as bt
+        from nbreserve.glm import triangle_cells
+
+        y_star = np.array(
+            [bt.draw_counts(spec.family, spec.param, spec.mu_obs, substream(spec.seed, *spec.prefix, r)) for r in range(spec.b)]
+        )
+        fitted, row_eff, col_eff, _ = bt._refit_batch(y_star, spec)
+        _, (fut_ay, fut_dy) = triangle_cells(spec.design.n_ay)
+        return fitted, np.exp(row_eff[:, fut_ay] + col_eff[:, fut_dy]).max(axis=1)
+
+    def test_quasi_separated_triangle(self):
+        import nbreserve._bootstrap as bt
+
+        t = RunOffTriangle.from_rows(self.QUASI_SEPARATED)
+        spec = TestBatchedRefit._spec(t, 100)
+        fitted, top = self._largest_future_mean(spec)
+        assert (fitted & (top > 1e19)).any()
+        ok, _, _ = bt._run_chunk(spec, 0, spec.b)
+        assert ok.tolist() == (fitted & (top <= bt._MAX_COUNT)).tolist()
+        with pytest.raises(ExcessiveFailuresError):
+            bootstrap(t, b=100, seed=0)
+
+    def test_other_replicates_keep_their_draws(self, australian, monkeypatch):
+        import nbreserve._bootstrap as bt
+
+        spec = TestBatchedRefit._spec(australian, 60)
+        ok, totals, by_ay = bt._run_chunk(spec, 0, spec.b)
+        fitted, top = self._largest_future_mean(spec)
+        assert ok.tolist() == fitted.tolist()
+        # a bound below some replicates' largest future mean fails just those
+        bound = float(np.median(top[ok]))
+        monkeypatch.setattr(bt, "_MAX_COUNT", bound)
+        ok_b, totals_b, by_ay_b = bt._run_chunk(spec, 0, spec.b)
+        assert ok_b.tolist() == (ok & (top <= bound)).tolist() and 0 < ok_b.sum() < ok.sum()
+        assert np.array_equal(totals_b[ok_b], totals[ok_b]) and np.array_equal(by_ay_b[ok_b], by_ay[ok_b])
 
 
 class TestSummaries:
