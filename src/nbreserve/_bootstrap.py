@@ -24,18 +24,26 @@ would get alone. Poisson and overdispersed Poisson refits are the
 closed-form chain-ladder (:func:`~nbreserve.glm._poisson_batch`);
 negative binomial refits are the joint fit of
 :func:`~nbreserve.dispersion._nb_mle_batch`, started from it.
+
+One engine pass serves every spec of one triangle (:func:`run_group`):
+specs that refit the same family from the same base coefficients, such
+as a study's nb_mle and nb_corrected, stack their replicates into one
+batch. A row's fit does not depend on the other rows of its batch, and
+every replicate draws from its own substream, so each spec gets the
+draws it would get alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import dispersion
-from ._rng import substream
+from ._rng import substreams
+from ._rng import substream  # not called here: bench/spans.py hooks _bootstrap:substream
 from .errors import ReservingError
 from .glm import Design, _poisson_batch, build_design, drop_masks, pearson_statistic, triangle_cells
 from .glm import _irls  # not called here: bench/spans.py hooks _bootstrap:_irls
@@ -231,6 +239,12 @@ def fit_kept_levels(
     return ok, coef, mu, disp, ay_keep, dy_keep
 
 
+def _correct(spec: EngineSpec, ok: np.ndarray, disp: np.ndarray) -> None:
+    """Scale each refitted kappa by (n - p) / n of the full design, in place, if ``spec.correct``."""
+    if spec.correct:
+        disp[ok] = disp[ok] * (spec.design.n - spec.design.p) / spec.design.n
+
+
 def _refit_batch(y_star: np.ndarray, spec: EngineSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Refit every row of the (m, n) replicate matrix ``y_star`` as one batch.
 
@@ -244,52 +258,89 @@ def _refit_batch(y_star: np.ndarray, spec: EngineSpec) -> Tuple[np.ndarray, np.n
     ok, coef, _, disp, ay_keep, dy_keep = fit_kept_levels(y_star.astype(float), design, spec.family, spec.base_coef)
     if spec.family == "quasipoisson":
         ok &= ~np.isnan(disp)
-    if spec.correct:
-        disp[ok] = disp[ok] * (design.n - design.p) / design.n
+    _correct(spec, ok, disp)
     row_eff, col_eff = _effects_from_coef(coef, design.n_ay)
     row_eff[~ay_keep] = -np.inf
     col_eff[~dy_keep] = -np.inf
     return ok, row_eff, col_eff, disp
 
 
-def _run_chunk(spec: EngineSpec, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run replicates lo..hi-1; returns (ok, totals, by_ay).
+def _refit_groups(specs: Sequence[EngineSpec]) -> List[List[int]]:
+    """Indices of the specs that share one refit: the same family from the same base coefficients.
 
-    Replicates are refitted in batches of at most ``_BATCH``, which
-    bounds the memory of the stacked normal equations; each batch is one
-    :func:`_refit_batch` call, whatever levels its replicates drop. Each
-    replicate draws its synthetic triangle and, after the refit, its
-    future cells from its own substream, so its draws do not depend on
-    which replicates share its batch. The batch's future means and its
-    totals by accident year are computed once for all its replicates. A
-    replicate with a future mean above 2**53 - 1, the largest count the
-    package reads, fails.
+    A study's nb_mle and nb_corrected share one; its poisson and odp
+    specs differ in family (odp needs the Pearson phi and fails a refit
+    without it), so each refits alone.
     """
-    n_ay = spec.design.n_ay
+    groups = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault((spec.family, None if spec.base_coef is None else spec.base_coef.tobytes()), []).append(i)
+    return list(groups.values())
+
+
+def _run_group(specs: Sequence[EngineSpec], lo: int, hi: int) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Run replicates lo..hi-1 of every spec; returns one (ok, totals, by_ay) per spec.
+
+    The specs belong to one triangle: they share its design. Each group
+    of :func:`_refit_groups` takes windows of ``_BATCH // len(group)``
+    replicates per member, so each batch is one :func:`_refit_batch`
+    call of at most ``_BATCH`` rows, which bounds the memory of the
+    stacked normal equations, whatever levels its replicates drop. The
+    batch refits without the bias correction, which each member then
+    applies to its own rows. A replicate draws its synthetic triangle
+    and, after the refit, its future cells from its own substream
+    (``spec.prefix`` then the replicate index), so its draws do not
+    depend on which replicates or specs share its batch. The substreams
+    of a window are keyed in bulk (:func:`substreams`), and a batch's
+    future means and totals by accident year are computed once for all
+    its replicates. A replicate with a future mean above 2**53 - 1, the
+    largest count the package reads, fails.
+    """
+    n_ay = specs[0].design.n_ay
     _, (fut_ay, fut_dy) = triangle_cells(n_ay)
     fut_onehot = (fut_ay[:, None] == np.arange(n_ay)).astype(np.int64)
-    ok = np.zeros(hi - lo, dtype=bool)
-    totals = np.zeros(hi - lo, dtype=np.int64)
-    by_ay = np.zeros((hi - lo, n_ay), dtype=np.int64)
-    for first in range(lo, hi, _BATCH):
-        rngs = [substream(spec.seed, *spec.prefix, b) for b in range(first, min(first + _BATCH, hi))]
-        y_star = np.array([draw_counts(spec.family, spec.param, spec.mu_obs, rng) for rng in rngs])
-        fitted, row_eff, col_eff, disp = _refit_batch(y_star, spec)
-        idx = np.nonzero(fitted)[0]
-        mu_fut = np.exp(row_eff[idx][:, fut_ay] + col_eff[idx][:, fut_dy])
-        # a future mean above the largest count the package reads comes from
-        # effects grown without bound, as on a quasi-separated level; such
-        # a refit fails, like a fit whose likelihood rises without bound
-        bounded = mu_fut.max(axis=1, initial=0.0) <= _MAX_COUNT
-        idx, mu_fut = idx[bounded], mu_fut[bounded]
-        draws = np.empty(mu_fut.shape, dtype=np.int64)
-        for j, i in enumerate(idx):
-            draws[j] = draw_counts(spec.family, disp[i], mu_fut[j], rngs[i])
-        slots = first - lo + idx
-        ok[slots] = True
-        totals[slots] = draws.sum(axis=1)
-        by_ay[slots] = draws @ fut_onehot
-    return ok, totals, by_ay
+    out = [
+        (np.zeros(hi - lo, dtype=bool), np.zeros(hi - lo, dtype=np.int64), np.zeros((hi - lo, n_ay), dtype=np.int64))
+        for _ in specs
+    ]
+    for members in _refit_groups(specs):
+        window = max(1, _BATCH // len(members))
+        refit = replace(specs[members[0]], correct=False)
+        for first in range(lo, hi, window):
+            m = min(first + window, hi) - first
+            rngs = [substreams(specs[i].seed, specs[i].prefix, first, first + m) for i in members]
+            y_star = np.array(
+                [draw_counts(specs[i].family, specs[i].param, specs[i].mu_obs, rng) for i, r in zip(members, rngs) for rng in r]
+            )
+            fitted, row_eff, col_eff, disp = _refit_batch(y_star, refit)
+            for k, i in enumerate(members):
+                spec, rows = specs[i], slice(k * m, (k + 1) * m)
+                ok_k, disp_k = fitted[rows], disp[rows]
+                _correct(spec, ok_k, disp_k)
+                idx = np.nonzero(ok_k)[0]
+                mu_fut = np.exp(row_eff[rows][idx][:, fut_ay] + col_eff[rows][idx][:, fut_dy])
+                # a future mean above the largest count the package reads comes from
+                # effects grown without bound, as on a quasi-separated level; such
+                # a refit fails, like a fit whose likelihood rises without bound
+                bounded = mu_fut.max(axis=1, initial=0.0) <= _MAX_COUNT
+                idx, mu_fut = idx[bounded], mu_fut[bounded]
+                draws = np.empty(mu_fut.shape, dtype=np.int64)
+                for j, i_row in enumerate(idx):
+                    draws[j] = draw_counts(spec.family, disp_k[i_row], mu_fut[j], rngs[k][i_row])
+                ok, totals, by_ay = out[i]
+                slots = first - lo + idx
+                ok[slots] = True
+                totals[slots] = draws.sum(axis=1)
+                by_ay[slots] = draws @ fut_onehot
+    return out
+
+
+def _run_chunk(spec: EngineSpec, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run replicates lo..hi-1 of one spec; returns (ok, totals, by_ay).
+
+    This is :func:`_run_group` of the one spec.
+    """
+    return _run_group((spec,), lo, hi)[0]
 
 
 def split_run(func: Callable, n: int, workers: int, *args) -> List:
@@ -321,6 +372,18 @@ def run(spec: EngineSpec, workers: int = 1) -> Tuple[np.ndarray, np.ndarray, int
     draws from its own counter-based substream.
     """
     parts = split_run(_run_chunk, spec.b, workers, spec)
-    ok, totals, by_ay = (np.concatenate(p) for p in zip(*parts))
-    failures = int(spec.b - ok.sum())
-    return totals[ok], by_ay[ok], failures
+    return _result(*(np.concatenate(p) for p in zip(*parts)))
+
+
+def run_group(specs: Sequence[EngineSpec]) -> List[Tuple[np.ndarray, np.ndarray, int]]:
+    """Execute all replicates of every spec of one triangle in one pass; ``run``'s result per spec.
+
+    The specs share the design and the replicate count ``b``. Each spec
+    gets the result ``run`` gives it alone (see :func:`_run_group`).
+    """
+    return [_result(*part) for part in _run_group(specs, 0, specs[0].b)] if specs else []
+
+
+def _result(ok: np.ndarray, totals: np.ndarray, by_ay: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+    """(totals, by_ay, failures) of the replicates that completed."""
+    return totals[ok], by_ay[ok], int(ok.size - ok.sum())

@@ -249,14 +249,16 @@ def cmd_reserve(triangle, b, levels, no_correct, threads, round_amounts, out_dir
         {**_input(triangle), "b": b, "levels": sorted(levels), "correct": not no_correct, "seed": seed},
         out_dir,
     )
+    for level in levels:  # before the bootstrap, which a bad level would waste
+        predictive.check_level(level)
     dist = predictive.bootstrap(t, b=b, correct=not no_correct, seed=seed, workers=workers)
-    summaries = predictive.summarize(dist, levels)
+    rows_by_level = predictive.summary_rows(dist, levels)
 
     label = dist.origin_label if isinstance(dist.origin_label, int) else 1
     table = ["accident_year  point      lower      upper      cv_percent"]
     csv_lines = ["ay,level,point,lower,upper,cv_percent"]
-    for level in sorted(levels):
-        for i, row in zip(sorted(dist.draws_by_ay), predictive.ay_summary(dist, level)):
+    for level, (*ay_rows, total) in zip(sorted(levels), rows_by_level):
+        for i, row in zip(sorted(dist.draws_by_ay), ay_rows):
             csv_lines.append(
                 f"{label + i - 1},{level:g},{row.point:.2f},{row.lower:.2f},{row.upper:.2f},{row.cv_percent:.2f}"
             )
@@ -264,7 +266,6 @@ def cmd_reserve(triangle, b, levels, no_correct, threads, round_amounts, out_dir
                 table.append(
                     f"{label + i - 1:<14d} {row.point:<10.0f} {row.lower:<10.0f} {row.upper:<10.0f} {row.cv_percent:.1f}"
                 )
-        total = next(s for s in summaries if s.level == level)
         csv_lines.append(
             f"total,{level:g},{total.point:.2f},{total.lower:.2f},{total.upper:.2f},{total.cv_percent:.2f}"
         )

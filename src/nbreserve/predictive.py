@@ -157,11 +157,42 @@ def _interval(draws: np.ndarray, level: float) -> Tuple[float, float]:
     return float(lo), float(hi)
 
 
-def _cv_percent(draws: np.ndarray) -> float:
-    mean = float(draws.mean())
-    if mean == 0.0:
-        return 0.0
-    return 100.0 * float(draws.std(ddof=1)) / mean
+def check_level(level: float) -> None:
+    """Raise ValueError unless ``level`` lies inside (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be inside (0, 1), got {level}")
+
+
+def summary_rows(d: ReserveDistribution, levels: Sequence[float]) -> List[List[IntervalSummary]]:
+    """Per level, sorted: one row per accident year with future cells, then the total.
+
+    The draws are one C-contiguous (n_ay + 1, B) stack, so one row-wise
+    ``np.quantile`` at every level's two tails, one mean and one
+    ``std(ddof=1)`` give every row; row by row they are the bits of the
+    same calls on each draw array.
+    """
+    if d.b_effective < _MIN_DRAWS:
+        raise TooFewDrawsError(
+            f"{d.b_effective} effective draws; at least {_MIN_DRAWS} needed for stable quantiles"
+        )
+    levels = sorted(levels)
+    for level in levels:
+        check_level(level)
+    years = sorted(d.draws_by_ay)
+    stack = np.array([d.draws_by_ay[i] for i in years] + [d.draws_total])
+    tails = np.quantile(stack, [p for lv in levels for p in ((1.0 - lv) / 2.0, (1.0 + lv) / 2.0)], axis=1)
+    points = [float(d.point_by_ay[i - 1]) for i in years] + [d.point_total]
+    cvs = [
+        0.0 if mean == 0.0 else 100.0 * sd / mean
+        for mean, sd in zip(stack.mean(axis=1).tolist(), stack.std(axis=1, ddof=1).tolist())
+    ]
+    return [
+        [
+            IntervalSummary(level=level, lower=lo, upper=hi, point=point, cv_percent=cv)
+            for lo, hi, point, cv in zip(tails[2 * k].tolist(), tails[2 * k + 1].tolist(), points, cvs)
+        ]
+        for k, level in enumerate(levels)
+    ]
 
 
 def summarize(d: ReserveDistribution, levels: Sequence[float] = (0.95,)) -> List[IntervalSummary]:
@@ -170,46 +201,12 @@ def summarize(d: ReserveDistribution, levels: Sequence[float] = (0.95,)) -> List
     Intervals at nested levels nest because the quantile rule is
     monotone in the level.
     """
-    if d.b_effective < _MIN_DRAWS:
-        raise TooFewDrawsError(
-            f"{d.b_effective} effective draws; at least {_MIN_DRAWS} needed for stable quantiles"
-        )
-    out = []
-    for level in sorted(levels):
-        if not 0.0 < level < 1.0:
-            raise ValueError(f"level must be inside (0, 1), got {level}")
-        lo, hi = _interval(d.draws_total, level)
-        out.append(
-            IntervalSummary(
-                level=level,
-                lower=lo,
-                upper=hi,
-                point=d.point_total,
-                cv_percent=_cv_percent(d.draws_total),
-            )
-        )
-    return out
+    return [rows[-1] for rows in summary_rows(d, levels)]
 
 
 def ay_summary(d: ReserveDistribution, level: float = 0.95) -> List[IntervalSummary]:
     """Per-accident-year intervals, one row per year with future cells."""
-    if d.b_effective < _MIN_DRAWS:
-        raise TooFewDrawsError(
-            f"{d.b_effective} effective draws; at least {_MIN_DRAWS} needed for stable quantiles"
-        )
-    rows = []
-    for i, draws in sorted(d.draws_by_ay.items()):
-        lo, hi = _interval(draws, level)
-        rows.append(
-            IntervalSummary(
-                level=level,
-                lower=lo,
-                upper=hi,
-                point=float(d.point_by_ay[i - 1]),
-                cv_percent=_cv_percent(draws),
-            )
-        )
-    return rows
+    return summary_rows(d, (level,))[0][:-1]
 
 
 def summary_json(d: ReserveDistribution, levels: Sequence[float] = (0.95,)) -> dict:

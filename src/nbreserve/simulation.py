@@ -10,7 +10,8 @@ The observed and future cells follow :func:`nbreserve.glm.triangle_cells`
 and the engine runs in :mod:`nbreserve._bootstrap`, whose ``sample_nb``
 also draws the simulated squares. Each method maps to one ``Family``
 tag; the Poisson base fit serves the poisson and odp methods and the
-joint NB fit serves nb_mle and nb_corrected, once per triangle. Like
+joint NB fit serves nb_mle and nb_corrected, once per triangle, and
+those two share the engine's refit batches. Like
 the engine's refits, and unlike ``fit`` and ``bootstrap``, base fits
 drop an all-zero level, whose means are then zero.
 """
@@ -226,7 +227,11 @@ def _run_replicate(config: DgpConfig, s: int, methods: Sequence[str]) -> Dict[st
     Each family is fitted once; a failed fit fails every method that
     shares it, and so does a triangle with no residual degree of freedom
     for the methods that divide by it: odp (its kept cells less free
-    coefficients) and nb_corrected (the full design's n - p).
+    coefficients) and nb_corrected (the full design's n - p). The
+    methods that remain bootstrap in one engine pass
+    (:func:`nbreserve._bootstrap.run_group`), which stacks the refits of
+    nb_mle and nb_corrected; method ``m_index`` draws replicate ``b``
+    from the substream (seed, 1, s, m_index, b) all the same.
     """
     t, true_out = generate(config, s)
     out: Dict[str, Optional[dict]] = {m: None for m in methods}
@@ -236,6 +241,7 @@ def _run_replicate(config: DgpConfig, s: int, methods: Sequence[str]) -> Dict[st
         return out
     y, design = _observed(t)
     bases: Dict[str, Optional[tuple]] = {}
+    specs, runs = [], []
 
     for m_index, method in enumerate(methods):
         family, correct = _METHOD_FAMILY[method]
@@ -251,11 +257,13 @@ def _run_replicate(config: DgpConfig, s: int, methods: Sequence[str]) -> Dict[st
         param = disp if family == "quasipoisson" else kappa
         if correct:
             param = bias_correct(kappa, design.n, design.p)
-        spec = _bootstrap.EngineSpec(
+        specs.append(_bootstrap.EngineSpec(
             seed=config.seed, prefix=(1, s, m_index), b=config.b, design=design,
             base_coef=coef, mu_obs=mu, family=family, param=param, correct=correct,
-        )
-        totals, _, failures = _bootstrap.run(spec)
+        ))
+        runs.append((method, kappa, at_boundary))
+
+    for (method, kappa, at_boundary), (totals, _, failures) in zip(runs, _bootstrap.run_group(specs)):
         if failures > _bootstrap.MAX_FAILURE_FRACTION * config.b:
             continue
         rec = {"point": point, "true": true_out, "kappa": kappa, "at_boundary": at_boundary}

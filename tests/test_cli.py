@@ -44,6 +44,16 @@ def test_import_loads_neither_scipy_nor_multiprocessing():
     assert done.stdout.strip() == "[]"
 
 
+def test_import_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first use; the substream keys must not
+    # pull it into the start-up of commands that draw nothing
+    code = "import sys, nbreserve.cli; print('numpy.random' in sys.modules)"
+    src = str(Path(nbreserve.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
+
+
 class TestFit:
     def test_nb_fit(self, runner, triangle_csv, tmp_path):
         out = str(tmp_path / "out")
@@ -144,6 +154,24 @@ class TestReserve:
         # 6 developing accident years plus the total row, per level
         assert sum(1 for l in csv_lines if l.startswith("total,")) == 2
         assert sum(1 for l in csv_lines if l.startswith("19")) == 12
+
+    def test_outputs_pinned(self, runner, triangle_csv, tmp_path):
+        # reserve.json and reserve.csv as the per-array summaries wrote them
+        # (lines naming the run id left out: it hashes the input's path)
+        out = tmp_path / "out"
+        run_ok(
+            runner,
+            ["reserve", triangle_csv, "-B", "300", "--level", "0.75", "--level", "0.95", "--level", "0.5",
+             "--threads", "1", "--out-dir", str(out)],
+        )
+        digests = {}
+        for name in ("reserve.json", "reserve.csv"):
+            body = "\n".join(l for l in (out / name).read_text().splitlines() if "run_id" not in l)
+            digests[name] = hashlib.sha256(body.encode()).hexdigest()
+        assert digests == {
+            "reserve.json": "bf8329c52b47abbea3c3ffd4b440a9368f84d20427439c3e161cdccbce9274d3",
+            "reserve.csv": "732250369ff884df4d304a5357f3ca90ef7a3c3bb175ffeb63a65cf6912dd348",
+        }
 
     def test_seed_determinism(self, runner, triangle_csv, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -257,6 +285,19 @@ class TestErrors:
         assert result.exit_code == 2
         err = json.loads(result.output.strip().splitlines()[-1])
         assert err["error"]["kind"] == "FileNotFound"
+
+    @pytest.mark.parametrize("level", ["1.5", "0", "-0.2", "nan"])
+    def test_bad_level_fails_before_bootstrap(self, runner, triangle_csv, tmp_path, monkeypatch, level):
+        def no_bootstrap(*args, **kwargs):
+            raise AssertionError("the bootstrap ran for an invalid level")
+
+        monkeypatch.setattr(nbreserve.predictive, "bootstrap", no_bootstrap)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["reserve", triangle_csv, "-B", "2000", "--level", level, "--out-dir", str(out)])
+        assert result.exit_code == 2
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err["error"] == {"kind": "InvalidValue", "message": f"level must be inside (0, 1), got {float(level)}"}
+        assert not out.exists()
 
     def test_bad_triangle(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -99,6 +99,14 @@ class TestSampler:
         with pytest.raises(ValueError):
             sample_nb(np.ones(3), kappa, substream(0, 8), size=(1,))
 
+    @pytest.mark.parametrize("kappa", [0.0, -1.0])
+    def test_engine_draws_check_kappa(self, kappa):
+        # the engine draws through draw_counts, which must not return zeros
+        from nbreserve._bootstrap import draw_counts
+
+        with pytest.raises(ValueError):
+            draw_counts("negbin", kappa, np.ones(3), substream(0, 8))
+
     def test_nonnegative_integers(self):
         rng = substream(0, 6)
         x = sample_nb(3.0, 1.5, rng, size=10_000)
@@ -524,6 +532,25 @@ class TestSummaries:
         d = bootstrap(australian, b=60, seed=0)
         with pytest.raises(TooFewDrawsError):
             summarize(d)
+
+    @pytest.mark.parametrize("name, b", [("taylor", 100), ("taylor", 777), ("australian", 777)])
+    def test_one_pass_is_per_array(self, request, name, b):
+        # the row-wise stack gives each draw array's own quantile, mean and std bits
+        d = bootstrap(request.getfixturevalue(name), b=b, seed=2)
+        levels = (0.5, 0.75, 0.95)
+        arrays = [d.draws_by_ay[i] for i in sorted(d.draws_by_ay)] + [d.draws_total]
+        rows = [ay_summary(d, level) + [total] for level, total in zip(levels, summarize(d, levels))]
+        for level, level_rows in zip(levels, rows):
+            for draws, row in zip(arrays, level_rows):
+                lo, hi = np.quantile(draws, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
+                mean = float(draws.mean())
+                cv = 0.0 if mean == 0.0 else 100.0 * float(draws.std(ddof=1)) / mean
+                assert (row.level, row.lower, row.upper, row.cv_percent) == (level, float(lo), float(hi), cv)
+
+    def test_ay_summary_level_validation(self, dist):
+        for level in (0.0, 1.0, 1.5, float("nan")):
+            with pytest.raises(ValueError):
+                ay_summary(dist, level)
 
     def test_ay_summaries(self, dist):
         rows = ay_summary(dist, level=0.95)

@@ -289,3 +289,59 @@ class TestStudyPinned:
         )
         failed = {m.method: m.n_failed for m in run_study(config).methods}
         assert failed == {"poisson": 0, "odp": 2, "nb_mle": 0, "nb_corrected": 2}
+
+
+class TestGroupPass:
+    """One engine pass per triangle gives every method the draws of its own run."""
+
+    # dimension 3 with thin middle years: replicates whose accident year 2
+    # draws zero leave odp no residual dof while poisson still fits, and one
+    # triangle's odp base fit has no dof at all
+    THIN = DgpConfig(
+        dimension=3, true_alpha=(2.0, 0.7, 2.0), true_dev_weights=(0.5, 0.3, 0.2), kappa_true=5.0, n_sim=6, b=120, seed=1
+    )
+
+    @staticmethod
+    def _checked(monkeypatch):
+        """Make every group pass also run each spec alone and compare; returns the failures seen."""
+        from nbreserve import _bootstrap
+
+        real, seen = _bootstrap.run_group, []
+
+        def checked(specs):
+            got = real(specs)
+            for spec, (totals, by_ay, failures) in zip(specs, got):
+                alone = _bootstrap.run(spec)
+                assert np.array_equal(totals, alone[0]) and np.array_equal(by_ay, alone[1])
+                assert failures == alone[2]
+            seen.append({spec.family: failures for spec, (_, _, failures) in zip(specs, got)})
+            return got
+
+        monkeypatch.setattr(_bootstrap, "run_group", checked)
+        return seen
+
+    def test_all_zero_level_and_several_batches(self, monkeypatch):
+        seen = self._checked(monkeypatch)
+        config = default_config(n_sim=2, b=150, seed=8)  # replicate 1 has an all-zero development year
+        run_study(config)
+        assert [sorted(s) for s in seen] == [["negbin", "poisson", "quasipoisson"]] * 2
+
+    def test_odp_without_dof(self, monkeypatch):
+        seen = self._checked(monkeypatch)
+        run_study(self.THIN)
+        assert any("quasipoisson" not in s for s in seen)  # a base fit with no dof
+        assert any(s.get("quasipoisson", 0) > s["poisson"] for s in seen)  # replicate refits with none
+
+    def test_failed_base_fit(self, monkeypatch):
+        from nbreserve import simulation
+
+        seen = self._checked(monkeypatch)
+        base = simulation._method_base
+        monkeypatch.setattr(simulation, "_method_base", lambda tag, y, d: None if tag == "negbin" else base(tag, y, d))
+        result = run_study(default_config(n_sim=2, b=60, seed=8))
+        assert [sorted(s) for s in seen] == [["poisson", "quasipoisson"]] * 2
+        assert {m.method: m.n_failed for m in result.methods} == {"poisson": 0, "odp": 0, "nb_mle": 2, "nb_corrected": 2}
+
+    @pytest.mark.parametrize("config", [default_config(n_sim=4, b=60, seed=8), THIN], ids=["default", "thin"])
+    def test_worker_invariance_all_methods(self, config):
+        assert study_json(run_study(config, workers=2)) == study_json(run_study(config, workers=1))
