@@ -52,16 +52,20 @@ def dev_factors(c: CumulativeTriangle) -> np.ndarray:
 
     f_j sums C[i, j+1] over the accident years where that cell is
     observed (i <= I - j - 1) and divides by the matching C[i, j] sum.
+    The sums are Python integers, exact past 2**63, and each factor is
+    their correctly rounded quotient.
     """
     I = c.dimension
+    grid = c.grid.tolist()
+    # those years hold every observed cell of column j + 1, and every one
+    # of column j but its last, in year I - j
+    sums = [sum(col) for col in zip(*grid)]
     factors = np.empty(I - 1)
     for j in range(I - 1):
-        rows = range(1, I - j)
-        num = sum(c.cell(i, j + 1) for i in rows)
-        den = sum(c.cell(i, j) for i in rows)
+        den = sums[j] - grid[I - 1 - j][j]
         if den == 0:
             raise ZeroColumnSumError(f"development year {j}: column sum is zero")
-        factors[j] = num / den
+        factors[j] = sums[j + 1] / den
     return factors
 
 

@@ -32,7 +32,7 @@ from . import __version__, dispersion, predictive, simulation
 from .chainladder import chain_ladder
 from .diagnostics import export_profile, pearson_residuals, residuals_csv
 from .errors import ConfigError, ReservingError, TriangleError
-from .glm import Family, fit as glm_fit, triangle_cells
+from .glm import Family, _prepare, fit as glm_fit, triangle_cells
 from .triangle import read_triangle, to_long
 
 _SEED_ENV = "NBRESERVE_SEED"
@@ -119,7 +119,11 @@ def _input(path: str) -> dict:
 def _load_triangle(path: str, round_amounts: bool):
     if not os.path.exists(path):
         raise FileNotFoundError(f"input file not found: {path}")
-    return read_triangle(path, round_amounts=round_amounts)
+    t = read_triangle(path, round_amounts=round_amounts)
+    # an all-zero accident or development year fails here, as SeparationError,
+    # for every command alike, before the chain-ladder or any fit sees it
+    _prepare(to_long(t))
+    return t
 
 
 def _seed_option(func):

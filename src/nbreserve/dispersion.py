@@ -2,8 +2,9 @@
 
 The dispersion kappa is estimated by maximum likelihood: the joint fit
 :func:`nb_mle` runs Newton iterations over the mean effects and log
-kappa together, from the closed-form chain-ladder Poisson fit, and so
-maximises the profile
+kappa together, from the closed-form chain-ladder Poisson fit and the
+Pearson moment estimate of kappa at its means (:func:`_start_kappa`),
+and so maximises the profile
 l_p(kappa) = l(alpha_hat(kappa), beta_hat(kappa), kappa) over log kappa
 in [1e-3, 1e8]. The bootstrap engine refits its replicates with the
 same kernel, :func:`_nb_mle_batch`, of which :func:`nb_mle` is the
@@ -35,12 +36,13 @@ import numpy as np
 
 from .errors import FlatProfileError, NoResidualDofError, NotConvergedError, SingularInformationError
 from .glm import (
-    _ETA_BOUND, _IRLS_MAX_ITER, _KAPPA_SERIES, Design, Family, _irls, _newton_step, _newton_terms, _NormalEquations,
+    _ETA_BOUND, _IRLS_MAX_ITER, _KAPPA_SERIES, Design, Family, _irls, _newton_step, _NormalEquations,
     _lgamma, _nb_loglik, _poisson_batch, _prepare, nb_loglik, poisson_loglik,
 )
 
 KAPPA_MIN = 1e-3
 KAPPA_CAP = 1e8
+_BELOW_CAP = math.nextafter(KAPPA_CAP, 0.0)  # the largest kappa a joint fit starts from
 
 # chi-square(1) quantile at 0.95, used to invert the profile LRT
 CHI2_1_95 = 3.841458820694124
@@ -200,8 +202,7 @@ def _endpoint_newton(
         for steps in range(1, _ENDPOINT_STEPS + 1):
             kappa = math.exp(theta)
             mu = np.exp((X @ coef).clip(-_ETA_BOUND, _ETA_BOUND))
-            g = X.T @ (kappa * (y - mu) / (kappa + mu))
-            info, c = _tangent_terms(y, X, mu, kappa)
+            g, info, c = _tangent_terms(y, X, mu, kappa)
             try:
                 u, v = np.linalg.solve(info, np.column_stack((g, c))).T
             except np.linalg.LinAlgError:
@@ -341,18 +342,25 @@ def _profile_curvature(y: np.ndarray, X: np.ndarray, mu: np.ndarray, kappa: floa
     c = X^T [kappa (y - mu) mu / (kappa + mu)^2] the log-kappa derivative
     of their score.
     """
-    info, c = _tangent_terms(y, X, mu, kappa)
+    _, info, c = _tangent_terms(y, X, mu, kappa)
     tangent = np.linalg.solve(info, c)
     s, s_kappa = _kappa_score(y, mu, kappa, deriv=True)
     h = kappa * float(s) + kappa * kappa * float(s_kappa)
     return h + float(c @ tangent), tangent
 
 
-def _tangent_terms(y: np.ndarray, X: np.ndarray, mu: np.ndarray, kappa: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The coefficients' observed information X^T W X and c, the log-kappa derivative of their score."""
-    w, _ = _newton_terms(y, mu, kappa)
-    c = X.T @ (kappa * (y - mu) * mu / (kappa + mu) ** 2)
-    return (X * w[:, None]).T @ X, c
+def _tangent_terms(
+    y: np.ndarray, X: np.ndarray, mu: np.ndarray, kappa: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coefficient score g = X^T s, their observed information X^T W X and c, the log-kappa derivative of g.
+
+    s is each cell's score kappa (y - mu) / (kappa + mu) and W holds the
+    weights of :func:`nbreserve.glm._newton_terms`; all three come from
+    one y - mu and one kappa + mu.
+    """
+    r, k_mu = y - mu, kappa + mu
+    w = mu / k_mu * (kappa / k_mu) * (kappa + y)
+    return X.T @ (kappa * r / k_mu), (X * w[:, None]).T @ X, X.T @ (kappa * r * mu / k_mu**2)
 
 
 def _kappa_score(y: np.ndarray, mu: np.ndarray, kappa, deriv: bool = False):
@@ -504,7 +512,8 @@ def _solve_kappa(y: np.ndarray, mu: np.ndarray, kappa0: float) -> float:
     """:func:`_solve_kappa_batch` on one row.
 
     No fit calls it; it keeps the one-triangle name that the traced
-    benchmark (``bench/spans.py``) hooks.
+    benchmark (``bench/spans.py``) hooks, and tests check a joint fit's
+    kappa against it.
     """
     y, mu = np.asarray(y, dtype=float), np.asarray(mu, dtype=float)
     return float(_solve_kappa_batch(y[None], mu[None], np.array([kappa0], dtype=float))[0])
@@ -512,6 +521,8 @@ def _solve_kappa(y: np.ndarray, mu: np.ndarray, kappa0: float) -> float:
 
 def _solve_kappa_batch(Y: np.ndarray, mu: np.ndarray, kappa0: np.ndarray) -> np.ndarray:
     """Maximise the NB log-likelihood over kappa at fixed means, for each row of ``Y`` and ``mu``.
+
+    No fit calls it: the joint fit starts at :func:`_start_kappa`.
 
     Safeguarded Newton iteration on log kappa within [KAPPA_MIN,
     KAPPA_CAP] from ``kappa0``, keeping a bracket of the root of the
@@ -568,6 +579,27 @@ def _moment_kappa(y: np.ndarray, mu: np.ndarray, mask: Optional[np.ndarray] = No
     return np.clip(kappa, KAPPA_MIN, KAPPA_CAP)
 
 
+def _start_kappa(y: np.ndarray, mu: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
+    """The joint fit's first kappa, per triangle, at the Poisson means ``mu``.
+
+    KAPPA_CAP at the Poisson boundary (:func:`_at_poisson_boundary`);
+    otherwise the Pearson moment estimate of :func:`_moment_kappa`, the
+    classical start for joint maximum likelihood (Lawless 1987, Can. J.
+    Statist. 15:209-225), or where that is degenerate (the cap) the
+    large-kappa moment sum(mu^2) / S, S = sum((y - mu)^2 - y) > 0. Both
+    are kept below the cap, so the joint loop takes every row not at the
+    boundary. Only the cells ``mask`` marks are counted.
+    """
+    moment = _moment_kappa(y, mu, mask)
+    if mask is not None:
+        mu = mu * mask
+    excess = ((y - mu) ** 2 - y).sum(-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        start = np.where(moment < KAPPA_CAP, moment, (mu * mu).sum(-1) / excess)
+    # excess <= 0 is _at_poisson_boundary's test, on the sum just taken
+    return np.where(excess <= 0.0, KAPPA_CAP, start.clip(KAPPA_MIN, _BELOW_CAP))
+
+
 def nb_mle(
     y: np.ndarray,
     design: Design,
@@ -615,12 +647,14 @@ def _nb_mle_batch(
     where it adds nothing, so each row's kappa is that of its kept cells.
 
     The Poisson fit (:func:`nbreserve.glm._poisson_batch`, the
-    closed-form chain-ladder where it applies) gives the means from
-    which :func:`_solve_kappa_batch` takes the first kappa, unless the
-    caller passes it as ``poisson`` (whose arrays the fit updates in
-    place). From there
-    each iteration takes one Newton step for the coefficients at fixed
-    kappa (:func:`nbreserve.glm._newton_step`, the step of every fit at
+    closed-form chain-ladder where it applies) gives the means, unless
+    the caller passes it as ``poisson`` (whose arrays the fit updates in
+    place). A row at the Poisson boundary there stops at KAPPA_CAP; every
+    other row starts at the closed-form :func:`_start_kappa`, the
+    Pearson moment estimate, with no solve of the kappa score at the
+    Poisson means. From there each iteration takes one Newton step for
+    the coefficients at fixed kappa
+    (:func:`nbreserve.glm._newton_step`, the step of every fit at
     fixed kappa), with the observed information, whose working weights
     mu kappa (kappa + y) / (kappa + mu)^2 stay positive, and step
     halving on the deviance; then one Newton step in log kappa at the
@@ -654,9 +688,7 @@ def _nb_mle_batch(
         return a if mask is None else a * mask[rows]
 
     live = np.nonzero(poisson_ok)[0]
-    kappa[live] = _solve_kappa_batch(
-        Y[live], kept(mu[live], live), _moment_kappa(Y[live], mu[live], None if mask is None else mask[live])
-    )
+    kappa[live] = _start_kappa(Y[live], mu[live], None if mask is None else mask[live])
     cap = kappa >= KAPPA_CAP
     kappa[cap], ok[cap] = KAPPA_CAP, True
     live = live[~cap[live]]

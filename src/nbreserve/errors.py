@@ -53,8 +53,8 @@ class ZeroColumnSumError(ReservingError):
     """A development-factor denominator column sums to zero."""
 
 
-class SeparationError(ReservingError):
-    """A factor level has all-zero counts, so its coefficient diverges."""
+class SeparationError(TriangleError):
+    """A factor level has all-zero counts, so its coefficient diverges: an input problem in a user's triangle."""
 
 
 class RankDeficientError(ReservingError):

@@ -80,14 +80,34 @@ class _TriangleBase:
             if any(v > _MAX_COUNT for v in row):
                 raise CountTooLargeError(f"accident year {idx + 1}: a count is 2**53 or more")
             grid[idx, :expected] = row
+        self._adopt(grid, origin_label)
+
+    def _adopt(self, grid: np.ndarray, origin_label: Optional[Label]) -> None:
         grid.setflags(write=False)
-        self.dimension = dimension
+        self.dimension = len(grid)
         self.origin_label = origin_label
         self._grid = grid
+
+    @classmethod
+    def _from_grid(cls, grid: np.ndarray, origin_label: Optional[Label] = None):
+        """The triangle of ``grid``, an I x I int64 array of counts below 2**53, zero in the future region.
+
+        The caller has checked every cell; the array becomes read-only.
+        """
+        if len(grid) < 2:
+            raise RaggedRowsError("a triangle needs at least 2 accident years")
+        t = cls.__new__(cls)
+        t._adopt(grid, origin_label)
+        return t
 
     @property
     def n_dev(self) -> int:
         return self.dimension
+
+    @property
+    def grid(self) -> np.ndarray:
+        """The read-only I x I int64 counts, zero in the future region."""
+        return self._grid
 
     def cell(self, ay: int, dy: int) -> int:
         """Return the count for accident year ``ay`` (1-based), development year ``dy``."""
@@ -102,9 +122,10 @@ class _TriangleBase:
         return self._grid[ay - 1, : self.dimension - ay + 1].copy()
 
     def observed_cells(self) -> Iterator[CellRecord]:
-        for i in range(1, self.dimension + 1):
-            for j in range(self.dimension - i + 1):
-                yield CellRecord(i, j, int(self._grid[i - 1, j]))
+        I = self.dimension
+        for i, row in enumerate(self._grid.tolist(), start=1):
+            for j in range(I - i + 1):
+                yield CellRecord(i, j, row[j])
 
     def to_matrix(self) -> np.ndarray:
         """Dense float matrix with NaN in the future region."""
@@ -155,20 +176,39 @@ class CumulativeTriangle(_TriangleBase):
 
     def __init__(self, rows, origin_label=None):
         super().__init__(rows, origin_label=origin_label)
-        for i in range(1, self.dimension + 1):
-            r = self._grid[i - 1, : self.dimension - i + 1]
-            if np.any(np.diff(r) < 0):
-                raise NegativeCountError(f"accident year {i}: cumulative counts must be nondecreasing")
+        self._check_nondecreasing()
+
+    @classmethod
+    def _from_grid(cls, grid, origin_label=None):
+        c = super()._from_grid(grid, origin_label)
+        c._check_nondecreasing()
+        return c
+
+    def _check_nondecreasing(self) -> None:
+        # a fall between two observed cells of a row; the future region is zero
+        falling = (np.diff(self._grid, axis=1) < 0) & _observed(self.dimension)[:, 1:]
+        if falling.any():
+            i = int(np.argmax(falling.any(axis=1))) + 1
+            raise NegativeCountError(f"accident year {i}: cumulative counts must be nondecreasing")
 
     def latest(self) -> np.ndarray:
         """Latest observed diagonal C[i, I - i], one entry per accident year."""
-        return np.array([self.cell(i, self.dimension - i) for i in range(1, self.dimension + 1)], dtype=np.int64)
+        I = self.dimension
+        return self._grid[np.arange(I), np.arange(I - 1, -1, -1)]
+
+
+def _observed(dimension: int) -> np.ndarray:
+    """Boolean I x I mask of the observed cells, i + j <= I in 1-based years."""
+    return np.add.outer(np.arange(dimension), np.arange(dimension)) < dimension
 
 
 def cumulate(t: RunOffTriangle) -> CumulativeTriangle:
     """Row-wise cumulative sums over the observed region."""
-    rows = [np.cumsum(t.row(i)).tolist() for i in range(1, t.dimension + 1)]
-    return CumulativeTriangle(rows, origin_label=t.origin_label)
+    grid = np.where(_observed(t.dimension), np.cumsum(t.grid, axis=1), 0)
+    big = (grid > _MAX_COUNT).any(axis=1)
+    if big.any():
+        raise CountTooLargeError(f"accident year {int(np.argmax(big)) + 1}: a count is 2**53 or more")
+    return CumulativeTriangle._from_grid(grid, origin_label=t.origin_label)
 
 
 def decumulate(c: CumulativeTriangle) -> RunOffTriangle:
@@ -246,7 +286,7 @@ def parse_triangle(text: str, round_amounts: bool = False) -> RunOffTriangle:
         )
 
     origin_label: Optional[Label] = None
-    rows: List[List[int]] = []
+    grid = np.zeros((dimension, dimension), dtype=np.int64)
     for idx, line in enumerate(data):
         if len(line) != width:
             raise RaggedRowsError(f"row {idx + 1}: expected {width} fields, got {len(line)}")
@@ -264,8 +304,13 @@ def parse_triangle(text: str, round_amounts: bool = False) -> RunOffTriangle:
                 row.append(_coerce_count(field, f"({idx + 1}, {j})", round_amounts))
             elif field != "":
                 raise FutureCellError(f"cell ({idx + 1}, {j}): future cell must be empty")
-        rows.append(row)
-    return RunOffTriangle.from_rows(rows, origin_label=origin_label)
+        grid[idx, :observed] = row
+    # an amount of 2**53 - 0.5 or more rounds to 2**53; the first such cell is reported
+    big = np.argwhere(grid > _MAX_COUNT)
+    if big.size:
+        i, j = big[0].tolist()
+        raise CountTooLargeError(f"cell ({i + 1}, {j}): count {int(grid[i, j])!r} is 2**53 or more")
+    return RunOffTriangle._from_grid(grid, origin_label=origin_label)
 
 
 def serialize_triangle(t: _TriangleBase) -> str:
@@ -275,11 +320,8 @@ def serialize_triangle(t: _TriangleBase) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["ay"] + [f"dy{j}" for j in range(I)])
     base = t.origin_label if isinstance(t.origin_label, int) else 1
-    for i in range(1, I + 1):
-        row: List[object] = [base + i - 1]
-        row.extend(int(v) for v in t.row(i))
-        row.extend("" for _ in range(i - 1))
-        writer.writerow(row)
+    for i, counts in enumerate(t.grid.tolist()):
+        writer.writerow([base + i] + counts[: I - i] + [""] * i)
     return out.getvalue()
 
 

@@ -169,7 +169,7 @@ class TestReserve:
             body = "\n".join(l for l in (out / name).read_text().splitlines() if "run_id" not in l)
             digests[name] = hashlib.sha256(body.encode()).hexdigest()
         assert digests == {
-            "reserve.json": "bf8329c52b47abbea3c3ffd4b440a9368f84d20427439c3e161cdccbce9274d3",
+            "reserve.json": "68f82d72898aa7ecfd1cbe01a4266c15f0fa7a23667b09ac4c6381339cb2577c",
             "reserve.csv": "732250369ff884df4d304a5357f3ca90ef7a3c3bb175ffeb63a65cf6912dd348",
         }
 
@@ -346,6 +346,24 @@ class TestErrors:
         err = json.loads(result.output.strip().splitlines()[-1])
         assert err["error"]["kind"] == "NoResidualDof"
         assert "no residual degrees of freedom" in err["error"]["message"]
+
+    # an all-zero year is an input problem, whichever command meets it:
+    # the levels are checked on load, before the chain-ladder or any fit
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("fit", []), ("reserve", ["-B", "20", "--threads", "1"]), ("diagnose", [])],
+        ids=["fit", "reserve", "diagnose"],
+    )
+    @pytest.mark.parametrize("text", ["0,855,744\n0,1133,\n0,,\n", "0,0\n0,\n"], ids=["3x3", "2x2"])
+    def test_all_zero_year_is_input_error(self, runner, tmp_path, command, extra, text):
+        path = tmp_path / "zero.csv"
+        path.write_text(text)
+        result = runner.invoke(main, [command, str(path), "--out-dir", str(tmp_path / "out"), *extra])
+        assert result.exit_code == 2
+        err = json.loads(result.output.strip().splitlines()[-1])["error"]
+        assert err["kind"] == "Separation"
+        assert "all-zero counts" in err["message"]
+        assert not (tmp_path / "out").exists()
 
     # accident year 1's only nonzero count is the lone cell of development
     # year 4, so that year's coefficient can drift without bound; whatever

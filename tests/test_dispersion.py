@@ -36,9 +36,10 @@ from nbreserve.dispersion import (
     _ProfileCache,
     _solve_kappa,
     _solve_kappa_batch,
+    _start_kappa,
 )
 from nbreserve.errors import NoResidualDofError, NotConvergedError
-from nbreserve.glm import _irls, _lgamma, build_design, triangle_cells
+from nbreserve.glm import _IRLS_MAX_ITER, _irls, _lgamma, build_design, triangle_cells
 from conftest import drop_pattern, random_triangle
 
 
@@ -829,3 +830,74 @@ class TestTaylorAshe:
         for bound in est.ci95:
             m = fit(recs, Family.negbin(bound))
             assert 2 * (est.loglik - nb_loglik(m.y, m.fitted_mu, bound)) == pytest.approx(CHI2_1_95, abs=1e-4)
+
+
+class TestMomentStart:
+    """The joint fit from the closed-form moment start ends at the joint maximum."""
+
+    # a draw with a zero cell of tiny Poisson mean among large counts: the
+    # Pearson excess exceeds 1e3 n, the moment start is clipped to KAPPA_MIN,
+    # and the fit leaves the floor (kappa about 0.15)
+    FLOOR_START = [[0, 0, 10, 1052], [1872, 0, 0], [0, 373], [193]]
+
+    @staticmethod
+    def check_rows(Y, design, mask=None, pin=None):
+        """Each converged row's kappa maximises the likelihood at its means, whose coefficient score is zero."""
+        coef, mu, kappa, ok, n_iter = _nb_mle_batch(Y, design, mask=mask, pin=pin)
+        assert np.all(n_iter[ok] < _IRLS_MAX_ITER)
+        for r in np.nonzero(ok)[0]:
+            y, k = Y[r], float(kappa[r])
+            m = mu[r] if mask is None else mu[r] * mask[r]
+            solved = _solve_kappa(y, m, k)
+            if k == KAPPA_CAP:
+                assert solved == KAPPA_CAP
+                continue
+            # the score's rounding error, near 1e-13 (see _kappa_score), moves
+            # its root by about kappa * 1e-13 / |h| in log kappa, h its slope
+            s, s_kappa = _kappa_score(y, m, k, deriv=True)
+            band = k * 1e-13 / abs(k * s + k * k * s_kappa)
+            assert abs(math.log(solved / k)) <= 1e-8 + band
+            score = design.X.T @ (k * (y - m) / (k + m))
+            if pin is not None:
+                score = score * ~pin[r]
+            assert np.abs(score).max() <= 1e-11 * max(y.sum(), 1.0)
+        return ok
+
+    def test_large_kappa_moment_where_pearson_is_degenerate(self):
+        y, design = _prepare(to_long(RunOffTriangle.from_rows(TestKappaSolve.CAP_START[0])))
+        _, mu, *_ = _irls(y, design, Family.poisson())
+        s = np.sum((y - mu) ** 2 - y)
+        assert _moment_kappa(y, mu) == KAPPA_CAP and s > 0
+        assert _start_kappa(y[None], mu[None]).tolist() == [np.sum(mu * mu) / s]
+        # counts equal to their means are at the Poisson boundary
+        assert _start_kappa(mu[None], mu[None]).tolist() == [KAPPA_CAP]
+
+    @pytest.mark.parametrize(
+        "rows",
+        TestKappaSolve.CAP_START + [NEAR_SEPARATED, FLOOR_START, TestKappaSolve.FLAT_TOP, TestKappaSolve.NEAR_POISSON],
+        ids=["cap-start-10", "cap-start-11", "near-separated", "floor-start", "flat-top", "near-poisson"],
+    )
+    def test_fixed_triangles(self, rows):
+        y, design = _prepare(to_long(RunOffTriangle.from_rows(rows)))
+        assert self.check_rows(y[None], design).all()
+
+    def test_floor_start(self):
+        y, design = _prepare(to_long(RunOffTriangle.from_rows(self.FLOOR_START)))
+        _, mu, *_ = _irls(y, design, Family.poisson())
+        assert _start_kappa(y[None], mu[None]).tolist() == [KAPPA_MIN]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(batch=nb_batches())
+    def test_random_rows(self, batch):
+        Y, design = batch
+        mask, pin = drop_pattern(Y, design)
+        ok = self.check_rows(Y, design, mask, pin)
+        assert ok.sum() >= 3
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), dimension=st.integers(3, 10))
+    def test_poisson_compatible(self, seed, dimension):
+        rows = _gamma_poisson_rows(np.random.default_rng(seed), dimension, math.inf)
+        assume(rows is not None)
+        y, design = _prepare(to_long(RunOffTriangle.from_rows(rows)))
+        assert self.check_rows(y[None], design).all()
