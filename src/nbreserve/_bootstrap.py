@@ -7,7 +7,7 @@ from the refitted means. The engine is family-generic: one
 ``negbin``) picks the law of both draws and the refit, so the same
 loop serves the Poisson, overdispersed Poisson and negative binomial
 methods. Everything about the triangle's cells comes from its
-:class:`~nbreserve.glm.Design` and :func:`~nbreserve.glm.triangle_cells`.
+:class:`~nbreserve.glm.Design` and :func:`~nbreserve.triangle.triangle_cells`.
 
 Replicate refits on synthetic data can meet factor levels whose counts
 are all zero. The maximum-likelihood limit sends those level means to
@@ -45,9 +45,9 @@ from . import dispersion
 from ._rng import substreams
 from ._rng import substream  # not called here: bench/spans.py hooks _bootstrap:substream
 from .errors import ReservingError
-from .glm import Design, _poisson_batch, build_design, drop_masks, pearson_statistic, triangle_cells
+from .glm import Design, _effects_from_coef, _kept_levels, _poisson_batch, build_design, drop_masks, pearson_statistic
 from .glm import _irls  # not called here: bench/spans.py hooks _bootstrap:_irls
-from .triangle import _MAX_COUNT
+from .triangle import _MAX_COUNT, triangle_cells
 
 
 # share of failed refits tolerated before a run is abandoned
@@ -64,7 +64,7 @@ class EngineSpec:
 
     ``design`` is the design of the full square triangle, whose observed
     cells ``mu_obs`` and ``base_coef`` describe; the future cells are
-    those :func:`~nbreserve.glm.triangle_cells` gives for its size.
+    those :func:`~nbreserve.triangle.triangle_cells` gives for its size.
     ``family`` is a ``Family`` tag: the law of the observed-cell draws,
     of the refit and of the future draws. ``param`` is the kappa
     (``negbin``) or phi (``quasipoisson``) of the observed-cell draws.
@@ -129,21 +129,6 @@ def draw_counts(tag: str, param: Optional[float], mu: np.ndarray, rng: np.random
     raise ValueError(f"unknown sampling family {tag!r}")
 
 
-def _effects_from_coef(coef: np.ndarray, n_ay: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Log-scale row and column effects for each row of ``coef``."""
-    zero = np.zeros((len(coef), 1))
-    row = coef[:, :1] + np.hstack((zero, coef[:, 1:n_ay]))
-    col = np.hstack((zero, coef[:, n_ay:]))
-    return row, col
-
-
-def _levels_present(Y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray]:
-    """Which accident and development years have a positive total, per row of ``Y``."""
-    ay = Y @ (design.ay_idx[:, None] == np.arange(design.n_ay)) > 0
-    dy = Y @ (design.dy_idx[:, None] == np.arange(design.n_dy)) > 0
-    return ay, dy
-
-
 def _refit(y_star: np.ndarray, spec: EngineSpec) -> Optional[Tuple[np.ndarray, np.ndarray, Optional[float]]]:
     """Refit one replicate on its reduced design; returns (row_eff, col_eff, dispersion).
 
@@ -157,7 +142,7 @@ def _refit(y_star: np.ndarray, spec: EngineSpec) -> Optional[Tuple[np.ndarray, n
     reference.
     """
     d = spec.design
-    ay_keep, dy_keep = (keep[0] for keep in _levels_present(y_star[None], d))
+    ay_keep, dy_keep = _kept_levels(y_star, d)
     keep_ay, keep_dy = np.nonzero(ay_keep)[0], np.nonzero(dy_keep)[0]
     cells = ay_keep[d.ay_idx] & dy_keep[d.dy_idx]
     if not cells.any():
@@ -186,11 +171,9 @@ def _refit(y_star: np.ndarray, spec: EngineSpec) -> Optional[Tuple[np.ndarray, n
     except ReservingError:
         return None
 
-    row_red, col_red = _effects_from_coef(coef[None], len(keep_ay))
     row_eff = np.full(spec.design.n_ay, -np.inf)
     col_eff = np.full(spec.design.n_dy, -np.inf)
-    row_eff[keep_ay] = row_red[0]
-    col_eff[keep_dy] = col_red[0]
+    row_eff[keep_ay], col_eff[keep_dy] = _effects_from_coef(coef, len(keep_ay))
     return row_eff, col_eff, disp
 
 
@@ -215,7 +198,7 @@ def fit_kept_levels(
     coef = np.full((m, design.p), np.nan)
     mu = np.zeros((m, design.n))
     disp = np.full(m, np.nan)
-    ay_keep, dy_keep = _levels_present(Y, design)
+    ay_keep, dy_keep = _kept_levels(Y, design)
     mask, pin = drop_masks(design, ay_keep, dy_keep)
     n_kept = mask.sum(axis=1)
     dof = n_kept - (pin.shape[1] - pin.sum(axis=1))  # kept cells less free coefficients

@@ -32,8 +32,8 @@ from . import __version__, dispersion, predictive, simulation
 from .chainladder import chain_ladder
 from .diagnostics import export_profile, pearson_residuals, residuals_csv
 from .errors import ConfigError, ReservingError, TriangleError
-from .glm import Family, _prepare, fit as glm_fit, triangle_cells
-from .triangle import read_triangle, to_long
+from .glm import _CONDITION_WARN, Family, _prepare, fit as glm_fit
+from .triangle import read_triangle, to_long, triangle_cells
 
 _SEED_ENV = "NBRESERVE_SEED"
 
@@ -49,8 +49,8 @@ def _guarded(func):
     def wrapper(*args, **kwargs):
         try:
             return func(*args, **kwargs)
-        except FileNotFoundError as exc:
-            _fail("FileNotFound", str(exc), 2)
+        except OSError as exc:  # kind FileNotFound, IsADirectory, FileExists, ...
+            _fail(type(exc).__name__.removesuffix("Error"), str(exc), 2)
         except (TriangleError, ConfigError) as exc:
             _fail(exc.kind, str(exc), 2)
         except ValueError as exc:
@@ -73,12 +73,10 @@ class _Run:
         canon = json.dumps({"subcommand": subcommand, **params}, sort_keys=True, default=str)
         self.run_id = hashlib.sha256(canon.encode()).hexdigest()[:12]
 
-    def write_text(self, name: str, text: str, stamp: bool = True) -> Path:
+    def write_text(self, name: str, text: str) -> Path:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / name
-        if stamp:
-            text = f"# run_id: {self.run_id}\n" + text
-        path.write_text(text, encoding="utf-8")
+        path.write_text(f"# run_id: {self.run_id}\n" + text, encoding="utf-8")
         self.outputs.append(name)
         return path
 
@@ -117,8 +115,6 @@ def _input(path: str) -> dict:
 
 
 def _load_triangle(path: str, round_amounts: bool):
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"input file not found: {path}")
     t = read_triangle(path, round_amounts=round_amounts)
     # an all-zero accident or development year fails here, as SeparationError,
     # for every command alike, before the chain-ladder or any fit sees it
@@ -221,7 +217,7 @@ def cmd_fit(triangle: str, family: str, round_amounts: bool, out_dir: str, seed:
         f"chain-ladder total   {cl.total_reserve:.1f}",
         f"condition number     {model.condition_number:.3g}",
     ]
-    if model.condition_number > 1e3:
+    if model.condition_number > _CONDITION_WARN:
         lines.append("warning: weighted information is poorly conditioned")
     click.echo("\n".join(lines))
     run.write_json("fit.json", payload)
@@ -303,8 +299,6 @@ def cmd_simulate(scenario, kappa, nsim, b, threads, config_path, out_dir, seed):
     """Run a frequentist coverage study against a known process."""
     overrides = {"scenario": scenario, "kappa_true": kappa, "n_sim": nsim, "b": b, "seed": seed}
     if config_path is not None:
-        if not os.path.exists(config_path):
-            raise FileNotFoundError(f"config file not found: {config_path}")
         with open(config_path, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):

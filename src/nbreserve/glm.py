@@ -21,9 +21,12 @@ Fits are computed under treatment contrasts (first accident year and
 development year 0 as baselines) and re-expressed on the simplex scale,
 where the development effects exponentiate to weights summing to one.
 
-The other modules share its layout: the observed and future cells of
-a square triangle (:func:`triangle_cells`), records to counts and a
-design (:func:`_prepare`), and the Pearson statistic behind every
+The other modules share its layout: records to counts and a design
+(:func:`_counts_and_design`; :func:`_prepare` adds the input checks),
+the coefficient order (:func:`build_design`, read back by
+:func:`_split_coef` and :func:`_effects_from_coef`), the levels a row
+keeps (:func:`_kept_levels`) and the masks and pins that drop the
+others (:func:`drop_masks`), and the Pearson statistic behind every
 quasi-Poisson phi (:func:`pearson_statistic`).
 """
 
@@ -221,14 +224,27 @@ def build_design(ay: Sequence[int], dy: Sequence[int], n_ay: Optional[int] = Non
     return Design(ay_idx=ay_idx, dy_idx=dy_idx, n_ay=n_ay, n_dy=n_dy, X=X)
 
 
-def triangle_cells(I: int) -> Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
-    """0-based (ay, dy) indices of the observed and the future cells of an I x I triangle.
+def _split_coef(coef: np.ndarray, n_ay: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Intercept (a length-1 axis), accident-year and development-year effects of coefficient vectors (last axis)."""
+    return coef[..., :1], coef[..., 1:n_ay], coef[..., n_ay:]
 
-    A cell is future when ay + dy >= I. Both sets are row-major, so the
-    observed cells come in the order of ``triangle.to_long``.
+
+def _effects_from_coef(coef: np.ndarray, n_ay: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Log-scale row and column effects of coefficient vectors (last axis): log mu[i, j] = row[i] + col[j]."""
+    intercept, ay_effects, dy_effects = _split_coef(coef, n_ay)
+    zero = np.zeros_like(intercept)
+    return intercept + np.concatenate((zero, ay_effects), axis=-1), np.concatenate((zero, dy_effects), axis=-1)
+
+
+def _kept_levels(Y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray]:
+    """Which accident and development years have a positive total, per row of the counts ``Y``.
+
+    The others' maximum-likelihood means are zero: :func:`_prepare`
+    rejects them, a fit on synthetic data drops them (:func:`drop_masks`).
     """
-    future = np.add.outer(np.arange(I), np.arange(I)) >= I
-    return np.nonzero(~future), np.nonzero(future)
+    ay = Y @ (design.ay_idx[:, None] == np.arange(design.n_ay)) > 0
+    dy = Y @ (design.dy_idx[:, None] == np.arange(design.n_dy)) > 0
+    return ay, dy
 
 
 def _newton_terms(y: np.ndarray, mu: np.ndarray, kappa):
@@ -668,14 +684,12 @@ class ModelFit:
         return np.concatenate(([self.intercept], self.ay_effects, self.dy_effects))
 
 
-def _simplex_from_contrasts(
-    intercept: float, ay_effects: np.ndarray, dy_effects: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    full_beta = np.concatenate(([0.0], dy_effects))
-    log_s = float(np.log(np.sum(np.exp(full_beta))))
-    alpha = intercept + np.concatenate(([0.0], ay_effects)) + log_s
-    beta = full_beta - log_s
-    return alpha, beta, np.exp(beta)
+def _simplex(coef: np.ndarray, n_ay: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(simplex_alpha, simplex_beta, dev_weights) of one coefficient vector."""
+    row, col = _effects_from_coef(coef, n_ay)
+    log_s = float(np.log(np.sum(np.exp(col))))
+    beta = col - log_s
+    return row + log_s, beta, np.exp(beta)
 
 
 def to_simplex(fit: ModelFit) -> ModelFit:
@@ -684,7 +698,7 @@ def to_simplex(fit: ModelFit) -> ModelFit:
     ``fit`` already carries the simplex parameterisation; this op exists
     so the conversion is available as an explicit, testable step.
     """
-    alpha, beta, weights = _simplex_from_contrasts(fit.intercept, fit.ay_effects, fit.dy_effects)
+    alpha, beta, weights = _simplex(fit.coefficients(), fit.n_ay)
     return ModelFit(
         **{
             **fit.__dict__,
@@ -696,30 +710,27 @@ def to_simplex(fit: ModelFit) -> ModelFit:
 
 
 def _check_levels(y: np.ndarray, design: Design) -> None:
-    for name, idx, size in (
-        ("accident year", design.ay_idx, design.n_ay),
-        ("development year", design.dy_idx, design.n_dy),
-    ):
-        present = np.bincount(idx, minlength=size)
-        if (present == 0).any():
-            lvl = int(np.argmin(present != 0))
-            raise RankDeficientError(f"{name} level {lvl} has no observations")
-        totals = np.bincount(idx, weights=y, minlength=size)
-        if (totals == 0).any():
-            lvl = int(np.argmax(totals == 0))
-            raise SeparationError(
-                f"{name} level {lvl} has all-zero counts; its coefficient diverges"
-            )
+    # per factor, the levels with a cell (a row of ones) and those with a positive total
+    levels = _kept_levels(np.vstack((np.ones_like(y), y)), design)
+    for name, (present, kept) in zip(("accident year", "development year"), levels):
+        if not present.all():
+            raise RankDeficientError(f"{name} level {int(np.argmin(present))} has no observations")
+        if not kept.all():
+            raise SeparationError(f"{name} level {int(np.argmin(kept))} has all-zero counts; its coefficient diverges")
+
+
+def _counts_and_design(data: Sequence) -> Tuple[np.ndarray, Design]:
+    """Counts and design of long-format records, levels numbered from the records' largest years."""
+    ay = np.array([r.ay for r in data], dtype=np.int64)
+    dy = np.array([r.dy for r in data], dtype=np.int64)
+    return np.array([r.count for r in data], dtype=float), build_design(ay, dy)
 
 
 def _prepare(data: Sequence) -> Tuple[np.ndarray, Design]:
-    """Counts and design of long-format records, with :func:`fit`'s input checks."""
-    ay = np.array([r.ay for r in data], dtype=np.int64)
-    dy = np.array([r.dy for r in data], dtype=np.int64)
-    y = np.array([r.count for r in data], dtype=float)
-    if (y < 0).any():
+    """:func:`_counts_and_design` with :func:`fit`'s input checks."""
+    y, design = _counts_and_design(data)
+    if (y < 0).any():  # records built by hand; a triangle's constructors have checked its counts
         raise ValueError("counts must be nonnegative")
-    design = build_design(ay, dy)
     if design.n < design.p:
         raise RankDeficientError(
             f"{design.n} observations cannot identify {design.p} parameters"
@@ -767,10 +778,8 @@ def fit(data: Sequence, family: Family) -> ModelFit:
             stacklevel=2,
         )
 
-    intercept = float(coef[0])
-    ay_effects = coef[1 : design.n_ay]
-    dy_effects = coef[design.n_ay :]
-    alpha, beta, weights = _simplex_from_contrasts(intercept, ay_effects, dy_effects)
+    intercept, ay_effects, dy_effects = _split_coef(coef, design.n_ay)
+    alpha, beta, weights = _simplex(coef, design.n_ay)
 
     phi = None
     if family.tag == "negbin":
@@ -784,7 +793,7 @@ def fit(data: Sequence, family: Family) -> ModelFit:
         ay=design.ay_idx + 1,
         dy=design.dy_idx,
         y=y,
-        intercept=intercept,
+        intercept=float(intercept[0]),
         ay_effects=ay_effects,
         dy_effects=dy_effects,
         simplex_alpha=alpha,

@@ -21,8 +21,8 @@ from ._bootstrap import sample_nb
 from .chainladder import chain_ladder
 from .dispersion import KAPPA_CAP, bias_correct, nb_mle
 from .errors import BaseFitFailedError, ExcessiveFailuresError, ReservingError, TooFewDrawsError
-from .glm import ModelFit, _prepare, triangle_cells
-from .triangle import RunOffTriangle, to_long
+from .glm import ModelFit, _prepare
+from .triangle import RunOffTriangle, to_long, triangle_cells
 
 _MIN_DRAWS = 100
 

@@ -6,14 +6,17 @@ and scores the bootstrap intervals against the realised outstanding
 count. Methods share the deterministic chain-ladder point estimate and
 differ only in the distribution driving their bootstrap.
 
-The observed and future cells follow :func:`nbreserve.glm.triangle_cells`
+The observed and future cells follow :func:`nbreserve.triangle.triangle_cells`
 and the engine runs in :mod:`nbreserve._bootstrap`, whose ``sample_nb``
 also draws the simulated squares. Each method maps to one ``Family``
 tag; the Poisson base fit serves the poisson and odp methods and the
 joint NB fit serves nb_mle and nb_corrected, once per triangle, and
 those two share the engine's refit batches. Like
 the engine's refits, and unlike ``fit`` and ``bootstrap``, base fits
-drop an all-zero level, whose means are then zero.
+drop an all-zero level, whose means are then zero: a study triangle's
+counts and design are :func:`nbreserve.glm._counts_and_design`'s,
+without the checks of ``glm._prepare``, since about a fifth of
+default-process triangles have such a level.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ from .chainladder import chain_ladder
 from .dispersion import KAPPA_CAP, bias_correct
 from .dispersion import nb_mle  # not called here: bench/spans.py hooks simulation:nb_mle
 from .errors import ConfigError, ReservingError
-from .glm import Design, build_design, triangle_cells
+from .glm import Design, _counts_and_design
 from .glm import _irls  # not called here: bench/spans.py hooks simulation:_irls
 from .predictive import _interval
-from .triangle import RunOffTriangle
+from .triangle import RunOffTriangle, _observed_part, to_long, triangle_cells
 
 SCENARIOS = ("correct", "poisson", "calendar", "varying-kappa")
 METHODS = ("poisson", "odp", "nb_mle", "nb_corrected")
@@ -165,10 +168,8 @@ def generate(config: DgpConfig, replicate_index: int) -> Tuple[RunOffTriangle, i
     """
     rng = substream(config.seed, 0, replicate_index)
     full = simulate_square(config, rng)
-    I = config.dimension
-    t = RunOffTriangle.from_rows([full[i, : I - i].tolist() for i in range(I)])
-    _, future = triangle_cells(I)
-    return t, int(full[future].sum())
+    _, future = triangle_cells(config.dimension)
+    return _observed_part(full), int(full[future].sum())
 
 
 @dataclass(frozen=True)
@@ -191,17 +192,6 @@ class StudyResult:
     config: DgpConfig
     methods: Tuple[MethodResult, ...]
     levels: Tuple[float, ...] = LEVELS
-
-
-def _observed(t: RunOffTriangle) -> Tuple[np.ndarray, Design]:
-    """Counts and design of a study triangle's observed cells, in ``to_long`` order.
-
-    Unlike ``glm._prepare`` this does not reject all-zero levels: about
-    a fifth of default-process triangles have one, and the study's base
-    fits drop it, as the engine's refits do.
-    """
-    (ay, dy), _ = triangle_cells(t.dimension)
-    return t.to_matrix()[ay, dy], build_design(ay + 1, dy, t.dimension, t.dimension)
 
 
 def _method_base(tag: str, y: np.ndarray, design: Design):
@@ -239,7 +229,7 @@ def _run_replicate(config: DgpConfig, s: int, methods: Sequence[str]) -> Dict[st
         point = chain_ladder(t).total_reserve
     except ReservingError:
         return out
-    y, design = _observed(t)
+    y, design = _counts_and_design(to_long(t))
     bases: Dict[str, Optional[tuple]] = {}
     specs, runs = [], []
 

@@ -4,7 +4,9 @@ Incremental claim counts are indexed by accident year ``i`` (1-based)
 and development year ``j`` (0-based). For a square triangle of
 dimension ``I`` the cell ``(i, j)`` is observed exactly when
 ``i + j <= I``; the remaining cells form the future region that
-reserving techniques must predict.
+reserving techniques must predict. :func:`triangle_cells` states that
+rule once for every module, and :func:`_coerce_count` is the one check
+of a cell's count, which every constructor runs.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,46 +43,66 @@ class CellRecord(NamedTuple):
     count: int
 
 
+def triangle_cells(I: int) -> Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+    """0-based (ay, dy) indices of the observed and the future cells of an I x I triangle.
+
+    A cell is future when ay + dy >= I. Both sets are row-major, so the
+    observed cells come in the order of :func:`to_long`.
+    """
+    future = np.add.outer(np.arange(I), np.arange(I)) >= I
+    return np.nonzero(~future), np.nonzero(future)
+
+
 def _coerce_count(value, where: str, round_amounts: bool) -> int:
-    """Validate a single cell value and return it as a nonnegative int."""
+    """Validate a single cell value and return it as a nonnegative int below 2**53.
+
+    ``round_amounts`` rounds half up first; the cap applies to the
+    rounded count. An integer beyond float64's range is not finite.
+    """
     try:
         x = float(value)
+    except OverflowError:
+        x = math.inf
     except (TypeError, ValueError):
         raise NonIntegerCountError(f"cell {where}: {value!r} is not a number")
     if not math.isfinite(x):
         raise NonIntegerCountError(f"cell {where}: {value!r} is not finite")
     if x < 0:
         raise NegativeCountError(f"cell {where}: negative count {value!r}")
-    if x > _MAX_COUNT:
-        raise CountTooLargeError(f"cell {where}: count {value!r} is 2**53 or more")
     if round_amounts:
-        return int(math.floor(x + 0.5))
-    if x != int(x):
+        n = math.floor(x + 0.5)
+    elif x != int(x):
         raise NonIntegerCountError(
             f"cell {where}: non-integer count {value!r} "
             "(pass round_amounts=True to round monetary amounts)"
         )
-    return int(x)
+    else:
+        n = int(x)
+    if n > _MAX_COUNT:
+        once = " once rounded" if round_amounts else ""
+        raise CountTooLargeError(f"cell {where}: count {value!r} is 2**53 or more{once}")
+    return n
+
+
+def _count_grid(rows: Sequence[Sequence], round_amounts: bool) -> np.ndarray:
+    """The I x I int64 counts of per-accident-year rows, each cell checked by :func:`_coerce_count`."""
+    checked = [[_coerce_count(v, f"({i + 1}, {j})", round_amounts) for j, v in enumerate(row)] for i, row in enumerate(rows)]
+    I = len(checked)
+    if I < 2:
+        raise RaggedRowsError("a triangle needs at least 2 accident years")
+    grid = np.zeros((I, I), dtype=np.int64)
+    for i, row in enumerate(checked):
+        if len(row) != I - i:
+            raise RaggedRowsError(f"accident year {i + 1}: expected {I - i} observed cells, got {len(row)}")
+        grid[i, : I - i] = row
+    return grid
 
 
 class _TriangleBase:
     """Shared storage for incremental and cumulative triangles."""
 
     def __init__(self, rows: Sequence[Sequence[int]], origin_label: Optional[Label] = None):
-        dimension = len(rows)
-        if dimension < 2:
-            raise RaggedRowsError("a triangle needs at least 2 accident years")
-        grid = np.zeros((dimension, dimension), dtype=np.int64)
-        for idx, row in enumerate(rows):
-            expected = dimension - idx
-            if len(row) != expected:
-                raise RaggedRowsError(
-                    f"accident year {idx + 1}: expected {expected} observed cells, got {len(row)}"
-                )
-            if any(v > _MAX_COUNT for v in row):
-                raise CountTooLargeError(f"accident year {idx + 1}: a count is 2**53 or more")
-            grid[idx, :expected] = row
-        self._adopt(grid, origin_label)
+        self._adopt(_count_grid(rows, False), origin_label)
 
     def _adopt(self, grid: np.ndarray, origin_label: Optional[Label]) -> None:
         grid.setflags(write=False)
@@ -92,7 +114,8 @@ class _TriangleBase:
     def _from_grid(cls, grid: np.ndarray, origin_label: Optional[Label] = None):
         """The triangle of ``grid``, an I x I int64 array of counts below 2**53, zero in the future region.
 
-        The caller has checked every cell; the array becomes read-only.
+        The caller has checked every cell (and that a cumulative triangle's
+        rows do not fall); the array becomes read-only.
         """
         if len(grid) < 2:
             raise RaggedRowsError("a triangle needs at least 2 accident years")
@@ -122,16 +145,13 @@ class _TriangleBase:
         return self._grid[ay - 1, : self.dimension - ay + 1].copy()
 
     def observed_cells(self) -> Iterator[CellRecord]:
-        I = self.dimension
-        for i, row in enumerate(self._grid.tolist(), start=1):
-            for j in range(I - i + 1):
-                yield CellRecord(i, j, row[j])
+        (ay, dy), _ = triangle_cells(self.dimension)
+        return map(CellRecord._make, zip((ay + 1).tolist(), dy.tolist(), self._grid[ay, dy].tolist()))
 
     def to_matrix(self) -> np.ndarray:
         """Dense float matrix with NaN in the future region."""
         out = self._grid.astype(float)
-        for i in range(self.dimension):
-            out[i, self.dimension - i :] = np.nan
+        out[triangle_cells(self.dimension)[1]] = np.nan
         return out
 
     def __eq__(self, other) -> bool:
@@ -160,12 +180,7 @@ class RunOffTriangle(_TriangleBase):
         origin_label: Optional[Label] = None,
         round_amounts: bool = False,
     ) -> "RunOffTriangle":
-        checked: List[List[int]] = []
-        for idx, row in enumerate(rows):
-            checked.append(
-                [_coerce_count(v, f"({idx + 1}, {j})", round_amounts) for j, v in enumerate(row)]
-            )
-        return cls(checked, origin_label=origin_label)
+        return cls._from_grid(_count_grid(rows, round_amounts), origin_label=origin_label)
 
     def total(self) -> int:
         return int(self._grid.sum())
@@ -176,17 +191,10 @@ class CumulativeTriangle(_TriangleBase):
 
     def __init__(self, rows, origin_label=None):
         super().__init__(rows, origin_label=origin_label)
-        self._check_nondecreasing()
-
-    @classmethod
-    def _from_grid(cls, grid, origin_label=None):
-        c = super()._from_grid(grid, origin_label)
-        c._check_nondecreasing()
-        return c
-
-    def _check_nondecreasing(self) -> None:
         # a fall between two observed cells of a row; the future region is zero
-        falling = (np.diff(self._grid, axis=1) < 0) & _observed(self.dimension)[:, 1:]
+        falling = np.diff(self._grid, axis=1) < 0
+        fut_ay, fut_dy = triangle_cells(self.dimension)[1]
+        falling[fut_ay, fut_dy - 1] = False
         if falling.any():
             i = int(np.argmax(falling.any(axis=1))) + 1
             raise NegativeCountError(f"accident year {i}: cumulative counts must be nondecreasing")
@@ -197,27 +205,28 @@ class CumulativeTriangle(_TriangleBase):
         return self._grid[np.arange(I), np.arange(I - 1, -1, -1)]
 
 
-def _observed(dimension: int) -> np.ndarray:
-    """Boolean I x I mask of the observed cells, i + j <= I in 1-based years."""
-    return np.add.outer(np.arange(dimension), np.arange(dimension)) < dimension
-
-
 def cumulate(t: RunOffTriangle) -> CumulativeTriangle:
-    """Row-wise cumulative sums over the observed region."""
-    grid = np.where(_observed(t.dimension), np.cumsum(t.grid, axis=1), 0)
-    big = (grid > _MAX_COUNT).any(axis=1)
-    if big.any():
-        raise CountTooLargeError(f"accident year {int(np.argmax(big)) + 1}: a count is 2**53 or more")
+    """Row-wise cumulative sums over the observed region; sums of counts do not fall."""
+    grid = np.cumsum(t.grid, axis=1)
+    grid[triangle_cells(t.dimension)[1]] = 0
+    big = np.argwhere(grid > _MAX_COUNT)
+    if big.size:  # the first running sum past the cap raises as in CumulativeTriangle(rows)
+        i, j = big[0].tolist()
+        _coerce_count(int(grid[i, j]), f"({i + 1}, {j})", False)
     return CumulativeTriangle._from_grid(grid, origin_label=t.origin_label)
 
 
 def decumulate(c: CumulativeTriangle) -> RunOffTriangle:
-    """Inverse of :func:`cumulate`."""
-    rows = []
-    for i in range(1, c.dimension + 1):
-        r = c.row(i)
-        rows.append(np.diff(r, prepend=0).tolist())
-    return RunOffTriangle.from_rows(rows, origin_label=c.origin_label)
+    """Inverse of :func:`cumulate`; a cumulative triangle's increments are valid counts."""
+    grid = np.diff(c.grid, axis=1, prepend=0)
+    grid[triangle_cells(c.dimension)[1]] = 0
+    return RunOffTriangle._from_grid(grid, origin_label=c.origin_label)
+
+
+def _observed_part(square: np.ndarray) -> RunOffTriangle:
+    """The triangle of the observed cells of a full I x I matrix of counts."""
+    I = len(square)
+    return RunOffTriangle.from_rows([row[: I - i] for i, row in enumerate(square.tolist())])
 
 
 def to_long(t: RunOffTriangle) -> List[CellRecord]:
@@ -305,11 +314,6 @@ def parse_triangle(text: str, round_amounts: bool = False) -> RunOffTriangle:
             elif field != "":
                 raise FutureCellError(f"cell ({idx + 1}, {j}): future cell must be empty")
         grid[idx, :observed] = row
-    # an amount of 2**53 - 0.5 or more rounds to 2**53; the first such cell is reported
-    big = np.argwhere(grid > _MAX_COUNT)
-    if big.size:
-        i, j = big[0].tolist()
-        raise CountTooLargeError(f"cell ({i + 1}, {j}): count {int(grid[i, j])!r} is 2**53 or more")
     return RunOffTriangle._from_grid(grid, origin_label=origin_label)
 
 

@@ -40,8 +40,6 @@ def drop_pattern(Y: np.ndarray, design):
 
     A level is dropped when its total in the row is zero.
     """
-    from nbreserve.glm import drop_masks
+    from nbreserve.glm import _kept_levels, drop_masks
 
-    ay_keep = Y @ (design.ay_idx[:, None] == np.arange(design.n_ay)) > 0
-    dy_keep = Y @ (design.dy_idx[:, None] == np.arange(design.n_dy)) > 0
-    return drop_masks(design, ay_keep, dy_keep)
+    return drop_masks(design, *_kept_levels(Y, design))

@@ -286,6 +286,22 @@ class TestErrors:
         err = json.loads(result.output.strip().splitlines()[-1])
         assert err["error"]["kind"] == "FileNotFound"
 
+    # an operating-system error on the input or the output directory is one
+    # typed line with exit 2, named after its exception
+    def test_directory_as_input(self, runner, tmp_path):
+        result = runner.invoke(main, ["fit", str(tmp_path)])
+        assert result.exit_code == 2 and "Traceback" not in result.output
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err["error"]["kind"] == "IsADirectory"
+
+    def test_out_dir_is_a_file(self, runner, triangle_csv, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        result = runner.invoke(main, ["fit", triangle_csv, "--out-dir", str(taken)])
+        assert result.exit_code == 2 and "Traceback" not in result.output
+        err = json.loads(result.output.strip().splitlines()[-1])
+        assert err["error"]["kind"] == "FileExists"
+
     @pytest.mark.parametrize("level", ["1.5", "0", "-0.2", "nan"])
     def test_bad_level_fails_before_bootstrap(self, runner, triangle_csv, tmp_path, monkeypatch, level):
         def no_bootstrap(*args, **kwargs):

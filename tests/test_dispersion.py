@@ -39,7 +39,8 @@ from nbreserve.dispersion import (
     _start_kappa,
 )
 from nbreserve.errors import NoResidualDofError, NotConvergedError
-from nbreserve.glm import _IRLS_MAX_ITER, _irls, _lgamma, build_design, triangle_cells
+from nbreserve.glm import _IRLS_MAX_ITER, _irls, _lgamma, build_design
+from nbreserve.triangle import triangle_cells
 from conftest import drop_pattern, random_triangle
 
 

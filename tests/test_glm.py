@@ -445,15 +445,15 @@ class TestClosedFormPoisson:
 
     @pytest.mark.parametrize("name", ["australian", "taylor"])
     def test_reserve_is_chain_ladder(self, request, name):
-        from nbreserve.glm import _chain_ladder_batch, _prepare, triangle_cells
+        from nbreserve.glm import _chain_ladder_batch, _effects_from_coef, _prepare
+        from nbreserve.triangle import triangle_cells
 
         t = request.getfixturevalue(name)
         y, design = _prepare(to_long(t))
         coef, _, ok = _chain_ladder_batch(y[None], design)
         assert ok[0]
         _, (fut_ay, fut_dy) = triangle_cells(t.dimension)
-        row = coef[0, 0] + np.concatenate(([0.0], coef[0, 1 : design.n_ay]))
-        col = np.concatenate(([0.0], coef[0, design.n_ay :]))
+        row, col = _effects_from_coef(coef[0], design.n_ay)
         future = np.exp(row[fut_ay] + col[fut_dy]).sum()
         assert future == pytest.approx(chain_ladder(t).total_reserve, rel=1e-12)
 
@@ -485,7 +485,7 @@ class TestTriangleCells:
     @pytest.mark.parametrize("I", range(1, 16))
     def test_partition_and_order(self, I):
         from nbreserve import RunOffTriangle
-        from nbreserve.glm import triangle_cells
+        from nbreserve.triangle import triangle_cells
 
         (obs_ay, obs_dy), (fut_ay, fut_dy) = triangle_cells(I)
         observed = list(zip(obs_ay.tolist(), obs_dy.tolist()))
@@ -500,11 +500,13 @@ class TestTriangleCells:
             assert observed == [(r.ay - 1, r.dy) for r in to_long(t)]
 
     def test_study_counts_match_prepare(self):
+        # a study triangle's counts and design, which the study fits without
+        # _prepare's checks, are the ones _prepare hands to fit
         from nbreserve import simulation
-        from nbreserve.glm import _prepare
+        from nbreserve.glm import _counts_and_design, _prepare
 
         t, _ = simulation.generate(simulation.default_config(), 4)
-        y, design = simulation._observed(t)
+        y, design = _counts_and_design(to_long(t))
         y_ref, design_ref = _prepare(to_long(t))
         assert np.array_equal(y, y_ref)
         assert np.array_equal(design.X, design_ref.X)

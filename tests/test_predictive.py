@@ -15,6 +15,7 @@ from nbreserve import (
     to_long,
 )
 from nbreserve.errors import ExcessiveFailuresError, TooFewDrawsError
+from nbreserve.glm import _counts_and_design, _kept_levels
 from nbreserve.predictive import ay_summary, draws_csv, summary_json
 from nbreserve._rng import substream
 from conftest import drop_pattern
@@ -27,7 +28,7 @@ def _study_spec(s, b, family="quasipoisson"):
 
     config = simulation.default_config()
     t, _ = simulation.generate(config, s)
-    y, design = simulation._observed(t)
+    y, design = _counts_and_design(to_long(t))
     coef, mu, phi, _ = simulation._method_base("poisson", y, design)
     return bt.EngineSpec(
         seed=config.seed, prefix=(1, s, 1), b=b, design=design, base_coef=coef, mu_obs=mu,
@@ -390,7 +391,7 @@ class TestBatchedRefit:
         y_star = np.array(
             [bt.draw_counts(spec.family, spec.param, spec.mu_obs, bt.substream(0, r)) for r in range(60)]
         )
-        ay_keep, dy_keep = bt._levels_present(y_star, spec.design)
+        ay_keep, dy_keep = _kept_levels(y_star, spec.design)
         assert len(np.unique(np.hstack((ay_keep, dy_keep)), axis=0)) >= 5
         ok, row_eff, col_eff, disp = bt._refit_batch(y_star, spec)
         ref = [bt._refit(y, spec) for y in y_star]
@@ -455,7 +456,7 @@ class TestChunking:
         y_star = np.array(
             [bt.draw_counts(spec.family, spec.param, spec.mu_obs, bt.substream(spec.seed, *spec.prefix, r)) for r in range(b)]
         )
-        ay_keep, dy_keep = bt._levels_present(y_star, spec.design)
+        ay_keep, dy_keep = _kept_levels(y_star, spec.design)
         assert (~np.hstack((ay_keep, dy_keep))).any(axis=1).sum() >= b // 10
 
 
@@ -471,7 +472,7 @@ class TestUnboundedRefit:
     @staticmethod
     def _largest_future_mean(spec):
         import nbreserve._bootstrap as bt
-        from nbreserve.glm import triangle_cells
+        from nbreserve.triangle import triangle_cells
 
         y_star = np.array(
             [bt.draw_counts(spec.family, spec.param, spec.mu_obs, substream(spec.seed, *spec.prefix, r)) for r in range(spec.b)]

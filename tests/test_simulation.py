@@ -248,12 +248,12 @@ class TestStudyPinned:
         from nbreserve import bootstrap, fit
         from nbreserve.dispersion import _nb_mle_batch
         from nbreserve.errors import BaseFitFailedError, SeparationError
-        from nbreserve.glm import Family, drop_masks, pearson_statistic
-        from nbreserve.simulation import _method_base, _observed
+        from nbreserve.glm import Family, _counts_and_design, drop_masks, pearson_statistic
+        from nbreserve.simulation import _method_base
         from nbreserve.triangle import to_long
 
         t, _ = generate(default_config(n_sim=3, b=50, seed=8), 1)
-        y, design = _observed(t)
+        y, design = _counts_and_design(to_long(t))
         ay_keep = np.ones((1, design.n_ay), dtype=bool)
         dy_keep = np.arange(design.n_dy)[None] != 9
         assert np.array_equal(np.bincount(design.dy_idx, y) == 0, ~dy_keep[0])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nbreserve import (
     CellRecord,
@@ -19,6 +20,7 @@ from nbreserve.errors import (
     NegativeCountError,
     NonIntegerCountError,
     RaggedRowsError,
+    ReservingError,
 )
 from conftest import random_triangle
 
@@ -67,6 +69,15 @@ class TestConstruction:
                 RunOffTriangle.from_rows([[value, 2], [3]])
         with pytest.raises(CountTooLargeError):
             RunOffTriangle([[2**53, 2], [3]])
+
+    def test_constructors_check_counts(self):
+        # the constructors run the check of from_rows on every cell
+        with pytest.raises(NegativeCountError):
+            RunOffTriangle([[-1, 2], [3]])
+        with pytest.raises(NonIntegerCountError):
+            RunOffTriangle([[1, 2.5], [3]])
+        with pytest.raises(NonIntegerCountError):
+            CumulativeTriangle([[1, 2.5], [3]])
 
     def test_cumulative_counts_from_2_pow_53_rejected(self):
         # incremental counts that fit, whose running sum does not
@@ -213,3 +224,43 @@ class TestCsv:
     def test_amounts_rejected_without_flag(self):
         with pytest.raises(NonIntegerCountError):
             parse_triangle("10.6,5.2\n20.5,\n")
+
+
+# cell values each constructor must treat alike: negative, fractional,
+# the largest count, values that round to 2**53 as float64, and huge ones
+_SPECIAL_COUNTS = [-1, -0.5, 2.5, 0.5, 2**53 - 1, float(2**53 - 1), 2**53 + 1, 9007199254740991.5, 1e300, 2**64, 10**400]
+
+
+@st.composite
+def _count_rows(draw):
+    I = draw(st.integers(2, 6))
+    value = st.one_of(st.integers(0, 50), st.sampled_from(_SPECIAL_COUNTS))
+    rows = [[draw(value) for _ in range(I - i)] for i in range(I)]
+    return [sorted(r) for r in rows] if draw(st.booleans()) else rows
+
+
+def _as_csv(rows):
+    I = len(rows)
+    return "".join(",".join([repr(v) for v in row] + [""] * (I - len(row))) + "\n" for row in rows)
+
+
+def _ingest(build, rows):
+    try:
+        return build(rows).grid.tolist()
+    except ReservingError as exc:
+        return type(exc)
+
+
+class TestOneIngestionRule:
+    """Every way into a triangle checks its counts by the same rule."""
+
+    @given(_count_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_paths_agree(self, rows):
+        want = _ingest(RunOffTriangle.from_rows, rows)
+        assert _ingest(RunOffTriangle, rows) == want
+        assert _ingest(lambda r: parse_triangle(_as_csv(r)), rows) == want
+        records = [CellRecord(i + 1, j, v) for i, row in enumerate(rows) for j, v in enumerate(row)]
+        assert _ingest(lambda _: from_long(records), rows) == want
+        if all(a <= b for row in rows for a, b in zip(row, row[1:])):
+            assert _ingest(CumulativeTriangle, rows) == want
