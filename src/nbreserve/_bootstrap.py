@@ -23,20 +23,20 @@ pattern and a replicate that drops nothing gets exactly the fit it
 would get alone. Poisson and overdispersed Poisson refits are the
 closed-form chain-ladder (:func:`~nbreserve.glm._poisson_batch`);
 negative binomial refits are the joint fit of
-:func:`~nbreserve.dispersion._nb_mle_batch`, started from it.
+:func:`~nbreserve.dispersion._nb_mle_batch`, started from it. A refit
+depends on the replicate's counts, the design and the family alone.
 
 One engine pass serves every spec of one triangle (:func:`run_group`):
-specs that refit the same family from the same base coefficients, such
-as a study's nb_mle and nb_corrected, stack their replicates into one
-batch. A row's fit does not depend on the other rows of its batch, and
-every replicate draws from its own substream, so each spec gets the
-draws it would get alone.
+specs that refit the same family, such as a study's nb_mle and
+nb_corrected, stack their replicates into one batch. A row's fit does
+not depend on the other rows of its batch, and every replicate draws
+from its own substream, so each spec gets the draws it would get alone.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,7 +63,7 @@ class EngineSpec:
     """Everything one bootstrap replicate needs, in picklable form.
 
     ``design`` is the design of the full square triangle, whose observed
-    cells ``mu_obs`` and ``base_coef`` describe; the future cells are
+    cells have the base fit's means ``mu_obs``; the future cells are
     those :func:`~nbreserve.triangle.triangle_cells` gives for its size.
     ``family`` is a ``Family`` tag: the law of the observed-cell draws,
     of the refit and of the future draws. ``param`` is the kappa
@@ -77,7 +77,6 @@ class EngineSpec:
     prefix: Tuple[int, ...]
     b: int
     design: Design
-    base_coef: Optional[np.ndarray]
     mu_obs: np.ndarray
     family: str
     param: Optional[float]
@@ -152,14 +151,13 @@ def _refit(y_star: np.ndarray, spec: EngineSpec) -> Optional[Tuple[np.ndarray, n
     if design.n < design.p:
         return None
     y_fit = y_star[cells].astype(float)
-    start = spec.base_coef if cells.all() else None
 
     try:
         if spec.family == "negbin":
-            coef, _, kappa, _ = dispersion.nb_mle(y_fit, design, start=start)
+            coef, _, kappa, _ = dispersion.nb_mle(y_fit, design)
             disp = dispersion.bias_correct(kappa, spec.design.n, spec.design.p) if spec.correct else kappa
         else:
-            coef, mu, converged = (a[0] for a in _poisson_batch(y_fit[None], design, start=start))
+            coef, mu, converged = (a[0] for a in _poisson_batch(y_fit[None], design))
             if not converged:
                 return None
             disp = None
@@ -178,13 +176,13 @@ def _refit(y_star: np.ndarray, spec: EngineSpec) -> Optional[Tuple[np.ndarray, n
 
 
 def fit_kept_levels(
-    Y: np.ndarray, design: Design, family: str, start: Optional[np.ndarray] = None
+    Y: np.ndarray, design: Design, family: str
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Fit every row of the count matrix ``Y`` on its levels with a positive total.
 
     An all-zero level's maximum-likelihood limit is zero means, so a row
-    leaves out its cells and pins its coefficients at zero, in the fit
-    and in ``start`` (:func:`~nbreserve.glm.drop_masks`). ``negbin`` is
+    leaves out its cells and pins its coefficients at zero
+    (:func:`~nbreserve.glm.drop_masks`). ``negbin`` is
     the joint fit :func:`~nbreserve.dispersion._nb_mle_batch`, the other
     families the Poisson fit :func:`~nbreserve.glm._poisson_batch`.
     Returns (ok, coef, mu, disp, ay_keep, dy_keep): mu is zero on the
@@ -211,11 +209,10 @@ def fit_kept_levels(
         mask = pin = None
     else:
         mask = kept
-        start = None if start is None else np.where(pin, 0.0, start)
     if family == "negbin":
-        coef[fit], mu_fit, disp[fit], ok[fit], _ = dispersion._nb_mle_batch(Y, design, start=start, mask=mask, pin=pin)
+        coef[fit], mu_fit, disp[fit], ok[fit], _ = dispersion._nb_mle_batch(Y, design, mask=mask, pin=pin)
     else:
-        coef[fit], mu_fit, ok[fit] = _poisson_batch(Y, design, start=start, mask=mask, pin=pin)
+        coef[fit], mu_fit, ok[fit] = _poisson_batch(Y, design, mask=mask, pin=pin)
         if family == "quasipoisson":
             disp[fit] = pearson_statistic(Y, mu_fit, mask) / np.where(dof[fit] > 0, dof[fit], np.nan)
     mu[fit] = mu_fit * kept
@@ -228,49 +225,36 @@ def _correct(spec: EngineSpec, ok: np.ndarray, disp: np.ndarray) -> None:
         disp[ok] = disp[ok] * (spec.design.n - spec.design.p) / spec.design.n
 
 
-def _refit_batch(y_star: np.ndarray, spec: EngineSpec) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _refit_batch(y_star: np.ndarray, design: Design, family: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Refit every row of the (m, n) replicate matrix ``y_star`` as one batch.
 
-    The rows are one :func:`fit_kept_levels` call from the base fit's
-    coefficients. Returns (ok, row_eff, col_eff, disp) with one row per
-    replicate, holding what :func:`_refit` returns; ok is False where it
+    The rows are one :func:`fit_kept_levels` call. Returns (ok, row_eff,
+    col_eff, disp) with one row per replicate, holding what :func:`_refit`
+    returns without the bias correction (:func:`_correct`); ok is False where it
     returns None (also for an ODP refit with no residual degree of
     freedom), and disp is NaN for Poisson refits.
     """
-    design = spec.design
-    ok, coef, _, disp, ay_keep, dy_keep = fit_kept_levels(y_star.astype(float), design, spec.family, spec.base_coef)
-    if spec.family == "quasipoisson":
+    ok, coef, _, disp, ay_keep, dy_keep = fit_kept_levels(y_star.astype(float), design, family)
+    if family == "quasipoisson":
         ok &= ~np.isnan(disp)
-    _correct(spec, ok, disp)
     row_eff, col_eff = _effects_from_coef(coef, design.n_ay)
     row_eff[~ay_keep] = -np.inf
     col_eff[~dy_keep] = -np.inf
     return ok, row_eff, col_eff, disp
 
 
-def _refit_groups(specs: Sequence[EngineSpec]) -> List[List[int]]:
-    """Indices of the specs that share one refit: the same family from the same base coefficients.
-
-    A study's nb_mle and nb_corrected share one; its poisson and odp
-    specs differ in family (odp needs the Pearson phi and fails a refit
-    without it), so each refits alone.
-    """
-    groups = {}
-    for i, spec in enumerate(specs):
-        groups.setdefault((spec.family, None if spec.base_coef is None else spec.base_coef.tobytes()), []).append(i)
-    return list(groups.values())
-
-
 def _run_group(specs: Sequence[EngineSpec], lo: int, hi: int) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Run replicates lo..hi-1 of every spec; returns one (ok, totals, by_ay) per spec.
 
-    The specs belong to one triangle: they share its design. Each group
-    of :func:`_refit_groups` takes windows of ``_BATCH // len(group)``
-    replicates per member, so each batch is one :func:`_refit_batch`
-    call of at most ``_BATCH`` rows, which bounds the memory of the
-    stacked normal equations, whatever levels its replicates drop. The
-    batch refits without the bias correction, which each member then
-    applies to its own rows. A replicate draws its synthetic triangle
+    The specs belong to one triangle: they share its design. The specs of
+    one family share their refits, as a study's nb_mle and nb_corrected
+    do (its odp refits apart from poisson: it needs the Pearson phi and
+    fails a refit without it). A family's batches take ``_BATCH // k``
+    replicates from each of its k specs, so each batch is one
+    :func:`_refit_batch` call of at most ``_BATCH`` rows, which bounds the
+    memory of the stacked normal equations, whatever levels its
+    replicates drop. Each spec applies its bias correction
+    (:func:`_correct`) to its own rows. A replicate draws its synthetic triangle
     and, after the refit, its future cells from its own substream
     (``spec.prefix`` then the replicate index), so its draws do not
     depend on which replicates or specs share its batch. The substreams
@@ -286,22 +270,23 @@ def _run_group(specs: Sequence[EngineSpec], lo: int, hi: int) -> List[Tuple[np.n
         (np.zeros(hi - lo, dtype=bool), np.zeros(hi - lo, dtype=np.int64), np.zeros((hi - lo, n_ay), dtype=np.int64))
         for _ in specs
     ]
-    for members in _refit_groups(specs):
+    for family in dict.fromkeys(spec.family for spec in specs):
+        members = [i for i, spec in enumerate(specs) if spec.family == family]
         window = max(1, _BATCH // len(members))
-        refit = replace(specs[members[0]], correct=False)
         for first in range(lo, hi, window):
             m = min(first + window, hi) - first
             rngs = [substreams(specs[i].seed, specs[i].prefix, first, first + m) for i in members]
             y_star = np.array(
                 [draw_counts(specs[i].family, specs[i].param, specs[i].mu_obs, rng) for i, r in zip(members, rngs) for rng in r]
             )
-            fitted, row_eff, col_eff, disp = _refit_batch(y_star, refit)
+            fitted, row_eff, col_eff, disp = _refit_batch(y_star, specs[0].design, family)
             for k, i in enumerate(members):
                 spec, rows = specs[i], slice(k * m, (k + 1) * m)
                 ok_k, disp_k = fitted[rows], disp[rows]
                 _correct(spec, ok_k, disp_k)
                 idx = np.nonzero(ok_k)[0]
-                mu_fut = np.exp(row_eff[rows][idx][:, fut_ay] + col_eff[rows][idx][:, fut_dy])
+                with np.errstate(over="ignore"):  # a mean past float64's range is inf, and fails below
+                    mu_fut = np.exp(row_eff[rows][idx][:, fut_ay] + col_eff[rows][idx][:, fut_dy])
                 # a future mean above the largest count the package reads comes from
                 # effects grown without bound, as on a quasi-separated level; such
                 # a refit fails, like a fit whose likelihood rises without bound
@@ -316,14 +301,6 @@ def _run_group(specs: Sequence[EngineSpec], lo: int, hi: int) -> List[Tuple[np.n
                 totals[slots] = draws.sum(axis=1)
                 by_ay[slots] = draws @ fut_onehot
     return out
-
-
-def _run_chunk(spec: EngineSpec, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run replicates lo..hi-1 of one spec; returns (ok, totals, by_ay).
-
-    This is :func:`_run_group` of the one spec.
-    """
-    return _run_group((spec,), lo, hi)[0]
 
 
 def split_run(func: Callable, n: int, workers: int, *args) -> List:
@@ -354,7 +331,7 @@ def run(spec: EngineSpec, workers: int = 1) -> Tuple[np.ndarray, np.ndarray, int
     Results are identical for any worker count because each replicate
     draws from its own counter-based substream.
     """
-    parts = split_run(_run_chunk, spec.b, workers, spec)
+    parts = [part for (part,) in split_run(_run_group, spec.b, workers, (spec,))]
     return _result(*(np.concatenate(p) for p in zip(*parts)))
 
 

@@ -10,7 +10,7 @@ default seed comes from the ``NBRESERVE_SEED`` environment variable
 writes a ``manifest.json`` into the output directory and stamps every
 output file with the run id so results can be traced back to the exact
 invocation. Exit codes: 0 on success, 1 on model or numerical failure,
-2 on input or usage errors.
+2 on input or usage errors, each reported as one line of JSON on stderr.
 """
 
 from __future__ import annotations
@@ -59,6 +59,26 @@ def _guarded(func):
             _fail(exc.kind, str(exc), 1)
 
     return wrapper
+
+
+def _usage_as_json(call, *args):
+    """``call(*args)``, with a click usage error (a bad or missing argument or option) as a typed error."""
+    try:
+        return call(*args)
+    except click.exceptions.NoArgsIsHelpError:  # a bare ``nbreserve`` prints the help
+        raise
+    except click.UsageError as exc:
+        _fail("Usage", exc.format_message(), 2)
+
+
+class _Main(click.Group):
+    """The command group; it parses its own options in ``parse_args`` and its commands' in ``invoke``."""
+
+    def parse_args(self, ctx, args):
+        return _usage_as_json(super().parse_args, ctx, args)
+
+    def invoke(self, ctx):
+        return _usage_as_json(super().invoke, ctx)
 
 
 class _Run:
@@ -125,7 +145,7 @@ def _load_triangle(path: str, round_amounts: bool):
 def _seed_option(func):
     return click.option(
         "--seed",
-        type=int,
+        type=click.IntRange(min=0),
         envvar=_SEED_ENV,
         default=0,
         show_default=True,
@@ -133,7 +153,7 @@ def _seed_option(func):
     )(func)
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(__version__, prog_name="nbreserve")
 def main():
     """Claims reserving for count triangles with negative binomial models."""
@@ -235,7 +255,7 @@ def _future_sum(model) -> float:
 @click.option("-B", "--bootstrap", "b", type=int, default=5000, show_default=True, help="Bootstrap replicates.")
 @click.option("--level", "levels", type=float, multiple=True, default=(0.95,), show_default=True)
 @click.option("--no-correct", is_flag=True, help="Skip the dispersion bias correction.")
-@click.option("--threads", type=int, default=None, help="Worker processes; defaults to the CPU count.")
+@click.option("--threads", type=click.IntRange(min=1), default=None, help="Worker processes; defaults to the CPU count.")
 @click.option("--round-amounts", is_flag=True)
 @click.option("--out-dir", type=str, default="nbreserve_out", show_default=True)
 @_seed_option
@@ -290,7 +310,7 @@ def cmd_reserve(triangle, b, levels, no_correct, threads, round_amounts, out_dir
 @click.option("--kappa", type=float, default=10.0, show_default=True, help="True dispersion for NB scenarios.")
 @click.option("--nsim", type=int, default=50, show_default=True, help="Simulation replicates.")
 @click.option("-B", "--bootstrap", "b", type=int, default=200, show_default=True, help="Bootstrap replicates per fit.")
-@click.option("--threads", type=int, default=None, help="Worker processes; defaults to the CPU count.")
+@click.option("--threads", type=click.IntRange(min=1), default=None, help="Worker processes; defaults to the CPU count.")
 @click.option("--config", "config_path", type=str, default=None, help="JSON file overriding the default DGP.")
 @click.option("--out-dir", type=str, default="nbreserve_out", show_default=True)
 @_seed_option

@@ -600,17 +600,14 @@ def _start_kappa(y: np.ndarray, mu: np.ndarray, mask: Optional[np.ndarray] = Non
     return np.where(excess <= 0.0, KAPPA_CAP, start.clip(KAPPA_MIN, _BELOW_CAP))
 
 
-def nb_mle(
-    y: np.ndarray,
-    design: Design,
-    start: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, float, bool]:
+def nb_mle(y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray, float, bool]:
     """Joint maximum likelihood over (mean effects, kappa).
 
     The fit of one triangle by :func:`_nb_mle_batch`, as a batch of one:
     joint Newton iterations over the coefficients and log kappa from
-    the closed-form Poisson fit. ``start`` is used only where that
-    Poisson fit needs IRLS.
+    the closed-form Poisson fit, or the Poisson IRLS fit from its cold
+    start where the closed form does not apply. The fit depends on the
+    counts and the design alone.
 
     Returns (coef, mu, kappa, at_boundary).
 
@@ -618,7 +615,7 @@ def nb_mle(
         NotConvergedError: the fit failed as :func:`_nb_mle_batch`
             describes.
     """
-    return _one_fit(_nb_mle_batch(np.asarray(y, dtype=float)[None], design, start=start))
+    return _one_fit(_nb_mle_batch(np.asarray(y, dtype=float)[None], design))
 
 
 def _one_fit(batch: tuple) -> Tuple[np.ndarray, np.ndarray, float, bool]:
@@ -634,15 +631,14 @@ def _one_fit(batch: tuple) -> Tuple[np.ndarray, np.ndarray, float, bool]:
 def _nb_mle_batch(
     Y: np.ndarray,
     design: Design,
-    start: Optional[np.ndarray] = None,
     mask: Optional[np.ndarray] = None,
     pin: Optional[np.ndarray] = None,
     poisson: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Joint maximum likelihood over (mean effects, kappa) for each row of ``Y``.
 
-    All rows share ``design``; ``start``, ``mask`` and ``pin`` are as
-    for :func:`nbreserve.glm._irls_batch`. A cell outside the mask must
+    All rows share ``design``; ``mask`` and ``pin`` are as for
+    :func:`nbreserve.glm._irls_batch`. A cell outside the mask must
     hold a zero count; the kappa score sees it at its limit y = mu = 0,
     where it adds nothing, so each row's kappa is that of its kept cells.
 
@@ -678,7 +674,7 @@ def _nb_mle_batch(
     """
     m = len(Y)
     if poisson is None:
-        poisson = _poisson_batch(Y, design, start=start, mask=mask, pin=pin)
+        poisson = _poisson_batch(Y, design, mask=mask, pin=pin)
     coef, mu, poisson_ok = poisson
     kappa = np.full(m, np.nan)
     ok = np.zeros(m, dtype=bool)

@@ -40,6 +40,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import NoResidualDofError, NotConvergedError, RankDeficientError, SeparationError
+from .triangle import _MAX_COUNT, _coerce_count
 
 # Linear predictors are clipped here before exponentiation; exp(+-500)
 # stays finite in float64 while leaving real fits untouched.
@@ -471,27 +472,25 @@ def _irls_batch(
     Y: np.ndarray,
     X: np.ndarray,
     kappa: Optional[np.ndarray] = None,
-    start: Optional[np.ndarray] = None,
     mask: Optional[np.ndarray] = None,
     pin: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_irls` on every row of the count matrix ``Y`` at once.
+    """:func:`_irls` from its cold start on every row of the count matrix ``Y`` at once.
 
     Row r is fitted on the shared design matrix ``X`` under the
     negative binomial with dispersion ``kappa[r]``, or the Poisson when
-    ``kappa`` is None. ``start`` is one coefficient vector for all rows,
-    a matrix with one per row, or None for the log(y + 0.5) start. Each
-    row takes :func:`_irls`'s steps (:func:`_newton_step`) with the same
-    arithmetic and stop rule, so it gets the scalar fit's coefficients
-    and means bit for bit, and stops iterating once it has converged or
-    failed.
+    ``kappa`` is None. Each row starts at log(y + 0.5) with a whole
+    first step and takes :func:`_irls`'s steps (:func:`_newton_step`)
+    with the same arithmetic and stop rule, so it gets the scalar fit's
+    coefficients and means bit for bit, and stops iterating once it has
+    converged or failed.
 
     ``mask`` (m, n) marks the cells each row is fitted on and ``pin``
     (m, p) the coefficients it holds at zero; both default to none left
     out. A cell outside the mask gets zero working weight and adds
     nothing to the deviance. A pinned coefficient's equation becomes
     x = 0, so row r solves the fit of its kept cells on its free
-    coefficients; its start must have the pinned entries at zero. A row
+    coefficients, which its whole first step sets to zero. A row
     with every cell kept and nothing pinned gets bit for bit the result
     it gets without masks.
 
@@ -502,12 +501,7 @@ def _irls_batch(
     k = None if kappa is None else np.asarray(kappa, dtype=float)[:, None]
     normal = _NormalEquations(X, m, pin)
     coef = np.full((m, p), np.nan)
-    if start is None:
-        eta = np.log(Y + 0.5)
-    else:
-        start = np.asarray(start, dtype=float)
-        coef[:] = start
-        eta = np.tile(X @ start, (m, 1)) if start.ndim == 1 else _rows_dot(X, coef)
+    eta = np.log(Y + 0.5)
     mu = np.exp(np.clip(eta, -_ETA_BOUND, _ETA_BOUND))
     ok = np.zeros(m, dtype=bool)
     live = np.arange(m)
@@ -515,9 +509,8 @@ def _irls_batch(
     for it in range(_IRLS_MAX_ITER):
         if live.size == 0:
             break
-        whole = it == 0 and start is None
         decrement, tol, failed = _newton_step(
-            normal, live, Y, coef, mu, None if k is None else k[live], mask, eta if whole else None
+            normal, live, Y, coef, mu, None if k is None else k[live], mask, eta if it == 0 else None
         )
         done = ~failed & (np.abs(decrement) <= tol)
         ok[live[done]] = True
@@ -617,22 +610,20 @@ def _chain_ladder_batch(
 def _poisson_batch(
     Y: np.ndarray,
     design: Design,
-    start: Optional[np.ndarray] = None,
     mask: Optional[np.ndarray] = None,
     pin: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Poisson fit of every row of ``Y``, as :func:`_irls_batch` returns it.
 
     Rows the closed form of :func:`_chain_ladder_batch` takes get it;
-    the rest get what :func:`_irls_batch` gives them, from ``start``.
+    the rest get what :func:`_irls_batch` gives them from its cold
+    start, so a row's fit depends on its counts and pattern alone.
     """
     coef, mu, ok = _chain_ladder_batch(Y, design, mask, pin)
     rest = np.nonzero(~ok)[0]
     if rest.size:
-        start = None if start is None else np.asarray(start, dtype=float)
         coef[rest], mu[rest], ok[rest] = _irls_batch(
             Y[rest], design.X,
-            start=start if start is None or start.ndim == 1 else start[rest],
             mask=None if mask is None else mask[rest],
             pin=None if pin is None else pin[rest],
         )
@@ -727,10 +718,12 @@ def _counts_and_design(data: Sequence) -> Tuple[np.ndarray, Design]:
 
 
 def _prepare(data: Sequence) -> Tuple[np.ndarray, Design]:
-    """:func:`_counts_and_design` with :func:`fit`'s input checks."""
+    """:func:`_counts_and_design` with :func:`fit`'s input checks; counts get the triangle constructors' check."""
     y, design = _counts_and_design(data)
-    if (y < 0).any():  # records built by hand; a triangle's constructors have checked its counts
-        raise ValueError("counts must be nonnegative")
+    bad = ~((y >= 0) & (y <= _MAX_COUNT) & (y == np.floor(y)))  # NaN fails every comparison
+    if bad.any():
+        r = data[int(np.argmax(bad))]
+        _coerce_count(r.count, f"({r.ay}, {r.dy})", False)
     if design.n < design.p:
         raise RankDeficientError(
             f"{design.n} observations cannot identify {design.p} parameters"

@@ -110,7 +110,7 @@ def bootstrap(
     records = to_long(t)
     try:
         y, design = _prepare(records)
-        coef, mu, kappa_mle, _ = nb_mle(y, design)
+        _, mu, kappa_mle, _ = nb_mle(y, design)
     except ReservingError as exc:
         raise BaseFitFailedError(f"base negative binomial fit failed: {exc}") from exc
 
@@ -122,7 +122,6 @@ def bootstrap(
         prefix=(),
         b=b,
         design=design,
-        base_coef=coef,
         mu_obs=mu,
         family="negbin",
         param=kappa_used,

@@ -22,6 +22,7 @@ default-process triangles have such a level.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -37,7 +38,7 @@ from .errors import ConfigError, ReservingError
 from .glm import Design, _counts_and_design
 from .glm import _irls  # not called here: bench/spans.py hooks simulation:_irls
 from .predictive import _interval
-from .triangle import RunOffTriangle, _observed_part, to_long, triangle_cells
+from .triangle import _MAX_COUNT, RunOffTriangle, _observed_part, to_long, triangle_cells
 
 SCENARIOS = ("correct", "poisson", "calendar", "varying-kappa")
 METHODS = ("poisson", "odp", "nb_mle", "nb_corrected")
@@ -75,8 +76,17 @@ class DgpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dimension < 2:
-            raise ConfigError("dimension must be at least 2")
+        for name, low in (("dimension", 2), ("n_sim", 1), ("b", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ConfigError(f"{name} must be at least {low}")
+        reals = [("kappa_true", self.kappa_true), ("inflation_rate", self.inflation_rate)]
+        reals += [("kappa_by_dy", k) for k in self.kappa_by_dy or ()]
+        for name, value in reals:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
         if len(self.true_alpha) != self.dimension:
             raise ConfigError("true_alpha must have one entry per accident year")
         w = np.asarray(self.true_dev_weights)
@@ -91,8 +101,11 @@ class DgpConfig:
                 raise ConfigError("varying-kappa needs kappa_by_dy with one entry per development year")
             if any(not k > 0 for k in self.kappa_by_dy):
                 raise ConfigError("kappa_by_dy entries must be positive")
-        if self.n_sim < 1 or self.b < 1:
-            raise ConfigError("n_sim and b must be at least 1")
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = _mean_matrix(self)
+        bad = mu[~((mu >= 0) & (mu <= _MAX_COUNT))]  # NaN fails both
+        if bad.size:
+            raise ConfigError(f"expected counts must be finite, nonnegative and at most 2**53 - 1, got {bad[0]:.3g}")
 
 
 _DEFAULT_KAPPA_BY_DY = (20.0, 18.0, 15.0, 12.0, 10.0, 7.0, 5.0, 4.0, 3.0, 3.0)
@@ -240,7 +253,7 @@ def _run_replicate(config: DgpConfig, s: int, methods: Sequence[str]) -> Dict[st
             bases[base] = _method_base(base, y, design)
         if bases[base] is None or (correct and design.n <= design.p):
             continue
-        coef, mu, disp, at_boundary = bases[base]
+        _, mu, disp, at_boundary = bases[base]
         if family == "quasipoisson" and math.isnan(disp):
             continue
         kappa = disp if base == "negbin" else None
@@ -249,7 +262,7 @@ def _run_replicate(config: DgpConfig, s: int, methods: Sequence[str]) -> Dict[st
             param = bias_correct(kappa, design.n, design.p)
         specs.append(_bootstrap.EngineSpec(
             seed=config.seed, prefix=(1, s, m_index), b=config.b, design=design,
-            base_coef=coef, mu_obs=mu, family=family, param=param, correct=correct,
+            mu_obs=mu, family=family, param=param, correct=correct,
         ))
         runs.append((method, kappa, at_boundary))
 

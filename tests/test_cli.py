@@ -258,6 +258,32 @@ class TestSimulate:
         assert err["error"]["kind"] == "Config"
         assert needle in err["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "payload, needle",
+        [
+            ({"n_sim": 1.5}, "n_sim must be an integer"),
+            ({"b": 2.5}, "b must be an integer"),
+            ({"dimension": 10.0}, "dimension must be an integer"),
+            ({"seed": 1.5}, "seed must be an integer"),
+            ({"seed": -1}, "seed must be at least 0"),
+            ({"inflation_rate": "x"}, "inflation_rate must be a real number"),
+            ({"scenario": "poisson", "kappa_true": "x"}, "kappa_true must be a real number"),
+            ({"true_alpha": [1000] + [7] * 9}, "expected counts must be finite"),
+            ({"scenario": "calendar", "inflation_rate": 1e10}, "expected counts must be finite"),
+        ],
+        ids=["n_sim", "b", "dimension", "seed", "negative-seed", "rate", "kappa", "alpha-overflow", "rate-overflow"],
+    )
+    def test_config_types_are_typed_errors(self, runner, tmp_path, payload, needle):
+        cfg = tmp_path / "dgp.json"
+        cfg.write_text(json.dumps({"n_sim": 1, "b": 5, **payload}))
+        result = runner.invoke(main, ["simulate", "--config", str(cfg), "--threads", "1",
+                                      "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2 and "Traceback" not in result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["kind"] == "Config" and needle in err["message"]
+
 
 class TestDiagnose:
     def test_outputs(self, runner, triangle_csv, tmp_path):
@@ -384,8 +410,8 @@ class TestErrors:
     # accident year 1's only nonzero count is the lone cell of development
     # year 4, so that year's coefficient can drift without bound; whatever
     # the failure is called, it is one typed line with its documented code.
-    # reserve's replicate refits reach future means above 1e19, which numpy's
-    # Poisson sampler refuses; those replicates count as failed refits
+    # some of reserve's replicate refits reach future means above 1e19, which
+    # numpy's Poisson sampler refuses; those replicates count as failed refits
     @pytest.mark.parametrize(
         "command, extra",
         [("fit", []), ("diagnose", []), ("reserve", ["-B", "100", "--threads", "1"])],
@@ -406,3 +432,41 @@ class TestErrors:
     def test_version(self, runner):
         result = run_ok(runner, ["--version"])
         assert "nbreserve" in result.output
+
+    # a bad or missing argument or option is one typed line, like any input
+    # error, rather than click's usage text
+    @pytest.mark.parametrize(
+        "args, needle",
+        [
+            (["reserve", "TRIANGLE", "-B", "abc"], "'abc' is not a valid integer"),
+            (["fit", "TRIANGLE", "--family", "foo"], "'foo' is not one of"),
+            (["reserve"], "Missing argument 'TRIANGLE'"),
+            (["fit", "TRIANGLE", "--bogus"], "No such option"),
+            (["--bogus"], "No such option"),
+            (["frob"], "No such command"),
+            (["reserve", "TRIANGLE", "--threads", "0"], "--threads"),
+            (["simulate", "--threads", "-1"], "--threads"),
+            (["fit", "TRIANGLE", "--seed", "-1"], "--seed"),
+        ],
+        ids=["bad-int", "bad-choice", "missing-argument", "unknown-option", "unknown-group-option",
+             "unknown-command", "zero-threads", "negative-threads", "negative-seed"],
+    )
+    def test_usage_errors_are_typed(self, runner, triangle_csv, tmp_path, args, needle):
+        args = [triangle_csv if a == "TRIANGLE" else a for a in args]
+        result = runner.invoke(main, [*args, "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2 and "Traceback" not in result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["kind"] == "Usage" and needle in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_from_environment(self, runner, triangle_csv):
+        result = runner.invoke(main, ["fit", triangle_csv], env={"NBRESERVE_SEED": "-3"})
+        assert result.exit_code == 2
+        assert json.loads(result.output.strip())["error"]["kind"] == "Usage"
+
+    @pytest.mark.parametrize("args", [["--help"], ["reserve", "--help"]])
+    def test_help_is_unchanged(self, runner, args):
+        result = run_ok(runner, args)
+        assert result.output.startswith("Usage:")

@@ -293,6 +293,24 @@ class TestDegenerateInputs:
         with pytest.raises(RankDeficientError):
             fit(recs, Family.poisson())
 
+    @pytest.mark.parametrize("value", [-1, 0.5, 2**53, 2**60, float("nan"), float("inf")])
+    def test_records_check_counts_as_triangles_do(self, australian, value):
+        # records built by hand get the error kind and message the triangle
+        # constructors give the same count in the same cell
+        from nbreserve import RunOffTriangle, profile_kappa
+        from nbreserve.errors import TriangleError
+
+        I = australian.dimension
+        rows = [[australian.cell(i, j) for j in range(I - i + 1)] for i in range(1, I + 1)]
+        rows[0][3] = value
+        with pytest.raises(TriangleError) as want:
+            RunOffTriangle.from_rows(rows)
+        recs = [r._replace(count=value) if (r.ay, r.dy) == (1, 3) else r for r in to_long(australian)]
+        for call in (lambda: fit(recs, Family.poisson()), lambda: profile_kappa(recs)):
+            with pytest.raises(TriangleError) as got:
+                call()
+            assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
 
 def to_long_rows(rows):
     from nbreserve import RunOffTriangle
@@ -349,17 +367,15 @@ class TestBatchedIrls:
         return rng.negative_binomial(3.0, 3.0 / (3.0 + y), size=(m, y.size)).astype(float), y, design
 
     @pytest.mark.parametrize("kappa", [None, 2.5])
-    @pytest.mark.parametrize("with_start", [False, True])
-    def test_rows_match_scalar(self, australian, kappa, with_start):
+    def test_rows_match_scalar(self, australian, kappa):
         from nbreserve.glm import _irls, _irls_batch
 
         Y, y, design = self._rows(australian)
         family = Family.poisson() if kappa is None else Family.negbin(kappa)
-        start = fit(to_long(australian), Family.poisson()).coefficients() if with_start else None
         kappas = None if kappa is None else np.full(len(Y), kappa)
-        coef, mu, ok = _irls_batch(Y, design.X, kappa=kappas, start=start)
+        coef, mu, ok = _irls_batch(Y, design.X, kappa=kappas)
         for r, row in enumerate(Y):
-            c, m, _, _, converged, _ = _irls(row, design, family, start=start)
+            c, m, _, _, converged, _ = _irls(row, design, family)
             assert ok[r] == converged
             assert np.array_equal(coef[r], c)
             assert np.array_equal(mu[r], m)

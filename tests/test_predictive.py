@@ -29,11 +29,20 @@ def _study_spec(s, b, family="quasipoisson"):
     config = simulation.default_config()
     t, _ = simulation.generate(config, s)
     y, design = _counts_and_design(to_long(t))
-    coef, mu, phi, _ = simulation._method_base("poisson", y, design)
+    _, mu, phi, _ = simulation._method_base("poisson", y, design)
     return bt.EngineSpec(
-        seed=config.seed, prefix=(1, s, 1), b=b, design=design, base_coef=coef, mu_obs=mu,
+        seed=config.seed, prefix=(1, s, 1), b=b, design=design, mu_obs=mu,
         family=family, param=phi if family == "quasipoisson" else None, correct=False,
     )
+
+
+def _refit_batch(y_star, spec):
+    """The engine's batched refit of ``y_star`` for ``spec``, with the spec's bias correction."""
+    import nbreserve._bootstrap as bt
+
+    ok, row_eff, col_eff, disp = bt._refit_batch(y_star, spec.design, spec.family)
+    bt._correct(spec, ok, disp)
+    return ok, row_eff, col_eff, disp
 
 
 @st.composite
@@ -222,9 +231,9 @@ class TestBootstrap:
     def test_excessive_failures_guard(self, australian, monkeypatch):
         import nbreserve._bootstrap as bt
 
-        def all_fail(y_star, spec):
+        def all_fail(y_star, design, family):
             m = len(y_star)
-            n_ay, n_dy = spec.design.n_ay, spec.design.n_dy
+            n_ay, n_dy = design.n_ay, design.n_dy
             return np.zeros(m, dtype=bool), np.zeros((m, n_ay)), np.zeros((m, n_dy)), np.zeros(m)
 
         monkeypatch.setattr(bt, "_refit_batch", all_fail)
@@ -251,10 +260,10 @@ class TestBatchedRefit:
         from nbreserve.dispersion import _prepare, bias_correct, nb_mle
 
         y, design = _prepare(to_long(t))
-        coef, mu, kappa, _ = nb_mle(y, design)
+        _, mu, kappa, _ = nb_mle(y, design)
         param = bias_correct(kappa, design.n, design.p)
         return bt.EngineSpec(
-            seed=0, prefix=(), b=b, design=design, base_coef=coef, mu_obs=mu,
+            seed=0, prefix=(), b=b, design=design, mu_obs=mu,
             family=family, param=param, correct=family == "negbin",
         )
 
@@ -274,7 +283,7 @@ class TestBatchedRefit:
         y_star = np.array(
             [bt.draw_counts("negbin", spec.param, spec.mu_obs, bt.substream(0, r)) for r in range(b)]
         )
-        ok, row_eff, col_eff, disp = bt._refit_batch(y_star, spec)
+        ok, row_eff, col_eff, disp = _refit_batch(y_star, spec)
         ref = [bt._refit(y, spec) for y in y_star]
         assert ok.tolist() == [r is not None for r in ref]
         dropped = 0
@@ -307,8 +316,7 @@ class TestBatchedRefit:
             [bt.draw_counts("negbin", spec.param, spec.mu_obs, bt.substream(0, r)) for r in range(200)]
         ).astype(float)
         mask, pin = drop_pattern(y_star, spec.design)
-        start = np.where(pin, 0.0, spec.base_coef)
-        _, _, _, ok, n_iter = _nb_mle_batch(y_star, spec.design, start=start, mask=mask, pin=pin)
+        _, _, _, ok, n_iter = _nb_mle_batch(y_star, spec.design, mask=mask, pin=pin)
         assert ok.all()
         assert n_iter.mean() <= 8 and n_iter.max() <= 12
 
@@ -342,7 +350,7 @@ class TestBatchedRefit:
             [bt.draw_counts("negbin", spec.param, spec.mu_obs, bt.substream(5, r)) for r in range(8)]
         )
         y_star = self._patterns(spec, base)
-        ok, row_eff, col_eff, disp = bt._refit_batch(y_star, spec)
+        ok, row_eff, col_eff, disp = _refit_batch(y_star, spec)
         ref = [bt._refit(y, spec) for y in y_star]
         assert ok.tolist() == [r is not None for r in ref]
         # one accident or development year left: saturated, so no ODP dispersion
@@ -373,8 +381,8 @@ class TestBatchedRefit:
         y_star[1::6, spec.design.dy_idx == 0] = 0
         full = np.arange(30) % 3 != 0
         full[1::6] = False
-        mixed = bt._refit_batch(y_star, spec)
-        alone = bt._refit_batch(y_star[full], spec)
+        mixed = _refit_batch(y_star, spec)
+        alone = _refit_batch(y_star[full], spec)
         for got, want in zip(mixed, alone):
             assert np.array_equal(got[full], want, equal_nan=True)
         # and each equals the scalar refit bit for bit
@@ -393,7 +401,7 @@ class TestBatchedRefit:
         )
         ay_keep, dy_keep = _kept_levels(y_star, spec.design)
         assert len(np.unique(np.hstack((ay_keep, dy_keep)), axis=0)) >= 5
-        ok, row_eff, col_eff, disp = bt._refit_batch(y_star, spec)
+        ok, row_eff, col_eff, disp = _refit_batch(y_star, spec)
         ref = [bt._refit(y, spec) for y in y_star]
         assert ok.tolist() == [r is not None for r in ref]
         for i in np.nonzero(ok)[0]:
@@ -422,7 +430,7 @@ class TestBatchedRefit:
         )
         y_star[1] = 0  # nothing left to fit
         y_star[2, spec.design.ay_idx > 0] = 0  # only the first accident year has counts
-        ok, _, _, _ = bt._refit_batch(y_star, spec)
+        ok, _, _, _ = _refit_batch(y_star, spec)
         assert ok.tolist() == [bt._refit(y, spec) is not None for y in y_star]
         assert not ok[1]
 
@@ -444,11 +452,11 @@ class TestChunking:
 
         b = 60
         spec = self._spec(case, australian, b)
-        one = bt._run_chunk(spec, 0, b)  # a single batch
+        one = bt._run_group((spec,), 0, b)[0]  # a single batch
         bounds = [0, *sorted(set(cuts)), b]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bt, "_BATCH", 7)
-            parts = [bt._run_chunk(spec, lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+            parts = [bt._run_group((spec,), lo, hi)[0] for lo, hi in zip(bounds[:-1], bounds[1:])]
         for got, want in zip((np.concatenate(p) for p in zip(*parts)), one):
             assert np.array_equal(got, want)
         # the splits cross replicates that drop a level: on Australian the
@@ -459,14 +467,43 @@ class TestChunking:
         ay_keep, dy_keep = _kept_levels(y_star, spec.design)
         assert (~np.hstack((ay_keep, dy_keep))).any(axis=1).sum() >= b // 10
 
+    def test_one_family_shares_a_batch(self, australian):
+        # two negbin specs of one triangle whose draws differ in means,
+        # kappa, correction and substreams refit in one batch, and each
+        # gets bit for bit what it gets alone
+        import dataclasses
+
+        import nbreserve._bootstrap as bt
+
+        first = TestBatchedRefit._spec(australian, 150)
+        second = dataclasses.replace(
+            first, prefix=(7,), mu_obs=first.mu_obs * 1.5, param=2.0 * first.param, correct=False
+        )
+        batches, refit = [], bt._refit_batch
+
+        def recorded(y_star, design, family):
+            batches.append(len(y_star))
+            return refit(y_star, design, family)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bt, "_refit_batch", recorded)
+            together = bt.run_group((first, second))
+        assert batches == [100, 100, 100]  # windows of 50 replicates of each spec
+        for spec, got in zip((first, second), together):
+            for workers in (1, 2):
+                alone = bt.run(spec, workers=workers)
+                assert np.array_equal(got[0], alone[0]) and np.array_equal(got[1], alone[1])
+                assert got[2] == alone[2]
+
 
 class TestUnboundedRefit:
     """A replicate whose refitted future means run off without bound fails; the others keep their draws."""
 
     # accident year 1's only nonzero count is the lone cell of development
     # year 4, so that year's coefficient can drift without bound: replicate
-    # refits that converge reach future means of 3.6e18 to 6.9e19, beyond
-    # any count; numpy's Poisson sampler refuses those above about 9.2e18
+    # refits that keep accident year 1 and converge reach future means of
+    # 2.9e17 to past float64's range, beyond any count; numpy's Poisson
+    # sampler refuses those above about 9.2e18
     QUASI_SEPARATED = [[0, 0, 0, 0, 1], [2, 0, 4, 5], [3, 0, 1], [3, 3], [1]]
 
     @staticmethod
@@ -477,9 +514,10 @@ class TestUnboundedRefit:
         y_star = np.array(
             [bt.draw_counts(spec.family, spec.param, spec.mu_obs, substream(spec.seed, *spec.prefix, r)) for r in range(spec.b)]
         )
-        fitted, row_eff, col_eff, _ = bt._refit_batch(y_star, spec)
+        fitted, row_eff, col_eff, _ = _refit_batch(y_star, spec)
         _, (fut_ay, fut_dy) = triangle_cells(spec.design.n_ay)
-        return fitted, np.exp(row_eff[:, fut_ay] + col_eff[:, fut_dy]).max(axis=1)
+        with np.errstate(over="ignore"):
+            return fitted, np.exp(row_eff[:, fut_ay] + col_eff[:, fut_dy]).max(axis=1)
 
     def test_quasi_separated_triangle(self):
         import nbreserve._bootstrap as bt
@@ -488,22 +526,38 @@ class TestUnboundedRefit:
         spec = TestBatchedRefit._spec(t, 100)
         fitted, top = self._largest_future_mean(spec)
         assert (fitted & (top > 1e19)).any()
-        ok, _, _ = bt._run_chunk(spec, 0, spec.b)
+        ok, _, _ = bt._run_group((spec,), 0, spec.b)[0]
         assert ok.tolist() == (fitted & (top <= bt._MAX_COUNT)).tolist()
         with pytest.raises(ExcessiveFailuresError):
             bootstrap(t, b=100, seed=0)
+
+    def test_dropped_baseline_year_refits(self):
+        # a replicate whose lone accident-year-1 count draws zero drops that
+        # baseline year; its other years have a finite maximum, which the
+        # refit reaches from the cold start (a start from the base fit's
+        # coefficients, whose intercept is accident year 1's, failed them all)
+        import nbreserve._bootstrap as bt
+
+        spec = TestBatchedRefit._spec(RunOffTriangle.from_rows(self.QUASI_SEPARATED), 100)
+        y_star = np.array(
+            [bt.draw_counts(spec.family, spec.param, spec.mu_obs, substream(spec.seed, *spec.prefix, r)) for r in range(spec.b)]
+        )
+        dropped = y_star[:, spec.design.ay_idx == 0].sum(axis=1) == 0
+        fitted, top = self._largest_future_mean(spec)
+        assert dropped.sum() >= 20
+        assert fitted[dropped].all() and (top[dropped] <= 100).all()
 
     def test_other_replicates_keep_their_draws(self, australian, monkeypatch):
         import nbreserve._bootstrap as bt
 
         spec = TestBatchedRefit._spec(australian, 60)
-        ok, totals, by_ay = bt._run_chunk(spec, 0, spec.b)
+        ok, totals, by_ay = bt._run_group((spec,), 0, spec.b)[0]
         fitted, top = self._largest_future_mean(spec)
         assert ok.tolist() == fitted.tolist()
         # a bound below some replicates' largest future mean fails just those
         bound = float(np.median(top[ok]))
         monkeypatch.setattr(bt, "_MAX_COUNT", bound)
-        ok_b, totals_b, by_ay_b = bt._run_chunk(spec, 0, spec.b)
+        ok_b, totals_b, by_ay_b = bt._run_group((spec,), 0, spec.b)[0]
         assert ok_b.tolist() == (ok & (top <= bound)).tolist() and 0 < ok_b.sum() < ok.sum()
         assert np.array_equal(totals_b[ok_b], totals[ok_b]) and np.array_equal(by_ay_b[ok_b], by_ay[ok_b])
 
