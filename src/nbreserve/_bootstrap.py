@@ -17,14 +17,17 @@ The study's base fits, also on synthetic data, share that rule
 (:func:`fit_kept_levels`); a user's triangle is rejected instead.
 
 The engine refits a batch of replicates at once on the full design.
-Each replicate leaves out the cells of its dropped levels and holds
-their coefficients at zero, so one batched fit serves every drop
-pattern and a replicate that drops nothing gets exactly the fit it
-would get alone. Poisson and overdispersed Poisson refits are the
-closed-form chain-ladder (:func:`~nbreserve.glm._poisson_batch`);
-negative binomial refits are the joint fit of
-:func:`~nbreserve.dispersion._nb_mle_batch`, started from it. A refit
-depends on the replicate's counts, the design and the family alone.
+Poisson and overdispersed Poisson refits are the chain-ladder in
+closed form (:func:`~nbreserve.glm._poisson_batch`), which fits each
+replicate's kept levels; a replicate it cannot take, which on a
+triangle has no finite maximum, runs :func:`~nbreserve.glm._irls` on
+the design of its kept levels. Negative binomial refits are the joint
+fit of :func:`~nbreserve.dispersion._nb_mle_batch`, started from the
+Poisson fit: each replicate leaves out the cells of its dropped levels
+and holds their coefficients at zero, so one batched fit serves every
+drop pattern and a replicate that drops nothing gets exactly the fit
+it would get alone. A refit depends on the replicate's counts, the
+design and the family alone.
 
 One engine pass serves every spec of one triangle (:func:`run_group`):
 specs that refit the same family, such as a study's nb_mle and
@@ -45,8 +48,8 @@ from . import dispersion
 from ._rng import substreams
 from ._rng import substream  # not called here: bench/spans.py hooks _bootstrap:substream
 from .errors import ReservingError
-from .glm import Design, _effects_from_coef, _kept_levels, _poisson_batch, build_design, drop_masks, pearson_statistic
-from .glm import _irls  # not called here: bench/spans.py hooks _bootstrap:_irls
+from .glm import Design, _effects_from_coef, _kept_design, _kept_levels, _poisson_batch, drop_masks, pearson_statistic
+from .glm import _irls, build_design  # not called here: bench/spans.py hooks _bootstrap:_irls and :build_design
 from .triangle import _MAX_COUNT, triangle_cells
 
 
@@ -140,14 +143,10 @@ def _refit(y_star: np.ndarray, spec: EngineSpec) -> Optional[Tuple[np.ndarray, n
     engine runs :func:`_refit_batch`; this one-replicate form is its
     reference.
     """
-    d = spec.design
-    ay_keep, dy_keep = _kept_levels(y_star, d)
-    keep_ay, keep_dy = np.nonzero(ay_keep)[0], np.nonzero(dy_keep)[0]
-    cells = ay_keep[d.ay_idx] & dy_keep[d.dy_idx]
-    if not cells.any():
+    ay_keep, dy_keep = _kept_levels(y_star, spec.design)
+    if not ay_keep.any():
         return None
-    ay_new, dy_new = np.searchsorted(keep_ay, d.ay_idx[cells]), np.searchsorted(keep_dy, d.dy_idx[cells])
-    design = build_design(ay_new + 1, dy_new, len(keep_ay), len(keep_dy))
+    cells, design = _kept_design(spec.design, ay_keep, dy_keep)
     if design.n < design.p:
         return None
     y_fit = y_star[cells].astype(float)
@@ -171,7 +170,7 @@ def _refit(y_star: np.ndarray, spec: EngineSpec) -> Optional[Tuple[np.ndarray, n
 
     row_eff = np.full(spec.design.n_ay, -np.inf)
     col_eff = np.full(spec.design.n_dy, -np.inf)
-    row_eff[keep_ay], col_eff[keep_dy] = _effects_from_coef(coef, len(keep_ay))
+    row_eff[ay_keep], col_eff[dy_keep] = _effects_from_coef(coef, design.n_ay)
     return row_eff, col_eff, disp
 
 
@@ -212,7 +211,7 @@ def fit_kept_levels(
     if family == "negbin":
         coef[fit], mu_fit, disp[fit], ok[fit], _ = dispersion._nb_mle_batch(Y, design, mask=mask, pin=pin)
     else:
-        coef[fit], mu_fit, ok[fit] = _poisson_batch(Y, design, mask=mask, pin=pin)
+        coef[fit], mu_fit, ok[fit] = _poisson_batch(Y, design)
         if family == "quasipoisson":
             disp[fit] = pearson_statistic(Y, mu_fit, mask) / np.where(dof[fit] > 0, dof[fit], np.nan)
     mu[fit] = mu_fit * kept

@@ -153,6 +153,14 @@ def _seed_option(func):
     )(func)
 
 
+def _no_nan(ctx, param, values):
+    """Reject a nan ``--level``, which click's open range passes: it compares false with both bounds."""
+    for value in values:
+        if value != value:
+            raise click.BadParameter(f"{value} is not in the range 0<x<1.", ctx, param)
+    return values
+
+
 @click.group(cls=_Main)
 @click.version_option(__version__, prog_name="nbreserve")
 def main():
@@ -252,8 +260,13 @@ def _future_sum(model) -> float:
 
 @main.command("reserve")
 @click.argument("triangle", type=str)
-@click.option("-B", "--bootstrap", "b", type=int, default=5000, show_default=True, help="Bootstrap replicates.")
-@click.option("--level", "levels", type=float, multiple=True, default=(0.95,), show_default=True)
+@click.option(
+    "-B", "--bootstrap", "b", type=click.IntRange(min=1), default=5000, show_default=True, help="Bootstrap replicates."
+)
+@click.option(
+    "--level", "levels", type=click.FloatRange(0, 1, min_open=True, max_open=True), callback=_no_nan,
+    multiple=True, default=(0.95,), show_default=True,
+)
 @click.option("--no-correct", is_flag=True, help="Skip the dispersion bias correction.")
 @click.option("--threads", type=click.IntRange(min=1), default=None, help="Worker processes; defaults to the CPU count.")
 @click.option("--round-amounts", is_flag=True)
@@ -269,8 +282,6 @@ def cmd_reserve(triangle, b, levels, no_correct, threads, round_amounts, out_dir
         {**_input(triangle), "b": b, "levels": sorted(levels), "correct": not no_correct, "seed": seed},
         out_dir,
     )
-    for level in levels:  # before the bootstrap, which a bad level would waste
-        predictive.check_level(level)
     dist = predictive.bootstrap(t, b=b, correct=not no_correct, seed=seed, workers=workers)
     rows_by_level = predictive.summary_rows(dist, levels)
 
@@ -308,8 +319,11 @@ def cmd_reserve(triangle, b, levels, no_correct, threads, round_amounts, out_dir
 @main.command("simulate")
 @click.option("--scenario", type=click.Choice(list(simulation.SCENARIOS)), default="correct", show_default=True)
 @click.option("--kappa", type=float, default=10.0, show_default=True, help="True dispersion for NB scenarios.")
-@click.option("--nsim", type=int, default=50, show_default=True, help="Simulation replicates.")
-@click.option("-B", "--bootstrap", "b", type=int, default=200, show_default=True, help="Bootstrap replicates per fit.")
+@click.option("--nsim", type=click.IntRange(min=1), default=50, show_default=True, help="Simulation replicates.")
+@click.option(
+    "-B", "--bootstrap", "b", type=click.IntRange(min=1), default=200, show_default=True,
+    help="Bootstrap replicates per fit.",
+)
 @click.option("--threads", type=click.IntRange(min=1), default=None, help="Worker processes; defaults to the CPU count.")
 @click.option("--config", "config_path", type=str, default=None, help="JSON file overriding the default DGP.")
 @click.option("--out-dir", type=str, default="nbreserve_out", show_default=True)

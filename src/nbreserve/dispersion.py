@@ -637,10 +637,13 @@ def _nb_mle_batch(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Joint maximum likelihood over (mean effects, kappa) for each row of ``Y``.
 
-    All rows share ``design``; ``mask`` and ``pin`` are as for
-    :func:`nbreserve.glm._irls_batch`. A cell outside the mask must
-    hold a zero count; the kappa score sees it at its limit y = mu = 0,
-    where it adds nothing, so each row's kappa is that of its kept cells.
+    All rows share ``design``; ``mask`` (m, n) marks the cells each row
+    is fitted on and ``pin`` (m, p) the coefficients it holds at zero,
+    as :func:`nbreserve.glm.drop_masks` gives them for the row's
+    zero-total levels; both default to none left out. A cell outside
+    the mask holds a zero count and gets zero working weight; the kappa
+    score sees it at its limit y = mu = 0, where it adds nothing, so
+    each row's kappa is that of its kept cells.
 
     The Poisson fit (:func:`nbreserve.glm._poisson_batch`, the
     closed-form chain-ladder where it applies) gives the means, unless
@@ -674,7 +677,7 @@ def _nb_mle_batch(
     """
     m = len(Y)
     if poisson is None:
-        poisson = _poisson_batch(Y, design, mask=mask, pin=pin)
+        poisson = _poisson_batch(Y, design)
     coef, mu, poisson_ok = poisson
     kappa = np.full(m, np.nan)
     ok = np.zeros(m, dtype=bool)

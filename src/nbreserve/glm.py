@@ -6,16 +6,18 @@ fixed-dispersion negative binomial families. The negative binomial uses
 the mean-dispersion parameterisation E[N] = mu, Var[N] = mu + mu^2 / kappa,
 so kappa -> infinity recovers the Poisson.
 
-Every fit takes the same iteratively reweighted least-squares step: a
-Newton step with the observed information (:func:`_newton_terms`),
-halved within the deviance's rounding slack, and stops on one rule:
-when its Newton decrement is at rounding level, on a scale set by its
-total working weight. :func:`_irls` fits one triangle, :func:`_irls_batch`
-a batch of triangles with the same arithmetic, and the joint dispersion
-fit of :mod:`nbreserve.dispersion` takes its coefficient steps from
-:func:`_newton_step`. Under the log link the Poisson's observed and
-expected information coincide, so its step is the Fisher-scoring step;
-the Poisson is the kappa -> infinity end of the same step.
+Every fit at fixed kappa is :func:`_irls`: a Newton step with the
+observed information (:func:`_newton_terms`), halved within the
+deviance's rounding slack, which stops on one rule: when its Newton
+decrement is at rounding level, on a scale set by its total working
+weight. The joint dispersion fit of :mod:`nbreserve.dispersion` takes
+the same coefficient step for a batch of rows (:func:`_newton_step`).
+Under the log link the Poisson's observed and expected information
+coincide, so its step is the Fisher-scoring step; the Poisson is the
+kappa -> infinity end of the same step. A batch's Poisson fit
+(:func:`_poisson_batch`) is the chain-ladder in closed form
+(:func:`_chain_ladder_batch`) on a staircase whose maximum exists, and
+:func:`_irls` on each other row's kept levels.
 
 Fits are computed under treatment contrasts (first accident year and
 development year 0 as baselines) and re-expressed on the simplex scale,
@@ -25,8 +27,9 @@ The other modules share its layout: records to counts and a design
 (:func:`_counts_and_design`; :func:`_prepare` adds the input checks),
 the coefficient order (:func:`build_design`, read back by
 :func:`_split_coef` and :func:`_effects_from_coef`), the levels a row
-keeps (:func:`_kept_levels`) and the masks and pins that drop the
-others (:func:`drop_masks`), and the Pearson statistic behind every
+keeps (:func:`_kept_levels`), the masks and pins that drop the others
+(:func:`drop_masks`) and the design of the kept levels alone
+(:func:`_kept_design`), and the Pearson statistic behind every
 quasi-Poisson phi (:func:`pearson_statistic`).
 """
 
@@ -396,27 +399,24 @@ class _NormalEquations:
 
 def _newton_step(
     normal: _NormalEquations, live: np.ndarray, Y: np.ndarray, coef: np.ndarray, mu: np.ndarray,
-    k: Optional[np.ndarray], mask: Optional[np.ndarray], eta: Optional[np.ndarray] = None,
+    k: np.ndarray, mask: Optional[np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The step of :func:`_irls` for the rows ``live`` of a batch, at fixed kappa.
 
     Row r's weights and response come from :func:`_newton_terms` at its
-    counts Y[r], means mu[r] and kappa (``k``, a column over ``live``,
-    or None for the Poisson); its normal equations are ``normal``'s,
-    with its pins. The step is halved until the row's deviance does not
-    rise by more than ``_DEV_SLACK`` times its sum of y + kappa. Cells
-    outside ``mask`` get zero weight and add nothing to either. Given
-    the linear predictors ``eta`` (m, n) of the batch, the step is a
-    cold start's: taken whole, in the IRLS form, from the working
-    response eta + z. ``coef`` and ``mu`` are updated in place for the
-    rows that take a step.
+    counts Y[r], means mu[r] and kappa (``k``, a column over ``live``);
+    its normal equations are ``normal``'s, with its pins. The step is
+    halved until the row's deviance does not rise by more than
+    ``_DEV_SLACK`` times its sum of y + kappa. Cells outside ``mask``
+    get zero weight and add nothing to either. ``coef`` and ``mu`` are
+    updated in place for the rows that take a step.
 
     Returns (decrement, tol, failed) per row of ``live``: the Newton
-    decrement g^T delta (infinite for a whole step), the decrement at
-    or below which the row has converged, max(``_DECREMENT_TOL``,
-    ``_DECREMENT_PER_WEIGHT`` times its total working weight), and
-    whether the system was singular, no halving kept the deviance down
-    or a kept mean reached the clip of the linear predictor.
+    decrement g^T delta, the decrement at or below which the row has
+    converged, max(``_DECREMENT_TOL``, ``_DECREMENT_PER_WEIGHT`` times
+    its total working weight), and whether the system was singular, no
+    halving kept the deviance down or a kept mean reached the clip of
+    the linear predictor.
     """
     X = normal.X
     y, old, mu_l = Y[live], coef[live], mu[live]
@@ -425,23 +425,17 @@ def _newton_step(
         return a if mask is None else a * mask[rows]
 
     def deviance(rows, mu_r):
-        return 2.0 * kept(_unit_deviance(y[rows], mu_r, None if k is None else k[rows]), live[rows]).sum(axis=1)
+        return 2.0 * kept(_unit_deviance(y[rows], mu_r, k[rows]), live[rows]).sum(axis=1)
 
     w, z = _newton_terms(y, mu_l, k)
     w = kept(w, live)
     tol = np.maximum(_DECREMENT_TOL, _DECREMENT_PER_WEIGHT * w.sum(axis=1))
     Xw, A = normal.weigh(live, w)
-    if eta is None:
-        g = (Xw.transpose(0, 2, 1) @ z[:, :, None])[:, :, 0]
-    else:
-        g = (X.T @ (w * (eta[live] + z))[:, :, None])[:, :, 0]
+    g = (Xw.transpose(0, 2, 1) @ z[:, :, None])[:, :, 0]
     delta = normal.solve(live, A, g)
     failed = np.isnan(delta).any(axis=1)
-    if eta is None:
-        decrement, cand = (g * delta).sum(axis=1), old + delta
-        limit = deviance(slice(None), mu_l) + _DEV_SLACK * kept(y if k is None else y + k, live).sum(axis=1)
-    else:
-        decrement, cand, limit = np.full(live.size, np.inf), delta, np.full(live.size, np.inf)
+    decrement, cand = (g * delta).sum(axis=1), old + delta
+    limit = deviance(slice(None), mu_l) + _DEV_SLACK * kept(y + k, live).sum(axis=1)
 
     # step halving: each row takes the first of cand, (cand + old) / 2, ...
     # within 30 halvings that keeps its deviance within the slack
@@ -468,57 +462,6 @@ def _newton_step(
     return decrement, tol, failed
 
 
-def _irls_batch(
-    Y: np.ndarray,
-    X: np.ndarray,
-    kappa: Optional[np.ndarray] = None,
-    mask: Optional[np.ndarray] = None,
-    pin: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_irls` from its cold start on every row of the count matrix ``Y`` at once.
-
-    Row r is fitted on the shared design matrix ``X`` under the
-    negative binomial with dispersion ``kappa[r]``, or the Poisson when
-    ``kappa`` is None. Each row starts at log(y + 0.5) with a whole
-    first step and takes :func:`_irls`'s steps (:func:`_newton_step`)
-    with the same arithmetic and stop rule, so it gets the scalar fit's
-    coefficients and means bit for bit, and stops iterating once it has
-    converged or failed.
-
-    ``mask`` (m, n) marks the cells each row is fitted on and ``pin``
-    (m, p) the coefficients it holds at zero; both default to none left
-    out. A cell outside the mask gets zero working weight and adds
-    nothing to the deviance. A pinned coefficient's equation becomes
-    x = 0, so row r solves the fit of its kept cells on its free
-    coefficients, which its whole first step sets to zero. A row
-    with every cell kept and nothing pinned gets bit for bit the result
-    it gets without masks.
-
-    Returns (coef, mu, ok); ok is False for rows on which :func:`_irls`
-    would not converge.
-    """
-    m, p = len(Y), X.shape[1]
-    k = None if kappa is None else np.asarray(kappa, dtype=float)[:, None]
-    normal = _NormalEquations(X, m, pin)
-    coef = np.full((m, p), np.nan)
-    eta = np.log(Y + 0.5)
-    mu = np.exp(np.clip(eta, -_ETA_BOUND, _ETA_BOUND))
-    ok = np.zeros(m, dtype=bool)
-    live = np.arange(m)
-
-    for it in range(_IRLS_MAX_ITER):
-        if live.size == 0:
-            break
-        decrement, tol, failed = _newton_step(
-            normal, live, Y, coef, mu, None if k is None else k[live], mask, eta if it == 0 else None
-        )
-        done = ~failed & (np.abs(decrement) <= tol)
-        ok[live[done]] = True
-        live = live[~(done | failed)]
-
-    return coef, mu, ok
-
-
 def drop_masks(design: Design, ay_keep: np.ndarray, dy_keep: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Kept cells (m, n) and pinned coefficients (m, p) of ``design`` for rows keeping the given levels.
 
@@ -540,13 +483,23 @@ def drop_masks(design: Design, ay_keep: np.ndarray, dy_keep: np.ndarray) -> Tupl
     return mask, pin
 
 
-def _chain_ladder_batch(
-    Y: np.ndarray,
-    design: Design,
-    mask: Optional[np.ndarray] = None,
-    pin: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Poisson fit of every row of ``Y`` in closed form, by the chain-ladder.
+def _kept_design(design: Design, ay_keep: np.ndarray, dy_keep: np.ndarray) -> Tuple[np.ndarray, Design]:
+    """The cells of ``design`` one row keeps, and the design of its kept levels alone.
+
+    ``ay_keep`` (n_ay,) and ``dy_keep`` (n_dy,) mark the row's kept
+    accident and development years, at least one of each; a cell is
+    kept when both of its levels are. The kept levels are numbered in
+    order, so the first kept level of each factor is the baseline and
+    the coefficients are those :func:`drop_masks` leaves free, in order.
+    """
+    cells = ay_keep[design.ay_idx] & dy_keep[design.dy_idx]
+    ay = np.cumsum(ay_keep)[design.ay_idx[cells]]
+    dy = np.cumsum(dy_keep)[design.dy_idx[cells]] - 1
+    return cells, build_design(ay, dy, int(ay_keep.sum()), int(dy_keep.sum()))
+
+
+def _chain_ladder_batch(Y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Poisson fit of every row of ``Y`` on its kept levels in closed form, by the chain-ladder.
 
     On a layout whose every accident year is observed on a prefix of the
     development years, the Poisson maximum-likelihood means are the
@@ -554,18 +507,20 @@ def _chain_ladder_batch(
     the factor f_j = sum C[i, j] / sum C[i, j - 1] over the years
     observed at j gives the share of development year j of the
     ultimate, and each year's observed total gives its ultimate. A
-    level with a zero total adds nothing to those sums, so the same
-    recursion fits the kept levels of a drop pattern.
+    level with a zero total adds nothing to those sums, and a
+    development year whose sum C[i, j] is zero adds no development, so
+    the same recursion fits the kept levels (:func:`_kept_levels`) of
+    any row.
 
-    ``mask`` and ``pin`` are as for :func:`_irls_batch`; a row is taken
-    when they are what :func:`drop_masks` gives for its zero-total
-    levels (no mask and no pin when it has none). Its coefficients are
-    those parameters, with the first kept level of each factor as the
-    baseline, and its means are exp(X coef). Returns (coef, mu, ok); ok
-    is False for rows not taken, which are the rows of another drop
-    pattern, rows whose recursion divides by zero or leaves a kept
-    level with a zero mean (a maximum on the boundary), and every row
-    when the layout is not of that form.
+    A row's coefficients are the kept levels' parameters with the first
+    kept level of each factor as the baseline, and each dropped level's
+    coefficient, as :func:`drop_masks` pins them, zero; its means are
+    exp(X coef) on every cell. Returns (coef, mu, ok); ok is False for
+    rows not taken: rows that leave a kept cell with a zero mean (a
+    maximum on the boundary, or none), and every row when the layout is
+    not of that form. On that layout a row is taken exactly when some
+    strictly positive table on its kept cells has its margins, which is
+    when its maximum exists (Haberman 1974).
     """
     m, I, J = len(Y), design.n_ay, design.n_dy
     coef = np.full((m, design.p), np.nan)
@@ -577,7 +532,7 @@ def _chain_ladder_batch(
     if not np.array_equal(reach, np.arange(J)[:, None] < length):
         return coef, mu, ok
     grid = np.zeros((m, J, I))
-    grid[:, design.dy_idx, design.ay_idx] = Y if mask is None else Y * mask
+    grid[:, design.dy_idx, design.ay_idx] = Y
     cum = np.cumsum(grid, axis=1)
     row_tot = cum[:, -1]
     col_tot = np.sum(grid, axis=-1)
@@ -587,7 +542,7 @@ def _chain_ladder_batch(
         # cumulative share of the ultimate reached by the end of each development year
         share = np.ones((m, J))
         for j in range(J - 1, 0, -1):
-            share[:, j - 1] = share[:, j] * before[:, j - 1] / seen[:, j]
+            share[:, j - 1] = np.where(seen[:, j] > 0, share[:, j] * before[:, j - 1] / seen[:, j], share[:, j])
         log_u = np.log(row_tot / share[:, length - 1])
         log_p = np.log(share * col_tot / seen)
         ay_keep, dy_keep = row_tot > 0, col_tot > 0
@@ -596,37 +551,34 @@ def _chain_ladder_batch(
         a = np.where(ay_keep, log_u - base_u[:, None], 0.0)
         b = np.where(dy_keep, log_p - base_p[:, None], 0.0)
         full = np.hstack(((base_u + base_p)[:, None], a[:, 1:], b[:, 1:]))
-    want_mask, want_pin = drop_masks(design, ay_keep, dy_keep)
-    ok = (
-        np.all(np.isfinite(full), axis=1)
-        & np.all(want_mask if mask is None else want_mask == mask, axis=1)
-        & ~np.any(want_pin if pin is None else want_pin != pin, axis=1)
-    )
+    ok = np.all(np.isfinite(full), axis=1)
     coef[ok] = full[ok]
     mu[ok] = np.exp(np.clip(_rows_dot(design.X, coef[ok]), -_ETA_BOUND, _ETA_BOUND))
     return coef, mu, ok
 
 
-def _poisson_batch(
-    Y: np.ndarray,
-    design: Design,
-    mask: Optional[np.ndarray] = None,
-    pin: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Poisson fit of every row of ``Y``, as :func:`_irls_batch` returns it.
+def _poisson_batch(Y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Poisson fit of every row of ``Y`` on its kept levels.
 
-    Rows the closed form of :func:`_chain_ladder_batch` takes get it;
-    the rest get what :func:`_irls_batch` gives them from its cold
-    start, so a row's fit depends on its counts and pattern alone.
+    Rows the closed form of :func:`_chain_ladder_batch` takes get it.
+    Each other row gets :func:`_irls` from its cold start on the design
+    of its kept levels (:func:`_kept_design`), its coefficients laid out
+    as the closed form lays them out, so a row's fit depends on its
+    counts and the design alone. Returns (coef, mu, ok); ok is False for
+    rows that keep no level or whose IRLS does not converge.
     """
-    coef, mu, ok = _chain_ladder_batch(Y, design, mask, pin)
+    coef, mu, ok = _chain_ladder_batch(Y, design)
     rest = np.nonzero(~ok)[0]
-    if rest.size:
-        coef[rest], mu[rest], ok[rest] = _irls_batch(
-            Y[rest], design.X,
-            mask=None if mask is None else mask[rest],
-            pin=None if pin is None else pin[rest],
-        )
+    if rest.size == 0:
+        return coef, mu, ok
+    ay_keep, dy_keep = _kept_levels(Y[rest], design)
+    _, pin = drop_masks(design, ay_keep, dy_keep)
+    for r, ay, dy, free in zip(rest, ay_keep, dy_keep, ~pin):
+        if ay.any():
+            cells, kept = _kept_design(design, ay, dy)
+            coef[r] = 0.0
+            coef[r, free], _, _, _, ok[r], _ = _irls(Y[r, cells], kept, Family.poisson())
+    mu[rest] = np.exp(np.clip(_rows_dot(design.X, coef[rest]), -_ETA_BOUND, _ETA_BOUND))
     return coef, mu, ok
 
 

@@ -338,7 +338,9 @@ class TestErrors:
         result = runner.invoke(main, ["reserve", triangle_csv, "-B", "2000", "--level", level, "--out-dir", str(out)])
         assert result.exit_code == 2
         err = json.loads(result.output.strip().splitlines()[-1])
-        assert err["error"] == {"kind": "InvalidValue", "message": f"level must be inside (0, 1), got {float(level)}"}
+        assert err["error"] == {
+            "kind": "Usage", "message": f"Invalid value for '--level': {float(level)} is not in the range 0<x<1."
+        }
         assert not out.exists()
 
     def test_bad_triangle(self, runner, tmp_path):
@@ -447,9 +449,14 @@ class TestErrors:
             (["reserve", "TRIANGLE", "--threads", "0"], "--threads"),
             (["simulate", "--threads", "-1"], "--threads"),
             (["fit", "TRIANGLE", "--seed", "-1"], "--seed"),
+            (["reserve", "TRIANGLE", "-B", "0"], "--bootstrap"),
+            (["reserve", "TRIANGLE", "--level", "1.5"], "--level"),
+            (["simulate", "--nsim", "0"], "--nsim"),
+            (["simulate", "-B", "0"], "--bootstrap"),
         ],
         ids=["bad-int", "bad-choice", "missing-argument", "unknown-option", "unknown-group-option",
-             "unknown-command", "zero-threads", "negative-threads", "negative-seed"],
+             "unknown-command", "zero-threads", "negative-threads", "negative-seed", "zero-bootstrap",
+             "level-above-one", "zero-nsim", "zero-simulate-bootstrap"],
     )
     def test_usage_errors_are_typed(self, runner, triangle_csv, tmp_path, args, needle):
         args = [triangle_csv if a == "TRIANGLE" else a for a in args]

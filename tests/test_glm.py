@@ -355,59 +355,73 @@ def staircase_batches(draw):
     return Y, design
 
 
+def kept_fit(y: np.ndarray, design, family):
+    """``_irls`` on the kept levels of one row of counts: (cells, coef, mu, deviance_path, converged)."""
+    from nbreserve.glm import _irls, _kept_design, _kept_levels
+
+    ay_keep, dy_keep = _kept_levels(y[None], design)
+    cells, kept = _kept_design(design, ay_keep[0], dy_keep[0])
+    coef, mu, _, path, converged, _ = _irls(y[cells], kept, family)
+    return cells, coef, mu, path, converged
+
+
+def positive_table_exists(y: np.ndarray, design) -> bool:
+    """Whether a strictly positive table on the kept cells of ``y`` has its margins.
+
+    Maximises t, at most 1, subject to T >= t over tables T with the
+    kept levels' totals. The margins' constraints are those of a
+    bipartite graph, so the optimum is a ratio of integers whose
+    denominator is at most the n kept cells: a positive one is at least
+    1 / n.
+    """
+    from scipy.optimize import linprog
+
+    from nbreserve.glm import _kept_design, _kept_levels
+
+    ay_keep, dy_keep = _kept_levels(y[None], design)
+    cells, kept = _kept_design(design, ay_keep[0], dy_keep[0])
+    n = kept.n
+    a_eq = np.hstack((kept.X.T, np.zeros((kept.p, 1))))
+    a_ub = np.hstack((-np.eye(n), np.ones((n, 1))))
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(n), A_eq=a_eq, b_eq=kept.X.T @ y[cells],
+                  bounds=[(0, None)] * n + [(0, 1)], method="highs")
+    assert res.status == 0
+    return -res.fun > 0.5 / n
+
+
 class TestBatchedIrls:
-    """``_irls_batch`` row by row against the scalar ``_irls``."""
-
-    @staticmethod
-    def _rows(australian, m=12):
-        from nbreserve.dispersion import _prepare
-
-        y, design = _prepare(to_long(australian))
-        rng = np.random.default_rng(11)
-        return rng.negative_binomial(3.0, 3.0 / (3.0 + y), size=(m, y.size)).astype(float), y, design
-
-    @pytest.mark.parametrize("kappa", [None, 2.5])
-    def test_rows_match_scalar(self, australian, kappa):
-        from nbreserve.glm import _irls, _irls_batch
-
-        Y, y, design = self._rows(australian)
-        family = Family.poisson() if kappa is None else Family.negbin(kappa)
-        kappas = None if kappa is None else np.full(len(Y), kappa)
-        coef, mu, ok = _irls_batch(Y, design.X, kappa=kappas)
-        for r, row in enumerate(Y):
-            c, m, _, _, converged, _ = _irls(row, design, family)
-            assert ok[r] == converged
-            assert np.array_equal(coef[r], c)
-            assert np.array_equal(mu[r], m)
+    """The fixed-kappa fit ``_irls`` on batches of rows, and the batched solves of the joint fit."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(batch=staircase_batches(), log_kappa=st.lists(st.floats(-3.0, 9.0), min_size=6, max_size=6))
     @pytest.mark.parametrize("poisson", [True, False], ids=["poisson", "negbin"])
-    def test_random_rows_match_scalar(self, poisson, batch, log_kappa):
-        from nbreserve.glm import _DEV_SLACK, _irls, _irls_batch
+    def test_deviance_never_rises(self, poisson, batch, log_kappa):
+        from nbreserve.glm import _DEV_SLACK
 
         Y, design = batch
-        mask, _ = drop_pattern(Y, design)
-        Y = Y[mask.all(axis=1)]  # rows with no all-zero level
+        Y = Y[Y.sum(axis=1) > 0]  # rows that keep a level
         assume(len(Y) > 0)
-        kappas = None if poisson else np.exp(log_kappa)[: len(Y)]
-        coef, mu, ok = _irls_batch(Y, design.X, kappa=kappas)
+        kappas = np.exp(log_kappa)
         for r, y in enumerate(Y):
             family = Family.poisson() if poisson else Family.negbin(kappas[r])
-            c, m, _, path, converged, _ = _irls(y, design, family)
-            assert ok[r] == converged
-            assert np.array_equal(coef[r], c, equal_nan=True)
-            assert np.array_equal(mu[r], m)
-            slack = _DEV_SLACK * np.sum(y if poisson else y + kappas[r])
+            cells, _, _, path, _ = kept_fit(y, design, family)
+            slack = _DEV_SLACK * np.sum(y[cells] if poisson else y[cells] + kappas[r])
             assert np.all(np.diff(path) <= slack)
 
     def test_iteration_budget_fails_rows(self, australian, monkeypatch):
         from nbreserve import glm
+        from nbreserve.dispersion import _prepare
 
-        Y, _, design = self._rows(australian)
+        y, design = _prepare(to_long(australian))
+        Y = np.random.default_rng(11).negative_binomial(3.0, 3.0 / (3.0 + y), size=(12, y.size)).astype(float)
+        # leave out one inner cell: no row is the closed form's
+        keep = np.arange(design.n) != 2
+        holed = build_design(design.ay_idx[keep] + 1, design.dy_idx[keep])
         monkeypatch.setattr(glm, "_IRLS_MAX_ITER", 2)
-        _, _, ok = glm._irls_batch(Y, design.X)
-        assert not ok.any()
+        assert not any(glm._irls(row, design, Family.poisson())[4] for row in Y)
+        assert not glm._poisson_batch(Y[:, keep], holed)[2].any()
 
     def test_singular_system_fails_its_row_only(self):
         from nbreserve.glm import _solve_rows
@@ -421,30 +435,49 @@ class TestBatchedIrls:
 
 
 class TestClosedFormPoisson:
-    """The chain-ladder Poisson fit against the iterative ``_irls_batch``."""
+    """The chain-ladder Poisson fit against ``_irls`` on each row's kept levels."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(batch=staircase_batches())
     def test_matches_irls(self, batch):
-        from nbreserve.glm import _chain_ladder_batch, _irls_batch, _poisson_batch
+        from nbreserve.glm import _chain_ladder_batch, _poisson_batch
 
         Y, design = batch
         mask, pin = drop_pattern(Y, design)
-        closed = _chain_ladder_batch(Y, design, mask, pin)[2]
-        coef, mu, ok = _poisson_batch(Y, design, mask=mask, pin=pin)
-        coef_i, mu_i, ok_i = _irls_batch(Y, design.X, mask=mask, pin=pin)
-        assert np.array_equal(ok, ok_i)
-        # rows the closed form does not take get exactly the IRLS fit
-        assert np.array_equal(coef[~closed], coef_i[~closed], equal_nan=True)
-        assert np.array_equal(mu[~closed], mu_i[~closed], equal_nan=True)
+        closed_coef, closed_mu, closed = _chain_ladder_batch(Y, design)
+        coef, mu, ok = _poisson_batch(Y, design)
+        # the batched fit takes the closed form where it applies
+        assert np.array_equal(coef[closed], closed_coef[closed]) and np.array_equal(mu[closed], closed_mu[closed])
+        assert np.all(coef[pin & ok[:, None]] == 0.0)
         # the closed form solves the score equations to rounding level,
         # and a positive solution is the unique maximum
         resid = np.where(mask, Y - mu, 0.0)[closed]
         assert np.all(np.abs(resid @ design.X).max(axis=1) <= 1e-13 * Y[closed].sum(axis=1))
-        # the iterative fit agrees to its own precision
-        gap = np.where(mask, np.abs(mu - mu_i), 0.0)[closed]
-        assert np.all(gap.max(axis=1) <= 1e-8 * np.where(mask, mu_i, 0.0)[closed].max(axis=1))
-        assert np.all(coef[pin & closed[:, None]] == 0.0)
+        for r, y in enumerate(Y):
+            if not y.any():
+                assert not ok[r]
+                continue
+            cells, c, m, _, converged = kept_fit(y, design, Family.poisson())
+            if closed[r]:
+                # the iterative fit agrees to its own precision
+                assert converged
+                assert np.all(np.abs(mu[r, cells] - m) <= 1e-8 * m.max())
+            else:
+                # rows the closed form does not take get exactly the IRLS fit
+                assert ok[r] == converged
+                assert np.array_equal(coef[r, ~pin[r]], c, equal_nan=True)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(batch=staircase_batches())
+    def test_takes_the_rows_whose_maximum_exists(self, batch):
+        # the Poisson maximum on the kept cells exists exactly when a
+        # strictly positive table has their margins (Haberman 1974)
+        from nbreserve.glm import _chain_ladder_batch
+
+        Y, design = batch
+        Y = Y[Y.sum(axis=1) > 0]
+        closed = _chain_ladder_batch(Y, design)[2]
+        assert closed.tolist() == [positive_table_exists(y, design) for y in Y]
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(batch=staircase_batches())
@@ -452,10 +485,9 @@ class TestClosedFormPoisson:
         from nbreserve.glm import _chain_ladder_batch
 
         Y, design = batch
-        mask, pin = drop_pattern(Y, design)
-        coef, mu, ok = _chain_ladder_batch(Y, design, mask, pin)
+        coef, mu, ok = _chain_ladder_batch(Y, design)
         for r in range(len(Y)):
-            c, m, o = _chain_ladder_batch(Y[r : r + 1], design, mask[r : r + 1], pin[r : r + 1])
+            c, m, o = _chain_ladder_batch(Y[r : r + 1], design)
             assert o[0] == ok[r]
             assert np.array_equal(c[0], coef[r], equal_nan=True) and np.array_equal(m[0], mu[r], equal_nan=True)
 
@@ -474,7 +506,7 @@ class TestClosedFormPoisson:
         assert future == pytest.approx(chain_ladder(t).total_reserve, rel=1e-12)
 
     def test_other_layouts_fall_back(self, australian):
-        from nbreserve.glm import _chain_ladder_batch, _irls_batch, _poisson_batch, _prepare
+        from nbreserve.glm import _chain_ladder_batch, _irls, _poisson_batch, _prepare
 
         y, design = _prepare(to_long(australian))
         # leave out one inner cell: its accident year is no longer a prefix
@@ -482,8 +514,11 @@ class TestClosedFormPoisson:
         holed = build_design(design.ay_idx[keep] + 1, design.dy_idx[keep])
         Y = np.vstack([y[keep], y[keep][::-1]])
         assert not _chain_ladder_batch(Y, holed)[2].any()
-        for got, want in zip(_poisson_batch(Y, holed), _irls_batch(Y, holed.X)):
-            assert np.array_equal(got, want)
+        coef, mu, ok = _poisson_batch(Y, holed)
+        for r, row in enumerate(Y):
+            c, m, _, _, converged, _ = _irls(row, holed, Family.poisson())
+            assert ok[r] == converged
+            assert np.array_equal(coef[r], c) and np.array_equal(mu[r], m)
 
     def test_boundary_maximum_falls_back(self):
         # [[0, 5], [3]]: the Poisson maximum puts the first cell's mean at

@@ -547,6 +547,32 @@ class TestUnboundedRefit:
         assert dropped.sum() >= 20
         assert fitted[dropped].all() and (top[dropped] <= 100).all()
 
+    def test_dropped_baseline_year_is_closed_form(self):
+        # a replicate that drops accident year 1 leaves the last development
+        # year with no count: it adds no development, and the chain-ladder
+        # fits the other years
+        import nbreserve._bootstrap as bt
+        from nbreserve.glm import Family, _chain_ladder_batch, _irls, _kept_design
+
+        spec = TestBatchedRefit._spec(RunOffTriangle.from_rows(self.QUASI_SEPARATED), 100)
+        design = spec.design
+        y_star = np.array(
+            [bt.draw_counts(spec.family, spec.param, spec.mu_obs, substream(spec.seed, *spec.prefix, r)) for r in range(spec.b)]
+        ).astype(float)
+        Y = y_star[y_star[:, design.ay_idx == 0].sum(axis=1) == 0]
+        assert len(Y) >= 20
+        _, mu, ok = _chain_ladder_batch(Y, design)
+        assert ok.all()
+        mask, _ = drop_pattern(Y, design)
+        score = np.where(mask, Y - mu, 0.0) @ design.X
+        assert np.all(np.abs(score).max(axis=1) <= 1e-13 * Y.sum(axis=1))
+        ay_keep, dy_keep = _kept_levels(Y, design)
+        for y, m, ay, dy in zip(Y, mu, ay_keep, dy_keep):
+            cells, kept = _kept_design(design, ay, dy)
+            _, m_irls, _, _, converged, _ = _irls(y[cells], kept, Family.poisson())
+            assert converged
+            assert m[cells] == pytest.approx(m_irls, rel=1e-12)
+
     def test_other_replicates_keep_their_draws(self, australian, monkeypatch):
         import nbreserve._bootstrap as bt
 
