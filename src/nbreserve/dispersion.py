@@ -17,7 +17,10 @@ started from the quadratic profile, whose curvature is analytic
 large-kappa expansion. Refits of the means at fixed kappa
 (:func:`nbreserve.glm._irls`) remain for the estimate at the cap, a
 bound, a fallback search and the plotting grid. :func:`profile_kappa`
-and :func:`overdispersion_test` on the same data share one joint fit.
+and :func:`overdispersion_test` on the same data share one joint fit,
+the last one made (``nbreserve.glm._last_joint_fit``), and
+:func:`nbreserve.glm.fit` at its kappa on those data starts from its
+coefficients, or at the cap from the profile's refit there.
 
 The maximum-likelihood kappa is biased high in small triangles because
 every cell carries its own mean parameter; the default remedy is the
@@ -34,9 +37,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import glm
 from .errors import FlatProfileError, NoResidualDofError, NotConvergedError, SingularInformationError
 from .glm import (
-    _ETA_BOUND, _IRLS_MAX_ITER, _KAPPA_SERIES, Design, Family, _irls, _newton_step, _NormalEquations,
+    _ETA_BOUND, _IRLS_MAX_ITER, _KAPPA_SERIES, Design, Family, _data_key, _irls, _newton_step, _NormalEquations,
     _lgamma, _nb_loglik, _poisson_batch, _prepare, nb_loglik, poisson_loglik,
 )
 
@@ -167,7 +171,7 @@ def _ci_endpoint(profile: _ProfileCache, theta_hat: float, target: float, bound:
     then; otherwise :func:`_bracketed_endpoint` searches.
     """
     end = math.log(bound)
-    solved = _endpoint_newton(profile.y, profile.design.X, *start, target, theta_hat, end)
+    solved = _endpoint_newton(profile, *start, target, theta_hat, end)
     if solved is not None:
         theta, _, ll, _ = solved
         kappa = math.exp(theta)
@@ -179,7 +183,7 @@ def _ci_endpoint(profile: _ProfileCache, theta_hat: float, target: float, bound:
 
 
 def _endpoint_newton(
-    y: np.ndarray, X: np.ndarray, coef: np.ndarray, theta: float, target: float, inner: float, outer: float,
+    profile: _ProfileCache, coef: np.ndarray, theta: float, target: float, inner: float, outer: float,
 ) -> Optional[Tuple[float, np.ndarray, float, int]]:
     """A profile-interval endpoint by Newton's method (Venzon & Moolgavkar 1988, Appl. Statist. 37:87-94).
 
@@ -187,15 +191,16 @@ def _endpoint_newton(
     theta = log kappa together, s being each cell's coefficient score
     kappa (y - mu) / (kappa + mu); with a zero score the solution lies on
     the profile. The Jacobian [[-X^T W X, c], [(X^T s)^T, kappa s_kappa]]
-    is solved by eliminating its coefficient block.
+    is solved by eliminating its coefficient block. The counts, design
+    and log y! are ``profile``'s.
 
     Returns (theta, coef, loglik, steps) after the first step that moves
     neither theta nor a coefficient by more than 1e-6, which by Newton's
     quadratic convergence leaves an error of order 1e-12; None when an
     iterate leaves (inner, outer] or ``_ENDPOINT_STEPS`` steps pass.
     """
+    y, X, log_factorials = profile.y, profile.design.X, profile.log_factorials
     side = 1.0 if outer > inner else -1.0
-    log_factorials = _lgamma(y + 1.0)  # each cell's log y!, the same at every step
     # a diverging iterate's means may overflow here; its next theta is
     # then not finite, or outside the bracket, and the iteration fails
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -281,10 +286,14 @@ def profile_kappa(data: Sequence, grid_size: int = 0) -> KappaEstimate:
     profile = _ProfileCache(y, design, warm=coef)
     theta_hat = math.log(kappa_hat)
     if at_boundary:
-        # at the cap the joint fit's means belong to the kappa it left
+        # at the cap the joint fit's means belong to the kappa it left;
+        # glm.fit there starts from the refit's coefficients, taken before
+        # the interval and the grid move the profile's refits
         ll_hat = profile(kappa_hat)
+        key, joint, _ = glm._last_joint_fit  # the fit _joint_fit just gave
+        glm._last_joint_fit = (key, joint, (kappa_hat, profile.warm))
     else:
-        ll_hat = nb_loglik(y, mu, kappa_hat)
+        ll_hat = _nb_loglik(y, mu, kappa_hat, profile.log_factorials)
         profile.evals.append((kappa_hat, ll_hat))
         curv, tangent = _profile_curvature(y, design.X, mu, kappa_hat)
         if curv > -1e-6:
@@ -727,28 +736,26 @@ def _nb_mle_batch(
     return coef, mu, kappa, ok, n_iter
 
 
-# The last joint fit and the key of its data: ``profile_kappa`` and
-# ``overdispersion_test`` on one data set, as ``nbreserve fit`` runs
-# them, share it.
-_last_joint_fit: Tuple[tuple, Optional[tuple]] = ((), None)
-
-
 def _joint_fit(y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray, float, bool, np.ndarray]:
     """:func:`nb_mle` of prepared counts and the means of the Poisson fit it starts from.
 
-    Both are remembered for the next call on the same data, which are
-    the same when the counts and both factor indices are equal bit for
-    bit; the fits are deterministic, so remembered ones are the fits a
-    new call would give. Returns copies of the arrays.
+    Both are remembered in ``nbreserve.glm._last_joint_fit`` for the
+    next call on the same data, which are the same when the counts and
+    both factor indices are equal bit for bit
+    (:func:`nbreserve.glm._data_key`); the fits are deterministic, so
+    remembered ones are the fits a new call would give. An interior
+    estimate's coefficients are also the start of ``glm.fit`` at that
+    kappa; at the cap :func:`profile_kappa` gives that start after its
+    refit there. Returns copies of the arrays.
     """
-    global _last_joint_fit
-    key = (y.tobytes(), design.ay_idx.tobytes(), design.dy_idx.tobytes())
-    seen, fit = _last_joint_fit
+    key = _data_key(y, design)
+    seen, fit, _ = glm._last_joint_fit
     if seen != key:
         poisson = _poisson_batch(y[None], design)
         mu_p = poisson[1][0].copy()  # the joint fit moves the means in place
         fit = (*_one_fit(_nb_mle_batch(y[None], design, poisson=poisson)), mu_p)
-        _last_joint_fit = (key, fit)
+        coef, _, kappa, at_boundary, _ = fit
+        glm._last_joint_fit = (key, fit, None if at_boundary else (kappa, coef))
     coef, mu, kappa, at_boundary, mu_p = fit
     return coef.copy(), mu.copy(), kappa, at_boundary, mu_p.copy()
 

@@ -94,13 +94,13 @@ class DgpConfig:
             raise ConfigError("true_dev_weights must be positive and sum to one")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"scenario must be one of {SCENARIOS}")
-        if self.scenario != "poisson" and not self.kappa_true > 0:
-            raise ConfigError("kappa_true must be positive")
+        if self.scenario != "poisson" and not 0 < self.kappa_true < math.inf:
+            raise ConfigError("kappa_true must be positive and finite; the poisson scenario is the infinite-kappa limit")
         if self.scenario == "varying-kappa":
             if self.kappa_by_dy is None or len(self.kappa_by_dy) != self.dimension:
                 raise ConfigError("varying-kappa needs kappa_by_dy with one entry per development year")
-            if any(not k > 0 for k in self.kappa_by_dy):
-                raise ConfigError("kappa_by_dy entries must be positive")
+            if any(not 0 < k < math.inf for k in self.kappa_by_dy):
+                raise ConfigError("kappa_by_dy entries must be positive and finite")
         with np.errstate(over="ignore", invalid="ignore"):
             mu = _mean_matrix(self)
         bad = mu[~((mu >= 0) & (mu <= _MAX_COUNT))]  # NaN fails both

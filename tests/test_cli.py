@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -258,6 +259,14 @@ class TestSimulate:
         assert err["error"]["kind"] == "Config"
         assert needle in err["error"]["message"]
 
+    def test_infinite_kappa_option_is_config_error(self, runner, tmp_path):
+        # the infinite-kappa limit is the poisson scenario, named as such
+        result = runner.invoke(main, ["simulate", "--kappa", "inf", "--nsim", "1", "-B", "5", "--threads", "1",
+                                      "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2 and "Traceback" not in result.output
+        err = json.loads(result.output.strip().splitlines()[-1])["error"]
+        assert err["kind"] == "Config" and "kappa_true must be positive and finite" in err["message"]
+
     @pytest.mark.parametrize(
         "payload, needle",
         [
@@ -270,8 +279,12 @@ class TestSimulate:
             ({"scenario": "poisson", "kappa_true": "x"}, "kappa_true must be a real number"),
             ({"true_alpha": [1000] + [7] * 9}, "expected counts must be finite"),
             ({"scenario": "calendar", "inflation_rate": 1e10}, "expected counts must be finite"),
+            ({"kappa_true": math.inf}, "kappa_true must be positive and finite"),
+            ({"scenario": "varying-kappa", "kappa_by_dy": [math.inf] + [3.0] * 9},
+             "kappa_by_dy entries must be positive and finite"),
         ],
-        ids=["n_sim", "b", "dimension", "seed", "negative-seed", "rate", "kappa", "alpha-overflow", "rate-overflow"],
+        ids=["n_sim", "b", "dimension", "seed", "negative-seed", "rate", "kappa", "alpha-overflow", "rate-overflow",
+             "kappa-inf", "kappa-by-dy-inf"],
     )
     def test_config_types_are_typed_errors(self, runner, tmp_path, payload, needle):
         cfg = tmp_path / "dgp.json"

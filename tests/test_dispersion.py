@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -20,7 +21,7 @@ from nbreserve import (
     to_long,
 )
 from nbreserve import RunOffTriangle
-from nbreserve import dispersion
+from nbreserve import dispersion, glm
 from nbreserve.dispersion import (
     CHI2_1_95,
     KAPPA_CAP,
@@ -508,7 +509,7 @@ class TestProfileRefits:
             return batch(*args, **kwargs)
 
         batch = dispersion._nb_mle_batch
-        monkeypatch.setattr(dispersion, "_last_joint_fit", ((), None))
+        monkeypatch.setattr(glm, "_last_joint_fit", ((), None, None))
         monkeypatch.setattr(dispersion, "_nb_mle_batch", counted)
         return calls
 
@@ -536,6 +537,98 @@ class TestProfileRefits:
         assert len(joint_fits) == 2
         for got, want in zip(again, fresh):
             assert np.array_equal(got, want)
+
+
+# an estimate at the kappa cap (the profile also has a higher interior
+# maximum there, which the joint fit does not find)
+AT_CAP_ROWS = [[0, 4, 1, 2], [2, 0, 3], [405, 11], [18]]
+
+
+def _cold_fit(recs, family):
+    """``fit`` with the remembered joint fit forgotten, as a first call makes it; the memo is restored."""
+    saved = glm._last_joint_fit
+    glm._last_joint_fit = ((), None, None)
+    try:
+        return fit(recs, family)
+    finally:
+        glm._last_joint_fit = saved
+
+
+def _same_fit(a, b) -> bool:
+    """Whether two fits agree bit for bit."""
+    return (
+        np.array_equal(a.coefficients(), b.coefficients()) and np.array_equal(a.fitted_mu, b.fitted_mu)
+        and (a.loglik, a.deviance, a.deviance_path, a.phi, a.n_iter, a.converged, a.condition_number)
+        == (b.loglik, b.deviance, b.deviance_path, b.phi, b.n_iter, b.converged, b.condition_number)
+    )
+
+
+def _check_fit_after_profile(recs):
+    """``fit`` at the profiled kappa confirms the remembered fit in one step and agrees with a cold fit."""
+    est = profile_kappa(recs)
+    family = Family.negbin(est.kappa_mle)
+    warm, cold = fit(recs, family), _cold_fit(recs, family)
+    assert warm.converged and warm.n_iter == 1
+    assert np.abs(np.log(warm.fitted_mu) - np.log(cold.fitted_mu)).max() <= 1e-12
+    assert warm.loglik == pytest.approx(cold.loglik, rel=1e-10)
+    return est
+
+
+@pytest.mark.filterwarnings("ignore::nbreserve.glm.ConditioningWarning")
+class TestFitAfterProfile:
+    """``fit`` at the profiled kappa starts from the remembered joint fit; every other fit is cold."""
+
+    @pytest.mark.parametrize("name", ["australian", "taylor", "at-cap"])
+    def test_one_step_from_the_profile(self, name, request):
+        t = RunOffTriangle.from_rows(AT_CAP_ROWS) if name == "at-cap" else request.getfixturevalue(name)
+        est = _check_fit_after_profile(to_long(t))
+        assert est.at_boundary == (name == "at-cap")
+
+    def test_cap_start_is_the_refit_before_the_grid(self):
+        # the plotting grid refits the profile up to the cap after the
+        # start is taken; the fit is the one without the grid
+        recs = to_long(RunOffTriangle.from_rows(AT_CAP_ROWS))
+        fits = []
+        for grid_size in (0, dispersion._GRID_SIZE):
+            est = profile_kappa(recs, grid_size=grid_size)
+            fits.append(fit(recs, Family.negbin(est.kappa_mle)))
+        assert fits[1].n_iter == 1 and _same_fit(*fits)
+
+    def test_other_fits_are_cold(self, australian, taylor):
+        au, ta = to_long(australian), to_long(taylor)
+        kappa_ta = profile_kappa(ta).kappa_mle
+        kappa_au = profile_kappa(au).kappa_mle
+        for recs, family in (
+            (ta, Family.negbin(kappa_ta)),  # another triangle was profiled last
+            (au, Family.negbin(math.nextafter(kappa_au, math.inf))),  # another kappa
+            (au, Family.negbin(kappa_au * 2.0)),
+            (au, Family.poisson()),
+            (au, Family.quasi_poisson()),
+        ):
+            got = fit(recs, family)
+            assert got.n_iter > 1 and _same_fit(got, _cold_fit(recs, family))
+
+    def test_test_alone_at_the_cap_leaves_fit_cold(self):
+        # overdispersion_test makes no refit at the cap, so no start is known there
+        recs = to_long(RunOffTriangle.from_rows(AT_CAP_ROWS))
+        glm._last_joint_fit = ((), None, None)
+        report = overdispersion_test(recs)
+        got = fit(recs, Family.negbin(report.kappa_mle))
+        assert got.n_iter > 1 and _same_fit(got, _cold_fit(recs, Family.negbin(report.kappa_mle)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dimension=st.integers(3, 9),
+    kappa=st.sampled_from([1.0, 5.0, 30.0, math.inf]),
+)
+def test_fit_after_profile_on_staircases(seed, dimension, kappa):
+    rows = _gamma_poisson_rows(np.random.default_rng(seed), dimension, kappa)
+    assume(rows is not None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", glm.ConditioningWarning)
+        _check_fit_after_profile(to_long(RunOffTriangle.from_rows(rows)))
 
 
 def _gamma_poisson_rows(rng: np.random.Generator, dimension: int, kappa: float):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import mpmath
 import numpy as np
@@ -77,6 +78,14 @@ class TestFamily:
         assert nb.tag == "negbin" and nb.kappa == 4.8
         with pytest.raises(ValueError):
             Family.negbin(-1.0)
+
+    @pytest.mark.parametrize("kappa", [math.inf, math.nan, 0.0, -1.0])
+    def test_negbin_needs_positive_finite_kappa(self, kappa):
+        # the kappa -> infinity limit is the Poisson family, named as such
+        with pytest.raises(ValueError, match=r"positive and finite.*Family\.poisson\(\)"):
+            Family.negbin(kappa)
+        with pytest.raises(ValueError, match="positive and finite"):
+            nb_loglik([1.0, 2.0], [1.5, 2.5], kappa)
 
     def test_variance_functions(self):
         mu = np.array([2.0, 10.0])
@@ -310,6 +319,44 @@ class TestDegenerateInputs:
             with pytest.raises(TriangleError) as got:
                 call()
             assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    n_ay=st.integers(1, 6),
+    n_dy=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    absent=st.sampled_from([0.0, 0.2, 0.5]),
+    zero=st.sampled_from([0.0, 0.2, 0.5]),
+)
+def test_level_check_follows_kept_levels(n_ay, n_dy, seed, absent, zero):
+    # fit's check of single records names the error kind and level that
+    # the batches' rule (_kept_levels) gives: a level with no cell is
+    # rank deficient, one whose counts are all zero separated, accident
+    # years first
+    from nbreserve.glm import _check_levels, _kept_levels
+
+    rng = np.random.default_rng(seed)
+    ay, dy = (a.ravel() for a in np.indices((n_ay, n_dy)))
+    keep = rng.random(ay.size) >= absent
+    keep[-1] = True  # the largest years have a cell, so the design has n_ay x n_dy levels
+    ay, dy = ay[keep], dy[keep]
+    y = rng.poisson(5.0, size=ay.size).astype(float)
+    y[(rng.random(n_ay) < zero)[ay] | (rng.random(n_dy) < zero)[dy]] = 0.0
+    design = build_design(ay + 1, dy)
+    levels = _kept_levels(np.vstack((np.ones_like(y), y)), design)
+    want = None
+    for name, (present, kept) in zip(("accident year", "development year"), levels):
+        if want is None and not present.all():
+            want = RankDeficientError, f"{name} level {int(np.argmin(present))} "
+        if want is None and not kept.all():
+            want = SeparationError, f"{name} level {int(np.argmin(kept))} "
+    if want is None:
+        _check_levels(y, design)
+    else:
+        with pytest.raises(want[0]) as got:
+            _check_levels(y, design)
+        assert type(got.value) is want[0] and str(got.value).startswith(want[1])
 
 
 def to_long_rows(rows):
