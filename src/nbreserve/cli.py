@@ -101,11 +101,16 @@ class _Run:
         return path
 
     def write_json(self, name: str, payload: dict) -> Path:
+        path = self._dump(name, {"run_id": self.run_id, **payload})
+        self.outputs.append(name)
+        return path
+
+    def _dump(self, name: str, payload: dict) -> Path:
+        """Write ``payload`` as strict JSON: NaN and the infinities, which JSON lacks, become null."""
         self.out_dir.mkdir(parents=True, exist_ok=True)
         path = self.out_dir / name
-        payload = {"run_id": self.run_id, **payload}
-        path.write_text(json.dumps(payload, indent=2, default=str) + "\n", encoding="utf-8")
-        self.outputs.append(name)
+        plain = json.loads(json.dumps(payload, default=str), parse_constant=lambda _: None)
+        path.write_text(json.dumps(plain, indent=2, allow_nan=False) + "\n", encoding="utf-8")
         return path
 
     def finish(self) -> None:
@@ -118,10 +123,7 @@ class _Run:
             "wall_time_s": round(time.time() - self.started, 3),
             "outputs": self.outputs,
         }
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        (self.out_dir / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, default=str) + "\n", encoding="utf-8"
-        )
+        self._dump("manifest.json", manifest)
         click.echo(f"outputs written to {self.out_dir} (run_id {self.run_id})")
 
 

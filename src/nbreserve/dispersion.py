@@ -16,11 +16,10 @@ started from the quadratic profile, whose curvature is analytic
 (:func:`_profile_curvature`), or at the cap from the profile's
 large-kappa expansion. Refits of the means at fixed kappa
 (:func:`nbreserve.glm._irls`) remain for the estimate at the cap, a
-bound, a fallback search and the plotting grid. :func:`profile_kappa`
-and :func:`overdispersion_test` on the same data share one joint fit,
-the last one made (``nbreserve.glm._last_joint_fit``), and
-:func:`nbreserve.glm.fit` at its kappa on those data starts from its
-coefficients, or at the cap from the profile's refit there.
+bound, a fallback search and the plotting grid. :func:`_joint_fit`
+alone remembers the joint fit at its estimate, with both
+log-likelihoods, which :func:`profile_kappa`, :func:`overdispersion_test`
+and :func:`nbreserve.glm.fit` at its kappa on the same data read.
 
 The maximum-likelihood kappa is biased high in small triangles because
 every cell carries its own mean parameter; the default remedy is the
@@ -40,8 +39,8 @@ import numpy as np
 from . import glm
 from .errors import FlatProfileError, NoResidualDofError, NotConvergedError, SingularInformationError
 from .glm import (
-    _ETA_BOUND, _IRLS_MAX_ITER, _KAPPA_SERIES, Design, Family, _data_key, _irls, _newton_step, _NormalEquations,
-    _lgamma, _nb_loglik, _poisson_batch, _prepare, nb_loglik, poisson_loglik,
+    _ETA_BOUND, _IRLS_MAX_ITER, _KAPPA_SERIES, Design, Family, _data_key, _irls, _JointFit, _newton_step,
+    _NormalEquations, _lgamma, _nb_loglik, _poisson_batch, _poisson_loglik, _prepare,
 )
 
 KAPPA_MIN = 1e-3
@@ -53,6 +52,9 @@ CHI2_1_95 = 3.841458820694124
 
 # log-spaced profile points `nbreserve diagnose` adds to the exported curve
 _GRID_SIZE = 60
+
+# log-spaced points on which maximize_adjusted_profile brackets its maximum
+_ADJUSTED_GRID_SIZE = 40
 
 # Newton steps after which an interval endpoint's solve counts as not settled
 _ENDPOINT_STEPS = 20
@@ -256,12 +258,10 @@ def _bracketed_endpoint(profile: _ProfileCache, inner: float, outer: float, targ
 def profile_kappa(data: Sequence, grid_size: int = 0) -> KappaEstimate:
     """Profile-likelihood dispersion estimate with 95% interval.
 
-    The estimate is the joint maximum-likelihood fit of :func:`nb_mle`,
-    the maximiser of the profile over log kappa in [1e-3, 1e8], whose
-    log-likelihood is the profile's maximum; only an estimate at the
-    cap is refitted there, since the fit's means belong to the last
-    kappa it tried. An :func:`overdispersion_test` on the same data
-    reuses that fit. Interior estimates whose analytic profile curvature
+    The estimate, the means there and the profile's maximum are those
+    of the joint fit (:func:`_joint_fit`), which an
+    :func:`overdispersion_test` on the same data shares. Interior
+    estimates whose analytic profile curvature
     (:func:`_profile_curvature`) is flat are rejected. Each interval
     endpoint is where the profile falls 3.841 / 2 below its maximum,
     found by :func:`_ci_endpoint`, or the end of the search range if
@@ -282,34 +282,24 @@ def profile_kappa(data: Sequence, grid_size: int = 0) -> KappaEstimate:
             interval, or the bracketed endpoint search did not converge.
     """
     y, design = _prepare(data)
-    coef, mu, kappa_hat, at_boundary, _ = _joint_fit(y, design)
+    coef, mu, kappa_hat, at_boundary, ll_hat, _ = _joint_fit(y, design)
     profile = _ProfileCache(y, design, warm=coef)
+    profile.evals.append((kappa_hat, ll_hat))
     theta_hat = math.log(kappa_hat)
+    target = ll_hat - 0.5 * CHI2_1_95
     if at_boundary:
-        # at the cap the joint fit's means belong to the kappa it left;
-        # glm.fit there starts from the refit's coefficients, taken before
-        # the interval and the grid move the profile's refits
-        ll_hat = profile(kappa_hat)
-        key, joint, _ = glm._last_joint_fit  # the fit _joint_fit just gave
-        glm._last_joint_fit = (key, joint, (kappa_hat, profile.warm))
+        # near the cap l_p(kappa) ~ l_hat + S / (2 kappa), S = sum((y - mu)^2 - y),
+        # which falls to the target at kappa = -S / 3.841: start there
+        s = float(np.sum((y - mu) ** 2 - y))
+        theta = min(math.log(max(-s / CHI2_1_95, KAPPA_MIN)), math.nextafter(theta_hat, -math.inf))
+        lower, upper = _ci_endpoint(profile, theta_hat, target, KAPPA_MIN, (coef, theta)), KAPPA_CAP
     else:
-        ll_hat = _nb_loglik(y, mu, kappa_hat, profile.log_factorials)
-        profile.evals.append((kappa_hat, ll_hat))
         curv, tangent = _profile_curvature(y, design.X, mu, kappa_hat)
         if curv > -1e-6:
             raise FlatProfileError(
                 f"profile curvature {curv:.3g} at kappa={kappa_hat:.4g}; "
                 "dispersion not identified"
             )
-
-    target = ll_hat - 0.5 * CHI2_1_95
-    if at_boundary:
-        # near the cap l_p(kappa) ~ l_hat + S / (2 kappa), S = sum((y - mu)^2 - y),
-        # which falls to the target at kappa = -S / 3.841: start there
-        s = float(np.sum((y - profile.mu) ** 2 - y))
-        theta = min(math.log(max(-s / CHI2_1_95, KAPPA_MIN)), math.nextafter(theta_hat, -math.inf))
-        lower, upper = _ci_endpoint(profile, theta_hat, target, KAPPA_MIN, (profile.warm, theta)), KAPPA_CAP
-    else:
         # start from the quadratic profile's endpoints, moving the
         # coefficients along the profile's tangent (X^T W X)^-1 c
         half_width = math.sqrt(CHI2_1_95 / -curv)
@@ -319,11 +309,12 @@ def profile_kappa(data: Sequence, grid_size: int = 0) -> KappaEstimate:
             ends.append(_ci_endpoint(profile, theta_hat, target, bound, (coef + tangent * d, theta_hat + d)))
         lower, upper = ends
 
-    for kappa in np.geomspace(KAPPA_MIN, KAPPA_CAP, grid_size):
-        try:
-            profile(float(kappa))
-        except NotConvergedError:
-            pass  # a plotting point whose refit fails is left out
+    if grid_size:
+        for kappa in np.geomspace(KAPPA_MIN, KAPPA_CAP, grid_size):
+            try:
+                profile(float(kappa))
+            except NotConvergedError:
+                pass  # a plotting point whose refit fails is left out
     seen = {}
     for kappa, ll in profile.evals:
         seen.setdefault(kappa, ll)
@@ -736,28 +727,33 @@ def _nb_mle_batch(
     return coef, mu, kappa, ok, n_iter
 
 
-def _joint_fit(y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray, float, bool, np.ndarray]:
-    """:func:`nb_mle` of prepared counts and the means of the Poisson fit it starts from.
+def _joint_fit(y: np.ndarray, design: Design) -> _JointFit:
+    """:func:`nb_mle` of prepared counts, ended at its estimate, with both log-likelihoods there.
 
-    Both are remembered in ``nbreserve.glm._last_joint_fit`` for the
-    next call on the same data, which are the same when the counts and
-    both factor indices are equal bit for bit
-    (:func:`nbreserve.glm._data_key`); the fits are deterministic, so
-    remembered ones are the fits a new call would give. An interior
-    estimate's coefficients are also the start of ``glm.fit`` at that
-    kappa; at the cap :func:`profile_kappa` gives that start after its
-    refit there. Returns copies of the arrays.
+    At the cap the joint fit's means belong to the last kappa it tried,
+    so :func:`nbreserve.glm._irls` refits them there, raising
+    NotConvergedError as a profile refit does. The record
+    (:class:`nbreserve.glm._JointFit`) is remembered in
+    ``nbreserve.glm._last_joint_fit``, which nothing else writes, for the
+    next call on the same data (:func:`nbreserve.glm._data_key`); the
+    fits are deterministic, so a remembered record is the one a new call
+    would give. Returns it with copies of its arrays.
     """
     key = _data_key(y, design)
-    seen, fit, _ = glm._last_joint_fit
+    seen, joint = glm._last_joint_fit
     if seen != key:
+        log_factorials = _lgamma(y + 1.0)
         poisson = _poisson_batch(y[None], design)
-        mu_p = poisson[1][0].copy()  # the joint fit moves the means in place
-        fit = (*_one_fit(_nb_mle_batch(y[None], design, poisson=poisson)), mu_p)
-        coef, _, kappa, at_boundary, _ = fit
-        glm._last_joint_fit = (key, fit, None if at_boundary else (kappa, coef))
-    coef, mu, kappa, at_boundary, mu_p = fit
-    return coef.copy(), mu.copy(), kappa, at_boundary, mu_p.copy()
+        # read before the joint fit moves the Poisson means in place
+        ll_p = _poisson_loglik(y, poisson[1][0], log_factorials)
+        coef, mu, kappa, at_boundary = _one_fit(_nb_mle_batch(y[None], design, poisson=poisson))
+        if at_boundary:
+            coef, mu, _, _, converged, _ = _irls(y, design, Family.negbin(kappa), start=coef)
+            if not converged:
+                raise NotConvergedError(f"profile refit at kappa={kappa:.4g} did not converge")
+        joint = _JointFit(coef, mu, kappa, at_boundary, _nb_loglik(y, mu, kappa, log_factorials), ll_p)
+        glm._last_joint_fit = (key, joint)
+    return joint._replace(coef=joint.coef.copy(), mu=joint.mu.copy())
 
 
 def overdispersion_test(data: Sequence) -> SelectionReport:
@@ -766,15 +762,14 @@ def overdispersion_test(data: Sequence) -> SelectionReport:
     The null (Poisson) puts kappa on the boundary of the parameter
     space, so the p-value is half a chi-square(1) tail, computed through
     the complementary error function. Equal likelihoods give p = 0.5.
-    The Poisson fit is :func:`nbreserve.glm._poisson_batch`, on a
-    triangle the closed-form chain-ladder, and the negative binomial fit
-    is the joint fit :func:`profile_kappa` takes its estimate from,
-    which starts from that Poisson fit.
+    Both log-likelihoods are the joint fit's (:func:`_joint_fit`), which
+    :func:`profile_kappa` shares: the Poisson one at the Poisson fit it
+    starts from (:func:`nbreserve.glm._poisson_batch`, on a triangle the
+    closed-form chain-ladder), the negative binomial one the profile's
+    maximum.
     """
     y, design = _prepare(data)
-    _, mu_nb, kappa, _, mu_p = _joint_fit(y, design)
-    ll_p = poisson_loglik(y, mu_p)
-    ll_nb = nb_loglik(y, mu_nb, kappa)
+    _, _, kappa, _, ll_nb, ll_p = _joint_fit(y, design)
 
     statistic = max(0.0, 2.0 * (ll_nb - ll_p))
     p_value = 0.5 * math.erfc(math.sqrt(statistic / 2.0))
@@ -814,7 +809,7 @@ def _adjusted_profile(profile: _ProfileCache, kappa: float) -> float:
     return ll - 0.5 * logdet
 
 
-def maximize_adjusted_profile(data: Sequence, grid_size: int = 40) -> float:
+def maximize_adjusted_profile(data: Sequence) -> float:
     """Numerically maximise the adjusted profile likelihood over kappa.
 
     Exposed as an alternative to the closed-form :func:`bias_correct`;
@@ -826,10 +821,10 @@ def maximize_adjusted_profile(data: Sequence, grid_size: int = 40) -> float:
     def f(theta: float) -> float:
         return _adjusted_profile(profile, math.exp(theta))
 
-    thetas = np.linspace(math.log(KAPPA_MIN), math.log(KAPPA_CAP), grid_size)
+    thetas = np.linspace(math.log(KAPPA_MIN), math.log(KAPPA_CAP), _ADJUSTED_GRID_SIZE)
     values = np.array([f(t) for t in thetas])
     best = int(np.argmax(values))
-    if best == grid_size - 1:
+    if best == len(thetas) - 1:
         return KAPPA_CAP
-    theta_hat, _ = _golden_max(f, thetas[max(best - 1, 0)], thetas[min(best + 1, grid_size - 1)])
+    theta_hat, _ = _golden_max(f, thetas[max(best - 1, 0)], thetas[best + 1])
     return math.exp(theta_hat)

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -140,8 +140,12 @@ def _lgamma(x: np.ndarray) -> np.ndarray:
 def poisson_loglik(counts, mu) -> float:
     """Poisson log-likelihood of ``counts`` at cell means ``mu``."""
     y = _as_counts(counts)
-    mu = np.asarray(mu, dtype=float)
-    return float((_xlogy(y, mu) - mu - _lgamma(y + 1.0)).sum())
+    return _poisson_loglik(y, np.asarray(mu, dtype=float), _lgamma(y + 1.0))
+
+
+def _poisson_loglik(y: np.ndarray, mu: np.ndarray, log_factorials: np.ndarray) -> float:
+    """:func:`poisson_loglik` of float arrays, given each cell's log y!."""
+    return float((_xlogy(y, mu) - mu - log_factorials).sum())
 
 
 def nb_loglik(counts, mu, kappa: float) -> float:
@@ -690,11 +694,20 @@ def _prepare(data: Sequence) -> Tuple[np.ndarray, Design]:
     return y, design
 
 
-# The last joint fit of nbreserve.dispersion (``_joint_fit``) as (key,
-# fit, start): ``key`` is :func:`_data_key` of its data and ``start``
-# (kappa, the coefficients there) is where :func:`fit` at that kappa
-# starts, None at the cap until ``profile_kappa`` has refitted there.
-_last_joint_fit: Tuple[tuple, Optional[tuple], Optional[Tuple[float, np.ndarray]]] = ((), None, None)
+class _JointFit(NamedTuple):
+    """The joint fit of :mod:`nbreserve.dispersion` at its estimate ``kappa``, refitted there at the cap."""
+
+    coef: np.ndarray
+    mu: np.ndarray
+    kappa: float
+    at_boundary: bool
+    loglik_nb: float  # at ``mu``: the profile's maximum
+    loglik_poisson: float  # at the means of the Poisson fit the joint fit starts from
+
+
+# The last joint fit as (key, record), ``key`` being :func:`_data_key` of
+# its data; nbreserve.dispersion's ``_joint_fit`` is its only writer.
+_last_joint_fit: Tuple[tuple, Optional[_JointFit]] = ((), None)
 
 
 def _data_key(y: np.ndarray, design: Design) -> tuple:
@@ -704,10 +717,10 @@ def _data_key(y: np.ndarray, design: Design) -> tuple:
 
 def _joint_start(y: np.ndarray, design: Design, family: Family) -> Optional[np.ndarray]:
     """The remembered coefficients when ``family`` is the negative binomial at their kappa on the same data."""
-    key, _, start = _last_joint_fit
-    if start is None or family.tag != "negbin" or start[0] != family.kappa or key != _data_key(y, design):
+    key, joint = _last_joint_fit
+    if joint is None or family.tag != "negbin" or joint.kappa != family.kappa or key != _data_key(y, design):
         return None
-    return start[1]
+    return joint.coef
 
 
 def fit(data: Sequence, family: Family) -> ModelFit:
@@ -715,15 +728,15 @@ def fit(data: Sequence, family: Family) -> ModelFit:
 
     The fit is :func:`_irls` from its cold start, except for the
     negative binomial at the kappa of the last joint fit
-    (:func:`nbreserve.dispersion.profile_kappa`'s estimate) on the same
+    (:func:`nbreserve.dispersion.profile_kappa`'s estimate, which
+    :func:`nbreserve.dispersion.overdispersion_test` shares) on the same
     counts and levels, bit for bit: that fit starts from the joint fit's
-    coefficients, or at the cap from the profile's refit there, and
-    confirms them in one step; its log-means agree with a cold fit's to
-    1e-12. For the Poisson and quasi-Poisson the steps are the
-    Fisher-scoring steps, since the two informations coincide under the
-    log link; for the negative binomial the observed information also
-    converges fast on near-separated triangles, where Fisher scoring
-    converges linearly.
+    coefficients at that kappa and confirms them in one step; its
+    log-means agree with a cold fit's to 1e-12. For the Poisson and
+    quasi-Poisson the steps are the Fisher-scoring steps, since the two
+    informations coincide under the log link; for the negative binomial
+    the observed information also converges fast on near-separated
+    triangles, where Fisher scoring converges linearly.
 
     Args:
         data: long-format records with ``ay`` (1-based), ``dy``

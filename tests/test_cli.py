@@ -318,6 +318,48 @@ class TestDiagnose:
         assert markers == {"mle", "ci_lower", "ci_upper"}
 
 
+def _strict_json(path: Path):
+    """``path`` parsed as JSON proper, which has no NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"{path.name} holds {constant}, which is not JSON")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+
+# a two-year study: odp and nb_corrected, with no residual degrees of
+# freedom, complete no replicate, so their bias and rmse are NaN
+TWO_YEAR_DGP = {"dimension": 2, "true_alpha": [6.0, 6.0], "true_dev_weights": [0.7, 0.3], "n_sim": 2, "b": 20}
+
+
+@pytest.mark.parametrize(
+    "args, written",
+    [
+        (["fit", "{csv}"], "fit.json"),
+        (["fit", "{csv}", "--family", "odp"], "fit.json"),
+        (["reserve", "{csv}", "-B", "100", "--threads", "1"], "reserve.json"),
+        (["diagnose", "{csv}"], None),
+        (["simulate", "--scenario", "poisson", "--kappa", "inf", "--nsim", "1", "-B", "5", "--threads", "1"],
+         "study.json"),
+        (["simulate", "--config", "{config}", "--threads", "1"], "study.json"),
+    ],
+    ids=["fit-nb", "fit-odp", "reserve", "diagnose", "simulate-infinite-kappa", "simulate-two-years"],
+)
+def test_every_json_output_is_strict(runner, triangle_csv, tmp_path, args, written):
+    # a non-finite number is written as null, so any JSON parser reads the files
+    config = tmp_path / "dgp.json"
+    config.write_text(json.dumps(TWO_YEAR_DGP))
+    out = tmp_path / "out"
+    run_ok(runner, [a.format(csv=triangle_csv, config=config) for a in args] + ["--out-dir", str(out)])
+    names = sorted(p.name for p in out.glob("*.json"))
+    assert names == sorted({"manifest.json", written} - {None})
+    docs = {name: _strict_json(out / name) for name in names}
+    if "--kappa" in args:
+        assert docs["manifest.json"]["params"]["kappa_true"] is None
+    if "--config" in args:
+        by_method = {m["method"]: m for m in docs["study.json"]["methods"]}
+        assert by_method["odp"]["n_completed"] == 0 and by_method["odp"]["bias"] is None
+
+
 class TestErrors:
     def test_missing_file(self, runner, tmp_path):
         result = runner.invoke(main, ["fit", str(tmp_path / "nope.csv")])

@@ -509,7 +509,7 @@ class TestProfileRefits:
             return batch(*args, **kwargs)
 
         batch = dispersion._nb_mle_batch
-        monkeypatch.setattr(glm, "_last_joint_fit", ((), None, None))
+        monkeypatch.setattr(glm, "_last_joint_fit", ((), None))
         monkeypatch.setattr(dispersion, "_nb_mle_batch", counted)
         return calls
 
@@ -547,7 +547,7 @@ AT_CAP_ROWS = [[0, 4, 1, 2], [2, 0, 3], [405, 11], [18]]
 def _cold_fit(recs, family):
     """``fit`` with the remembered joint fit forgotten, as a first call makes it; the memo is restored."""
     saved = glm._last_joint_fit
-    glm._last_joint_fit = ((), None, None)
+    glm._last_joint_fit = ((), None)
     try:
         return fit(recs, family)
     finally:
@@ -608,13 +608,18 @@ class TestFitAfterProfile:
             got = fit(recs, family)
             assert got.n_iter > 1 and _same_fit(got, _cold_fit(recs, family))
 
-    def test_test_alone_at_the_cap_leaves_fit_cold(self):
-        # overdispersion_test makes no refit at the cap, so no start is known there
+    def test_test_alone_at_the_cap_starts_fit_warm(self, monkeypatch):
+        # the joint fit refits at the cap whichever function makes it, so
+        # the fit after overdispersion_test alone is the fit after profiling
         recs = to_long(RunOffTriangle.from_rows(AT_CAP_ROWS))
-        glm._last_joint_fit = ((), None, None)
+        monkeypatch.setattr(glm, "_last_joint_fit", ((), None))
         report = overdispersion_test(recs)
-        got = fit(recs, Family.negbin(report.kappa_mle))
-        assert got.n_iter > 1 and _same_fit(got, _cold_fit(recs, Family.negbin(report.kappa_mle)))
+        assert report.kappa_mle == KAPPA_CAP
+        family = Family.negbin(report.kappa_mle)
+        alone = fit(recs, family)
+        assert alone.n_iter == 1
+        profile_kappa(recs)
+        assert _same_fit(alone, fit(recs, family))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -622,13 +627,20 @@ class TestFitAfterProfile:
     seed=st.integers(0, 2**32 - 1),
     dimension=st.integers(3, 9),
     kappa=st.sampled_from([1.0, 5.0, 30.0, math.inf]),
+    test_first=st.booleans(),
 )
-def test_fit_after_profile_on_staircases(seed, dimension, kappa):
+def test_fit_after_profile_on_staircases(seed, dimension, kappa, test_first):
+    # in either order, overdispersion_test and profile_kappa read one
+    # remembered joint fit: the same kappa and the profile's maximum
     rows = _gamma_poisson_rows(np.random.default_rng(seed), dimension, kappa)
     assume(rows is not None)
+    recs = to_long(RunOffTriangle.from_rows(rows))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", glm.ConditioningWarning)
-        _check_fit_after_profile(to_long(RunOffTriangle.from_rows(rows)))
+        first = overdispersion_test(recs) if test_first else None
+        est = _check_fit_after_profile(recs)
+        report = first or overdispersion_test(recs)
+    assert (report.kappa_mle, report.loglik_nb) == (est.kappa_mle, est.loglik)
 
 
 def _gamma_poisson_rows(rng: np.random.Generator, dimension: int, kappa: float):
