@@ -112,26 +112,27 @@ class _ProfileCache:
 
     Each call refits the means at one kappa by
     :func:`nbreserve.glm._irls`, starting from the previous call's
-    coefficients (or ``warm``, by default the closed-form Poisson fit),
-    and records (kappa, loglik); ``mu`` holds the last call's fitted
-    means. A point known without a refit, such as the joint fit's, may
-    be appended to ``evals`` directly. Warm-started from a nearby
-    kappa's fit a refit takes about three steps.
+    coefficients (at first the ``joint`` fit's, by default the
+    closed-form Poisson fit), and records (kappa, loglik); ``mu`` holds
+    the last call's fitted means. Each cell's log y! is the joint fit's,
+    or computed here. A point known without a refit, such as the joint
+    fit's, may be appended to ``evals`` directly. Warm-started from a
+    nearby kappa's fit a refit takes about three steps.
 
     Raises:
         NotConvergedError: a refit did not converge.
     """
 
-    def __init__(self, y: np.ndarray, design: Design, warm: Optional[np.ndarray] = None):
-        if warm is None:
+    def __init__(self, y: np.ndarray, design: Design, joint: Optional[_JointFit] = None):
+        if joint is None:
             coef, _, ok = _poisson_batch(y[None], design)
             if not ok[0]:
                 raise NotConvergedError("Poisson fit did not converge")
-            warm = coef[0]
+            self.warm, self.log_factorials = coef[0], _lgamma(y + 1.0)
+        else:
+            self.warm, self.log_factorials = joint.coef, joint.log_factorials
         self.y = y
         self.design = design
-        self.warm = warm
-        self.log_factorials = _lgamma(y + 1.0)  # each cell's log y!, the same at every kappa
         self.mu: Optional[np.ndarray] = None
         self.evals: List[Tuple[float, float]] = []
 
@@ -282,8 +283,9 @@ def profile_kappa(data: Sequence, grid_size: int = 0) -> KappaEstimate:
             interval, or the bracketed endpoint search did not converge.
     """
     y, design = _prepare(data)
-    coef, mu, kappa_hat, at_boundary, ll_hat, _ = _joint_fit(y, design)
-    profile = _ProfileCache(y, design, warm=coef)
+    joint = _joint_fit(y, design)
+    coef, mu, kappa_hat, at_boundary, ll_hat, _, _ = joint
+    profile = _ProfileCache(y, design, joint)
     profile.evals.append((kappa_hat, ll_hat))
     theta_hat = math.log(kappa_hat)
     target = ll_hat - 0.5 * CHI2_1_95
@@ -656,8 +658,11 @@ def _nb_mle_batch(
     (:func:`nbreserve.glm._newton_step`, the step of every fit at
     fixed kappa), with the observed information, whose working weights
     mu kappa (kappa + y) / (kappa + mu)^2 stay positive, and step
-    halving on the deviance; then one Newton step in log kappa at the
-    new means, capped at one unit and kept in [KAPPA_MIN, KAPPA_CAP].
+    halving on the deviance, its system solved by two-way elimination
+    (:class:`nbreserve.glm._NormalEquations`: the accident-year effects
+    are eliminated, leaving a (J - 1)-square system for every row);
+    then one Newton step in log kappa at the new means, capped at one
+    unit and kept in [KAPPA_MIN, KAPPA_CAP].
     Mean and dispersion are information-orthogonal in this family, so
     the two steps together converge about as fast as a full Newton
     step. A row stops when its Newton decrement, the log-likelihood
@@ -691,7 +696,7 @@ def _nb_mle_batch(
     cap = kappa >= KAPPA_CAP
     kappa[cap], ok[cap] = KAPPA_CAP, True
     live = live[~cap[live]]
-    normal = _NormalEquations(design.X, live.size, pin)
+    normal = _NormalEquations(design, live.size, pin)
     log_min, log_cap = math.log(KAPPA_MIN), math.log(KAPPA_CAP)
 
     for _ in range(_IRLS_MAX_ITER):
@@ -751,9 +756,10 @@ def _joint_fit(y: np.ndarray, design: Design) -> _JointFit:
             coef, mu, _, _, converged, _ = _irls(y, design, Family.negbin(kappa), start=coef)
             if not converged:
                 raise NotConvergedError(f"profile refit at kappa={kappa:.4g} did not converge")
-        joint = _JointFit(coef, mu, kappa, at_boundary, _nb_loglik(y, mu, kappa, log_factorials), ll_p)
+        ll_nb = _nb_loglik(y, mu, kappa, log_factorials)
+        joint = _JointFit(coef, mu, kappa, at_boundary, ll_nb, ll_p, log_factorials)
         glm._last_joint_fit = (key, joint)
-    return joint._replace(coef=joint.coef.copy(), mu=joint.mu.copy())
+    return joint._replace(coef=joint.coef.copy(), mu=joint.mu.copy(), log_factorials=joint.log_factorials.copy())
 
 
 def overdispersion_test(data: Sequence) -> SelectionReport:
@@ -769,7 +775,7 @@ def overdispersion_test(data: Sequence) -> SelectionReport:
     maximum.
     """
     y, design = _prepare(data)
-    _, _, kappa, _, ll_nb, ll_p = _joint_fit(y, design)
+    _, _, kappa, _, ll_nb, ll_p, _ = _joint_fit(y, design)
 
     statistic = max(0.0, 2.0 * (ll_nb - ll_p))
     p_value = 0.5 * math.erfc(math.sqrt(statistic / 2.0))

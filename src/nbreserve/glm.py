@@ -11,7 +11,11 @@ observed information (:func:`_newton_terms`), halved within the
 deviance's rounding slack, which stops on one rule: when its Newton
 decrement is at rounding level, on a scale set by its total working
 weight. The joint dispersion fit of :mod:`nbreserve.dispersion` takes
-the same coefficient step for a batch of rows (:func:`_newton_step`).
+the same coefficient step for a batch of rows (:func:`_newton_step`),
+solved by two-way elimination (:class:`_NormalEquations`): the
+information's accident-year block is diagonal, so eliminating it leaves
+a (J - 1)-square Schur system in the development-year effects, where
+:func:`_irls` solves the dense p-square system.
 Under the log link the Poisson's observed and expected information
 coincide, so its step is the Fisher-scoring step; the Poisson is the
 kappa -> infinity end of the same step. A batch's Poisson fit
@@ -264,10 +268,13 @@ def _newton_terms(y: np.ndarray, mu: np.ndarray, kappa):
     The weights mu kappa (kappa + y) / (kappa + mu)^2 are each cell's
     observed information, positive for every count; the response z is
     the cell's score kappa (y - mu) / (kappa + mu) per unit of it, so the
-    step solves X^T W X delta = X^T W z. ``kappa`` is a scalar, a column
-    of per-row values, or None for the Poisson, whose weights mu and
-    response (y - mu) / mu are the limit as kappa grows; under the log
-    link they are also its Fisher-scoring weights and response.
+    step's information is X^T W X and its score X^T W z: :func:`_irls`
+    solves that system as it stands, :func:`_newton_step` by eliminating
+    the accident-year effects (:class:`_NormalEquations`). ``kappa`` is
+    a scalar, a column of per-row values, or None for the Poisson, whose
+    weights mu and response (y - mu) / mu are the limit as kappa grows;
+    under the log link they are also its Fisher-scoring weights and
+    response.
     """
     if kappa is None:
         return mu, (y - mu) / mu
@@ -369,39 +376,83 @@ def _solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _NormalEquations:
-    """Weighted normal equations X^T W X of one design for a batch of rows.
+    """The Newton system X^T W X delta = X^T W z of one design for a batch of rows, by two-way elimination.
 
-    Each call writes the weighted design W X into X's nonzero entries of
-    one buffer, whose other entries stay zero. ``pin`` (m, p) marks the
-    coefficients each row holds at zero: a pinned coefficient's equation
-    becomes x = 0. Rows are addressed by their index into ``pin``.
+    In the two-way coefficients theta = (alpha_1..alpha_I,
+    beta_1..beta_{J-1}), log mu[i, j] = alpha_i + beta_j, the
+    information has a diagonal accident-year block A_i = sum_j w_ij, a
+    diagonal development-year block B_j = sum_i w_ij and a cross block,
+    the I x J grid C of the weights, zero on unobserved cells.
+    Eliminating alpha leaves the (J - 1)-square Schur system
+    S d_beta = g_beta - C^T (g_alpha / A), S = diag(B) - C^T diag(1 / A) C,
+    and d_alpha = (g_alpha - C d_beta) / A; det X^T W X = prod(A) det S,
+    so a row's system is singular exactly when its S is. The step maps
+    back to the treatment contrasts: the intercept's is d_alpha at the
+    first kept accident year r0, accident year i's d_alpha_i - d_alpha_r0,
+    and the development years' d_beta. Its decrement g . delta is the
+    same in either form.
+
+    ``pin`` (m, p) marks the coefficients each row holds at zero. A
+    dropped accident year has A_i = 0; it is left out of the elimination
+    (1 / A_i taken as 0) and its contrast is zero. A pinned
+    development-year coefficient's equation in S becomes x = 0. Rows are
+    addressed by their index into ``pin``.
     """
 
-    def __init__(self, X: np.ndarray, m: int, pin: Optional[np.ndarray] = None):
-        self.X, self.pin = X, pin
-        self.cell, self.col = np.nonzero(X)
-        self.xval = X[self.cell, self.col]
-        self.buf = np.zeros((m,) + X.shape)
+    def __init__(self, design: Design, m: int, pin: Optional[np.ndarray] = None):
+        I, J = design.n_ay, design.n_dy
+        self.X, self.pin, self.I, self.J = design.X, pin, I, J
+        # sums over each cell's accident year, then its development year from 1 on (X's columns)
+        self.sums = np.hstack((design.ay_idx[:, None] == np.arange(I), design.X[:, I:]))
+        self.terms = np.empty((m, 2, design.n))
+        # the weight grid C, with one more column for g_alpha; unobserved cells stay zero
+        self.grid = np.zeros((m, I, J + 1))
+        self.cell = design.ay_idx * (J + 1) + design.dy_idx
+        self.diag = slice(0, (J - 1) * (J + 1), J + 1)  # the S block's diagonal in a flattened (J, J) matrix
         if pin is not None:
-            self.free = ~pin
-            self.keep = self.free[:, :, None] & self.free[:, None, :]
+            self.pin_a, self.pin_b, self.free_b = pin[:, 1:I], pin[:, I:], ~pin[:, I:]
+            self.keep = self.free_b[:, :, None] & self.free_b[:, None, :]
+            self.pin_diag = np.arange(J - 1)
 
-    def weigh(self, rows: np.ndarray, w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Weighted design W X and information X^T W X of ``rows``, pins applied."""
-        Xw = self.buf[: rows.size]
-        Xw[:, self.cell, self.col] = w[:, self.cell] * self.xval
-        A = Xw.transpose(0, 2, 1) @ self.X
+    def solve(self, rows: np.ndarray, w: np.ndarray, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Each row's step delta, NaN where its system is singular, and its decrement g . delta, g = X^T W z."""
+        m, I, J = rows.size, self.I, self.J
+        terms = self.terms[:m]
+        terms[:, 0] = w
+        np.multiply(w, z, out=terms[:, 1])
+        sums = terms @ self.sums
+        A, B, g, g_beta = sums[:, 0, :I], sums[:, 0, I:], sums[:, 1], sums[:, 1, I:]
+        grid = self.grid[:m]
+        grid.reshape(m, -1)[:, self.cell] = w
+        grid[:, :, J] = g[:, :I]
+        if self.pin is None:
+            neg_inv = -1.0 / A
+        else:
+            neg_inv = np.divide(-1.0, A, out=np.zeros_like(A), where=A > 0.0)
+        # [C | g_alpha] without development year 0, whose beta is not a coefficient
+        C = grid[:, :, 1:]
+        # -C^T diag(1 / A) [C | g_alpha], then diag(B) added to its S block
+        schur = (C * neg_inv[:, :, None]).transpose(0, 2, 1) @ C
+        schur.reshape(m, -1)[:, self.diag] += B
+        S, rhs = schur[:, :-1, :-1], g_beta + schur[:, :-1, -1]
         if self.pin is not None:
-            p = self.X.shape[1]
-            A = A * self.keep[rows]
-            A[:, np.arange(p), np.arange(p)] += self.pin[rows]
-        return Xw, A
-
-    def solve(self, rows: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Each row's solution of A x = b with its pinned entries zero; NaN where A is singular."""
-        if self.pin is not None:
-            b = b * self.free[rows]
-        return _solve_rows(A, b)
+            S = S * self.keep[rows]
+            S[:, self.pin_diag, self.pin_diag] += self.pin_b[rows]
+            rhs = rhs * self.free_b[rows]
+        # (d_alpha, d_beta, -1): [C | g_alpha] (d_beta, -1) = C d_beta - g_alpha
+        step = np.empty((m, I + J))
+        step[:, I:-1] = _solve_rows(S, rhs)
+        step[:, -1] = -1.0
+        np.multiply((C @ step[:, I:, None])[:, :, 0], neg_inv, out=step[:, :I])
+        delta = step[:, :-1]
+        decrement = (g * delta).sum(axis=1)
+        if self.pin is None:
+            delta[:, 1:I] -= delta[:, :1]
+        else:
+            base = delta[np.arange(m), np.argmax(A > 0.0, axis=1)]
+            delta[:, 0] = base
+            delta[:, 1:I] = np.where(self.pin_a[rows], 0.0, delta[:, 1:I] - base[:, None])
+        return delta, decrement
 
 
 def _newton_step(
@@ -412,8 +463,10 @@ def _newton_step(
 
     Row r's weights and response come from :func:`_newton_terms` at its
     counts Y[r], means mu[r] and kappa (``k``, a column over ``live``);
-    its normal equations are ``normal``'s, with its pins. The step is
-    halved until the row's deviance does not rise by more than
+    ``normal`` solves its Newton system, with its pins, by two-way
+    elimination: a (J - 1)-square Schur system in the development-year
+    effects, then the accident-year effects by back-substitution. The
+    step is halved until the row's deviance does not rise by more than
     ``_DEV_SLACK`` times its sum of y + kappa. Cells outside ``mask``
     get zero weight and add nothing to either. ``coef`` and ``mu`` are
     updated in place for the rows that take a step.
@@ -437,11 +490,9 @@ def _newton_step(
     w, z = _newton_terms(y, mu_l, k)
     w = kept(w, live)
     tol = np.maximum(_DECREMENT_TOL, _DECREMENT_PER_WEIGHT * w.sum(axis=1))
-    Xw, A = normal.weigh(live, w)
-    g = (Xw.transpose(0, 2, 1) @ z[:, :, None])[:, :, 0]
-    delta = normal.solve(live, A, g)
+    delta, decrement = normal.solve(live, w, z)
     failed = np.isnan(delta).any(axis=1)
-    decrement, cand = (g * delta).sum(axis=1), old + delta
+    cand = old + delta
     limit = deviance(slice(None), mu_l) + _DEV_SLACK * kept(y + k, live).sum(axis=1)
 
     # step halving: each row takes the first of cand, (cand + old) / 2, ...
@@ -703,6 +754,7 @@ class _JointFit(NamedTuple):
     at_boundary: bool
     loglik_nb: float  # at ``mu``: the profile's maximum
     loglik_poisson: float  # at the means of the Poisson fit the joint fit starts from
+    log_factorials: np.ndarray  # each cell's log y!, which both log-likelihoods and the profile's refits take
 
 
 # The last joint fit as (key, record), ``key`` being :func:`_data_key` of

@@ -170,7 +170,7 @@ class TestReserve:
             body = "\n".join(l for l in (out / name).read_text().splitlines() if "run_id" not in l)
             digests[name] = hashlib.sha256(body.encode()).hexdigest()
         assert digests == {
-            "reserve.json": "68f82d72898aa7ecfd1cbe01a4266c15f0fa7a23667b09ac4c6381339cb2577c",
+            "reserve.json": "928916181fce9de9aaf0ee888a8175ad49cc2044f3f8383cf703da9108512bd8",
             "reserve.csv": "732250369ff884df4d304a5357f3ca90ef7a3c3bb175ffeb63a65cf6912dd348",
         }
 

@@ -481,6 +481,109 @@ class TestBatchedIrls:
         assert np.array_equal(x[2], np.full(3, 0.5))
 
 
+@st.composite
+def newton_systems(draw):
+    """A layout, a batch of counts on it with dropped levels, and the step's weights and response.
+
+    The layout is a triangle or a rectangle, with or without holes (a
+    holed layout is no staircase). Rows of the batch zero accident year
+    1, development year 0, both, or random levels; the means are near
+    the counts and each row has its own kappa.
+    """
+    from nbreserve.glm import _newton_terms
+
+    n_ay, n_dy = draw(st.integers(2, 10)), draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n_dy = n_ay
+        cells = [(i, j) for i in range(n_ay) for j in range(n_ay - i)]
+    else:
+        cells = [(i, j) for i in range(n_ay) for j in range(n_dy)]
+    cells = np.array(cells)
+    if draw(st.booleans()):
+        cells = cells[rng.random(len(cells)) > 0.2]
+    ay, dy = cells[:, 0], cells[:, 1]
+    design = build_design(ay + 1, dy, n_ay, n_dy)
+    m = 6
+    mean = np.exp(rng.uniform(0.0, 8.0, size=(m, n_ay)))[:, ay] * rng.dirichlet(np.ones(n_dy), size=m)[:, dy]
+    Y = rng.poisson(mean).astype(float)
+    for r in range(m):
+        kind = rng.integers(5)
+        if kind == 1:
+            Y[r, ay == 0] = 0.0
+        elif kind == 2:
+            Y[r, dy == 0] = 0.0
+        elif kind == 3:
+            Y[r, (ay == 0) | (dy == 0)] = 0.0
+        elif kind == 4:
+            Y[r, (rng.random(n_ay) < 0.3)[ay] | (rng.random(n_dy) < 0.3)[dy]] = 0.0
+    mask, pin = drop_pattern(Y, design)
+    mu = (Y + 0.5) * np.exp(rng.normal(0.0, 0.3, size=Y.shape))
+    w, z = _newton_terms(Y, mu, np.exp(rng.uniform(-3.0, 9.0, size=(m, 1))))
+    return design, w * mask, z, pin
+
+
+def dense_step(design, w, z, pin):
+    """The step of one row by the p-square normal equations, its pinned equations x = 0, and its decrement."""
+    X, free = design.X, ~pin
+    info = X.T @ (X * w[:, None]) * np.outer(free, free) + np.diag(pin.astype(float))
+    g = X.T @ (w * z)
+    delta = np.linalg.solve(info, g * free)
+    return delta, g @ delta, np.linalg.cond(info[np.ix_(free, free)])
+
+
+class TestTwoWayStep:
+    """The joint fit's Newton step, by two-way elimination, against the dense normal equations."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(system=newton_systems())
+    def test_matches_dense_normal_equations(self, system):
+        from nbreserve.glm import _NormalEquations
+
+        design, w, z, pin = system
+        m = len(w)
+        delta, decrement = _NormalEquations(design, m, pin).solve(np.arange(m), w, z)
+        # rows that drop nothing take the same step with no pins at all
+        full = np.nonzero(~pin.any(axis=1))[0]
+        if full.size:
+            unpinned = _NormalEquations(design, full.size).solve(np.arange(full.size), w[full], z[full])
+            assert np.array_equal(unpinned[0], delta[full], equal_nan=True)
+            assert np.array_equal(unpinned[1], decrement[full], equal_nan=True)
+        for r in range(m):
+            try:
+                want, want_decrement, cond = dense_step(design, w[r], z[r], pin[r])
+            except np.linalg.LinAlgError:
+                want, cond = None, np.inf
+            if np.isnan(delta[r]).any():
+                # det X^T W X = prod(A) det S: a singular S is a singular system
+                assert cond > 1e6
+                continue
+            # pinned coefficients are held exactly
+            assert np.all(delta[r, pin[r]] == 0.0)
+            # both solves' rounding grows with the condition number
+            if cond > 1e6:
+                continue
+            assert np.abs(delta[r] - want).max() <= 1e-12 * np.abs(want).max()
+            assert abs(decrement[r] - want_decrement) <= 1e-12 * abs(want_decrement)
+
+    def test_singular_schur_system_fails_its_row_only(self):
+        from nbreserve.glm import _NormalEquations
+
+        # a chain of cells: dropping development year 1 splits it in two
+        design = build_design([1, 1, 2, 2], [0, 1, 1, 2], 2, 3)
+        Y = np.array([[3.0, 0.0, 0.0, 5.0], [3.0, 2.0, 4.0, 5.0], [1.0, 6.0, 2.0, 2.0]])
+        mask, pin = drop_pattern(Y, design)
+        assert mask[0].tolist() == [True, False, False, True] and mask[1:].all()
+        # weights that are powers of two keep the elimination exact, so S is exactly singular
+        w = np.where(mask, 1.0, 0.0)
+        z = np.array([[0.5, 0.0, 0.0, -0.25], [0.5, -0.5, 0.25, 0.125], [-1.0, 0.5, 0.5, 0.25]])
+        delta, _ = _NormalEquations(design, 3, pin).solve(np.arange(3), w, z)
+        assert np.isnan(delta[0]).all()
+        for r in (1, 2):
+            assert np.isfinite(delta[r]).all()
+            assert np.allclose(delta[r], dense_step(design, w[r], z[r], pin[r])[0], rtol=0.0, atol=1e-14)
+
+
 class TestClosedFormPoisson:
     """The chain-ladder Poisson fit against ``_irls`` on each row's kept levels."""
 

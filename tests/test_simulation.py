@@ -220,8 +220,8 @@ class TestStudyPinned:
     PINNED = {
         "poisson": (0.0, 0.0, 193.625, 343.9833333333333, None, None),
         "odp": (0.3333333333333333, 0.6666666666666666, 1008.5833333333334, 1547.7583333333332, None, None),
-        "nb_mle": (0.3333333333333333, 0.3333333333333333, 1081.4583333333333, 1780.8916666666664, 18.108752632452077, 0.0),
-        "nb_corrected": (0.3333333333333333, 1.0, 1394.3333333333333, 2362.825, 18.108752632452077, 0.0),
+        "nb_mle": (0.3333333333333333, 0.3333333333333333, 1081.4583333333333, 1780.8916666666664, 18.108752632452006, 0.0),
+        "nb_corrected": (0.3333333333333333, 1.0, 1394.3333333333333, 2362.825, 18.108752632452006, 0.0),
     }
 
     def test_study_json_pinned(self):
