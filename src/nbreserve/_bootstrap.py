@@ -39,6 +39,7 @@ from its own substream, so each spec gets the draws it would get alone.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -218,18 +219,13 @@ def fit_kept_levels(
     return ok, coef, mu, disp, ay_keep, dy_keep
 
 
-def _correct(spec: EngineSpec, ok: np.ndarray, disp: np.ndarray) -> None:
-    """Scale each refitted kappa by (n - p) / n of the full design, in place, if ``spec.correct``."""
-    if spec.correct:
-        disp[ok] = disp[ok] * (spec.design.n - spec.design.p) / spec.design.n
-
-
 def _refit_batch(y_star: np.ndarray, design: Design, family: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Refit every row of the (m, n) replicate matrix ``y_star`` as one batch.
 
     The rows are one :func:`fit_kept_levels` call. Returns (ok, row_eff,
     col_eff, disp) with one row per replicate, holding what :func:`_refit`
-    returns without the bias correction (:func:`_correct`); ok is False where it
+    returns without the bias correction
+    (:func:`~nbreserve.dispersion.bias_correct`); ok is False where it
     returns None (also for an ODP refit with no residual degree of
     freedom), and disp is NaN for Poisson refits.
     """
@@ -252,8 +248,9 @@ def _run_group(specs: Sequence[EngineSpec], lo: int, hi: int) -> List[Tuple[np.n
     replicates from each of its k specs, so each batch is one
     :func:`_refit_batch` call of at most ``_BATCH`` rows, which bounds the
     memory of the stacked normal equations, whatever levels its
-    replicates drop. Each spec applies its bias correction
-    (:func:`_correct`) to its own rows. A replicate draws its synthetic triangle
+    replicates drop. Each spec with ``correct`` applies
+    :func:`~nbreserve.dispersion.bias_correct` of its full design to its
+    own refitted kappas. A replicate draws its synthetic triangle
     and, after the refit, its future cells from its own substream
     (``spec.prefix`` then the replicate index), so its draws do not
     depend on which replicates or specs share its batch. The substreams
@@ -282,7 +279,8 @@ def _run_group(specs: Sequence[EngineSpec], lo: int, hi: int) -> List[Tuple[np.n
             for k, i in enumerate(members):
                 spec, rows = specs[i], slice(k * m, (k + 1) * m)
                 ok_k, disp_k = fitted[rows], disp[rows]
-                _correct(spec, ok_k, disp_k)
+                if spec.correct:
+                    disp_k[ok_k] = dispersion.bias_correct(disp_k[ok_k], spec.design.n, spec.design.p)
                 idx = np.nonzero(ok_k)[0]
                 with np.errstate(over="ignore"):  # a mean past float64's range is inf, and fails below
                     mu_fut = np.exp(row_eff[rows][idx][:, fut_ay] + col_eff[rows][idx][:, fut_dy])
@@ -302,13 +300,24 @@ def _run_group(specs: Sequence[EngineSpec], lo: int, hi: int) -> List[Tuple[np.n
     return out
 
 
+def _pool_size(workers: Optional[int], n: int) -> int:
+    """Worker processes for ``n`` items: ``workers`` (None: every usable core), at most the usable cores and n.
+
+    The usable cores are those ``os.sched_getaffinity`` allows, or
+    ``os.cpu_count()`` on a platform without it.
+    """
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
+    return min(cores if workers is None else workers, cores, n)
+
+
 def split_run(func: Callable, n: int, workers: int, *args) -> List:
     """Results of ``func(*args, lo, hi)`` over contiguous chunks of range(n), in order.
 
-    One call covers everything when ``workers`` <= 1 or n < 4; otherwise
-    the range is cut into ``workers`` near-equal chunks, each run in its
-    own process.
+    One call covers everything when the pool (:func:`_pool_size` of
+    ``workers``) has at most one worker or n < 4; otherwise the range is
+    cut into that many near-equal chunks, each run in its own process.
     """
+    workers = _pool_size(workers, n)
     if workers <= 1 or n < 4:
         return [func(*args, 0, n)]
     # imported here: it loads multiprocessing, which a serial run never needs
@@ -316,11 +325,7 @@ def split_run(func: Callable, n: int, workers: int, *args) -> List:
 
     bounds = np.linspace(0, n, workers + 1, dtype=int)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(func, *args, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
+        futures = [pool.submit(func, *args, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
         return [f.result() for f in futures]
 
 

@@ -19,7 +19,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -28,7 +27,7 @@ from typing import List
 import click
 import numpy as np
 
-from . import __version__, dispersion, predictive, simulation
+from . import __version__, _bootstrap, dispersion, predictive, simulation
 from .chainladder import chain_ladder
 from .diagnostics import export_profile, pearson_residuals, residuals_csv
 from .errors import ConfigError, ReservingError, TriangleError
@@ -263,14 +262,15 @@ def _future_sum(model) -> float:
 @main.command("reserve")
 @click.argument("triangle", type=str)
 @click.option(
-    "-B", "--bootstrap", "b", type=click.IntRange(min=1), default=5000, show_default=True, help="Bootstrap replicates."
+    "-B", "--bootstrap", "b", type=click.IntRange(min=predictive._MIN_DRAWS), default=5000, show_default=True,
+    help="Bootstrap replicates.",
 )
 @click.option(
     "--level", "levels", type=click.FloatRange(0, 1, min_open=True, max_open=True), callback=_no_nan,
     multiple=True, default=(0.95,), show_default=True,
 )
 @click.option("--no-correct", is_flag=True, help="Skip the dispersion bias correction.")
-@click.option("--threads", type=click.IntRange(min=1), default=None, help="Worker processes; defaults to the CPU count.")
+@click.option("--threads", type=click.IntRange(min=1), help="Worker processes; at most the usable cores, the default.")
 @click.option("--round-amounts", is_flag=True)
 @click.option("--out-dir", type=str, default="nbreserve_out", show_default=True)
 @_seed_option
@@ -278,7 +278,7 @@ def _future_sum(model) -> float:
 def cmd_reserve(triangle, b, levels, no_correct, threads, round_amounts, out_dir, seed):
     """Bootstrap the predictive reserve distribution."""
     t = _load_triangle(triangle, round_amounts)
-    workers = threads if threads is not None else (os.cpu_count() or 1)
+    workers = _bootstrap._pool_size(threads, b)
     run = _Run(
         "reserve",
         {**_input(triangle), "b": b, "levels": sorted(levels), "correct": not no_correct, "seed": seed},
@@ -326,7 +326,7 @@ def cmd_reserve(triangle, b, levels, no_correct, threads, round_amounts, out_dir
     "-B", "--bootstrap", "b", type=click.IntRange(min=1), default=200, show_default=True,
     help="Bootstrap replicates per fit.",
 )
-@click.option("--threads", type=click.IntRange(min=1), default=None, help="Worker processes; defaults to the CPU count.")
+@click.option("--threads", type=click.IntRange(min=1), help="Worker processes; at most the usable cores, the default.")
 @click.option("--config", "config_path", type=str, default=None, help="JSON file overriding the default DGP.")
 @click.option("--out-dir", type=str, default="nbreserve_out", show_default=True)
 @_seed_option
@@ -341,7 +341,7 @@ def cmd_simulate(scenario, kappa, nsim, b, threads, config_path, out_dir, seed):
             raise ConfigError(f"config must be a JSON object, got {type(loaded).__name__}")
         overrides.update(loaded)
     config = simulation.default_config(**overrides)
-    workers = threads if threads is not None else (os.cpu_count() or 1)
+    workers = _bootstrap._pool_size(threads, config.n_sim)
     # every resolved setting enters the run id, config-file keys included
     run = _Run("simulate", dataclasses.asdict(config), out_dir)
     result = simulation.run_study(config, workers=workers)

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from .dispersion import KappaEstimate
+from .dispersion import KAPPA_CAP, KappaEstimate
 from .glm import ModelFit
 
 
@@ -31,14 +30,15 @@ def pearson_residuals(fit: ModelFit, kappa: Optional[float] = None) -> ResidualS
     """Pearson residuals (y - mu) / sqrt(V(mu)).
 
     The variance is mu + mu^2 / kappa under the negative binomial and
-    plain mu for Poisson families. ``kappa`` defaults to the fit's own
-    dispersion; pass it explicitly to assess a Poisson fit at an
-    external kappa estimate.
+    plain mu for Poisson families and for kappa at or above the search
+    cap, the Poisson limit, as in sampling. ``kappa`` defaults to the
+    fit's own dispersion; pass it explicitly to assess a Poisson fit at
+    an external kappa estimate.
     """
     if kappa is None:
         kappa = fit.family.kappa if fit.family.tag == "negbin" else None
     mu = fit.fitted_mu
-    if kappa is None or math.isinf(kappa):
+    if kappa is None or kappa >= KAPPA_CAP:
         variance = mu
     else:
         if not kappa > 0:

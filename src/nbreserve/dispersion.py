@@ -89,16 +89,17 @@ class SelectionReport:
     bic_nb: float
 
 
-def bias_correct(kappa_mle: float, n_obs: int, n_params: int) -> float:
+def bias_correct(kappa_mle, n_obs: int, n_params: int):
     """Closed-form small-sample correction kappa * (n - p) / n.
 
     The correction removes the first-order bias from profiling out the
-    p mean parameters; with p = 0 it is the identity.
+    p mean parameters; with p = 0 it is the identity. ``kappa_mle`` is
+    one kappa or an array of them, corrected elementwise.
 
     Raises:
         NoResidualDofError: n_obs <= n_params, as in a 2 x 2 triangle.
     """
-    if not kappa_mle > 0:
+    if not np.all(np.greater(kappa_mle, 0)):
         raise ValueError(f"kappa_mle must be positive, got {kappa_mle}")
     if n_params < 0:
         raise ValueError(f"n_params must be nonnegative, got {n_params}")
@@ -146,14 +147,14 @@ class _ProfileCache:
         return ll
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-7) -> Tuple[float, float]:
-    """Golden-section maximisation of f on [lo, hi]."""
+def _golden_max(f, lo: float, hi: float) -> Tuple[float, float]:
+    """Golden-section maximisation of f on [lo, hi], until the bracket is at most 1e-7 wide."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > 1e-7:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -292,7 +293,7 @@ def profile_kappa(data: Sequence, grid_size: int = 0) -> KappaEstimate:
     if at_boundary:
         # near the cap l_p(kappa) ~ l_hat + S / (2 kappa), S = sum((y - mu)^2 - y),
         # which falls to the target at kappa = -S / 3.841: start there
-        s = float(np.sum((y - mu) ** 2 - y))
+        s = float(_boundary_sum(y, mu))
         theta = min(math.log(max(-s / CHI2_1_95, KAPPA_MIN)), math.nextafter(theta_hat, -math.inf))
         lower, upper = _ci_endpoint(profile, theta_hat, target, KAPPA_MIN, (coef, theta)), KAPPA_CAP
     else:
@@ -499,106 +500,76 @@ def _horner(coefs: Tuple[np.float64, ...], u: np.ndarray) -> np.ndarray:
     return tail
 
 
-def _at_poisson_boundary(y: np.ndarray, mu: np.ndarray):
-    """Whether the kappa maximiser is the cap, per triangle.
+def _boundary_sum(y: np.ndarray, mu: np.ndarray):
+    """S = sum((y - mu)^2 - y), per triangle: whether the kappa maximiser is the cap.
 
-    As kappa grows the score tends to -sum((y - mu)^2 - y) / (2 kappa^2),
-    so the likelihood still rises toward the cap when that sum is not
-    positive. The sign of the sum decides this exactly, without summing
-    a score of order 1e-14 at the cap.
+    As kappa grows the score tends to -S / (2 kappa^2), so the
+    likelihood still rises toward the cap when S is not positive. The
+    sign of S decides this exactly, without summing a score of order
+    1e-14 at the cap.
     """
-    return ((y - mu) ** 2 - y).sum(-1) <= 0.0
+    return ((y - mu) ** 2 - y).sum(-1)
 
 
 def _solve_kappa(y: np.ndarray, mu: np.ndarray, kappa0: float) -> float:
-    """:func:`_solve_kappa_batch` on one row.
+    """Maximise the NB log-likelihood over kappa at the fixed means ``mu`` of one triangle.
 
-    No fit calls it; it keeps the one-triangle name that the traced
-    benchmark (``bench/spans.py``) hooks, and tests check a joint fit's
-    kappa against it.
+    No fit calls it; tests check a joint fit's kappa against it, and the
+    traced benchmark (``bench/spans.py``) hooks it. Safeguarded Newton
+    iteration on log kappa within [KAPPA_MIN, KAPPA_CAP] from
+    ``kappa0``, keeping a bracket of the root of the score, until a step
+    is below 1e-10 or the score is exactly zero. Returns KAPPA_CAP at
+    the Poisson boundary (:func:`_boundary_sum`) and KAPPA_MIN when the
+    score is not positive there.
     """
     y, mu = np.asarray(y, dtype=float), np.asarray(mu, dtype=float)
-    return float(_solve_kappa_batch(y[None], mu[None], np.array([kappa0], dtype=float))[0])
-
-
-def _solve_kappa_batch(Y: np.ndarray, mu: np.ndarray, kappa0: np.ndarray) -> np.ndarray:
-    """Maximise the NB log-likelihood over kappa at fixed means, for each row of ``Y`` and ``mu``.
-
-    No fit calls it: the joint fit starts at :func:`_start_kappa`.
-
-    Safeguarded Newton iteration on log kappa within [KAPPA_MIN,
-    KAPPA_CAP] from ``kappa0``, keeping a bracket of the root of the
-    score; a row leaves the loop when its step is below 1e-10 or its
-    score is exactly zero. Returns
-    KAPPA_CAP for rows at the Poisson boundary and KAPPA_MIN for rows
-    whose score is not positive there.
-    """
-    out = np.full(len(Y), KAPPA_CAP)
-    live = np.nonzero(~_at_poisson_boundary(Y, mu))[0]
-    floor = _kappa_score(Y[live], mu[live], np.full(live.size, KAPPA_MIN)) <= 0.0
-    out[live[floor]] = KAPPA_MIN
-    live = live[~floor]
-    lo = np.full(live.size, math.log(KAPPA_MIN))
-    hi = np.full(live.size, math.log(KAPPA_CAP))
-    theta = np.clip(np.log(kappa0[live]), lo, hi)
+    if _boundary_sum(y, mu) <= 0.0:
+        return KAPPA_CAP
+    if _kappa_score(y, mu, KAPPA_MIN) <= 0.0:
+        return KAPPA_MIN
+    lo, hi = math.log(KAPPA_MIN), math.log(KAPPA_CAP)
+    theta = min(max(np.log(kappa0), lo), hi)
     for _ in range(100):
-        if live.size == 0:
-            break
-        y, m = Y[live], mu[live]
         kappa = np.exp(theta)
-        s, s_kappa = _kappa_score(y, m, kappa, deriv=True)
-        rising = s > 0.0
-        lo = np.where(rising, np.maximum(lo, theta), lo)
-        hi = np.where(rising, hi, np.minimum(hi, theta))
+        s, s_kappa = _kappa_score(y, mu, kappa, deriv=True)
+        if s == 0.0:  # an iterate whose score is exactly zero is the root
+            return float(kappa)
+        if s > 0.0:
+            lo = max(lo, theta)
+        else:
+            hi = min(hi, theta)
         g = kappa * s
-        h = kappa * s + kappa * kappa * s_kappa
+        h = g + kappa * kappa * s_kappa
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = theta + (-g / h)
-        theta_new = np.where((h < 0.0) & (lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
-        # an iterate whose score is exactly zero is the root
-        root = s == 0.0
-        settled = root | (np.abs(theta_new - theta) < 1e-10)
-        theta = np.where(root, theta, theta_new)
-        out[live[settled]] = np.exp(theta[settled])
-        keep = ~settled
-        live, theta, lo, hi = live[keep], theta[keep], lo[keep], hi[keep]
-    out[live] = np.exp(theta)
-    return out
-
-
-def _moment_kappa(y: np.ndarray, mu: np.ndarray, mask: Optional[np.ndarray] = None):
-    """Moment starting value for kappa from the Pearson statistic, per triangle.
-
-    With ``mask``, only the cells it marks are counted.
-    """
-    excess = ((y - mu) ** 2 - mu) / (mu * mu)
-    n = y.shape[-1]
-    if mask is not None:
-        excess, n = excess * mask, np.sum(mask, axis=-1)
-    excess = np.sum(excess, axis=-1)
-    with np.errstate(divide="ignore"):
-        kappa = np.where(excess > 0, n / excess, KAPPA_CAP)
-    return np.clip(kappa, KAPPA_MIN, KAPPA_CAP)
+        theta_new = newton if h < 0.0 and lo < newton < hi else 0.5 * (lo + hi)
+        if abs(theta_new - theta) < 1e-10:
+            return float(np.exp(theta_new))
+        theta = theta_new
+    return float(np.exp(theta))
 
 
 def _start_kappa(y: np.ndarray, mu: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
     """The joint fit's first kappa, per triangle, at the Poisson means ``mu``.
 
-    KAPPA_CAP at the Poisson boundary (:func:`_at_poisson_boundary`);
-    otherwise the Pearson moment estimate of :func:`_moment_kappa`, the
-    classical start for joint maximum likelihood (Lawless 1987, Can. J.
-    Statist. 15:209-225), or where that is degenerate (the cap) the
-    large-kappa moment sum(mu^2) / S, S = sum((y - mu)^2 - y) > 0. Both
-    are kept below the cap, so the joint loop takes every row not at the
-    boundary. Only the cells ``mask`` marks are counted.
+    KAPPA_CAP at the Poisson boundary (:func:`_boundary_sum`);
+    otherwise the Pearson moment estimate n / sum(((y - mu)^2 - mu) /
+    mu^2), the classical start for joint maximum likelihood (Lawless
+    1987, Can. J. Statist. 15:209-225), or where that is degenerate (not
+    positive or not below the cap) the large-kappa moment sum(mu^2) / S,
+    S > 0. Both are kept in [KAPPA_MIN, KAPPA_CAP), so the joint loop
+    takes every row not at the boundary. Only the cells ``mask`` marks
+    are counted.
     """
-    moment = _moment_kappa(y, mu, mask)
+    pearson = ((y - mu) ** 2 - mu) / (mu * mu)
+    n = y.shape[-1]
     if mask is not None:
-        mu = mu * mask
-    excess = ((y - mu) ** 2 - y).sum(-1)
+        pearson, n, mu = pearson * mask, np.sum(mask, axis=-1), mu * mask
+    pearson = np.sum(pearson, axis=-1)
+    excess = _boundary_sum(y, mu)
     with np.errstate(divide="ignore", invalid="ignore"):
-        start = np.where(moment < KAPPA_CAP, moment, (mu * mu).sum(-1) / excess)
-    # excess <= 0 is _at_poisson_boundary's test, on the sum just taken
+        moment = n / pearson
+        start = np.where((pearson > 0) & (moment < KAPPA_CAP), moment, (mu * mu).sum(-1) / excess)
     return np.where(excess <= 0.0, KAPPA_CAP, start.clip(KAPPA_MIN, _BELOW_CAP))
 
 
@@ -668,7 +639,7 @@ def _nb_mle_batch(
     step. A row stops when its Newton decrement, the log-likelihood
     gain the two steps predict, is at most the tolerance the coefficient
     step returns, the stop rule of every fit at fixed kappa; it stops
-    at KAPPA_CAP when :func:`_at_poisson_boundary` holds at its means
+    at KAPPA_CAP when :func:`_boundary_sum` is not positive at its means
     or a kappa step reaches the cap, with the coefficients of its last
     step. Each row's arithmetic does not depend on the other rows of
     the batch.
@@ -715,7 +686,7 @@ def _nb_mle_batch(
             g_t = kap * s
             h_t = g_t + kap * kap * s_kappa
             newton = -g_t / h_t
-            cap = _at_poisson_boundary(y, mu_k)
+            cap = _boundary_sum(y, mu_k) <= 0.0
         concave = h_t < 0.0
         theta = np.log(kap) + np.where(concave, newton.clip(-1.0, 1.0), np.sign(g_t))
         floor = theta <= log_min

@@ -207,21 +207,18 @@ class StudyResult:
     levels: Tuple[float, ...] = LEVELS
 
 
-def _method_base(tag: str, y: np.ndarray, design: Design):
-    """Base fit shared by the study methods of one family; returns (coef, mu, disp, at_boundary) or None.
+def _method_base(family: str, y: np.ndarray, design: Design):
+    """Base fit shared by the study methods that fit ``family``; returns (mu, disp) or None.
 
-    The fit is :func:`nbreserve._bootstrap.fit_kept_levels` on one row.
-    ``tag`` ``negbin`` is the joint NB fit of nb_mle and nb_corrected,
-    with its kappa; ``poisson`` the Poisson fit of poisson and odp, with
-    odp's phi (NaN with no residual dof) and at_boundary None. None
-    marks a failed fit.
+    The fit is :func:`nbreserve._bootstrap.fit_kept_levels` on one row:
+    ``negbin`` the joint NB fit of nb_mle and nb_corrected, with its
+    kappa; ``quasipoisson`` the Poisson fit of poisson and odp, with
+    odp's phi (NaN with no residual dof). None marks a failed fit.
     """
-    family = "negbin" if tag == "negbin" else "quasipoisson"
-    ok, coef, mu, disp, _, _ = _bootstrap.fit_kept_levels(y[None], design, family)
+    ok, _, mu, disp, _, _ = _bootstrap.fit_kept_levels(y[None], design, family)
     if not ok[0]:
         return None
-    disp = float(disp[0])
-    return coef[0], mu[0], disp, disp == KAPPA_CAP if tag == "negbin" else None
+    return mu[0], float(disp[0])
 
 
 def _run_replicate(config: DgpConfig, s: int, methods: Sequence[str]) -> Dict[str, Optional[dict]]:
@@ -248,15 +245,15 @@ def _run_replicate(config: DgpConfig, s: int, methods: Sequence[str]) -> Dict[st
 
     for m_index, method in enumerate(methods):
         family, correct = _METHOD_FAMILY[method]
-        base = "negbin" if family == "negbin" else "poisson"
-        if base not in bases:
-            bases[base] = _method_base(base, y, design)
-        if bases[base] is None or (correct and design.n <= design.p):
+        fitted = family if family == "negbin" else "quasipoisson"
+        if fitted not in bases:
+            bases[fitted] = _method_base(fitted, y, design)
+        if bases[fitted] is None or (correct and design.n <= design.p):
             continue
-        _, mu, disp, at_boundary = bases[base]
+        mu, disp = bases[fitted]
         if family == "quasipoisson" and math.isnan(disp):
             continue
-        kappa = disp if base == "negbin" else None
+        kappa = disp if family == "negbin" else None
         param = disp if family == "quasipoisson" else kappa
         if correct:
             param = bias_correct(kappa, design.n, design.p)
@@ -264,7 +261,7 @@ def _run_replicate(config: DgpConfig, s: int, methods: Sequence[str]) -> Dict[st
             seed=config.seed, prefix=(1, s, m_index), b=config.b, design=design,
             mu_obs=mu, family=family, param=param, correct=correct,
         ))
-        runs.append((method, kappa, at_boundary))
+        runs.append((method, kappa, None if kappa is None else kappa == KAPPA_CAP))
 
     for (method, kappa, at_boundary), (totals, _, failures) in zip(runs, _bootstrap.run_group(specs)):
         if failures > _bootstrap.MAX_FAILURE_FRACTION * config.b:

@@ -35,6 +35,35 @@ def make_triangle():
     return random_triangle
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the process pool with a recorder that runs each chunk inline; returns each pool's max_workers.
+
+    No process starts, whatever size the code asks for.
+    """
+    import concurrent.futures
+
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, func, *args):
+            future = concurrent.futures.Future()
+            future.set_result(func(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    return sizes
+
+
 def drop_pattern(Y: np.ndarray, design):
     """Kept cells and pinned coefficients of each row of ``Y``, by the engine's rule.
 

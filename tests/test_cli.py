@@ -195,14 +195,29 @@ class TestReserve:
         doc = json.loads((Path(out) / "reserve.json").read_text())
         assert doc["kappa_mle"] == pytest.approx(4.79998, abs=1e-3)
 
-    def test_too_few_draws_exit_one(self, runner, triangle_csv, tmp_path):
+    def test_too_few_draws_is_usage_error(self, runner, triangle_csv, tmp_path):
+        # fewer replicates than the least the summaries accept can never
+        # succeed, so they are refused before any fit
         result = runner.invoke(
             main,
             ["reserve", triangle_csv, "-B", "50", "--threads", "1", "--out-dir", str(tmp_path / "o")],
         )
-        assert result.exit_code == 1
-        err = json.loads(result.output.strip().splitlines()[-1])
-        assert err["error"]["kind"] == "TooFewDraws"
+        assert result.exit_code == 2
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["kind"] == "Usage" and "--bootstrap" in err["message"] and "100" in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_threads_capped_at_usable_cores(self, runner, triangle_csv, tmp_path, monkeypatch, inline_pool):
+        # --threads 5000 would otherwise fork 5000 processes at the first submit
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        run_ok(runner, ["reserve", triangle_csv, "-B", "200", "--threads", "5000", "--out-dir", a])
+        assert inline_pool == [2]
+        run_ok(runner, ["reserve", triangle_csv, "-B", "200", "--out-dir", b])
+        assert inline_pool == [2, 2]
+        assert (Path(a) / "draws.csv").read_text() == (Path(b) / "draws.csv").read_text()
 
 
 class TestSimulate:
@@ -425,7 +440,7 @@ class TestErrors:
     def test_count_too_large(self, runner, tmp_path, command, text):
         path = tmp_path / "big.csv"
         path.write_text(text)
-        extra = ["-B", "20", "--threads", "1"] if command == "reserve" else []
+        extra = ["-B", "100", "--threads", "1"] if command == "reserve" else []
         result = runner.invoke(main, [command, str(path), "--out-dir", str(tmp_path / "out"), *extra])
         assert result.exit_code == 2
         err = json.loads(result.output.strip().splitlines()[-1])
@@ -434,7 +449,7 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "command, extra",
-        [("fit", []), ("fit", ["--family", "odp"]), ("reserve", ["-B", "20", "--threads", "1"]), ("diagnose", [])],
+        [("fit", []), ("fit", ["--family", "odp"]), ("reserve", ["-B", "100", "--threads", "1"]), ("diagnose", [])],
         ids=["fit", "fit-odp", "reserve", "diagnose"],
     )
     def test_two_by_two_has_no_residual_dof(self, runner, tmp_path, command, extra):
@@ -450,7 +465,7 @@ class TestErrors:
     # the levels are checked on load, before the chain-ladder or any fit
     @pytest.mark.parametrize(
         "command, extra",
-        [("fit", []), ("reserve", ["-B", "20", "--threads", "1"]), ("diagnose", [])],
+        [("fit", []), ("reserve", ["-B", "100", "--threads", "1"]), ("diagnose", [])],
         ids=["fit", "reserve", "diagnose"],
     )
     @pytest.mark.parametrize("text", ["0,855,744\n0,1133,\n0,,\n", "0,0\n0,\n"], ids=["3x3", "2x2"])

@@ -6,6 +6,7 @@ import pytest
 
 from nbreserve import Family, fit, pearson_residuals, profile_kappa, residuals_by_factor, to_long
 from nbreserve.diagnostics import export_profile, residuals_csv
+from nbreserve.dispersion import KAPPA_CAP
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +47,12 @@ class TestResiduals:
         rs = pearson_residuals(poisson_fit)
         assert np.array_equal(rs.calendar, rs.ay + rs.dy)
         assert rs.calendar.min() == 1 and rs.calendar.max() == 7
+
+    def test_cap_is_the_poisson_limit(self, australian):
+        # sampling treats kappa at the cap as Poisson; the residuals do too
+        at_cap = fit(to_long(australian), Family.negbin(KAPPA_CAP))
+        expect = (at_cap.y - at_cap.fitted_mu) / np.sqrt(at_cap.fitted_mu)
+        assert pearson_residuals(at_cap).pearson.tolist() == expect.tolist()
 
     def test_bad_kappa(self, poisson_fit):
         with pytest.raises(ValueError):

@@ -29,14 +29,12 @@ from nbreserve.dispersion import (
     _KAPPA_SERIES,
     _joint_fit,
     _kappa_score,
-    _moment_kappa,
     _nb_mle_batch,
     _polygamma,
     _prepare,
     _profile_curvature,
     _ProfileCache,
     _solve_kappa,
-    _solve_kappa_batch,
     _start_kappa,
 )
 from nbreserve.errors import NoResidualDofError, NotConvergedError
@@ -67,6 +65,12 @@ class TestBiasCorrect:
     def test_no_residual_dof_is_typed(self):
         with pytest.raises(NoResidualDofError, match="no residual degrees of freedom"):
             bias_correct(5.0, 3, 3)
+
+    def test_array_is_elementwise(self):
+        kappas = np.geomspace(KAPPA_MIN, KAPPA_CAP, 50)
+        assert bias_correct(kappas, 55, 19).tolist() == [bias_correct(float(k), 55, 19) for k in kappas]
+        with pytest.raises(ValueError, match="must be positive"):
+            bias_correct(np.array([4.8, 0.0, 2.0]), 28, 13)
 
 
 @pytest.fixture(scope="module")
@@ -210,12 +214,12 @@ class TestKappaSolve:
 
     @pytest.mark.parametrize("rows", CAP_START, ids=["cap-start-10", "cap-start-11"])
     def test_batch_leaves_the_cap_start(self, rows):
+        # the Pearson moment is degenerate here, so the joint fit would start
+        # from the large-kappa moment; a solve from the cap itself leaves it
         y, design = _prepare(to_long(RunOffTriangle.from_rows(rows)))
         _, mu, *_ = _irls(y, design, Family.poisson())
-        assert _moment_kappa(y, mu) == KAPPA_CAP
-        scalar = _solve_kappa(y, mu, KAPPA_CAP)
-        assert scalar < 1e4
-        assert _solve_kappa_batch(y[None], mu[None], np.array([KAPPA_CAP])).tolist() == [scalar]
+        assert _start_kappa(y[None], mu[None]).tolist() == [np.sum(mu * mu) / np.sum((y - mu) ** 2 - y)]
+        assert _solve_kappa(y, mu, KAPPA_CAP) < 1e4
 
     @pytest.mark.parametrize("kappa", [1e7, 1e8])
     def test_score_accurate_at_large_kappa(self, kappa):
@@ -259,7 +263,7 @@ class TestKappaSolve:
         monkeypatch.setattr(dispersion, "_kappa_score", counted)
         for kappa0 in zeros:
             calls.clear()
-            assert _solve_kappa_batch(y[None], mu[None], np.array([kappa0])).tolist() == [kappa0]
+            assert _solve_kappa(y, mu, kappa0) == kappa0
             assert len(calls) == 2  # the check at KAPPA_MIN, then one Newton iteration
 
     def test_score_rows_do_not_see_a_nan_row(self, australian):
@@ -273,7 +277,7 @@ class TestKappaSolve:
         for r in (1, 2):
             assert (score[r], slope[r]) == _kappa_score(y, mu, kappa[r], deriv=True)
 
-    def test_batch_matches_scalar(self, australian):
+    def test_solve_stays_in_range(self, australian):
         recs = to_long(australian)
         y = np.array([r.count for r in recs], dtype=float)
         _, mu, _, _ = nb_mle(y, build_design([r.ay for r in recs], [r.dy for r in recs]))
@@ -281,8 +285,7 @@ class TestKappaSolve:
         Y = np.vstack([y, rng.poisson(mu, size=(3, y.size)), np.r_[np.zeros(y.size - 1), 1e5]])
         M = np.vstack([mu] * 4 + [np.full(y.size, 1e5 / 28 / 1e3)])
         kappa0 = np.array([1.0, 50.0, 1e4, 3.0, 1.0])
-        rows = _solve_kappa_batch(Y, M, kappa0)
-        assert rows.tolist() == [_solve_kappa(a, b, k) for a, b, k in zip(Y, M, kappa0)]
+        rows = np.array([_solve_kappa(a, b, k) for a, b, k in zip(Y, M, kappa0)])
         assert np.all((rows >= KAPPA_MIN) & (rows <= KAPPA_CAP))
 
 
@@ -973,7 +976,7 @@ class TestMomentStart:
         y, design = _prepare(to_long(RunOffTriangle.from_rows(TestKappaSolve.CAP_START[0])))
         _, mu, *_ = _irls(y, design, Family.poisson())
         s = np.sum((y - mu) ** 2 - y)
-        assert _moment_kappa(y, mu) == KAPPA_CAP and s > 0
+        assert s > 0
         assert _start_kappa(y[None], mu[None]).tolist() == [np.sum(mu * mu) / s]
         # counts equal to their means are at the Poisson boundary
         assert _start_kappa(mu[None], mu[None]).tolist() == [KAPPA_CAP]

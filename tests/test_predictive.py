@@ -29,7 +29,7 @@ def _study_spec(s, b, family="quasipoisson"):
     config = simulation.default_config()
     t, _ = simulation.generate(config, s)
     y, design = _counts_and_design(to_long(t))
-    _, mu, phi, _ = simulation._method_base("poisson", y, design)
+    mu, phi = simulation._method_base("quasipoisson", y, design)
     return bt.EngineSpec(
         seed=config.seed, prefix=(1, s, 1), b=b, design=design, mu_obs=mu,
         family=family, param=phi if family == "quasipoisson" else None, correct=False,
@@ -39,9 +39,11 @@ def _study_spec(s, b, family="quasipoisson"):
 def _refit_batch(y_star, spec):
     """The engine's batched refit of ``y_star`` for ``spec``, with the spec's bias correction."""
     import nbreserve._bootstrap as bt
+    from nbreserve.dispersion import bias_correct
 
     ok, row_eff, col_eff, disp = bt._refit_batch(y_star, spec.design, spec.family)
-    bt._correct(spec, ok, disp)
+    if spec.correct:
+        disp[ok] = bias_correct(disp[ok], spec.design.n, spec.design.p)
     return ok, row_eff, col_eff, disp
 
 
@@ -466,6 +468,22 @@ class TestChunking:
         )
         ay_keep, dy_keep = _kept_levels(y_star, spec.design)
         assert (~np.hstack((ay_keep, dy_keep))).any(axis=1).sum() >= b // 10
+
+    def test_pool_is_capped(self, monkeypatch, inline_pool):
+        # a request above the usable cores or the items is capped
+        import os
+
+        import nbreserve._bootstrap as bt
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert bt.split_run(lambda lo, hi: (lo, hi), 10, 5000) == [(0, 3), (3, 6), (6, 10)]
+        assert bt.split_run(lambda lo, hi: (lo, hi), 4, 2) == [(0, 2), (2, 4)]
+        assert inline_pool == [3, 2]
+        assert (bt._pool_size(None, 100), bt._pool_size(None, 2), bt._pool_size(5000, 2)) == (3, 2, 2)
+        # without affinity masks the usable cores are the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert (bt._pool_size(None, 100), bt._pool_size(5000, 100)) == (2, 2)
 
     def test_one_family_shares_a_batch(self, australian):
         # two negbin specs of one triangle whose draws differ in means,

@@ -246,7 +246,8 @@ class TestStudyPinned:
         # take the engine's masked fit, while fit and bootstrap reject
         # the same triangle
         from nbreserve import bootstrap, fit
-        from nbreserve.dispersion import _nb_mle_batch
+        from nbreserve._bootstrap import fit_kept_levels
+        from nbreserve.dispersion import KAPPA_CAP, _nb_mle_batch
         from nbreserve.errors import BaseFitFailedError, SeparationError
         from nbreserve.glm import Family, _counts_and_design, drop_masks, pearson_statistic
         from nbreserve.simulation import _method_base
@@ -261,20 +262,21 @@ class TestStudyPinned:
         dropped = ~mask[0]
         assert dropped.sum() == 1
 
-        coef, mu, kappa, at_boundary = _method_base("negbin", y, design)
+        mu, kappa = _method_base("negbin", y, design)
+        coef = fit_kept_levels(y[None], design, "negbin")[1][0]
         ref_coef, ref_mu, ref_kappa, ok, n_iter = _nb_mle_batch(y[None], design, mask=mask, pin=pin)
         assert ok[0] and n_iter[0] <= 10
         assert np.array_equal(coef, ref_coef[0])
-        assert kappa == ref_kappa[0] and at_boundary is False
+        assert kappa == ref_kappa[0] < KAPPA_CAP
         assert np.all(mu[dropped] == 0.0)
         assert np.array_equal(mu[~dropped], ref_mu[0][~dropped])
 
         # the odp phi counts the kept cells less the free coefficients
-        coef, mu, phi, at_boundary = _method_base("poisson", y, design)
+        mu, phi = _method_base("quasipoisson", y, design)
+        coef = fit_kept_levels(y[None], design, "quasipoisson")[1][0]
         assert np.all(mu[dropped] == 0.0) and coef[pin[0]].tolist() == [0.0]
         dof = (design.n - 1) - (design.p - 1)
         assert phi == pytest.approx(float(pearson_statistic(y[~dropped], mu[~dropped])) / dof, rel=1e-14)
-        assert at_boundary is None
 
         with pytest.raises(SeparationError):
             fit(to_long(t), Family.poisson())
