@@ -38,7 +38,6 @@ from its own substream, so each spec gets the draws it would get alone.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -93,7 +92,7 @@ def sample_nb(mu, kappa, rng: np.random.Generator, size=None) -> np.ndarray:
     Draws lambda ~ Gamma(shape=kappa, rate=kappa / mu) and then
     Poisson(lambda), which has mean mu and variance mu + mu^2 / kappa.
     ``mu`` and ``kappa`` broadcast; a scalar kappa at or above the
-    search cap short-circuits to a plain Poisson draw.
+    search cap, infinity included, short-circuits to a plain Poisson draw.
 
     Lambda is ``standard_gamma(kappa) * (mu / kappa)``: numpy draws
     ``Generator.gamma(kappa, scale)`` as ``scale * standard_gamma(kappa)``,
@@ -105,7 +104,7 @@ def sample_nb(mu, kappa, rng: np.random.Generator, size=None) -> np.ndarray:
         kappa = float(kappa)
         if not kappa > 0:
             raise ValueError(f"kappa must be positive, got {kappa}")
-        if math.isinf(kappa) or kappa >= dispersion.KAPPA_CAP:
+        if kappa >= dispersion.KAPPA_CAP:
             return rng.poisson(mu, size=size)
         scale = mu / kappa
         if size is not None:  # a size that mu does not broadcast to raises, as in gamma
@@ -139,10 +138,13 @@ def _refit(y_star: np.ndarray, spec: EngineSpec) -> Optional[Tuple[np.ndarray, n
     its kept cells cannot identify their effects. Row and column effects
     are on the log scale with dropped levels at -inf, so exp(row + col)
     gives zero means there. The dispersion slot holds kappa for negbin
-    refits and phi for quasipoisson refits. A Poisson refit is the
-    closed-form chain-ladder, or IRLS where that does not apply. The
-    engine runs :func:`_refit_batch`; this one-replicate form is its
-    reference.
+    refits and phi for quasipoisson refits. A negative binomial refit is
+    the engine's kernel :func:`~nbreserve.dispersion._nb_mle_batch` on
+    one row; at the cap its means are those of the last kappa step,
+    which :func:`~nbreserve.dispersion.nb_mle` would refit there. A
+    Poisson refit is the closed-form chain-ladder, or IRLS where that
+    does not apply. The engine runs :func:`_refit_batch`; this
+    one-replicate form is its reference.
     """
     ay_keep, dy_keep = _kept_levels(y_star, spec.design)
     if not ay_keep.any():
@@ -154,18 +156,19 @@ def _refit(y_star: np.ndarray, spec: EngineSpec) -> Optional[Tuple[np.ndarray, n
 
     try:
         if spec.family == "negbin":
-            coef, _, kappa, _ = dispersion.nb_mle(y_fit, design)
-            disp = dispersion.bias_correct(kappa, spec.design.n, spec.design.p) if spec.correct else kappa
+            coef, _, disp, converged, _ = (a[0] for a in dispersion._nb_mle_batch(y_fit[None], design))
         else:
             coef, mu, converged = (a[0] for a in _poisson_batch(y_fit[None], design))
-            if not converged:
-                return None
             disp = None
-            if spec.family == "quasipoisson":
-                dof = design.n - design.p
-                if dof <= 0:
-                    return None
-                disp = float(pearson_statistic(y_fit, mu)) / dof
+        if not converged:
+            return None
+        if spec.family == "negbin" and spec.correct:
+            disp = dispersion.bias_correct(disp, spec.design.n, spec.design.p)
+        elif spec.family == "quasipoisson":
+            dof = design.n - design.p
+            if dof <= 0:
+                return None
+            disp = float(pearson_statistic(y_fit, mu)) / dof
     except ReservingError:
         return None
 

@@ -290,22 +290,12 @@ def cmd_reserve(triangle, b, levels, no_correct, threads, round_amounts, out_dir
     label = dist.origin_label if isinstance(dist.origin_label, int) else 1
     table = ["accident_year  point      lower      upper      cv_percent"]
     csv_lines = ["ay,level,point,lower,upper,cv_percent"]
-    for level, (*ay_rows, total) in zip(sorted(levels), rows_by_level):
-        for i, row in zip(sorted(dist.draws_by_ay), ay_rows):
-            csv_lines.append(
-                f"{label + i - 1},{level:g},{row.point:.2f},{row.lower:.2f},{row.upper:.2f},{row.cv_percent:.2f}"
-            )
+    names = [str(label + i - 1) for i in sorted(dist.draws_by_ay)] + ["total"]
+    for level, rows in zip(sorted(levels), rows_by_level):
+        for name, row in zip(names, rows):
+            csv_lines.append(f"{name},{level:g},{row.point:.2f},{row.lower:.2f},{row.upper:.2f},{row.cv_percent:.2f}")
             if level == max(levels):
-                table.append(
-                    f"{label + i - 1:<14d} {row.point:<10.0f} {row.lower:<10.0f} {row.upper:<10.0f} {row.cv_percent:.1f}"
-                )
-        csv_lines.append(
-            f"total,{level:g},{total.point:.2f},{total.lower:.2f},{total.upper:.2f},{total.cv_percent:.2f}"
-        )
-        if level == max(levels):
-            table.append(
-                f"{'total':<14s} {total.point:<10.0f} {total.lower:<10.0f} {total.upper:<10.0f} {total.cv_percent:.1f}"
-            )
+                table.append(f"{name:<14} {row.point:<10.0f} {row.lower:<10.0f} {row.upper:<10.0f} {row.cv_percent:.1f}")
     table.append(
         f"kappa_mle {dist.kappa_mle:.4g}; kappa_adj {dist.kappa_adj:.4g}; "
         f"b_effective {dist.b_effective}; refit failures {dist.refit_failures}"

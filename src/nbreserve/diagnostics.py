@@ -8,7 +8,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .dispersion import KAPPA_CAP, KappaEstimate
+from .dispersion import KappaEstimate, _nb_variance
 from .glm import ModelFit
 
 
@@ -29,21 +29,18 @@ class ResidualSet:
 def pearson_residuals(fit: ModelFit, kappa: Optional[float] = None) -> ResidualSet:
     """Pearson residuals (y - mu) / sqrt(V(mu)).
 
-    The variance is mu + mu^2 / kappa under the negative binomial and
-    plain mu for Poisson families and for kappa at or above the search
-    cap, the Poisson limit, as in sampling. ``kappa`` defaults to the
-    fit's own dispersion; pass it explicitly to assess a Poisson fit at
-    an external kappa estimate.
+    The variance is plain mu for Poisson families and otherwise
+    :func:`~nbreserve.dispersion._nb_variance`: mu + mu^2 / kappa, or
+    mu for kappa at or above the search cap, the Poisson limit, as in
+    sampling. ``kappa`` defaults to the fit's own dispersion; pass it
+    explicitly to assess a Poisson fit at an external kappa estimate.
     """
     if kappa is None:
         kappa = fit.family.kappa if fit.family.tag == "negbin" else None
+    elif not kappa > 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
     mu = fit.fitted_mu
-    if kappa is None or kappa >= KAPPA_CAP:
-        variance = mu
-    else:
-        if not kappa > 0:
-            raise ValueError(f"kappa must be positive, got {kappa}")
-        variance = mu + mu * mu / kappa
+    variance = mu if kappa is None else _nb_variance(mu, kappa)
     return ResidualSet(
         ay=fit.ay.copy(),
         dy=fit.dy.copy(),

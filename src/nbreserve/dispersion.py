@@ -7,16 +7,17 @@ Pearson moment estimate of kappa at its means (:func:`_start_kappa`),
 and so maximises the profile
 l_p(kappa) = l(alpha_hat(kappa), beta_hat(kappa), kappa) over log kappa
 in [1e-3, 1e8]. The bootstrap engine refits its replicates with the
-same kernel, :func:`_nb_mle_batch`, of which :func:`nb_mle` is the
-batch of one. Confidence intervals invert the likelihood-ratio
-statistic at the chi-square(1) 0.95 quantile. Each endpoint is one
-Newton solve of {coefficient score = 0, l = l_hat - 3.841 / 2} for the
-coefficients and log kappa together (Venzon and Moolgavkar, 1988),
-started from the quadratic profile, whose curvature is analytic
-(:func:`_profile_curvature`), or at the cap from the profile's
-large-kappa expansion. Refits of the means at fixed kappa
-(:func:`nbreserve.glm._irls`) remain for the estimate at the cap, a
-bound, a fallback search and the plotting grid. :func:`_joint_fit`
+same kernel, :func:`_nb_mle_batch`; :func:`nb_mle` is its batch of
+one, with the means refitted at the cap when the estimate is there
+(:func:`_fit_at_estimate`). Confidence intervals invert the
+likelihood-ratio statistic at the chi-square(1) 0.95 quantile. Each
+endpoint is one Newton solve of {coefficient score = 0, l = l_hat -
+3.841 / 2} for the coefficients and log kappa together (Venzon and
+Moolgavkar, 1988), started from the quadratic profile, whose curvature
+is analytic (:func:`_profile_curvature`), or at the cap from the
+profile's large-kappa expansion. Refits of the means at fixed kappa
+(:func:`_refit_means`) remain for the estimate at the cap, a bound, a
+fallback search and the plotting grid. :func:`_joint_fit`
 alone remembers the joint fit at its estimate, with both
 log-likelihoods, which :func:`profile_kappa`, :func:`overdispersion_test`
 and :func:`nbreserve.glm.fit` at its kappa on the same data read.
@@ -46,6 +47,7 @@ from .glm import (
 KAPPA_MIN = 1e-3
 KAPPA_CAP = 1e8
 _BELOW_CAP = math.nextafter(KAPPA_CAP, 0.0)  # the largest kappa a joint fit starts from
+_LOG_CAP = math.log(KAPPA_CAP)
 
 # chi-square(1) quantile at 0.95, used to invert the profile LRT
 CHI2_1_95 = 3.841458820694124
@@ -58,6 +60,11 @@ _ADJUSTED_GRID_SIZE = 40
 
 # Newton steps after which an interval endpoint's solve counts as not settled
 _ENDPOINT_STEPS = 20
+
+
+def _nb_variance(mu, kappa: float):
+    """The negative binomial variance mu + mu^2 / kappa; mu in the Poisson limit, kappa >= KAPPA_CAP or inf."""
+    return mu if kappa >= KAPPA_CAP else mu + mu * mu / kappa
 
 
 @dataclass(frozen=True)
@@ -112,7 +119,7 @@ class _ProfileCache:
     """Profile log-likelihood evaluator with warm-started Newton refits.
 
     Each call refits the means at one kappa by
-    :func:`nbreserve.glm._irls`, starting from the previous call's
+    :func:`_refit_means`, starting from the previous call's
     coefficients (at first the ``joint`` fit's, by default the
     closed-form Poisson fit), and records (kappa, loglik); ``mu`` holds
     the last call's fitted means. Each cell's log y! is the joint fit's,
@@ -138,13 +145,22 @@ class _ProfileCache:
         self.evals: List[Tuple[float, float]] = []
 
     def __call__(self, kappa: float) -> float:
-        coef, mu, _, _, converged, _ = _irls(self.y, self.design, Family.negbin(kappa), start=self.warm)
-        if not converged:
-            raise NotConvergedError(f"profile refit at kappa={kappa:.4g} did not converge")
-        self.warm, self.mu = coef, mu
+        self.warm, self.mu = _refit_means(self.y, self.design, kappa, self.warm)
         ll = _nb_loglik(self.y, self.mu, kappa, self.log_factorials)
         self.evals.append((kappa, ll))
         return ll
+
+
+def _refit_means(y: np.ndarray, design: Design, kappa: float, start: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(coef, mu) of the means refitted at fixed ``kappa`` by :func:`nbreserve.glm._irls`, from ``start``.
+
+    Raises:
+        NotConvergedError: the refit did not converge.
+    """
+    coef, mu, _, _, converged, _ = _irls(y, design, Family.negbin(kappa), start=start)
+    if not converged:
+        raise NotConvergedError(f"profile refit at kappa={kappa:.4g} did not converge")
+    return coef, mu
 
 
 def _golden_max(f, lo: float, hi: float) -> Tuple[float, float]:
@@ -201,8 +217,13 @@ def _endpoint_newton(
     Returns (theta, coef, loglik, steps) after the first step that moves
     neither theta nor a coefficient by more than 1e-6, which by Newton's
     quadratic convergence leaves an error of order 1e-12; None when an
-    iterate leaves (inner, outer] or ``_ENDPOINT_STEPS`` steps pass.
+    iterate leaves (inner, outer] or ``_ENDPOINT_STEPS`` steps pass. A
+    start past the cap, where a nearly flat profile's quadratic start
+    can lie, gives None before any evaluation: past theta = 709,
+    exp(theta) overflows.
     """
+    if theta > _LOG_CAP:
+        return None
     y, X, log_factorials = profile.y, profile.design.X, profile.log_factorials
     side = 1.0 if outer > inner else -1.0
     # a diverging iterate's means may overflow here; its next theta is
@@ -576,29 +597,47 @@ def _start_kappa(y: np.ndarray, mu: np.ndarray, mask: Optional[np.ndarray] = Non
 def nb_mle(y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray, float, bool]:
     """Joint maximum likelihood over (mean effects, kappa).
 
-    The fit of one triangle by :func:`_nb_mle_batch`, as a batch of one:
-    joint Newton iterations over the coefficients and log kappa from
-    the closed-form Poisson fit, or the Poisson IRLS fit from its cold
-    start where the closed form does not apply. The fit depends on the
-    counts and the design alone.
+    The fit of one triangle at its estimate (:func:`_fit_at_estimate`):
+    joint Newton iterations over the coefficients and log kappa from the
+    closed-form Poisson fit, or the Poisson IRLS fit from its cold start
+    where the closed form does not apply, with the means refitted at the
+    cap when the estimate is there. It is the fit :func:`_joint_fit`
+    remembers for :func:`profile_kappa` and :func:`overdispersion_test`,
+    bit for bit, but this call neither reads nor writes that memo. The
+    fit depends on the counts and the design alone.
 
     Returns (coef, mu, kappa, at_boundary).
 
     Raises:
         NotConvergedError: the fit failed as :func:`_nb_mle_batch`
-            describes.
+            describes, or the refit at the cap did not converge.
     """
-    return _one_fit(_nb_mle_batch(np.asarray(y, dtype=float)[None], design))
+    return _fit_at_estimate(np.asarray(y, dtype=float), design)
 
 
-def _one_fit(batch: tuple) -> Tuple[np.ndarray, np.ndarray, float, bool]:
-    """(coef, mu, kappa, at_boundary) of a one-row :func:`_nb_mle_batch` result, which must be ok."""
-    coef, mu, kappa, ok, _ = batch
+def _fit_at_estimate(
+    y: np.ndarray, design: Design, poisson: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+) -> Tuple[np.ndarray, np.ndarray, float, bool]:
+    """(coef, mu, kappa, at_boundary): the one-row :func:`_nb_mle_batch` fit, its means refitted at the cap.
+
+    Below the cap this is the kernel's fit. At the cap the kernel's means
+    belong to the last kappa it tried, so :func:`_refit_means` refits
+    them at the cap, from the kernel's coefficients. ``poisson`` is
+    passed on to the kernel.
+
+    Raises:
+        NotConvergedError: the kernel's fit failed, or the refit at the
+            cap did not converge.
+    """
+    coef, mu, kappa, ok, _ = _nb_mle_batch(y[None], design, poisson=poisson)
     if not ok[0]:
         raise NotConvergedError(
             f"joint NB fit failed: singular, unbounded or not converged in {_IRLS_MAX_ITER} iterations"
         )
-    return coef[0], mu[0], float(kappa[0]), bool(kappa[0] == KAPPA_CAP)
+    coef, mu, kappa = coef[0], mu[0], float(kappa[0])
+    if kappa == KAPPA_CAP:
+        coef, mu = _refit_means(y, design, kappa, coef)
+    return coef, mu, kappa, kappa == KAPPA_CAP
 
 
 def _nb_mle_batch(
@@ -668,7 +707,7 @@ def _nb_mle_batch(
     kappa[cap], ok[cap] = KAPPA_CAP, True
     live = live[~cap[live]]
     normal = _NormalEquations(design, live.size, pin)
-    log_min, log_cap = math.log(KAPPA_MIN), math.log(KAPPA_CAP)
+    log_min = math.log(KAPPA_MIN)
 
     for _ in range(_IRLS_MAX_ITER):
         if live.size == 0:
@@ -695,7 +734,7 @@ def _nb_mle_batch(
         decrement += np.where(settled, 0.0, np.where(concave, g_t * newton, np.inf))
         kappa[live] = np.where(floor, KAPPA_MIN, np.exp(theta))
 
-        cap |= theta >= log_cap
+        cap |= theta >= _LOG_CAP
         kappa[live[cap]] = KAPPA_CAP
         done = ~failed & (cap | (np.abs(decrement) <= tol))
         ok[live[done]] = True
@@ -704,12 +743,9 @@ def _nb_mle_batch(
 
 
 def _joint_fit(y: np.ndarray, design: Design) -> _JointFit:
-    """:func:`nb_mle` of prepared counts, ended at its estimate, with both log-likelihoods there.
+    """:func:`nb_mle` of prepared counts (:func:`_fit_at_estimate`), with both log-likelihoods there.
 
-    At the cap the joint fit's means belong to the last kappa it tried,
-    so :func:`nbreserve.glm._irls` refits them there, raising
-    NotConvergedError as a profile refit does. The record
-    (:class:`nbreserve.glm._JointFit`) is remembered in
+    The record (:class:`nbreserve.glm._JointFit`) is remembered in
     ``nbreserve.glm._last_joint_fit``, which nothing else writes, for the
     next call on the same data (:func:`nbreserve.glm._data_key`); the
     fits are deterministic, so a remembered record is the one a new call
@@ -722,11 +758,7 @@ def _joint_fit(y: np.ndarray, design: Design) -> _JointFit:
         poisson = _poisson_batch(y[None], design)
         # read before the joint fit moves the Poisson means in place
         ll_p = _poisson_loglik(y, poisson[1][0], log_factorials)
-        coef, mu, kappa, at_boundary = _one_fit(_nb_mle_batch(y[None], design, poisson=poisson))
-        if at_boundary:
-            coef, mu, _, _, converged, _ = _irls(y, design, Family.negbin(kappa), start=coef)
-            if not converged:
-                raise NotConvergedError(f"profile refit at kappa={kappa:.4g} did not converge")
+        coef, mu, kappa, at_boundary = _fit_at_estimate(y, design, poisson)
         ll_nb = _nb_loglik(y, mu, kappa, log_factorials)
         joint = _JointFit(coef, mu, kappa, at_boundary, ll_nb, ll_p, log_factorials)
         glm._last_joint_fit = (key, joint)

@@ -10,7 +10,6 @@ legitimate outcomes for thin accident years and are retained.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -19,7 +18,7 @@ import numpy as np
 from . import _bootstrap
 from ._bootstrap import sample_nb
 from .chainladder import chain_ladder
-from .dispersion import KAPPA_CAP, bias_correct, nb_mle
+from .dispersion import _nb_variance, bias_correct, nb_mle
 from .errors import BaseFitFailedError, ExcessiveFailuresError, ReservingError, TooFewDrawsError
 from .glm import ModelFit, _prepare
 from .triangle import RunOffTriangle, to_long, triangle_cells
@@ -44,8 +43,9 @@ class CellPrediction:
 def plugin_predict(fit: ModelFit, kappa: float) -> List[CellPrediction]:
     """Predictive handles for every future cell of a fitted triangle.
 
-    ``kappa`` at or above the search cap is treated as the Poisson
-    limit, where each cell variance equals its mean.
+    Each cell's variance is :func:`~nbreserve.dispersion._nb_variance`:
+    ``kappa`` at or above the search cap, infinity included, is the
+    Poisson limit, where the variance equals the mean, as in sampling.
     """
     if not kappa > 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
@@ -53,8 +53,7 @@ def plugin_predict(fit: ModelFit, kappa: float) -> List[CellPrediction]:
     out = []
     for i, j in zip(ay.tolist(), dy.tolist()):
         mu = fit.mu_at(i + 1, j)
-        var = mu if (math.isinf(kappa) or kappa >= KAPPA_CAP) else mu + mu * mu / kappa
-        out.append(CellPrediction(ay=i + 1, dy=j, mean=mu, variance=var, kappa=kappa))
+        out.append(CellPrediction(ay=i + 1, dy=j, mean=mu, variance=_nb_variance(mu, kappa), kappa=kappa))
     return out
 
 

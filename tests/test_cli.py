@@ -313,6 +313,25 @@ class TestSimulate:
         assert err["kind"] == "Config" and needle in err["message"]
 
 
+# nearly flat profiles (kappa-hat about 1.7e4 and 3.2e5) whose quadratic
+# start for the upper interval endpoint lies past exp's range; fit and
+# diagnose used to end in an OverflowError traceback
+@pytest.mark.parametrize("command", ["fit", "diagnose"])
+@pytest.mark.parametrize(
+    "text",
+    ["33,23,7\n49,12,\n32,,\n", "345,250,247,178,131\n460,329,243,189,\n409,316,196,,\n455,335,,,\n519,,,,\n"],
+    ids=["3x3", "5x5"],
+)
+def test_flat_profile_runs(runner, tmp_path, command, text):
+    path = tmp_path / "flat.csv"
+    path.write_text(text)
+    out = tmp_path / "out"
+    result = run_ok(runner, [command, str(path), "--out-dir", str(out)])
+    assert "Traceback" not in result.output
+    if command == "fit":
+        assert _strict_json(out / "fit.json")["kappa_ci95"][1] == 1e8
+
+
 class TestDiagnose:
     def test_outputs(self, runner, triangle_csv, tmp_path):
         out = str(tmp_path / "out")
@@ -420,6 +439,25 @@ class TestErrors:
         assert result.exit_code == 2
         err = json.loads(result.output.strip().splitlines()[-1])
         assert err["error"]["kind"] == "RaggedRows"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("5\n", "a triangle needs at least 2 accident years"),
+            ("ay,dy0,dy1\n", "no data rows"),
+            ("1,2,3\n4,5\n6,,\n", "row 2: expected 3 fields, got 2"),
+        ],
+        ids=["1x1", "header-only", "short-row"],
+    )
+    def test_bad_layout(self, runner, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        result = runner.invoke(main, ["fit", str(path), "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == {"kind": "RaggedRows", "message": message}
+        assert not (tmp_path / "out").exists()
 
     def test_amounts_guidance(self, runner, tmp_path):
         amounts = tmp_path / "amounts.csv"

@@ -162,6 +162,28 @@ class TestJointMle:
         assert at_boundary
         assert kappa == KAPPA_CAP
 
+    @pytest.mark.parametrize("name", ["australian", "taylor", "at-cap", "quasi-separated"])
+    def test_is_the_remembered_joint_fit(self, name, request, monkeypatch):
+        # nb_mle ends on the means _joint_fit remembers, refitted at the
+        # cap, bit for bit, and neither reads nor writes that memo
+        rows = {"at-cap": AT_CAP_ROWS, "quasi-separated": QUASI_SEPARATED}.get(name)
+        y, design = _prepare(to_long(RunOffTriangle.from_rows(rows) if rows else request.getfixturevalue(name)))
+        monkeypatch.setattr(glm, "_last_joint_fit", ((), None))
+        try:
+            joint = _joint_fit(y, design)
+        except NotConvergedError:  # quasi-separated: no finite maximum, so a rounding race
+            with pytest.raises(NotConvergedError):
+                nb_mle(y, design)
+            return
+        key, _ = glm._last_joint_fit
+        decoy = (key, joint._replace(coef=joint.coef * 0.0, mu=joint.mu * 0.0))
+        monkeypatch.setattr(glm, "_last_joint_fit", decoy)
+        got = nb_mle(y, design)
+        assert glm._last_joint_fit is decoy
+        for a, b in zip(got, joint[:4]):
+            assert np.array_equal(a, b)
+        assert got[3] == (name in ("at-cap", "quasi-separated"))
+
 
 class TestKappaSolve:
     # an overdispersed draw (kappa about 125) on which nb_mle used to stop
@@ -546,6 +568,18 @@ class TestProfileRefits:
 # maximum there, which the joint fit does not find)
 AT_CAP_ROWS = [[0, 4, 1, 2], [2, 0, 3], [405, 11], [18]]
 
+# accident year 1's only nonzero count is the lone cell of development
+# year 4, so the likelihood has no finite maximum
+QUASI_SEPARATED = [[0, 0, 0, 0, 1], [2, 0, 4, 5], [3, 0, 1], [3, 3], [1]]
+
+# nearly flat profiles (kappa-hat about 1.7e4 and 3.2e5) whose quadratic
+# start for the upper interval endpoint lies past log KAPPA_CAP and past
+# 709, where exp(theta) overflows
+FLAT_PROFILE_ROWS = {
+    "3x3": [[33, 23, 7], [49, 12], [32]],
+    "5x5": [[345, 250, 247, 178, 131], [460, 329, 243, 189], [409, 316, 196], [455, 335], [519]],
+}
+
 
 def _cold_fit(recs, family):
     """``fit`` with the remembered joint fit forgotten, as a first call makes it; the memo is restored."""
@@ -789,6 +823,25 @@ class TestEndpointSolve:
         assert np.abs(score).max() <= 1e-9 * y.sum()
         assert 2 * (est.loglik - fit(recs, Family.negbin(lower)).loglik) == pytest.approx(CHI2_1_95, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "name, lower", [("3x3", 6.926342817309498), ("5x5", 182.58460051512256)], ids=["3x3", "5x5"]
+    )
+    def test_start_past_the_cap_is_not_evaluated(self, name, lower, solves, monkeypatch):
+        # the upper endpoint's solve declines its start, and one refit at
+        # the cap, the last refit, finds the profile above the cut there
+        refits = []
+
+        def counted(y, design, family, start=None):
+            refits.append(family.kappa)
+            return refit(y, design, family, start=start)
+
+        refit = dispersion._irls
+        monkeypatch.setattr(dispersion, "_irls", counted)
+        est = profile_kappa(to_long(RunOffTriangle.from_rows(FLAT_PROFILE_ROWS[name])))
+        assert not est.at_boundary and len(solves) == 2 and solves[1] is None
+        assert refits[-1] == KAPPA_CAP and est.ci95[1] == KAPPA_CAP
+        assert est.ci95[0] == pytest.approx(lower, rel=1e-9)
+
     def test_endpoint_at_the_cap_takes_one_refit_there(self, monkeypatch):
         # an interior estimate (kappa about 132) whose profile stays above
         # the cut up to KAPPA_CAP: the iteration leaves the search range,
@@ -856,8 +909,9 @@ def nb_batches(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(batch=nb_batches())
 def test_one_joint_estimator(batch):
-    # each row's fit is the same whatever rows share its batch, and an
-    # unmasked row's is exactly nb_mle's
+    # each row's fit is the same whatever rows share its batch; an
+    # unmasked row's is exactly the one-row kernel's without a mask, and
+    # nb_mle's below the cap; at the cap nb_mle refits the row's means there
     Y, design = batch
     mask, pin = drop_pattern(Y, design)
     out = _nb_mle_batch(Y, design, mask=mask, pin=pin)
@@ -868,10 +922,16 @@ def test_one_joint_estimator(batch):
             assert np.array_equal(got[r], want[0], equal_nan=True)
         if not mask[r].all():
             continue
+        for got, want in zip(out, _nb_mle_batch(Y[r : r + 1], design)):
+            assert np.array_equal(got[r], want[0], equal_nan=True)
         if ok[r]:
             c, m, k, at_boundary = nb_mle(Y[r], design)
-            assert np.array_equal(c, coef[r]) and np.array_equal(m, mu[r])
             assert k == kappa[r] and at_boundary == (k == KAPPA_CAP)
+            want_c, want_m = coef[r], mu[r]
+            if at_boundary:
+                want_c, want_m, _, _, converged, _ = _irls(Y[r], design, Family.negbin(KAPPA_CAP), start=coef[r])
+                assert converged
+            assert np.array_equal(c, want_c) and np.array_equal(m, want_m)
         else:
             with pytest.raises(NotConvergedError):
                 nb_mle(Y[r], design)
@@ -924,6 +984,12 @@ class TestAdjustedProfile:
         kappa_cr = maximize_adjusted_profile(recs)
         assert kappa_cr == pytest.approx(2.81287, abs=1e-3)
         assert est.kappa_adj < kappa_cr < est.kappa_mle
+
+    def test_maximizer_at_the_cap_on_poisson_data(self):
+        # the adjusted profile still rises at the last grid point
+        rows = [[706, 462, 327, 197, 153, 127], [679, 432, 320, 203, 180], [719, 472, 324, 225],
+                [695, 497, 323], [680, 458], [730]]
+        assert maximize_adjusted_profile(to_long(RunOffTriangle.from_rows(rows))) == KAPPA_CAP
 
 
 class TestTaylorAshe:

@@ -156,6 +156,15 @@ class TestPlugin:
         for c in cells:
             assert c.variance == pytest.approx(c.mean, rel=1e-12)
 
+    @pytest.mark.parametrize("kappa", [4.8, 1e8, np.inf])
+    @pytest.mark.parametrize("size", [None, 7])
+    def test_sample_is_sample_nb(self, australian, kappa, size):
+        # a cell's draws are, bit for bit, sample_nb's from the same stream
+        model = fit(to_long(australian), Family.negbin(4.8))
+        for k, c in enumerate(plugin_predict(model, kappa)):
+            got = c.sample(substream(3, k), size=size)
+            assert np.array_equal(got, sample_nb(c.mean, kappa, substream(3, k), size=size))
+
 
 @pytest.fixture(scope="module")
 def dist(australian):
