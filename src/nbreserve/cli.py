@@ -22,7 +22,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import List
+from typing import List, Optional
 
 import click
 import numpy as np
@@ -89,6 +89,7 @@ class _Run:
         self.out_dir = Path(out_dir)
         self.started = time.time()
         self.outputs: List[str] = []
+        self.workers: Optional[int] = None  # worker processes used, recorded outside params and the run id
         canon = json.dumps({"subcommand": subcommand, **params}, sort_keys=True, default=str)
         self.run_id = hashlib.sha256(canon.encode()).hexdigest()[:12]
 
@@ -122,6 +123,8 @@ class _Run:
             "wall_time_s": round(time.time() - self.started, 3),
             "outputs": self.outputs,
         }
+        if self.workers is not None:
+            manifest["workers"] = self.workers
         self._dump("manifest.json", manifest)
         click.echo(f"outputs written to {self.out_dir} (run_id {self.run_id})")
 
@@ -284,6 +287,7 @@ def cmd_reserve(triangle, b, levels, no_correct, threads, round_amounts, out_dir
         {**_input(triangle), "b": b, "levels": sorted(levels), "correct": not no_correct, "seed": seed},
         out_dir,
     )
+    run.workers = workers
     dist = predictive.bootstrap(t, b=b, correct=not no_correct, seed=seed, workers=workers)
     rows_by_level = predictive.summary_rows(dist, levels)
 
@@ -334,6 +338,7 @@ def cmd_simulate(scenario, kappa, nsim, b, threads, config_path, out_dir, seed):
     workers = _bootstrap._pool_size(threads, config.n_sim)
     # every resolved setting enters the run id, config-file keys included
     run = _Run("simulate", dataclasses.asdict(config), out_dir)
+    run.workers = workers
     result = simulation.run_study(config, workers=workers)
     csv_text = simulation.study_csv(result)
     click.echo(csv_text.rstrip("\n"))

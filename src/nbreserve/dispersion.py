@@ -10,14 +10,17 @@ in [1e-3, 1e8]. The bootstrap engine refits its replicates with the
 same kernel, :func:`_nb_mle_batch`; :func:`nb_mle` is its batch of
 one, with the means refitted at the cap when the estimate is there
 (:func:`_fit_at_estimate`). Confidence intervals invert the
-likelihood-ratio statistic at the chi-square(1) 0.95 quantile. Each
-endpoint is one Newton solve of {coefficient score = 0, l = l_hat -
-3.841 / 2} for the coefficients and log kappa together (Venzon and
-Moolgavkar, 1988), started from the quadratic profile, whose curvature
-is analytic (:func:`_profile_curvature`), or at the cap from the
-profile's large-kappa expansion. Refits of the means at fixed kappa
-(:func:`_refit_means`) remain for the estimate at the cap, a bound, a
-fallback search and the plotting grid. :func:`_joint_fit`
+likelihood-ratio statistic at the chi-square(1) 0.95 quantile. One
+routine, :func:`_ci_endpoint`, finds each endpoint: Newton steps on
+{coefficient score = 0, l = l_hat - 3.841 / 2} for the coefficients
+and log kappa together (Venzon and Moolgavkar, 1988), started from the
+quadratic profile, whose curvature is analytic
+(:func:`_profile_curvature`), or at the cap from the profile's
+large-kappa expansion, and kept inside a bracket that a refit of the
+means at the bound, then at the bracket's midpoint, narrows when the
+steps do not settle. Refits of the means at fixed kappa
+(:func:`_refit_means`) serve the estimate at the cap, those bracket
+points and the plotting grid. :func:`_joint_fit`
 alone remembers the joint fit at its estimate, with both
 log-likelihoods, which :func:`profile_kappa`, :func:`overdispersion_test`
 and :func:`nbreserve.glm.fit` at its kappa on the same data read.
@@ -40,7 +43,7 @@ import numpy as np
 from . import glm
 from .errors import FlatProfileError, NoResidualDofError, NotConvergedError, SingularInformationError
 from .glm import (
-    _ETA_BOUND, _IRLS_MAX_ITER, _KAPPA_SERIES, Design, Family, _data_key, _irls, _JointFit, _newton_step,
+    _ETA_BOUND, _IRLS_MAX_ITER, _KAPPA_SERIES, Design, Family, _data_key, _irls, _JointFit, _kept, _newton_step,
     _NormalEquations, _lgamma, _nb_loglik, _poisson_batch, _poisson_loglik, _prepare,
 )
 
@@ -58,7 +61,7 @@ _GRID_SIZE = 60
 # log-spaced points on which maximize_adjusted_profile brackets its maximum
 _ADJUSTED_GRID_SIZE = 40
 
-# Newton steps after which an interval endpoint's solve counts as not settled
+# Newton steps after which an interval endpoint's run of steps counts as not settled
 _ENDPOINT_STEPS = 20
 
 
@@ -122,7 +125,7 @@ class _ProfileCache:
     :func:`_refit_means`, starting from the previous call's
     coefficients (at first the ``joint`` fit's, by default the
     closed-form Poisson fit), and records (kappa, loglik); ``mu`` holds
-    the last call's fitted means. Each cell's log y! is the joint fit's,
+    the last point's fitted means. Each cell's log y! is the joint fit's,
     or computed here. A point known without a refit, such as the joint
     fit's, may be appended to ``evals`` directly. Warm-started from a
     nearby kappa's fit a refit takes about three steps.
@@ -183,99 +186,74 @@ def _golden_max(f, lo: float, hi: float) -> Tuple[float, float]:
 
 
 def _ci_endpoint(profile: _ProfileCache, theta_hat: float, target: float, bound: float, start) -> float:
-    """Kappa between exp(theta_hat) and ``bound`` where the profile falls to ``target``.
+    """Kappa between exp(theta_hat) and ``bound`` where the profile falls to ``target``, or ``bound`` if it stays above.
 
-    :func:`_endpoint_newton` solves for it from ``start`` (coefficients,
-    log kappa). If the solve fails, one refit at ``bound`` tells whether
-    the profile stays above the target up to ``bound``, the endpoint
-    then; otherwise :func:`_bracketed_endpoint` searches.
+    Newton steps (Venzon & Moolgavkar 1988, Appl. Statist. 37:87-94) on
+    {X^T s = 0, l(coef, theta) = target} for the coefficients and
+    theta = log kappa together, from ``start`` (coefficients, theta); s
+    is each cell's coefficient score kappa (y - mu) / (kappa + mu), so
+    the solution lies on the profile. The Jacobian
+    [[-X^T W X, c], [(X^T s)^T, kappa s_kappa]] is solved by eliminating
+    its coefficient block. The first step that moves neither theta nor a
+    coefficient by more than 1e-6 ends the solve, with an error of order
+    1e-12 by Newton's quadratic convergence; the endpoint goes into
+    ``profile.evals`` and its means into ``profile.mu``.
+
+    The iterates stay in the bracket (theta_hat, log ``bound``]. A run
+    of steps that is singular, leaves the bracket, does not settle in
+    ``_ENDPOINT_STEPS`` steps or starts past the cap (where a nearly
+    flat profile's quadratic start can lie, and past 709 exp(theta)
+    overflows) is followed by a refit of the means: first at ``bound``,
+    from ``profile``'s warm start, which is the endpoint if the profile
+    there is not below ``target``; then at the bracket's midpoint, which
+    replaces the bracket end on its side of ``target``. The steps resume
+    from each refit.
+
+    Raises:
+        NotConvergedError: a refit did not converge, or the bracket
+            shrank to adjacent floats with no run of steps settled.
     """
-    end = math.log(bound)
-    solved = _endpoint_newton(profile, *start, target, theta_hat, end)
-    if solved is not None:
-        theta, _, ll, _ = solved
-        kappa = math.exp(theta)
-        profile.evals.append((kappa, ll))
-        return kappa
-    if profile(bound) >= target:
-        return bound
-    return _bracketed_endpoint(profile, theta_hat, end, target)
-
-
-def _endpoint_newton(
-    profile: _ProfileCache, coef: np.ndarray, theta: float, target: float, inner: float, outer: float,
-) -> Optional[Tuple[float, np.ndarray, float, int]]:
-    """A profile-interval endpoint by Newton's method (Venzon & Moolgavkar 1988, Appl. Statist. 37:87-94).
-
-    Solves {X^T s = 0, l(coef, theta) = target} for the coefficients and
-    theta = log kappa together, s being each cell's coefficient score
-    kappa (y - mu) / (kappa + mu); with a zero score the solution lies on
-    the profile. The Jacobian [[-X^T W X, c], [(X^T s)^T, kappa s_kappa]]
-    is solved by eliminating its coefficient block. The counts, design
-    and log y! are ``profile``'s.
-
-    Returns (theta, coef, loglik, steps) after the first step that moves
-    neither theta nor a coefficient by more than 1e-6, which by Newton's
-    quadratic convergence leaves an error of order 1e-12; None when an
-    iterate leaves (inner, outer] or ``_ENDPOINT_STEPS`` steps pass. A
-    start past the cap, where a nearly flat profile's quadratic start
-    can lie, gives None before any evaluation: past theta = 709,
-    exp(theta) overflows.
-    """
-    if theta > _LOG_CAP:
-        return None
     y, X, log_factorials = profile.y, profile.design.X, profile.log_factorials
+    coef, theta = start
+    inner, outer = theta_hat, math.log(bound)
     side = 1.0 if outer > inner else -1.0
-    # a diverging iterate's means may overflow here; its next theta is
-    # then not finite, or outside the bracket, and the iteration fails
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for steps in range(1, _ENDPOINT_STEPS + 1):
-            kappa = math.exp(theta)
-            mu = np.exp((X @ coef).clip(-_ETA_BOUND, _ETA_BOUND))
-            g, info, c = _tangent_terms(y, X, mu, kappa)
-            try:
-                u, v = np.linalg.solve(info, np.column_stack((g, c))).T
-            except np.linalg.LinAlgError:
-                return None
-            slope = g @ v + kappa * float(_kappa_score(y, mu, kappa))
-            d_theta = -(_nb_loglik(y, mu, kappa, log_factorials) - target + g @ u) / slope
-            d_coef = u + v * d_theta
-            theta += d_theta
-            coef = coef + d_coef
-            if not (side * (theta - inner) > 0.0 and side * (theta - outer) <= 0.0):
-                return None
-            if max(abs(d_theta), float(np.abs(d_coef).max())) <= 1e-6:
+    refit = None  # theta of the last refit of the means
+    while True:
+        # a diverging iterate's means may overflow here; its next theta
+        # is then not finite, or outside the bracket, and the run ends
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for _ in range(_ENDPOINT_STEPS if theta <= _LOG_CAP else 0):
+                kappa = math.exp(theta)
                 mu = np.exp((X @ coef).clip(-_ETA_BOUND, _ETA_BOUND))
-                return theta, coef, _nb_loglik(y, mu, math.exp(theta), log_factorials), steps
-    return None
-
-
-def _bracketed_endpoint(profile: _ProfileCache, inner: float, outer: float, target: float) -> float:
-    """The endpoint between log kappas ``inner`` (profile above ``target``) and ``outer`` (below).
-
-    Newton's method on the profile, refitting the means at each point,
-    from the profile's last refit, which must be at ``outer``; a step
-    leaving the bracket is replaced by bisection. By the envelope
-    theorem the slope of l_p in log kappa is kappa times the kappa score
-    at the refitted means.
-    """
-    kappa, ll = profile.evals[-1]
-    theta, drop = outer, ll - target
-    for _ in range(100):
-        slope = kappa * float(_kappa_score(profile.y, profile.mu, kappa))
-        theta_new = theta - drop / slope if slope != 0.0 else math.inf
-        if not min(inner, outer) < theta_new < max(inner, outer):
-            theta_new = 0.5 * (inner + outer)
-        if abs(theta_new - theta) < 1e-9:
-            return kappa
-        theta = theta_new
-        kappa = math.exp(theta)
-        drop = profile(kappa) - target
-        if drop < 0.0:
-            outer = theta
+                g, info, c = _tangent_terms(y, X, mu, kappa)
+                try:
+                    u, v = np.linalg.solve(info, np.column_stack((g, c))).T
+                except np.linalg.LinAlgError:
+                    break
+                slope = g @ v + kappa * float(_kappa_score(y, mu, kappa))
+                d_theta = -(_nb_loglik(y, mu, kappa, log_factorials) - target + g @ u) / slope
+                d_coef = u + v * d_theta
+                theta += d_theta
+                coef = coef + d_coef
+                if not (side * (theta - inner) > 0.0 and side * (theta - outer) <= 0.0):
+                    break
+                if max(abs(d_theta), float(np.abs(d_coef).max())) <= 1e-6:
+                    kappa = math.exp(theta)
+                    profile.mu = np.exp((X @ coef).clip(-_ETA_BOUND, _ETA_BOUND))
+                    profile.evals.append((kappa, _nb_loglik(y, profile.mu, kappa, log_factorials)))
+                    return kappa
+        if refit is None:
+            refit, kappa = outer, bound
         else:
-            inner = theta
-    raise NotConvergedError(f"profile interval endpoint near kappa={kappa:.4g} did not settle")
+            refit = 0.5 * (inner + outer)
+            if refit in (inner, outer):
+                raise NotConvergedError(f"profile interval endpoint near kappa={kappa:.4g} did not settle")
+            kappa = math.exp(refit)
+        drop = profile(kappa) - target
+        if kappa == bound and drop >= 0.0:
+            return bound
+        inner, outer = (inner, refit) if drop < 0.0 else (refit, outer)
+        coef, theta = profile.warm, refit
 
 
 def profile_kappa(data: Sequence, grid_size: int = 0) -> KappaEstimate:
@@ -286,23 +264,25 @@ def profile_kappa(data: Sequence, grid_size: int = 0) -> KappaEstimate:
     :func:`overdispersion_test` on the same data shares. Interior
     estimates whose analytic profile curvature
     (:func:`_profile_curvature`) is flat are rejected. Each interval
-    endpoint is where the profile falls 3.841 / 2 below its maximum,
-    found by :func:`_ci_endpoint`, or the end of the search range if
-    the profile stays above that level. A maximiser at the upper cap is
+    endpoint is where the profile falls 3.841 / 2 below its maximum, or
+    the end of the search range if the profile stays above that level,
+    found by one bracketed Newton solve (:func:`_ci_endpoint`) from the
+    quadratic profile's endpoint. A maximiser at the upper cap is
     reported with ``at_boundary=True`` and means the data are
     Poisson-compatible; its interval runs up to the cap, and only its
     lower endpoint is solved for, from the large-kappa expansion.
 
     ``profile_curve`` holds the estimate, the endpoints and any refits
-    at a bound or in a fallback search; ``grid_size`` > 0 adds that
-    many log-spaced points over the search range, for plotting. They
-    change neither the estimate nor the interval.
+    of the means on the way to them; ``grid_size`` > 0 adds that many
+    log-spaced points over the search range, for plotting. They change
+    neither the estimate nor the interval.
 
     Raises:
         FlatProfileError: interior optimum with curvature below 1e-6 on
             the log-kappa scale, so kappa is not identified.
-        NotConvergedError: the joint fit, a refit on the way to the
-            interval, or the bracketed endpoint search did not converge.
+        NotConvergedError: the joint fit or a refit on the way to the
+            interval did not converge, or an endpoint's bracket shrank
+            to adjacent floats with no Newton step settled.
     """
     y, design = _prepare(data)
     joint = _joint_fit(y, design)
@@ -698,9 +678,6 @@ def _nb_mle_batch(
     ok = np.zeros(m, dtype=bool)
     n_iter = np.zeros(m, dtype=np.int64)
 
-    def kept(a, rows):
-        return a if mask is None else a * mask[rows]
-
     live = np.nonzero(poisson_ok)[0]
     kappa[live] = _start_kappa(Y[live], mu[live], None if mask is None else mask[live])
     cap = kappa >= KAPPA_CAP
@@ -719,7 +696,7 @@ def _nb_mle_batch(
 
         # Newton step in theta = log kappa at the new means; the squares
         # of a diverging fit's means may overflow here, leaving it to fail
-        mu_k, kap = kept(mu[live], live), kappa[live]
+        mu_k, kap = _kept(mu[live], mask, live), kappa[live]
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             s, s_kappa = _kappa_score(y, mu_k, kap, deriv=True)
             g_t = kap * s

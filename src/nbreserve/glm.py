@@ -352,6 +352,11 @@ def _irls(
     return coef, mu, dev, dev_path, converged, n_iter
 
 
+def _kept(a: np.ndarray, mask: Optional[np.ndarray], rows) -> np.ndarray:
+    """``a``, per-cell values of the batch rows ``rows``, zeroed outside their ``mask`` cells; ``a`` without a mask."""
+    return a if mask is None else a * mask[rows]
+
+
 def _rows_dot(X: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """Linear predictor X @ coef[r] for each row r of ``coef``.
 
@@ -481,19 +486,16 @@ def _newton_step(
     X = normal.X
     y, old, mu_l = Y[live], coef[live], mu[live]
 
-    def kept(a, rows):
-        return a if mask is None else a * mask[rows]
-
     def deviance(rows, mu_r):
-        return 2.0 * kept(_unit_deviance(y[rows], mu_r, k[rows]), live[rows]).sum(axis=1)
+        return 2.0 * _kept(_unit_deviance(y[rows], mu_r, k[rows]), mask, live[rows]).sum(axis=1)
 
     w, z = _newton_terms(y, mu_l, k)
-    w = kept(w, live)
+    w = _kept(w, mask, live)
     tol = np.maximum(_DECREMENT_TOL, _DECREMENT_PER_WEIGHT * w.sum(axis=1))
     delta, decrement = normal.solve(live, w, z)
     failed = np.isnan(delta).any(axis=1)
     cand = old + delta
-    limit = deviance(slice(None), mu_l) + _DEV_SLACK * kept(y + k, live).sum(axis=1)
+    limit = deviance(slice(None), mu_l) + _DEV_SLACK * _kept(y + k, mask, live).sum(axis=1)
 
     # step halving: each row takes the first of cand, (cand + old) / 2, ...
     # within 30 halvings that keeps its deviance within the slack
@@ -514,7 +516,7 @@ def _newton_step(
     # row that takes none, or whose kept means reach the clip, has a
     # likelihood rising without bound
     failed[pend] = True
-    failed[step] |= kept(np.abs(eta_c[step]) >= _ETA_BOUND, live[step]).any(axis=1)
+    failed[step] |= _kept(np.abs(eta_c[step]) >= _ETA_BOUND, mask, live[step]).any(axis=1)
     coef[live[step]] = cand[step]
     mu[live[step]] = np.exp(eta_c[step])
     return decrement, tol, failed

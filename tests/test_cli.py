@@ -219,6 +219,19 @@ class TestReserve:
         assert inline_pool == [2, 2]
         assert (Path(a) / "draws.csv").read_text() == (Path(b) / "draws.csv").read_text()
 
+    def test_manifest_records_workers_used(self, runner, triangle_csv, tmp_path, monkeypatch, inline_pool):
+        # the capped count is recorded outside params, so the run id does not move
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        manifests = []
+        for threads in ("5000", "1"):
+            out = tmp_path / threads
+            run_ok(runner, ["reserve", triangle_csv, "-B", "200", "--threads", threads, "--out-dir", str(out)])
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+        assert inline_pool == [2]
+        assert [m["workers"] for m in manifests] == [2, 1]
+        assert manifests[0]["run_id"] == manifests[1]["run_id"]
+        assert manifests[0]["params"] == manifests[1]["params"] and "workers" not in manifests[0]["params"]
+
 
 class TestSimulate:
     def test_tiny_study(self, runner, tmp_path):
@@ -233,6 +246,19 @@ class TestSimulate:
         assert "poisson,inf" in study
         doc = json.loads((Path(out) / "study.json").read_text())
         assert doc["config"]["n_sim"] == 2
+
+    def test_manifest_records_workers_used(self, runner, tmp_path, monkeypatch, inline_pool):
+        # the default is every usable core, at most the replicates; the run id does not depend on it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        manifests = []
+        for threads in ([], ["--threads", "1"]):
+            out = tmp_path / f"out{len(threads)}"
+            run_ok(runner, ["simulate", "--scenario", "poisson", "--nsim", "4", "-B", "5", *threads,
+                            "--out-dir", str(out)])
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+        assert inline_pool == [3]
+        assert [m["workers"] for m in manifests] == [3, 1]
+        assert manifests[0]["run_id"] == manifests[1]["run_id"] and "workers" not in manifests[0]["params"]
 
     def test_config_file(self, runner, tmp_path):
         cfg = tmp_path / "dgp.json"

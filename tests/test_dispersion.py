@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -485,6 +486,43 @@ class TestProfileSearch:
         assert est.kappa_mle == bootstrap(interior_triangle, b=20, seed=0, workers=1).kappa_mle
 
 
+@pytest.fixture
+def endpoints(monkeypatch):
+    """Record the Newton steps, the refits of the means and each interval endpoint search of the calls that follow.
+
+    ``steps`` and ``refits`` list the kappa of every evaluation of
+    ``dispersion._tangent_terms`` (once per Newton step, and once for the
+    profile's curvature) and of ``dispersion._irls``; ``searches`` has,
+    per ``dispersion._ci_endpoint`` call, its kappa, the steps and
+    refits it made, and the profile's last point: the means and
+    log-likelihood at the endpoint.
+    """
+    seen = SimpleNamespace(steps=[], refits=[], searches=[])
+
+    def search(profile, *args):
+        steps, refits = len(seen.steps), len(seen.refits)
+        kappa = ci_endpoint(profile, *args)
+        seen.searches.append(SimpleNamespace(
+            kappa=kappa, steps=seen.steps[steps:], refits=seen.refits[refits:],
+            mu=profile.mu, loglik=profile.evals[-1][1],
+        ))
+        return kappa
+
+    def step(y, X, mu, kappa):
+        seen.steps.append(kappa)
+        return terms(y, X, mu, kappa)
+
+    def refit(y, design, family, start=None):
+        seen.refits.append(family.kappa)
+        return irls(y, design, family, start=start)
+
+    ci_endpoint, terms, irls = dispersion._ci_endpoint, dispersion._tangent_terms, dispersion._irls
+    monkeypatch.setattr(dispersion, "_ci_endpoint", search)
+    monkeypatch.setattr(dispersion, "_tangent_terms", step)
+    monkeypatch.setattr(dispersion, "_irls", refit)
+    return seen
+
+
 class TestProfileRefits:
     """The profile's Newton refits, analytic curvature and shared joint fit."""
 
@@ -502,27 +540,13 @@ class TestProfileRefits:
         assert curv == pytest.approx(numeric, rel=1e-3)
 
     @pytest.mark.parametrize("name", ["australian", "taylor"])
-    def test_interior_estimate_needs_no_refit(self, name, request, monkeypatch):
-        # each endpoint is one Newton solve from the quadratic start; no
-        # means are refitted at fixed kappa on the way
-        refits, steps = [], []
-
-        def counted_refit(*args, **kwargs):
-            refits.append(args[2])
-            return refit(*args, **kwargs)
-
-        def counted_solve(*args):
-            solved = solve(*args)
-            steps.append(None if solved is None else solved[3])
-            return solved
-
-        refit, solve = dispersion._irls, dispersion._endpoint_newton
-        monkeypatch.setattr(dispersion, "_irls", counted_refit)
-        monkeypatch.setattr(dispersion, "_endpoint_newton", counted_solve)
+    def test_interior_estimate_needs_no_refit(self, name, request, endpoints):
+        # each endpoint is one run of Newton steps from the quadratic
+        # start; no means are refitted at fixed kappa on the way
         est = profile_kappa(to_long(request.getfixturevalue(name)))
         assert not est.at_boundary
-        assert refits == []
-        assert len(steps) == 2 and all(s is not None and s <= 5 for s in steps)
+        assert endpoints.refits == []
+        assert len(endpoints.searches) == 2 and all(1 <= len(e.steps) <= 5 for e in endpoints.searches)
 
     @pytest.fixture
     def joint_fits(self, monkeypatch):
@@ -579,6 +603,10 @@ FLAT_PROFILE_ROWS = {
     "3x3": [[33, 23, 7], [49, 12], [32]],
     "5x5": [[345, 250, 247, 178, 131], [460, 329, 243, 189], [409, 316, 196], [455, 335], [519]],
 }
+
+# a skewed profile (kappa-hat about 580, lower endpoint about 5.6) whose
+# lower endpoint's Newton steps leave their bracket from the quadratic start
+SKEWED_PROFILE_ROWS = [[13, 4, 0, 3, 2], [16, 5, 0, 4], [9, 18, 1], [15, 12], [37]]
 
 
 def _cold_fit(recs, family):
@@ -699,23 +727,10 @@ def _gamma_poisson_rows(rng: np.random.Generator, dimension: int, kappa: float):
 
 
 class TestEndpointSolve:
-    """Each interval endpoint as one Newton solve, and the fallbacks around it."""
-
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        """Record each endpoint solve's result."""
-        results = []
-
-        def recorded(*args):
-            results.append(solve(*args))
-            return results[-1]
-
-        solve = dispersion._endpoint_newton
-        monkeypatch.setattr(dispersion, "_endpoint_newton", recorded)
-        return results
+    """Each interval endpoint as one bracketed run of Newton steps, and the refits that narrow its bracket."""
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_endpoint_on_profile_at_the_cut(self, seed, solves):
+    def test_endpoint_on_profile_at_the_cut(self, seed, endpoints):
         # a finite endpoint's coefficients have a zero score, so the point
         # is on the profile, and a cold fit there sits 3.841 / 2 below
         # the maximum
@@ -726,76 +741,84 @@ class TestEndpointSolve:
         recs = to_long(RunOffTriangle.from_rows(rows))
         y, design = _prepare(recs)
         est = profile_kappa(recs)
-        solved = {math.exp(r[0]): r for r in solves if r is not None}
+        solved = {e.kappa: e for e in endpoints.searches if e.refits == []}
         finite = [bound for bound in est.ci95 if KAPPA_MIN < bound < KAPPA_CAP]
         assert finite
         for bound in finite:
-            _, coef, ll, _ = solved[bound]
-            mu = np.exp(design.X @ coef)
+            mu = solved[bound].mu
             score = design.X.T @ (bound * (y - mu) / (bound + mu))
             assert np.abs(score).max() <= 1e-9 * y.sum()
             assert 2 * (est.loglik - fit(recs, Family.negbin(bound)).loglik) == pytest.approx(CHI2_1_95, abs=1e-7)
-            assert ll == pytest.approx(est.loglik - 0.5 * CHI2_1_95, abs=1e-8)
+            assert solved[bound].loglik == pytest.approx(est.loglik - 0.5 * CHI2_1_95, abs=1e-8)
 
     @pytest.mark.parametrize("rows", [None, NEAR_SEPARATED], ids=["australian", "near-separated"])
-    def test_bracketed_fallback(self, rows, australian, monkeypatch):
-        # an iteration allowed a single step does not settle, so every
-        # endpoint falls back to the refit at the bound and the bracketed
-        # search, which must find the same interval
+    def test_bracketed_fallback(self, rows, australian, endpoints, monkeypatch):
+        # a run allowed a single step does not settle, so every endpoint
+        # falls back to the refit at the bound and the bracket's midpoints,
+        # which must find the same interval
         recs = to_long(australian if rows is None else RunOffTriangle.from_rows(rows))
         solved = profile_kappa(recs)
-        searches = []
-
-        def counted(*args):
-            searches.append(args)
-            return search(*args)
-
-        search = dispersion._bracketed_endpoint
-        monkeypatch.setattr(dispersion, "_bracketed_endpoint", counted)
         monkeypatch.setattr(dispersion, "_ENDPOINT_STEPS", 1)
+        del endpoints.searches[:]
         searched = profile_kappa(recs)
-        assert len(searches) == 2
+        assert [e.refits[0] for e in endpoints.searches] == [KAPPA_MIN, KAPPA_CAP]
+        assert all(len(e.refits) > 1 for e in endpoints.searches)
         assert (searched.kappa_mle, searched.loglik) == (solved.kappa_mle, solved.loglik)
         assert np.allclose(np.log(searched.ci95), np.log(solved.ci95), rtol=0.0, atol=1e-8)
 
+    def test_bracket_without_steps_ends_in_an_error(self, australian, endpoints, monkeypatch):
+        # with no Newton step allowed nothing settles: the midpoint refits
+        # halve the bracket until it is two adjacent floats, then give up
+        monkeypatch.setattr(dispersion, "_ENDPOINT_STEPS", 0)
+        with pytest.raises(NotConvergedError, match="did not settle"):
+            profile_kappa(to_long(australian))
+        assert endpoints.steps[1:] == [] and endpoints.refits[0] == KAPPA_MIN and len(endpoints.refits) < 100
+
     @pytest.mark.parametrize(
         "rows, at_cap, steps",
-        [
-            ([[13, 4, 0, 3, 2], [16, 5, 0, 4], [9, 18, 1], [15, 12], [37]], False, None),
-            ([[4, 589, 988], [10, 151], [48]], True, 1),
-        ],
+        [(SKEWED_PROFILE_ROWS, False, None), ([[4, 589, 988], [10, 151], [48]], True, 1)],
         ids=["interior", "at-cap"],
     )
-    def test_solve_leaving_its_bracket_falls_back(self, rows, at_cap, steps, monkeypatch):
-        # the lower endpoint's solve leaves its bracket from the quadratic
-        # start of a skewed profile (kappa_hat about 580, lower endpoint
-        # about 5.6); the solve for an estimate at the cap settles from
-        # its large-kappa start, so a one-step budget makes it fail. The
-        # bracketed search finds the endpoint the solve finds
+    def test_solve_leaving_its_bracket_falls_back(self, rows, at_cap, steps, endpoints, monkeypatch):
+        # the lower endpoint's steps leave their bracket from the quadratic
+        # start of a skewed profile; the steps for an estimate at the cap
+        # settle from its large-kappa start, so a one-step budget makes
+        # them fail. The steps resumed from the refit at KAPPA_MIN find
+        # the endpoint the steps alone find
         recs = to_long(RunOffTriangle.from_rows(rows))
         solved = profile_kappa(recs)
-        searches = []
-
-        def counted(*args):
-            searches.append(args)
-            return search(*args)
-
-        search = dispersion._bracketed_endpoint
-        monkeypatch.setattr(dispersion, "_bracketed_endpoint", counted)
         if steps is not None:
             monkeypatch.setattr(dispersion, "_ENDPOINT_STEPS", steps)
+        del endpoints.searches[:]
         est = profile_kappa(recs)
-        assert est.at_boundary == at_cap and len(searches) == 1
+        assert est.at_boundary == at_cap
+        assert endpoints.searches[0].refits[:1] == [KAPPA_MIN]
         assert np.allclose(np.log(est.ci95), np.log(solved.ci95), rtol=0.0, atol=1e-8)
         lower = est.ci95[0]
         assert KAPPA_MIN < lower < est.kappa_mle
-        assert 2 * (est.loglik - fit(recs, Family.negbin(lower)).loglik) == pytest.approx(CHI2_1_95, abs=1e-6)
+        assert 2 * (est.loglik - _cold_fit(recs, Family.negbin(lower)).loglik) == pytest.approx(CHI2_1_95, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "rows", [FLAT_PROFILE_ROWS["3x3"], FLAT_PROFILE_ROWS["5x5"], SKEWED_PROFILE_ROWS],
+        ids=["flat-3x3", "flat-5x5", "skewed"],
+    )
+    def test_hard_interval_takes_at_most_two_refits(self, rows, endpoints):
+        # a lower start far below the search range or steps leaving their
+        # bracket cost one refit at the bound, from which the steps settle;
+        # a flat profile's upper endpoint is the cap, after one refit there
+        recs = to_long(RunOffTriangle.from_rows(rows))
+        est = profile_kappa(recs)
+        assert not est.at_boundary and len(endpoints.refits) <= 2
+        finite = [bound for bound in est.ci95 if KAPPA_MIN < bound < KAPPA_CAP]
+        assert finite
+        for bound in finite:
+            assert 2 * (est.loglik - _cold_fit(recs, Family.negbin(bound)).loglik) == pytest.approx(CHI2_1_95, abs=1e-6)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_estimate_at_the_cap_solves_its_lower_endpoint_directly(self, seed, solves, monkeypatch):
+    def test_estimate_at_the_cap_solves_its_lower_endpoint_directly(self, seed, endpoints):
         # a Poisson triangle whose estimate is the cap: one refit there,
-        # then the lower endpoint's solve from the large-kappa expansion
-        # settles on the profile at the cut
+        # then the lower endpoint's steps from the large-kappa expansion
+        # settle on the profile at the cut
         rng = np.random.default_rng([seed, 12])
         while True:
             rows = _gamma_poisson_rows(rng, int(rng.integers(4, 13)), math.inf)
@@ -804,42 +827,29 @@ class TestEndpointSolve:
                 y, design = _prepare(recs)
                 if nb_mle(y, design)[3]:
                     break
-        refits = []
-
-        def counted(y, design, family, start=None):
-            refits.append(family.kappa)
-            return refit(y, design, family, start=start)
-
-        refit = dispersion._irls
-        monkeypatch.setattr(dispersion, "_irls", counted)
+        del endpoints.refits[:]
         est = profile_kappa(recs)
-        assert est.at_boundary and refits == [KAPPA_CAP]
+        assert est.at_boundary and endpoints.refits == [KAPPA_CAP]
         lower = est.ci95[0]
         assert KAPPA_MIN < lower and est.ci95[1] == KAPPA_CAP
-        theta, coef, _, _ = solves[-1]
-        assert math.exp(theta) == lower
-        mu = np.exp(design.X @ coef)
-        score = design.X.T @ (lower * (y - mu) / (lower + mu))
+        search = endpoints.searches[-1]
+        assert search.kappa == lower and search.refits == []
+        score = design.X.T @ (lower * (y - search.mu) / (lower + search.mu))
         assert np.abs(score).max() <= 1e-9 * y.sum()
         assert 2 * (est.loglik - fit(recs, Family.negbin(lower)).loglik) == pytest.approx(CHI2_1_95, abs=1e-6)
 
     @pytest.mark.parametrize(
         "name, lower", [("3x3", 6.926342817309498), ("5x5", 182.58460051512256)], ids=["3x3", "5x5"]
     )
-    def test_start_past_the_cap_is_not_evaluated(self, name, lower, solves, monkeypatch):
-        # the upper endpoint's solve declines its start, and one refit at
-        # the cap, the last refit, finds the profile above the cut there
-        refits = []
-
-        def counted(y, design, family, start=None):
-            refits.append(family.kappa)
-            return refit(y, design, family, start=start)
-
-        refit = dispersion._irls
-        monkeypatch.setattr(dispersion, "_irls", counted)
+    def test_start_past_the_cap_is_not_evaluated(self, name, lower, endpoints):
+        # the upper endpoint's steps decline their start, and one refit at
+        # the cap finds the profile above the cut there; no step evaluates
+        # a kappa past the cap
         est = profile_kappa(to_long(RunOffTriangle.from_rows(FLAT_PROFILE_ROWS[name])))
-        assert not est.at_boundary and len(solves) == 2 and solves[1] is None
-        assert refits[-1] == KAPPA_CAP and est.ci95[1] == KAPPA_CAP
+        assert not est.at_boundary and len(endpoints.searches) == 2
+        upper = endpoints.searches[1]
+        assert upper.steps == [] and upper.refits == [KAPPA_CAP] and est.ci95[1] == KAPPA_CAP
+        assert max(endpoints.steps) <= KAPPA_CAP
         assert est.ci95[0] == pytest.approx(lower, rel=1e-9)
 
     def test_endpoint_at_the_cap_takes_one_refit_there(self, monkeypatch):
