@@ -12,21 +12,20 @@ methods. Everything about the triangle's cells comes from its
 Replicate refits on synthetic data can meet factor levels whose counts
 are all zero. The maximum-likelihood limit sends those level means to
 zero, so the refit drops the level and pins its fitted means at zero
-rather than failing; only genuine non-convergence counts as a failure.
+rather than failing; only a refit with no maximum or no convergence fails.
 The study's base fits, also on synthetic data, share that rule
 (:func:`fit_kept_levels`); a user's triangle is rejected instead.
 
 The engine refits a batch of replicates at once on the full design.
-Poisson and overdispersed Poisson refits are the chain-ladder in
-closed form (:func:`~nbreserve.glm._poisson_batch`), which fits each
-replicate's kept levels; a replicate it cannot take, which on a
-triangle has no finite maximum, runs :func:`~nbreserve.glm._irls` on
-the design of its kept levels. Negative binomial refits are the joint
-fit of :func:`~nbreserve.dispersion._nb_mle_batch`, started from the
-Poisson fit: each replicate leaves out the cells of its dropped levels
-and holds their coefficients at zero, so one batched fit serves every
-drop pattern and a replicate that drops nothing gets exactly the fit
-it would get alone. A refit depends on the replicate's counts, the
+Poisson and overdispersed Poisson refits are the chain-ladder in closed
+form (:func:`~nbreserve.glm._chain_ladder_batch`), which fits each
+replicate's kept levels exactly when their maximum exists; the others
+fail. Negative binomial refits are the joint fit of
+:func:`~nbreserve.dispersion._nb_mle_batch`, started from that Poisson
+fit: each replicate leaves out the cells of its dropped levels and holds
+their coefficients at zero, so one batched fit serves every drop
+pattern and a replicate that drops nothing gets exactly the fit it
+would get alone. A refit depends on the replicate's counts, the
 design and the family alone.
 
 One engine pass serves every spec of one triangle (:func:`run_group`):
@@ -48,7 +47,7 @@ from . import dispersion
 from ._rng import substreams
 from ._rng import substream  # not called here: bench/spans.py hooks _bootstrap:substream
 from .errors import ReservingError
-from .glm import Design, _effects_from_coef, _kept_design, _kept_levels, _poisson_batch, drop_masks, pearson_statistic
+from .glm import Design, _chain_ladder_batch, _effects_from_coef, _kept_design, _kept_levels, drop_masks, pearson_statistic
 from .glm import _irls, build_design  # not called here: bench/spans.py hooks _bootstrap:_irls and :build_design
 from .triangle import _MAX_COUNT, triangle_cells
 
@@ -142,7 +141,7 @@ def _refit(y_star: np.ndarray, spec: EngineSpec) -> Optional[Tuple[np.ndarray, n
     the engine's kernel :func:`~nbreserve.dispersion._nb_mle_batch` on
     one row; at the cap its means are those of the last kappa step,
     which :func:`~nbreserve.dispersion.nb_mle` would refit there. A
-    Poisson refit is the closed-form chain-ladder, or IRLS where that
+    Poisson refit is the closed-form chain-ladder, failing where that
     does not apply. The engine runs :func:`_refit_batch`; this
     one-replicate form is its reference.
     """
@@ -158,7 +157,7 @@ def _refit(y_star: np.ndarray, spec: EngineSpec) -> Optional[Tuple[np.ndarray, n
         if spec.family == "negbin":
             coef, _, disp, converged, _ = (a[0] for a in dispersion._nb_mle_batch(y_fit[None], design))
         else:
-            coef, mu, converged = (a[0] for a in _poisson_batch(y_fit[None], design))
+            coef, mu, converged = (a[0] for a in _chain_ladder_batch(y_fit[None], design))
             disp = None
         if not converged:
             return None
@@ -187,12 +186,12 @@ def fit_kept_levels(
     leaves out its cells and pins its coefficients at zero
     (:func:`~nbreserve.glm.drop_masks`). ``negbin`` is
     the joint fit :func:`~nbreserve.dispersion._nb_mle_batch`, the other
-    families the Poisson fit :func:`~nbreserve.glm._poisson_batch`.
+    families the Poisson fit :func:`~nbreserve.glm._chain_ladder_batch`.
     Returns (ok, coef, mu, disp, ay_keep, dy_keep): mu is zero on the
     left-out cells; disp is kappa, the ``quasipoisson`` Pearson phi over
     the kept cells less the free coefficients (NaN with none left), or
     NaN. ok is False for rows that keep no cell or fewer cells than
-    free coefficients, and for fits that fail.
+    free coefficients, and for fits that fail, as with no finite maximum.
     """
     m = len(Y)
     ok = np.zeros(m, dtype=bool)
@@ -215,7 +214,7 @@ def fit_kept_levels(
     if family == "negbin":
         coef[fit], mu_fit, disp[fit], ok[fit], _ = dispersion._nb_mle_batch(Y, design, mask=mask, pin=pin)
     else:
-        coef[fit], mu_fit, ok[fit] = _poisson_batch(Y, design)
+        coef[fit], mu_fit, ok[fit] = _chain_ladder_batch(Y, design)
         if family == "quasipoisson":
             disp[fit] = pearson_statistic(Y, mu_fit, mask) / np.where(dof[fit] > 0, dof[fit], np.nan)
     mu[fit] = mu_fit * kept
@@ -287,9 +286,9 @@ def _run_group(specs: Sequence[EngineSpec], lo: int, hi: int) -> List[Tuple[np.n
                 idx = np.nonzero(ok_k)[0]
                 with np.errstate(over="ignore"):  # a mean past float64's range is inf, and fails below
                     mu_fut = np.exp(row_eff[rows][idx][:, fut_ay] + col_eff[rows][idx][:, fut_dy])
-                # a future mean above the largest count the package reads comes from
-                # effects grown without bound, as on a quasi-separated level; such
-                # a refit fails, like a fit whose likelihood rises without bound
+                # the sampler's bound: a refit whose future means exceed the largest
+                # count the package reads fails, though its maximum is finite;
+                # numpy's Poisson sampler refuses means above about 9.2e18
                 bounded = mu_fut.max(axis=1, initial=0.0) <= _MAX_COUNT
                 idx, mu_fut = idx[bounded], mu_fut[bounded]
                 draws = np.empty(mu_fut.shape, dtype=np.int64)
@@ -306,22 +305,23 @@ def _run_group(specs: Sequence[EngineSpec], lo: int, hi: int) -> List[Tuple[np.n
 def _pool_size(workers: Optional[int], n: int) -> int:
     """Worker processes for ``n`` items: ``workers`` (None: every usable core), at most the usable cores and n.
 
-    The usable cores are those ``os.sched_getaffinity`` allows, or
+    Below 4 items it is 1: they run in the calling process. The usable
+    cores are those ``os.sched_getaffinity`` allows, or
     ``os.cpu_count()`` on a platform without it.
     """
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
-    return min(cores if workers is None else workers, cores, n)
+    return 1 if n < 4 else min(cores if workers is None else workers, cores, n)
 
 
 def split_run(func: Callable, n: int, workers: int, *args) -> List:
     """Results of ``func(*args, lo, hi)`` over contiguous chunks of range(n), in order.
 
     One call covers everything when the pool (:func:`_pool_size` of
-    ``workers``) has at most one worker or n < 4; otherwise the range is
-    cut into that many near-equal chunks, each run in its own process.
+    ``workers``) has one worker; otherwise the range is cut into that many
+    near-equal chunks, each run in its own process.
     """
     workers = _pool_size(workers, n)
-    if workers <= 1 or n < 4:
+    if workers <= 1:
         return [func(*args, 0, n)]
     # imported here: it loads multiprocessing, which a serial run never needs
     from concurrent.futures import ProcessPoolExecutor

@@ -21,6 +21,7 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 from typing import List, Optional
 
@@ -31,7 +32,7 @@ from . import __version__, _bootstrap, dispersion, predictive, simulation
 from .chainladder import chain_ladder
 from .diagnostics import export_profile, pearson_residuals, residuals_csv
 from .errors import ConfigError, ReservingError, TriangleError
-from .glm import _CONDITION_WARN, Family, _prepare, fit as glm_fit
+from .glm import _CONDITION_WARN, ConditioningWarning, Family, _poisson_fit, _prepare, fit as glm_fit
 from .triangle import read_triangle, to_long, triangle_cells
 
 _SEED_ENV = "NBRESERVE_SEED"
@@ -47,7 +48,10 @@ def _guarded(func):
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
         try:
-            return func(*args, **kwargs)
+            with warnings.catch_warnings():
+                # a command prints its own warning line for a poorly conditioned fit
+                warnings.simplefilter("ignore", ConditioningWarning)
+                return func(*args, **kwargs)
         except OSError as exc:  # kind FileNotFound, IsADirectory, FileExists, ...
             _fail(type(exc).__name__.removesuffix("Error"), str(exc), 2)
         except (TriangleError, ConfigError) as exc:
@@ -140,10 +144,16 @@ def _input(path: str) -> dict:
 
 def _load_triangle(path: str, round_amounts: bool):
     t = read_triangle(path, round_amounts=round_amounts)
-    # an all-zero accident or development year fails here, as SeparationError,
+    # a triangle with no finite maximum (an all-zero year, or quasi-separation,
+    # which the closed-form Poisson fit rejects) fails here, as SeparationError,
     # for every command alike, before the chain-ladder or any fit sees it
-    _prepare(to_long(t))
+    _poisson_fit(*_prepare(to_long(t)))
     return t
+
+
+def _conditioning_lines(model) -> List[str]:
+    """The ``warning:`` line a poorly conditioned fit prints, or none."""
+    return ["warning: weighted information is poorly conditioned"] if model.condition_number > _CONDITION_WARN else []
 
 
 def _seed_option(func):
@@ -248,9 +258,7 @@ def cmd_fit(triangle: str, family: str, round_amounts: bool, out_dir: str, seed:
         f"future sum           {future:.1f}",
         f"chain-ladder total   {cl.total_reserve:.1f}",
         f"condition number     {model.condition_number:.3g}",
-    ]
-    if model.condition_number > _CONDITION_WARN:
-        lines.append("warning: weighted information is poorly conditioned")
+    ] + _conditioning_lines(model)
     click.echo("\n".join(lines))
     run.write_json("fit.json", payload)
     run.finish()
@@ -363,11 +371,12 @@ def cmd_diagnose(triangle, round_amounts, out_dir, seed):
     rs = pearson_residuals(model)
     run.write_text("residuals.csv", residuals_csv(rs))
     run.write_text("profile.csv", export_profile(est))
-    click.echo(
+    lines = [
         f"{len(rs)} cells; kappa_mle {est.kappa_mle:.4g} "
         f"(95% CI [{est.ci95[0]:.4g}, {est.ci95[1]:.4g}]); "
         f"max |pearson| {np.max(np.abs(rs.pearson)):.2f}"
-    )
+    ] + _conditioning_lines(model)
+    click.echo("\n".join(lines))
     run.finish()
 
 

@@ -43,8 +43,8 @@ import numpy as np
 from . import glm
 from .errors import FlatProfileError, NoResidualDofError, NotConvergedError, SingularInformationError
 from .glm import (
-    _ETA_BOUND, _IRLS_MAX_ITER, _KAPPA_SERIES, Design, Family, _data_key, _irls, _JointFit, _kept, _newton_step,
-    _NormalEquations, _lgamma, _nb_loglik, _poisson_batch, _poisson_loglik, _prepare,
+    _ETA_BOUND, _IRLS_MAX_ITER, _KAPPA_SERIES, Design, Family, _chain_ladder_batch, _data_key, _irls, _JointFit,
+    _kept, _newton_step, _NormalEquations, _lgamma, _nb_loglik, _poisson_fit, _poisson_loglik, _prepare,
 )
 
 KAPPA_MIN = 1e-3
@@ -136,10 +136,7 @@ class _ProfileCache:
 
     def __init__(self, y: np.ndarray, design: Design, joint: Optional[_JointFit] = None):
         if joint is None:
-            coef, _, ok = _poisson_batch(y[None], design)
-            if not ok[0]:
-                raise NotConvergedError("Poisson fit did not converge")
-            self.warm, self.log_factorials = coef[0], _lgamma(y + 1.0)
+            self.warm, self.log_factorials = _poisson_fit(y, design)[0][0], _lgamma(y + 1.0)
         else:
             self.warm, self.log_factorials = joint.coef, joint.log_factorials
         self.y = y
@@ -278,6 +275,7 @@ def profile_kappa(data: Sequence, grid_size: int = 0) -> KappaEstimate:
     neither the estimate nor the interval.
 
     Raises:
+        SeparationError: the likelihood has no finite maximum.
         FlatProfileError: interior optimum with curvature below 1e-6 on
             the log-kappa scale, so kappa is not identified.
         NotConvergedError: the joint fit or a refit on the way to the
@@ -579,8 +577,7 @@ def nb_mle(y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray, float
 
     The fit of one triangle at its estimate (:func:`_fit_at_estimate`):
     joint Newton iterations over the coefficients and log kappa from the
-    closed-form Poisson fit, or the Poisson IRLS fit from its cold start
-    where the closed form does not apply, with the means refitted at the
+    closed-form chain-ladder Poisson fit, with the means refitted at the
     cap when the estimate is there. It is the fit :func:`_joint_fit`
     remembers for :func:`profile_kappa` and :func:`overdispersion_test`,
     bit for bit, but this call neither reads nor writes that memo. The
@@ -589,21 +586,23 @@ def nb_mle(y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray, float
     Returns (coef, mu, kappa, at_boundary).
 
     Raises:
+        SeparationError: the likelihood has no finite maximum.
         NotConvergedError: the fit failed as :func:`_nb_mle_batch`
             describes, or the refit at the cap did not converge.
     """
-    return _fit_at_estimate(np.asarray(y, dtype=float), design)
+    y = np.asarray(y, dtype=float)
+    return _fit_at_estimate(y, design, _poisson_fit(y, design))
 
 
 def _fit_at_estimate(
-    y: np.ndarray, design: Design, poisson: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+    y: np.ndarray, design: Design, poisson: Tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray, float, bool]:
     """(coef, mu, kappa, at_boundary): the one-row :func:`_nb_mle_batch` fit, its means refitted at the cap.
 
     Below the cap this is the kernel's fit. At the cap the kernel's means
     belong to the last kappa it tried, so :func:`_refit_means` refits
-    them at the cap, from the kernel's coefficients. ``poisson`` is
-    passed on to the kernel.
+    them at the cap, from the kernel's coefficients. ``poisson``, the
+    kernel's start, is :func:`nbreserve.glm._poisson_fit` of the counts.
 
     Raises:
         NotConvergedError: the kernel's fit failed, or the refit at the
@@ -637,8 +636,8 @@ def _nb_mle_batch(
     score sees it at its limit y = mu = 0, where it adds nothing, so
     each row's kappa is that of its kept cells.
 
-    The Poisson fit (:func:`nbreserve.glm._poisson_batch`, the
-    closed-form chain-ladder where it applies) gives the means, unless
+    The closed-form chain-ladder Poisson fit
+    (:func:`nbreserve.glm._chain_ladder_batch`) gives the means, unless
     the caller passes it as ``poisson`` (whose arrays the fit updates in
     place). A row at the Poisson boundary there stops at KAPPA_CAP; every
     other row starts at the closed-form :func:`_start_kappa`, the
@@ -664,15 +663,15 @@ def _nb_mle_batch(
     the batch.
 
     Returns (coef, mu, kappa, ok, n_iter); n_iter counts each row's
-    joint iterations, and ok is False for rows whose Poisson fit
-    failed, whose normal equations were singular, whose likelihood
+    joint iterations, and ok is False for rows with no Poisson fit,
+    whose normal equations were singular, whose likelihood
     rises without bound (no halving of a step lowers the deviance, or a
     kept mean reaches the clip of the linear predictor) or that did not
     converge in ``_IRLS_MAX_ITER`` iterations.
     """
     m = len(Y)
     if poisson is None:
-        poisson = _poisson_batch(Y, design)
+        poisson = _chain_ladder_batch(Y, design)
     coef, mu, poisson_ok = poisson
     kappa = np.full(m, np.nan)
     ok = np.zeros(m, dtype=bool)
@@ -732,7 +731,7 @@ def _joint_fit(y: np.ndarray, design: Design) -> _JointFit:
     seen, joint = glm._last_joint_fit
     if seen != key:
         log_factorials = _lgamma(y + 1.0)
-        poisson = _poisson_batch(y[None], design)
+        poisson = _poisson_fit(y, design)
         # read before the joint fit moves the Poisson means in place
         ll_p = _poisson_loglik(y, poisson[1][0], log_factorials)
         coef, mu, kappa, at_boundary = _fit_at_estimate(y, design, poisson)
@@ -750,9 +749,11 @@ def overdispersion_test(data: Sequence) -> SelectionReport:
     the complementary error function. Equal likelihoods give p = 0.5.
     Both log-likelihoods are the joint fit's (:func:`_joint_fit`), which
     :func:`profile_kappa` shares: the Poisson one at the Poisson fit it
-    starts from (:func:`nbreserve.glm._poisson_batch`, on a triangle the
-    closed-form chain-ladder), the negative binomial one the profile's
-    maximum.
+    starts from (the closed-form chain-ladder), the negative binomial
+    one the profile's maximum.
+
+    Raises:
+        SeparationError: the likelihood has no finite maximum.
     """
     y, design = _prepare(data)
     _, _, kappa, _, ll_nb, ll_p, _ = _joint_fit(y, design)

@@ -18,10 +18,10 @@ a (J - 1)-square Schur system in the development-year effects, where
 :func:`_irls` solves the dense p-square system.
 Under the log link the Poisson's observed and expected information
 coincide, so its step is the Fisher-scoring step; the Poisson is the
-kappa -> infinity end of the same step. A batch's Poisson fit
-(:func:`_poisson_batch`) is the chain-ladder in closed form
-(:func:`_chain_ladder_batch`) on a staircase whose maximum exists, and
-:func:`_irls` on each other row's kept levels.
+kappa -> infinity end of the same step. A batch's Poisson fit is the
+chain-ladder in closed form (:func:`_chain_ladder_batch`), which on a
+staircase takes exactly the rows whose maximum exists; the others fail
+(:func:`_poisson_fit` raises :class:`SeparationError` for one row).
 
 Fits are computed under treatment contrasts (first accident year and
 development year 0 as baselines) and re-expressed on the simplex scale,
@@ -33,8 +33,8 @@ the coefficient order (:func:`build_design`, read back by
 :func:`_split_coef` and :func:`_effects_from_coef`), the levels a row
 keeps (:func:`_kept_levels`), the masks and pins that drop the others
 (:func:`drop_masks`) and the design of the kept levels alone
-(:func:`_kept_design`), and the Pearson statistic behind every
-quasi-Poisson phi (:func:`pearson_statistic`).
+(:func:`_kept_design`, the bootstrap's reference refit), and the Pearson
+statistic behind every quasi-Poisson phi (:func:`pearson_statistic`).
 """
 
 from __future__ import annotations
@@ -617,29 +617,15 @@ def _chain_ladder_batch(Y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.n
     return coef, mu, ok
 
 
-def _poisson_batch(Y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Poisson fit of every row of ``Y`` on its kept levels.
-
-    Rows the closed form of :func:`_chain_ladder_batch` takes get it.
-    Each other row gets :func:`_irls` from its cold start on the design
-    of its kept levels (:func:`_kept_design`), its coefficients laid out
-    as the closed form lays them out, so a row's fit depends on its
-    counts and the design alone. Returns (coef, mu, ok); ok is False for
-    rows that keep no level or whose IRLS does not converge.
-    """
-    coef, mu, ok = _chain_ladder_batch(Y, design)
-    rest = np.nonzero(~ok)[0]
-    if rest.size == 0:
-        return coef, mu, ok
-    ay_keep, dy_keep = _kept_levels(Y[rest], design)
-    _, pin = drop_masks(design, ay_keep, dy_keep)
-    for r, ay, dy, free in zip(rest, ay_keep, dy_keep, ~pin):
-        if ay.any():
-            cells, kept = _kept_design(design, ay, dy)
-            coef[r] = 0.0
-            coef[r, free], _, _, _, ok[r], _ = _irls(Y[r, cells], kept, Family.poisson())
-    mu[rest] = np.exp(np.clip(_rows_dot(design.X, coef[rest]), -_ETA_BOUND, _ETA_BOUND))
-    return coef, mu, ok
+def _poisson_fit(y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_chain_ladder_batch` of one row of counts; :class:`SeparationError` where it has no finite maximum."""
+    poisson = _chain_ladder_batch(y[None], design)
+    if not poisson[2][0]:
+        raise SeparationError(
+            "the likelihood has no finite maximum: no strictly positive table on the observed cells has their "
+            "accident- and development-year totals (or the cells are not a run-off triangle's)"
+        )
+    return poisson
 
 
 @dataclass(frozen=True)

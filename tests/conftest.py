@@ -72,3 +72,29 @@ def drop_pattern(Y: np.ndarray, design):
     from nbreserve.glm import _kept_levels, drop_masks
 
     return drop_masks(design, *_kept_levels(Y, design))
+
+
+def positive_table_exists(y: np.ndarray, design) -> bool:
+    """Whether a strictly positive table on the kept cells of ``y`` has its margins.
+
+    Maximises t, at most 1, subject to T >= t over tables T with the
+    kept levels' totals. The margins' constraints are those of a
+    bipartite graph, so the optimum is a ratio of integers whose
+    denominator is at most the n kept cells: a positive one is at least
+    1 / n.
+    """
+    from scipy.optimize import linprog
+
+    from nbreserve.glm import _kept_design, _kept_levels
+
+    ay_keep, dy_keep = _kept_levels(y[None], design)
+    cells, kept = _kept_design(design, ay_keep[0], dy_keep[0])
+    n = kept.n
+    a_eq = np.hstack((kept.X.T, np.zeros((kept.p, 1))))
+    a_ub = np.hstack((-np.eye(n), np.ones((n, 1))))
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(n), A_eq=a_eq, b_eq=kept.X.T @ y[cells],
+                  bounds=[(0, None)] * n + [(0, 1)], method="highs")
+    assert res.status == 0
+    return -res.fun > 0.5 / n

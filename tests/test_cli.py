@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from click.testing import CliRunner
 import nbreserve
 from nbreserve import Family, RunOffTriangle, errors, fit, serialize_triangle, to_long
 from nbreserve.cli import _future_sum, main
+from nbreserve.glm import ConditioningWarning
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +32,11 @@ def run_ok(runner, args, **kwargs):
     result = runner.invoke(main, args, catch_exceptions=False, **kwargs)
     assert result.exit_code == 0, result.output
     return result
+
+
+def triangle_text(rows) -> str:
+    """CSV text of a triangle given by its rows, each padded with empty cells to the full width."""
+    return "".join(",".join(map(str, row)) + "," * (len(rows) - len(row)) + "\n" for row in rows)
 
 
 def test_import_loads_neither_scipy_nor_multiprocessing():
@@ -260,6 +267,15 @@ class TestSimulate:
         assert [m["workers"] for m in manifests] == [3, 1]
         assert manifests[0]["run_id"] == manifests[1]["run_id"] and "workers" not in manifests[0]["params"]
 
+    def test_manifest_records_an_inline_run(self, runner, tmp_path, monkeypatch, inline_pool):
+        # below four replicates the study runs in the calling process, whatever
+        # the cores, and the manifest names the one worker that ran
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        out = tmp_path / "out"
+        run_ok(runner, ["simulate", "--nsim", "2", "-B", "20", "--out-dir", str(out)])
+        assert json.loads((out / "manifest.json").read_text())["workers"] == 1
+        assert inline_pool == []
+
     def test_config_file(self, runner, tmp_path):
         cfg = tmp_path / "dgp.json"
         cfg.write_text(json.dumps({"dimension": 6, "true_alpha": [6.0] * 6,
@@ -356,6 +372,23 @@ def test_flat_profile_runs(runner, tmp_path, command, text):
     assert "Traceback" not in result.output
     if command == "fit":
         assert _strict_json(out / "fit.json")["kappa_ci95"][1] == 1e8
+
+
+# the estimate is at the kappa cap, where the weighted information is poorly conditioned
+AT_CAP_ROWS = [[0, 4, 1, 2], [2, 0, 3], [405, 11], [18]]
+
+
+@pytest.mark.parametrize("command", ["fit", "diagnose"])
+def test_poor_conditioning_is_one_warning_line(runner, tmp_path, command):
+    # the command prints its own warning line on stdout, and no raw Python warning reaches stderr
+    path = tmp_path / "at_cap.csv"
+    path.write_text(triangle_text(AT_CAP_ROWS))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_ok(runner, [command, str(path), "--out-dir", str(tmp_path / "out")])
+    assert result.stderr == ""
+    assert result.stdout.splitlines().count("warning: weighted information is poorly conditioned") == 1
+    assert not [w for w in caught if issubclass(w.category, ConditioningWarning)]
 
 
 class TestDiagnose:
@@ -543,27 +576,34 @@ class TestErrors:
         assert "all-zero counts" in err["message"]
         assert not (tmp_path / "out").exists()
 
-    # accident year 1's only nonzero count is the lone cell of development
-    # year 4, so that year's coefficient can drift without bound; whatever
-    # the failure is called, it is one typed line with its documented code.
-    # some of reserve's replicate refits reach future means above 1e19, which
-    # numpy's Poisson sampler refuses; those replicates count as failed refits
+    # quasi-separated triangles: a year whose counts sit in a lone cell
+    # that no other year shares, so no strictly positive table has the
+    # margins and the likelihood has no finite maximum. In the 5 x 5 it is
+    # accident year 1's count in development year 4; in the 8 x 8,
+    # development year 0's in the last accident year. Each command refuses
+    # them on load, as for an all-zero year
+    QUASI_SEPARATED = {
+        "5x5": [[0, 0, 0, 0, 1], [2, 0, 4, 5], [3, 0, 1], [3, 3], [1]],
+        "8x8": [[0, 46, 20, 2, 2, 1, 77, 6], [0, 28, 0, 0, 0, 1, 14], [0, 42, 20, 0, 0, 1], [0, 31, 7, 0, 1],
+                [0, 27, 11, 1], [0, 29, 9], [0, 16], [1]],
+    }
+
     @pytest.mark.parametrize(
         "command, extra",
         [("fit", []), ("diagnose", []), ("reserve", ["-B", "100", "--threads", "1"])],
         ids=["fit", "diagnose", "reserve"],
     )
     def test_quasi_separated_triangle_fails_typed(self, runner, tmp_path, command, extra):
-        path = tmp_path / "quasi.csv"
-        path.write_text("0,0,0,0,1\n2,0,4,5,\n3,0,1,,\n3,3,,,\n1,,,,\n")
-        result = runner.invoke(main, [command, str(path), "--out-dir", str(tmp_path / "out"), *extra])
-        assert isinstance(result.exception, SystemExit) and "Traceback" not in result.output
-        lines = result.output.strip().splitlines()
-        assert len(lines) == 1
-        err = json.loads(lines[0])["error"]
-        cls = getattr(errors, err["kind"] + "Error")
-        assert issubclass(cls, errors.ReservingError) and err["message"]
-        assert result.exit_code == (2 if issubclass(cls, (errors.TriangleError, errors.ConfigError)) else 1)
+        for name, rows in self.QUASI_SEPARATED.items():
+            path, out = tmp_path / f"{name}.csv", tmp_path / f"out-{name}"
+            path.write_text(triangle_text(rows))
+            result = runner.invoke(main, [command, str(path), "--out-dir", str(out), *extra])
+            assert result.exit_code == 2 and "Traceback" not in result.output, name
+            lines = result.output.strip().splitlines()
+            assert len(lines) == 1
+            err = json.loads(lines[0])["error"]
+            assert err["kind"] == "Separation" and "no finite maximum" in err["message"], name
+            assert not out.exists()
 
     def test_version(self, runner):
         result = run_ok(runner, ["--version"])

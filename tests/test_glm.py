@@ -10,7 +10,7 @@ from scipy import stats
 from nbreserve import Family, chain_ladder, fit, nb_loglik, pearson_dispersion, poisson_loglik, to_long, to_simplex
 from nbreserve.glm import ConditioningWarning, build_design, score
 from nbreserve.errors import RankDeficientError, SeparationError
-from conftest import drop_pattern, random_triangle
+from conftest import drop_pattern, positive_table_exists, random_triangle
 
 
 def future_sum(model):
@@ -412,32 +412,6 @@ def kept_fit(y: np.ndarray, design, family):
     return cells, coef, mu, path, converged
 
 
-def positive_table_exists(y: np.ndarray, design) -> bool:
-    """Whether a strictly positive table on the kept cells of ``y`` has its margins.
-
-    Maximises t, at most 1, subject to T >= t over tables T with the
-    kept levels' totals. The margins' constraints are those of a
-    bipartite graph, so the optimum is a ratio of integers whose
-    denominator is at most the n kept cells: a positive one is at least
-    1 / n.
-    """
-    from scipy.optimize import linprog
-
-    from nbreserve.glm import _kept_design, _kept_levels
-
-    ay_keep, dy_keep = _kept_levels(y[None], design)
-    cells, kept = _kept_design(design, ay_keep[0], dy_keep[0])
-    n = kept.n
-    a_eq = np.hstack((kept.X.T, np.zeros((kept.p, 1))))
-    a_ub = np.hstack((-np.eye(n), np.ones((n, 1))))
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(n), A_eq=a_eq, b_eq=kept.X.T @ y[cells],
-                  bounds=[(0, None)] * n + [(0, 1)], method="highs")
-    assert res.status == 0
-    return -res.fun > 0.5 / n
-
-
 class TestBatchedIrls:
     """The fixed-kappa fit ``_irls`` on batches of rows, and the batched solves of the joint fit."""
 
@@ -463,12 +437,8 @@ class TestBatchedIrls:
 
         y, design = _prepare(to_long(australian))
         Y = np.random.default_rng(11).negative_binomial(3.0, 3.0 / (3.0 + y), size=(12, y.size)).astype(float)
-        # leave out one inner cell: no row is the closed form's
-        keep = np.arange(design.n) != 2
-        holed = build_design(design.ay_idx[keep] + 1, design.dy_idx[keep])
         monkeypatch.setattr(glm, "_IRLS_MAX_ITER", 2)
         assert not any(glm._irls(row, design, Family.poisson())[4] for row in Y)
-        assert not glm._poisson_batch(Y[:, keep], holed)[2].any()
 
     def test_singular_system_fails_its_row_only(self):
         from nbreserve.glm import _solve_rows
@@ -585,49 +555,51 @@ class TestTwoWayStep:
 
 
 class TestClosedFormPoisson:
-    """The chain-ladder Poisson fit against ``_irls`` on each row's kept levels."""
+    """The chain-ladder Poisson fit, the one batched Poisson fit, against ``_irls`` on each row's kept levels."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(batch=staircase_batches())
     def test_matches_irls(self, batch):
-        from nbreserve.glm import _chain_ladder_batch, _poisson_batch
+        from nbreserve.glm import _chain_ladder_batch
 
         Y, design = batch
         mask, pin = drop_pattern(Y, design)
-        closed_coef, closed_mu, closed = _chain_ladder_batch(Y, design)
-        coef, mu, ok = _poisson_batch(Y, design)
-        # the batched fit takes the closed form where it applies
-        assert np.array_equal(coef[closed], closed_coef[closed]) and np.array_equal(mu[closed], closed_mu[closed])
-        assert np.all(coef[pin & ok[:, None]] == 0.0)
+        coef, mu, closed = _chain_ladder_batch(Y, design)
+        assert np.all(coef[pin & closed[:, None]] == 0.0)
+        # a row that keeps no level is not taken, and a row not taken gets
+        # no fit at all
+        assert not closed[~Y.any(axis=1)].any()
+        assert np.isnan(coef[~closed]).all() and np.isnan(mu[~closed]).all()
         # the closed form solves the score equations to rounding level,
         # and a positive solution is the unique maximum
         resid = np.where(mask, Y - mu, 0.0)[closed]
         assert np.all(np.abs(resid @ design.X).max(axis=1) <= 1e-13 * Y[closed].sum(axis=1))
-        for r, y in enumerate(Y):
-            if not y.any():
-                assert not ok[r]
-                continue
-            cells, c, m, _, converged = kept_fit(y, design, Family.poisson())
-            if closed[r]:
-                # the iterative fit agrees to its own precision
-                assert converged
-                assert np.all(np.abs(mu[r, cells] - m) <= 1e-8 * m.max())
-            else:
-                # rows the closed form does not take get exactly the IRLS fit
-                assert ok[r] == converged
-                assert np.array_equal(coef[r, ~pin[r]], c, equal_nan=True)
+        for r in np.nonzero(closed)[0]:
+            # the iterative fit agrees to its own precision
+            cells, _, m, _, converged = kept_fit(Y[r], design, Family.poisson())
+            assert converged
+            assert np.all(np.abs(mu[r, cells] - m) <= 1e-8 * m.max())
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(batch=staircase_batches())
     def test_takes_the_rows_whose_maximum_exists(self, batch):
         # the Poisson maximum on the kept cells exists exactly when a
         # strictly positive table has their margins (Haberman 1974)
+        from nbreserve._bootstrap import fit_kept_levels
+        from nbreserve.dispersion import _nb_mle_batch
         from nbreserve.glm import _chain_ladder_batch
 
         Y, design = batch
         Y = Y[Y.sum(axis=1) > 0]
         closed = _chain_ladder_batch(Y, design)[2]
-        assert closed.tolist() == [positive_table_exists(y, design) for y in Y]
+        exists = np.array([positive_table_exists(y, design) for y in Y], dtype=bool)
+        assert closed.tolist() == exists.tolist()
+        # every batched fit starts from the closed form, so none takes a row
+        # that has no maximum
+        mask, pin = drop_pattern(Y, design)
+        assert not (_nb_mle_batch(Y, design, mask=mask, pin=pin)[3] & ~exists).any()
+        for family in ("negbin", "poisson"):
+            assert not (fit_kept_levels(Y, design, family)[0] & ~exists).any()
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(batch=staircase_batches())
@@ -655,8 +627,12 @@ class TestClosedFormPoisson:
         future = np.exp(row[fut_ay] + col[fut_dy]).sum()
         assert future == pytest.approx(chain_ladder(t).total_reserve, rel=1e-12)
 
-    def test_other_layouts_fall_back(self, australian):
-        from nbreserve.glm import _chain_ladder_batch, _irls, _poisson_batch, _prepare
+    def test_other_layouts_are_not_taken(self, australian):
+        # the closed form, and so every batched fit, takes no row of a
+        # layout that is not a staircase; only glm.fit fits one
+        from nbreserve._bootstrap import fit_kept_levels
+        from nbreserve.dispersion import _nb_mle_batch
+        from nbreserve.glm import _chain_ladder_batch, _poisson_fit, _prepare
 
         y, design = _prepare(to_long(australian))
         # leave out one inner cell: its accident year is no longer a prefix
@@ -664,11 +640,11 @@ class TestClosedFormPoisson:
         holed = build_design(design.ay_idx[keep] + 1, design.dy_idx[keep])
         Y = np.vstack([y[keep], y[keep][::-1]])
         assert not _chain_ladder_batch(Y, holed)[2].any()
-        coef, mu, ok = _poisson_batch(Y, holed)
-        for r, row in enumerate(Y):
-            c, m, _, _, converged, _ = _irls(row, holed, Family.poisson())
-            assert ok[r] == converged
-            assert np.array_equal(coef[r], c) and np.array_equal(mu[r], m)
+        assert not _nb_mle_batch(Y, holed)[3].any()
+        for family in ("negbin", "poisson"):
+            assert not fit_kept_levels(Y, holed, family)[0].any()
+        with pytest.raises(SeparationError):
+            _poisson_fit(Y[0], holed)
 
     def test_boundary_maximum_falls_back(self):
         # [[0, 5], [3]]: the Poisson maximum puts the first cell's mean at

@@ -18,7 +18,7 @@ from nbreserve.errors import ExcessiveFailuresError, TooFewDrawsError
 from nbreserve.glm import _counts_and_design, _kept_levels
 from nbreserve.predictive import ay_summary, draws_csv, summary_json
 from nbreserve._rng import substream
-from conftest import drop_pattern
+from conftest import drop_pattern, positive_table_exists
 
 
 def _study_spec(s, b, family="quasipoisson"):
@@ -488,7 +488,8 @@ class TestChunking:
         assert bt.split_run(lambda lo, hi: (lo, hi), 10, 5000) == [(0, 3), (3, 6), (6, 10)]
         assert bt.split_run(lambda lo, hi: (lo, hi), 4, 2) == [(0, 2), (2, 4)]
         assert inline_pool == [3, 2]
-        assert (bt._pool_size(None, 100), bt._pool_size(None, 2), bt._pool_size(5000, 2)) == (3, 2, 2)
+        # below four items the run is inline: one worker, whatever was asked
+        assert (bt._pool_size(None, 100), bt._pool_size(None, 2), bt._pool_size(5000, 2)) == (3, 1, 1)
         # without affinity masks the usable cores are the CPU count
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -524,72 +525,95 @@ class TestChunking:
 
 
 class TestUnboundedRefit:
-    """A replicate whose refitted future means run off without bound fails; the others keep their draws."""
+    """A replicate whose likelihood has no finite maximum fails; the others keep their draws."""
 
     # accident year 1's only nonzero count is the lone cell of development
-    # year 4, so that year's coefficient can drift without bound: replicate
-    # refits that keep accident year 1 and converge reach future means of
-    # 2.9e17 to past float64's range, beyond any count; numpy's Poisson
-    # sampler refuses those above about 9.2e18
+    # year 4, so the likelihood has no finite maximum, and the base fit
+    # raises
     QUASI_SEPARATED = [[0, 0, 0, 0, 1], [2, 0, 4, 5], [3, 0, 1], [3, 3], [1]]
+    # its extended maximum-likelihood means: zero on accident year 1's
+    # zero cells, its lone count on the last, and the chain-ladder of the
+    # other years, as exact fractions, so the draws do not depend on how
+    # the CPU rounds a fit
+    QUASI_MEANS = [[0, 0, 0, 0, 1], [24 / 11, 9 / 11, 3, 5], [16 / 11, 6 / 11, 2], [48 / 11, 18 / 11], [1]]
+
+    @classmethod
+    def _quasi_spec(cls, b):
+        """An engine spec drawing near the Poisson limit from ``QUASI_MEANS``."""
+        import nbreserve._bootstrap as bt
+        from nbreserve.dispersion import KAPPA_CAP, bias_correct
+
+        _, design = _counts_and_design(to_long(RunOffTriangle.from_rows(cls.QUASI_SEPARATED)))
+        mu = np.array([m for row in cls.QUASI_MEANS for m in row], dtype=float)
+        return bt.EngineSpec(
+            seed=0, prefix=(), b=b, design=design, mu_obs=mu,
+            family="negbin", param=bias_correct(KAPPA_CAP, design.n, design.p), correct=True,
+        )
 
     @staticmethod
-    def _largest_future_mean(spec):
+    def _draws(spec):
         import nbreserve._bootstrap as bt
-        from nbreserve.triangle import triangle_cells
 
-        y_star = np.array(
+        return np.array(
             [bt.draw_counts(spec.family, spec.param, spec.mu_obs, substream(spec.seed, *spec.prefix, r)) for r in range(spec.b)]
         )
-        fitted, row_eff, col_eff, _ = _refit_batch(y_star, spec)
+
+    @classmethod
+    def _largest_future_mean(cls, spec):
+        from nbreserve.triangle import triangle_cells
+
+        fitted, row_eff, col_eff, _ = _refit_batch(cls._draws(spec), spec)
         _, (fut_ay, fut_dy) = triangle_cells(spec.design.n_ay)
         with np.errstate(over="ignore"):
             return fitted, np.exp(row_eff[:, fut_ay] + col_eff[:, fut_dy]).max(axis=1)
 
     def test_quasi_separated_triangle(self):
         import nbreserve._bootstrap as bt
+        from nbreserve.errors import BaseFitFailedError, SeparationError
 
-        t = RunOffTriangle.from_rows(self.QUASI_SEPARATED)
-        spec = TestBatchedRefit._spec(t, 100)
+        spec = self._quasi_spec(100)
         fitted, top = self._largest_future_mean(spec)
-        assert (fitted & (top > 1e19)).any()
+        # no refit the engine accepts has a future mean above the largest
+        # count the package reads
+        assert (top[fitted] <= bt._MAX_COUNT).all()
+        # a replicate that keeps accident year 1 is quasi-separated like the
+        # triangle: it has no finite maximum, and its refit fails
+        keeps = self._draws(spec)[:, spec.design.ay_idx == 0].sum(axis=1) > 0
+        assert keeps.sum() >= 50 and not fitted[keeps].any()
         ok, _, _ = bt._run_group((spec,), 0, spec.b)[0]
-        assert ok.tolist() == (fitted & (top <= bt._MAX_COUNT)).tolist()
-        with pytest.raises(ExcessiveFailuresError):
-            bootstrap(t, b=100, seed=0)
+        assert ok.tolist() == fitted.tolist()
+        with pytest.raises(BaseFitFailedError) as info:
+            bootstrap(RunOffTriangle.from_rows(self.QUASI_SEPARATED), b=100, seed=0)
+        assert isinstance(info.value.__cause__, SeparationError)
 
     def test_dropped_baseline_year_refits(self):
         # a replicate whose lone accident-year-1 count draws zero drops that
-        # baseline year; its other years have a finite maximum, which the
-        # refit reaches from the cold start (a start from the base fit's
-        # coefficients, whose intercept is accident year 1's, failed them all)
-        import nbreserve._bootstrap as bt
-
-        spec = TestBatchedRefit._spec(RunOffTriangle.from_rows(self.QUASI_SEPARATED), 100)
-        y_star = np.array(
-            [bt.draw_counts(spec.family, spec.param, spec.mu_obs, substream(spec.seed, *spec.prefix, r)) for r in range(spec.b)]
-        )
+        # baseline year; its other years mostly have a finite maximum, which
+        # the refit reaches from the cold start (a start from the base fit's
+        # coefficients, whose intercept is accident year 1's, failed them
+        # all), and a replicate whose other years have none fails
+        spec = self._quasi_spec(100)
+        y_star = self._draws(spec)
         dropped = y_star[:, spec.design.ay_idx == 0].sum(axis=1) == 0
         fitted, top = self._largest_future_mean(spec)
-        assert dropped.sum() >= 20
-        assert fitted[dropped].all() and (top[dropped] <= 100).all()
+        # their future means are the chain-ladder's on the kept years, at most
+        # 127.5 here, where refits drifting without bound reached 2.9e17
+        assert fitted[dropped].sum() >= 20 and (top[dropped & fitted] <= 1000).all()
+        assert fitted[dropped].tolist() == [positive_table_exists(y, spec.design) for y in y_star[dropped]]
 
     def test_dropped_baseline_year_is_closed_form(self):
         # a replicate that drops accident year 1 leaves the last development
         # year with no count: it adds no development, and the chain-ladder
         # fits the other years
-        import nbreserve._bootstrap as bt
         from nbreserve.glm import Family, _chain_ladder_batch, _irls, _kept_design
 
-        spec = TestBatchedRefit._spec(RunOffTriangle.from_rows(self.QUASI_SEPARATED), 100)
+        spec = self._quasi_spec(100)
         design = spec.design
-        y_star = np.array(
-            [bt.draw_counts(spec.family, spec.param, spec.mu_obs, substream(spec.seed, *spec.prefix, r)) for r in range(spec.b)]
-        ).astype(float)
+        y_star = self._draws(spec).astype(float)
         Y = y_star[y_star[:, design.ay_idx == 0].sum(axis=1) == 0]
-        assert len(Y) >= 20
         _, mu, ok = _chain_ladder_batch(Y, design)
-        assert ok.all()
+        Y, mu = Y[ok], mu[ok]
+        assert len(Y) >= 20
         mask, _ = drop_pattern(Y, design)
         score = np.where(mask, Y - mu, 0.0) @ design.X
         assert np.all(np.abs(score).max(axis=1) <= 1e-13 * Y.sum(axis=1))
