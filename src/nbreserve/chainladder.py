@@ -82,7 +82,8 @@ def project(c: CumulativeTriangle, factors: Optional[Sequence[float]] = None) ->
     latest = c.latest().astype(float)
     ultimates = np.empty(I)
     for i in range(1, I + 1):
-        ultimates[i - 1] = latest[i - 1] * np.prod(f[I - i : I - 1])
+        # np.prod's own reduction, without its Python-level dispatch
+        ultimates[i - 1] = latest[i - 1] * np.multiply.reduce(f[I - i : I - 1])
     reserves = ultimates - latest
     return ChainLadderResult(
         factors=f,

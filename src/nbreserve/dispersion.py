@@ -44,7 +44,7 @@ from . import glm
 from .errors import FlatProfileError, NoResidualDofError, NotConvergedError, SingularInformationError
 from .glm import (
     _ETA_BOUND, _IRLS_MAX_ITER, _KAPPA_SERIES, Design, Family, _chain_ladder_batch, _data_key, _irls, _JointFit,
-    _kept, _newton_step, _NormalEquations, _lgamma, _nb_loglik, _poisson_fit, _poisson_loglik, _prepare,
+    _kept, _newton_step, _NormalEquations, _lgamma, _nb_loglik, _poisson_fit, _poisson_loglik, _prepare, _solve,
 )
 
 KAPPA_MIN = 1e-3
@@ -222,13 +222,13 @@ def _ci_endpoint(profile: _ProfileCache, theta_hat: float, target: float, bound:
             for _ in range(_ENDPOINT_STEPS if theta <= _LOG_CAP else 0):
                 kappa = math.exp(theta)
                 mu = np.exp((X @ coef).clip(-_ETA_BOUND, _ETA_BOUND))
-                g, info, c = _tangent_terms(y, X, mu, kappa)
-                try:
-                    u, v = np.linalg.solve(info, np.column_stack((g, c))).T
-                except np.linalg.LinAlgError:
+                g, info, c, terms = _tangent_terms(y, X, mu, kappa)
+                uv = _solve(info, np.array((g, c)).T)
+                if np.isnan(uv).any():  # singular
                     break
-                slope = g @ v + kappa * float(_kappa_score(y, mu, kappa))
-                d_theta = -(_nb_loglik(y, mu, kappa, log_factorials) - target + g @ u) / slope
+                u, v = uv.T
+                slope = g @ v + kappa * float(_kappa_score(y, mu, kappa, terms=terms))
+                d_theta = -(_nb_loglik(y, mu, kappa, log_factorials, terms[2]) - target + g @ u) / slope
                 d_coef = u + v * d_theta
                 theta += d_theta
                 coef = coef + d_coef
@@ -292,7 +292,7 @@ def profile_kappa(data: Sequence, grid_size: int = 0) -> KappaEstimate:
     if at_boundary:
         # near the cap l_p(kappa) ~ l_hat + S / (2 kappa), S = sum((y - mu)^2 - y),
         # which falls to the target at kappa = -S / 3.841: start there
-        s = float(_boundary_sum(y, mu))
+        s = float(_boundary_sum(y, y - mu))
         theta = min(math.log(max(-s / CHI2_1_95, KAPPA_MIN)), math.nextafter(theta_hat, -math.inf))
         lower, upper = _ci_endpoint(profile, theta_hat, target, KAPPA_MIN, (coef, theta)), KAPPA_CAP
     else:
@@ -344,33 +344,35 @@ def _profile_curvature(y: np.ndarray, X: np.ndarray, mu: np.ndarray, kappa: floa
     c = X^T [kappa (y - mu) mu / (kappa + mu)^2] the log-kappa derivative
     of their score.
     """
-    _, info, c = _tangent_terms(y, X, mu, kappa)
+    _, info, c, terms = _tangent_terms(y, X, mu, kappa)
     tangent = np.linalg.solve(info, c)
-    s, s_kappa = _kappa_score(y, mu, kappa, deriv=True)
+    s, s_kappa = _kappa_score(y, mu, kappa, deriv=True, terms=terms)
     h = kappa * float(s) + kappa * kappa * float(s_kappa)
     return h + float(c @ tangent), tangent
 
 
-def _tangent_terms(
-    y: np.ndarray, X: np.ndarray, mu: np.ndarray, kappa: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _tangent_terms(y: np.ndarray, X: np.ndarray, mu: np.ndarray, kappa: float) -> Tuple[np.ndarray, ...]:
     """The coefficient score g = X^T s, their observed information X^T W X and c, the log-kappa derivative of g.
 
     s is each cell's score kappa (y - mu) / (kappa + mu) and W holds the
-    weights of :func:`nbreserve.glm._newton_terms`; all three come from
-    one y - mu and one kappa + mu.
+    weights of :func:`nbreserve.glm._newton_terms`. All three come from
+    one y - mu, one kappa + mu and one y + kappa, which are returned
+    last, for the kappa score and the log-likelihood at the same point.
     """
-    r, k_mu = y - mu, kappa + mu
-    w = mu / k_mu * (kappa / k_mu) * (kappa + y)
-    return X.T @ (kappa * r / k_mu), (X * w[:, None]).T @ X, X.T @ (kappa * r * mu / k_mu**2)
+    terms = r, k_mu, ky = y - mu, kappa + mu, y + kappa
+    w = mu / k_mu * (kappa / k_mu) * ky
+    kr = kappa * r
+    return X.T @ (kr / k_mu), (X * w[:, None]).T @ X, X.T @ (kr * mu / k_mu**2), terms
 
 
-def _kappa_score(y: np.ndarray, mu: np.ndarray, kappa, deriv: bool = False):
+def _kappa_score(y: np.ndarray, mu: np.ndarray, kappa, deriv: bool = False, terms=None):
     """d/d kappa of the NB log-likelihood at fixed means, and with ``deriv`` its own kappa derivative.
 
     ``y`` and ``mu`` are one triangle's cells with a scalar ``kappa``,
     or matrices whose rows are triangles with one kappa each. Returns
     the score, or (score, derivative) from one :func:`_polygamma` call.
+    ``terms`` are the cells' (y - mu, kappa + mu, y + kappa) when the
+    caller has them.
 
     The score is a sum of O(y / kappa) terms that cancel to
     -sum((y - mu)^2 - y) / (2 kappa^2). Summed from digamma values of
@@ -389,28 +391,29 @@ def _kappa_score(y: np.ndarray, mu: np.ndarray, kappa, deriv: bool = False):
         return _score_series(y, mu, kappa)
     k = kappa[..., None]
     n = y.shape[-1]
+    resid, k_mu, ky = (y - mu, k + mu, y + k) if terms is None else terms
     # one kernel call for the cells and kappa itself, in the last column
-    poly = _polygamma(np.concatenate((y + k, k), axis=-1), deriv)
+    poly = _polygamma(np.concatenate((ky, k), axis=-1), deriv)
     psi, tri = poly if deriv else (poly, None)
-    k_mu = k + mu
-    excess = mu - y
-    score = (
-        psi[..., :-1].sum(-1) - n * psi[..., -1]
-        + n * np.log(kappa)
-        - np.log(k_mu).sum(-1)
-        + (excess / k_mu).sum(-1)
-    )
+    # every sum over the cells in one reduction, a row each: psi(y + kappa),
+    # log(kappa + mu) and (y - mu) / (kappa + mu), with ``deriv`` also
+    # psi'(y + kappa), 1 / (kappa + mu) and (y - mu) / (kappa + mu)^2
+    cells = np.empty(k_mu.shape[:-1] + (6 if deriv else 3, n))
+    cells[..., 0, :] = psi[..., :-1]
+    np.log(k_mu, out=cells[..., 1, :])
+    np.divide(resid, k_mu, out=cells[..., 2, :])
+    if deriv:
+        cells[..., 3, :] = tri[..., :-1]
+        np.divide(1.0, k_mu, out=cells[..., 4, :])
+        np.divide(resid, k_mu**2, out=cells[..., 5, :])
+    sums = cells.sum(-1)
+    # sum((mu - y) / (kappa + mu)) is minus the sum of (y - mu) / (kappa + mu): negation is exact
+    score = sums[..., 0] - n * psi[..., -1] + n * np.log(kappa) - sums[..., 1] - sums[..., 2]
     if big is not None:
         score = np.where(big, _score_series(y, mu, kappa), score)
     if not deriv:
         return score
-    slope = (
-        tri[..., :-1].sum(-1) - n * tri[..., -1]
-        + n / kappa
-        - (1.0 / k_mu).sum(-1)
-        - (excess / k_mu**2).sum(-1)
-    )
-    return score, slope
+    return score, sums[..., 3] - n * tri[..., -1] + n / kappa - sums[..., 4] + sums[..., 5]
 
 
 def _score_series(y: np.ndarray, mu: np.ndarray, kappa: np.ndarray):
@@ -466,9 +469,7 @@ def _polygamma(x: np.ndarray, trigamma: bool = False):
     keep the bits they had when the package used scipy.
     """
     x = np.asarray(x, dtype=float)
-    shape = x.shape
-    x = x.reshape(-1)
-    shift = np.fmin.reduce(x, initial=np.inf) < _POLYGAMMA_SHIFT  # NaN-blind, like x < 10
+    shift = np.fmin.reduce(x, axis=None, initial=np.inf) < _POLYGAMMA_SHIFT  # NaN-blind, like x < 10
     if shift:
         small = x < _POLYGAMMA_SHIFT
         z = x + _POLYGAMMA_SHIFT * small
@@ -485,9 +486,7 @@ def _polygamma(x: np.ndarray, trigamma: bool = False):
             terms *= terms
             np.divide(1.0, terms, out=terms)
             tri[small] += np.add.accumulate(terms, axis=-1)[:, -1]
-    if not trigamma:
-        return psi.reshape(shape)
-    return psi.reshape(shape), tri.reshape(shape)
+    return (psi, tri) if trigamma else psi
 
 
 def _horner(coefs: Tuple[np.float64, ...], u: np.ndarray) -> np.ndarray:
@@ -499,15 +498,15 @@ def _horner(coefs: Tuple[np.float64, ...], u: np.ndarray) -> np.ndarray:
     return tail
 
 
-def _boundary_sum(y: np.ndarray, mu: np.ndarray):
-    """S = sum((y - mu)^2 - y), per triangle: whether the kappa maximiser is the cap.
+def _boundary_sum(y: np.ndarray, resid: np.ndarray):
+    """S = sum((y - mu)^2 - y) per triangle, from ``resid`` = y - mu: whether the kappa maximiser is the cap.
 
     As kappa grows the score tends to -S / (2 kappa^2), so the
     likelihood still rises toward the cap when S is not positive. The
     sign of S decides this exactly, without summing a score of order
     1e-14 at the cap.
     """
-    return ((y - mu) ** 2 - y).sum(-1)
+    return (resid**2 - y).sum(-1)
 
 
 def _solve_kappa(y: np.ndarray, mu: np.ndarray, kappa0: float) -> float:
@@ -522,7 +521,7 @@ def _solve_kappa(y: np.ndarray, mu: np.ndarray, kappa0: float) -> float:
     score is not positive there.
     """
     y, mu = np.asarray(y, dtype=float), np.asarray(mu, dtype=float)
-    if _boundary_sum(y, mu) <= 0.0:
+    if _boundary_sum(y, y - mu) <= 0.0:
         return KAPPA_CAP
     if _kappa_score(y, mu, KAPPA_MIN) <= 0.0:
         return KAPPA_MIN
@@ -560,15 +559,17 @@ def _start_kappa(y: np.ndarray, mu: np.ndarray, mask: Optional[np.ndarray] = Non
     takes every row not at the boundary. Only the cells ``mask`` marks
     are counted.
     """
-    pearson = ((y - mu) ** 2 - mu) / (mu * mu)
+    resid, mu2 = y - mu, mu * mu
+    pearson = (resid**2 - mu) / mu2
     n = y.shape[-1]
     if mask is not None:
-        pearson, n, mu = pearson * mask, np.sum(mask, axis=-1), mu * mask
-    pearson = np.sum(pearson, axis=-1)
-    excess = _boundary_sum(y, mu)
+        mu = mu * mask
+        pearson, n, resid, mu2 = pearson * mask, mask.sum(axis=-1), y - mu, mu2 * mask
+    pearson = pearson.sum(axis=-1)
+    excess = _boundary_sum(y, resid)
     with np.errstate(divide="ignore", invalid="ignore"):
         moment = n / pearson
-        start = np.where((pearson > 0) & (moment < KAPPA_CAP), moment, (mu * mu).sum(-1) / excess)
+        start = np.where((pearson > 0) & (moment < KAPPA_CAP), moment, mu2.sum(-1) / excess)
     return np.where(excess <= 0.0, KAPPA_CAP, start.clip(KAPPA_MIN, _BELOW_CAP))
 
 
@@ -662,6 +663,14 @@ def _nb_mle_batch(
     step. Each row's arithmetic does not depend on the other rows of
     the batch.
 
+    Each iteration gathers the live rows' counts and kappa once and
+    forms each cell term once: y + kappa serves the coefficient step's
+    weights, deviances and slack and the kappa score's digamma
+    arguments; y - mu at the new means serves the kappa score and
+    :func:`_boundary_sum`. One ``np.errstate`` covers the whole loop,
+    since the warnings of singular and diverging rows, which fail, are
+    noise.
+
     Returns (coef, mu, kappa, ok, n_iter); n_iter counts each row's
     joint iterations, and ok is False for rows with no Poisson fit,
     whose normal equations were singular, whose likelihood
@@ -685,36 +694,40 @@ def _nb_mle_batch(
     normal = _NormalEquations(design, live.size, pin)
     log_min = math.log(KAPPA_MIN)
 
-    for _ in range(_IRLS_MAX_ITER):
-        if live.size == 0:
-            break
-        n_iter[live] += 1
-        y = Y[live]
-        # Newton step for the coefficients at fixed kappa, as glm._irls takes it
-        decrement, tol, failed = _newton_step(normal, live, Y, coef, mu, kappa[live][:, None], mask)
+    # singular and diverging rows fail, and the squares of a diverging
+    # fit's means may overflow in the kappa step
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for it in range(1, _IRLS_MAX_ITER + 1):
+            if live.size == 0:
+                break
+            n_iter[live] = it
+            y, kap = Y[live], kappa[live]
+            k = kap[:, None]
+            ky = y + k
+            # Newton step for the coefficients at fixed kappa, as glm._irls takes it
+            decrement, tol, failed, mu_l = _newton_step(normal, live, y, coef, mu, k, ky, mask)
 
-        # Newton step in theta = log kappa at the new means; the squares
-        # of a diverging fit's means may overflow here, leaving it to fail
-        mu_k, kap = _kept(mu[live], mask, live), kappa[live]
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            s, s_kappa = _kappa_score(y, mu_k, kap, deriv=True)
+            # Newton step in theta = log kappa at the new means
+            mu_k = _kept(mu_l, mask, live)
+            resid = y - mu_k
+            s, s_kappa = _kappa_score(y, mu_k, kap, deriv=True, terms=(resid, k + mu_k, ky))
             g_t = kap * s
             h_t = g_t + kap * kap * s_kappa
             newton = -g_t / h_t
-            cap = _boundary_sum(y, mu_k) <= 0.0
-        concave = h_t < 0.0
-        theta = np.log(kap) + np.where(concave, newton.clip(-1.0, 1.0), np.sign(g_t))
-        floor = theta <= log_min
-        # at the floor with the score pointing below it, kappa is settled
-        settled = floor & (kap == KAPPA_MIN) & (g_t <= 0.0)
-        decrement += np.where(settled, 0.0, np.where(concave, g_t * newton, np.inf))
-        kappa[live] = np.where(floor, KAPPA_MIN, np.exp(theta))
+            cap = _boundary_sum(y, resid) <= 0.0
+            concave = h_t < 0.0
+            theta = np.log(kap) + np.where(concave, newton.clip(-1.0, 1.0), np.sign(g_t))
+            floor = theta <= log_min
+            # at the floor with the score pointing below it, kappa is settled
+            settled = floor & (kap == KAPPA_MIN) & (g_t <= 0.0)
+            decrement += np.where(settled, 0.0, np.where(concave, g_t * newton, np.inf))
+            kappa[live] = np.where(floor, KAPPA_MIN, np.exp(theta))
 
-        cap |= theta >= _LOG_CAP
-        kappa[live[cap]] = KAPPA_CAP
-        done = ~failed & (cap | (np.abs(decrement) <= tol))
-        ok[live[done]] = True
-        live = live[~(done | failed)]
+            cap |= theta >= _LOG_CAP
+            kappa[live[cap]] = KAPPA_CAP
+            done = ~failed & (cap | (np.abs(decrement) <= tol))
+            ok[live[done]] = True
+            live = live[~(done | failed)]
     return coef, mu, kappa, ok, n_iter
 
 

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NoResidualDofError, NotConvergedError, RankDeficientError, SeparationError
 from .triangle import _MAX_COUNT, _coerce_count
@@ -121,14 +122,17 @@ def _check_kappa(kappa: float) -> None:
         raise ValueError(f"kappa must be positive and finite, got {kappa}; the limit is Family.poisson()")
 
 
-def _unit_deviance(y: np.ndarray, mu: np.ndarray, kappa) -> np.ndarray:
+def _unit_deviance(y: np.ndarray, mu: np.ndarray, kappa, ky: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-cell deviance halves; ``kappa`` None is Poisson, else negative binomial.
 
-    ``kappa`` may be a column of per-row values broadcasting over rows of ``y``.
+    ``kappa`` may be a column of per-row values broadcasting over rows of
+    ``y``; ``ky`` is y + kappa when the caller has it.
     """
     if kappa is None:
         return _xlogy(y, y / mu) - (y - mu)
-    return _xlogy(y, y / mu) - (y + kappa) * np.log((y + kappa) / (mu + kappa))
+    if ky is None:
+        ky = y + kappa
+    return _xlogy(y, y / mu) - ky * np.log(ky / (mu + kappa))
 
 
 def _xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -167,9 +171,15 @@ def nb_loglik(counts, mu, kappa: float) -> float:
     return _nb_loglik(y, np.asarray(mu, dtype=float), kappa, _lgamma(y + 1.0))
 
 
-def _nb_loglik(y: np.ndarray, mu: np.ndarray, kappa: float, log_factorials: np.ndarray) -> float:
-    """:func:`nb_loglik` of float arrays, given each cell's log y! (a caller refitting the same counts keeps them)."""
-    ky = y + kappa
+def _nb_loglik(
+    y: np.ndarray, mu: np.ndarray, kappa: float, log_factorials: np.ndarray, ky: Optional[np.ndarray] = None,
+) -> float:
+    """:func:`nb_loglik` of float arrays, given each cell's log y! (a caller refitting the same counts keeps them).
+
+    ``ky`` is y + kappa when the caller has it.
+    """
+    if ky is None:
+        ky = y + kappa
     # log Gamma(y + kappa) - log Gamma(kappa) - y log kappa
     if kappa < _KAPPA_SERIES:
         lgamma_ratio = _lgamma(ky) - math.lgamma(kappa) - y * math.log(kappa)
@@ -227,15 +237,11 @@ def build_design(ay: Sequence[int], dy: Sequence[int], n_ay: Optional[int] = Non
         raise ValueError("accident years are 1-based, development years 0-based")
     n_ay = int(n_ay) if n_ay is not None else int(ay_idx.max()) + 1
     n_dy = int(n_dy) if n_dy is not None else int(dy_idx.max()) + 1
-    n = len(ay_idx)
-    p = 1 + (n_ay - 1) + (n_dy - 1)
-    X = np.zeros((n, p))
-    X[:, 0] = 1.0
-    rows = np.arange(n)
-    mask_a = ay_idx > 0
-    X[rows[mask_a], ay_idx[mask_a]] = 1.0
-    mask_b = dy_idx > 0
-    X[rows[mask_b], n_ay - 1 + dy_idx[mask_b]] = 1.0
+    # the intercept, then one indicator per accident year from 2 and development year from 1
+    X = np.concatenate(
+        (np.ones((len(ay_idx), 1)), ay_idx[:, None] == np.arange(1, n_ay), dy_idx[:, None] == np.arange(1, n_dy)),
+        axis=1, dtype=float,
+    )
     return Design(ay_idx=ay_idx, dy_idx=dy_idx, n_ay=n_ay, n_dy=n_dy, X=X)
 
 
@@ -262,7 +268,7 @@ def _kept_levels(Y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray]
     return ay, dy
 
 
-def _newton_terms(y: np.ndarray, mu: np.ndarray, kappa):
+def _newton_terms(y: np.ndarray, mu: np.ndarray, kappa, ky: Optional[np.ndarray] = None):
     """Working weights and response of the coefficient Newton step at fixed kappa.
 
     The weights mu kappa (kappa + y) / (kappa + mu)^2 are each cell's
@@ -274,13 +280,14 @@ def _newton_terms(y: np.ndarray, mu: np.ndarray, kappa):
     a scalar, a column of per-row values, or None for the Poisson, whose
     weights mu and response (y - mu) / mu are the limit as kappa grows;
     under the log link they are also its Fisher-scoring weights and
-    response.
+    response. ``ky`` is y + kappa when the caller has it.
     """
     if kappa is None:
         return mu, (y - mu) / mu
-    w = mu / (kappa + mu) * (kappa / (kappa + mu)) * (kappa + y)
-    z = (y - mu) / mu * ((kappa + mu) / (kappa + y))
-    return w, z
+    k_mu = kappa + mu
+    if ky is None:
+        ky = y + kappa
+    return mu / k_mu * (kappa / k_mu) * ky, (y - mu) / mu * (k_mu / ky)
 
 
 def _irls(
@@ -326,9 +333,8 @@ def _irls(
         w, z = _newton_terms(y, mu, kappa)
         Xw = X * w[:, None]
         g = X.T @ (w * (eta + z)) if whole else Xw.T @ z
-        try:
-            delta = np.linalg.solve(Xw.T @ X, g)
-        except np.linalg.LinAlgError:
+        delta = _solve_rows(Xw.T @ X, g)
+        if np.isnan(delta).any():  # singular
             break
         cand = delta if whole else coef + delta
         limit = dev + slack
@@ -336,7 +342,7 @@ def _irls(
             eta = (X @ cand).clip(-_ETA_BOUND, _ETA_BOUND)
             mu_c = np.exp(eta)
             dev_c = family.deviance(y, mu_c)
-            if np.isfinite(dev_c) and dev_c <= limit:
+            if math.isfinite(dev_c) and dev_c <= limit:
                 break
             cand = 0.5 * (cand + coef)
         else:
@@ -366,18 +372,23 @@ def _rows_dot(X: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return (X @ coef[:, :, None])[:, :, 0]
 
 
+def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A X = B for one system or a stack of them, with NaN for X where A is singular.
+
+    It calls the LAPACK kernel (``gesv``) behind ``np.linalg.solve``, so
+    X is the same bit for bit, without that function's input checks and
+    its conversion of a singular system into ``LinAlgError``; on the
+    systems solved here, of 5 to 25 unknowns, those cost several times
+    the solve. The kernel flags a singular A as an invalid operation,
+    which the caller silences (``np.errstate(invalid="ignore")``).
+    """
+    return _umath_linalg.solve(A, B, signature="dd->d")
+
+
 def _solve_rows(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve each system A[r] x = b[r]; rows with a singular A give NaN."""
-    try:
-        return np.linalg.solve(A, b[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        out = np.full(b.shape, np.nan)
-        for r in range(len(A)):
-            try:
-                out[r] = np.linalg.solve(A[r], b[r])
-            except np.linalg.LinAlgError:
-                pass
-        return out
+    """Solve each system A[r] x = b[r] by :func:`_solve`; rows with a singular A give NaN, without a warning."""
+    with np.errstate(invalid="ignore"):
+        return _solve(A, b[..., None])[..., 0]
 
 
 class _NormalEquations:
@@ -408,7 +419,7 @@ class _NormalEquations:
         I, J = design.n_ay, design.n_dy
         self.X, self.pin, self.I, self.J = design.X, pin, I, J
         # sums over each cell's accident year, then its development year from 1 on (X's columns)
-        self.sums = np.hstack((design.ay_idx[:, None] == np.arange(I), design.X[:, I:]))
+        self.sums = np.concatenate((design.ay_idx[:, None] == np.arange(I), design.X[:, I:]), axis=1)
         self.terms = np.empty((m, 2, design.n))
         # the weight grid C, with one more column for g_alpha; unobserved cells stay zero
         self.grid = np.zeros((m, I, J + 1))
@@ -461,65 +472,76 @@ class _NormalEquations:
 
 
 def _newton_step(
-    normal: _NormalEquations, live: np.ndarray, Y: np.ndarray, coef: np.ndarray, mu: np.ndarray,
-    k: np.ndarray, mask: Optional[np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    normal: _NormalEquations, live: np.ndarray, y: np.ndarray, coef: np.ndarray, mu: np.ndarray,
+    k: np.ndarray, ky: np.ndarray, mask: Optional[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The step of :func:`_irls` for the rows ``live`` of a batch, at fixed kappa.
 
     Row r's weights and response come from :func:`_newton_terms` at its
-    counts Y[r], means mu[r] and kappa (``k``, a column over ``live``);
-    ``normal`` solves its Newton system, with its pins, by two-way
-    elimination: a (J - 1)-square Schur system in the development-year
-    effects, then the accident-year effects by back-substitution. The
-    step is halved until the row's deviance does not rise by more than
-    ``_DEV_SLACK`` times its sum of y + kappa. Cells outside ``mask``
-    get zero weight and add nothing to either. ``coef`` and ``mu`` are
-    updated in place for the rows that take a step.
+    counts (``y``, the rows ``live`` of the batch's counts), means mu[r]
+    and kappa (``k``, a column over ``live``); ``ky`` is y + kappa, which
+    the weights, every deviance and the slack share. ``normal`` solves
+    the Newton system, with its pins, by two-way elimination: a
+    (J - 1)-square Schur system in the development-year effects, then
+    the accident-year effects by back-substitution. The step is halved
+    until the row's deviance does not rise by more than ``_DEV_SLACK``
+    times its sum of y + kappa. Every row's whole step is tried at once;
+    when each row takes it, as near the optimum, its means are kept as
+    they are and no halving is set up. Cells outside ``mask`` get zero
+    weight and add nothing to either. ``coef`` and ``mu`` are updated in
+    place for the rows that take a step. The caller silences the
+    floating-point warnings of singular and diverging rows, which fail.
 
-    Returns (decrement, tol, failed) per row of ``live``: the Newton
-    decrement g^T delta, the decrement at or below which the row has
-    converged, max(``_DECREMENT_TOL``, ``_DECREMENT_PER_WEIGHT`` times
-    its total working weight), and whether the system was singular, no
+    Returns (decrement, tol, failed, mu_live) per row of ``live``: the
+    Newton decrement g^T delta, the decrement at or below which the row
+    has converged, max(``_DECREMENT_TOL``, ``_DECREMENT_PER_WEIGHT``
+    times its total working weight), whether the system was singular, no
     halving kept the deviance down or a kept mean reached the clip of
-    the linear predictor.
+    the linear predictor, and the rows' means after the step.
     """
     X = normal.X
-    y, old, mu_l = Y[live], coef[live], mu[live]
+    old, mu_l = coef[live], mu[live]
 
     def deviance(rows, mu_r):
-        return 2.0 * _kept(_unit_deviance(y[rows], mu_r, k[rows]), mask, live[rows]).sum(axis=1)
+        return 2.0 * _kept(_unit_deviance(y[rows], mu_r, k[rows], ky[rows]), mask, live[rows]).sum(axis=1)
 
-    w, z = _newton_terms(y, mu_l, k)
+    w, z = _newton_terms(y, mu_l, k, ky)
     w = _kept(w, mask, live)
     tol = np.maximum(_DECREMENT_TOL, _DECREMENT_PER_WEIGHT * w.sum(axis=1))
     delta, decrement = normal.solve(live, w, z)
     failed = np.isnan(delta).any(axis=1)
     cand = old + delta
-    limit = deviance(slice(None), mu_l) + _DEV_SLACK * _kept(y + k, mask, live).sum(axis=1)
-
-    # step halving: each row takes the first of cand, (cand + old) / 2, ...
-    # within 30 halvings that keeps its deviance within the slack
-    step = np.zeros(live.size, dtype=bool)
-    eta_c = np.empty((live.size, X.shape[0]))
-    pend = np.nonzero(~failed)[0]
-    for _ in range(30):
-        e = _rows_dot(X, cand[pend]).clip(-_ETA_BOUND, _ETA_BOUND)
-        d = deviance(pend, np.exp(e))
-        good = np.isfinite(d) & (d <= limit[pend])
-        step[pend[good]] = True
-        eta_c[pend[good]] = e[good]
-        pend = pend[~good]
-        if pend.size == 0:
-            break
-        cand[pend] = 0.5 * (cand[pend] + old[pend])
-    # within the slack a Newton step near the optimum is always taken; a
-    # row that takes none, or whose kept means reach the clip, has a
-    # likelihood rising without bound
-    failed[pend] = True
-    failed[step] |= _kept(np.abs(eta_c[step]) >= _ETA_BOUND, mask, live[step]).any(axis=1)
-    coef[live[step]] = cand[step]
-    mu[live[step]] = np.exp(eta_c[step])
-    return decrement, tol, failed
+    every = slice(None)
+    limit = deviance(every, mu_l) + _DEV_SLACK * _kept(ky, mask, live).sum(axis=1)
+    eta = _rows_dot(X, cand).clip(-_ETA_BOUND, _ETA_BOUND)
+    mu_c = np.exp(eta)
+    d = deviance(every, mu_c)
+    step = ~failed & np.isfinite(d) & (d <= limit)
+    if step.all():
+        coef[live], mu[live] = cand, mu_c
+    else:
+        # step halving: each other row takes the first of (cand + old) / 2,
+        # ... within 29 more halvings that keeps its deviance within the slack
+        pend = np.nonzero(~(step | failed))[0]
+        for _ in range(29):
+            if pend.size == 0:
+                break
+            cand[pend] = 0.5 * (cand[pend] + old[pend])
+            e = _rows_dot(X, cand[pend]).clip(-_ETA_BOUND, _ETA_BOUND)
+            m = np.exp(e)
+            d = deviance(pend, m)
+            good = np.isfinite(d) & (d <= limit[pend])
+            took = pend[good]
+            step[took], eta[took], mu_c[took] = True, e[good], m[good]
+            pend = pend[~good]
+        # within the slack a Newton step near the optimum is always taken; a
+        # row that takes none, or whose kept means reach the clip, has a
+        # likelihood rising without bound
+        failed[pend] = True
+        mu_c = np.where(step[:, None], mu_c, mu_l)  # the means after the step
+        coef[live[step]], mu[live[step]] = cand[step], mu_c[step]
+    failed |= step & _kept(np.abs(eta) >= _ETA_BOUND, mask, live).any(axis=1)
+    return decrement, tol, failed, mu_c
 
 
 def drop_masks(design: Design, ay_keep: np.ndarray, dy_keep: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -583,38 +605,39 @@ def _chain_ladder_batch(Y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.n
     when its maximum exists (Haberman 1974).
     """
     m, I, J = len(Y), design.n_ay, design.n_dy
-    coef = np.full((m, design.p), np.nan)
-    mu = np.full(Y.shape, np.nan)
-    ok = np.zeros(m, dtype=bool)
-    reach = np.zeros((J, I), dtype=np.int64)  # development year first: sums over accident years run last
-    np.add.at(reach, (design.dy_idx, design.ay_idx), 1)
+    # cells per (development year, accident year): development year first, so sums over accident years run last
+    reach = np.bincount(design.dy_idx * I + design.ay_idx, minlength=J * I).reshape(J, I)
     length = reach.sum(axis=0)
-    if not np.array_equal(reach, np.arange(J)[:, None] < length):
-        return coef, mu, ok
+    if not (reach == (np.arange(J)[:, None] < length)).all():
+        return np.full((m, design.p), np.nan), np.full(Y.shape, np.nan), np.zeros(m, dtype=bool)
     grid = np.zeros((m, J, I))
     grid[:, design.dy_idx, design.ay_idx] = Y
-    cum = np.cumsum(grid, axis=1)
+    cum = grid.cumsum(axis=1)
     row_tot = cum[:, -1]
-    col_tot = np.sum(grid, axis=-1)
-    seen = np.sum(cum * reach, axis=-1)  # sum C[i, j] over the years observed at j
-    before = np.sum(cum[:, :-1] * reach[1:], axis=-1)  # sum C[i, j - 1] over the same years
+    col_tot = grid.sum(axis=-1)
+    seen = (cum * reach).sum(axis=-1)  # sum C[i, j] over the years observed at j
+    before = (cum[:, :-1] * reach[1:]).sum(axis=-1)  # sum C[i, j - 1] over the same years
+    # a development year with seen[j] zero adds no development: its factor is 1 / 1
+    grows = seen[:, 1:] > 0
+    num, den = np.where(grows, before, 1.0).T, np.where(grows, seen[:, 1:], 1.0).T
     with np.errstate(divide="ignore", invalid="ignore"):
         # cumulative share of the ultimate reached by the end of each development year
-        share = np.ones((m, J))
+        share = np.ones((J, m))
         for j in range(J - 1, 0, -1):
-            share[:, j - 1] = np.where(seen[:, j] > 0, share[:, j] * before[:, j - 1] / seen[:, j], share[:, j])
+            share[j - 1] = share[j] * num[j - 1] / den[j - 1]
+        share = share.T
         log_u = np.log(row_tot / share[:, length - 1])
         log_p = np.log(share * col_tot / seen)
         ay_keep, dy_keep = row_tot > 0, col_tot > 0
         rows = np.arange(m)
-        base_u, base_p = log_u[rows, np.argmax(ay_keep, axis=1)], log_p[rows, np.argmax(dy_keep, axis=1)]
+        base_u, base_p = log_u[rows, ay_keep.argmax(axis=1)], log_p[rows, dy_keep.argmax(axis=1)]
         a = np.where(ay_keep, log_u - base_u[:, None], 0.0)
         b = np.where(dy_keep, log_p - base_p[:, None], 0.0)
-        full = np.hstack(((base_u + base_p)[:, None], a[:, 1:], b[:, 1:]))
-    ok = np.all(np.isfinite(full), axis=1)
-    coef[ok] = full[ok]
-    mu[ok] = np.exp(np.clip(_rows_dot(design.X, coef[ok]), -_ETA_BOUND, _ETA_BOUND))
-    return coef, mu, ok
+        full = np.concatenate(((base_u + base_p)[:, None], a[:, 1:], b[:, 1:]), axis=1)
+    ok = np.isfinite(full).all(axis=1)
+    # a row not taken gets NaN coefficients, hence NaN means
+    coef = np.where(ok[:, None], full, np.nan)
+    return coef, np.exp(_rows_dot(design.X, coef).clip(-_ETA_BOUND, _ETA_BOUND)), ok
 
 
 def _poisson_fit(y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -676,7 +699,7 @@ class ModelFit:
 def _simplex(coef: np.ndarray, n_ay: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(simplex_alpha, simplex_beta, dev_weights) of one coefficient vector."""
     row, col = _effects_from_coef(coef, n_ay)
-    log_s = float(np.log(np.sum(np.exp(col))))
+    log_s = float(np.log(np.exp(col).sum()))
     beta = col - log_s
     return row + log_s, beta, np.exp(beta)
 
@@ -703,11 +726,11 @@ def _check_levels(y: np.ndarray, design: Design) -> None:
     # the rule of _kept_levels counted for one row
     factors = (("accident year", design.ay_idx, design.n_ay), ("development year", design.dy_idx, design.n_dy))
     for name, idx, n in factors:
-        present = np.bincount(idx, minlength=n) > 0
-        if not present.all():
+        present = np.bincount(idx, minlength=n)
+        if np.count_nonzero(present) < n:
             raise RankDeficientError(f"{name} level {int(np.argmin(present))} has no observations")
-        kept = np.bincount(idx, weights=y, minlength=n) > 0
-        if not kept.all():
+        kept = np.bincount(idx, weights=y, minlength=n)  # y >= 0 here
+        if np.count_nonzero(kept) < n:
             raise SeparationError(f"{name} level {int(np.argmin(kept))} has all-zero counts; its coefficient diverges")
 
 
@@ -755,12 +778,12 @@ def _data_key(y: np.ndarray, design: Design) -> tuple:
     return (y.tobytes(), design.ay_idx.tobytes(), design.dy_idx.tobytes())
 
 
-def _joint_start(y: np.ndarray, design: Design, family: Family) -> Optional[np.ndarray]:
-    """The remembered coefficients when ``family`` is the negative binomial at their kappa on the same data."""
+def _remembered_joint(y: np.ndarray, design: Design, family: Family) -> Optional[_JointFit]:
+    """The remembered joint fit when ``family`` is the negative binomial at its kappa on the same data."""
     key, joint = _last_joint_fit
     if joint is None or family.tag != "negbin" or joint.kappa != family.kappa or key != _data_key(y, design):
         return None
-    return joint.coef
+    return joint
 
 
 def fit(data: Sequence, family: Family) -> ModelFit:
@@ -772,7 +795,8 @@ def fit(data: Sequence, family: Family) -> ModelFit:
     :func:`nbreserve.dispersion.overdispersion_test` shares) on the same
     counts and levels, bit for bit: that fit starts from the joint fit's
     coefficients at that kappa and confirms them in one step; its
-    log-means agree with a cold fit's to 1e-12. For the Poisson and
+    log-means agree with a cold fit's to 1e-12, and its log-likelihood
+    takes the joint fit's log y!. For the Poisson and
     quasi-Poisson the steps are the Fisher-scoring steps, since the two
     informations coincide under the log link; for the negative binomial
     the observed information also converges fast on near-separated
@@ -794,7 +818,8 @@ def fit(data: Sequence, family: Family) -> ModelFit:
     y, design = _prepare(data)
 
     irls_family = Family.poisson() if family.tag == "quasipoisson" else family
-    coef, mu, dev, dev_path, converged, n_iter = _irls(y, design, irls_family, _joint_start(y, design, family))
+    joint = _remembered_joint(y, design, family)
+    coef, mu, dev, dev_path, converged, n_iter = _irls(y, design, irls_family, None if joint is None else joint.coef)
     if not converged:
         raise NotConvergedError(f"IRLS stopped unconverged after {n_iter} iterations")
 
@@ -812,10 +837,11 @@ def fit(data: Sequence, family: Family) -> ModelFit:
     alpha, beta, weights = _simplex(coef, design.n_ay)
 
     phi = None
+    log_factorials = _lgamma(y + 1.0) if joint is None else joint.log_factorials
     if family.tag == "negbin":
-        ll = nb_loglik(y, mu, family.kappa)
+        ll = _nb_loglik(y, mu, family.kappa, log_factorials)
     else:
-        ll = poisson_loglik(y, mu)
+        ll = _poisson_loglik(y, mu, log_factorials)
     fitted = ModelFit(
         family=family,
         n_ay=design.n_ay,

@@ -391,6 +391,27 @@ def test_poor_conditioning_is_one_warning_line(runner, tmp_path, command):
     assert not [w for w in caught if issubclass(w.category, ConditioningWarning)]
 
 
+# near-separated: it fits, but many replicates redraw a singular layout
+NEAR_SEPARATED_ROWS = [[0, 0, 10, 1052], [1872, 0, 0], [0, 373], [193]]
+
+
+def test_failed_refits_are_one_error_line(runner, tmp_path):
+    # 376 of the 1000 refits meet singular normal equations; stderr holds
+    # the one ExcessiveFailures line and no raw numpy warning
+    path = tmp_path / "near.csv"
+    path.write_text(triangle_text(NEAR_SEPARATED_ROWS))
+    args = ["reserve", str(path), "-B", "1000", "--threads", "1", "--seed", "0", "--out-dir", str(tmp_path / "out")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert len(result.stderr.splitlines()) == 1
+    err = json.loads(result.stderr)["error"]
+    assert err["kind"] == "ExcessiveFailures"
+    assert err["message"].startswith("376 of 1000 bootstrap refits failed")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 class TestDiagnose:
     def test_outputs(self, runner, triangle_csv, tmp_path):
         out = str(tmp_path / "out")

@@ -956,6 +956,37 @@ def test_one_joint_estimator(batch):
     assert np.all(np.abs(k * _kappa_score(Y[inner], m, k)) <= 1e-9)
 
 
+def test_whole_steps_halvings_and_failures_share_a_batch(monkeypatch):
+    # replicates of the near-separated [[0, 0, 10, 1052], [1872, 0, 0],
+    # [0, 373], [193]], drawn from its fit: the second row keeps 7 of its
+    # 10 cells and halves some Newton steps, the third has a Poisson fit
+    # but a likelihood rising without bound, the others take every whole
+    # step; in one batch each row's fit is its one-row fit, bit for bit
+    t = RunOffTriangle.from_rows([[0, 0, 10, 1052], [1872, 0, 0], [0, 373], [193]])
+    _, design = _prepare(to_long(t))
+    Y = np.array([
+        [0, 0, 3, 29, 171, 3, 283, 0, 52, 20],
+        [1, 0, 0, 384, 216, 5, 0, 4, 4705, 0],
+        [0, 0, 72, 313, 3832, 0, 0, 0, 23, 6],
+        [1, 0, 0, 239, 675, 2, 53, 58, 31, 3],
+    ], dtype=float)
+    mask, pin = drop_pattern(Y, design)
+    evaluated = []  # the rows of each call of glm._rows_dot: the Poisson start's, then each candidate step's
+    rows_dot = glm._rows_dot
+    monkeypatch.setattr(glm, "_rows_dot", lambda X, coef: (evaluated.append(len(coef)), rows_dot(X, coef))[1])
+    alone, halved = [], []
+    for r in range(len(Y)):
+        evaluated.clear()
+        alone.append(_nb_mle_batch(Y[r : r + 1], design, mask=mask[r : r + 1], pin=pin[r : r + 1]))
+        halved.append(len(evaluated) - 1 > alone[-1][4][0])
+    assert halved == [False, True, True, False]
+    assert [fit[3][0] for fit in alone] == [True, True, False, True]
+    assert glm._chain_ladder_batch(Y, design)[2].all()
+    for got, want in zip(_nb_mle_batch(Y, design, mask=mask, pin=pin), zip(*alone)):
+        for r in range(len(Y)):
+            assert np.array_equal(got[r], want[r][0], equal_nan=True)
+
+
 class TestSelection:
     def test_statistic_frozen(self, report):
         assert report.statistic == pytest.approx(2550.0684, abs=0.01)
