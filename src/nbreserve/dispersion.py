@@ -222,13 +222,13 @@ def _ci_endpoint(profile: _ProfileCache, theta_hat: float, target: float, bound:
             for _ in range(_ENDPOINT_STEPS if theta <= _LOG_CAP else 0):
                 kappa = math.exp(theta)
                 mu = np.exp((X @ coef).clip(-_ETA_BOUND, _ETA_BOUND))
-                g, info, c, terms = _tangent_terms(y, X, mu, kappa)
+                g, info, c = _tangent_terms(y, X, mu, kappa)
                 uv = _solve(info, np.array((g, c)).T)
                 if np.isnan(uv).any():  # singular
                     break
                 u, v = uv.T
-                slope = g @ v + kappa * float(_kappa_score(y, mu, kappa, terms=terms))
-                d_theta = -(_nb_loglik(y, mu, kappa, log_factorials, terms[2]) - target + g @ u) / slope
+                slope = g @ v + kappa * float(_kappa_score(y, mu, kappa))
+                d_theta = -(_nb_loglik(y, mu, kappa, log_factorials) - target + g @ u) / slope
                 d_coef = u + v * d_theta
                 theta += d_theta
                 coef = coef + d_coef
@@ -344,25 +344,25 @@ def _profile_curvature(y: np.ndarray, X: np.ndarray, mu: np.ndarray, kappa: floa
     c = X^T [kappa (y - mu) mu / (kappa + mu)^2] the log-kappa derivative
     of their score.
     """
-    _, info, c, terms = _tangent_terms(y, X, mu, kappa)
+    _, info, c = _tangent_terms(y, X, mu, kappa)
     tangent = np.linalg.solve(info, c)
-    s, s_kappa = _kappa_score(y, mu, kappa, deriv=True, terms=terms)
+    s, s_kappa = _kappa_score(y, mu, kappa, deriv=True)
     h = kappa * float(s) + kappa * kappa * float(s_kappa)
     return h + float(c @ tangent), tangent
 
 
-def _tangent_terms(y: np.ndarray, X: np.ndarray, mu: np.ndarray, kappa: float) -> Tuple[np.ndarray, ...]:
+def _tangent_terms(
+    y: np.ndarray, X: np.ndarray, mu: np.ndarray, kappa: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The coefficient score g = X^T s, their observed information X^T W X and c, the log-kappa derivative of g.
 
     s is each cell's score kappa (y - mu) / (kappa + mu) and W holds the
-    weights of :func:`nbreserve.glm._newton_terms`. All three come from
-    one y - mu, one kappa + mu and one y + kappa, which are returned
-    last, for the kappa score and the log-likelihood at the same point.
+    weights of :func:`nbreserve.glm._newton_terms`; all three come from
+    one y - mu and one kappa + mu.
     """
-    terms = r, k_mu, ky = y - mu, kappa + mu, y + kappa
-    w = mu / k_mu * (kappa / k_mu) * ky
-    kr = kappa * r
-    return X.T @ (kr / k_mu), (X * w[:, None]).T @ X, X.T @ (kr * mu / k_mu**2), terms
+    r, k_mu = y - mu, kappa + mu
+    w = mu / k_mu * (kappa / k_mu) * (kappa + y)
+    return X.T @ (kappa * r / k_mu), (X * w[:, None]).T @ X, X.T @ (kappa * r * mu / k_mu**2)
 
 
 def _kappa_score(y: np.ndarray, mu: np.ndarray, kappa, deriv: bool = False, terms=None):
@@ -372,7 +372,7 @@ def _kappa_score(y: np.ndarray, mu: np.ndarray, kappa, deriv: bool = False, term
     or matrices whose rows are triangles with one kappa each. Returns
     the score, or (score, derivative) from one :func:`_polygamma` call.
     ``terms`` are the cells' (y - mu, kappa + mu, y + kappa) when the
-    caller has them.
+    caller has them, as the joint fit does.
 
     The score is a sum of O(y / kappa) terms that cancel to
     -sum((y - mu)^2 - y) / (2 kappa^2). Summed from digamma values of
@@ -469,6 +469,9 @@ def _polygamma(x: np.ndarray, trigamma: bool = False):
     keep the bits they had when the package used scipy.
     """
     x = np.asarray(x, dtype=float)
+    if not x.shape:  # the shift below indexes by a mask, which a scalar lacks
+        poly = _polygamma(x.reshape(1), trigamma)
+        return (poly[0][0], poly[1][0]) if trigamma else poly[0]
     shift = np.fmin.reduce(x, axis=None, initial=np.inf) < _POLYGAMMA_SHIFT  # NaN-blind, like x < 10
     if shift:
         small = x < _POLYGAMMA_SHIFT

@@ -171,15 +171,9 @@ def nb_loglik(counts, mu, kappa: float) -> float:
     return _nb_loglik(y, np.asarray(mu, dtype=float), kappa, _lgamma(y + 1.0))
 
 
-def _nb_loglik(
-    y: np.ndarray, mu: np.ndarray, kappa: float, log_factorials: np.ndarray, ky: Optional[np.ndarray] = None,
-) -> float:
-    """:func:`nb_loglik` of float arrays, given each cell's log y! (a caller refitting the same counts keeps them).
-
-    ``ky`` is y + kappa when the caller has it.
-    """
-    if ky is None:
-        ky = y + kappa
+def _nb_loglik(y: np.ndarray, mu: np.ndarray, kappa: float, log_factorials: np.ndarray) -> float:
+    """:func:`nb_loglik` of float arrays, given each cell's log y! (a caller refitting the same counts keeps them)."""
+    ky = y + kappa
     # log Gamma(y + kappa) - log Gamma(kappa) - y log kappa
     if kappa < _KAPPA_SERIES:
         lgamma_ratio = _lgamma(ky) - math.lgamma(kappa) - y * math.log(kappa)
@@ -485,9 +479,9 @@ def _newton_step(
     (J - 1)-square Schur system in the development-year effects, then
     the accident-year effects by back-substitution. The step is halved
     until the row's deviance does not rise by more than ``_DEV_SLACK``
-    times its sum of y + kappa. Every row's whole step is tried at once;
-    when each row takes it, as near the optimum, its means are kept as
-    they are and no halving is set up. Cells outside ``mask`` get zero
+    times its sum of y + kappa. Every row's whole step is tried at once,
+    and only the rows that do not take it enter the halving loop, which
+    near the optimum is empty. Cells outside ``mask`` get zero
     weight and add nothing to either. ``coef`` and ``mu`` are updated in
     place for the rows that take a step. The caller silences the
     floating-point warnings of singular and diverging rows, which fail.
@@ -517,29 +511,26 @@ def _newton_step(
     mu_c = np.exp(eta)
     d = deviance(every, mu_c)
     step = ~failed & np.isfinite(d) & (d <= limit)
-    if step.all():
-        coef[live], mu[live] = cand, mu_c
-    else:
-        # step halving: each other row takes the first of (cand + old) / 2,
-        # ... within 29 more halvings that keeps its deviance within the slack
-        pend = np.nonzero(~(step | failed))[0]
-        for _ in range(29):
-            if pend.size == 0:
-                break
-            cand[pend] = 0.5 * (cand[pend] + old[pend])
-            e = _rows_dot(X, cand[pend]).clip(-_ETA_BOUND, _ETA_BOUND)
-            m = np.exp(e)
-            d = deviance(pend, m)
-            good = np.isfinite(d) & (d <= limit[pend])
-            took = pend[good]
-            step[took], eta[took], mu_c[took] = True, e[good], m[good]
-            pend = pend[~good]
-        # within the slack a Newton step near the optimum is always taken; a
-        # row that takes none, or whose kept means reach the clip, has a
-        # likelihood rising without bound
-        failed[pend] = True
-        mu_c = np.where(step[:, None], mu_c, mu_l)  # the means after the step
-        coef[live[step]], mu[live[step]] = cand[step], mu_c[step]
+    # step halving: each other row takes the first of (cand + old) / 2,
+    # ... within 29 more halvings that keeps its deviance within the slack
+    pend = np.nonzero(~(step | failed))[0]
+    for _ in range(29):
+        if pend.size == 0:
+            break
+        cand[pend] = 0.5 * (cand[pend] + old[pend])
+        e = _rows_dot(X, cand[pend]).clip(-_ETA_BOUND, _ETA_BOUND)
+        m = np.exp(e)
+        d = deviance(pend, m)
+        good = np.isfinite(d) & (d <= limit[pend])
+        took = pend[good]
+        step[took], eta[took], mu_c[took] = True, e[good], m[good]
+        pend = pend[~good]
+    # within the slack a Newton step near the optimum is always taken; a
+    # row that takes none, or whose kept means reach the clip, has a
+    # likelihood rising without bound
+    failed[pend] = True
+    mu_c = np.where(step[:, None], mu_c, mu_l)  # the means after the step
+    coef[live], mu[live] = np.where(step[:, None], cand, old), mu_c
     failed |= step & _kept(np.abs(eta) >= _ETA_BOUND, mask, live).any(axis=1)
     return decrement, tol, failed, mu_c
 

@@ -339,6 +339,12 @@ class TestTrigamma:
         for j, v in enumerate(x[3, :10]):
             assert _polygamma(v, trigamma=True) == (psi[3, j], tri[3, j])
             assert _polygamma(v) == psi[3, j]
+        # a scalar below 10 takes the shift too
+        small = np.array([[0.5, 3.0, 9.5, 25.0]])
+        psi_s, tri_s = _polygamma(small, trigamma=True)
+        for j, v in enumerate(small[0]):
+            assert _polygamma(v, trigamma=True) == (psi_s[0, j], tri_s[0, j])
+            assert _polygamma(v) == psi_s[0, j]
         # nor on a NaN elsewhere, as a diverging row of a batch may hold
         x[0, 0] = np.nan
         for got, want in zip(_polygamma(x, trigamma=True), (psi, tri)):

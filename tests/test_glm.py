@@ -450,6 +450,19 @@ class TestBatchedIrls:
         assert np.isnan(x[1]).all()
         assert np.array_equal(x[2], np.full(3, 0.5))
 
+    def test_solve_is_numpy_solve(self):
+        # _solve calls the LAPACK kernel behind np.linalg.solve directly;
+        # on nonsingular systems it must give the same bits
+        from nbreserve.glm import _solve
+
+        rng = np.random.default_rng(5)
+        for n in (1, 5, 12, 25):
+            M = rng.normal(size=(7, n, n))
+            A = M @ M.transpose(0, 2, 1) + n * np.eye(n)
+            B = rng.normal(size=(7, n, 2))
+            assert np.array_equal(_solve(A, B), np.linalg.solve(A, B))
+            assert np.array_equal(_solve(A[3], B[3]), np.linalg.solve(A[3], B[3]))
+
 
 @st.composite
 def newton_systems(draw):
