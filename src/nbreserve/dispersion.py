@@ -22,8 +22,9 @@ steps do not settle. Refits of the means at fixed kappa
 (:func:`_refit_means`) serve the estimate at the cap, those bracket
 points and the plotting grid. :func:`_joint_fit`
 alone remembers the joint fit at its estimate, with both
-log-likelihoods, which :func:`profile_kappa`, :func:`overdispersion_test`
-and :func:`nbreserve.glm.fit` at its kappa on the same data read.
+log-likelihoods, which :func:`profile_kappa`, :func:`overdispersion_test`,
+the bootstrap's base fit and :func:`nbreserve.glm.fit` at its kappa on
+the same data read.
 
 The maximum-likelihood kappa is biased high in small triangles because
 every cell carries its own mean parameter; the default remedy is the
@@ -51,6 +52,7 @@ KAPPA_MIN = 1e-3
 KAPPA_CAP = 1e8
 _BELOW_CAP = math.nextafter(KAPPA_CAP, 0.0)  # the largest kappa a joint fit starts from
 _LOG_CAP = math.log(KAPPA_CAP)
+_LOG_TINY = math.log(np.finfo(float).tiny)  # below it exp(theta) is subnormal or 0.0
 
 # chi-square(1) quantile at 0.95, used to invert the profile LRT
 CHI2_1_95 = 3.841458820694124
@@ -198,9 +200,10 @@ def _ci_endpoint(profile: _ProfileCache, theta_hat: float, target: float, bound:
 
     The iterates stay in the bracket (theta_hat, log ``bound``]. A run
     of steps that is singular, leaves the bracket, does not settle in
-    ``_ENDPOINT_STEPS`` steps or starts past the cap (where a nearly
-    flat profile's quadratic start can lie, and past 709 exp(theta)
-    overflows) is followed by a refit of the means: first at ``bound``,
+    ``_ENDPOINT_STEPS`` steps, or starts past the cap or at or below
+    ``_LOG_TINY`` (where a nearly flat profile's quadratic start can
+    lie: past 709 exp(theta) overflows, and below -708 it is subnormal
+    or 0.0), is followed by a refit of the means: first at ``bound``,
     from ``profile``'s warm start, which is the endpoint if the profile
     there is not below ``target``; then at the bracket's midpoint, which
     replaces the bracket end on its side of ``target``. The steps resume
@@ -219,7 +222,7 @@ def _ci_endpoint(profile: _ProfileCache, theta_hat: float, target: float, bound:
         # a diverging iterate's means may overflow here; its next theta
         # is then not finite, or outside the bracket, and the run ends
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for _ in range(_ENDPOINT_STEPS if theta <= _LOG_CAP else 0):
+            for _ in range(_ENDPOINT_STEPS if _LOG_TINY < theta <= _LOG_CAP else 0):
                 kappa = math.exp(theta)
                 mu = np.exp((X @ coef).clip(-_ETA_BOUND, _ETA_BOUND))
                 g, info, c = _tangent_terms(y, X, mu, kappa)
@@ -583,9 +586,9 @@ def nb_mle(y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray, float
     joint Newton iterations over the coefficients and log kappa from the
     closed-form chain-ladder Poisson fit, with the means refitted at the
     cap when the estimate is there. It is the fit :func:`_joint_fit`
-    remembers for :func:`profile_kappa` and :func:`overdispersion_test`,
-    bit for bit, but this call neither reads nor writes that memo. The
-    fit depends on the counts and the design alone.
+    remembers for its readers, bit for bit, but this call neither reads
+    nor writes that memo. The fit depends on the counts and the design
+    alone.
 
     Returns (coef, mu, kappa, at_boundary).
 
@@ -741,7 +744,11 @@ def _joint_fit(y: np.ndarray, design: Design) -> _JointFit:
     ``nbreserve.glm._last_joint_fit``, which nothing else writes, for the
     next call on the same data (:func:`nbreserve.glm._data_key`); the
     fits are deterministic, so a remembered record is the one a new call
-    would give. Returns it with copies of its arrays.
+    would give. Its readers are :func:`profile_kappa`,
+    :func:`overdispersion_test`, :func:`nbreserve.predictive.bootstrap`
+    (the base fit) and :func:`nbreserve.glm.fit` at the record's kappa;
+    :func:`nb_mle` neither reads nor writes it. Returns it with copies
+    of its arrays.
     """
     key = _data_key(y, design)
     seen, joint = glm._last_joint_fit

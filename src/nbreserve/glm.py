@@ -783,8 +783,9 @@ def fit(data: Sequence, family: Family) -> ModelFit:
     The fit is :func:`_irls` from its cold start, except for the
     negative binomial at the kappa of the last joint fit
     (:func:`nbreserve.dispersion.profile_kappa`'s estimate, which
-    :func:`nbreserve.dispersion.overdispersion_test` shares) on the same
-    counts and levels, bit for bit: that fit starts from the joint fit's
+    :func:`nbreserve.dispersion.overdispersion_test` and the base fit of
+    :func:`nbreserve.predictive.bootstrap` share) on the same counts and
+    levels, bit for bit: that fit starts from the joint fit's
     coefficients at that kappa and confirms them in one step; its
     log-means agree with a cold fit's to 1e-12, and its log-likelihood
     takes the joint fit's log y!. For the Poisson and

@@ -18,7 +18,8 @@ import numpy as np
 from . import _bootstrap
 from ._bootstrap import sample_nb
 from .chainladder import chain_ladder
-from .dispersion import _nb_variance, bias_correct, nb_mle
+from .dispersion import _joint_fit, _nb_variance, bias_correct
+from .dispersion import nb_mle  # not called here: bench/spans.py hooks predictive:nb_mle
 from .errors import BaseFitFailedError, ExcessiveFailuresError, ReservingError, TooFewDrawsError
 from .glm import ModelFit, _prepare
 from .triangle import RunOffTriangle, to_long, triangle_cells
@@ -98,7 +99,11 @@ def bootstrap(
     Fits the negative binomial chain-ladder model, corrects the
     dispersion (unless ``correct=False``), and runs ``b`` replicates of
     simulate-observed / refit / simulate-future. Replicates whose refit
-    genuinely fails are dropped and counted.
+    genuinely fails are dropped and counted. The base fit is the
+    remembered joint fit (:func:`nbreserve.dispersion._joint_fit`), so a
+    repeated bootstrap of one triangle, or one after
+    :func:`nbreserve.dispersion.profile_kappa` on its records, reads it
+    and does not fit again; the fit depends on the counts alone.
 
     Raises:
         BaseFitFailedError: the fit on the real triangle failed.
@@ -109,7 +114,7 @@ def bootstrap(
     records = to_long(t)
     try:
         y, design = _prepare(records)
-        _, mu, kappa_mle, _ = nb_mle(y, design)
+        _, mu, kappa_mle, _ = _joint_fit(y, design)[:4]
     except ReservingError as exc:
         raise BaseFitFailedError(f"base negative binomial fit failed: {exc}") from exc
 

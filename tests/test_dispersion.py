@@ -861,6 +861,33 @@ class TestEndpointSolve:
         assert max(endpoints.steps) <= KAPPA_CAP
         assert est.ci95[0] == pytest.approx(lower, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "name, lower", [("3x3", 6.926342817309498), ("5x5", 182.58460051512256)], ids=["3x3", "5x5"]
+    )
+    def test_start_below_the_floor_is_not_evaluated(self, name, lower, endpoints):
+        # the lower endpoint's quadratic start lies near theta = -950,
+        # where exp(theta) is 0.0: the steps decline it, and the first
+        # kappa the search evaluates is the refit's at KAPPA_MIN, from
+        # which the steps settle; no step evaluates a kappa of 0.0
+        est = profile_kappa(to_long(RunOffTriangle.from_rows(FLAT_PROFILE_ROWS[name])))
+        assert not est.at_boundary and len(endpoints.searches) == 2
+        below = endpoints.searches[0]
+        assert below.refits == [KAPPA_MIN]
+        assert below.steps[0] == min(below.steps) == pytest.approx(KAPPA_MIN, rel=1e-12)
+        assert min(endpoints.steps) > 0.0
+        assert est.ci95[0] == pytest.approx(lower, rel=1e-9)
+
+    def test_start_modestly_below_the_floor_is_stepped_from(self, endpoints):
+        # a lower start near theta = -9.2, below log KAPPA_MIN but where
+        # exp(theta) is a normal float, still takes its steps, which settle
+        # inside the bracket with no refit (a refit at the bound first
+        # would move the endpoint in its last digits)
+        rows = [[102, 131, 56, 49, 18, 18], [89, 102, 75, 67, 29], [94, 149, 66, 58], [103, 186, 86], [104, 140], [141]]
+        est = profile_kappa(to_long(RunOffTriangle.from_rows(rows)))
+        below = endpoints.searches[0]
+        assert below.refits == [] and below.steps[0] < KAPPA_MIN
+        assert KAPPA_MIN < est.ci95[0] == below.kappa < est.kappa_mle
+
     def test_endpoint_at_the_cap_takes_one_refit_there(self, monkeypatch):
         # an interior estimate (kappa about 132) whose profile stays above
         # the cut up to KAPPA_CAP: the iteration leaves the search range,
@@ -895,6 +922,31 @@ def test_profile_no_lower_than_fixed_kappa_fits(seed, dimension, kappa):
     est = profile_kappa(recs)
     best = max(fit(recs, Family.negbin(k)).loglik for k in np.geomspace(0.1, 1e6, 16))
     assert est.loglik >= best - 1e-6
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dimension=st.integers(4, 8),
+    kappa=st.sampled_from([2.0, 20.0, 200.0, math.inf]),
+    order=st.permutations(["bootstrap", "profile", "test"]),
+)
+def test_one_kappa_whichever_runs_first(seed, dimension, kappa, order):
+    # the bootstrap's base fit, the profile and the test read one joint
+    # fit, whichever of them fits it and whichever read it last
+    rows = _gamma_poisson_rows(np.random.default_rng(seed), dimension, kappa)
+    assume(rows is not None)
+    t = RunOffTriangle.from_rows(rows)
+    recs = to_long(t)
+    calls = {
+        "bootstrap": lambda: bootstrap(t, b=100, seed=0, workers=1),
+        "profile": lambda: profile_kappa(recs),
+        "test": lambda: overdispersion_test(recs),
+    }
+    glm._last_joint_fit = ((), None)
+    out = {name: calls[name]() for name in order}
+    assert out["bootstrap"].kappa_mle == out["profile"].kappa_mle == out["test"].kappa_mle
+    assert out["bootstrap"].kappa_adj == out["profile"].kappa_adj
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,13 +11,16 @@ from nbreserve import (
     bootstrap,
     chain_ladder,
     fit,
+    nb_mle,
     plugin_predict,
+    profile_kappa,
     sample_nb,
     summarize,
     to_long,
 )
+from nbreserve import dispersion, glm
 from nbreserve.errors import ExcessiveFailuresError, TooFewDrawsError
-from nbreserve.glm import _counts_and_design, _kept_levels
+from nbreserve.glm import _counts_and_design, _data_key, _kept_levels, _prepare
 from nbreserve.predictive import ay_summary, draws_csv, summary_json
 from nbreserve._rng import substream
 from conftest import drop_pattern, positive_table_exists
@@ -260,6 +265,80 @@ class TestBootstrap:
             assert np.array_equal(d.draws_total, one.draws_total)
             for ay in d.draws_by_ay:
                 assert np.array_equal(d.draws_by_ay[ay], one.draws_by_ay[ay])
+
+
+class TestBaseFitReuse:
+    """The base fit is the remembered joint fit: however warm the memo, the same distribution bit for bit."""
+
+    @staticmethod
+    def _assert_same(a, b, case):
+        for field in dataclasses.fields(a):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            if isinstance(x, dict):
+                assert list(x) == list(y)
+                x, y = list(x.values()), list(y.values())
+            assert np.array_equal(x, y) and np.asarray(x).dtype == np.asarray(y).dtype, (case, field.name)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name, other", [("australian", "taylor"), ("taylor", "australian")])
+    def test_warm_calls_give_the_cold_distribution(self, name, other, workers, request, monkeypatch):
+        t = request.getfixturevalue(name)
+
+        def run():
+            return bootstrap(t, b=100, seed=5, workers=workers)
+
+        monkeypatch.setattr(glm, "_last_joint_fit", ((), None))
+        cold = run()
+        warm = {"after a bootstrap": run()}
+        monkeypatch.setattr(glm, "_last_joint_fit", ((), None))
+        profile_kappa(to_long(t))
+        warm["after profile_kappa"] = run()
+        profile_kappa(to_long(request.getfixturevalue(other)))
+        warm["with another triangle remembered"] = run()
+        for case, d in warm.items():
+            self._assert_same(cold, d, case)
+
+    def test_warm_call_runs_no_base_fit(self, australian, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return fit_at_estimate(*args)
+
+        fit_at_estimate = dispersion._fit_at_estimate
+        monkeypatch.setattr(dispersion, "_fit_at_estimate", counted)
+        monkeypatch.setattr(glm, "_last_joint_fit", ((), None))
+        bootstrap(australian, b=100, seed=0)
+        assert len(calls) == 1
+        bootstrap(australian, b=100, seed=1)
+        assert len(calls) == 1
+        # the profile fits; the bootstrap after it reads that fit
+        monkeypatch.setattr(glm, "_last_joint_fit", ((), None))
+        profile_kappa(to_long(australian))
+        bootstrap(australian, b=100, seed=0, correct=False)
+        assert len(calls) == 2
+
+    def test_leaves_its_record_in_the_memo(self, australian, taylor, monkeypatch):
+        monkeypatch.setattr(glm, "_last_joint_fit", ((), None))
+        profile_kappa(to_long(taylor))
+        d = bootstrap(australian, b=100, seed=0)
+        y, design = _prepare(to_long(australian))
+        key, joint = glm._last_joint_fit
+        assert key == _data_key(y, design)
+        _, mu, kappa, at_boundary = nb_mle(y, design)
+        assert joint.kappa == kappa == d.kappa_mle and not at_boundary
+        assert np.array_equal(joint.mu, mu)
+
+    def test_separated_base_fit_leaves_the_memo(self, australian, monkeypatch):
+        from nbreserve.errors import BaseFitFailedError, SeparationError
+
+        monkeypatch.setattr(glm, "_last_joint_fit", ((), None))
+        profile_kappa(to_long(australian))
+        before = glm._last_joint_fit
+        with pytest.raises(BaseFitFailedError) as info:
+            bootstrap(RunOffTriangle.from_rows(TestUnboundedRefit.QUASI_SEPARATED), b=100, seed=0)
+        assert isinstance(info.value.__cause__, SeparationError)
+        assert glm._last_joint_fit is before
 
 
 class TestBatchedRefit:

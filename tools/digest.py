@@ -12,14 +12,18 @@ Groups:
   of the ``fit-batch`` benchmark workload at seeds 0-3
   (``bench/workloads.py``, imported and only read);
 - ``bootstrap-au`` and ``bootstrap-ta``: the Australian and Taylor-Ashe
-  bootstraps at B=1000, seeds 0-2, one worker;
+  bootstraps at B=1000, seeds 0-2, one worker, run twice: with the
+  remembered joint fit (``nbreserve.glm._last_joint_fit``) cleared before
+  every call, and warm, after ``profile_kappa`` on the same triangle;
 - ``study-desk``: a desk coverage study with ``n_sim`` 4 and ``b`` 50,
   seeds 0-1, serial.
 
 Floats are hashed by their exact ``repr`` and arrays by their bytes, so
 two trees print the same digests exactly when every output agrees in
 every bit. A raised package error is hashed by its type and message,
-and so is each warning a ``fit-batch`` triangle raises.
+and so is each warning a ``fit-batch`` triangle raises. A group whose
+runs disagree prints each run's digest after ``runs disagree:``, and
+the script then exits with status 1.
 """
 
 from __future__ import annotations
@@ -88,8 +92,13 @@ def _fit_batch(h) -> None:
             _feed(h, [f"{w.category.__name__}:{w.message}" for w in caught])
 
 
-def _bootstrap(h, triangle) -> None:
+def _bootstrap(h, triangle, warm: bool) -> None:
+    """The bootstraps with the remembered joint fit cleared before each call, or ``warm`` after ``profile_kappa``."""
+    if warm:
+        nb.dispersion.profile_kappa(nb.triangle.to_long(triangle))
     for seed in BOOTSTRAP_SEEDS:
+        if not warm:
+            nb.glm._last_joint_fit = ((), None)
         _feed(h, nb.predictive.bootstrap(triangle, b=BOOTSTRAP_B, correct=True, seed=seed, workers=1))
 
 
@@ -98,19 +107,31 @@ def _study(h) -> None:
         _feed(h, nb.simulation.run_study(nb.simulation.default_config(n_sim=4, b=50, seed=seed)))
 
 
+def _hashed(run, *args) -> str:
+    h = hashlib.sha256()
+    run(h, *args)
+    return h.hexdigest()
+
+
+# each group's runs, which must agree
 GROUPS = {
-    "fit-batch": _fit_batch,
-    "bootstrap-au": lambda h: _bootstrap(h, nb.australian_bodily_injury()),
-    "bootstrap-ta": lambda h: _bootstrap(h, nb.taylor_ashe()),
-    "study-desk": _study,
+    "fit-batch": lambda: [_hashed(_fit_batch)],
+    "bootstrap-au": lambda: [_hashed(_bootstrap, nb.australian_bodily_injury(), warm) for warm in (False, True)],
+    "bootstrap-ta": lambda: [_hashed(_bootstrap, nb.taylor_ashe(), warm) for warm in (False, True)],
+    "study-desk": lambda: [_hashed(_study)],
 }
 
 
 def main() -> None:
+    agree = True
     for name, run in GROUPS.items():
-        h = hashlib.sha256()
-        run(h)
-        print(f"{name} {h.hexdigest()}", flush=True)
+        digests = run()
+        if len(set(digests)) == 1:
+            print(f"{name} {digests[0]}", flush=True)
+        else:
+            print(f"{name} runs disagree: {' '.join(digests)}", flush=True)
+            agree = False
+    sys.exit(0 if agree else 1)
 
 
 if __name__ == "__main__":
