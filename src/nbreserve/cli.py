@@ -314,7 +314,7 @@ def cmd_reserve(triangle, b, levels, no_correct, threads, round_amounts, out_dir
     )
     click.echo("\n".join(table))
 
-    run.write_json("reserve.json", predictive.summary_json(dist, levels))
+    run.write_json("reserve.json", predictive._summary_payload(dist, [rows[-1] for rows in rows_by_level]))
     run.write_text("reserve.csv", "\n".join(csv_lines) + "\n")
     run.write_text("draws.csv", predictive.draws_csv(dist))
     run.finish()

@@ -571,6 +571,19 @@ def _kept_design(design: Design, ay_keep: np.ndarray, dy_keep: np.ndarray) -> Tu
     return cells, build_design(ay, dy, int(ay_keep.sum()), int(dy_keep.sum()))
 
 
+def _staircase(design: Design) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """(reach, length) when every accident year is observed on a prefix of the development years, else None.
+
+    ``reach`` (n_dy, n_ay) marks each observed cell, development year
+    first so that sums over accident years run last, and ``length``
+    counts each accident year's cells.
+    """
+    I, J = design.n_ay, design.n_dy
+    reach = np.bincount(design.dy_idx * I + design.ay_idx, minlength=J * I).reshape(J, I)
+    length = reach.sum(axis=0)
+    return (reach, length) if (reach == (np.arange(J)[:, None] < length)).all() else None
+
+
 def _chain_ladder_batch(Y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Poisson fit of every row of ``Y`` on its kept levels in closed form, by the chain-ladder.
 
@@ -596,11 +609,10 @@ def _chain_ladder_batch(Y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.n
     when its maximum exists (Haberman 1974).
     """
     m, I, J = len(Y), design.n_ay, design.n_dy
-    # cells per (development year, accident year): development year first, so sums over accident years run last
-    reach = np.bincount(design.dy_idx * I + design.ay_idx, minlength=J * I).reshape(J, I)
-    length = reach.sum(axis=0)
-    if not (reach == (np.arange(J)[:, None] < length)).all():
+    stairs = _staircase(design)
+    if stairs is None:
         return np.full((m, design.p), np.nan), np.full(Y.shape, np.nan), np.zeros(m, dtype=bool)
+    reach, length = stairs
     grid = np.zeros((m, J, I))
     grid[:, design.dy_idx, design.ay_idx] = Y
     cum = grid.cumsum(axis=1)
@@ -794,6 +806,13 @@ def fit(data: Sequence, family: Family) -> ModelFit:
     the observed information also converges fast on near-separated
     triangles, where Fisher scoring converges linearly.
 
+    A cold fit on a staircase layout (each accident year observed on a
+    prefix of the development years) first runs the existence test of
+    every other fit, the closed-form chain-ladder (:func:`_poisson_fit`):
+    the Poisson and the negative binomial at any fixed kappa have a
+    finite maximum on the same triangles. Other layouts go straight to
+    :func:`_irls`, which does not test for a maximum.
+
     Args:
         data: long-format records with ``ay`` (1-based), ``dy``
             (0-based) and ``count`` fields, for example
@@ -801,7 +820,8 @@ def fit(data: Sequence, family: Family) -> ModelFit:
         family: Poisson, quasi-Poisson, or fixed-kappa negative binomial.
 
     Raises:
-        SeparationError: a factor level has all-zero counts.
+        SeparationError: a factor level has all-zero counts, or a
+            staircase's likelihood has no finite maximum.
         RankDeficientError: a factor level is absent or there are
             fewer observations than parameters.
         NotConvergedError: the fit stopped unconverged, as
@@ -811,6 +831,8 @@ def fit(data: Sequence, family: Family) -> ModelFit:
 
     irls_family = Family.poisson() if family.tag == "quasipoisson" else family
     joint = _remembered_joint(y, design, family)
+    if joint is None and _staircase(design) is not None:
+        _poisson_fit(y, design)  # SeparationError where no finite maximum exists, for every family
     coef, mu, dev, dev_path, converged, n_iter = _irls(y, design, irls_family, None if joint is None else joint.coef)
     if not converged:
         raise NotConvergedError(f"IRLS stopped unconverged after {n_iter} iterations")

@@ -11,7 +11,7 @@ legitimate outcomes for thin accident years and are retained.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -154,36 +154,33 @@ def bootstrap(
     )
 
 
-def _interval(draws: np.ndarray, level: float) -> Tuple[float, float]:
-    # linear interpolation of order statistics (numpy's default rule)
-    lo, hi = np.quantile(draws, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
-    return float(lo), float(hi)
+def _interval_ends(draws: np.ndarray, levels: Sequence[float]) -> np.ndarray:
+    """Equal-tailed ends at each level along the last axis of ``draws``: shape (len(levels), 2) + draws.shape[:-1].
 
-
-def check_level(level: float) -> None:
-    """Raise ValueError unless ``level`` lies inside (0, 1)."""
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be inside (0, 1), got {level}")
+    Both tails of every level come from one ``np.quantile`` call, its linear interpolation of the order
+    statistics. ValueError unless each level is inside (0, 1).
+    """
+    for level in levels:
+        if not 0.0 < level < 1.0:
+            raise ValueError(f"level must be inside (0, 1), got {level}")
+    tails = np.quantile(draws, [p for lv in levels for p in ((1.0 - lv) / 2.0, (1.0 + lv) / 2.0)], axis=-1)
+    return tails.reshape((len(levels), 2) + tails.shape[1:])
 
 
 def summary_rows(d: ReserveDistribution, levels: Sequence[float]) -> List[List[IntervalSummary]]:
     """Per level, sorted: one row per accident year with future cells, then the total.
 
-    The draws are one C-contiguous (n_ay + 1, B) stack, so one row-wise
-    ``np.quantile`` at every level's two tails, one mean and one
-    ``std(ddof=1)`` give every row; row by row they are the bits of the
-    same calls on each draw array.
+    One :func:`_interval_ends`, mean and ``std(ddof=1)`` of the (n_ay + 1, B)
+    draw stack give every row, row by row the bits of the same calls on each draw array.
     """
     if d.b_effective < _MIN_DRAWS:
         raise TooFewDrawsError(
             f"{d.b_effective} effective draws; at least {_MIN_DRAWS} needed for stable quantiles"
         )
     levels = sorted(levels)
-    for level in levels:
-        check_level(level)
     years = sorted(d.draws_by_ay)
     stack = np.array([d.draws_by_ay[i] for i in years] + [d.draws_total])
-    tails = np.quantile(stack, [p for lv in levels for p in ((1.0 - lv) / 2.0, (1.0 + lv) / 2.0)], axis=1)
+    ends = _interval_ends(stack, levels).tolist()
     points = [float(d.point_by_ay[i - 1]) for i in years] + [d.point_total]
     cvs = [
         0.0 if mean == 0.0 else 100.0 * sd / mean
@@ -192,9 +189,9 @@ def summary_rows(d: ReserveDistribution, levels: Sequence[float]) -> List[List[I
     return [
         [
             IntervalSummary(level=level, lower=lo, upper=hi, point=point, cv_percent=cv)
-            for lo, hi, point, cv in zip(tails[2 * k].tolist(), tails[2 * k + 1].tolist(), points, cvs)
+            for lo, hi, point, cv in zip(*ends_k, points, cvs)
         ]
-        for k, level in enumerate(levels)
+        for level, ends_k in zip(levels, ends)
     ]
 
 
@@ -214,7 +211,11 @@ def ay_summary(d: ReserveDistribution, level: float = 0.95) -> List[IntervalSumm
 
 def summary_json(d: ReserveDistribution, levels: Sequence[float] = (0.95,)) -> dict:
     """JSON-ready summary with the schema used by the command line tools."""
-    intervals = summarize(d, levels)
+    return _summary_payload(d, summarize(d, levels))
+
+
+def _summary_payload(d: ReserveDistribution, intervals: Sequence[IntervalSummary]) -> dict:
+    """:func:`summary_json` from the total's intervals, one per sorted level."""
     return {
         "point": d.point_total,
         "levels": [{"level": s.level, "lower": s.lower, "upper": s.upper} for s in intervals],

@@ -37,7 +37,7 @@ from .dispersion import nb_mle  # not called here: bench/spans.py hooks simulati
 from .errors import ConfigError, ReservingError
 from .glm import Design, _counts_and_design
 from .glm import _irls  # not called here: bench/spans.py hooks simulation:_irls
-from .predictive import _interval
+from .predictive import _interval_ends
 from .triangle import _MAX_COUNT, RunOffTriangle, _observed_part, to_long, triangle_cells
 
 SCENARIOS = ("correct", "poisson", "calendar", "varying-kappa")
@@ -267,8 +267,7 @@ def _run_replicate(config: DgpConfig, s: int, methods: Sequence[str]) -> Dict[st
         if failures > _bootstrap.MAX_FAILURE_FRACTION * config.b:
             continue
         rec = {"point": point, "true": true_out, "kappa": kappa, "at_boundary": at_boundary}
-        for level in LEVELS:
-            lo, hi = _interval(totals, level)
+        for level, (lo, hi) in zip(LEVELS, _interval_ends(totals, LEVELS).tolist()):
             rec[("cover", level)] = bool(lo <= true_out <= hi)
             rec[("width", level)] = hi - lo
         out[method] = rec

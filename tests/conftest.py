@@ -4,6 +4,18 @@ import pytest
 from nbreserve import RunOffTriangle, australian_bodily_injury, taylor_ashe
 
 
+# quasi-separated triangles: a year whose counts sit in a lone cell
+# that no other year shares, so no strictly positive table has the
+# margins and the likelihood has no finite maximum. In the 5 x 5 it is
+# accident year 1's count in development year 4; in the 8 x 8,
+# development year 0's in the last accident year
+QUASI_SEPARATED = {
+    "5x5": [[0, 0, 0, 0, 1], [2, 0, 4, 5], [3, 0, 1], [3, 3], [1]],
+    "8x8": [[0, 46, 20, 2, 2, 1, 77, 6], [0, 28, 0, 0, 0, 1, 14], [0, 42, 20, 0, 0, 1], [0, 31, 7, 0, 1],
+            [0, 27, 11, 1], [0, 29, 9], [0, 16], [1]],
+}
+
+
 @pytest.fixture(scope="session")
 def australian():
     return australian_bodily_injury()

@@ -14,6 +14,7 @@ import nbreserve
 from nbreserve import Family, RunOffTriangle, errors, fit, serialize_triangle, to_long
 from nbreserve.cli import _future_sum, main
 from nbreserve.glm import ConditioningWarning
+from conftest import QUASI_SEPARATED
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +181,29 @@ class TestReserve:
             "reserve.json": "928916181fce9de9aaf0ee888a8175ad49cc2044f3f8383cf703da9108512bd8",
             "reserve.csv": "732250369ff884df4d304a5357f3ca90ef7a3c3bb175ffeb63a65cf6912dd348",
         }
+
+    def test_one_summary_pass(self, runner, triangle_csv, tmp_path, monkeypatch):
+        # the table, reserve.csv and reserve.json come from one summary pass,
+        # whose one np.quantile call gives every level's ends
+        import numpy as np
+        from nbreserve import predictive
+
+        calls = {"rows": 0, "quantile": 0}
+        real_rows, real_quantile = predictive.summary_rows, np.quantile
+
+        def rows(*args):
+            calls["rows"] += 1
+            return real_rows(*args)
+
+        def quantile(*args, **kwargs):
+            calls["quantile"] += 1
+            return real_quantile(*args, **kwargs)
+
+        monkeypatch.setattr(predictive, "summary_rows", rows)
+        monkeypatch.setattr(np, "quantile", quantile)
+        run_ok(runner, ["reserve", triangle_csv, "-B", "100", "--level", "0.75", "--level", "0.95",
+                        "--threads", "1", "--out-dir", str(tmp_path / "out")])
+        assert calls == {"rows": 1, "quantile": 1}
 
     def test_seed_determinism(self, runner, triangle_csv, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
@@ -597,25 +621,15 @@ class TestErrors:
         assert "all-zero counts" in err["message"]
         assert not (tmp_path / "out").exists()
 
-    # quasi-separated triangles: a year whose counts sit in a lone cell
-    # that no other year shares, so no strictly positive table has the
-    # margins and the likelihood has no finite maximum. In the 5 x 5 it is
-    # accident year 1's count in development year 4; in the 8 x 8,
-    # development year 0's in the last accident year. Each command refuses
-    # them on load, as for an all-zero year
-    QUASI_SEPARATED = {
-        "5x5": [[0, 0, 0, 0, 1], [2, 0, 4, 5], [3, 0, 1], [3, 3], [1]],
-        "8x8": [[0, 46, 20, 2, 2, 1, 77, 6], [0, 28, 0, 0, 0, 1, 14], [0, 42, 20, 0, 0, 1], [0, 31, 7, 0, 1],
-                [0, 27, 11, 1], [0, 29, 9], [0, 16], [1]],
-    }
-
+    # each command refuses a quasi-separated triangle on load, as for an
+    # all-zero year
     @pytest.mark.parametrize(
         "command, extra",
         [("fit", []), ("diagnose", []), ("reserve", ["-B", "100", "--threads", "1"])],
         ids=["fit", "diagnose", "reserve"],
     )
     def test_quasi_separated_triangle_fails_typed(self, runner, tmp_path, command, extra):
-        for name, rows in self.QUASI_SEPARATED.items():
+        for name, rows in QUASI_SEPARATED.items():
             path, out = tmp_path / f"{name}.csv", tmp_path / f"out-{name}"
             path.write_text(triangle_text(rows))
             result = runner.invoke(main, [command, str(path), "--out-dir", str(out), *extra])

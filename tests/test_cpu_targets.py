@@ -23,6 +23,7 @@ QUASI_SEPARATED_TESTS = (
     "tests/test_predictive.py::TestUnboundedRefit",
     "tests/test_dispersion.py::TestJointMle::test_is_the_remembered_joint_fit[quasi-separated]",
     "tests/test_cli.py::TestErrors::test_quasi_separated_triangle_fails_typed",
+    "tests/test_glm.py::TestDegenerateInputs::test_quasi_separated_has_no_fit",
 )
 
 

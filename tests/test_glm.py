@@ -10,7 +10,7 @@ from scipy import stats
 from nbreserve import Family, chain_ladder, fit, nb_loglik, pearson_dispersion, poisson_loglik, to_long, to_simplex
 from nbreserve.glm import ConditioningWarning, build_design, score
 from nbreserve.errors import RankDeficientError, SeparationError
-from conftest import drop_pattern, positive_table_exists, random_triangle
+from conftest import QUASI_SEPARATED, drop_pattern, positive_table_exists, random_triangle
 
 
 def future_sum(model):
@@ -288,6 +288,17 @@ class TestDegenerateInputs:
         recs = to_long_rows([[5, 3, 2], [0, 0], [4]])
         with pytest.raises(SeparationError):
             fit(recs, Family.poisson())
+
+    @pytest.mark.parametrize("name", sorted(QUASI_SEPARATED))
+    @pytest.mark.parametrize(
+        "family", [Family.poisson(), Family.quasi_poisson(), Family.negbin(5.0)], ids=["poisson", "odp", "nb"]
+    )
+    def test_quasi_separated_has_no_fit(self, name, family):
+        # every year has a count, yet no family has a finite maximum: the
+        # cold fit refuses the triangle before its Newton steps drift, on
+        # every CPU target (tests/test_cpu_targets.py)
+        with pytest.raises(SeparationError, match="no finite maximum"):
+            fit(to_long_rows(QUASI_SEPARATED[name]), family)
 
     def test_missing_level(self, australian):
         recs = [r for r in to_long(australian) if r.ay != 3]
@@ -658,6 +669,10 @@ class TestClosedFormPoisson:
             assert not fit_kept_levels(Y, holed, family)[0].any()
         with pytest.raises(SeparationError):
             _poisson_fit(Y[0], holed)
+        # glm.fit skips the existence test there and takes its Newton steps
+        recs = [r for r, k in zip(to_long(australian), keep) if k]
+        for family in (Family.poisson(), Family.quasi_poisson(), Family.negbin(5.0)):
+            assert fit(recs, family).converged
 
     def test_boundary_maximum_falls_back(self):
         # [[0, 5], [3]]: the Poisson maximum puts the first cell's mean at

@@ -718,6 +718,53 @@ class TestUnboundedRefit:
         assert np.array_equal(totals_b[ok_b], totals[ok_b]) and np.array_equal(by_ay_b[ok_b], by_ay[ok_b])
 
 
+@st.composite
+def draw_stacks(draw):
+    """A (rows, B) stack of count draws, B from 100 to 500, with ties and constant rows.
+
+    Each row is drawn on its own scale: at a small one most draws tie,
+    and some rows are one value repeated.
+    """
+    rows, b = draw(st.integers(1, 6)), draw(st.integers(100, 500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = np.exp(rng.uniform(-2.0, 14.0, size=(rows, 1)))
+    stack = rng.negative_binomial(2.0, 2.0 / (2.0 + scale), size=(rows, b)).astype(float)
+    stack[rng.random(rows) < draw(st.sampled_from([0.0, 0.3]))] = float(rng.integers(0, 1000))
+    return stack
+
+
+class TestIntervalRule:
+    """``predictive._interval_ends``, the one rule that turns draws into interval ends."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        stack=draw_stacks(),
+        levels=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=5),
+    )
+    def test_per_array_quantiles_that_nest(self, stack, levels):
+        from nbreserve.predictive import _interval_ends
+
+        levels = sorted(levels)
+        ends = _interval_ends(stack, levels)
+        assert ends.shape == (len(levels), 2, len(stack))
+        for r, draws in enumerate(stack):
+            assert np.array_equal(_interval_ends(draws, levels), ends[:, :, r])
+            for k, level in enumerate(levels):
+                want = np.quantile(draws, [(1.0 - level) / 2.0, (1.0 + level) / 2.0])
+                assert np.array_equal(ends[k, :, r], want)
+        # a wider level's interval holds a narrower one's
+        lower, upper = ends[:, 0], ends[:, 1]
+        assert np.all(lower <= upper)
+        assert np.all(np.diff(lower, axis=0) <= 0.0) and np.all(np.diff(upper, axis=0) >= 0.0)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, float("nan")])
+    def test_level_outside_the_unit_interval(self, level):
+        from nbreserve.predictive import _interval_ends
+
+        with pytest.raises(ValueError, match="inside"):
+            _interval_ends(np.arange(100.0), [0.5, level])
+
+
 class TestSummaries:
     def test_quantile_rule(self, dist):
         (s,) = summarize(dist, levels=(0.95,))

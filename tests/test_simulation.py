@@ -293,6 +293,29 @@ class TestStudyPinned:
         assert failed == {"poisson": 0, "odp": 2, "nb_mle": 0, "nb_corrected": 2}
 
 
+def test_one_interval_call_per_method_and_triangle(monkeypatch):
+    # both levels of a method come from one call of the package's interval
+    # rule, and the study makes no quantile call of its own
+    from nbreserve import simulation
+
+    calls = {"ends": 0, "quantile": 0}
+    real_ends, real_quantile = simulation._interval_ends, np.quantile
+
+    def ends(*args):
+        calls["ends"] += 1
+        return real_ends(*args)
+
+    def quantile(*args, **kwargs):
+        calls["quantile"] += 1
+        return real_quantile(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "_interval_ends", ends)
+    monkeypatch.setattr(np, "quantile", quantile)
+    result = run_study(default_config(n_sim=2, b=50, seed=8))
+    scored = sum(m.n_completed for m in result.methods)
+    assert scored == 8 and calls == {"ends": scored, "quantile": scored}
+
+
 class TestGroupPass:
     """One engine pass per triangle gives every method the draws of its own run."""
 

@@ -16,7 +16,12 @@ Groups:
   remembered joint fit (``nbreserve.glm._last_joint_fit``) cleared before
   every call, and warm, after ``profile_kappa`` on the same triangle;
 - ``study-desk``: a desk coverage study with ``n_sim`` 4 and ``b`` 50,
-  seeds 0-1, serial.
+  seeds 0-1, serial;
+- ``reserve-cli``: ``nbreserve reserve`` through the in-process click
+  ``main`` on the Australian and Taylor-Ashe CSVs, B=300, levels 0.5,
+  0.75 and 0.95, seeds 0-1, ``--threads 1``: its ``reserve.json`` and
+  ``reserve.csv`` without their ``run_id`` lines (the run id hashes the
+  input's path, which is a temporary directory).
 
 Floats are hashed by their exact ``repr`` and arrays by their bytes, so
 two trees print the same digests exactly when every output agrees in
@@ -30,8 +35,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -40,12 +48,15 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import nbreserve as nb  # noqa: E402
+import nbreserve.cli  # noqa: E402,F401 (binds nb.cli)
 from workloads import FitBatch  # noqa: E402
 
 FIT_BATCH_SEEDS = (0, 1, 2, 3)
 BOOTSTRAP_SEEDS = (0, 1, 2)
 BOOTSTRAP_B = 1000
 STUDY_SEEDS = (0, 1)
+RESERVE_CLI_SEEDS = (0, 1)
+RESERVE_CLI_ARGS = ("-B", "300", "--level", "0.5", "--level", "0.75", "--level", "0.95", "--threads", "1")
 
 
 def _feed(h, value) -> None:
@@ -107,6 +118,26 @@ def _study(h) -> None:
         _feed(h, nb.simulation.run_study(nb.simulation.default_config(n_sim=4, b=50, seed=seed)))
 
 
+def _reserve_cli(h) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, triangle in (("australian", nb.australian_bodily_injury()), ("taylor-ashe", nb.taylor_ashe())):
+            csv = Path(tmp) / f"{name}.csv"
+            csv.write_text(nb.triangle.serialize_triangle(triangle), encoding="utf-8")
+            for seed in RESERVE_CLI_SEEDS:
+                out = Path(tmp) / f"{name}-{seed}"
+                args = ["reserve", str(csv), *RESERVE_CLI_ARGS, "--seed", str(seed), "--out-dir", str(out)]
+                errors = io.StringIO()
+                try:
+                    with redirect_stdout(io.StringIO()), redirect_stderr(errors):
+                        nb.cli.main.main(args, standalone_mode=False)
+                except SystemExit as exc:  # a failed run prints one JSON error line
+                    _feed(h, f"exit {exc.code}: {errors.getvalue()}")
+                for output in ("reserve.json", "reserve.csv"):
+                    path = out / output
+                    text = path.read_text(encoding="utf-8") if path.exists() else ""
+                    _feed(h, [line for line in text.splitlines() if "run_id" not in line])
+
+
 def _hashed(run, *args) -> str:
     h = hashlib.sha256()
     run(h, *args)
@@ -119,6 +150,7 @@ GROUPS = {
     "bootstrap-au": lambda: [_hashed(_bootstrap, nb.australian_bodily_injury(), warm) for warm in (False, True)],
     "bootstrap-ta": lambda: [_hashed(_bootstrap, nb.taylor_ashe(), warm) for warm in (False, True)],
     "study-desk": lambda: [_hashed(_study)],
+    "reserve-cli": lambda: [_hashed(_reserve_cli)],
 }
 
 
