@@ -134,7 +134,7 @@ def _refit(y_star: np.ndarray, spec: EngineSpec) -> Optional[Tuple[np.ndarray, n
     """Refit one replicate on its reduced design; returns (row_eff, col_eff, dispersion).
 
     The reduced design has the replicate's kept levels only; None means
-    its kept cells cannot identify their effects. Row and column effects
+    it keeps no level or its refit fails. Row and column effects
     are on the log scale with dropped levels at -inf, so exp(row + col)
     gives zero means there. The dispersion slot holds kappa for negbin
     refits and phi for quasipoisson refits. A negative binomial refit is
@@ -149,8 +149,6 @@ def _refit(y_star: np.ndarray, spec: EngineSpec) -> Optional[Tuple[np.ndarray, n
     if not ay_keep.any():
         return None
     cells, design = _kept_design(spec.design, ay_keep, dy_keep)
-    if design.n < design.p:
-        return None
     y_fit = y_star[cells].astype(float)
 
     try:
@@ -190,8 +188,9 @@ def fit_kept_levels(
     Returns (ok, coef, mu, disp, ay_keep, dy_keep): mu is zero on the
     left-out cells; disp is kappa, the ``quasipoisson`` Pearson phi over
     the kept cells less the free coefficients (NaN with none left), or
-    NaN. ok is False for rows that keep no cell or fewer cells than
-    free coefficients, and for fits that fail, as with no finite maximum.
+    NaN. ok is False for rows that keep no cell and for fits that fail,
+    as with no finite maximum. On a staircase, as every caller's design
+    is, a row's kept cells are never fewer than its free coefficients.
     """
     m = len(Y)
     ok = np.zeros(m, dtype=bool)
@@ -202,7 +201,7 @@ def fit_kept_levels(
     mask, pin = drop_masks(design, ay_keep, dy_keep)
     n_kept = mask.sum(axis=1)
     dof = n_kept - (pin.shape[1] - pin.sum(axis=1))  # kept cells less free coefficients
-    fit = np.nonzero((n_kept > 0) & (dof >= 0))[0]
+    fit = np.nonzero(n_kept > 0)[0]
     if fit.size == 0:
         return ok, coef, mu, disp, ay_keep, dy_keep
     kept, pin = mask[fit], pin[fit]

@@ -144,9 +144,9 @@ def _input(path: str) -> dict:
 
 def _load_triangle(path: str, round_amounts: bool):
     t = read_triangle(path, round_amounts=round_amounts)
-    # a triangle with no finite maximum (an all-zero year, or quasi-separation,
-    # which the closed-form Poisson fit rejects) fails here, as SeparationError,
-    # for every command alike, before the chain-ladder or any fit sees it
+    # a triangle with an accident year's total of 2**53 or more, or with no finite
+    # maximum (an all-zero year, or quasi-separation), fails here for every
+    # command alike, before the chain-ladder or any fit sees it
     _poisson_fit(*_prepare(to_long(t)))
     return t
 

@@ -47,6 +47,7 @@ from .glm import (
     _ETA_BOUND, _IRLS_MAX_ITER, _KAPPA_SERIES, Design, Family, _chain_ladder_batch, _data_key, _irls, _JointFit,
     _kept, _newton_step, _NormalEquations, _lgamma, _nb_loglik, _poisson_fit, _poisson_loglik, _prepare, _solve,
 )
+from .triangle import _check_layout
 
 KAPPA_MIN = 1e-3
 KAPPA_CAP = 1e8
@@ -593,10 +594,12 @@ def nb_mle(y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray, float
     Returns (coef, mu, kappa, at_boundary).
 
     Raises:
+        TriangleError: the design's cells are not a triangle's, as for ``glm.fit``.
         SeparationError: the likelihood has no finite maximum.
         NotConvergedError: the fit failed as :func:`_nb_mle_batch`
             describes, or the refit at the cap did not converge.
     """
+    _check_layout(design.ay_idx + 1, design.dy_idx)
     y = np.asarray(y, dtype=float)
     return _fit_at_estimate(y, design, _poisson_fit(y, design))
 

@@ -57,10 +57,6 @@ class SeparationError(TriangleError):
     """A factor level has all-zero counts, so its coefficient diverges: an input problem in a user's triangle."""
 
 
-class RankDeficientError(ReservingError):
-    """The design matrix is rank deficient (for example a missing factor level)."""
-
-
 class NotConvergedError(ReservingError):
     """Iterative fitting failed to converge within the iteration budget."""
 

@@ -19,8 +19,8 @@ a (J - 1)-square Schur system in the development-year effects, where
 Under the log link the Poisson's observed and expected information
 coincide, so its step is the Fisher-scoring step; the Poisson is the
 kappa -> infinity end of the same step. A batch's Poisson fit is the
-chain-ladder in closed form (:func:`_chain_ladder_batch`), which on a
-staircase takes exactly the rows whose maximum exists; the others fail
+chain-ladder in closed form (:func:`_chain_ladder_batch`), which takes
+exactly the rows whose maximum exists; the others fail
 (:func:`_poisson_fit` raises :class:`SeparationError` for one row).
 
 Fits are computed under treatment contrasts (first accident year and
@@ -28,7 +28,8 @@ development year 0 as baselines) and re-expressed on the simplex scale,
 where the development effects exponentiate to weights summing to one.
 
 The other modules share its layout: records to counts and a design
-(:func:`_counts_and_design`; :func:`_prepare` adds the input checks),
+(:func:`_counts_and_design`, of a run-off triangle's cells;
+:func:`_prepare` adds the checks of the counts),
 the coefficient order (:func:`build_design`, read back by
 :func:`_split_coef` and :func:`_effects_from_coef`), the levels a row
 keeps (:func:`_kept_levels`), the masks and pins that drop the others
@@ -47,8 +48,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import NoResidualDofError, NotConvergedError, RankDeficientError, SeparationError
-from .triangle import _MAX_COUNT, _coerce_count
+from .errors import CountTooLargeError, NoResidualDofError, NotConvergedError, SeparationError
+from .triangle import _MAX_COUNT, _check_layout, _coerce_count
 
 # Linear predictors are clipped here before exponentiation; exp(+-500)
 # stays finite in float64 while leaving real fits untouched.
@@ -571,25 +572,13 @@ def _kept_design(design: Design, ay_keep: np.ndarray, dy_keep: np.ndarray) -> Tu
     return cells, build_design(ay, dy, int(ay_keep.sum()), int(dy_keep.sum()))
 
 
-def _staircase(design: Design) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """(reach, length) when every accident year is observed on a prefix of the development years, else None.
-
-    ``reach`` (n_dy, n_ay) marks each observed cell, development year
-    first so that sums over accident years run last, and ``length``
-    counts each accident year's cells.
-    """
-    I, J = design.n_ay, design.n_dy
-    reach = np.bincount(design.dy_idx * I + design.ay_idx, minlength=J * I).reshape(J, I)
-    length = reach.sum(axis=0)
-    return (reach, length) if (reach == (np.arange(J)[:, None] < length)).all() else None
-
-
 def _chain_ladder_batch(Y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Poisson fit of every row of ``Y`` on its kept levels in closed form, by the chain-ladder.
 
-    On a layout whose every accident year is observed on a prefix of the
-    development years, the Poisson maximum-likelihood means are the
-    chain-ladder's (Renshaw & Verrall 1998): with C the cumulated counts,
+    Every caller's layout, a run-off triangle or its kept levels
+    (:func:`_kept_design`), observes each accident year on a prefix of
+    the development years. There the Poisson maximum-likelihood means
+    are the chain-ladder's (Renshaw & Verrall 1998): with C the cumulated counts,
     the factor f_j = sum C[i, j] / sum C[i, j - 1] over the years
     observed at j gives the share of development year j of the
     ultimate, and each year's observed total gives its ultimate. A
@@ -602,17 +591,16 @@ def _chain_ladder_batch(Y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.n
     kept level of each factor as the baseline, and each dropped level's
     coefficient, as :func:`drop_masks` pins them, zero; its means are
     exp(X coef) on every cell. Returns (coef, mu, ok); ok is False for
-    rows not taken: rows that leave a kept cell with a zero mean (a
-    maximum on the boundary, or none), and every row when the layout is
-    not of that form. On that layout a row is taken exactly when some
+    rows not taken, those that leave a kept cell with a zero mean (a
+    maximum on the boundary, or none). A row is taken exactly when some
     strictly positive table on its kept cells has its margins, which is
     when its maximum exists (Haberman 1974).
     """
     m, I, J = len(Y), design.n_ay, design.n_dy
-    stairs = _staircase(design)
-    if stairs is None:
-        return np.full((m, design.p), np.nan), np.full(Y.shape, np.nan), np.zeros(m, dtype=bool)
-    reach, length = stairs
+    # each observed cell, development year first so that sums over
+    # accident years run last, and each accident year's count of cells
+    reach = np.bincount(design.dy_idx * I + design.ay_idx, minlength=J * I).reshape(J, I)
+    length = reach.sum(axis=0)
     grid = np.zeros((m, J, I))
     grid[:, design.dy_idx, design.ay_idx] = Y
     cum = grid.cumsum(axis=1)
@@ -649,7 +637,7 @@ def _poisson_fit(y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray,
     if not poisson[2][0]:
         raise SeparationError(
             "the likelihood has no finite maximum: no strictly positive table on the observed cells has their "
-            "accident- and development-year totals (or the cells are not a run-off triangle's)"
+            "accident- and development-year totals"
         )
     return poisson
 
@@ -724,38 +712,30 @@ def to_simplex(fit: ModelFit) -> ModelFit:
     )
 
 
-def _check_levels(y: np.ndarray, design: Design) -> None:
-    # per factor, the levels with a cell and those with a positive total,
-    # the rule of _kept_levels counted for one row
-    factors = (("accident year", design.ay_idx, design.n_ay), ("development year", design.dy_idx, design.n_dy))
-    for name, idx, n in factors:
-        present = np.bincount(idx, minlength=n)
-        if np.count_nonzero(present) < n:
-            raise RankDeficientError(f"{name} level {int(np.argmin(present))} has no observations")
-        kept = np.bincount(idx, weights=y, minlength=n)  # y >= 0 here
-        if np.count_nonzero(kept) < n:
-            raise SeparationError(f"{name} level {int(np.argmin(kept))} has all-zero counts; its coefficient diverges")
-
-
 def _counts_and_design(data: Sequence) -> Tuple[np.ndarray, Design]:
-    """Counts and design of long-format records, levels numbered from the records' largest years."""
+    """Counts and design of long-format records, which must be a run-off triangle's cells (``_check_layout``)."""
     ay = np.array([r.ay for r in data], dtype=np.int64)
     dy = np.array([r.dy for r in data], dtype=np.int64)
-    return np.array([r.count for r in data], dtype=float), build_design(ay, dy)
+    I = _check_layout(ay, dy)
+    return np.array([r.count for r in data], dtype=float), build_design(ay, dy, I, I)
 
 
 def _prepare(data: Sequence) -> Tuple[np.ndarray, Design]:
-    """:func:`_counts_and_design` with :func:`fit`'s input checks; counts get the triangle constructors' check."""
+    """:func:`_counts_and_design` with :func:`fit`'s checks of each count, accident year's total and level's total."""
     y, design = _counts_and_design(data)
     bad = ~((y >= 0) & (y <= _MAX_COUNT) & (y == np.floor(y)))  # NaN fails every comparison
-    if bad.any():
-        r = data[int(np.argmax(bad))]
+    if np.count_nonzero(bad):  # the first in row-major order, as the triangle constructors name it
+        r = min((data[k] for k in np.nonzero(bad)[0].tolist()), key=lambda r: (r.ay, r.dy))
         _coerce_count(r.count, f"({r.ay}, {r.dy})", False)
-    if design.n < design.p:
-        raise RankDeficientError(
-            f"{design.n} observations cannot identify {design.p} parameters"
-        )
-    _check_levels(y, design)
+    # a float64 sum of counts is exact below 2**53 and rounds monotonically above
+    big = np.bincount(design.ay_idx, weights=y) > _MAX_COUNT
+    if np.count_nonzero(big):
+        i = int(np.argmax(big))
+        total = sum(map(int, y[design.ay_idx == i].tolist()))
+        raise CountTooLargeError(f"accident year {i + 1}: total {total} is 2**53 or more")
+    for name, kept in zip(("accident year", "development year"), _kept_levels(y[None], design)):
+        if np.count_nonzero(kept) < kept.size:
+            raise SeparationError(f"{name} level {int(np.argmin(kept))} has all-zero counts; its coefficient diverges")
     return y, design
 
 
@@ -806,24 +786,24 @@ def fit(data: Sequence, family: Family) -> ModelFit:
     the observed information also converges fast on near-separated
     triangles, where Fisher scoring converges linearly.
 
-    A cold fit on a staircase layout (each accident year observed on a
-    prefix of the development years) first runs the existence test of
-    every other fit, the closed-form chain-ladder (:func:`_poisson_fit`):
-    the Poisson and the negative binomial at any fixed kappa have a
-    finite maximum on the same triangles. Other layouts go straight to
-    :func:`_irls`, which does not test for a maximum.
+    A cold fit first runs the existence test of every other fit,
+    :func:`_poisson_fit`: every family has a finite maximum on the same
+    triangles.
 
     Args:
         data: long-format records with ``ay`` (1-based), ``dy``
-            (0-based) and ``count`` fields, for example
-            ``triangle.to_long(t)``.
+            (0-based) and ``count`` fields, one for each observed cell
+            of a run-off triangle, for example ``triangle.to_long(t)``.
         family: Poisson, quasi-Poisson, or fixed-kappa negative binomial.
 
     Raises:
-        SeparationError: a factor level has all-zero counts, or a
-            staircase's likelihood has no finite maximum.
-        RankDeficientError: a factor level is absent or there are
-            fewer observations than parameters.
+        TriangleError: the records are not each cell of a triangle
+            once (MissingCellError, RaggedRowsError or FutureCellError,
+            naming the cell), or a count or an accident year's total is
+            not an integer in [0, 2**53) (CountTooLargeError and others).
+        SeparationError: a factor level has all-zero counts, or the
+            likelihood has no finite maximum.
+        NoResidualDofError: a quasi-Poisson fit of a 2 x 2 triangle.
         NotConvergedError: the fit stopped unconverged, as
             :func:`_irls` describes.
     """
@@ -831,7 +811,7 @@ def fit(data: Sequence, family: Family) -> ModelFit:
 
     irls_family = Family.poisson() if family.tag == "quasipoisson" else family
     joint = _remembered_joint(y, design, family)
-    if joint is None and _staircase(design) is not None:
+    if joint is None:
         _poisson_fit(y, design)  # SeparationError where no finite maximum exists, for every family
     coef, mu, dev, dev_path, converged, n_iter = _irls(y, design, irls_family, None if joint is None else joint.coef)
     if not converged:
@@ -888,18 +868,16 @@ def fit(data: Sequence, family: Family) -> ModelFit:
 def pearson_dispersion(fit: ModelFit) -> float:
     """Pearson dispersion phi = sum((y - mu)^2 / mu) / (n - p).
 
-    Only defined for Poisson-family fits. A saturated fit with all-zero
-    residuals reports phi = 0 even when n == p.
+    Only defined for Poisson-family fits with n > p.
     """
     if fit.family.tag == "negbin":
         raise ValueError("Pearson dispersion applies to Poisson-family fits")
-    ss = float(pearson_statistic(fit.y, fit.fitted_mu))
-    if ss == 0.0:
-        return 0.0
     dof = fit.n_obs - fit.n_params
     if dof <= 0:
-        raise NoResidualDofError("Pearson dispersion undefined: no residual degrees of freedom")
-    return ss / dof
+        raise NoResidualDofError(
+            f"no residual degrees of freedom: {fit.n_obs} observed cells for {fit.n_params} parameters"
+        )
+    return float(pearson_statistic(fit.y, fit.fitted_mu)) / dof
 
 
 def pearson_statistic(y: np.ndarray, mu: np.ndarray, mask: Optional[np.ndarray] = None):

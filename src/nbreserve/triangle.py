@@ -5,8 +5,8 @@ and development year ``j`` (0-based). For a square triangle of
 dimension ``I`` the cell ``(i, j)`` is observed exactly when
 ``i + j <= I``; the remaining cells form the future region that
 reserving techniques must predict. :func:`triangle_cells` states that
-rule once for every module, and :func:`_coerce_count` is the one check
-of a cell's count, which every constructor runs.
+rule once for every module, :func:`_check_layout` checks that records are
+those cells, and :func:`_coerce_count` checks a cell's count.
 """
 
 from __future__ import annotations
@@ -51,6 +51,43 @@ def triangle_cells(I: int) -> Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndar
     """
     future = np.add.outer(np.arange(I), np.arange(I)) >= I
     return np.nonzero(~future), np.nonzero(future)
+
+
+def _check_layout(ay: np.ndarray, dy: np.ndarray, I: Optional[int] = None) -> int:
+    """The dimension I of the run-off triangle whose observed cells are the pairs (ay, dy), each once.
+
+    ``ay`` is 1-based, ``dy`` 0-based; I is the largest ``ay`` unless
+    given. Raises :class:`RaggedRowsError` for I < 2, then names the first
+    observed cell in row-major order with no pair (:class:`MissingCellError`)
+    or more (:class:`RaggedRowsError`), then the smallest pair outside them
+    (:class:`FutureCellError`). :func:`from_long` and every fit run it.
+    """
+    if ay.size == 0:
+        raise MissingCellError("no records supplied")
+    I = int(ay.max()) if I is None else I
+    if I < 2:
+        raise RaggedRowsError("a triangle needs at least 2 accident years")
+    n, i = ay.size, ay - 1
+    outside = (i | dy | (I - ay - dy)) < 0  # a negative year, or ay + dy > I
+    # each pair's row-major position among the observed cells: n pairs miss one of
+    # the first n + 1, so one last bin takes the later positions and the pairs outside
+    pos = np.minimum(i * (2 * I + 1 - i) // 2 + dy, n)
+    pos[outside] = n
+    hits = np.bincount(pos, minlength=n + 1)[: min(n + 1, I * (I + 1) // 2)]
+    fault = hits != 1
+    if np.count_nonzero(fault):
+        k = int(np.argmax(fault))
+        rows = np.arange(min(I, k + 1))
+        starts = rows * (2 * I + 1 - rows) // 2
+        row = int(np.searchsorted(starts, k, side="right")) - 1
+        cell = (row + 1, k - int(starts[row]))
+        if hits[k] == 0:
+            raise MissingCellError(f"observed cell {cell} missing from records")
+        raise RaggedRowsError(f"duplicate record for cell {cell}")
+    if np.count_nonzero(outside):
+        a, d = ay[outside], dy[outside]
+        raise FutureCellError(f"record for future cell {(int(a.min()), int(d[a == a.min()].min()))} not allowed")
+    return I
 
 
 def _coerce_count(value, where: str, round_amounts: bool) -> int:
@@ -237,32 +274,16 @@ def to_long(t: RunOffTriangle) -> List[CellRecord]:
 def from_long(records: Sequence[CellRecord], dimension: Optional[int] = None) -> RunOffTriangle:
     """Rebuild a square triangle from long-format records.
 
-    The records must cover the observed region exactly once; the
-    dimension is inferred from the largest accident year when not given.
+    The records must cover the observed region exactly once
+    (:func:`_check_layout`); the dimension is inferred from the largest
+    accident year when not given.
     """
-    if not records:
-        raise MissingCellError("no records supplied")
-    recs = [CellRecord(int(r[0]), int(r[1]), r[2]) for r in records]
-    if dimension is None:
-        dimension = max(r.ay for r in recs)
-    seen = {}
-    for r in recs:
-        key = (r.ay, r.dy)
-        if key in seen:
-            raise RaggedRowsError(f"duplicate record for cell {key}")
-        seen[key] = r.count
-    rows = []
-    for i in range(1, dimension + 1):
-        row = []
-        for j in range(dimension - i + 1):
-            if (i, j) not in seen:
-                raise MissingCellError(f"observed cell ({i}, {j}) missing from records")
-            row.append(seen.pop((i, j)))
-        rows.append(row)
-    if seen:
-        extra = sorted(seen)[0]
-        raise FutureCellError(f"record for future cell {extra} not allowed")
-    return RunOffTriangle.from_rows(rows)
+    ay = np.array([int(r[0]) for r in records], dtype=np.int64)
+    dy = np.array([int(r[1]) for r in records], dtype=np.int64)
+    I = _check_layout(ay, dy, dimension)
+    counts = [records[k][2] for k in np.lexsort((dy, ay)).tolist()]
+    starts = [i * (2 * I + 1 - i) // 2 for i in range(I + 1)]
+    return RunOffTriangle.from_rows([counts[a:b] for a, b in zip(starts, starts[1:])])
 
 
 def _split_lines(text: str) -> List[List[str]]:

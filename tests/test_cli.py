@@ -574,10 +574,14 @@ class TestErrors:
 
     # [[5e18, 5e18, 1], [5e18, 1], [1]] used to wrap int64 in the cumulated
     # counts (fit printed a chain-ladder total of -1.3 and exited 0); a
-    # 1e300 cell used to raise a raw OverflowError
+    # 1e300 cell used to raise a raw OverflowError; legal cells whose
+    # accident year's total reaches 2**53 used to fail in the chain-ladder
+    # for fit and reserve, and in a profile refit (exit 1) for diagnose
     @pytest.mark.parametrize("command", ["fit", "reserve", "diagnose"])
     @pytest.mark.parametrize(
-        "text", ["5e18,5e18,1\n5e18,1,\n1,,\n", "1e300,3\n4,\n"], ids=["int64-wrap", "float-overflow"]
+        "text",
+        ["5e18,5e18,1\n5e18,1,\n1,,\n", "1e300,3\n4,\n", "4503599627370496,4503599627370496,1\n1,1,\n1,,\n"],
+        ids=["int64-wrap", "float-overflow", "row-total"],
     )
     def test_count_too_large(self, runner, tmp_path, command, text):
         path = tmp_path / "big.csv"
@@ -595,13 +599,51 @@ class TestErrors:
         ids=["fit", "fit-odp", "reserve", "diagnose"],
     )
     def test_two_by_two_has_no_residual_dof(self, runner, tmp_path, command, extra):
-        path = tmp_path / "small.csv"
-        path.write_text("5,3\n4,\n")
-        result = runner.invoke(main, [command, str(path), "--out-dir", str(tmp_path / "out"), *extra])
-        assert result.exit_code == 2
-        err = json.loads(result.output.strip().splitlines()[-1])
-        assert err["error"]["kind"] == "NoResidualDof"
-        assert "no residual degrees of freedom" in err["error"]["message"]
+        # [[1, 2], [2]] has a Poisson fit with all-zero residuals, which
+        # used to give the ODP a phi of 0: n - p decides alone
+        for text in ("5,3\n4,\n", "1,2\n2,\n"):
+            path = tmp_path / "small.csv"
+            path.write_text(text)
+            result = runner.invoke(main, [command, str(path), "--out-dir", str(tmp_path / "out"), *extra])
+            assert result.exit_code == 2, text
+            err = json.loads(result.output.strip().splitlines()[-1])
+            assert err["error"]["kind"] == "NoResidualDof"
+            assert "no residual degrees of freedom" in err["error"]["message"]
+
+    def test_two_by_two_poisson_fits(self, runner, tmp_path):
+        # the Poisson needs no residual degrees of freedom
+        for text in ("5,3\n4,\n", "1,2\n2,\n"):
+            path = tmp_path / "small.csv"
+            path.write_text(text)
+            run_ok(runner, ["fit", str(path), "--family", "poisson", "--out-dir", str(tmp_path / "out")])
+
+    # a hole in the records (in a CSV, an empty observed cell), a saturated
+    # 2 x 2 triangle and an accident year whose total reaches 2**53 each get
+    # one error kind and message from every command, before any output
+    @pytest.mark.parametrize(
+        "text, kind, message",
+        [
+            ("5,,3\n4,2,\n1,,\n", "MissingCell", "cell (1, 1): observed cell is empty"),
+            ("1,2\n2,\n", "NoResidualDof", "no residual degrees of freedom: 3 observed cells for 3 parameters"),
+            (
+                "4503599627370496,4503599627370496,1\n1,1,\n1,,\n", "CountTooLarge",
+                "accident year 1: total 9007199254740993 is 2**53 or more",
+            ),
+        ],
+        ids=["holed", "two-by-two", "row-total"],
+    )
+    def test_one_outcome_per_input(self, runner, tmp_path, text, kind, message):
+        path, out = tmp_path / "input.csv", tmp_path / "out"
+        path.write_text(text)
+        commands = [["fit"], ["fit", "--family", "odp"], ["reserve", "-B", "100", "--threads", "1"], ["diagnose"]]
+        for command, *extra in commands:
+            result = runner.invoke(main, [command, str(path), "--out-dir", str(out), *extra])
+            assert result.exit_code == 2, (command, extra)
+            lines = result.output.strip().splitlines()
+            assert len(lines) == 1
+            err = json.loads(lines[0])["error"]
+            assert (err["kind"], err["message"]) == (kind, message), (command, extra)
+        assert not out.exists()
 
     # an all-zero year is an input problem, whichever command meets it:
     # the levels are checked on load, before the chain-ladder or any fit

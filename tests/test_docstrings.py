@@ -1,13 +1,16 @@
-"""Every Sphinx cross-reference in the package's docstrings, and every private name README names, exists.
+"""Every cross-reference and raised error in the package's docstrings, and every private name README names, exists.
 
 A ``:func:``, ``:class:``, ``:mod:``, ``:meth:`` or ``:attr:`` target
 resolves either by attribute lookup from the module that names it or by
 absolute import (``nbreserve.glm._irls``), so a rename that misses a
 docstring fails here. A private name (``_irls``, ``glm._prepare``) in
 README's inline code, outside fenced blocks, must be an attribute of some
-``nbreserve`` module, so a rename that misses README fails too.
+``nbreserve`` module, so a rename that misses README fails too. Each
+entry of a ``Raises:`` section names a class of ``nbreserve.errors`` or
+a builtin exception, so a deleted error cannot linger in a docstring.
 """
 
+import builtins
 import importlib
 import re
 from pathlib import Path
@@ -20,6 +23,8 @@ _ROLE = re.compile(r":(?:func|class|mod|meth|attr):`~?([^`]+)`")
 _FENCED = re.compile(r"^```.*?^```", re.S | re.M)
 _INLINE = re.compile(r"`([^`]+)`")
 _PRIVATE = re.compile(r"(?<!\w)_[A-Za-z]\w*")
+# a Raises: header and the indented lines under it
+_RAISES = re.compile(r"^( *)Raises:\n((?:\1 +\S.*\n)+)", re.M)
 
 
 def _lookup(owner, path):
@@ -61,3 +66,19 @@ def test_readme_private_names_resolve():
     names = {name for span in _INLINE.findall(text) for name in _PRIVATE.findall(span)}
     assert "_irls" in names  # the scan finds README's private names
     assert sorted(n for n in names if not any(hasattr(m, n) for m in modules)) == []
+
+
+def test_raised_names_are_exceptions():
+    from nbreserve import errors
+
+    def known(name):
+        cls = getattr(errors, name, None) or getattr(builtins, name, None)
+        return isinstance(cls, type) and issubclass(cls, BaseException)
+
+    names = set()
+    for path in _SRC.glob("*.py"):
+        for indent, block in _RAISES.findall(path.read_text(encoding="utf-8")):
+            # an entry sits one level below the header; deeper lines continue it
+            names.update(re.findall(rf"^{indent}    (\w+):", block, re.M))
+    assert {"NotConvergedError", "SeparationError"} <= names  # the scan finds the sections
+    assert sorted(n for n in names if not known(n)) == []

@@ -9,7 +9,7 @@ from scipy import stats
 
 from nbreserve import Family, chain_ladder, fit, nb_loglik, pearson_dispersion, poisson_loglik, to_long, to_simplex
 from nbreserve.glm import ConditioningWarning, build_design, score
-from nbreserve.errors import RankDeficientError, SeparationError
+from nbreserve.errors import MissingCellError, SeparationError
 from conftest import QUASI_SEPARATED, drop_pattern, positive_table_exists, random_triangle
 
 
@@ -284,10 +284,17 @@ class TestScore:
 
 class TestDegenerateInputs:
     def test_zero_accident_year_row(self):
-        # a fully zero accident year drives its effect to -inf
-        recs = to_long_rows([[5, 3, 2], [0, 0], [4]])
-        with pytest.raises(SeparationError):
-            fit(recs, Family.poisson())
+        # a fully zero accident year drives its effect to -inf; the error
+        # names the first zero level that _kept_levels gives, accident years
+        # first, by its 0-based index
+        for rows, name in [
+            ([[5, 3, 2], [0, 0], [4]], "accident year level 1"),
+            ([[5, 0, 2], [3, 0], [4]], "development year level 1"),
+            ([[5, 0, 2], [3, 0], [0]], "accident year level 2"),
+        ]:
+            with pytest.raises(SeparationError) as got:
+                fit(to_long_rows(rows), Family.poisson())
+            assert str(got.value) == f"{name} has all-zero counts; its coefficient diverges"
 
     @pytest.mark.parametrize("name", sorted(QUASI_SEPARATED))
     @pytest.mark.parametrize(
@@ -302,72 +309,73 @@ class TestDegenerateInputs:
 
     def test_missing_level(self, australian):
         recs = [r for r in to_long(australian) if r.ay != 3]
-        with pytest.raises(RankDeficientError):
+        with pytest.raises(MissingCellError, match=r"observed cell \(3, 0\) missing"):
             fit(recs, Family.poisson())
 
     def test_too_few_observations(self):
-        # two records cannot support intercept plus one ay and one dy effect
+        # two records cannot be a triangle's three cells
         from nbreserve import CellRecord
 
         recs = [CellRecord(1, 0, 5), CellRecord(2, 1, 4)]
-        with pytest.raises(RankDeficientError):
+        with pytest.raises(MissingCellError, match=r"observed cell \(1, 1\) missing"):
             fit(recs, Family.poisson())
+
+    def test_row_total_of_2_pow_53_is_too_large(self):
+        # every cell is a legal count, but accident year 1's total is not
+        # exact in float64: every entry point names the year and its total
+        from nbreserve import RunOffTriangle, bootstrap, overdispersion_test, profile_kappa
+        from nbreserve.errors import BaseFitFailedError, CountTooLargeError
+        from nbreserve.glm import _prepare
+
+        t = RunOffTriangle.from_rows([[2**52, 2**52, 1], [1, 1], [1]])
+        recs = to_long(t)
+        message = f"accident year 1: total {2**53 + 1} is 2**53 or more"
+        calls = [lambda f=f: fit(recs, f) for f in (Family.poisson(), Family.quasi_poisson(), Family.negbin(5.0))]
+        calls += [lambda: profile_kappa(recs), lambda: overdispersion_test(recs)]
+        for call in calls:
+            with pytest.raises(CountTooLargeError) as got:
+                call()
+            assert str(got.value) == message
+        with pytest.raises(BaseFitFailedError) as got:
+            bootstrap(t, b=100)
+        assert type(got.value.__cause__) is CountTooLargeError and str(got.value.__cause__) == message
+        # a total of 2**53 - 1 is exact
+        _prepare(to_long_rows([[2**52, 2**52 - 2, 1], [1, 1], [1]]))
+
+    @pytest.mark.parametrize("rows", [[[3, 1], [33]], [[1, 2], [2]]], ids=["residuals", "no-residuals"])
+    def test_two_by_two_has_no_residual_dof(self, rows):
+        # three cells for three parameters: the ODP phi and the kappa
+        # correction are undefined whatever the Poisson residuals' rounding;
+        # the Poisson fits
+        from nbreserve import RunOffTriangle, bootstrap, profile_kappa
+        from nbreserve.errors import NoResidualDofError
+
+        t = RunOffTriangle.from_rows(rows)
+        recs = to_long(t)
+        calls = (lambda: fit(recs, Family.quasi_poisson()), lambda: profile_kappa(recs), lambda: bootstrap(t, b=100))
+        for call in calls:
+            with pytest.raises(NoResidualDofError):
+                call()
+        assert fit(recs, Family.poisson()).converged
 
     @pytest.mark.parametrize("value", [-1, 0.5, 2**53, 2**60, float("nan"), float("inf")])
     def test_records_check_counts_as_triangles_do(self, australian, value):
         # records built by hand get the error kind and message the triangle
-        # constructors give the same count in the same cell
+        # constructors give the same counts in the same cells, whatever the
+        # records' order: the first bad cell in row-major order
         from nbreserve import RunOffTriangle, profile_kappa
         from nbreserve.errors import TriangleError
 
         I = australian.dimension
         rows = [[australian.cell(i, j) for j in range(I - i + 1)] for i in range(1, I + 1)]
-        rows[0][3] = value
+        rows[0][3] = rows[3][0] = value
         with pytest.raises(TriangleError) as want:
             RunOffTriangle.from_rows(rows)
-        recs = [r._replace(count=value) if (r.ay, r.dy) == (1, 3) else r for r in to_long(australian)]
+        recs = [r._replace(count=value) if (r.ay, r.dy) in ((1, 3), (4, 0)) else r for r in to_long(australian)[::-1]]
         for call in (lambda: fit(recs, Family.poisson()), lambda: profile_kappa(recs)):
             with pytest.raises(TriangleError) as got:
                 call()
             assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(
-    n_ay=st.integers(1, 6),
-    n_dy=st.integers(1, 6),
-    seed=st.integers(0, 2**32 - 1),
-    absent=st.sampled_from([0.0, 0.2, 0.5]),
-    zero=st.sampled_from([0.0, 0.2, 0.5]),
-)
-def test_level_check_follows_kept_levels(n_ay, n_dy, seed, absent, zero):
-    # fit's check of single records names the error kind and level that
-    # the batches' rule (_kept_levels) gives: a level with no cell is
-    # rank deficient, one whose counts are all zero separated, accident
-    # years first
-    from nbreserve.glm import _check_levels, _kept_levels
-
-    rng = np.random.default_rng(seed)
-    ay, dy = (a.ravel() for a in np.indices((n_ay, n_dy)))
-    keep = rng.random(ay.size) >= absent
-    keep[-1] = True  # the largest years have a cell, so the design has n_ay x n_dy levels
-    ay, dy = ay[keep], dy[keep]
-    y = rng.poisson(5.0, size=ay.size).astype(float)
-    y[(rng.random(n_ay) < zero)[ay] | (rng.random(n_dy) < zero)[dy]] = 0.0
-    design = build_design(ay + 1, dy)
-    levels = _kept_levels(np.vstack((np.ones_like(y), y)), design)
-    want = None
-    for name, (present, kept) in zip(("accident year", "development year"), levels):
-        if want is None and not present.all():
-            want = RankDeficientError, f"{name} level {int(np.argmin(present))} "
-        if want is None and not kept.all():
-            want = SeparationError, f"{name} level {int(np.argmin(kept))} "
-    if want is None:
-        _check_levels(y, design)
-    else:
-        with pytest.raises(want[0]) as got:
-            _check_levels(y, design)
-        assert type(got.value) is want[0] and str(got.value).startswith(want[1])
 
 
 def to_long_rows(rows):
@@ -621,6 +629,8 @@ class TestClosedFormPoisson:
         # every batched fit starts from the closed form, so none takes a row
         # that has no maximum
         mask, pin = drop_pattern(Y, design)
+        # a staircase's kept cells are never fewer than the free coefficients
+        assert np.all(mask.sum(axis=1) >= (~pin).sum(axis=1))
         assert not (_nb_mle_batch(Y, design, mask=mask, pin=pin)[3] & ~exists).any()
         for family in ("negbin", "poisson"):
             assert not (fit_kept_levels(Y, design, family)[0] & ~exists).any()
@@ -652,27 +662,19 @@ class TestClosedFormPoisson:
         assert future == pytest.approx(chain_ladder(t).total_reserve, rel=1e-12)
 
     def test_other_layouts_are_not_taken(self, australian):
-        # the closed form, and so every batched fit, takes no row of a
-        # layout that is not a staircase; only glm.fit fits one
-        from nbreserve._bootstrap import fit_kept_levels
-        from nbreserve.dispersion import _nb_mle_batch
-        from nbreserve.glm import _chain_ladder_batch, _poisson_fit, _prepare
+        # records that are not a triangle's cells reach no fit: every entry
+        # point names the cell missing, where the closed form would not apply
+        from nbreserve import nb_mle, overdispersion_test, profile_kappa
 
-        y, design = _prepare(to_long(australian))
         # leave out one inner cell: its accident year is no longer a prefix
-        keep = np.arange(design.n) != 2
-        holed = build_design(design.ay_idx[keep] + 1, design.dy_idx[keep])
-        Y = np.vstack([y[keep], y[keep][::-1]])
-        assert not _chain_ladder_batch(Y, holed)[2].any()
-        assert not _nb_mle_batch(Y, holed)[3].any()
-        for family in ("negbin", "poisson"):
-            assert not fit_kept_levels(Y, holed, family)[0].any()
-        with pytest.raises(SeparationError):
-            _poisson_fit(Y[0], holed)
-        # glm.fit skips the existence test there and takes its Newton steps
-        recs = [r for r, k in zip(to_long(australian), keep) if k]
-        for family in (Family.poisson(), Family.quasi_poisson(), Family.negbin(5.0)):
-            assert fit(recs, family).converged
+        recs = [r for r in to_long(australian) if (r.ay, r.dy) != (1, 2)]
+        calls = [lambda f=f: fit(recs, f) for f in (Family.poisson(), Family.quasi_poisson(), Family.negbin(5.0))]
+        calls += [lambda: profile_kappa(recs), lambda: overdispersion_test(recs)]
+        holed = build_design([r.ay for r in recs], [r.dy for r in recs])
+        calls.append(lambda: nb_mle(np.array([r.count for r in recs], dtype=float), holed))
+        for call in calls:
+            with pytest.raises(MissingCellError, match=r"^observed cell \(1, 2\) missing from records$"):
+                call()
 
     def test_boundary_maximum_falls_back(self):
         # [[0, 5], [3]]: the Poisson maximum puts the first cell's mean at

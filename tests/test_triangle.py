@@ -264,3 +264,44 @@ class TestOneIngestionRule:
         assert _ingest(lambda _: from_long(records), rows) == want
         if all(a <= b for row in rows for a, b in zip(row, row[1:])):
             assert _ingest(CumulativeTriangle, rows) == want
+
+    @given(
+        dimension=st.integers(2, 7),
+        fault=st.sampled_from(["dropped", "duplicated", "future"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_layout_faults_agree(self, dimension, fault, seed):
+        # records that are not each cell of a triangle once, in any order,
+        # get one error kind and message from every entry point, naming the
+        # cell at fault
+        from nbreserve import Family, fit, nb_mle, overdispersion_test, profile_kappa
+        from nbreserve.glm import build_design
+
+        rng = np.random.default_rng(seed)
+        records = to_long(random_triangle(rng, dimension))
+        r = records[int(rng.integers(len(records)))]
+        if fault == "dropped":
+            records.remove(r)
+            message = f"observed cell {(r.ay, r.dy)} missing from records"
+        elif fault == "duplicated":
+            records.append(r._replace(count=int(rng.integers(100))))
+            message = f"duplicate record for cell {(r.ay, r.dy)}"
+        else:
+            ay = int(rng.integers(2, dimension + 1))
+            r = CellRecord(ay, int(rng.integers(dimension - ay + 1, dimension)), 1)
+            records.append(r)
+            message = f"record for future cell {(r.ay, r.dy)} not allowed"
+        records = [records[k] for k in rng.permutation(len(records))]
+        with pytest.raises(ReservingError) as want:
+            from_long(records)
+        if (fault, r.ay, r.dy) != ("dropped", dimension, 0):  # which moves the largest accident year
+            assert str(want.value) == message
+        y = np.array([r.count for r in records], dtype=float)
+        design = build_design([r.ay for r in records], [r.dy for r in records])
+        calls = [lambda f=f: fit(records, f) for f in (Family.poisson(), Family.quasi_poisson(), Family.negbin(5.0))]
+        calls += [lambda: profile_kappa(records), lambda: overdispersion_test(records), lambda: nb_mle(y, design)]
+        for call in calls:
+            with pytest.raises(ReservingError) as got:
+                call()
+            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
