@@ -18,12 +18,12 @@ The study's base fits, also on synthetic data, share that rule
 
 The engine refits a batch of replicates at once on the full design.
 Poisson and overdispersed Poisson refits are the chain-ladder in closed
-form (:func:`~nbreserve.glm._chain_ladder_batch`), which fits each
-replicate's kept levels exactly when their maximum exists; the others
-fail. Negative binomial refits are the joint fit of
+form (:func:`~nbreserve.glm._chain_ladder_batch`), which decides the
+levels each replicate keeps and fits them exactly when their maximum
+exists; the others fail. Negative binomial refits are the joint fit of
 :func:`~nbreserve.dispersion._nb_mle_batch`, started from that Poisson
-fit: each replicate leaves out the cells of its dropped levels and holds
-their coefficients at zero, so one batched fit serves every drop
+fit, which leaves out the cells of each replicate's dropped levels and
+holds their coefficients at zero, so one batched fit serves every drop
 pattern and a replicate that drops nothing gets exactly the fit it
 would get alone. A refit depends on the replicate's counts, the
 design and the family alone.
@@ -47,7 +47,7 @@ from . import dispersion
 from ._rng import substreams
 from ._rng import substream  # not called here: bench/spans.py hooks _bootstrap:substream
 from .errors import ReservingError
-from .glm import Design, _chain_ladder_batch, _effects_from_coef, _kept_design, _kept_levels, drop_masks, pearson_statistic
+from .glm import Design, _chain_ladder_batch, _effects_from_coef, _kept_design, pearson_statistic
 from .glm import _irls, build_design  # not called here: bench/spans.py hooks _bootstrap:_irls and :build_design
 from .triangle import _MAX_COUNT, triangle_cells
 
@@ -90,8 +90,9 @@ def sample_nb(mu, kappa, rng: np.random.Generator, size=None) -> np.ndarray:
 
     Draws lambda ~ Gamma(shape=kappa, rate=kappa / mu) and then
     Poisson(lambda), which has mean mu and variance mu + mu^2 / kappa.
-    ``mu`` and ``kappa`` broadcast; a scalar kappa at or above the
-    search cap, infinity included, short-circuits to a plain Poisson draw.
+    ``mu`` and ``kappa`` broadcast. A cell whose kappa is at or above the
+    search cap, infinity included, draws Poisson(mu) and no gamma variate,
+    so an array of such kappas draws bit for bit what one such scalar draws.
 
     Lambda is ``standard_gamma(kappa) * (mu / kappa)``: numpy draws
     ``Generator.gamma(kappa, scale)`` as ``scale * standard_gamma(kappa)``,
@@ -110,10 +111,12 @@ def sample_nb(mu, kappa, rng: np.random.Generator, size=None) -> np.ndarray:
             scale = np.broadcast_to(scale, size)
         return rng.poisson(rng.standard_gamma(kappa, size=scale.shape) * scale)
     kappa = np.asarray(kappa, dtype=float)
-    if not np.all(kappa > 0) or not np.all(np.isfinite(kappa)):
-        raise ValueError("kappa entries must be positive and finite")
+    if not np.all(kappa > 0):  # NaN fails too
+        raise ValueError("kappa entries must be positive")
     shape = np.broadcast_shapes(mu.shape, kappa.shape) if size is None else size
-    lam = rng.standard_gamma(np.broadcast_to(kappa, shape)) * np.broadcast_to(mu / kappa, shape)
+    kappa, lam = np.broadcast_to(kappa, shape), np.array(np.broadcast_to(mu, shape))
+    gamma = kappa < dispersion.KAPPA_CAP  # the cells that are not Poisson(mu), in stream order
+    lam[gamma] = rng.standard_gamma(kappa[gamma]) * (lam[gamma] / kappa[gamma])
     return rng.poisson(lam)
 
 
@@ -145,7 +148,9 @@ def _refit(y_star: np.ndarray, spec: EngineSpec) -> Optional[Tuple[np.ndarray, n
     does not apply. The engine runs :func:`_refit_batch`; this
     one-replicate form is its reference.
     """
-    ay_keep, dy_keep = _kept_levels(y_star, spec.design)
+    # the levels with a positive total, by bincount rather than the chain-ladder it checks
+    ay_keep = np.bincount(spec.design.ay_idx, weights=y_star, minlength=spec.design.n_ay) > 0
+    dy_keep = np.bincount(spec.design.dy_idx, weights=y_star, minlength=spec.design.n_dy) > 0
     if not ay_keep.any():
         return None
     cells, design = _kept_design(spec.design, ay_keep, dy_keep)
@@ -155,7 +160,7 @@ def _refit(y_star: np.ndarray, spec: EngineSpec) -> Optional[Tuple[np.ndarray, n
         if spec.family == "negbin":
             coef, _, disp, converged, _ = (a[0] for a in dispersion._nb_mle_batch(y_fit[None], design))
         else:
-            coef, mu, converged = (a[0] for a in _chain_ladder_batch(y_fit[None], design))
+            coef, mu, converged = (a[0] for a in _chain_ladder_batch(y_fit[None], design)[:3])
             disp = None
         if not converged:
             return None
@@ -180,44 +185,31 @@ def fit_kept_levels(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Fit every row of the count matrix ``Y`` on its levels with a positive total.
 
-    An all-zero level's maximum-likelihood limit is zero means, so a row
-    leaves out its cells and pins its coefficients at zero
-    (:func:`~nbreserve.glm.drop_masks`). ``negbin`` is
-    the joint fit :func:`~nbreserve.dispersion._nb_mle_batch`, the other
-    families the Poisson fit :func:`~nbreserve.glm._chain_ladder_batch`.
+    One chain-ladder (:func:`~nbreserve.glm._chain_ladder_batch`) gives
+    each row's kept levels and its Poisson fit, the fit of every family
+    but ``negbin``: an all-zero level's maximum-likelihood limit is zero
+    means, so a row leaves out its cells. ``negbin`` is the joint fit
+    :func:`~nbreserve.dispersion._nb_mle_batch` started from it.
     Returns (ok, coef, mu, disp, ay_keep, dy_keep): mu is zero on the
     left-out cells; disp is kappa, the ``quasipoisson`` Pearson phi over
-    the kept cells less the free coefficients (NaN with none left), or
-    NaN. ok is False for rows that keep no cell and for fits that fail,
-    as with no finite maximum. On a staircase, as every caller's design
-    is, a row's kept cells are never fewer than its free coefficients.
+    the kept cells less the free coefficients, one per kept level less
+    one (NaN with none left), or NaN. ok is False for rows that keep no
+    cell and for fits that fail, as with no finite maximum. On a
+    staircase, as every caller's design is, a row's kept cells are never
+    fewer than its free coefficients.
     """
-    m = len(Y)
-    ok = np.zeros(m, dtype=bool)
-    coef = np.full((m, design.p), np.nan)
-    mu = np.zeros((m, design.n))
-    disp = np.full(m, np.nan)
-    ay_keep, dy_keep = _kept_levels(Y, design)
-    mask, pin = drop_masks(design, ay_keep, dy_keep)
-    n_kept = mask.sum(axis=1)
-    dof = n_kept - (pin.shape[1] - pin.sum(axis=1))  # kept cells less free coefficients
-    fit = np.nonzero(n_kept > 0)[0]
-    if fit.size == 0:
-        return ok, coef, mu, disp, ay_keep, dy_keep
-    kept, pin = mask[fit], pin[fit]
-    Y = Y[fit]
-    if kept.all():  # nothing dropped: the plain batched fit, without the masking arithmetic
-        mask = pin = None
-    else:
-        mask = kept
+    poisson = _chain_ladder_batch(Y, design)
+    ay_keep, dy_keep = poisson[3:]
+    kept = ay_keep[:, design.ay_idx] & dy_keep[:, design.dy_idx]
+    disp = np.full(len(Y), np.nan)
     if family == "negbin":
-        coef[fit], mu_fit, disp[fit], ok[fit], _ = dispersion._nb_mle_batch(Y, design, mask=mask, pin=pin)
+        coef, mu, disp, ok, _ = dispersion._nb_mle_batch(Y, design, poisson=poisson)
     else:
-        coef[fit], mu_fit, ok[fit] = _chain_ladder_batch(Y, design)
+        coef, mu, ok = poisson[:3]
         if family == "quasipoisson":
-            disp[fit] = pearson_statistic(Y, mu_fit, mask) / np.where(dof[fit] > 0, dof[fit], np.nan)
-    mu[fit] = mu_fit * kept
-    return ok, coef, mu, disp, ay_keep, dy_keep
+            dof = kept.sum(axis=1) - (ay_keep.sum(axis=1) + dy_keep.sum(axis=1) - 1)
+            disp = pearson_statistic(Y, mu, kept) / np.where(dof > 0, dof, np.nan)
+    return ok, coef, np.where(kept, mu, 0.0), disp, ay_keep, dy_keep
 
 
 def _refit_batch(y_star: np.ndarray, design: Design, family: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__, _bootstrap, dispersion, predictive, simulation
 from .chainladder import chain_ladder
 from .diagnostics import export_profile, pearson_residuals, residuals_csv
-from .errors import ConfigError, ReservingError, TriangleError
+from .errors import BaseFitFailedError, ConfigError, ReservingError, TriangleError
 from .glm import _CONDITION_WARN, ConditioningWarning, Family, _poisson_fit, _prepare, fit as glm_fit
 from .triangle import read_triangle, to_long, triangle_cells
 
@@ -59,6 +59,8 @@ def _guarded(func):
         except ValueError as exc:
             _fail("InvalidValue", str(exc), 2)
         except ReservingError as exc:
+            if isinstance(exc, BaseFitFailedError) and isinstance(exc.__cause__, TriangleError):
+                _fail(exc.__cause__.kind, str(exc.__cause__), 2)  # the input problem a bootstrap's base fit met
             _fail(exc.kind, str(exc), 1)
 
     return wrapper

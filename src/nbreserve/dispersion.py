@@ -44,8 +44,9 @@ import numpy as np
 from . import glm
 from .errors import FlatProfileError, NoResidualDofError, NotConvergedError, SingularInformationError
 from .glm import (
-    _ETA_BOUND, _IRLS_MAX_ITER, _KAPPA_SERIES, Design, Family, _chain_ladder_batch, _data_key, _irls, _JointFit,
-    _kept, _newton_step, _NormalEquations, _lgamma, _nb_loglik, _poisson_fit, _poisson_loglik, _prepare, _solve,
+    _ETA_BOUND, _IRLS_MAX_ITER, _KAPPA_SERIES, Design, Family, _chain_ladder_batch, _check_counts, _data_key, _irls,
+    _JointFit, _kept, _newton_step, _NormalEquations, _lgamma, _nb_loglik, _poisson_fit, _poisson_loglik, _prepare,
+    _solve, drop_masks,
 )
 from .triangle import _check_layout
 
@@ -594,13 +595,16 @@ def nb_mle(y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray, float
     Returns (coef, mu, kappa, at_boundary).
 
     Raises:
-        TriangleError: the design's cells are not a triangle's, as for ``glm.fit``.
-        SeparationError: the likelihood has no finite maximum.
+        TriangleError: the design's cells are not a triangle's, or a count or an
+            accident year's total is not an integer in [0, 2**53), as for ``glm.fit``.
+        SeparationError: a factor level has all-zero counts, or the
+            likelihood has no finite maximum.
         NotConvergedError: the fit failed as :func:`_nb_mle_batch`
             describes, or the refit at the cap did not converge.
     """
     _check_layout(design.ay_idx + 1, design.dy_idx)
     y = np.asarray(y, dtype=float)
+    _check_counts(y, design)
     return _fit_at_estimate(y, design, _poisson_fit(y, design))
 
 
@@ -632,24 +636,21 @@ def _fit_at_estimate(
 def _nb_mle_batch(
     Y: np.ndarray,
     design: Design,
-    mask: Optional[np.ndarray] = None,
-    pin: Optional[np.ndarray] = None,
-    poisson: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+    poisson: Optional[Tuple[np.ndarray, ...]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Joint maximum likelihood over (mean effects, kappa) for each row of ``Y``.
 
-    All rows share ``design``; ``mask`` (m, n) marks the cells each row
-    is fitted on and ``pin`` (m, p) the coefficients it holds at zero,
-    as :func:`nbreserve.glm.drop_masks` gives them for the row's
-    zero-total levels; both default to none left out. A cell outside
-    the mask holds a zero count and gets zero working weight; the kappa
-    score sees it at its limit y = mu = 0, where it adds nothing, so
-    each row's kappa is that of its kept cells.
+    All rows share ``design``. The closed-form chain-ladder Poisson fit
+    (:func:`nbreserve.glm._chain_ladder_batch`), unless the caller passes
+    it as ``poisson`` (whose coefficient and mean arrays the fit updates
+    in place), gives each row's kept levels and its start. Each row is
+    fitted on its kept cells, with the other levels' coefficients held at
+    zero (:func:`nbreserve.glm.drop_masks`, built only when some row
+    drops a level). A left-out cell holds a zero count and gets zero
+    working weight; the kappa score sees it at its limit y = mu = 0,
+    where it adds nothing, so each row's kappa is that of its kept cells.
 
-    The closed-form chain-ladder Poisson fit
-    (:func:`nbreserve.glm._chain_ladder_batch`) gives the means, unless
-    the caller passes it as ``poisson`` (whose arrays the fit updates in
-    place). A row at the Poisson boundary there stops at KAPPA_CAP; every
+    A row at the Poisson boundary at its start stops at KAPPA_CAP; every
     other row starts at the closed-form :func:`_start_kappa`, the
     Pearson moment estimate, with no solve of the kappa score at the
     Poisson means. From there each iteration takes one Newton step for
@@ -690,7 +691,8 @@ def _nb_mle_batch(
     m = len(Y)
     if poisson is None:
         poisson = _chain_ladder_batch(Y, design)
-    coef, mu, poisson_ok = poisson
+    coef, mu, poisson_ok, ay_keep, dy_keep = poisson
+    mask, pin = (None, None) if ay_keep.all() and dy_keep.all() else drop_masks(design, ay_keep, dy_keep)
     kappa = np.full(m, np.nan)
     ok = np.zeros(m, dtype=bool)
     n_iter = np.zeros(m, dtype=np.int64)

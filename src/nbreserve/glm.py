@@ -20,8 +20,9 @@ Under the log link the Poisson's observed and expected information
 coincide, so its step is the Fisher-scoring step; the Poisson is the
 kappa -> infinity end of the same step. A batch's Poisson fit is the
 chain-ladder in closed form (:func:`_chain_ladder_batch`), which takes
-exactly the rows whose maximum exists; the others fail
-(:func:`_poisson_fit` raises :class:`SeparationError` for one row).
+exactly the rows whose maximum exists and decides, for every fit, which
+levels a row keeps; for one row of a user's counts :func:`_poisson_fit`
+raises :class:`SeparationError` where a level is dropped or no maximum exists.
 
 Fits are computed under treatment contrasts (first accident year and
 development year 0 as baselines) and re-expressed on the simplex scale,
@@ -29,13 +30,13 @@ where the development effects exponentiate to weights summing to one.
 
 The other modules share its layout: records to counts and a design
 (:func:`_counts_and_design`, of a run-off triangle's cells;
-:func:`_prepare` adds the checks of the counts),
+:func:`_prepare` adds the checks of the counts, :func:`_check_counts`),
 the coefficient order (:func:`build_design`, read back by
-:func:`_split_coef` and :func:`_effects_from_coef`), the levels a row
-keeps (:func:`_kept_levels`), the masks and pins that drop the others
-(:func:`drop_masks`) and the design of the kept levels alone
-(:func:`_kept_design`, the bootstrap's reference refit), and the Pearson
-statistic behind every quasi-Poisson phi (:func:`pearson_statistic`).
+:func:`_split_coef` and :func:`_effects_from_coef`), the masks and pins
+that drop the levels a row does not keep (:func:`drop_masks`) and the
+design of the kept levels alone (:func:`_kept_design`, the bootstrap's
+reference refit), and the Pearson statistic behind every quasi-Poisson
+phi (:func:`pearson_statistic`).
 """
 
 from __future__ import annotations
@@ -250,17 +251,6 @@ def _effects_from_coef(coef: np.ndarray, n_ay: int) -> Tuple[np.ndarray, np.ndar
     intercept, ay_effects, dy_effects = _split_coef(coef, n_ay)
     zero = np.zeros_like(intercept)
     return intercept + np.concatenate((zero, ay_effects), axis=-1), np.concatenate((zero, dy_effects), axis=-1)
-
-
-def _kept_levels(Y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray]:
-    """Which accident and development years have a positive total, per row of the counts ``Y``.
-
-    The others' maximum-likelihood means are zero: :func:`_prepare`
-    rejects them, a fit on synthetic data drops them (:func:`drop_masks`).
-    """
-    ay = Y @ (design.ay_idx[:, None] == np.arange(design.n_ay)) > 0
-    dy = Y @ (design.dy_idx[:, None] == np.arange(design.n_dy)) > 0
-    return ay, dy
 
 
 def _newton_terms(y: np.ndarray, mu: np.ndarray, kappa, ky: Optional[np.ndarray] = None):
@@ -572,7 +562,7 @@ def _kept_design(design: Design, ay_keep: np.ndarray, dy_keep: np.ndarray) -> Tu
     return cells, build_design(ay, dy, int(ay_keep.sum()), int(dy_keep.sum()))
 
 
-def _chain_ladder_batch(Y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _chain_ladder_batch(Y: np.ndarray, design: Design) -> Tuple[np.ndarray, ...]:
     """The Poisson fit of every row of ``Y`` on its kept levels in closed form, by the chain-ladder.
 
     Every caller's layout, a run-off triangle or its kept levels
@@ -584,17 +574,18 @@ def _chain_ladder_batch(Y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.n
     ultimate, and each year's observed total gives its ultimate. A
     level with a zero total adds nothing to those sums, and a
     development year whose sum C[i, j] is zero adds no development, so
-    the same recursion fits the kept levels (:func:`_kept_levels`) of
-    any row.
+    the same recursion fits the kept levels of any row.
 
     A row's coefficients are the kept levels' parameters with the first
     kept level of each factor as the baseline, and each dropped level's
     coefficient, as :func:`drop_masks` pins them, zero; its means are
-    exp(X coef) on every cell. Returns (coef, mu, ok); ok is False for
-    rows not taken, those that leave a kept cell with a zero mean (a
-    maximum on the boundary, or none). A row is taken exactly when some
-    strictly positive table on its kept cells has its margins, which is
-    when its maximum exists (Haberman 1974).
+    exp(X coef) on every cell. Returns (coef, mu, ok, ay_keep, dy_keep):
+    ok is False for rows not taken, those that leave a kept cell with a
+    zero mean (a maximum on the boundary, or none); ay_keep (m, n_ay)
+    and dy_keep (m, n_dy) mark each row's kept levels, those with a
+    positive total, which no other code decides. A row is taken
+    exactly when some strictly positive table on its kept cells has its
+    margins, which is when its maximum exists (Haberman 1974).
     """
     m, I, J = len(Y), design.n_ay, design.n_dy
     # each observed cell, development year first so that sums over
@@ -628,12 +619,15 @@ def _chain_ladder_batch(Y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.n
     ok = np.isfinite(full).all(axis=1)
     # a row not taken gets NaN coefficients, hence NaN means
     coef = np.where(ok[:, None], full, np.nan)
-    return coef, np.exp(_rows_dot(design.X, coef).clip(-_ETA_BOUND, _ETA_BOUND)), ok
+    return coef, np.exp(_rows_dot(design.X, coef).clip(-_ETA_BOUND, _ETA_BOUND)), ok, ay_keep, dy_keep
 
 
-def _poisson_fit(y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_chain_ladder_batch` of one row of counts; :class:`SeparationError` where it has no finite maximum."""
+def _poisson_fit(y: np.ndarray, design: Design) -> Tuple[np.ndarray, ...]:
+    """:func:`_chain_ladder_batch` of one row; :class:`SeparationError` for a dropped level, else no finite maximum."""
     poisson = _chain_ladder_batch(y[None], design)
+    for name, kept in zip(("accident year", "development year"), poisson[3:]):
+        if not kept.all():
+            raise SeparationError(f"{name} level {int(np.argmin(kept))} has all-zero counts; its coefficient diverges")
     if not poisson[2][0]:
         raise SeparationError(
             "the likelihood has no finite maximum: no strictly positive table on the observed cells has their "
@@ -721,22 +715,29 @@ def _counts_and_design(data: Sequence) -> Tuple[np.ndarray, Design]:
 
 
 def _prepare(data: Sequence) -> Tuple[np.ndarray, Design]:
-    """:func:`_counts_and_design` with :func:`fit`'s checks of each count, accident year's total and level's total."""
+    """:func:`_counts_and_design` with :func:`_check_counts`, naming a bad count as the records hold it."""
     y, design = _counts_and_design(data)
+    _check_counts(y, design, data)
+    return y, design
+
+
+def _check_counts(y: np.ndarray, design: Design, records: Optional[Sequence] = None) -> None:
+    """Check that each count and accident year's total is an integer in [0, 2**53).
+
+    The first bad count in row-major order raises the triangle constructors'
+    error, naming its cell and its value as ``records`` hold it, else as a float.
+    """
     bad = ~((y >= 0) & (y <= _MAX_COUNT) & (y == np.floor(y)))  # NaN fails every comparison
-    if np.count_nonzero(bad):  # the first in row-major order, as the triangle constructors name it
-        r = min((data[k] for k in np.nonzero(bad)[0].tolist()), key=lambda r: (r.ay, r.dy))
-        _coerce_count(r.count, f"({r.ay}, {r.dy})", False)
+    if np.count_nonzero(bad):
+        k = min(np.nonzero(bad)[0].tolist(), key=lambda k: (design.ay_idx[k], design.dy_idx[k]))
+        value = float(y[k]) if records is None else records[k].count
+        _coerce_count(value, f"({design.ay_idx[k] + 1}, {design.dy_idx[k]})", False)
     # a float64 sum of counts is exact below 2**53 and rounds monotonically above
     big = np.bincount(design.ay_idx, weights=y) > _MAX_COUNT
     if np.count_nonzero(big):
         i = int(np.argmax(big))
         total = sum(map(int, y[design.ay_idx == i].tolist()))
         raise CountTooLargeError(f"accident year {i + 1}: total {total} is 2**53 or more")
-    for name, kept in zip(("accident year", "development year"), _kept_levels(y[None], design)):
-        if np.count_nonzero(kept) < kept.size:
-            raise SeparationError(f"{name} level {int(np.argmin(kept))} has all-zero counts; its coefficient diverges")
-    return y, design
 
 
 class _JointFit(NamedTuple):

@@ -106,7 +106,7 @@ def bootstrap(
     and does not fit again; the fit depends on the counts alone.
 
     Raises:
-        BaseFitFailedError: the fit on the real triangle failed.
+        BaseFitFailedError: the base fit or its kappa's correction failed, as its ``__cause__`` says.
         ExcessiveFailuresError: more than 20% of replicates failed.
     """
     if b < 1:
@@ -115,10 +115,9 @@ def bootstrap(
     try:
         y, design = _prepare(records)
         _, mu, kappa_mle, _ = _joint_fit(y, design)[:4]
+        kappa_adj = bias_correct(kappa_mle, design.n, design.p)
     except ReservingError as exc:
         raise BaseFitFailedError(f"base negative binomial fit failed: {exc}") from exc
-
-    kappa_adj = bias_correct(kappa_mle, design.n, design.p)
     kappa_used = kappa_adj if correct else kappa_mle
 
     spec = _bootstrap.EngineSpec(

@@ -14,9 +14,10 @@ joint NB fit serves nb_mle and nb_corrected, once per triangle, and
 those two share the engine's refit batches. Like
 the engine's refits, and unlike ``fit`` and ``bootstrap``, base fits
 drop an all-zero level, whose means are then zero: a study triangle's
-counts and design are :func:`nbreserve.glm._counts_and_design`'s,
-without the checks of ``glm._prepare``, since about a fifth of
-default-process triangles have such a level.
+counts and design are :func:`nbreserve.glm._counts_and_design`'s, and
+its fits keep the levels the chain-ladder keeps, with no refusal by
+``glm._poisson_fit``, since about a fifth of default-process triangles
+have such a level.
 """
 
 from __future__ import annotations

@@ -76,14 +76,26 @@ def inline_pool(monkeypatch):
     return sizes
 
 
+def kept_levels(Y: np.ndarray, design):
+    """Each row's accident and development years with a positive ``np.bincount`` total, (m, n_ay) and (m, n_dy).
+
+    The package decides the kept levels in one place, the chain-ladder
+    (``glm._chain_ladder_batch``); this is the tests' independent rule.
+    """
+    def positive(idx, n):
+        return np.array([np.bincount(idx, weights=y, minlength=n) > 0 for y in Y]).reshape(len(Y), n)
+
+    return positive(design.ay_idx, design.n_ay), positive(design.dy_idx, design.n_dy)
+
+
 def drop_pattern(Y: np.ndarray, design):
     """Kept cells and pinned coefficients of each row of ``Y``, by the engine's rule.
 
     A level is dropped when its total in the row is zero.
     """
-    from nbreserve.glm import _kept_levels, drop_masks
+    from nbreserve.glm import drop_masks
 
-    return drop_masks(design, *_kept_levels(Y, design))
+    return drop_masks(design, *kept_levels(Y, design))
 
 
 def positive_table_exists(y: np.ndarray, design) -> bool:
@@ -97,9 +109,9 @@ def positive_table_exists(y: np.ndarray, design) -> bool:
     """
     from scipy.optimize import linprog
 
-    from nbreserve.glm import _kept_design, _kept_levels
+    from nbreserve.glm import _kept_design
 
-    ay_keep, dy_keep = _kept_levels(y[None], design)
+    ay_keep, dy_keep = kept_levels(y[None], design)
     cells, kept = _kept_design(design, ay_keep[0], dy_keep[0])
     n = kept.n
     a_eq = np.hstack((kept.X.T, np.zeros((kept.p, 1))))

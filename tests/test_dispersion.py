@@ -980,21 +980,19 @@ def nb_batches(draw):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(batch=nb_batches())
 def test_one_joint_estimator(batch):
-    # each row's fit is the same whatever rows share its batch; an
-    # unmasked row's is exactly the one-row kernel's without a mask, and
-    # nb_mle's below the cap; at the cap nb_mle refits the row's means there
+    # each row's fit is the same whatever rows share its batch: a row that
+    # drops nothing gets the one-row kernel's fit, which builds no masks,
+    # even in a batch masked for other rows; that is nb_mle's below the
+    # cap, and at the cap nb_mle refits the row's means there
     Y, design = batch
-    mask, pin = drop_pattern(Y, design)
-    out = _nb_mle_batch(Y, design, mask=mask, pin=pin)
+    mask, _ = drop_pattern(Y, design)
+    out = _nb_mle_batch(Y, design)
     coef, mu, kappa, ok, _ = out
     for r in range(len(Y)):
-        alone = _nb_mle_batch(Y[r : r + 1], design, mask=mask[r : r + 1], pin=pin[r : r + 1])
-        for got, want in zip(out, alone):
+        for got, want in zip(out, _nb_mle_batch(Y[r : r + 1], design)):
             assert np.array_equal(got[r], want[0], equal_nan=True)
         if not mask[r].all():
             continue
-        for got, want in zip(out, _nb_mle_batch(Y[r : r + 1], design)):
-            assert np.array_equal(got[r], want[0], equal_nan=True)
         if ok[r]:
             c, m, k, at_boundary = nb_mle(Y[r], design)
             assert k == kappa[r] and at_boundary == (k == KAPPA_CAP)
@@ -1028,19 +1026,18 @@ def test_whole_steps_halvings_and_failures_share_a_batch(monkeypatch):
         [0, 0, 72, 313, 3832, 0, 0, 0, 23, 6],
         [1, 0, 0, 239, 675, 2, 53, 58, 31, 3],
     ], dtype=float)
-    mask, pin = drop_pattern(Y, design)
     evaluated = []  # the rows of each call of glm._rows_dot: the Poisson start's, then each candidate step's
     rows_dot = glm._rows_dot
     monkeypatch.setattr(glm, "_rows_dot", lambda X, coef: (evaluated.append(len(coef)), rows_dot(X, coef))[1])
     alone, halved = [], []
     for r in range(len(Y)):
         evaluated.clear()
-        alone.append(_nb_mle_batch(Y[r : r + 1], design, mask=mask[r : r + 1], pin=pin[r : r + 1]))
+        alone.append(_nb_mle_batch(Y[r : r + 1], design))
         halved.append(len(evaluated) - 1 > alone[-1][4][0])
     assert halved == [False, True, True, False]
     assert [fit[3][0] for fit in alone] == [True, True, False, True]
     assert glm._chain_ladder_batch(Y, design)[2].all()
-    for got, want in zip(_nb_mle_batch(Y, design, mask=mask, pin=pin), zip(*alone)):
+    for got, want in zip(_nb_mle_batch(Y, design), zip(*alone)):
         for r in range(len(Y)):
             assert np.array_equal(got[r], want[r][0], equal_nan=True)
 
@@ -1119,8 +1116,11 @@ class TestMomentStart:
 
     @staticmethod
     def check_rows(Y, design, mask=None, pin=None):
-        """Each converged row's kappa maximises the likelihood at its means, whose coefficient score is zero."""
-        coef, mu, kappa, ok, n_iter = _nb_mle_batch(Y, design, mask=mask, pin=pin)
+        """Each converged row's kappa maximises the likelihood at its means, whose coefficient score is zero.
+
+        ``mask`` and ``pin`` are the rows' drop pattern (``drop_pattern``), which the kernel derives itself.
+        """
+        coef, mu, kappa, ok, n_iter = _nb_mle_batch(Y, design)
         assert np.all(n_iter[ok] < _IRLS_MAX_ITER)
         for r in np.nonzero(ok)[0]:
             y, k = Y[r], float(kappa[r])

@@ -10,7 +10,7 @@ from scipy import stats
 from nbreserve import Family, chain_ladder, fit, nb_loglik, pearson_dispersion, poisson_loglik, to_long, to_simplex
 from nbreserve.glm import ConditioningWarning, build_design, score
 from nbreserve.errors import MissingCellError, SeparationError
-from conftest import QUASI_SEPARATED, drop_pattern, positive_table_exists, random_triangle
+from conftest import QUASI_SEPARATED, drop_pattern, kept_levels, positive_table_exists, random_triangle
 
 
 def future_sum(model):
@@ -285,7 +285,7 @@ class TestScore:
 class TestDegenerateInputs:
     def test_zero_accident_year_row(self):
         # a fully zero accident year drives its effect to -inf; the error
-        # names the first zero level that _kept_levels gives, accident years
+        # names the first level the chain-ladder drops, accident years
         # first, by its 0-based index
         for rows, name in [
             ([[5, 3, 2], [0, 0], [4]], "accident year level 1"),
@@ -348,14 +348,17 @@ class TestDegenerateInputs:
         # correction are undefined whatever the Poisson residuals' rounding;
         # the Poisson fits
         from nbreserve import RunOffTriangle, bootstrap, profile_kappa
-        from nbreserve.errors import NoResidualDofError
+        from nbreserve.errors import BaseFitFailedError, NoResidualDofError
 
         t = RunOffTriangle.from_rows(rows)
         recs = to_long(t)
-        calls = (lambda: fit(recs, Family.quasi_poisson()), lambda: profile_kappa(recs), lambda: bootstrap(t, b=100))
-        for call in calls:
+        for call in (lambda: fit(recs, Family.quasi_poisson()), lambda: profile_kappa(recs)):
             with pytest.raises(NoResidualDofError):
                 call()
+        # the bootstrap reports every failure of its base fit as one error, with the cause behind it
+        with pytest.raises(BaseFitFailedError) as got:
+            bootstrap(t, b=100)
+        assert type(got.value.__cause__) is NoResidualDofError
         assert fit(recs, Family.poisson()).converged
 
     @pytest.mark.parametrize("value", [-1, 0.5, 2**53, 2**60, float("nan"), float("inf")])
@@ -423,9 +426,9 @@ def staircase_batches(draw):
 
 def kept_fit(y: np.ndarray, design, family):
     """``_irls`` on the kept levels of one row of counts: (cells, coef, mu, deviance_path, converged)."""
-    from nbreserve.glm import _irls, _kept_design, _kept_levels
+    from nbreserve.glm import _irls, _kept_design
 
-    ay_keep, dy_keep = _kept_levels(y[None], design)
+    ay_keep, dy_keep = kept_levels(y[None], design)
     cells, kept = _kept_design(design, ay_keep[0], dy_keep[0])
     coef, mu, _, path, converged, _ = _irls(y[cells], kept, family)
     return cells, coef, mu, path, converged
@@ -596,7 +599,7 @@ class TestClosedFormPoisson:
 
         Y, design = batch
         mask, pin = drop_pattern(Y, design)
-        coef, mu, closed = _chain_ladder_batch(Y, design)
+        coef, mu, closed = _chain_ladder_batch(Y, design)[:3]
         assert np.all(coef[pin & closed[:, None]] == 0.0)
         # a row that keeps no level is not taken, and a row not taken gets
         # no fit at all
@@ -631,7 +634,7 @@ class TestClosedFormPoisson:
         mask, pin = drop_pattern(Y, design)
         # a staircase's kept cells are never fewer than the free coefficients
         assert np.all(mask.sum(axis=1) >= (~pin).sum(axis=1))
-        assert not (_nb_mle_batch(Y, design, mask=mask, pin=pin)[3] & ~exists).any()
+        assert not (_nb_mle_batch(Y, design)[3] & ~exists).any()
         for family in ("negbin", "poisson"):
             assert not (fit_kept_levels(Y, design, family)[0] & ~exists).any()
 
@@ -641,9 +644,9 @@ class TestClosedFormPoisson:
         from nbreserve.glm import _chain_ladder_batch
 
         Y, design = batch
-        coef, mu, ok = _chain_ladder_batch(Y, design)
+        coef, mu, ok = _chain_ladder_batch(Y, design)[:3]
         for r in range(len(Y)):
-            c, m, o = _chain_ladder_batch(Y[r : r + 1], design)
+            c, m, o = _chain_ladder_batch(Y[r : r + 1], design)[:3]
             assert o[0] == ok[r]
             assert np.array_equal(c[0], coef[r], equal_nan=True) and np.array_equal(m[0], mu[r], equal_nan=True)
 
@@ -654,7 +657,7 @@ class TestClosedFormPoisson:
 
         t = request.getfixturevalue(name)
         y, design = _prepare(to_long(t))
-        coef, _, ok = _chain_ladder_batch(y[None], design)
+        coef, _, ok = _chain_ladder_batch(y[None], design)[:3]
         assert ok[0]
         _, (fut_ay, fut_dy) = triangle_cells(t.dimension)
         row, col = _effects_from_coef(coef[0], design.n_ay)
@@ -675,6 +678,27 @@ class TestClosedFormPoisson:
         for call in calls:
             with pytest.raises(MissingCellError, match=r"^observed cell \(1, 2\) missing from records$"):
                 call()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(dimension=st.integers(2, 10), seed=st.integers(0, 2**32 - 1))
+    def test_kept_levels_have_positive_totals(self, dimension, seed):
+        # the chain-ladder alone decides which levels a row keeps, for every
+        # fit: the accident and development years with a positive total
+        from nbreserve.glm import _chain_ladder_batch
+        from nbreserve.triangle import triangle_cells
+
+        rng = np.random.default_rng(seed)
+        (ay, dy), _ = triangle_cells(dimension)
+        design = build_design(ay + 1, dy, dimension, dimension)
+        m = 8
+        Y = rng.poisson(rng.uniform(0.0, 20.0, size=(m, ay.size))).astype(float)
+        Y[(rng.random((m, dimension)) < 0.2)[:, ay]] = 0.0  # zeroed accident years
+        Y[(rng.random((m, dimension)) < 0.2)[:, dy]] = 0.0  # zeroed development years
+        Y[rng.random(m) < 0.2] = 0.0  # all-zero rows
+        ay_keep, dy_keep = _chain_ladder_batch(Y, design)[3:]
+        for y, a, d in zip(Y, ay_keep, dy_keep):
+            assert a.tolist() == (np.bincount(ay, weights=y, minlength=dimension) > 0).tolist()
+            assert d.tolist() == (np.bincount(dy, weights=y, minlength=dimension) > 0).tolist()
 
     def test_boundary_maximum_falls_back(self):
         # [[0, 5], [3]]: the Poisson maximum puts the first cell's mean at

@@ -20,10 +20,10 @@ from nbreserve import (
 )
 from nbreserve import dispersion, glm
 from nbreserve.errors import ExcessiveFailuresError, TooFewDrawsError
-from nbreserve.glm import _counts_and_design, _data_key, _kept_levels, _prepare
+from nbreserve.glm import _counts_and_design, _data_key, _prepare
 from nbreserve.predictive import ay_summary, draws_csv, summary_json
 from nbreserve._rng import substream
-from conftest import drop_pattern, positive_table_exists
+from conftest import drop_pattern, kept_levels, positive_table_exists
 
 
 def _study_spec(s, b, family="quasipoisson"):
@@ -109,6 +109,30 @@ class TestSampler:
         got = sample_nb(mu, kappa, substream(seed, 0), size=size)
         assert np.shape(got) == np.shape(want)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "kappa", [1e9, np.full(2, 1e9), np.full(2, np.inf), np.array([1e8, np.inf])],
+        ids=["scalar", "array", "array-inf", "array-mixed"],
+    )
+    def test_arrays_at_the_cap_are_poisson(self, kappa):
+        # README's dispersion cap: any kappa >= 1e8, infinity included, is
+        # exactly Poisson, so an array of them draws what the scalar draws
+        got = sample_nb(np.array([3.0, 5.0]), kappa, substream(0, 1))
+        assert got.tolist() == [3, 4]
+        assert np.array_equal(got, substream(0, 1).poisson([3.0, 5.0]))
+
+    def test_cells_at_the_cap_draw_no_gamma(self):
+        # the other cells draw the gamma-Poisson mixture, in stream order
+        mu, kappa, below = np.array([3.0, 5.0, 7.0]), np.array([2.0, np.inf, 4.0]), [0, 2]
+        ref = substream(0, 1)
+        lam = mu.copy()
+        lam[below] = ref.gamma(kappa[below], mu[below] / kappa[below])
+        assert np.array_equal(sample_nb(mu, kappa, substream(0, 1)), ref.poisson(lam))
+
+    @pytest.mark.parametrize("kappa", [[2.0, np.nan], [2.0, 0.0], [-1.0, 1e9]], ids=["nan", "zero", "negative"])
+    def test_array_kappa_must_be_positive(self, kappa):
+        with pytest.raises(ValueError):
+            sample_nb(np.ones(2), np.array(kappa), substream(0, 8))
 
     @pytest.mark.parametrize("kappa", [2.0, np.full(3, 2.0)], ids=["scalar", "array"])
     def test_size_must_fit_mu(self, kappa):
@@ -405,8 +429,7 @@ class TestBatchedRefit:
         y_star = np.array(
             [bt.draw_counts("negbin", spec.param, spec.mu_obs, bt.substream(0, r)) for r in range(200)]
         ).astype(float)
-        mask, pin = drop_pattern(y_star, spec.design)
-        _, _, _, ok, n_iter = _nb_mle_batch(y_star, spec.design, mask=mask, pin=pin)
+        _, _, _, ok, n_iter = _nb_mle_batch(y_star, spec.design)
         assert ok.all()
         assert n_iter.mean() <= 8 and n_iter.max() <= 12
 
@@ -489,7 +512,7 @@ class TestBatchedRefit:
         y_star = np.array(
             [bt.draw_counts(spec.family, spec.param, spec.mu_obs, bt.substream(0, r)) for r in range(60)]
         )
-        ay_keep, dy_keep = _kept_levels(y_star, spec.design)
+        ay_keep, dy_keep = kept_levels(y_star, spec.design)
         assert len(np.unique(np.hstack((ay_keep, dy_keep)), axis=0)) >= 5
         ok, row_eff, col_eff, disp = _refit_batch(y_star, spec)
         ref = [bt._refit(y, spec) for y in y_star]
@@ -554,7 +577,7 @@ class TestChunking:
         y_star = np.array(
             [bt.draw_counts(spec.family, spec.param, spec.mu_obs, bt.substream(spec.seed, *spec.prefix, r)) for r in range(b)]
         )
-        ay_keep, dy_keep = _kept_levels(y_star, spec.design)
+        ay_keep, dy_keep = kept_levels(y_star, spec.design)
         assert (~np.hstack((ay_keep, dy_keep))).any(axis=1).sum() >= b // 10
 
     def test_pool_is_capped(self, monkeypatch, inline_pool):
@@ -690,13 +713,13 @@ class TestUnboundedRefit:
         design = spec.design
         y_star = self._draws(spec).astype(float)
         Y = y_star[y_star[:, design.ay_idx == 0].sum(axis=1) == 0]
-        _, mu, ok = _chain_ladder_batch(Y, design)
+        _, mu, ok = _chain_ladder_batch(Y, design)[:3]
         Y, mu = Y[ok], mu[ok]
         assert len(Y) >= 20
         mask, _ = drop_pattern(Y, design)
         score = np.where(mask, Y - mu, 0.0) @ design.X
         assert np.all(np.abs(score).max(axis=1) <= 1e-13 * Y.sum(axis=1))
-        ay_keep, dy_keep = _kept_levels(Y, design)
+        ay_keep, dy_keep = kept_levels(Y, design)
         for y, m, ay, dy in zip(Y, mu, ay_keep, dy_keep):
             cells, kept = _kept_design(design, ay, dy)
             _, m_irls, _, _, converged, _ = _irls(y[cells], kept, Family.poisson())

@@ -264,7 +264,7 @@ class TestStudyPinned:
 
         mu, kappa = _method_base("negbin", y, design)
         coef = fit_kept_levels(y[None], design, "negbin")[1][0]
-        ref_coef, ref_mu, ref_kappa, ok, n_iter = _nb_mle_batch(y[None], design, mask=mask, pin=pin)
+        ref_coef, ref_mu, ref_kappa, ok, n_iter = _nb_mle_batch(y[None], design)
         assert ok[0] and n_iter[0] <= 10
         assert np.array_equal(coef, ref_coef[0])
         assert kappa == ref_kappa[0] < KAPPA_CAP

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -305,3 +307,61 @@ class TestOneIngestionRule:
             with pytest.raises(ReservingError) as got:
                 call()
             assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+
+    @given(
+        dimension=st.integers(2, 7),
+        fault=st.sampled_from(["zero year", "zero development year", "2.5", "-5", "nan", "inf", "2**53", "total"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_count_faults_agree(self, dimension, fault, seed):
+        # records with an all-zero level or a bad count get one error kind,
+        # naming the same level, cell or accident year, from every entry
+        # point, whatever joint fit is remembered; a bad count's cell is the
+        # one the triangle constructors name
+        from nbreserve import Family, fit, glm, nb_mle, overdispersion_test, profile_kappa
+        from nbreserve.datasets import AUSTRALIAN_BI_ROWS
+        from nbreserve.dispersion import adjusted_profile_loglik
+        from nbreserve.errors import SeparationError, TriangleError
+        from nbreserve.glm import build_design
+
+        rng = np.random.default_rng(seed)
+        t = random_triangle(rng, dimension)
+        rows = [t.row(i).tolist() for i in range(1, dimension + 1)]
+        if fault.startswith("zero"):
+            level, by_year = int(rng.integers(dimension)), fault == "zero year"
+            rows = [
+                [0 if (i if by_year else j) == level else v for j, v in enumerate(row)] for i, row in enumerate(rows)
+            ]
+            # the first level with no count, accident years first, by its 0-based index
+            totals = {
+                "accident year": [sum(row) for row in rows],
+                "development year": [sum(row[j] for row in rows[: dimension - j]) for j in range(dimension)],
+            }
+            name = next(name for name in totals if 0 in totals[name])
+            message = f"{name} level {totals[name].index(0)} has all-zero counts; its coefficient diverges"
+            want = (SeparationError, message)
+        elif fault == "total":
+            rows[0][:2] = [2**52, 2**52]
+            want = (CountTooLargeError, "accident year 1")
+        else:
+            i = int(rng.integers(dimension))
+            value = {"2.5": 2.5, "-5": -5, "nan": math.nan, "inf": math.inf}.get(fault, 2**53)
+            rows[i][int(rng.integers(dimension - i))] = value
+            with pytest.raises(TriangleError) as constructed:
+                RunOffTriangle.from_rows(rows)
+            want = (type(constructed.value), str(constructed.value).partition(":")[0])
+        records = [CellRecord(i + 1, j, v) for i, row in enumerate(rows) for j, v in enumerate(row)]
+        records = [records[k] for k in rng.permutation(len(records))]
+        y = np.array([r.count for r in records], dtype=float)
+        design = build_design([r.ay for r in records], [r.dy for r in records])
+        calls = [lambda f=f: fit(records, f) for f in (Family.poisson(), Family.quasi_poisson(), Family.negbin(5.0))]
+        calls += [lambda: profile_kappa(records), lambda: overdispersion_test(records)]
+        calls += [lambda: adjusted_profile_loglik(records, 5.0), lambda: nb_mle(y, design)]
+        glm._last_joint_fit = ((), None)
+        for memo in ("cleared", "after a fit of other data"):
+            for call in calls:
+                with pytest.raises(ReservingError) as got:
+                    call()
+                assert (type(got.value), str(got.value).partition(":")[0]) == want, memo
+            profile_kappa(to_long(RunOffTriangle.from_rows(AUSTRALIAN_BI_ROWS)))
