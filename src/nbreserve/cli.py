@@ -290,11 +290,12 @@ def _future_sum(model) -> float:
 @_guarded
 def cmd_reserve(triangle, b, levels, no_correct, threads, round_amounts, out_dir, seed):
     """Bootstrap the predictive reserve distribution."""
+    levels = sorted(set(levels))  # a repeated --level is one level
     t = _load_triangle(triangle, round_amounts)
     workers = _bootstrap._pool_size(threads, b)
     run = _Run(
         "reserve",
-        {**_input(triangle), "b": b, "levels": sorted(levels), "correct": not no_correct, "seed": seed},
+        {**_input(triangle), "b": b, "levels": levels, "correct": not no_correct, "seed": seed},
         out_dir,
     )
     run.workers = workers
@@ -305,10 +306,10 @@ def cmd_reserve(triangle, b, levels, no_correct, threads, round_amounts, out_dir
     table = ["accident_year  point      lower      upper      cv_percent"]
     csv_lines = ["ay,level,point,lower,upper,cv_percent"]
     names = [str(label + i - 1) for i in sorted(dist.draws_by_ay)] + ["total"]
-    for level, rows in zip(sorted(levels), rows_by_level):
+    for level, rows in zip(levels, rows_by_level):
         for name, row in zip(names, rows):
             csv_lines.append(f"{name},{level:g},{row.point:.2f},{row.lower:.2f},{row.upper:.2f},{row.cv_percent:.2f}")
-            if level == max(levels):
+            if level == levels[-1]:
                 table.append(f"{name:<14} {row.point:<10.0f} {row.lower:<10.0f} {row.upper:<10.0f} {row.cv_percent:.1f}")
     table.append(
         f"kappa_mle {dist.kappa_mle:.4g}; kappa_adj {dist.kappa_adj:.4g}; "

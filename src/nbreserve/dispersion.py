@@ -46,7 +46,7 @@ from .errors import FlatProfileError, NoResidualDofError, NotConvergedError, Sin
 from .glm import (
     _ETA_BOUND, _IRLS_MAX_ITER, _KAPPA_SERIES, Design, Family, _chain_ladder_batch, _check_counts, _data_key, _irls,
     _JointFit, _kept, _newton_step, _NormalEquations, _lgamma, _nb_loglik, _poisson_fit, _poisson_loglik, _prepare,
-    _solve, drop_masks,
+    _solve,
 )
 from .triangle import _check_layout
 
@@ -642,13 +642,14 @@ def _nb_mle_batch(
 
     All rows share ``design``. The closed-form chain-ladder Poisson fit
     (:func:`nbreserve.glm._chain_ladder_batch`), unless the caller passes
-    it as ``poisson`` (whose coefficient and mean arrays the fit updates
-    in place), gives each row's kept levels and its start. Each row is
-    fitted on its kept cells, with the other levels' coefficients held at
-    zero (:func:`nbreserve.glm.drop_masks`, built only when some row
-    drops a level). A left-out cell holds a zero count and gets zero
-    working weight; the kappa score sees it at its limit y = mu = 0,
-    where it adds nothing, so each row's kappa is that of its kept cells.
+    it as ``poisson``, which the fit copies, gives each row's kept levels
+    and its start. Each row is fitted on its kept cells, those whose two
+    levels it keeps, by one cell mask, built only when some row drops a
+    level; :class:`nbreserve.glm._NormalEquations` holds the coefficients
+    of the levels the mask leaves without weight. A left-out cell holds
+    a zero count and gets zero working weight; the kappa score sees it
+    at its limit y = mu = 0, where it adds nothing, so each row's kappa
+    is that of its kept cells.
 
     A row at the Poisson boundary at its start stops at KAPPA_CAP; every
     other row starts at the closed-form :func:`_start_kappa`, the
@@ -692,7 +693,8 @@ def _nb_mle_batch(
     if poisson is None:
         poisson = _chain_ladder_batch(Y, design)
     coef, mu, poisson_ok, ay_keep, dy_keep = poisson
-    mask, pin = (None, None) if ay_keep.all() and dy_keep.all() else drop_masks(design, ay_keep, dy_keep)
+    coef, mu = coef.copy(), mu.copy()
+    mask = None if ay_keep.all() and dy_keep.all() else ay_keep[:, design.ay_idx] & dy_keep[:, design.dy_idx]
     kappa = np.full(m, np.nan)
     ok = np.zeros(m, dtype=bool)
     n_iter = np.zeros(m, dtype=np.int64)
@@ -702,7 +704,7 @@ def _nb_mle_batch(
     cap = kappa >= KAPPA_CAP
     kappa[cap], ok[cap] = KAPPA_CAP, True
     live = live[~cap[live]]
-    normal = _NormalEquations(design, live.size, pin)
+    normal = _NormalEquations(design, live.size, mask)
     log_min = math.log(KAPPA_MIN)
 
     # singular and diverging rows fail, and the squares of a diverging
@@ -716,7 +718,7 @@ def _nb_mle_batch(
             k = kap[:, None]
             ky = y + k
             # Newton step for the coefficients at fixed kappa, as glm._irls takes it
-            decrement, tol, failed, mu_l = _newton_step(normal, live, y, coef, mu, k, ky, mask)
+            decrement, tol, failed, mu_l = _newton_step(normal, live, y, coef, mu, k, ky)
 
             # Newton step in theta = log kappa at the new means
             mu_k = _kept(mu_l, mask, live)
@@ -760,9 +762,8 @@ def _joint_fit(y: np.ndarray, design: Design) -> _JointFit:
     if seen != key:
         log_factorials = _lgamma(y + 1.0)
         poisson = _poisson_fit(y, design)
-        # read before the joint fit moves the Poisson means in place
-        ll_p = _poisson_loglik(y, poisson[1][0], log_factorials)
         coef, mu, kappa, at_boundary = _fit_at_estimate(y, design, poisson)
+        ll_p = _poisson_loglik(y, poisson[1][0], log_factorials)
         ll_nb = _nb_loglik(y, mu, kappa, log_factorials)
         joint = _JointFit(coef, mu, kappa, at_boundary, ll_nb, ll_p, log_factorials)
         glm._last_joint_fit = (key, joint)

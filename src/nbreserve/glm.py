@@ -15,7 +15,9 @@ the same coefficient step for a batch of rows (:func:`_newton_step`),
 solved by two-way elimination (:class:`_NormalEquations`): the
 information's accident-year block is diagonal, so eliminating it leaves
 a (J - 1)-square Schur system in the development-year effects, where
-:func:`_irls` solves the dense p-square system.
+:func:`_irls` solves the dense p-square system. A row that drops levels
+is told only which cells it keeps; the elimination holds the
+coefficients of the levels left without weight.
 Under the log link the Poisson's observed and expected information
 coincide, so its step is the Fisher-scoring step; the Poisson is the
 kappa -> infinity end of the same step. A batch's Poisson fit is the
@@ -32,9 +34,8 @@ The other modules share its layout: records to counts and a design
 (:func:`_counts_and_design`, of a run-off triangle's cells;
 :func:`_prepare` adds the checks of the counts, :func:`_check_counts`),
 the coefficient order (:func:`build_design`, read back by
-:func:`_split_coef` and :func:`_effects_from_coef`), the masks and pins
-that drop the levels a row does not keep (:func:`drop_masks`) and the
-design of the kept levels alone (:func:`_kept_design`, the bootstrap's
+:func:`_split_coef` and :func:`_effects_from_coef`), the design of a
+row's kept levels alone (:func:`_kept_design`, the bootstrap's
 reference refit), and the Pearson statistic behind every quasi-Poisson
 phi (:func:`pearson_statistic`).
 """
@@ -393,16 +394,20 @@ class _NormalEquations:
     and the development years' d_beta. Its decrement g . delta is the
     same in either form.
 
-    ``pin`` (m, p) marks the coefficients each row holds at zero. A
-    dropped accident year has A_i = 0; it is left out of the elimination
-    (1 / A_i taken as 0) and its contrast is zero. A pinned
-    development-year coefficient's equation in S becomes x = 0. Rows are
-    addressed by their index into ``pin``.
+    ``mask`` (m, n) marks the cells each row of the batch keeps, None
+    when every row keeps every cell; the caller zeroes the weights
+    outside it. This class alone decides which coefficients a row holds
+    at zero, from the weight sums it forms: an accident year with
+    A_i = 0 is left out of the elimination (1 / A_i taken as 0) and its
+    contrast is zero; a development year with B_j = 0, whose row and
+    column of S are zero, gets the equation x = 0; and when development
+    year 0 has no weight, the first development year with weight takes
+    its place as the baseline and is held the same way.
     """
 
-    def __init__(self, design: Design, m: int, pin: Optional[np.ndarray] = None):
+    def __init__(self, design: Design, m: int, mask: Optional[np.ndarray] = None):
         I, J = design.n_ay, design.n_dy
-        self.X, self.pin, self.I, self.J = design.X, pin, I, J
+        self.X, self.mask, self.I, self.J = design.X, mask, I, J
         # sums over each cell's accident year, then its development year from 1 on (X's columns)
         self.sums = np.concatenate((design.ay_idx[:, None] == np.arange(I), design.X[:, I:]), axis=1)
         self.terms = np.empty((m, 2, design.n))
@@ -410,14 +415,10 @@ class _NormalEquations:
         self.grid = np.zeros((m, I, J + 1))
         self.cell = design.ay_idx * (J + 1) + design.dy_idx
         self.diag = slice(0, (J - 1) * (J + 1), J + 1)  # the S block's diagonal in a flattened (J, J) matrix
-        if pin is not None:
-            self.pin_a, self.pin_b, self.free_b = pin[:, 1:I], pin[:, I:], ~pin[:, I:]
-            self.keep = self.free_b[:, :, None] & self.free_b[:, None, :]
-            self.pin_diag = np.arange(J - 1)
 
-    def solve(self, rows: np.ndarray, w: np.ndarray, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def solve(self, w: np.ndarray, z: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Each row's step delta, NaN where its system is singular, and its decrement g . delta, g = X^T W z."""
-        m, I, J = rows.size, self.I, self.J
+        m, I, J = len(w), self.I, self.J
         terms = self.terms[:m]
         terms[:, 0] = w
         np.multiply(w, z, out=terms[:, 1])
@@ -426,7 +427,7 @@ class _NormalEquations:
         grid = self.grid[:m]
         grid.reshape(m, -1)[:, self.cell] = w
         grid[:, :, J] = g[:, :I]
-        if self.pin is None:
+        if self.mask is None:
             neg_inv = -1.0 / A
         else:
             neg_inv = np.divide(-1.0, A, out=np.zeros_like(A), where=A > 0.0)
@@ -436,10 +437,16 @@ class _NormalEquations:
         schur = (C * neg_inv[:, :, None]).transpose(0, 2, 1) @ C
         schur.reshape(m, -1)[:, self.diag] += B
         S, rhs = schur[:, :-1, :-1], g_beta + schur[:, :-1, -1]
-        if self.pin is not None:
-            S = S * self.keep[rows]
-            S[:, self.pin_diag, self.pin_diag] += self.pin_b[rows]
-            rhs = rhs * self.free_b[rows]
+        if self.mask is not None:
+            rows = np.arange(m)
+            # the development years with no weight, and the first with weight where development year 0 has none
+            dy_weighted = B > 0.0
+            held = ~dy_weighted
+            held[rows, np.argmax(dy_weighted, axis=1)] |= ~grid[:, :, 0].any(axis=1)
+            free = ~held
+            S = S * (free[:, :, None] & free[:, None, :])
+            S.reshape(m, -1)[:, ::J] += held  # on S's diagonal
+            rhs = rhs * free
         # (d_alpha, d_beta, -1): [C | g_alpha] (d_beta, -1) = C d_beta - g_alpha
         step = np.empty((m, I + J))
         step[:, I:-1] = _solve_rows(S, rhs)
@@ -447,18 +454,19 @@ class _NormalEquations:
         np.multiply((C @ step[:, I:, None])[:, :, 0], neg_inv, out=step[:, :I])
         delta = step[:, :-1]
         decrement = (g * delta).sum(axis=1)
-        if self.pin is None:
+        if self.mask is None:
             delta[:, 1:I] -= delta[:, :1]
         else:
-            base = delta[np.arange(m), np.argmax(A > 0.0, axis=1)]
+            ay_weighted = A > 0.0
+            base = delta[rows, np.argmax(ay_weighted, axis=1)]
             delta[:, 0] = base
-            delta[:, 1:I] = np.where(self.pin_a[rows], 0.0, delta[:, 1:I] - base[:, None])
+            delta[:, 1:I] = np.where(ay_weighted[:, 1:], delta[:, 1:I] - base[:, None], 0.0)
         return delta, decrement
 
 
 def _newton_step(
     normal: _NormalEquations, live: np.ndarray, y: np.ndarray, coef: np.ndarray, mu: np.ndarray,
-    k: np.ndarray, ky: np.ndarray, mask: Optional[np.ndarray],
+    k: np.ndarray, ky: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The step of :func:`_irls` for the rows ``live`` of a batch, at fixed kappa.
 
@@ -466,15 +474,16 @@ def _newton_step(
     counts (``y``, the rows ``live`` of the batch's counts), means mu[r]
     and kappa (``k``, a column over ``live``); ``ky`` is y + kappa, which
     the weights, every deviance and the slack share. ``normal`` solves
-    the Newton system, with its pins, by two-way elimination: a
-    (J - 1)-square Schur system in the development-year effects, then
-    the accident-year effects by back-substitution. The step is halved
-    until the row's deviance does not rise by more than ``_DEV_SLACK``
-    times its sum of y + kappa. Every row's whole step is tried at once,
-    and only the rows that do not take it enter the halving loop, which
-    near the optimum is empty. Cells outside ``mask`` get zero
-    weight and add nothing to either. ``coef`` and ``mu`` are updated in
-    place for the rows that take a step. The caller silences the
+    the Newton system by two-way elimination: a (J - 1)-square Schur
+    system in the development-year effects, then the accident-year
+    effects by back-substitution. The step is halved until the row's
+    deviance does not rise by more than ``_DEV_SLACK`` times its sum of
+    y + kappa. Every row's whole step is tried at once, and only the
+    rows that do not take it enter the halving loop, which near the
+    optimum is empty. Cells outside ``normal``'s mask get zero weight
+    and add nothing to either, so ``normal`` holds the coefficients of
+    the levels they leave without weight. ``coef`` and ``mu`` are
+    updated in place for the rows that take a step. The caller silences the
     floating-point warnings of singular and diverging rows, which fail.
 
     Returns (decrement, tol, failed, mu_live) per row of ``live``: the
@@ -484,7 +493,7 @@ def _newton_step(
     halving kept the deviance down or a kept mean reached the clip of
     the linear predictor, and the rows' means after the step.
     """
-    X = normal.X
+    X, mask = normal.X, normal.mask
     old, mu_l = coef[live], mu[live]
 
     def deviance(rows, mu_r):
@@ -493,7 +502,7 @@ def _newton_step(
     w, z = _newton_terms(y, mu_l, k, ky)
     w = _kept(w, mask, live)
     tol = np.maximum(_DECREMENT_TOL, _DECREMENT_PER_WEIGHT * w.sum(axis=1))
-    delta, decrement = normal.solve(live, w, z)
+    delta, decrement = normal.solve(w, z)
     failed = np.isnan(delta).any(axis=1)
     cand = old + delta
     every = slice(None)
@@ -526,27 +535,6 @@ def _newton_step(
     return decrement, tol, failed, mu_c
 
 
-def drop_masks(design: Design, ay_keep: np.ndarray, dy_keep: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Kept cells (m, n) and pinned coefficients (m, p) of ``design`` for rows keeping the given levels.
-
-    ``ay_keep`` (m, n_ay) and ``dy_keep`` (m, n_dy) mark each row's
-    kept accident and development years; a cell is kept when both of
-    its levels are. Each dropped level's coefficient is pinned at zero;
-    when a baseline level (accident year 1 or development year 0) is
-    dropped, the first kept level of its factor is pinned too, so the
-    intercept takes its place. What is left free is then the reduced
-    design's parameterisation of the kept levels.
-    """
-    m = len(ay_keep)
-    mask = ay_keep[:, design.ay_idx] & dy_keep[:, design.dy_idx]
-    rows = np.arange(m)
-    ay_pin, dy_pin = ~ay_keep, ~dy_keep
-    ay_pin[rows, np.argmax(ay_keep, axis=1)] |= ay_pin[:, 0]
-    dy_pin[rows, np.argmax(dy_keep, axis=1)] |= dy_pin[:, 0]
-    pin = np.hstack((np.zeros((m, 1), dtype=bool), ay_pin[:, 1:], dy_pin[:, 1:]))
-    return mask, pin
-
-
 def _kept_design(design: Design, ay_keep: np.ndarray, dy_keep: np.ndarray) -> Tuple[np.ndarray, Design]:
     """The cells of ``design`` one row keeps, and the design of its kept levels alone.
 
@@ -554,7 +542,8 @@ def _kept_design(design: Design, ay_keep: np.ndarray, dy_keep: np.ndarray) -> Tu
     accident and development years, at least one of each; a cell is
     kept when both of its levels are. The kept levels are numbered in
     order, so the first kept level of each factor is the baseline and
-    the coefficients are those :func:`drop_masks` leaves free, in order.
+    the coefficients are those the joint kernel does not hold
+    (:class:`_NormalEquations`), in order.
     """
     cells = ay_keep[design.ay_idx] & dy_keep[design.dy_idx]
     ay = np.cumsum(ay_keep)[design.ay_idx[cells]]
@@ -578,12 +567,13 @@ def _chain_ladder_batch(Y: np.ndarray, design: Design) -> Tuple[np.ndarray, ...]
 
     A row's coefficients are the kept levels' parameters with the first
     kept level of each factor as the baseline, and each dropped level's
-    coefficient, as :func:`drop_masks` pins them, zero; its means are
-    exp(X coef) on every cell. Returns (coef, mu, ok, ay_keep, dy_keep):
-    ok is False for rows not taken, those that leave a kept cell with a
-    zero mean (a maximum on the boundary, or none); ay_keep (m, n_ay)
-    and dy_keep (m, n_dy) mark each row's kept levels, those with a
-    positive total, which no other code decides. A row is taken
+    coefficient zero: the joint kernel (:class:`_NormalEquations`) holds
+    the same ones. Its means are exp(X coef) on every cell. Returns
+    (coef, mu, ok, ay_keep, dy_keep): ok is False for rows not taken,
+    those that leave a kept cell with a zero mean (a maximum on the
+    boundary, or none); ay_keep (m, n_ay) and dy_keep (m, n_dy) mark
+    each row's kept levels, those with a positive total, which no other
+    code decides. A row is taken
     exactly when some strictly positive table on its kept cells has its
     margins, which is when its maximum exists (Haberman 1974).
     """

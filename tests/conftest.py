@@ -89,13 +89,27 @@ def kept_levels(Y: np.ndarray, design):
 
 
 def drop_pattern(Y: np.ndarray, design):
-    """Kept cells and pinned coefficients of each row of ``Y``, by the engine's rule.
+    """Kept cells (m, n) and held coefficients (m, p) of each row of ``Y``, the tests' statement of the rule.
 
-    A level is dropped when its total in the row is zero.
+    A level is dropped when its total in the row is zero, and a cell is
+    kept when both of its levels are. A row holds at zero the
+    coefficient of each dropped level and, where a factor's baseline
+    (accident year 1, development year 0) is dropped, that of the
+    factor's first kept level, which takes the baseline's place. The
+    intercept is never held.
     """
-    from nbreserve.glm import drop_masks
+    ay_keep, dy_keep = kept_levels(Y, design)
+    mask = ay_keep[:, design.ay_idx] & dy_keep[:, design.dy_idx]
 
-    return drop_masks(design, *kept_levels(Y, design))
+    def held(keep):
+        hold = ~keep
+        for r in range(len(keep)):
+            if not keep[r, 0]:
+                hold[r, np.nonzero(keep[r])[0][:1]] = True
+        return hold[:, 1:]
+
+    pin = np.concatenate((np.zeros((len(Y), 1), dtype=bool), held(ay_keep), held(dy_keep)), axis=1)
+    return mask, pin
 
 
 def positive_table_exists(y: np.ndarray, design) -> bool:

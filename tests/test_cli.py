@@ -164,6 +164,17 @@ class TestReserve:
         assert sum(1 for l in csv_lines if l.startswith("total,")) == 2
         assert sum(1 for l in csv_lines if l.startswith("19")) == 12
 
+    def test_repeated_level_is_one_level(self, runner, triangle_csv, tmp_path):
+        # a repeated --level writes what the level given once writes, run id included
+        outputs, out = [], tmp_path / "out"
+        for levels in (["--level", "0.95"], ["--level", "0.95", "--level", "0.95"]):
+            result = run_ok(runner, ["reserve", triangle_csv, "-B", "100", *levels, "--threads", "1",
+                                     "--out-dir", str(out)])
+            outputs.append((result.output, (out / "reserve.json").read_text(), (out / "reserve.csv").read_text()))
+        assert outputs[1] == outputs[0]
+        assert len(json.loads(outputs[0][1])["levels"]) == 1
+        assert sum(1 for l in outputs[0][2].splitlines() if l.startswith("total,")) == 1
+
     def test_outputs_pinned(self, runner, triangle_csv, tmp_path):
         # reserve.json and reserve.csv as the per-array summaries wrote them
         # (lines naming the run id left out: it hashes the input's path)

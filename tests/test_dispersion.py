@@ -955,14 +955,18 @@ def nb_batches(draw):
 
     Rows are overdispersed, Poisson (whose fit stops at the cap),
     wildly overdispersed (kappa 0.05, many zero cells) or overdispersed
-    with one accident or development year zeroed, baselines included.
+    with one accident or development year zeroed, baselines included:
+    any one level, accident year 1, development year 0, or both
+    baselines.
     The joint fit does not reach KAPPA_MIN on counts: there the kappa
     score is about the number of positive cells over KAPPA_MIN.
     """
     dim = draw(st.integers(4, 8))
     (ay, dy), _ = triangle_cells(dim)
     design = build_design(ay + 1, dy, dim, dim)
-    kinds = draw(st.lists(st.sampled_from(["nb", "poisson", "wild", "dropped"]), min_size=5, max_size=5))
+    kinds = draw(st.lists(
+        st.sampled_from(["nb", "poisson", "wild", "dropped", "ay1", "dy0", "both"]), min_size=5, max_size=5
+    ))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = []
     for kind in kinds:
@@ -973,6 +977,10 @@ def nb_batches(draw):
         if kind == "dropped":
             level = rng.integers(dim)
             y[(ay if rng.random() < 0.5 else dy) == level] = 0.0
+        if kind in ("ay1", "both"):
+            y[ay == 0] = 0.0
+        if kind in ("dy0", "both"):
+            y[dy == 0] = 0.0
         rows.append(y)
     return np.array(rows), design
 
@@ -985,9 +993,12 @@ def test_one_joint_estimator(batch):
     # even in a batch masked for other rows; that is nb_mle's below the
     # cap, and at the cap nb_mle refits the row's means there
     Y, design = batch
-    mask, _ = drop_pattern(Y, design)
+    mask, pin = drop_pattern(Y, design)
     out = _nb_mle_batch(Y, design)
     coef, mu, kappa, ok, _ = out
+    # each fitted row holds its dropped levels' coefficients, and a
+    # dropped baseline's successor's, at exactly zero
+    assert np.all(coef[pin & ok[:, None]] == 0.0)
     for r in range(len(Y)):
         for got, want in zip(out, _nb_mle_batch(Y[r : r + 1], design)):
             assert np.array_equal(got[r], want[0], equal_nan=True)
@@ -1010,6 +1021,22 @@ def test_one_joint_estimator(batch):
     s = k[:, None] * (Y[inner] - m) / (k[:, None] + m) * mask[inner]
     assert np.all(np.abs(s @ design.X).max(axis=1) <= 1e-9 * Y[inner].sum(axis=1))
     assert np.all(np.abs(k * _kappa_score(Y[inner], m, k)) <= 1e-9)
+
+
+def test_kernel_leaves_its_poisson_start_unchanged(australian):
+    # the kernel copies the Poisson fit a caller hands it: the caller's
+    # arrays come back as they went in, and every output is the one the
+    # kernel gives from its own Poisson fit, on a masked batch too
+    y, design = _prepare(to_long(australian))
+    Y = np.array([y, np.where(design.dy_idx == 0, 0.0, y)])
+    for rows in (Y[:1], Y):
+        poisson = glm._chain_ladder_batch(rows, design)
+        before = [a.copy() for a in poisson]
+        out = _nb_mle_batch(rows, design, poisson=poisson)
+        for got, want in zip(poisson, before):
+            assert np.array_equal(got, want)
+        for got, want in zip(out, _nb_mle_batch(rows, design)):
+            assert np.array_equal(got, want)
 
 
 def test_whole_steps_halvings_and_failures_share_a_batch(monkeypatch):

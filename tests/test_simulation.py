@@ -17,6 +17,8 @@ from nbreserve.simulation import (
 )
 from nbreserve._rng import substream
 
+from conftest import drop_pattern
+
 
 class TestConfig:
     def test_defaults(self):
@@ -249,18 +251,17 @@ class TestStudyPinned:
         from nbreserve._bootstrap import fit_kept_levels
         from nbreserve.dispersion import KAPPA_CAP, _nb_mle_batch
         from nbreserve.errors import BaseFitFailedError, SeparationError
-        from nbreserve.glm import Family, _counts_and_design, drop_masks, pearson_statistic
+        from nbreserve.glm import Family, _counts_and_design, pearson_statistic
         from nbreserve.simulation import _method_base
         from nbreserve.triangle import to_long
 
         t, _ = generate(default_config(n_sim=3, b=50, seed=8), 1)
         y, design = _counts_and_design(to_long(t))
-        ay_keep = np.ones((1, design.n_ay), dtype=bool)
-        dy_keep = np.arange(design.n_dy)[None] != 9
-        assert np.array_equal(np.bincount(design.dy_idx, y) == 0, ~dy_keep[0])
-        mask, pin = drop_masks(design, ay_keep, dy_keep)
+        # development year 9 alone has a zero total
+        assert np.nonzero(np.bincount(design.dy_idx, y) == 0)[0].tolist() == [9]
+        mask, pin = drop_pattern(y[None], design)
         dropped = ~mask[0]
-        assert dropped.sum() == 1
+        assert dropped.sum() == 1 and np.nonzero(pin[0])[0].tolist() == [design.n_ay + 8]
 
         mu, kappa = _method_base("negbin", y, design)
         coef = fit_kept_levels(y[None], design, "negbin")[1][0]

@@ -21,7 +21,14 @@ Groups:
   ``main`` on the Australian and Taylor-Ashe CSVs, B=300, levels 0.5,
   0.75 and 0.95, seeds 0-1, ``--threads 1``: its ``reserve.json`` and
   ``reserve.csv`` without their ``run_id`` lines (the run id hashes the
-  input's path, which is a temporary directory).
+  input's path, which is a temporary directory);
+- ``kernel-drops``: ``nbreserve._bootstrap.fit_kept_levels`` for the
+  ``poisson``, ``quasipoisson`` and ``negbin`` families on seeded
+  batches of 40 rows, one per seed 0-399, of overdispersed counts on a
+  triangle of dimension 3-10, whose rows drop nothing, accident year 1,
+  development year 0, both, or random levels: the masked path of the
+  joint kernel, which the bundled triangles' bootstraps never take with
+  a baseline dropped.
 
 Floats are hashed by their exact ``repr`` and arrays by their bytes, so
 two trees print the same digests exactly when every output agrees in
@@ -48,6 +55,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import nbreserve as nb  # noqa: E402
+import nbreserve._bootstrap  # noqa: E402,F401 (binds nb._bootstrap)
 import nbreserve.cli  # noqa: E402,F401 (binds nb.cli)
 from workloads import FitBatch  # noqa: E402
 
@@ -56,6 +64,8 @@ BOOTSTRAP_SEEDS = (0, 1, 2)
 BOOTSTRAP_B = 1000
 STUDY_SEEDS = (0, 1)
 RESERVE_CLI_SEEDS = (0, 1)
+KERNEL_DROPS_SEEDS = range(400)
+KERNEL_DROPS_ROWS = 40
 RESERVE_CLI_ARGS = ("-B", "300", "--level", "0.5", "--level", "0.75", "--level", "0.95", "--threads", "1")
 
 
@@ -138,6 +148,26 @@ def _reserve_cli(h) -> None:
                     _feed(h, [line for line in text.splitlines() if "run_id" not in line])
 
 
+def _kernel_drops(h) -> None:
+    for seed in KERNEL_DROPS_SEEDS:
+        rng = np.random.default_rng(seed)
+        dim, m = int(rng.integers(3, 11)), KERNEL_DROPS_ROWS
+        (ay, dy), _ = nb.triangle.triangle_cells(dim)
+        design = nb.glm.build_design(ay + 1, dy, dim, dim)
+        mean = np.exp(rng.uniform(3.0, 8.0, size=(m, dim)))[:, ay] * rng.dirichlet(np.full(dim, 2.0), size=m)[:, dy]
+        kappa = rng.uniform(1.0, 10.0, size=(m, 1))
+        Y = rng.poisson(rng.gamma(kappa, mean / kappa)).astype(float)
+        # 0 drops nothing, 1 accident year 1, 2 development year 0, 3 both, 4 random levels
+        kind = rng.integers(5, size=m)
+        drop_ay = (kind == 4)[:, None] & (rng.random((m, dim)) < 0.3)
+        drop_dy = (kind == 4)[:, None] & (rng.random((m, dim)) < 0.3)
+        drop_ay[:, 0] |= (kind == 1) | (kind == 3)
+        drop_dy[:, 0] |= (kind == 2) | (kind == 3)
+        Y[drop_ay[:, ay] | drop_dy[:, dy]] = 0.0
+        for family in ("poisson", "quasipoisson", "negbin"):
+            _feed(h, nb._bootstrap.fit_kept_levels(Y, design, family))
+
+
 def _hashed(run, *args) -> str:
     h = hashlib.sha256()
     run(h, *args)
@@ -151,6 +181,7 @@ GROUPS = {
     "bootstrap-ta": lambda: [_hashed(_bootstrap, nb.taylor_ashe(), warm) for warm in (False, True)],
     "study-desk": lambda: [_hashed(_study)],
     "reserve-cli": lambda: [_hashed(_reserve_cli)],
+    "kernel-drops": lambda: [_hashed(_kernel_drops)],
 }
 
 
