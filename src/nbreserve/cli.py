@@ -32,7 +32,7 @@ from . import __version__, _bootstrap, dispersion, predictive, simulation
 from .chainladder import chain_ladder
 from .diagnostics import export_profile, pearson_residuals, residuals_csv
 from .errors import BaseFitFailedError, ConfigError, ReservingError, TriangleError
-from .glm import _CONDITION_WARN, ConditioningWarning, Family, _poisson_fit, _prepare, fit as glm_fit
+from .glm import _CONDITION_WARN, ConditioningWarning, Family, fit as glm_fit
 from .triangle import read_triangle, to_long, triangle_cells
 
 _SEED_ENV = "NBRESERVE_SEED"
@@ -145,12 +145,9 @@ def _input(path: str) -> dict:
 
 
 def _load_triangle(path: str, round_amounts: bool):
-    t = read_triangle(path, round_amounts=round_amounts)
-    # a triangle with an accident year's total of 2**53 or more, or with no finite
-    # maximum (an all-zero year, or quasi-separation), fails here for every
-    # command alike, before the chain-ladder or any fit sees it
-    _poisson_fit(*_prepare(to_long(t)))
-    return t
+    # its own function so that bench/spans.py can time the read (cli.load_s);
+    # each command's first fit decides whether the triangle can be fitted
+    return read_triangle(path, round_amounts=round_amounts)
 
 
 def _conditioning_lines(model) -> List[str]:
@@ -201,7 +198,6 @@ def cmd_fit(triangle: str, family: str, round_amounts: bool, out_dir: str, seed:
     t = _load_triangle(triangle, round_amounts)
     run = _Run("fit", {**_input(triangle), "family": family, "seed": seed}, out_dir)
     records = to_long(t)
-    cl = chain_ladder(t)
 
     if family == "nb":
         est = dispersion.profile_kappa(records)
@@ -245,6 +241,7 @@ def cmd_fit(triangle: str, family: str, round_amounts: bool, out_dir: str, seed:
             payload["phi"] = model.phi
             lines.append(f"phi (Pearson)        {model.phi:.4g}")
 
+    cl = chain_ladder(t)  # after the fits, which refuse every triangle it cannot take
     payload.update(
         {
             "expected_ultimates": np.exp(model.simplex_alpha).tolist(),
@@ -290,7 +287,7 @@ def _future_sum(model) -> float:
 @_guarded
 def cmd_reserve(triangle, b, levels, no_correct, threads, round_amounts, out_dir, seed):
     """Bootstrap the predictive reserve distribution."""
-    levels = sorted(set(levels))  # a repeated --level is one level
+    levels = predictive._level_set(levels)
     t = _load_triangle(triangle, round_amounts)
     workers = _bootstrap._pool_size(threads, b)
     run = _Run(
@@ -340,7 +337,7 @@ def cmd_simulate(scenario, kappa, nsim, b, threads, config_path, out_dir, seed):
     """Run a frequentist coverage study against a known process."""
     overrides = {"scenario": scenario, "kappa_true": kappa, "n_sim": nsim, "b": b, "seed": seed}
     if config_path is not None:
-        with open(config_path, "r", encoding="utf-8") as fh:
+        with open(config_path, "r", encoding="utf-8-sig") as fh:  # a leading byte-order mark is skipped
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ConfigError(f"config must be a JSON object, got {type(loaded).__name__}")

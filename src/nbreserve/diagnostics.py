@@ -37,8 +37,6 @@ def pearson_residuals(fit: ModelFit, kappa: Optional[float] = None) -> ResidualS
     """
     if kappa is None:
         kappa = fit.family.kappa if fit.family.tag == "negbin" else None
-    elif not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
     mu = fit.fitted_mu
     variance = mu if kappa is None else _nb_variance(mu, kappa)
     return ResidualSet(

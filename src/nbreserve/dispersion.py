@@ -70,7 +70,13 @@ _ENDPOINT_STEPS = 20
 
 
 def _nb_variance(mu, kappa: float):
-    """The negative binomial variance mu + mu^2 / kappa; mu in the Poisson limit, kappa >= KAPPA_CAP or inf."""
+    """The negative binomial variance mu + mu^2 / kappa; mu in the Poisson limit, kappa >= KAPPA_CAP or inf.
+
+    Raises:
+        ValueError: kappa is not positive, or is NaN.
+    """
+    if not kappa > 0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
     return mu if kappa >= KAPPA_CAP else mu + mu * mu / kappa
 
 

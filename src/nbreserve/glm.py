@@ -50,8 +50,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import CountTooLargeError, NoResidualDofError, NotConvergedError, SeparationError
-from .triangle import _MAX_COUNT, _check_layout, _coerce_count
+from .errors import NoResidualDofError, NotConvergedError, SeparationError
+from .triangle import _MAX_COUNT, _check_layout, _check_year_totals, _coerce_count
 
 # Linear predictors are clipped here before exponentiation; exp(+-500)
 # stays finite in float64 while leaving real fits untouched.
@@ -697,11 +697,22 @@ def to_simplex(fit: ModelFit) -> ModelFit:
 
 
 def _counts_and_design(data: Sequence) -> Tuple[np.ndarray, Design]:
-    """Counts and design of long-format records, which must be a run-off triangle's cells (``_check_layout``)."""
+    """Counts and design of long-format records, which must be a run-off triangle's cells (``_check_layout``).
+
+    When numpy cannot read a count as a float (``'abc'``, ``10**400``), the
+    first bad count in row-major order raises :func:`_coerce_count`'s error.
+    """
     ay = np.array([r.ay for r in data], dtype=np.int64)
     dy = np.array([r.dy for r in data], dtype=np.int64)
     I = _check_layout(ay, dy)
-    return np.array([r.count for r in data], dtype=float), build_design(ay, dy, I, I)
+    counts = [r.count for r in data]
+    try:
+        y = np.array(counts, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        y = np.empty(len(counts))
+        for k in np.lexsort((dy, ay)).tolist():
+            y[k] = _coerce_count(counts[k], f"({ay[k]}, {dy[k]})", False)
+    return y, build_design(ay, dy, I, I)
 
 
 def _prepare(data: Sequence) -> Tuple[np.ndarray, Design]:
@@ -712,7 +723,7 @@ def _prepare(data: Sequence) -> Tuple[np.ndarray, Design]:
 
 
 def _check_counts(y: np.ndarray, design: Design, records: Optional[Sequence] = None) -> None:
-    """Check that each count and accident year's total is an integer in [0, 2**53).
+    """Check that each count is an integer in [0, 2**53), then each accident year's total (:func:`_check_year_totals`).
 
     The first bad count in row-major order raises the triangle constructors'
     error, naming its cell and its value as ``records`` hold it, else as a float.
@@ -722,12 +733,7 @@ def _check_counts(y: np.ndarray, design: Design, records: Optional[Sequence] = N
         k = min(np.nonzero(bad)[0].tolist(), key=lambda k: (design.ay_idx[k], design.dy_idx[k]))
         value = float(y[k]) if records is None else records[k].count
         _coerce_count(value, f"({design.ay_idx[k] + 1}, {design.dy_idx[k]})", False)
-    # a float64 sum of counts is exact below 2**53 and rounds monotonically above
-    big = np.bincount(design.ay_idx, weights=y) > _MAX_COUNT
-    if np.count_nonzero(big):
-        i = int(np.argmax(big))
-        total = sum(map(int, y[design.ay_idx == i].tolist()))
-        raise CountTooLargeError(f"accident year {i + 1}: total {total} is 2**53 or more")
+    _check_year_totals(y, design.ay_idx)
 
 
 class _JointFit(NamedTuple):

@@ -48,8 +48,6 @@ def plugin_predict(fit: ModelFit, kappa: float) -> List[CellPrediction]:
     ``kappa`` at or above the search cap, infinity included, is the
     Poisson limit, where the variance equals the mean, as in sampling.
     """
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
     _, (ay, dy) = triangle_cells(fit.n_ay)
     out = []
     for i, j in zip(ay.tolist(), dy.tolist()):
@@ -166,8 +164,13 @@ def _interval_ends(draws: np.ndarray, levels: Sequence[float]) -> np.ndarray:
     return tails.reshape((len(levels), 2) + tails.shape[1:])
 
 
+def _level_set(levels: Sequence[float]) -> List[float]:
+    """The levels sorted, each once: a repeated level is one level."""
+    return sorted(set(levels))
+
+
 def summary_rows(d: ReserveDistribution, levels: Sequence[float]) -> List[List[IntervalSummary]]:
-    """Per level, sorted: one row per accident year with future cells, then the total.
+    """Per level of :func:`_level_set`: one row per accident year with future cells, then the total.
 
     One :func:`_interval_ends`, mean and ``std(ddof=1)`` of the (n_ay + 1, B)
     draw stack give every row, row by row the bits of the same calls on each draw array.
@@ -176,7 +179,7 @@ def summary_rows(d: ReserveDistribution, levels: Sequence[float]) -> List[List[I
         raise TooFewDrawsError(
             f"{d.b_effective} effective draws; at least {_MIN_DRAWS} needed for stable quantiles"
         )
-    levels = sorted(levels)
+    levels = _level_set(levels)
     years = sorted(d.draws_by_ay)
     stack = np.array([d.draws_by_ay[i] for i in years] + [d.draws_total])
     ends = _interval_ends(stack, levels).tolist()
@@ -195,7 +198,7 @@ def summary_rows(d: ReserveDistribution, levels: Sequence[float]) -> List[List[I
 
 
 def summarize(d: ReserveDistribution, levels: Sequence[float] = (0.95,)) -> List[IntervalSummary]:
-    """Equal-tailed intervals of the total reserve at each level.
+    """Equal-tailed intervals of the total reserve at each level, sorted, a repeated level once.
 
     Intervals at nested levels nest because the quantile rule is
     monotone in the level.

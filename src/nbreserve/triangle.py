@@ -5,8 +5,8 @@ and development year ``j`` (0-based). For a square triangle of
 dimension ``I`` the cell ``(i, j)`` is observed exactly when
 ``i + j <= I``; the remaining cells form the future region that
 reserving techniques must predict. :func:`triangle_cells` states that
-rule once for every module, :func:`_check_layout` checks that records are
-those cells, and :func:`_coerce_count` checks a cell's count.
+rule once for every module, :func:`_check_layout` checks that records are those
+cells, :func:`_coerce_count` a cell's count and :func:`_check_year_totals` a year's total.
 """
 
 from __future__ import annotations
@@ -119,6 +119,16 @@ def _coerce_count(value, where: str, round_amounts: bool) -> int:
         once = " once rounded" if round_amounts else ""
         raise CountTooLargeError(f"cell {where}: count {value!r} is 2**53 or more{once}")
     return n
+
+
+def _check_year_totals(counts: np.ndarray, ay: np.ndarray) -> None:
+    """Refuse the first accident year (``ay``: each count's, 0-based) whose total is 2**53 or more, naming the total."""
+    # a float64 sum of counts is exact below 2**53 and rounds monotonically above
+    big = np.bincount(ay, weights=counts) > _MAX_COUNT
+    if np.count_nonzero(big):
+        i = int(np.argmax(big))
+        total = sum(map(int, counts[ay == i].tolist()))
+        raise CountTooLargeError(f"accident year {i + 1}: total {total} is 2**53 or more")
 
 
 def _count_grid(rows: Sequence[Sequence], round_amounts: bool) -> np.ndarray:
@@ -243,13 +253,10 @@ class CumulativeTriangle(_TriangleBase):
 
 
 def cumulate(t: RunOffTriangle) -> CumulativeTriangle:
-    """Row-wise cumulative sums over the observed region; sums of counts do not fall."""
+    """Row-wise cumulative sums over the observed region, which do not fall; each year's total is below 2**53."""
+    _check_year_totals(t.grid.ravel(), np.arange(t.dimension).repeat(t.dimension))
     grid = np.cumsum(t.grid, axis=1)
     grid[triangle_cells(t.dimension)[1]] = 0
-    big = np.argwhere(grid > _MAX_COUNT)
-    if big.size:  # the first running sum past the cap raises as in CumulativeTriangle(rows)
-        i, j = big[0].tolist()
-        _coerce_count(int(grid[i, j]), f"({i + 1}, {j})", False)
     return CumulativeTriangle._from_grid(grid, origin_label=t.origin_label)
 
 
@@ -351,6 +358,6 @@ def serialize_triangle(t: _TriangleBase) -> str:
 
 
 def read_triangle(path, round_amounts: bool = False) -> RunOffTriangle:
-    """Read a triangle CSV from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a UTF-8 triangle CSV from disk; a leading byte-order mark, as spreadsheets export, is skipped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_triangle(fh.read(), round_amounts=round_amounts)

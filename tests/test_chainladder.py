@@ -9,7 +9,9 @@ from nbreserve import (
     CellRecord, CumulativeTriangle, RunOffTriangle, chain_ladder, cumulate, dev_factors, parse_triangle, project,
     serialize_triangle, to_long,
 )
-from nbreserve.errors import FutureCellError, MissingCellError, RaggedRowsError, ReservingError, ZeroColumnSumError
+from nbreserve.errors import (
+    CountTooLargeError, FutureCellError, MissingCellError, RaggedRowsError, ReservingError, ZeroColumnSumError,
+)
 from nbreserve.triangle import _coerce_count
 from conftest import random_triangle
 
@@ -113,6 +115,9 @@ class TestRounding:
 
 def _cell_cumulate(t):
     rows = [np.cumsum(t.row(i)).tolist() for i in range(1, t.dimension + 1)]
+    for i, row in enumerate(rows):  # a year's total, its last cumulative count, is refused as the fits refuse it
+        if row[-1] >= 2**53:
+            raise CountTooLargeError(f"accident year {i + 1}: total {row[-1]} is 2**53 or more")
     return CumulativeTriangle(rows, origin_label=t.origin_label)
 
 

@@ -7,8 +7,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import nbreserve
 from nbreserve import Family, RunOffTriangle, errors, fit, serialize_triangle, to_long
@@ -141,6 +143,18 @@ class TestFit:
         assert first["params"]["input_sha256"] != second["params"]["input_sha256"]
         assert first["run_id"] != second["run_id"]
         assert second["params"]["input_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_byte_order_mark_is_read(self, runner, australian, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark: the
+        # fit is the plain file's, and only the run id, which hashes the bytes, differs
+        path, texts = tmp_path / "triangle.csv", []
+        for encoding in ("utf-8", "utf-8-sig"):
+            path.write_text(serialize_triangle(australian), encoding=encoding)
+            out = tmp_path / encoding
+            run_ok(runner, ["fit", str(path), "--out-dir", str(out)])
+            texts.append((out / "fit.json").read_text().splitlines())
+        plain, marked = ([line for line in text if "run_id" not in line] for text in texts)
+        assert marked == plain and texts[0] != texts[1]
 
 
 class TestReserve:
@@ -320,6 +334,12 @@ class TestSimulate:
         run_ok(runner, ["simulate", "--config", str(cfg), "--threads", "1", "--out-dir", out])
         doc = json.loads((Path(out) / "study.json").read_text())
         assert doc["config"]["dimension"] == 6
+
+    def test_config_with_byte_order_mark(self, runner, tmp_path):
+        cfg, out = tmp_path / "dgp.json", tmp_path / "out"
+        cfg.write_text(json.dumps({"n_sim": 2}), encoding="utf-8-sig")
+        run_ok(runner, ["simulate", "--config", str(cfg), "-B", "20", "--threads", "1", "--out-dir", str(out)])
+        assert json.loads((out / "study.json").read_text())["config"]["n_sim"] == 2
 
     def test_run_id_follows_config_file(self, runner, tmp_path):
         # two configs that differ only in a key the CLI has no option for
@@ -657,7 +677,7 @@ class TestErrors:
         assert not out.exists()
 
     # an all-zero year is an input problem, whichever command meets it:
-    # the levels are checked on load, before the chain-ladder or any fit
+    # the first fit decides, and the chain-ladder runs after it
     @pytest.mark.parametrize(
         "command, extra",
         [("fit", []), ("reserve", ["-B", "100", "--threads", "1"]), ("diagnose", [])],
@@ -674,8 +694,8 @@ class TestErrors:
         assert "all-zero counts" in err["message"]
         assert not (tmp_path / "out").exists()
 
-    # each command refuses a quasi-separated triangle on load, as for an
-    # all-zero year
+    # each command's first fit refuses a quasi-separated triangle, as it
+    # refuses an all-zero year
     @pytest.mark.parametrize(
         "command, extra",
         [("fit", []), ("diagnose", []), ("reserve", ["-B", "100", "--threads", "1"])],
@@ -692,6 +712,72 @@ class TestErrors:
             err = json.loads(lines[0])["error"]
             assert err["kind"] == "Separation" and "no finite maximum" in err["message"], name
             assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [["fit"], ["fit", "--family", "poisson"], ["reserve", "-B", "100", "--threads", "1"], ["diagnose"]],
+        ids=["fit", "fit-poisson", "reserve", "diagnose"],
+    )
+    def test_one_existence_test_per_run(self, runner, triangle_csv, tmp_path, monkeypatch, args):
+        # the first fit decides whether the likelihood has a maximum; loading
+        # the triangle does not test it before
+        from nbreserve import glm
+
+        original, calls = glm._poisson_fit, []
+
+        def counted(*call_args):
+            calls.append(call_args)
+            return original(*call_args)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "nbreserve" and getattr(module, "_poisson_fit", None) is original:
+                monkeypatch.setattr(module, "_poisson_fit", counted)
+        monkeypatch.setattr(glm, "_last_joint_fit", ((), None))
+        command, *extra = args
+        run_ok(runner, [command, triangle_csv, *extra, "--out-dir", str(tmp_path / "out")])
+        assert len(calls) == 1
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dimension=st.integers(2, 5),
+        fault=st.sampled_from(["none"] * 8 + ["year total", "zero divisor"]),
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def test_commands_agree_on_input_errors(self, tmp_path_factory, seed, dimension, fault):
+        # Poisson counts with some cells, rows and columns zeroed: each command
+        # succeeds or prints one JSON error line, and an input error (exit 2)
+        # is the same kind and message from all three, since each command's
+        # first fit decides; the chain-ladder, which runs after it, never
+        # meets a zero divisor
+        rng = np.random.default_rng(seed)
+        mean = np.exp(rng.uniform(1.0, 5.0, size=(dimension, 1)) + rng.uniform(-1.0, 1.0, size=dimension))
+        counts = rng.poisson(mean) * (rng.random((dimension, dimension)) > 0.05)
+        counts[rng.random(dimension) < 0.05] = 0
+        counts[:, rng.random(dimension) < 0.05] = 0
+        rows = [row[: dimension - i] for i, row in enumerate(counts.tolist())]
+        if fault == "year total":
+            rows[0][:2] = [2**52, 2**52 + int(rng.integers(100))]
+        elif fault == "zero divisor":  # development year 0's counts in the last year alone
+            for row in rows[:-1]:
+                row[0] = 0
+        tmp = tmp_path_factory.mktemp("agree")
+        path = tmp / "input.csv"
+        path.write_text(triangle_text(rows))
+        commands = [["fit"], ["reserve", "-B", "100", "--threads", "1"], ["diagnose"]]
+        outcomes = []
+        for command, *extra in commands:
+            result = CliRunner().invoke(main, [command, str(path), "--out-dir", str(tmp / command), *extra])
+            assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+            if result.exit_code == 0:
+                outcomes.append((0, None))
+                continue
+            lines = result.output.strip().splitlines()
+            assert result.exit_code in (1, 2) and len(lines) == 1, result.output
+            err = json.loads(lines[0])["error"]
+            outcomes.append((result.exit_code, (err["kind"], err["message"])))
+        assert outcomes[0][1] is None or outcomes[0][1][0] != "ZeroColumnSum"
+        if any(code == 2 for code, _ in outcomes):
+            assert len(set(outcomes)) == 1, outcomes
 
     def test_version(self, runner):
         result = run_ok(runner, ["--version"])

@@ -323,7 +323,7 @@ class TestDegenerateInputs:
     def test_row_total_of_2_pow_53_is_too_large(self):
         # every cell is a legal count, but accident year 1's total is not
         # exact in float64: every entry point names the year and its total
-        from nbreserve import RunOffTriangle, bootstrap, overdispersion_test, profile_kappa
+        from nbreserve import RunOffTriangle, bootstrap, chain_ladder, cumulate, overdispersion_test, profile_kappa
         from nbreserve.errors import BaseFitFailedError, CountTooLargeError
         from nbreserve.glm import _prepare
 
@@ -331,7 +331,8 @@ class TestDegenerateInputs:
         recs = to_long(t)
         message = f"accident year 1: total {2**53 + 1} is 2**53 or more"
         calls = [lambda f=f: fit(recs, f) for f in (Family.poisson(), Family.quasi_poisson(), Family.negbin(5.0))]
-        calls += [lambda: profile_kappa(recs), lambda: overdispersion_test(recs)]
+        calls += [lambda: profile_kappa(recs), lambda: overdispersion_test(recs), lambda: chain_ladder(t)]
+        calls += [lambda: cumulate(t)]
         for call in calls:
             with pytest.raises(CountTooLargeError) as got:
                 call()

@@ -179,6 +179,12 @@ class TestPlugin:
             assert c.mean == pytest.approx(model.mu_at(c.ay, c.dy), rel=1e-12)
             assert c.variance == pytest.approx(c.mean + c.mean**2 / 4.8, rel=1e-12)
 
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan])
+    def test_bad_kappa(self, australian, kappa):
+        model = fit(to_long(australian), Family.negbin(4.8))
+        with pytest.raises(ValueError, match="kappa must be positive"):
+            plugin_predict(model, kappa)
+
     def test_poisson_variance_at_cap(self, australian):
         model = fit(to_long(australian), Family.poisson())
         cells = plugin_predict(model, 1e8)
@@ -808,6 +814,11 @@ class TestSummaries:
     def test_level_validation(self, dist):
         with pytest.raises(ValueError):
             summarize(dist, levels=(1.5,))
+
+    def test_repeated_level_is_one_level(self, dist):
+        # the levels are a set, as for nbreserve reserve's --level
+        assert summarize(dist, (0.95, 0.95)) == summarize(dist, (0.95,))
+        assert summary_json(dist, (0.95, 0.95, 0.75)) == summary_json(dist, (0.75, 0.95))
 
     def test_too_few_draws(self, australian):
         d = bootstrap(australian, b=60, seed=0)

@@ -28,7 +28,15 @@ Groups:
   triangle of dimension 3-10, whose rows drop nothing, accident year 1,
   development year 0, both, or random levels: the masked path of the
   joint kernel, which the bundled triangles' bootstraps never take with
-  a baseline dropped.
+  a baseline dropped;
+- ``cli-errors``: ``nbreserve fit``, ``reserve -B 100 --threads 1`` and
+  ``diagnose`` through the in-process click ``main`` on 40 seeded CSVs of
+  dimension 2-5 with Poisson counts, some cells, rows and columns zeroed,
+  in one of ten a first-year total past 2**53 and in another one of ten
+  no finite maximum and a zero chain-ladder divisor: each run's exit code
+  and JSON error line, and each success's output files without their
+  ``run_id`` lines. Most of these triangles are refused, so the group
+  shows that every command gives each one the same outcome.
 
 Floats are hashed by their exact ``repr`` and arrays by their bytes, so
 two trees print the same digests exactly when every output agrees in
@@ -67,6 +75,12 @@ RESERVE_CLI_SEEDS = (0, 1)
 KERNEL_DROPS_SEEDS = range(400)
 KERNEL_DROPS_ROWS = 40
 RESERVE_CLI_ARGS = ("-B", "300", "--level", "0.5", "--level", "0.75", "--level", "0.95", "--threads", "1")
+CLI_ERRORS_SEEDS = range(40)
+CLI_ERRORS_COMMANDS = {
+    "fit": ([], ["fit.json"]),
+    "reserve": (["-B", "100", "--threads", "1"], ["reserve.json", "reserve.csv"]),
+    "diagnose": ([], ["residuals.csv", "profile.csv"]),
+}
 
 
 def _feed(h, value) -> None:
@@ -128,24 +142,62 @@ def _study(h) -> None:
         _feed(h, nb.simulation.run_study(nb.simulation.default_config(n_sim=4, b=50, seed=seed)))
 
 
+def _run_cli(h, args, out: Path, outputs) -> None:
+    """Hash one in-process ``nbreserve`` run: its error line if it fails, and its ``outputs`` without the run id.
+
+    The run id hashes the input's path, which is a temporary directory.
+    """
+    errors = io.StringIO()
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(errors):
+            nb.cli.main.main([*args, "--out-dir", str(out)], standalone_mode=False)
+    except SystemExit as exc:  # a failed run prints one JSON error line
+        _feed(h, f"exit {exc.code}: {errors.getvalue()}")
+    for output in outputs:
+        path = out / output
+        text = path.read_text(encoding="utf-8") if path.exists() else ""
+        _feed(h, [line for line in text.splitlines() if "run_id" not in line])
+
+
 def _reserve_cli(h) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for name, triangle in (("australian", nb.australian_bodily_injury()), ("taylor-ashe", nb.taylor_ashe())):
             csv = Path(tmp) / f"{name}.csv"
             csv.write_text(nb.triangle.serialize_triangle(triangle), encoding="utf-8")
             for seed in RESERVE_CLI_SEEDS:
-                out = Path(tmp) / f"{name}-{seed}"
-                args = ["reserve", str(csv), *RESERVE_CLI_ARGS, "--seed", str(seed), "--out-dir", str(out)]
-                errors = io.StringIO()
-                try:
-                    with redirect_stdout(io.StringIO()), redirect_stderr(errors):
-                        nb.cli.main.main(args, standalone_mode=False)
-                except SystemExit as exc:  # a failed run prints one JSON error line
-                    _feed(h, f"exit {exc.code}: {errors.getvalue()}")
-                for output in ("reserve.json", "reserve.csv"):
-                    path = out / output
-                    text = path.read_text(encoding="utf-8") if path.exists() else ""
-                    _feed(h, [line for line in text.splitlines() if "run_id" not in line])
+                args = ["reserve", str(csv), *RESERVE_CLI_ARGS, "--seed", str(seed)]
+                _run_cli(h, args, Path(tmp) / f"{name}-{seed}", ("reserve.json", "reserve.csv"))
+
+
+def _faulty_rows(seed: int) -> list:
+    """The rows of a seeded triangle of dimension 2-5 with Poisson counts, some cells, rows and columns zeroed.
+
+    One in ten has a first year whose total is 2**53 or more, and another one in ten no counts in
+    development year 0 but the last year's, which leaves no finite maximum.
+    """
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 6))
+    mean = np.exp(rng.uniform(1.0, 5.0, size=(dim, 1)) + rng.uniform(-1.0, 1.0, size=dim))
+    counts = rng.poisson(mean) * (rng.random((dim, dim)) > 0.05)
+    counts[rng.random(dim) < 0.05] = 0
+    counts[:, rng.random(dim) < 0.05] = 0
+    rows = [row[: dim - i] for i, row in enumerate(counts.tolist())]
+    if seed % 10 == 0:  # every cell a legal count, the year's total not
+        rows[0][:2] = [2**52, 2**52 + int(rng.integers(100))]
+    if seed % 10 == 5:  # development year 0's counts in the last year alone: the chain-ladder's first divisor is 0
+        for row in rows[:-1]:
+            row[0] = 0
+    return rows
+
+
+def _cli_errors(h) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in CLI_ERRORS_SEEDS:
+            csv = Path(tmp) / f"{seed}.csv"
+            triangle = nb.RunOffTriangle.from_rows(_faulty_rows(seed))
+            csv.write_text(nb.triangle.serialize_triangle(triangle), encoding="utf-8")
+            for command, (extra, outputs) in CLI_ERRORS_COMMANDS.items():
+                _run_cli(h, [command, str(csv), *extra], Path(tmp) / f"{seed}-{command}", outputs)
 
 
 def _kernel_drops(h) -> None:
@@ -182,6 +234,7 @@ GROUPS = {
     "study-desk": lambda: [_hashed(_study)],
     "reserve-cli": lambda: [_hashed(_reserve_cli)],
     "kernel-drops": lambda: [_hashed(_kernel_drops)],
+    "cli-errors": lambda: [_hashed(_cli_errors)],
 }
 
 
