@@ -46,8 +46,7 @@ import numpy as np
 from . import dispersion
 from ._rng import substreams
 from ._rng import substream  # not called here: bench/spans.py hooks _bootstrap:substream
-from .errors import ReservingError
-from .glm import Design, _chain_ladder_batch, _effects_from_coef, _kept_design, pearson_statistic
+from .glm import Design, _chain_ladder_batch, _effects_from_coef, pearson_statistic
 from .glm import _irls, build_design  # not called here: bench/spans.py hooks _bootstrap:_irls and :build_design
 from .triangle import _MAX_COUNT, triangle_cells
 
@@ -133,53 +132,6 @@ def draw_counts(tag: str, param: Optional[float], mu: np.ndarray, rng: np.random
     raise ValueError(f"unknown sampling family {tag!r}")
 
 
-def _refit(y_star: np.ndarray, spec: EngineSpec) -> Optional[Tuple[np.ndarray, np.ndarray, Optional[float]]]:
-    """Refit one replicate on its reduced design; returns (row_eff, col_eff, dispersion).
-
-    The reduced design has the replicate's kept levels only; None means
-    it keeps no level or its refit fails. Row and column effects
-    are on the log scale with dropped levels at -inf, so exp(row + col)
-    gives zero means there. The dispersion slot holds kappa for negbin
-    refits and phi for quasipoisson refits. A negative binomial refit is
-    the engine's kernel :func:`~nbreserve.dispersion._nb_mle_batch` on
-    one row; at the cap its means are those of the last kappa step,
-    which :func:`~nbreserve.dispersion.nb_mle` would refit there. A
-    Poisson refit is the closed-form chain-ladder, failing where that
-    does not apply. The engine runs :func:`_refit_batch`; this
-    one-replicate form is its reference.
-    """
-    # the levels with a positive total, by bincount rather than the chain-ladder it checks
-    ay_keep = np.bincount(spec.design.ay_idx, weights=y_star, minlength=spec.design.n_ay) > 0
-    dy_keep = np.bincount(spec.design.dy_idx, weights=y_star, minlength=spec.design.n_dy) > 0
-    if not ay_keep.any():
-        return None
-    cells, design = _kept_design(spec.design, ay_keep, dy_keep)
-    y_fit = y_star[cells].astype(float)
-
-    try:
-        if spec.family == "negbin":
-            coef, _, disp, converged, _ = (a[0] for a in dispersion._nb_mle_batch(y_fit[None], design))
-        else:
-            coef, mu, converged = (a[0] for a in _chain_ladder_batch(y_fit[None], design)[:3])
-            disp = None
-        if not converged:
-            return None
-        if spec.family == "negbin" and spec.correct:
-            disp = dispersion.bias_correct(disp, spec.design.n, spec.design.p)
-        elif spec.family == "quasipoisson":
-            dof = design.n - design.p
-            if dof <= 0:
-                return None
-            disp = float(pearson_statistic(y_fit, mu)) / dof
-    except ReservingError:
-        return None
-
-    row_eff = np.full(spec.design.n_ay, -np.inf)
-    col_eff = np.full(spec.design.n_dy, -np.inf)
-    row_eff[ay_keep], col_eff[dy_keep] = _effects_from_coef(coef, design.n_ay)
-    return row_eff, col_eff, disp
-
-
 def fit_kept_levels(
     Y: np.ndarray, design: Design, family: str
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -216,11 +168,15 @@ def _refit_batch(y_star: np.ndarray, design: Design, family: str) -> Tuple[np.nd
     """Refit every row of the (m, n) replicate matrix ``y_star`` as one batch.
 
     The rows are one :func:`fit_kept_levels` call. Returns (ok, row_eff,
-    col_eff, disp) with one row per replicate, holding what :func:`_refit`
-    returns without the bias correction
-    (:func:`~nbreserve.dispersion.bias_correct`); ok is False where it
-    returns None (also for an ODP refit with no residual degree of
-    freedom), and disp is NaN for Poisson refits.
+    col_eff, disp) with one row per replicate: row and column effects on
+    the log scale with dropped levels at -inf, so exp(row + col) gives
+    zero means there, and the refitted kappa (``negbin``) or phi
+    (``quasipoisson``) without the bias correction
+    (:func:`~nbreserve.dispersion.bias_correct`), NaN for Poisson refits.
+    ok is False for a row that keeps no level, whose refit fails, or
+    whose ODP refit has no residual degree of freedom. The tests check
+    each row against a refit of that replicate alone on the design of
+    its kept levels (``tests/conftest.py``).
     """
     ok, coef, _, disp, ay_keep, dy_keep = fit_kept_levels(y_star.astype(float), design, family)
     if family == "quasipoisson":
@@ -229,6 +185,9 @@ def _refit_batch(y_star: np.ndarray, design: Design, family: str) -> Tuple[np.nd
     row_eff[~ay_keep] = -np.inf
     col_eff[~dy_keep] = -np.inf
     return ok, row_eff, col_eff, disp
+
+
+_refit = _refit_batch  # not called here: bench/spans.py hooks _bootstrap:_refit
 
 
 def _run_group(specs: Sequence[EngineSpec], lo: int, hi: int) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:

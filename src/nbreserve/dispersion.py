@@ -44,9 +44,8 @@ import numpy as np
 from . import glm
 from .errors import FlatProfileError, NoResidualDofError, NotConvergedError, SingularInformationError
 from .glm import (
-    _ETA_BOUND, _IRLS_MAX_ITER, _KAPPA_SERIES, Design, Family, _chain_ladder_batch, _check_counts, _data_key, _irls,
-    _JointFit, _kept, _newton_step, _NormalEquations, _lgamma, _nb_loglik, _poisson_fit, _poisson_loglik, _prepare,
-    _solve,
+    _ETA_BOUND, _IRLS_MAX_ITER, _KAPPA_SERIES, Design, Family, _check_counts, _data_key, _irls, _JointFit, _kept,
+    _newton_step, _NormalEquations, _lgamma, _nb_loglik, _poisson_fit, _poisson_loglik, _prepare, _solve,
 )
 from .triangle import _check_layout
 
@@ -463,7 +462,7 @@ _SHIFT_STEPS = np.arange(_POLYGAMMA_SHIFT)
 
 
 def _polygamma(x: np.ndarray, trigamma: bool = False):
-    """Digamma psi(x), and with ``trigamma`` also psi'(x), for an array of x > 0, elementwise.
+    """Digamma psi(x), and with ``trigamma`` also psi'(x), for an array (not a 0-d one) of x > 0, elementwise.
 
     From x = 10 on, the asymptotic series psi(x) = log x - 1/(2x) -
     sum B_2k / (2k x^2k) and psi'(x) = 1/x + 1/(2 x^2) + sum B_2k /
@@ -474,15 +473,12 @@ def _polygamma(x: np.ndarray, trigamma: bool = False):
     ten terms are one broadcast over a last axis, added in a fixed
     order, first to last. Each element's arithmetic depends on its
     value alone, not on the shape of ``x``, so a batched solve agrees
-    with the scalar one bit for bit. The digamma series is summed as
+    with a one-row solve bit for bit. The digamma series is summed as
     log x - 1/(2x) - tail, with the tail by Horner's rule, as scipy's
     ``psi`` sums it from x = 10 on, so fits whose arguments lie there
     keep the bits they had when the package used scipy.
     """
     x = np.asarray(x, dtype=float)
-    if not x.shape:  # the shift below indexes by a mask, which a scalar lacks
-        poly = _polygamma(x.reshape(1), trigamma)
-        return (poly[0][0], poly[1][0]) if trigamma else poly[0]
     shift = np.fmin.reduce(x, axis=None, initial=np.inf) < _POLYGAMMA_SHIFT  # NaN-blind, like x < 10
     if shift:
         small = x < _POLYGAMMA_SHIFT
@@ -523,44 +519,6 @@ def _boundary_sum(y: np.ndarray, resid: np.ndarray):
     return (resid**2 - y).sum(-1)
 
 
-def _solve_kappa(y: np.ndarray, mu: np.ndarray, kappa0: float) -> float:
-    """Maximise the NB log-likelihood over kappa at the fixed means ``mu`` of one triangle.
-
-    No fit calls it; tests check a joint fit's kappa against it, and the
-    traced benchmark (``bench/spans.py``) hooks it. Safeguarded Newton
-    iteration on log kappa within [KAPPA_MIN, KAPPA_CAP] from
-    ``kappa0``, keeping a bracket of the root of the score, until a step
-    is below 1e-10 or the score is exactly zero. Returns KAPPA_CAP at
-    the Poisson boundary (:func:`_boundary_sum`) and KAPPA_MIN when the
-    score is not positive there.
-    """
-    y, mu = np.asarray(y, dtype=float), np.asarray(mu, dtype=float)
-    if _boundary_sum(y, y - mu) <= 0.0:
-        return KAPPA_CAP
-    if _kappa_score(y, mu, KAPPA_MIN) <= 0.0:
-        return KAPPA_MIN
-    lo, hi = math.log(KAPPA_MIN), math.log(KAPPA_CAP)
-    theta = min(max(np.log(kappa0), lo), hi)
-    for _ in range(100):
-        kappa = np.exp(theta)
-        s, s_kappa = _kappa_score(y, mu, kappa, deriv=True)
-        if s == 0.0:  # an iterate whose score is exactly zero is the root
-            return float(kappa)
-        if s > 0.0:
-            lo = max(lo, theta)
-        else:
-            hi = min(hi, theta)
-        g = kappa * s
-        h = g + kappa * kappa * s_kappa
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = theta + (-g / h)
-        theta_new = newton if h < 0.0 and lo < newton < hi else 0.5 * (lo + hi)
-        if abs(theta_new - theta) < 1e-10:
-            return float(np.exp(theta_new))
-        theta = theta_new
-    return float(np.exp(theta))
-
-
 def _start_kappa(y: np.ndarray, mu: np.ndarray, mask: Optional[np.ndarray] = None) -> np.ndarray:
     """The joint fit's first kappa, per triangle, at the Poisson means ``mu``.
 
@@ -585,6 +543,9 @@ def _start_kappa(y: np.ndarray, mu: np.ndarray, mask: Optional[np.ndarray] = Non
         moment = n / pearson
         start = np.where((pearson > 0) & (moment < KAPPA_CAP), moment, mu2.sum(-1) / excess)
     return np.where(excess <= 0.0, KAPPA_CAP, start.clip(KAPPA_MIN, _BELOW_CAP))
+
+
+_solve_kappa = _start_kappa  # not called here: bench/spans.py hooks dispersion:_solve_kappa
 
 
 def nb_mle(y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray, float, bool]:
@@ -640,22 +601,20 @@ def _fit_at_estimate(
 
 
 def _nb_mle_batch(
-    Y: np.ndarray,
-    design: Design,
-    poisson: Optional[Tuple[np.ndarray, ...]] = None,
+    Y: np.ndarray, design: Design, poisson: Tuple[np.ndarray, ...],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Joint maximum likelihood over (mean effects, kappa) for each row of ``Y``.
 
-    All rows share ``design``. The closed-form chain-ladder Poisson fit
-    (:func:`nbreserve.glm._chain_ladder_batch`), unless the caller passes
-    it as ``poisson``, which the fit copies, gives each row's kept levels
-    and its start. Each row is fitted on its kept cells, those whose two
-    levels it keeps, by one cell mask, built only when some row drops a
-    level; :class:`nbreserve.glm._NormalEquations` holds the coefficients
-    of the levels the mask leaves without weight. A left-out cell holds
-    a zero count and gets zero working weight; the kappa score sees it
-    at its limit y = mu = 0, where it adds nothing, so each row's kappa
-    is that of its kept cells.
+    All rows share ``design``. The caller hands it the chain-ladder fit
+    ``poisson`` (:func:`nbreserve.glm._chain_ladder_batch` of ``Y``)
+    that decided its kept levels, which the fit copies: it gives each
+    row's kept levels and its start. Each row is fitted on its kept
+    cells, those whose two levels it keeps, by one cell mask, built only
+    when some row drops a level; :class:`nbreserve.glm._NormalEquations`
+    holds the coefficients of the levels the mask leaves without weight.
+    A left-out cell holds a zero count and gets zero working weight; the
+    kappa score sees it at its limit y = mu = 0, where it adds nothing,
+    so each row's kappa is that of its kept cells.
 
     A row at the Poisson boundary at its start stops at KAPPA_CAP; every
     other row starts at the closed-form :func:`_start_kappa`, the
@@ -696,8 +655,6 @@ def _nb_mle_batch(
     converge in ``_IRLS_MAX_ITER`` iterations.
     """
     m = len(Y)
-    if poisson is None:
-        poisson = _chain_ladder_batch(Y, design)
     coef, mu, poisson_ok, ay_keep, dy_keep = poisson
     coef, mu = coef.copy(), mu.copy()
     mask = None if ay_keep.all() and dy_keep.all() else ay_keep[:, design.ay_idx] & dy_keep[:, design.dy_idx]

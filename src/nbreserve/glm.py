@@ -34,10 +34,8 @@ The other modules share its layout: records to counts and a design
 (:func:`_counts_and_design`, of a run-off triangle's cells;
 :func:`_prepare` adds the checks of the counts, :func:`_check_counts`),
 the coefficient order (:func:`build_design`, read back by
-:func:`_split_coef` and :func:`_effects_from_coef`), the design of a
-row's kept levels alone (:func:`_kept_design`, the bootstrap's
-reference refit), and the Pearson statistic behind every quasi-Poisson
-phi (:func:`pearson_statistic`).
+:func:`_split_coef` and :func:`_effects_from_coef`), and the Pearson
+statistic behind every quasi-Poisson phi (:func:`pearson_statistic`).
 """
 
 from __future__ import annotations
@@ -535,28 +533,12 @@ def _newton_step(
     return decrement, tol, failed, mu_c
 
 
-def _kept_design(design: Design, ay_keep: np.ndarray, dy_keep: np.ndarray) -> Tuple[np.ndarray, Design]:
-    """The cells of ``design`` one row keeps, and the design of its kept levels alone.
-
-    ``ay_keep`` (n_ay,) and ``dy_keep`` (n_dy,) mark the row's kept
-    accident and development years, at least one of each; a cell is
-    kept when both of its levels are. The kept levels are numbered in
-    order, so the first kept level of each factor is the baseline and
-    the coefficients are those the joint kernel does not hold
-    (:class:`_NormalEquations`), in order.
-    """
-    cells = ay_keep[design.ay_idx] & dy_keep[design.dy_idx]
-    ay = np.cumsum(ay_keep)[design.ay_idx[cells]]
-    dy = np.cumsum(dy_keep)[design.dy_idx[cells]] - 1
-    return cells, build_design(ay, dy, int(ay_keep.sum()), int(dy_keep.sum()))
-
-
 def _chain_ladder_batch(Y: np.ndarray, design: Design) -> Tuple[np.ndarray, ...]:
     """The Poisson fit of every row of ``Y`` on its kept levels in closed form, by the chain-ladder.
 
-    Every caller's layout, a run-off triangle or its kept levels
-    (:func:`_kept_design`), observes each accident year on a prefix of
-    the development years. There the Poisson maximum-likelihood means
+    Every caller's layout, a run-off triangle or the design of some of
+    its levels, observes each accident year on a prefix of the
+    development years. There the Poisson maximum-likelihood means
     are the chain-ladder's (Renshaw & Verrall 1998): with C the cumulated counts,
     the factor f_j = sum C[i, j] / sum C[i, j - 1] over the years
     observed at j gives the share of development year j of the

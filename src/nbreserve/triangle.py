@@ -304,9 +304,10 @@ def parse_triangle(text: str, round_amounts: bool = False) -> RunOffTriangle:
     per accident year. With the header present each line starts with the
     accident-year label; without it every field is a count. Future cells
     must be empty strings. ``round_amounts`` rounds monetary amounts to
-    the nearest integer instead of rejecting non-integer cells.
+    the nearest integer instead of rejecting non-integer cells. A leading
+    byte-order mark, as spreadsheets export, is skipped.
     """
-    lines = _split_lines(text)
+    lines = _split_lines(text.removeprefix("\ufeff"))
     if not lines:
         raise RaggedRowsError("empty input")
 
@@ -358,6 +359,6 @@ def serialize_triangle(t: _TriangleBase) -> str:
 
 
 def read_triangle(path, round_amounts: bool = False) -> RunOffTriangle:
-    """Read a UTF-8 triangle CSV from disk; a leading byte-order mark, as spreadsheets export, is skipped."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
+    """Read a UTF-8 triangle CSV from disk and parse it (:func:`parse_triangle`)."""
+    with open(path, "r", encoding="utf-8") as fh:
         return parse_triangle(fh.read(), round_amounts=round_amounts)

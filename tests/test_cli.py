@@ -42,6 +42,103 @@ def triangle_text(rows) -> str:
     return "".join(",".join(map(str, row)) + "," * (len(rows) - len(row)) + "\n" for row in rows)
 
 
+# kinds whose exit code is 2: the input's problems
+_INPUT_KINDS = {
+    cls.__name__.removesuffix("Error")
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.TriangleError)
+}
+
+
+def _three_commands(path, tmp, flags=()):
+    """(exit code, (kind, message) or None) of ``fit``, ``reserve -B 100 --threads 1`` and ``diagnose`` on ``path``.
+
+    Each run succeeds or prints one JSON error line, never a traceback,
+    with exit code 2 for an input problem and 1 for a numerical failure;
+    when one command exits 2, all three give the same kind and message.
+    """
+    outcomes = []
+    for command, *extra in (["fit"], ["reserve", "-B", "100", "--threads", "1"], ["diagnose"]):
+        args = [command, str(path), "--out-dir", str(tmp / command), *extra, *flags]
+        result = CliRunner().invoke(main, args)
+        assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+        if result.exit_code == 0:
+            outcomes.append((0, None))
+            continue
+        lines = result.output.strip().splitlines()
+        assert result.exit_code in (1, 2) and len(lines) == 1, result.output
+        err = json.loads(lines[0])["error"]
+        assert (result.exit_code == 2) == (err["kind"] in _INPUT_KINDS), result.output
+        outcomes.append((result.exit_code, (err["kind"], err["message"])))
+    if any(code == 2 for code, _ in outcomes):
+        assert len(set(outcomes)) == 1, outcomes
+    return outcomes
+
+
+# one defect in otherwise valid CSV text, and the error kind it gets;
+# None: the text holds a triangle, which may still fail to fit
+_TEXT_FAULTS = {
+    "none": None,
+    "non-number": "NonIntegerCount",
+    "empty observed cell": "MissingCell",
+    "filled future cell": "FutureCell",
+    "ragged row": "RaggedRows",
+    "negative count": "NegativeCount",
+    "fractional count": "NonIntegerCount",
+    "fractional count, rounded": None,
+    "count of 2**53": "CountTooLarge",
+}
+
+
+@st.composite
+def csv_texts(draw, fault: str):
+    """(text, flags, kind): CSV text of a small Poisson triangle, with text-level variations and the ``fault``.
+
+    The variations are a byte-order mark, CRLF line ends, blank lines, a
+    header or none, quoted fields and stray spaces. ``flags`` are extra
+    command-line flags, and ``kind`` is the fault's error kind
+    (``_TEXT_FAULTS``).
+    """
+    # the fault keys the stream too, so that each fault meets its own triangles
+    rng = np.random.default_rng([draw(st.integers(0, 2**32 - 1)), sorted(_TEXT_FAULTS).index(fault)])
+    dimension = draw(st.integers(2, 5))
+    # from the seed, so that a few examples mix every variation
+    bom, crlf, blank, header, quoted, spaced = rng.random(6) < 0.5
+
+    mean = np.exp(rng.uniform(1.0, 5.0, size=(dimension, 1)) + rng.uniform(-1.0, 1.0, size=dimension))
+    rows = [[str(c) if j < dimension - i else "" for j, c in enumerate(row)]
+            for i, row in enumerate(rng.poisson(mean).tolist())]
+    # an observed cell of a row with at least two, so that no row turns blank
+    i = int(rng.integers(dimension - 1))
+    j = int(rng.integers(dimension - i))
+    if fault == "non-number":
+        rows[i][j] = "n/a"
+    elif fault == "empty observed cell":
+        rows[i][j] = ""
+    elif fault == "filled future cell":
+        rows[i + 1][-1] = "3"
+    elif fault == "ragged row":
+        rows[int(rng.integers(dimension))].pop()
+    elif fault == "negative count":
+        rows[i][j] = f"-{int(rows[i][j]) + 1}"
+    elif fault.startswith("fractional count"):
+        rows[i][j] += ".5"
+    elif fault == "count of 2**53":
+        rows[i][j] = str(2**53)
+    if header:
+        rows = [["ay"] + [f"dy{k}" for k in range(dimension)]] + [[str(2001 + k)] + row for k, row in enumerate(rows)]
+    if spaced:
+        rows = [[f" {field}  " for field in row] for row in rows]
+    if quoted:
+        rows = [[f'"{field}"' for field in row] for row in rows]
+    lines = [",".join(row) for row in rows]
+    if blank:
+        lines.insert(int(rng.integers(len(lines) + 1)), "," * dimension if rng.random() < 0.5 else "")
+    end = "\r\n" if crlf else "\n"
+    text = ("\ufeff" if bom else "") + end.join(lines) + end
+    return text, ["--round-amounts"] if fault.endswith("rounded") else [], _TEXT_FAULTS[fault]
+
+
 def test_import_loads_neither_scipy_nor_multiprocessing():
     # the runtime needs numpy and click only; scipy is a test dependency,
     # and a serial run never starts worker processes
@@ -763,21 +860,25 @@ class TestErrors:
         tmp = tmp_path_factory.mktemp("agree")
         path = tmp / "input.csv"
         path.write_text(triangle_text(rows))
-        commands = [["fit"], ["reserve", "-B", "100", "--threads", "1"], ["diagnose"]]
-        outcomes = []
-        for command, *extra in commands:
-            result = CliRunner().invoke(main, [command, str(path), "--out-dir", str(tmp / command), *extra])
-            assert result.exception is None or isinstance(result.exception, SystemExit), result.output
-            if result.exit_code == 0:
-                outcomes.append((0, None))
-                continue
-            lines = result.output.strip().splitlines()
-            assert result.exit_code in (1, 2) and len(lines) == 1, result.output
-            err = json.loads(lines[0])["error"]
-            outcomes.append((result.exit_code, (err["kind"], err["message"])))
+        outcomes = _three_commands(path, tmp)
         assert outcomes[0][1] is None or outcomes[0][1][0] != "ZeroColumnSum"
-        if any(code == 2 for code, _ in outcomes):
-            assert len(set(outcomes)) == 1, outcomes
+
+    @pytest.mark.parametrize("fault", sorted(_TEXT_FAULTS))
+    @given(data=st.data())
+    @settings(max_examples=4, deadline=None, derandomize=True, database=None)
+    def test_commands_agree_on_csv_text(self, tmp_path_factory, fault, data):
+        # CSV text as spreadsheets and hands write it: layout variations
+        # change nothing, and a text fault is the same typed error, exit 2,
+        # from all three commands, never a traceback
+        text, flags, kind = data.draw(csv_texts(fault))
+        tmp = tmp_path_factory.mktemp("text")
+        path = tmp / "input.csv"
+        path.write_bytes(text.encode("utf-8"))
+        outcomes = _three_commands(path, tmp, flags)
+        if kind is not None:
+            assert {(code, err[0]) for code, err in outcomes} == {(2, kind)}, (text, outcomes)
+        else:
+            assert not {err[0] for _, err in outcomes if err} & set(_TEXT_FAULTS.values()), (text, outcomes)
 
     def test_version(self, runner):
         result = run_ok(runner, ["--version"])

@@ -35,13 +35,12 @@ from nbreserve.dispersion import (
     _prepare,
     _profile_curvature,
     _ProfileCache,
-    _solve_kappa,
     _start_kappa,
 )
 from nbreserve.errors import NoResidualDofError, NotConvergedError, SeparationError
 from nbreserve.glm import _IRLS_MAX_ITER, _irls, _lgamma, build_design
 from nbreserve.triangle import triangle_cells
-from conftest import drop_pattern, random_triangle
+from conftest import drop_pattern, random_triangle, solve_kappa
 
 
 class TestBiasCorrect:
@@ -245,7 +244,7 @@ class TestKappaSolve:
         y, design = _prepare(to_long(RunOffTriangle.from_rows(rows)))
         _, mu, *_ = _irls(y, design, Family.poisson())
         assert _start_kappa(y[None], mu[None]).tolist() == [np.sum(mu * mu) / np.sum((y - mu) ** 2 - y)]
-        assert _solve_kappa(y, mu, KAPPA_CAP) < 1e4
+        assert solve_kappa(y, mu, KAPPA_CAP) < 1e4
 
     @pytest.mark.parametrize("kappa", [1e7, 1e8])
     def test_score_accurate_at_large_kappa(self, kappa):
@@ -268,14 +267,14 @@ class TestKappaSolve:
         y = np.array([0.0] * 5 + [1000.0])
         mu = np.full(6, 1000.0 / 6)
         mu[-1] = 1000.0 / ratio
-        assert _solve_kappa(y, mu, 1.0) == KAPPA_MIN
+        assert solve_kappa(y, mu, 1.0) == KAPPA_MIN
 
     def test_exact_zero_score_settles_at_once(self, monkeypatch):
         # two cells whose score, summed in floating point, is exactly 0.0 at
         # several kappas next to its root: such an iterate is the root, and
         # the solve settles there rather than bisecting back to it
         y, mu = np.array([10.0, 20.0]), np.array([15.0, 15.0])
-        root = _solve_kappa(y, mu, 1.0)
+        root = solve_kappa(y, mu, 1.0)
         near = root + np.arange(-300, 301) * np.spacing(root)
         s = _kappa_score(np.tile(y, (near.size, 1)), np.tile(mu, (near.size, 1)), near)
         zeros = near[(s == 0.0) & (np.exp(np.log(near)) == near)]
@@ -289,7 +288,7 @@ class TestKappaSolve:
         monkeypatch.setattr(dispersion, "_kappa_score", counted)
         for kappa0 in zeros:
             calls.clear()
-            assert _solve_kappa(y, mu, kappa0) == kappa0
+            assert solve_kappa(y, mu, kappa0) == kappa0
             assert len(calls) == 2  # the check at KAPPA_MIN, then one Newton iteration
 
     def test_score_rows_do_not_see_a_nan_row(self, australian):
@@ -311,7 +310,7 @@ class TestKappaSolve:
         Y = np.vstack([y, rng.poisson(mu, size=(3, y.size)), np.r_[np.zeros(y.size - 1), 1e5]])
         M = np.vstack([mu] * 4 + [np.full(y.size, 1e5 / 28 / 1e3)])
         kappa0 = np.array([1.0, 50.0, 1e4, 3.0, 1.0])
-        rows = np.array([_solve_kappa(a, b, k) for a, b, k in zip(Y, M, kappa0)])
+        rows = np.array([solve_kappa(a, b, k) for a, b, k in zip(Y, M, kappa0)])
         assert np.all((rows >= KAPPA_MIN) & (rows <= KAPPA_CAP))
 
 
@@ -336,15 +335,18 @@ class TestTrigamma:
         assert np.array_equal(_polygamma(x), psi)
         for got, want in zip(_polygamma(x[7], trigamma=True), (psi[7], tri[7])):
             assert np.array_equal(got, want)
+
+        def alone(v):
+            (psi_v, tri_v), only_psi = _polygamma(np.array([v]), trigamma=True), _polygamma(np.array([v]))
+            return psi_v[0], tri_v[0], only_psi[0]
+
         for j, v in enumerate(x[3, :10]):
-            assert _polygamma(v, trigamma=True) == (psi[3, j], tri[3, j])
-            assert _polygamma(v) == psi[3, j]
-        # a scalar below 10 takes the shift too
+            assert alone(v) == (psi[3, j], tri[3, j], psi[3, j])
+        # a lone value below 10 takes the shift too
         small = np.array([[0.5, 3.0, 9.5, 25.0]])
         psi_s, tri_s = _polygamma(small, trigamma=True)
         for j, v in enumerate(small[0]):
-            assert _polygamma(v, trigamma=True) == (psi_s[0, j], tri_s[0, j])
-            assert _polygamma(v) == psi_s[0, j]
+            assert alone(v) == (psi_s[0, j], tri_s[0, j], psi_s[0, j])
         # nor on a NaN elsewhere, as a diverging row of a batch may hold
         x[0, 0] = np.nan
         for got, want in zip(_polygamma(x, trigamma=True), (psi, tri)):
@@ -985,6 +987,11 @@ def nb_batches(draw):
     return np.array(rows), design
 
 
+def _kernel(Y, design):
+    """The joint kernel on ``Y`` from the chain-ladder fit that decides its kept levels, as every caller starts it."""
+    return _nb_mle_batch(Y, design, glm._chain_ladder_batch(Y, design))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(batch=nb_batches())
 def test_one_joint_estimator(batch):
@@ -994,13 +1001,13 @@ def test_one_joint_estimator(batch):
     # cap, and at the cap nb_mle refits the row's means there
     Y, design = batch
     mask, pin = drop_pattern(Y, design)
-    out = _nb_mle_batch(Y, design)
+    out = _kernel(Y, design)
     coef, mu, kappa, ok, _ = out
     # each fitted row holds its dropped levels' coefficients, and a
     # dropped baseline's successor's, at exactly zero
     assert np.all(coef[pin & ok[:, None]] == 0.0)
     for r in range(len(Y)):
-        for got, want in zip(out, _nb_mle_batch(Y[r : r + 1], design)):
+        for got, want in zip(out, _kernel(Y[r : r + 1], design)):
             assert np.array_equal(got[r], want[0], equal_nan=True)
         if not mask[r].all():
             continue
@@ -1026,7 +1033,7 @@ def test_one_joint_estimator(batch):
 def test_kernel_leaves_its_poisson_start_unchanged(australian):
     # the kernel copies the Poisson fit a caller hands it: the caller's
     # arrays come back as they went in, and every output is the one the
-    # kernel gives from its own Poisson fit, on a masked batch too
+    # kernel gives from a fresh chain-ladder fit, on a masked batch too
     y, design = _prepare(to_long(australian))
     Y = np.array([y, np.where(design.dy_idx == 0, 0.0, y)])
     for rows in (Y[:1], Y):
@@ -1035,7 +1042,7 @@ def test_kernel_leaves_its_poisson_start_unchanged(australian):
         out = _nb_mle_batch(rows, design, poisson=poisson)
         for got, want in zip(poisson, before):
             assert np.array_equal(got, want)
-        for got, want in zip(out, _nb_mle_batch(rows, design)):
+        for got, want in zip(out, _kernel(rows, design)):
             assert np.array_equal(got, want)
 
 
@@ -1059,12 +1066,12 @@ def test_whole_steps_halvings_and_failures_share_a_batch(monkeypatch):
     alone, halved = [], []
     for r in range(len(Y)):
         evaluated.clear()
-        alone.append(_nb_mle_batch(Y[r : r + 1], design))
+        alone.append(_kernel(Y[r : r + 1], design))
         halved.append(len(evaluated) - 1 > alone[-1][4][0])
     assert halved == [False, True, True, False]
     assert [fit[3][0] for fit in alone] == [True, True, False, True]
     assert glm._chain_ladder_batch(Y, design)[2].all()
-    for got, want in zip(_nb_mle_batch(Y, design), zip(*alone)):
+    for got, want in zip(_kernel(Y, design), zip(*alone)):
         for r in range(len(Y)):
             assert np.array_equal(got[r], want[r][0], equal_nan=True)
 
@@ -1147,12 +1154,12 @@ class TestMomentStart:
 
         ``mask`` and ``pin`` are the rows' drop pattern (``drop_pattern``), which the kernel derives itself.
         """
-        coef, mu, kappa, ok, n_iter = _nb_mle_batch(Y, design)
+        coef, mu, kappa, ok, n_iter = _kernel(Y, design)
         assert np.all(n_iter[ok] < _IRLS_MAX_ITER)
         for r in np.nonzero(ok)[0]:
             y, k = Y[r], float(kappa[r])
             m = mu[r] if mask is None else mu[r] * mask[r]
-            solved = _solve_kappa(y, m, k)
+            solved = solve_kappa(y, m, k)
             if k == KAPPA_CAP:
                 assert solved == KAPPA_CAP
                 continue

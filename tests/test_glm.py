@@ -10,7 +10,7 @@ from scipy import stats
 from nbreserve import Family, chain_ladder, fit, nb_loglik, pearson_dispersion, poisson_loglik, to_long, to_simplex
 from nbreserve.glm import ConditioningWarning, build_design, score
 from nbreserve.errors import MissingCellError, SeparationError
-from conftest import QUASI_SEPARATED, drop_pattern, kept_levels, positive_table_exists, random_triangle
+from conftest import QUASI_SEPARATED, drop_pattern, kept_design, kept_levels, positive_table_exists, random_triangle
 
 
 def future_sum(model):
@@ -427,10 +427,10 @@ def staircase_batches(draw):
 
 def kept_fit(y: np.ndarray, design, family):
     """``_irls`` on the kept levels of one row of counts: (cells, coef, mu, deviance_path, converged)."""
-    from nbreserve.glm import _irls, _kept_design
+    from nbreserve.glm import _irls
 
     ay_keep, dy_keep = kept_levels(y[None], design)
-    cells, kept = _kept_design(design, ay_keep[0], dy_keep[0])
+    cells, kept = kept_design(design, ay_keep[0], dy_keep[0])
     coef, mu, _, path, converged, _ = _irls(y[cells], kept, family)
     return cells, coef, mu, path, converged
 
@@ -639,7 +639,7 @@ class TestClosedFormPoisson:
         mask, pin = drop_pattern(Y, design)
         # a staircase's kept cells are never fewer than the free coefficients
         assert np.all(mask.sum(axis=1) >= (~pin).sum(axis=1))
-        assert not (_nb_mle_batch(Y, design)[3] & ~exists).any()
+        assert not (_nb_mle_batch(Y, design, _chain_ladder_batch(Y, design))[3] & ~exists).any()
         for family in ("negbin", "poisson"):
             assert not (fit_kept_levels(Y, design, family)[0] & ~exists).any()
 

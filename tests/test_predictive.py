@@ -23,7 +23,7 @@ from nbreserve.errors import ExcessiveFailuresError, TooFewDrawsError
 from nbreserve.glm import _counts_and_design, _data_key, _prepare
 from nbreserve.predictive import ay_summary, draws_csv, summary_json
 from nbreserve._rng import substream
-from conftest import drop_pattern, kept_levels, positive_table_exists
+from conftest import drop_pattern, kept_design, kept_levels, positive_table_exists, refit
 
 
 def _study_spec(s, b, family="quasipoisson"):
@@ -404,7 +404,7 @@ class TestBatchedRefit:
             [bt.draw_counts("negbin", spec.param, spec.mu_obs, bt.substream(0, r)) for r in range(b)]
         )
         ok, row_eff, col_eff, disp = _refit_batch(y_star, spec)
-        ref = [bt._refit(y, spec) for y in y_star]
+        ref = [refit(y, spec) for y in y_star]
         assert ok.tolist() == [r is not None for r in ref]
         dropped = 0
         for i in np.nonzero(ok)[0]:
@@ -435,7 +435,8 @@ class TestBatchedRefit:
         y_star = np.array(
             [bt.draw_counts("negbin", spec.param, spec.mu_obs, bt.substream(0, r)) for r in range(200)]
         ).astype(float)
-        _, _, _, ok, n_iter = _nb_mle_batch(y_star, spec.design)
+        poisson = glm._chain_ladder_batch(y_star, spec.design)
+        _, _, _, ok, n_iter = _nb_mle_batch(y_star, spec.design, poisson)
         assert ok.all()
         assert n_iter.mean() <= 8 and n_iter.max() <= 12
 
@@ -470,7 +471,7 @@ class TestBatchedRefit:
         )
         y_star = self._patterns(spec, base)
         ok, row_eff, col_eff, disp = _refit_batch(y_star, spec)
-        ref = [bt._refit(y, spec) for y in y_star]
+        ref = [refit(y, spec) for y in y_star]
         assert ok.tolist() == [r is not None for r in ref]
         # one accident or development year left: saturated, so no ODP dispersion
         assert ok.sum() == (6 if family == "quasipoisson" else 8)
@@ -506,7 +507,7 @@ class TestBatchedRefit:
             assert np.array_equal(got[full], want, equal_nan=True)
         # and each equals the scalar refit bit for bit
         for i, y in enumerate(y_star[full]):
-            row_ref, col_ref, disp_ref = bt._refit(y, spec)
+            row_ref, col_ref, disp_ref = refit(y, spec)
             assert np.array_equal(alone[1][i], row_ref)
             assert np.array_equal(alone[2][i], col_ref)
             assert np.isnan(alone[3][i]) if disp_ref is None else alone[3][i] == disp_ref
@@ -521,7 +522,7 @@ class TestBatchedRefit:
         ay_keep, dy_keep = kept_levels(y_star, spec.design)
         assert len(np.unique(np.hstack((ay_keep, dy_keep)), axis=0)) >= 5
         ok, row_eff, col_eff, disp = _refit_batch(y_star, spec)
-        ref = [bt._refit(y, spec) for y in y_star]
+        ref = [refit(y, spec) for y in y_star]
         assert ok.tolist() == [r is not None for r in ref]
         for i in np.nonzero(ok)[0]:
             row_ref, col_ref, disp_ref = ref[i]
@@ -550,7 +551,7 @@ class TestBatchedRefit:
         y_star[1] = 0  # nothing left to fit
         y_star[2, spec.design.ay_idx > 0] = 0  # only the first accident year has counts
         ok, _, _, _ = _refit_batch(y_star, spec)
-        assert ok.tolist() == [bt._refit(y, spec) is not None for y in y_star]
+        assert ok.tolist() == [refit(y, spec) is not None for y in y_star]
         assert not ok[1]
 
 
@@ -615,11 +616,11 @@ class TestChunking:
         second = dataclasses.replace(
             first, prefix=(7,), mu_obs=first.mu_obs * 1.5, param=2.0 * first.param, correct=False
         )
-        batches, refit = [], bt._refit_batch
+        batches, refit_batch = [], bt._refit_batch
 
         def recorded(y_star, design, family):
             batches.append(len(y_star))
-            return refit(y_star, design, family)
+            return refit_batch(y_star, design, family)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bt, "_refit_batch", recorded)
@@ -713,7 +714,7 @@ class TestUnboundedRefit:
         # a replicate that drops accident year 1 leaves the last development
         # year with no count: it adds no development, and the chain-ladder
         # fits the other years
-        from nbreserve.glm import Family, _chain_ladder_batch, _irls, _kept_design
+        from nbreserve.glm import Family, _chain_ladder_batch, _irls
 
         spec = self._quasi_spec(100)
         design = spec.design
@@ -727,7 +728,7 @@ class TestUnboundedRefit:
         assert np.all(np.abs(score).max(axis=1) <= 1e-13 * Y.sum(axis=1))
         ay_keep, dy_keep = kept_levels(Y, design)
         for y, m, ay, dy in zip(Y, mu, ay_keep, dy_keep):
-            cells, kept = _kept_design(design, ay, dy)
+            cells, kept = kept_design(design, ay, dy)
             _, m_irls, _, _, converged, _ = _irls(y[cells], kept, Family.poisson())
             assert converged
             assert m[cells] == pytest.approx(m_irls, rel=1e-12)

@@ -251,7 +251,7 @@ class TestStudyPinned:
         from nbreserve._bootstrap import fit_kept_levels
         from nbreserve.dispersion import KAPPA_CAP, _nb_mle_batch
         from nbreserve.errors import BaseFitFailedError, SeparationError
-        from nbreserve.glm import Family, _counts_and_design, pearson_statistic
+        from nbreserve.glm import Family, _chain_ladder_batch, _counts_and_design, pearson_statistic
         from nbreserve.simulation import _method_base
         from nbreserve.triangle import to_long
 
@@ -265,7 +265,8 @@ class TestStudyPinned:
 
         mu, kappa = _method_base("negbin", y, design)
         coef = fit_kept_levels(y[None], design, "negbin")[1][0]
-        ref_coef, ref_mu, ref_kappa, ok, n_iter = _nb_mle_batch(y[None], design)
+        poisson = _chain_ladder_batch(y[None], design)
+        ref_coef, ref_mu, ref_kappa, ok, n_iter = _nb_mle_batch(y[None], design, poisson)
         assert ok[0] and n_iter[0] <= 10
         assert np.array_equal(coef, ref_coef[0])
         assert kappa == ref_kappa[0] < KAPPA_CAP

@@ -217,6 +217,16 @@ class TestCsv:
         with pytest.raises(RaggedRowsError):
             parse_triangle("")
 
+    @pytest.mark.parametrize("text", ["ay,dy0,dy1\n2001,10,5\n2002,20,\n", "10,5\n20,\n"], ids=["header", "no-header"])
+    def test_byte_order_mark_is_skipped(self, text):
+        # a spreadsheet's "CSV UTF-8" export starts with U+FEFF: text read
+        # with encoding="utf-8" parses as the plain text does, and the mark
+        # is skipped once, not stripped from the counts
+        plain, marked = parse_triangle(text), parse_triangle("\ufeff" + text)
+        assert marked == plain and marked.origin_label == plain.origin_label
+        with pytest.raises(NonIntegerCountError, match="is not a number"):
+            parse_triangle("\ufeff\ufeff" + text)
+
     def test_amount_rounding(self):
         t = parse_triangle("10.6,5.2\n20.5,\n", round_amounts=True)
         assert t.cell(1, 0) == 11
