@@ -31,8 +31,9 @@ design and the family alone.
 One engine pass serves every spec of one triangle (:func:`run_group`):
 specs that refit the same family, such as a study's nb_mle and
 nb_corrected, stack their replicates into one batch. A row's fit does
-not depend on the other rows of its batch, and every replicate draws
-from its own substream, so each spec gets the draws it would get alone.
+not depend on the other rows of its batch, and every block of
+replicates draws from its own substream, so each spec gets the draws it
+would get alone.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import dispersion
-from ._rng import substreams
-from ._rng import substream  # not called here: bench/spans.py hooks _bootstrap:substream
+from ._rng import substream
 from .glm import Design, _chain_ladder_batch, _effects_from_coef, pearson_statistic
 from .glm import _irls, build_design  # not called here: bench/spans.py hooks _bootstrap:_irls and :build_design
 from .triangle import _MAX_COUNT, triangle_cells
@@ -57,6 +57,17 @@ MAX_FAILURE_FRACTION = 0.2
 # most replicates refitted together in one batch; larger batches ran a
 # B=5000 bootstrap a little faster but raised its peak memory by a quarter
 _BATCH = 100
+
+# replicates drawn from one generator: replicate b of a spec draws from
+# the substream (seed, *prefix, b // _BLOCK)
+_BLOCK = 100
+
+# the stream contract's name, which manifests record; its first version
+# drew each replicate from the substream (seed, *prefix, b)
+STREAM = "philox-block100-v2"
+
+# the largest mean numpy's Poisson sampler takes
+_POISSON_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -120,14 +131,19 @@ def sample_nb(mu, kappa, rng: np.random.Generator, size=None) -> np.ndarray:
 
 
 def draw_counts(tag: str, param: Optional[float], mu: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw one synthetic count per cell mean under the family ``tag``."""
+    """Draw one synthetic count per cell mean under the family ``tag``.
+
+    ``param`` is the kappa (``negbin``) or phi (``quasipoisson``) and
+    broadcasts against ``mu``, so a column of them draws each row of a
+    matrix of means at its own.
+    """
     if tag == "poisson":
         return rng.poisson(mu)
     if tag == "negbin":
         return sample_nb(mu, param, rng)
     if tag == "quasipoisson":
         # integer-valued approximation with Var = phi * mu
-        phi = max(param, 1e-8)
+        phi = np.maximum(param, 1e-8)
         return np.floor(phi * rng.poisson(mu / phi) + 0.5).astype(np.int64)
     raise ValueError(f"unknown sampling family {tag!r}")
 
@@ -193,25 +209,30 @@ _refit = _refit_batch  # not called here: bench/spans.py hooks _bootstrap:_refit
 def _run_group(specs: Sequence[EngineSpec], lo: int, hi: int) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Run replicates lo..hi-1 of every spec; returns one (ok, totals, by_ay) per spec.
 
-    The specs belong to one triangle: they share its design. The specs of
-    one family share their refits, as a study's nb_mle and nb_corrected
-    do (its odp refits apart from poisson: it needs the Pearson phi and
-    fails a refit without it). A family's batches take ``_BATCH // k``
-    replicates from each of its k specs, so each batch is one
-    :func:`_refit_batch` call of at most ``_BATCH`` rows, which bounds the
-    memory of the stacked normal equations, whatever levels its
-    replicates drop. Each spec with ``correct`` applies
+    The range is whole blocks: ``lo`` is a multiple of ``_BLOCK``, and so
+    is ``hi`` unless it is the specs' ``b``. The specs belong to one
+    triangle: they share its design and ``b``. A block of a spec draws from
+    its own substream (``spec.prefix`` then the block index): one
+    :func:`draw_counts` call gives all its synthetic triangles, and after
+    their refits one more gives the future cells of every row, each at
+    its refitted kappa or phi. A row whose refit failed, or whose future
+    means numpy cannot draw (not finite, or past its Poisson limit), draws
+    nothing, so a row's draws depend only on its block and never on how
+    the replicates are chunked or batched.
+
+    The specs of one family share their refits, as a study's nb_mle and
+    nb_corrected do (its odp refits apart from poisson: it needs the
+    Pearson phi and fails a refit without it). A family's batches take
+    ``_BATCH // k`` rows of a block from each of its k specs, so each
+    batch is one :func:`_refit_batch` call of at most ``_BATCH`` rows,
+    which bounds the memory of the stacked normal equations, whatever
+    levels its replicates drop. Each spec with ``correct`` applies
     :func:`~nbreserve.dispersion.bias_correct` of its full design to its
-    own refitted kappas. A replicate draws its synthetic triangle
-    and, after the refit, its future cells from its own substream
-    (``spec.prefix`` then the replicate index), so its draws do not
-    depend on which replicates or specs share its batch. The substreams
-    of a window are keyed in bulk (:func:`substreams`), and a batch's
-    future means and totals by accident year are computed once for all
-    its replicates. A replicate with a future mean above 2**53 - 1, the
-    largest count the package reads, fails.
+    own refitted kappas. A replicate with a future mean above 2**53 - 1,
+    the largest count the package reads, fails after its draw.
     """
-    n_ay = specs[0].design.n_ay
+    design = specs[0].design
+    n_ay = design.n_ay
     _, (fut_ay, fut_dy) = triangle_cells(n_ay)
     fut_onehot = (fut_ay[:, None] == np.arange(n_ay)).astype(np.int64)
     out = [
@@ -221,62 +242,68 @@ def _run_group(specs: Sequence[EngineSpec], lo: int, hi: int) -> List[Tuple[np.n
     for family in dict.fromkeys(spec.family for spec in specs):
         members = [i for i, spec in enumerate(specs) if spec.family == family]
         window = max(1, _BATCH // len(members))
-        for first in range(lo, hi, window):
-            m = min(first + window, hi) - first
-            rngs = [substreams(specs[i].seed, specs[i].prefix, first, first + m) for i in members]
-            y_star = np.array(
-                [draw_counts(specs[i].family, specs[i].param, specs[i].mu_obs, rng) for i, r in zip(members, rngs) for rng in r]
-            )
-            fitted, row_eff, col_eff, disp = _refit_batch(y_star, specs[0].design, family)
-            for k, i in enumerate(members):
+        for first in range(lo, hi, _BLOCK):
+            m = min(first + _BLOCK, hi) - first
+            rngs = [substream(specs[i].seed, *specs[i].prefix, first // _BLOCK) for i in members]
+            y_star = np.concatenate([
+                draw_counts(family, specs[i].param, np.broadcast_to(specs[i].mu_obs, (m, design.n)), rng)
+                for i, rng in zip(members, rngs)
+            ])
+            fitted = np.empty(len(y_star), dtype=bool)
+            row_eff, col_eff = np.empty((len(y_star), n_ay)), np.empty((len(y_star), design.n_dy))
+            disp = np.empty(len(y_star))
+            for w in range(0, m, window):
+                # the window's rows of every spec's block, refitted as one batch
+                rows = (np.arange(len(members))[:, None] * m + np.arange(w, min(w + window, m))).ravel()
+                fitted[rows], row_eff[rows], col_eff[rows], disp[rows] = _refit_batch(y_star[rows], design, family)
+            for k, (i, rng) in enumerate(zip(members, rngs)):
                 spec, rows = specs[i], slice(k * m, (k + 1) * m)
                 ok_k, disp_k = fitted[rows], disp[rows]
                 if spec.correct:
                     disp_k[ok_k] = dispersion.bias_correct(disp_k[ok_k], spec.design.n, spec.design.p)
-                idx = np.nonzero(ok_k)[0]
-                with np.errstate(over="ignore"):  # a mean past float64's range is inf, and fails below
-                    mu_fut = np.exp(row_eff[rows][idx][:, fut_ay] + col_eff[rows][idx][:, fut_dy])
-                # the sampler's bound: a refit whose future means exceed the largest
-                # count the package reads fails, though its maximum is finite;
-                # numpy's Poisson sampler refuses means above about 9.2e18
-                bounded = mu_fut.max(axis=1, initial=0.0) <= _MAX_COUNT
-                idx, mu_fut = idx[bounded], mu_fut[bounded]
-                draws = np.empty(mu_fut.shape, dtype=np.int64)
-                for j, i_row in enumerate(idx):
-                    draws[j] = draw_counts(spec.family, disp_k[i_row], mu_fut[j], rngs[k][i_row])
+                mu_fut = np.zeros((m, fut_ay.size))
+                with np.errstate(over="ignore"):  # a mean past float64's range is inf, and draws nothing
+                    mu_fut[ok_k] = np.exp(row_eff[rows][ok_k][:, fut_ay] + col_eff[rows][ok_k][:, fut_dy])
+                top = mu_fut.max(axis=1)
+                drawn = ok_k & (top <= _POISSON_MAX)  # NaN and inf compare False
+                draws = np.zeros(mu_fut.shape, dtype=np.int64)
+                draws[drawn] = draw_counts(family, disp_k[drawn, None], mu_fut[drawn], rng)
                 ok, totals, by_ay = out[i]
-                slots = first - lo + idx
-                ok[slots] = True
+                slots = slice(first - lo, first - lo + m)
+                # a future mean past the largest count the package reads fails the replicate
+                ok[slots] = drawn & (top <= _MAX_COUNT)
                 totals[slots] = draws.sum(axis=1)
                 by_ay[slots] = draws @ fut_onehot
     return out
 
 
-def _pool_size(workers: Optional[int], n: int) -> int:
-    """Worker processes for ``n`` items: ``workers`` (None: every usable core), at most the usable cores and n.
+def _pool_size(workers: Optional[int], n: int, block: int = 1) -> int:
+    """Worker processes for ``n`` items in blocks of ``block``: ``workers`` (None: every usable core), at most the usable cores and blocks.
 
-    Below 4 items it is 1: they run in the calling process. The usable
+    Below 4 blocks it is 1: they run in the calling process. The usable
     cores are those ``os.sched_getaffinity`` allows, or
     ``os.cpu_count()`` on a platform without it.
     """
+    blocks = -(-n // block)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
-    return 1 if n < 4 else min(cores if workers is None else workers, cores, n)
+    return 1 if blocks < 4 else min(cores if workers is None else workers, cores, blocks)
 
 
-def split_run(func: Callable, n: int, workers: int, *args) -> List:
+def split_run(func: Callable, n: int, workers: int, *args, block: int = 1) -> List:
     """Results of ``func(*args, lo, hi)`` over contiguous chunks of range(n), in order.
 
     One call covers everything when the pool (:func:`_pool_size` of
     ``workers``) has one worker; otherwise the range is cut into that many
-    near-equal chunks, each run in its own process.
+    chunks of near-equal numbers of whole blocks of ``block`` items, each
+    run in its own process.
     """
-    workers = _pool_size(workers, n)
+    workers = _pool_size(workers, n, block)
     if workers <= 1:
         return [func(*args, 0, n)]
     # imported here: it loads multiprocessing, which a serial run never needs
     from concurrent.futures import ProcessPoolExecutor
 
-    bounds = np.linspace(0, n, workers + 1, dtype=int)
+    bounds = np.minimum(np.linspace(0, -(-n // block), workers + 1, dtype=int) * block, n)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(func, *args, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
         return [f.result() for f in futures]
@@ -285,10 +312,11 @@ def split_run(func: Callable, n: int, workers: int, *args) -> List:
 def run(spec: EngineSpec, workers: int = 1) -> Tuple[np.ndarray, np.ndarray, int]:
     """Execute all replicates; returns (totals, by_ay, failures).
 
-    Results are identical for any worker count because each replicate
-    draws from its own counter-based substream.
+    Results are identical for any worker count because the chunks are
+    whole blocks and each block draws from its own counter-based
+    substream.
     """
-    parts = [part for (part,) in split_run(_run_group, spec.b, workers, (spec,))]
+    parts = [part for (part,) in split_run(_run_group, spec.b, workers, (spec,), block=_BLOCK)]
     return _result(*(np.concatenate(p) for p in zip(*parts)))
 
 

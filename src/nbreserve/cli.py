@@ -129,8 +129,9 @@ class _Run:
             "wall_time_s": round(time.time() - self.started, 3),
             "outputs": self.outputs,
         }
-        if self.workers is not None:
+        if self.workers is not None:  # a command that draws: its pool and its stream contract
             manifest["workers"] = self.workers
+            manifest["stream"] = _bootstrap.STREAM
         self._dump("manifest.json", manifest)
         click.echo(f"outputs written to {self.out_dir} (run_id {self.run_id})")
 
@@ -289,7 +290,7 @@ def cmd_reserve(triangle, b, levels, no_correct, threads, round_amounts, out_dir
     """Bootstrap the predictive reserve distribution."""
     levels = predictive._level_set(levels)
     t = _load_triangle(triangle, round_amounts)
-    workers = _bootstrap._pool_size(threads, b)
+    workers = _bootstrap._pool_size(threads, b, _bootstrap._BLOCK)
     run = _Run(
         "reserve",
         {**_input(triangle), "b": b, "levels": levels, "correct": not no_correct, "seed": seed},

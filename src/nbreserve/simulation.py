@@ -232,7 +232,7 @@ def _run_replicate(config: DgpConfig, s: int, methods: Sequence[str]) -> Dict[st
     methods that remain bootstrap in one engine pass
     (:func:`nbreserve._bootstrap.run_group`), which stacks the refits of
     nb_mle and nb_corrected; method ``m_index`` draws replicate ``b``
-    from the substream (seed, 1, s, m_index, b) all the same.
+    from the substream (seed, 1, s, m_index, b // 100) all the same.
     """
     t, true_out = generate(config, s)
     out: Dict[str, Optional[dict]] = {m: None for m in methods}

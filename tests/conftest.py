@@ -81,6 +81,24 @@ def inline_pool(monkeypatch):
     return sizes
 
 
+def block_counts(spec) -> np.ndarray:
+    """The (b, n) synthetic triangles of an engine spec under its stream contract.
+
+    Replicate r draws from block r // 100, keyed (seed, *prefix, block);
+    one draw of the family's law at the spec's observed means gives every
+    row of a block, whole blocks of 100 but the last.
+    """
+    from nbreserve._bootstrap import draw_counts
+    from nbreserve._rng import substream
+
+    blocks = []
+    for first in range(0, spec.b, 100):
+        rng = substream(spec.seed, *spec.prefix, first // 100)
+        mu = np.broadcast_to(spec.mu_obs, (min(100, spec.b - first), spec.mu_obs.size))
+        blocks.append(draw_counts(spec.family, spec.param, mu, rng))
+    return np.concatenate(blocks)
+
+
 def kept_levels(Y: np.ndarray, design):
     """Each row's accident and development years with a positive ``np.bincount`` total, (m, n_ay) and (m, n_dy).
 

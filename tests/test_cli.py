@@ -210,6 +210,7 @@ class TestFit:
         assert manifest["subcommand"] == "fit"
         assert manifest["tool"] == "nbreserve"
         assert "fit.json" in manifest["outputs"]
+        assert "stream" not in manifest and "workers" not in manifest  # fit draws nothing
         fit_doc = json.loads((Path(out) / "fit.json").read_text())
         assert fit_doc["run_id"] == manifest["run_id"]
 
@@ -286,23 +287,37 @@ class TestReserve:
         assert len(json.loads(outputs[0][1])["levels"]) == 1
         assert sum(1 for l in outputs[0][2].splitlines() if l.startswith("total,")) == 1
 
+    # (kappa_mle, kappa_adj) as numpy's AVX-512 and its AVX2 kernels give
+    # them: they move by about 9e-15 relative between the two, while the
+    # draws, and so every other output, are the same bits under both
+    # (tests/test_cpu_targets.py re-runs this test under AVX2)
+    KAPPAS = {(4.799975929278593, 2.5714156763992464), (4.799975929278638, 2.57141567639927)}
+
     def test_outputs_pinned(self, runner, triangle_csv, tmp_path):
         # reserve.json and reserve.csv as the per-array summaries wrote them
-        # (lines naming the run id left out: it hashes the input's path)
+        # (the run id left out: it hashes the input's path)
         out = tmp_path / "out"
         run_ok(
             runner,
             ["reserve", triangle_csv, "-B", "300", "--level", "0.75", "--level", "0.95", "--level", "0.5",
              "--threads", "1", "--out-dir", str(out)],
         )
-        digests = {}
-        for name in ("reserve.json", "reserve.csv"):
-            body = "\n".join(l for l in (out / name).read_text().splitlines() if "run_id" not in l)
-            digests[name] = hashlib.sha256(body.encode()).hexdigest()
-        assert digests == {
-            "reserve.json": "928916181fce9de9aaf0ee888a8175ad49cc2044f3f8383cf703da9108512bd8",
-            "reserve.csv": "732250369ff884df4d304a5357f3ca90ef7a3c3bb175ffeb63a65cf6912dd348",
+        doc = json.loads((out / "reserve.json").read_text())
+        doc.pop("run_id")
+        assert (doc.pop("kappa_mle"), doc.pop("kappa_adj")) in self.KAPPAS
+        assert doc == {
+            "point": 3191.036414143154,
+            "levels": [
+                {"level": 0.5, "lower": 2671.75, "upper": 4452.75},
+                {"level": 0.75, "lower": 2096.75, "upper": 5595.5},
+                {"level": 0.95, "lower": 1616.9500000000003, "upper": 7863.7249999999985},
+            ],
+            "cv_percent": 43.70071581413262,
+            "b_effective": 300,
+            "refit_failures": 0,
         }
+        body = "\n".join(l for l in (out / "reserve.csv").read_text().splitlines() if "run_id" not in l)
+        assert hashlib.sha256(body.encode()).hexdigest() == "bc36f0ae2d898564b77dc55b1b77152a62b0b6a9eb25052139dcd32a39f94e05"
 
     def test_one_summary_pass(self, runner, triangle_csv, tmp_path, monkeypatch):
         # the table, reserve.csv and reserve.json come from one summary pass,
@@ -363,12 +378,13 @@ class TestReserve:
         assert not (tmp_path / "o").exists()
 
     def test_threads_capped_at_usable_cores(self, runner, triangle_csv, tmp_path, monkeypatch, inline_pool):
-        # --threads 5000 would otherwise fork 5000 processes at the first submit
+        # --threads 5000 would otherwise fork 5000 processes at the first submit;
+        # B=400 is four blocks of replicates, the fewest a pool is started for
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
-        run_ok(runner, ["reserve", triangle_csv, "-B", "200", "--threads", "5000", "--out-dir", a])
+        run_ok(runner, ["reserve", triangle_csv, "-B", "400", "--threads", "5000", "--out-dir", a])
         assert inline_pool == [2]
-        run_ok(runner, ["reserve", triangle_csv, "-B", "200", "--out-dir", b])
+        run_ok(runner, ["reserve", triangle_csv, "-B", "400", "--out-dir", b])
         assert inline_pool == [2, 2]
         assert (Path(a) / "draws.csv").read_text() == (Path(b) / "draws.csv").read_text()
 
@@ -378,13 +394,23 @@ class TestReserve:
         manifests = []
         for threads in ("5000", "1"):
             out = tmp_path / threads
-            run_ok(runner, ["reserve", triangle_csv, "-B", "200", "--threads", threads, "--out-dir", str(out)])
+            run_ok(runner, ["reserve", triangle_csv, "-B", "400", "--threads", threads, "--out-dir", str(out)])
             manifests.append(json.loads((out / "manifest.json").read_text()))
         assert inline_pool == [2]
         assert [m["workers"] for m in manifests] == [2, 1]
+        assert [m["stream"] for m in manifests] == ["philox-block100-v2"] * 2
         assert manifests[0]["run_id"] == manifests[1]["run_id"]
         assert manifests[0]["params"] == manifests[1]["params"] and "workers" not in manifests[0]["params"]
 
+
+    def test_manifest_records_an_inline_run(self, runner, triangle_csv, tmp_path, monkeypatch, inline_pool):
+        # B=300 is three blocks of 100 replicates: it runs in the calling
+        # process, whatever the cores, and the manifest names the one worker
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        out = tmp_path / "out"
+        run_ok(runner, ["reserve", triangle_csv, "-B", "300", "--threads", "2", "--out-dir", str(out)])
+        assert json.loads((out / "manifest.json").read_text())["workers"] == 1
+        assert inline_pool == []
 
 class TestSimulate:
     def test_tiny_study(self, runner, tmp_path):
@@ -548,7 +574,7 @@ NEAR_SEPARATED_ROWS = [[0, 0, 10, 1052], [1872, 0, 0], [0, 373], [193]]
 
 
 def test_failed_refits_are_one_error_line(runner, tmp_path):
-    # 376 of the 1000 refits meet singular normal equations; stderr holds
+    # 379 of the 1000 refits meet singular normal equations; stderr holds
     # the one ExcessiveFailures line and no raw numpy warning
     path = tmp_path / "near.csv"
     path.write_text(triangle_text(NEAR_SEPARATED_ROWS))
@@ -560,7 +586,7 @@ def test_failed_refits_are_one_error_line(runner, tmp_path):
     assert len(result.stderr.splitlines()) == 1
     err = json.loads(result.stderr)["error"]
     assert err["kind"] == "ExcessiveFailures"
-    assert err["message"].startswith("376 of 1000 bootstrap refits failed")
+    assert err["message"].startswith("379 of 1000 bootstrap refits failed")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 

@@ -27,7 +27,15 @@ QUASI_SEPARATED_TESTS = (
 )
 
 
-def test_quasi_separated_outcomes_hold_under_avx2():
+# pins of full-precision floats that pass through dispatched ufuncs: they
+# hold one value per target, and every other pinned output one for both
+PINNED_TESTS = (
+    "tests/test_cli.py::TestReserve::test_outputs_pinned",
+    "tests/test_simulation.py::TestStudyPinned::test_study_json_pinned",
+)
+
+
+def _passes_under_avx2(tests):
     root = Path(__file__).resolve().parents[1]
     src = str(Path(nbreserve.__file__).resolve().parents[1])
     env = {**os.environ, **_AVX2, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
@@ -35,8 +43,16 @@ def test_quasi_separated_outcomes_hold_under_avx2():
     if probe.returncode != 0:
         pytest.skip(f"numpy refuses the AVX2 setting on this CPU: {probe.stderr.strip()[-200:]}")
     done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *QUASI_SEPARATED_TESTS],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
         cwd=root, env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-1000:]
     assert " passed" in done.stdout and "skipped" not in done.stdout
+
+
+def test_quasi_separated_outcomes_hold_under_avx2():
+    _passes_under_avx2(QUASI_SEPARATED_TESTS)
+
+
+def test_pinned_outputs_hold_under_avx2():
+    _passes_under_avx2(PINNED_TESTS)

@@ -23,7 +23,7 @@ from nbreserve.errors import ExcessiveFailuresError, TooFewDrawsError
 from nbreserve.glm import _counts_and_design, _data_key, _prepare
 from nbreserve.predictive import ay_summary, draws_csv, summary_json
 from nbreserve._rng import substream
-from conftest import drop_pattern, kept_design, kept_levels, positive_table_exists, refit
+from conftest import block_counts, drop_pattern, kept_design, kept_levels, positive_table_exists, refit
 
 
 def _study_spec(s, b, family="quasipoisson"):
@@ -168,6 +168,57 @@ class TestSampler:
         assert stats.chi2.sf(chi2, dof) > 0.01
 
 
+class TestBlockLaw:
+    """A block's draws have the law of one replicate's draws from its own substream.
+
+    The engine draws a block of 100 replicates' cells with one
+    ``draw_counts`` call per block, at a scalar parameter (observed cells)
+    or a column of them (future cells, one refitted kappa or phi per row).
+    For each law, 2000 such rows are compared with 2000 rows drawn one
+    replicate per substream, cell by cell, with a two-sample
+    Kolmogorov-Smirnov test on 24 cells whose means span 0.3 to 3e4. The
+    cells' p-values are combined by Fisher's method, and the law is
+    rejected below 0.001: a size of at most 0.1% per law and 0.4% over the
+    four, less since the test is conservative on counts. The streams are
+    fixed, so the outcome is too.
+    """
+
+    MU = np.geomspace(0.3, 3e4, 24)
+    N = 2000
+
+    @classmethod
+    def _blocks(cls, tag, param, column):
+        import nbreserve._bootstrap as bt
+
+        out = []
+        for block in range(cls.N // 100):
+            p = np.full((100, 1), param) if column else param
+            out.append(bt.draw_counts(tag, p, np.broadcast_to(cls.MU, (100, cls.MU.size)), substream(12, 0, block)))
+        return np.concatenate(out)
+
+    @classmethod
+    def _combined_p(cls, got, want):
+        p = [stats.ks_2samp(got[:, j], want[:, j]).pvalue for j in range(cls.MU.size)]
+        return stats.combine_pvalues(p, method="fisher").pvalue
+
+    @pytest.mark.parametrize(
+        "tag, param, off",
+        [("negbin", 2.57, 3.2), ("negbin", 50.0, 25.0), ("poisson", None, None), ("quasipoisson", 3.0, 3.75)],
+        ids=["nb-2.57", "nb-50", "poisson", "odp"],
+    )
+    def test_block_draws_have_the_replicate_law(self, tag, param, off):
+        import nbreserve._bootstrap as bt
+
+        want = np.array([bt.draw_counts(tag, param, self.MU, substream(11, 1, r)) for r in range(self.N)])
+        got = self._blocks(tag, param, column=False)
+        assert self._combined_p(got, want) > 1e-3
+        if param is not None:
+            # a column of one value draws the same bits as the scalar
+            assert np.array_equal(self._blocks(tag, param, column=True), got)
+            # and the test sees a law whose kappa or phi is off
+            assert self._combined_p(self._blocks(tag, off, column=False), want) < 1e-6
+
+
 class TestPlugin:
     def test_future_cells(self, australian):
         model = fit(to_long(australian), Family.negbin(4.8))
@@ -214,17 +265,17 @@ class TestBootstrap:
         assert dist.draws_total.shape == (500,)
 
     def test_first_draws_frozen(self, dist):
-        assert dist.draws_total[:6].tolist() == [3095, 5606, 2099, 3487, 2845, 3145]
+        assert dist.draws_total[:6].tolist() == [3619, 6088, 4093, 4314, 4950, 6998]
 
     def test_first_draws_frozen_taylor_ashe(self, taylor):
         d = bootstrap(taylor, b=150, seed=3)
-        assert d.draws_total[:6].tolist() == [17491547, 14734054, 13058017, 17714513, 16045047, 15679517]
+        assert d.draws_total[:6].tolist() == [14458356, 18837105, 18945081, 18830238, 22561843, 16621889]
 
     @pytest.mark.parametrize(
         "family, first",
         [
-            ("poisson", [2883, 2855, 3021, 2940, 2802, 2795]),
-            ("quasipoisson", [3342, 2854, 2648, 3629, 2150, 2527]),
+            ("poisson", [2831, 2831, 2992, 2852, 2871, 2900]),
+            ("quasipoisson", [2885, 3491, 2698, 3250, 3628, 2304]),
         ],
     )
     def test_first_draws_frozen_study_families(self, family, first):
@@ -288,10 +339,11 @@ class TestBootstrap:
 
     def test_worker_count_invariance_taylor_ashe(self, taylor):
         # million-scale means turn any batch-composition dependence of the
-        # refit arithmetic into different integer draws
-        one = bootstrap(taylor, b=150, seed=3)
+        # refit arithmetic into different integer draws; B=450 is five
+        # blocks, so a pool of two splits them
+        one = bootstrap(taylor, b=450, seed=3)
         for workers in (2, 3):
-            d = bootstrap(taylor, b=150, seed=3, workers=workers)
+            d = bootstrap(taylor, b=450, seed=3, workers=workers)
             assert np.array_equal(d.draws_total, one.draws_total)
             for ay in d.draws_by_ay:
                 assert np.array_equal(d.draws_by_ay[ay], one.draws_by_ay[ay])
@@ -565,27 +617,48 @@ class TestChunking:
         return TestBatchedRefit._spec(australian, b, case)
 
     @pytest.mark.parametrize("case", ["negbin", "poisson", "quasipoisson", "study-odp"])
-    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
-    @given(cuts=st.lists(st.integers(1, 59), max_size=4))
-    def test_any_split(self, australian, case, cuts):
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(cuts=st.sets(st.sampled_from([100, 200])), batch=st.sampled_from([7, 30, 100, 160]))
+    def test_any_split(self, australian, case, cuts, batch):
+        # chunks cut on block boundaries, refitted in batches of any size
         import nbreserve._bootstrap as bt
 
-        b = 60
+        b = 250
         spec = self._spec(case, australian, b)
-        one = bt._run_group((spec,), 0, b)[0]  # a single batch
-        bounds = [0, *sorted(set(cuts)), b]
+        one = bt._run_group((spec,), 0, b)[0]  # batches of 100
+        bounds = [0, *sorted(cuts), b]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bt, "_BATCH", 7)
+            mp.setattr(bt, "_BATCH", batch)
             parts = [bt._run_group((spec,), lo, hi)[0] for lo, hi in zip(bounds[:-1], bounds[1:])]
         for got, want in zip((np.concatenate(p) for p in zip(*parts)), one):
             assert np.array_equal(got, want)
         # the splits cross replicates that drop a level: on Australian the
         # single-cell newest accident year draws zero in about a fifth of them
-        y_star = np.array(
-            [bt.draw_counts(spec.family, spec.param, spec.mu_obs, bt.substream(spec.seed, *spec.prefix, r)) for r in range(b)]
-        )
-        ay_keep, dy_keep = kept_levels(y_star, spec.design)
+        ay_keep, dy_keep = kept_levels(block_counts(spec), spec.design)
         assert (~np.hstack((ay_keep, dy_keep))).any(axis=1).sum() >= b // 10
+
+    @pytest.mark.parametrize("b, pools", [(250, []), (450, [2])], ids=["3-blocks-inline", "5-blocks-pooled"])
+    def test_workers_cut_whole_blocks(self, australian, monkeypatch, inline_pool, b, pools):
+        # below four blocks the run is inline; above, each worker's chunk is
+        # whole blocks, so two workers draw what one does
+        import os
+
+        import nbreserve._bootstrap as bt
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        spec = TestBatchedRefit._spec(australian, b)
+        chunks, real = [], bt._run_group
+
+        def recorded(specs, lo, hi):
+            chunks.append((lo, hi))
+            return real(specs, lo, hi)
+
+        one = bt.run(spec, workers=1)
+        monkeypatch.setattr(bt, "_run_group", recorded)
+        two = bt.run(spec, workers=2)
+        assert inline_pool == pools
+        assert chunks == ([(0, 200), (200, 450)] if pools else [(0, b)])
+        assert np.array_equal(two[0], one[0]) and np.array_equal(two[1], one[1]) and two[2] == one[2]
 
     def test_pool_is_capped(self, monkeypatch, inline_pool):
         # a request above the usable cores or the items is capped
@@ -599,6 +672,10 @@ class TestChunking:
         assert inline_pool == [3, 2]
         # below four items the run is inline: one worker, whatever was asked
         assert (bt._pool_size(None, 100), bt._pool_size(None, 2), bt._pool_size(5000, 2)) == (3, 1, 1)
+        # a bootstrap counts blocks of 100 replicates
+        assert (bt._pool_size(None, 300, 100), bt._pool_size(None, 301, 100), bt._pool_size(2, 5000, 100)) == (1, 3, 2)
+        assert bt.split_run(lambda lo, hi: (lo, hi), 1050, None, block=100) == [(0, 300), (300, 700), (700, 1050)]
+        assert inline_pool == [3, 2, 3]
         # without affinity masks the usable cores are the CPU count
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -659,19 +736,11 @@ class TestUnboundedRefit:
             family="negbin", param=bias_correct(KAPPA_CAP, design.n, design.p), correct=True,
         )
 
-    @staticmethod
-    def _draws(spec):
-        import nbreserve._bootstrap as bt
-
-        return np.array(
-            [bt.draw_counts(spec.family, spec.param, spec.mu_obs, substream(spec.seed, *spec.prefix, r)) for r in range(spec.b)]
-        )
-
     @classmethod
     def _largest_future_mean(cls, spec):
         from nbreserve.triangle import triangle_cells
 
-        fitted, row_eff, col_eff, _ = _refit_batch(cls._draws(spec), spec)
+        fitted, row_eff, col_eff, _ = _refit_batch(block_counts(spec), spec)
         _, (fut_ay, fut_dy) = triangle_cells(spec.design.n_ay)
         with np.errstate(over="ignore"):
             return fitted, np.exp(row_eff[:, fut_ay] + col_eff[:, fut_dy]).max(axis=1)
@@ -687,7 +756,7 @@ class TestUnboundedRefit:
         assert (top[fitted] <= bt._MAX_COUNT).all()
         # a replicate that keeps accident year 1 is quasi-separated like the
         # triangle: it has no finite maximum, and its refit fails
-        keeps = self._draws(spec)[:, spec.design.ay_idx == 0].sum(axis=1) > 0
+        keeps = block_counts(spec)[:, spec.design.ay_idx == 0].sum(axis=1) > 0
         assert keeps.sum() >= 50 and not fitted[keeps].any()
         ok, _, _ = bt._run_group((spec,), 0, spec.b)[0]
         assert ok.tolist() == fitted.tolist()
@@ -702,7 +771,7 @@ class TestUnboundedRefit:
         # coefficients, whose intercept is accident year 1's, failed them
         # all), and a replicate whose other years have none fails
         spec = self._quasi_spec(100)
-        y_star = self._draws(spec)
+        y_star = block_counts(spec)
         dropped = y_star[:, spec.design.ay_idx == 0].sum(axis=1) == 0
         fitted, top = self._largest_future_mean(spec)
         # their future means are the chain-ladder's on the kept years, at most
@@ -718,7 +787,7 @@ class TestUnboundedRefit:
 
         spec = self._quasi_spec(100)
         design = spec.design
-        y_star = self._draws(spec).astype(float)
+        y_star = block_counts(spec).astype(float)
         Y = y_star[y_star[:, design.ay_idx == 0].sum(axis=1) == 0]
         _, mu, ok = _chain_ladder_batch(Y, design)[:3]
         Y, mu = Y[ok], mu[ok]

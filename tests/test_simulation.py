@@ -218,12 +218,16 @@ class TestStudyPinned:
     # base fits drop: its base means are exactly zero, and rng.poisson(0)
     # consumes no variate, so these numbers depend on that rule.
     # mean_kappa is that of the joint Newton fit, whose kappa scores are
-    # at rounding level
+    # at rounding level: it reads 18.108752632452006 with numpy's AVX-512
+    # kernels and 18.10875263245237 with its AVX2 ones, a move of 2.0e-14
+    # relative (tests/test_cpu_targets.py re-runs this test under AVX2);
+    # every other figure is the same bits under both
+    KAPPAS = {18.108752632452006, 18.10875263245237}
     PINNED = {
-        "poisson": (0.0, 0.0, 193.625, 343.9833333333333, None, None),
-        "odp": (0.3333333333333333, 0.6666666666666666, 1008.5833333333334, 1547.7583333333332, None, None),
-        "nb_mle": (0.3333333333333333, 0.3333333333333333, 1081.4583333333333, 1780.8916666666664, 18.108752632452006, 0.0),
-        "nb_corrected": (0.3333333333333333, 1.0, 1394.3333333333333, 2362.825, 18.108752632452006, 0.0),
+        "poisson": (0.0, 0.0, 161.5, 283.05833333333345, False),
+        "odp": (0.3333333333333333, 0.6666666666666666, 888.1666666666666, 1429.8499999999997, False),
+        "nb_mle": (0.3333333333333333, 0.6666666666666666, 1109.875, 1775.3999999999996, True),
+        "nb_corrected": (0.6666666666666666, 1.0, 1342.7916666666667, 2428.183333333333, True),
     }
 
     def test_study_json_pinned(self):
@@ -234,13 +238,15 @@ class TestStudyPinned:
         doc = study_json(run_study(config))
         assert [m["method"] for m in doc["methods"]] == list(self.PINNED)
         for m in doc["methods"]:
-            cov75, cov95, w75, w95, kappa, at_boundary = self.PINNED[m["method"]]
+            cov75, cov95, w75, w95, negbin = self.PINNED[m["method"]]
             assert m["bias"] == 146.83928075724543
             assert m["rmse"] == 553.5753707630877
             assert m["coverage"] == {"0.75": cov75, "0.95": cov95}
             assert m["mean_width"] == {"0.75": w75, "0.95": w95}
-            assert m["mean_kappa"] == kappa
-            assert m["at_boundary_fraction"] == at_boundary
+            if negbin:
+                assert m["mean_kappa"] in self.KAPPAS and m["at_boundary_fraction"] == 0.0
+            else:
+                assert m["mean_kappa"] is None and m["at_boundary_fraction"] is None
             assert (m["n_failed"], m["n_completed"]) == (0, 3)
 
     def test_base_fits_drop_all_zero_level(self):

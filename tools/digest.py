@@ -38,6 +38,11 @@ Groups:
   ``run_id`` lines. Most of these triangles are refused, so the group
   shows that every command gives each one the same outcome.
 
+Every group but ``fit-batch`` and ``kernel-drops`` draws, so its digest
+also depends on the bootstrap's stream contract, whose name the script
+prints first (``nbreserve._bootstrap.STREAM``, the ``stream`` field of a
+manifest); a change of contract moves those groups and no other.
+
 Floats are hashed by their exact ``repr`` and arrays by their bytes, so
 two trees print the same digests exactly when every output agrees in
 every bit. A raised package error is hashed by its type and message,
@@ -240,6 +245,7 @@ GROUPS = {
 
 def main() -> None:
     agree = True
+    print(f"stream {nb._bootstrap.STREAM}", flush=True)
     for name, run in GROUPS.items():
         digests = run()
         if len(set(digests)) == 1:
