@@ -30,8 +30,8 @@ design and the family alone.
 
 One engine pass serves every spec of one triangle (:func:`run_group`):
 specs that refit the same family, such as a study's nb_mle and
-nb_corrected, stack their replicates into one batch. A row's fit does
-not depend on the other rows of its batch, and every block of
+nb_corrected, stack each block of replicates into one batch. A row's fit
+does not depend on the other rows of its batch, and every block of
 replicates draws from its own substream, so each spec gets the draws it
 would get alone.
 """
@@ -54,10 +54,6 @@ from .triangle import _MAX_COUNT, triangle_cells
 # share of failed refits tolerated before a run is abandoned
 MAX_FAILURE_FRACTION = 0.2
 
-# most replicates refitted together in one batch; larger batches ran a
-# B=5000 bootstrap a little faster but raised its peak memory by a quarter
-_BATCH = 100
-
 # replicates drawn from one generator: replicate b of a spec draws from
 # the substream (seed, *prefix, b // _BLOCK)
 _BLOCK = 100
@@ -66,8 +62,11 @@ _BLOCK = 100
 # drew each replicate from the substream (seed, *prefix, b)
 STREAM = "philox-block100-v2"
 
-# the largest mean numpy's Poisson sampler takes
+# the largest rate numpy's Poisson sampler takes
 _POISSON_MAX = np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max)
+
+# the smallest phi an ODP draw scales by: a refitted phi of 0 draws at it
+_PHI_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -143,9 +142,15 @@ def draw_counts(tag: str, param: Optional[float], mu: np.ndarray, rng: np.random
         return sample_nb(mu, param, rng)
     if tag == "quasipoisson":
         # integer-valued approximation with Var = phi * mu
-        phi = np.maximum(param, 1e-8)
+        phi = np.maximum(param, _PHI_FLOOR)
         return np.floor(phi * rng.poisson(mu / phi) + 0.5).astype(np.int64)
     raise ValueError(f"unknown sampling family {tag!r}")
+
+
+def _drawable(tag: str, param, mu: np.ndarray) -> np.ndarray:
+    """Whether numpy's Poisson sampler takes every rate of each row of means ``mu``: mu (a ``negbin`` draw's before its gamma mixing), or mu / phi under ODP, at most ``_POISSON_MAX``."""
+    with np.errstate(over="ignore"):  # a rate past float64's range is inf
+        return (mu / np.maximum(param, _PHI_FLOOR) if tag == "quasipoisson" else mu).max(axis=-1) <= _POISSON_MAX
 
 
 def fit_kept_levels(
@@ -216,20 +221,19 @@ def _run_group(specs: Sequence[EngineSpec], lo: int, hi: int) -> List[Tuple[np.n
     :func:`draw_counts` call gives all its synthetic triangles, and after
     their refits one more gives the future cells of every row, each at
     its refitted kappa or phi. A row whose refit failed, or whose future
-    means numpy cannot draw (not finite, or past its Poisson limit), draws
-    nothing, so a row's draws depend only on its block and never on how
-    the replicates are chunked or batched.
+    draw numpy cannot make (:func:`_drawable`), draws nothing, so a row's
+    draws depend only on its block and never on how the replicates are
+    chunked; a spec whose observed draw numpy cannot make fails every
+    replicate without drawing.
 
     The specs of one family share their refits, as a study's nb_mle and
     nb_corrected do (its odp refits apart from poisson: it needs the
-    Pearson phi and fails a refit without it). A family's batches take
-    ``_BATCH // k`` rows of a block from each of its k specs, so each
-    batch is one :func:`_refit_batch` call of at most ``_BATCH`` rows,
-    which bounds the memory of the stacked normal equations, whatever
-    levels its replicates drop. Each spec with ``correct`` applies
-    :func:`~nbreserve.dispersion.bias_correct` of its full design to its
-    own refitted kappas. A replicate with a future mean above 2**53 - 1,
-    the largest count the package reads, fails after its draw.
+    Pearson phi and fails a refit without it): a family's block is one
+    :func:`_refit_batch` call of at most k x ``_BLOCK`` rows for its k
+    specs, and a study stacks at most two. Each spec with ``correct``
+    applies :func:`~nbreserve.dispersion.bias_correct` of its full design
+    to its own refitted kappas. A replicate with a future mean above
+    2**53 - 1, the largest count the package reads, fails after its draw.
     """
     design = specs[0].design
     n_ay = design.n_ay
@@ -239,9 +243,9 @@ def _run_group(specs: Sequence[EngineSpec], lo: int, hi: int) -> List[Tuple[np.n
         (np.zeros(hi - lo, dtype=bool), np.zeros(hi - lo, dtype=np.int64), np.zeros((hi - lo, n_ay), dtype=np.int64))
         for _ in specs
     ]
-    for family in dict.fromkeys(spec.family for spec in specs):
-        members = [i for i, spec in enumerate(specs) if spec.family == family]
-        window = max(1, _BATCH // len(members))
+    drawable = [i for i, spec in enumerate(specs) if _drawable(spec.family, spec.param, spec.mu_obs)]
+    for family in dict.fromkeys(specs[i].family for i in drawable):
+        members = [i for i in drawable if specs[i].family == family]
         for first in range(lo, hi, _BLOCK):
             m = min(first + _BLOCK, hi) - first
             rngs = [substream(specs[i].seed, *specs[i].prefix, first // _BLOCK) for i in members]
@@ -249,13 +253,7 @@ def _run_group(specs: Sequence[EngineSpec], lo: int, hi: int) -> List[Tuple[np.n
                 draw_counts(family, specs[i].param, np.broadcast_to(specs[i].mu_obs, (m, design.n)), rng)
                 for i, rng in zip(members, rngs)
             ])
-            fitted = np.empty(len(y_star), dtype=bool)
-            row_eff, col_eff = np.empty((len(y_star), n_ay)), np.empty((len(y_star), design.n_dy))
-            disp = np.empty(len(y_star))
-            for w in range(0, m, window):
-                # the window's rows of every spec's block, refitted as one batch
-                rows = (np.arange(len(members))[:, None] * m + np.arange(w, min(w + window, m))).ravel()
-                fitted[rows], row_eff[rows], col_eff[rows], disp[rows] = _refit_batch(y_star[rows], design, family)
+            fitted, row_eff, col_eff, disp = _refit_batch(y_star, design, family)
             for k, (i, rng) in enumerate(zip(members, rngs)):
                 spec, rows = specs[i], slice(k * m, (k + 1) * m)
                 ok_k, disp_k = fitted[rows], disp[rows]
@@ -264,14 +262,13 @@ def _run_group(specs: Sequence[EngineSpec], lo: int, hi: int) -> List[Tuple[np.n
                 mu_fut = np.zeros((m, fut_ay.size))
                 with np.errstate(over="ignore"):  # a mean past float64's range is inf, and draws nothing
                     mu_fut[ok_k] = np.exp(row_eff[rows][ok_k][:, fut_ay] + col_eff[rows][ok_k][:, fut_dy])
-                top = mu_fut.max(axis=1)
-                drawn = ok_k & (top <= _POISSON_MAX)  # NaN and inf compare False
+                drawn = ok_k & _drawable(family, disp_k[:, None], mu_fut)
                 draws = np.zeros(mu_fut.shape, dtype=np.int64)
                 draws[drawn] = draw_counts(family, disp_k[drawn, None], mu_fut[drawn], rng)
                 ok, totals, by_ay = out[i]
                 slots = slice(first - lo, first - lo + m)
                 # a future mean past the largest count the package reads fails the replicate
-                ok[slots] = drawn & (top <= _MAX_COUNT)
+                ok[slots] = drawn & (mu_fut.max(axis=1) <= _MAX_COUNT)
                 totals[slots] = draws.sum(axis=1)
                 by_ay[slots] = draws @ fut_onehot
     return out

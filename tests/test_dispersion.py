@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.special import polygamma
 
 from nbreserve import (
@@ -719,22 +719,49 @@ def test_fit_after_profile_on_staircases(seed, dimension, kappa, test_first):
     assert (report.kappa_mle, report.loglik_nb) == (est.kappa_mle, est.loglik)
 
 
-def _gamma_poisson_rows(rng: np.random.Generator, dimension: int, kappa: float):
+def _gamma_poisson_rows(rng: np.random.Generator, dimension: int, kappa: float, log_total: float = 5.0):
     """Rows of a gamma-Poisson triangle with dispersion ``kappa`` (inf: Poisson).
 
-    None when an accident or development year sums to zero.
+    Each accident year's expected total has a log uniform on
+    [log_total, log_total + 2]. None when an accident or development year
+    sums to zero.
     """
     weights = rng.uniform(0.5, 2.0, size=dimension)
     weights /= weights.sum()
     rows = []
     for i in range(dimension):
-        mu = np.exp(rng.uniform(5.0, 7.0)) * weights[: dimension - i]
+        mu = np.exp(rng.uniform(log_total, log_total + 2.0)) * weights[: dimension - i]
         lam = mu if math.isinf(kappa) else rng.gamma(kappa, mu / kappa)
         rows.append(rng.poisson(lam).tolist())
     cols = np.zeros(dimension)
     for r in rows:
         cols[: len(r)] += r
     return rows if np.all(cols > 0) and all(sum(r) > 0 for r in rows) else None
+
+
+@st.composite
+def nb_staircases(draw):
+    """Rows of a gamma-Poisson staircase of dimension 3-8 with a few to some 10^4 counts a cell; None when a year sums to zero."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kappa = draw(st.sampled_from([1.0, 5.0, 30.0, math.inf]))
+    return _gamma_poisson_rows(rng, draw(st.integers(3, 8)), kappa, draw(st.sampled_from([2.0, 5.0, 9.0])))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(rows=nb_staircases())
+@example(rows=AT_CAP_ROWS)
+@example(rows=FLAT_PROFILE_ROWS["3x3"])
+@example(rows=FLAT_PROFILE_ROWS["5x5"])
+@example(rows=SKEWED_PROFILE_ROWS)
+def test_ci95_contains_kappa_hat(rows):
+    assume(rows is not None)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", glm.ConditioningWarning)
+            est = profile_kappa(to_long(RunOffTriangle.from_rows(rows)))
+    except SeparationError:  # no finite maximum, so no kappa-hat
+        assume(False)
+    assert est.ci95[0] <= est.kappa_mle <= est.ci95[1]
 
 
 class TestEndpointSolve:

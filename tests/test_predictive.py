@@ -608,7 +608,7 @@ class TestBatchedRefit:
 
 
 class TestChunking:
-    """Draws are identical for any split of the replicates into chunks and batches."""
+    """Draws are identical for any split of the replicates into chunks, and a refit for any split of its batch."""
 
     @staticmethod
     def _spec(case, australian, b):
@@ -618,24 +618,40 @@ class TestChunking:
 
     @pytest.mark.parametrize("case", ["negbin", "poisson", "quasipoisson", "study-odp"])
     @settings(max_examples=10, deadline=None, derandomize=True, database=None)
-    @given(cuts=st.sets(st.sampled_from([100, 200])), batch=st.sampled_from([7, 30, 100, 160]))
-    def test_any_split(self, australian, case, cuts, batch):
-        # chunks cut on block boundaries, refitted in batches of any size
+    @given(cuts=st.sets(st.sampled_from([100, 200])))
+    def test_any_split(self, australian, case, cuts):
+        # chunks cut on block boundaries
         import nbreserve._bootstrap as bt
 
         b = 250
         spec = self._spec(case, australian, b)
-        one = bt._run_group((spec,), 0, b)[0]  # batches of 100
+        one = bt._run_group((spec,), 0, b)[0]
         bounds = [0, *sorted(cuts), b]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bt, "_BATCH", batch)
-            parts = [bt._run_group((spec,), lo, hi)[0] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        parts = [bt._run_group((spec,), lo, hi)[0] for lo, hi in zip(bounds[:-1], bounds[1:])]
         for got, want in zip((np.concatenate(p) for p in zip(*parts)), one):
             assert np.array_equal(got, want)
         # the splits cross replicates that drop a level: on Australian the
         # single-cell newest accident year draws zero in about a fifth of them
         ay_keep, dy_keep = kept_levels(block_counts(spec), spec.design)
         assert (~np.hstack((ay_keep, dy_keep))).any(axis=1).sum() >= b // 10
+
+    @pytest.mark.parametrize("family", ["negbin", "quasipoisson", "poisson"], ids=["nb", "odp", "poisson"])
+    def test_refit_ignores_its_batch(self, australian, family):
+        # a stacked block of two specs' negative binomial draws, refitted in
+        # sub-batches of any size, gets the whole block's refit bit for bit
+        import nbreserve._bootstrap as bt
+
+        first = TestBatchedRefit._spec(australian, 100)
+        second = dataclasses.replace(first, prefix=(7,), mu_obs=first.mu_obs * 1.5, param=2.0 * first.param)
+        y_star = np.concatenate([block_counts(first), block_counts(second)])
+        ay_keep, dy_keep = kept_levels(y_star, first.design)
+        assert (~np.hstack((ay_keep, dy_keep))).any(axis=1).sum() >= 20
+        whole = bt._refit_batch(y_star, first.design, family)
+        assert whole[0].sum() >= 150
+        for size in (7, 30, 100, 160):
+            parts = [bt._refit_batch(y_star[j:j + size], first.design, family) for j in range(0, len(y_star), size)]
+            for got, want in zip((np.concatenate(p) for p in zip(*parts)), whole):
+                assert np.array_equal(got, want, equal_nan=True)
 
     @pytest.mark.parametrize("b, pools", [(250, []), (450, [2])], ids=["3-blocks-inline", "5-blocks-pooled"])
     def test_workers_cut_whole_blocks(self, australian, monkeypatch, inline_pool, b, pools):
@@ -702,7 +718,7 @@ class TestChunking:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bt, "_refit_batch", recorded)
             together = bt.run_group((first, second))
-        assert batches == [100, 100, 100]  # windows of 50 replicates of each spec
+        assert batches == [200, 100]  # one per block: 100 replicates of each spec, then 50 of each
         for spec, got in zip((first, second), together):
             for workers in (1, 2):
                 alone = bt.run(spec, workers=workers)
@@ -815,6 +831,43 @@ class TestUnboundedRefit:
         ok_b, totals_b, by_ay_b = bt._run_group((spec,), 0, spec.b)[0]
         assert ok_b.tolist() == (ok & (top <= bound)).tolist() and 0 < ok_b.sum() < ok.sum()
         assert np.array_equal(totals_b[ok_b], totals[ok_b]) and np.array_equal(by_ay_b[ok_b], by_ay[ok_b])
+
+
+class TestUndrawableRates:
+    """An ODP draw at phi 0 scales by the floor 1e-8, so a mean of 1e11 is a Poisson rate of 1e19, past numpy's limit."""
+
+    def test_future_draw_fails_the_replicate(self, australian, monkeypatch):
+        # one refit returns phi 0 and future means of 1e11, below the
+        # largest count the package reads: it fails without drawing
+        import nbreserve._bootstrap as bt
+
+        spec = TestBatchedRefit._spec(australian, 60, "quasipoisson")
+        ok, totals, by_ay = bt._run_group((spec,), 0, spec.b)[0]
+        i, real = int(np.argmax(ok)), bt._refit_batch
+
+        def phi_zero(y_star, design, family):
+            fitted, row_eff, col_eff, disp = real(y_star, design, family)
+            row_eff[i], col_eff[i], disp[i] = np.log(1e11), 0.0, 0.0
+            return fitted, row_eff, col_eff, disp
+
+        monkeypatch.setattr(bt, "_refit_batch", phi_zero)
+        ok_z, totals_z, by_ay_z = bt._run_group((spec,), 0, spec.b)[0]
+        assert ok_z.tolist() == [ok[r] and r != i for r in range(spec.b)]
+        assert (totals_z[i], by_ay_z[i].sum()) == (0, 0)
+        assert bt.run(spec)[2] == (~ok).sum() + 1
+
+    def test_observed_draw_fails_the_spec(self, australian):
+        # a spec whose observed draw numpy cannot make fails every
+        # replicate; the other specs of its triangle get what they get alone
+        import nbreserve._bootstrap as bt
+
+        odp = TestBatchedRefit._spec(australian, 150, "quasipoisson")
+        odp = dataclasses.replace(odp, param=0.0, mu_obs=np.full_like(odp.mu_obs, 1e11))
+        nb = TestBatchedRefit._spec(australian, 150)
+        for got, want in zip(bt.run_group((odp, nb)), (bt.run(odp), bt.run(nb))):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        totals, by_ay, failures = bt.run(odp)
+        assert (totals.size, by_ay.shape, failures) == (0, (0, odp.design.n_ay), 150)
 
 
 @st.composite

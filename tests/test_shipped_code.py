@@ -1,11 +1,12 @@
 """The package ships only code it runs.
 
-Every private top-level function or class of ``src/nbreserve`` is read
-by code in ``src/`` outside its own definition; docstrings and comments
-are not code. Two names stay only as aliases that the traced benchmark
-hooks (``bench/spans.py``), and no code in ``src/`` names them: the
-benchmark's observer on ``_bootstrap:_refit`` reads its arguments as one
-replicate's, so a batch reaching it would be miscounted.
+Every private top-level function, class or constant of ``src/nbreserve``
+is read by code in ``src/`` outside its own definition or assignment;
+docstrings and comments are not code. Two names stay only as aliases
+that the traced benchmark hooks (``bench/spans.py``), and no code in
+``src/`` names them: the benchmark's observer on ``_bootstrap:_refit``
+reads its arguments as one replicate's, so a batch reaching it would be
+miscounted.
 """
 
 import ast
@@ -53,6 +54,19 @@ def test_private_definitions_are_used():
     # a use inside the definition itself, as a recursion, does not count
     unused = [(m, f) for m, f in defined if not read.get(f, set()) - {(m, f)}]
     assert unused == []
+
+
+def test_private_constants_are_read():
+    statements = [stmt for tree in _modules().values() for stmt in tree.body if not _is_alias(stmt)]
+    constants = []
+    for stmt in statements:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            for target in stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]:
+                if isinstance(target, ast.Name) and target.id.startswith("_") and not target.id.startswith("__"):
+                    constants.append((target.id, stmt))
+    assert "_MAX_COUNT" in [name for name, _ in constants]  # the scan finds the constants
+    unread = [name for name, own in constants if not any(name in _read_names(stmt) for stmt in statements if stmt is not own)]
+    assert unread == []
 
 
 def test_benchmark_aliases_are_not_called():

@@ -17,6 +17,9 @@ Groups:
   every call, and warm, after ``profile_kappa`` on the same triangle;
 - ``study-desk``: a desk coverage study with ``n_sim`` 4 and ``b`` 50,
   seeds 0-1, serial;
+- ``study-blocks``: the same study at ``b`` 250, whose nb_mle and
+  nb_corrected refits stack two blocks of 100 replicates and end on two
+  of 50;
 - ``reserve-cli``: ``nbreserve reserve`` through the in-process click
   ``main`` on the Australian and Taylor-Ashe CSVs, B=300, levels 0.5,
   0.75 and 0.95, seeds 0-1, ``--threads 1``: its ``reserve.json`` and
@@ -76,6 +79,8 @@ FIT_BATCH_SEEDS = (0, 1, 2, 3)
 BOOTSTRAP_SEEDS = (0, 1, 2)
 BOOTSTRAP_B = 1000
 STUDY_SEEDS = (0, 1)
+STUDY_DESK_B = 50
+STUDY_BLOCKS_B = 250
 RESERVE_CLI_SEEDS = (0, 1)
 KERNEL_DROPS_SEEDS = range(400)
 KERNEL_DROPS_ROWS = 40
@@ -142,9 +147,9 @@ def _bootstrap(h, triangle, warm: bool) -> None:
         _feed(h, nb.predictive.bootstrap(triangle, b=BOOTSTRAP_B, correct=True, seed=seed, workers=1))
 
 
-def _study(h) -> None:
+def _study(h, b: int) -> None:
     for seed in STUDY_SEEDS:
-        _feed(h, nb.simulation.run_study(nb.simulation.default_config(n_sim=4, b=50, seed=seed)))
+        _feed(h, nb.simulation.run_study(nb.simulation.default_config(n_sim=4, b=b, seed=seed)))
 
 
 def _run_cli(h, args, out: Path, outputs) -> None:
@@ -236,7 +241,8 @@ GROUPS = {
     "fit-batch": lambda: [_hashed(_fit_batch)],
     "bootstrap-au": lambda: [_hashed(_bootstrap, nb.australian_bodily_injury(), warm) for warm in (False, True)],
     "bootstrap-ta": lambda: [_hashed(_bootstrap, nb.taylor_ashe(), warm) for warm in (False, True)],
-    "study-desk": lambda: [_hashed(_study)],
+    "study-desk": lambda: [_hashed(_study, STUDY_DESK_B)],
+    "study-blocks": lambda: [_hashed(_study, STUDY_BLOCKS_B)],
     "reserve-cli": lambda: [_hashed(_reserve_cli)],
     "kernel-drops": lambda: [_hashed(_kernel_drops)],
     "cli-errors": lambda: [_hashed(_cli_errors)],
