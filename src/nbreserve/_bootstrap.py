@@ -134,12 +134,11 @@ def draw_counts(tag: str, param: Optional[float], mu: np.ndarray, rng: np.random
 
     ``param`` is the kappa (``negbin``) or phi (``quasipoisson``) and
     broadcasts against ``mu``, so a column of them draws each row of a
-    matrix of means at its own.
+    matrix of means at its own. A ``poisson`` draw is :func:`sample_nb`'s
+    at kappa infinity, Poisson(mu) with no gamma variate.
     """
-    if tag == "poisson":
-        return rng.poisson(mu)
-    if tag == "negbin":
-        return sample_nb(mu, param, rng)
+    if tag in ("poisson", "negbin"):
+        return sample_nb(mu, np.inf if tag == "poisson" else param, rng)
     if tag == "quasipoisson":
         # integer-valued approximation with Var = phi * mu
         phi = np.maximum(param, _PHI_FLOOR)

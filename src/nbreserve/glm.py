@@ -103,11 +103,6 @@ class Family:
         _check_kappa(kappa)
         return cls("negbin", float(kappa))
 
-    def variance(self, mu: np.ndarray) -> np.ndarray:
-        if self.tag == "negbin":
-            return mu + mu * mu / self.kappa
-        return mu
-
     def working_weight(self, mu: np.ndarray) -> np.ndarray:
         # (dmu/deta)^2 / V(mu) for the log link
         if self.tag == "negbin":

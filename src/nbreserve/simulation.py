@@ -84,10 +84,12 @@ class DgpConfig:
             if value < low:
                 raise ConfigError(f"{name} must be at least {low}")
         reals = [("kappa_true", self.kappa_true), ("inflation_rate", self.inflation_rate)]
+        reals += [("true_alpha", a) for a in self.true_alpha] + [("true_dev_weights", w) for w in self.true_dev_weights]
         reals += [("kappa_by_dy", k) for k in self.kappa_by_dy or ()]
-        for name, value in reals:
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
+        for name, value in reals:  # an integer past float's range is refused too
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or int(np.finfo(float).max) < abs(value) < math.inf):
+                raise ConfigError(f"{name} must be a real number within float's range, got {value!r}")
         if len(self.true_alpha) != self.dimension:
             raise ConfigError("true_alpha must have one entry per accident year")
         w = np.asarray(self.true_dev_weights)
@@ -161,17 +163,20 @@ def _mean_matrix(config: DgpConfig) -> np.ndarray:
 def simulate_square(config: DgpConfig, rng: np.random.Generator, size: Optional[int] = None) -> np.ndarray:
     """Draw full I x I count matrices from the configured process.
 
-    Returns shape (I, I), or (size, I, I) when ``size`` is given.
+    Returns shape (I, I), or (size, I, I) when ``size`` is given, from one
+    :func:`~nbreserve._bootstrap.sample_nb` draw at kappa ``kappa_true``,
+    ``kappa_by_dy`` by development year (``varying-kappa``) or infinity
+    (``poisson``: Poisson(mu) and no gamma variate).
     """
     mu = _mean_matrix(config)
     shape = mu.shape if size is None else (size,) + mu.shape
     if config.scenario == "poisson":
-        return rng.poisson(np.broadcast_to(mu, shape))
-    if config.scenario == "varying-kappa":
-        kappa = np.asarray(config.kappa_by_dy)[None, :]
+        kappa = math.inf
+    elif config.scenario == "varying-kappa":
+        kappa = np.asarray(config.kappa_by_dy)
     else:
-        kappa = np.full((1, 1), config.kappa_true)
-    return sample_nb(np.broadcast_to(mu, shape), np.broadcast_to(kappa, shape), rng)
+        kappa = config.kappa_true
+    return sample_nb(np.broadcast_to(mu, shape), kappa, rng)
 
 
 def generate(config: DgpConfig, replicate_index: int) -> Tuple[RunOffTriangle, int]:

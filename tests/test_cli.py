@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import nbreserve
-from nbreserve import Family, RunOffTriangle, errors, fit, serialize_triangle, to_long
+from nbreserve import Family, RunOffTriangle, errors, fit, serialize_triangle, simulation, to_long
 from nbreserve.cli import _future_sum, main
 from nbreserve.glm import ConditioningWarning
 from conftest import QUASI_SEPARATED
@@ -137,6 +137,64 @@ def csv_texts(draw, fault: str):
     end = "\r\n" if crlf else "\n"
     text = ("\ufeff" if bom else "") + end.join(lines) + end
     return text, ["--round-amounts"] if fault.endswith("rounded") else [], _TEXT_FAULTS[fault]
+
+
+# any JSON value: null, bools, ints, floats (NaN and the infinities too), strings, lists and objects
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def config_texts(draw):
+    """Text of a ``simulate --config`` file: mostly a JSON object over ``DgpConfig``'s keys.
+
+    An object is drawn at a dimension of 2-5. Each key is left out or holds,
+    at random, a value it takes, any JSON value (``_JSON_VALUES``) or, for
+    the three sequences, a list of one entry too few or too many; some
+    objects carry an unknown key. Integers for ``n_sim`` and ``b`` are at
+    most 5, since a larger one is only a longer run. The rest of the texts
+    are JSON values that are not objects, and objects cut short.
+    """
+    dimension = draw(st.integers(2, 5))
+    positive = st.floats(0.5, 100.0)
+
+    def entries(n, values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    weights = entries(dimension + 1, st.floats(0.05, 1.0))
+    takes = {
+        "dimension": lambda n: n,
+        "true_alpha": lambda n: entries(n, st.floats(0.0, 7.0)),
+        "true_dev_weights": lambda n: [w / sum(weights[:n]) for w in weights[:n]],
+        "kappa_true": lambda n: draw(positive),
+        "scenario": lambda n: draw(st.sampled_from(simulation.SCENARIOS)),
+        "inflation_rate": lambda n: draw(st.floats(-0.5, 0.5)),
+        "kappa_by_dy": lambda n: entries(n, positive),
+        "n_sim": lambda n: 1,
+        "b": lambda n: draw(st.integers(1, 5)),
+        "seed": lambda n: draw(st.integers(0, 2**32 - 1)),
+    }
+    config = {}
+    for key, take in takes.items():
+        how = draw(st.sampled_from(["takes"] * 12 + ["absent", "any", "length"]))
+        if how == "takes" or (how == "length" and key not in ("true_alpha", "true_dev_weights", "kappa_by_dy")):
+            config[key] = take(dimension)
+        elif how == "length":
+            config[key] = take(dimension + draw(st.sampled_from([-1, 1])))
+        elif how == "any":
+            junk = st.integers(-3, 5) | _JSON_VALUES.map(lambda v: -abs(v) if type(v) is int else v)
+            config[key] = draw(junk if key in ("n_sim", "b") else _JSON_VALUES)
+    if draw(st.sampled_from([False] * 9 + [True])):
+        config[draw(st.text(min_size=1, max_size=6))] = draw(_JSON_VALUES)
+    form = draw(st.sampled_from(["object"] * 8 + ["not an object", "cut short"]))
+    if form == "not an object":
+        return json.dumps(draw(_JSON_SCALARS | st.lists(_JSON_VALUES)))
+    text = json.dumps(config)
+    return text if form == "object" else text[: draw(st.integers(0, len(text) - 1))]
 
 
 def test_import_loads_neither_scipy_nor_multiprocessing():
@@ -494,6 +552,22 @@ class TestSimulate:
         assert err["error"]["kind"] == "Config"
         assert needle in err["error"]["message"]
 
+    @given(text=config_texts())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_any_config_runs_or_is_one_typed_line(self, tmp_path_factory, text):
+        # a config file's text, whatever it holds, either runs or is one JSON
+        # error line with exit code 2, never a traceback
+        tmp = tmp_path_factory.mktemp("config")
+        cfg = tmp / "dgp.json"
+        cfg.write_text(text, encoding="utf-8")
+        args = ["simulate", "--config", str(cfg), "--nsim", "1", "-B", "5", "--threads", "1"]
+        result = CliRunner().invoke(main, [*args, "--out-dir", str(tmp / "out")])
+        assert result.exception is None or isinstance(result.exception, SystemExit), (text, result.output)
+        if result.exit_code != 0:
+            lines = result.output.strip().splitlines()
+            assert result.exit_code == 2 and len(lines) == 1, (text, result.output)
+            assert json.loads(lines[0])["error"]["kind"] in ("Config", "InvalidValue"), (text, result.output)
+
     def test_infinite_kappa_option_is_config_error(self, runner, tmp_path):
         # the infinite-kappa limit is the poisson scenario, named as such
         result = runner.invoke(main, ["simulate", "--kappa", "inf", "--nsim", "1", "-B", "5", "--threads", "1",
@@ -517,9 +591,20 @@ class TestSimulate:
             ({"kappa_true": math.inf}, "kappa_true must be positive and finite"),
             ({"scenario": "varying-kappa", "kappa_by_dy": [math.inf] + [3.0] * 9},
              "kappa_by_dy entries must be positive and finite"),
+            ({"scenario": "varying-kappa", "kappa_by_dy": [3.0] * 9}, "varying-kappa needs kappa_by_dy"),
+            # each entry of the three sequences is a real number; these three
+            # used to end in an IndexError traceback or a triangle's error
+            ({"true_alpha": {str(i): 1 for i in range(10)}}, "true_alpha must be a real number"),
+            ({"true_alpha": "abcdefghij"}, "true_alpha must be a real number"),
+            ({"true_alpha": [[1]] * 10}, "true_alpha must be a real number"),
+            ({"true_dev_weights": ["0.1"] * 10}, "true_dev_weights must be a real number"),
+            # integers past float's range used to end in an OverflowError traceback
+            ({"kappa_true": 10**400}, "kappa_true must be a real number within float's range"),
+            ({"true_alpha": [10**400] + [7] * 9}, "true_alpha must be a real number within float's range"),
         ],
         ids=["n_sim", "b", "dimension", "seed", "negative-seed", "rate", "kappa", "alpha-overflow", "rate-overflow",
-             "kappa-inf", "kappa-by-dy-inf"],
+             "kappa-inf", "kappa-by-dy-inf", "kappa-by-dy-short", "alpha-object", "alpha-string", "alpha-nested", "weights-strings",
+             "kappa-past-float", "alpha-past-float"],
     )
     def test_config_types_are_typed_errors(self, runner, tmp_path, payload, needle):
         cfg = tmp_path / "dgp.json"
@@ -674,6 +759,30 @@ class TestErrors:
         assert result.exit_code == 2 and "Traceback" not in result.output
         err = json.loads(result.output.strip().splitlines()[-1])
         assert err["error"]["kind"] == "FileExists"
+
+    # an input that is not UTF-8 text, or a config file that is not JSON,
+    # is a ValueError, reported as one InvalidValue line with exit 2
+    @pytest.mark.parametrize(
+        "args, content, needle",
+        [
+            (["fit", "PATH"], "1,2\nZürich,\n".encode("latin-1"), "can't decode byte 0xfc"),
+            (["reserve", "PATH", "-B", "100", "--threads", "1"], b"1,2\n\xff,\n", "can't decode byte 0xff"),
+            (["diagnose", "PATH"], b"1,2\n\xff,\n", "can't decode byte 0xff"),
+            (["simulate", "--config", "PATH", "--nsim", "1", "-B", "5", "--threads", "1"], b'{"n_sim": 1,',
+             "Expecting property name"),
+        ],
+        ids=["fit", "reserve", "diagnose", "simulate"],
+    )
+    def test_unreadable_input_is_invalid_value(self, runner, tmp_path, args, content, needle):
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        args = [str(path) if a == "PATH" else a for a in args]
+        result = runner.invoke(main, [*args, "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2 and "Traceback" not in result.output
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["kind"] == "InvalidValue" and needle in err["message"]
 
     @pytest.mark.parametrize("level", ["1.5", "0", "-0.2", "nan"])
     def test_bad_level_fails_before_bootstrap(self, runner, triangle_csv, tmp_path, monkeypatch, level):

@@ -87,11 +87,6 @@ class TestFamily:
         with pytest.raises(ValueError, match="positive and finite"):
             nb_loglik([1.0, 2.0], [1.5, 2.5], kappa)
 
-    def test_variance_functions(self):
-        mu = np.array([2.0, 10.0])
-        assert Family.poisson().variance(mu) == pytest.approx(mu)
-        assert Family.negbin(5.0).variance(mu) == pytest.approx(mu + mu**2 / 5.0)
-
     def test_deviance_zero_at_saturation(self):
         y = np.array([3.0, 5.0, 0.0, 9.0])
         assert Family.poisson().deviance(y, np.maximum(y, 1e-12)) == pytest.approx(0.0, abs=1e-8)
@@ -462,6 +457,46 @@ class TestBatchedIrls:
         Y = np.random.default_rng(11).negative_binomial(3.0, 3.0 / (3.0 + y), size=(12, y.size)).astype(float)
         monkeypatch.setattr(glm, "_IRLS_MAX_ITER", 2)
         assert not any(glm._irls(row, design, Family.poisson())[4] for row in Y)
+
+    @pytest.mark.parametrize(
+        "family, coefficient, shift, stop",
+        [
+            (Family.poisson(), 9, -3.0, "converged"),
+            (Family.negbin(50.0), 3, 4.0, "converged"),
+            (Family.negbin(50.0), 9, -8.0, "halvings"),
+            (Family.poisson(), 12, 600.0, "clip"),
+            (Family.negbin(50.0), 12, 600.0, "clip"),
+        ],
+        ids=["poisson-halves", "negbin-halves", "halvings-exhausted", "poisson-clip", "negbin-clip"],
+    )
+    def test_started_away_from_the_fit(self, australian, monkeypatch, family, coefficient, shift, stop):
+        # the Australian triangle's Poisson fit with one coefficient shifted:
+        # a few units are halved back and converge, -8 on development year
+        # 3's at kappa 50 exhausts the 30 halvings of its second step, and
+        # +600 on the last one's reaches the clip of the linear predictor;
+        # the two stops are unconverged, and the deviance never rises
+        from nbreserve import glm
+
+        y, design = glm._counts_and_design(to_long(australian))
+        start = glm._irls(y, design, Family.poisson())[0].copy()
+        start[coefficient] += shift
+        evals, deviance = [], Family.deviance
+
+        def counted(self, *args):
+            evals.append(deviance(self, *args))
+            return evals[-1]
+
+        monkeypatch.setattr(Family, "deviance", counted)
+        coef, _, _, path, converged, _ = glm._irls(y, design, family, start)
+        kappa = family.kappa or 0.0
+        assert np.all(np.diff([evals[0], *path]) <= glm._DEV_SLACK * np.sum(y + kappa))
+        clipped = np.abs(design.X @ coef).max() >= glm._ETA_BOUND
+        if stop == "converged":
+            assert converged and not clipped and len(evals) > 1 + len(path)  # some step was halved
+        elif stop == "halvings":
+            assert not converged and not clipped and len(evals) >= 1 + len(path) + 30
+        else:
+            assert not converged and clipped and len(evals) == 1 + len(path)
 
     def test_singular_system_fails_its_row_only(self):
         from nbreserve.glm import _solve_rows

@@ -178,6 +178,30 @@ class TestStudy:
         with pytest.raises(ConfigError):
             run_study(default_config(n_sim=1, b=50), methods=("bogus",))
 
+    def test_refused_chain_ladder_fails_every_method(self, monkeypatch):
+        # expected counts of 0.2 a cell: most triangles have a zero column
+        # sum, which the chain-ladder refuses; those triangles fail every
+        # method, and the study still accounts for every replicate
+        from nbreserve import simulation
+        from nbreserve.errors import ReservingError
+
+        real, refused = simulation.chain_ladder, []
+
+        def counted(t):
+            try:
+                return real(t)
+            except ReservingError as exc:
+                refused.append(exc)
+                raise
+
+        monkeypatch.setattr(simulation, "chain_ladder", counted)
+        config = default_config(dimension=5, true_alpha=[math.log(0.2)] * 5, true_dev_weights=[0.2] * 5,
+                                n_sim=40, b=20, seed=1)
+        result = run_study(config)
+        assert len(refused) == 24
+        for m in result.methods:
+            assert m.n_failed + m.n_completed == 40 and m.n_failed >= 24
+
     def test_worker_invariance(self):
         cfg = default_config(scenario="poisson", n_sim=4, b=50, seed=3)
         a = run_study(cfg, methods=("poisson",), workers=1)

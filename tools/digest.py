@@ -20,6 +20,11 @@ Groups:
 - ``study-blocks``: the same study at ``b`` 250, whose nb_mle and
   nb_corrected refits stack two blocks of 100 replicates and end on two
   of 50;
+- ``study-scenarios``: coverage studies of the ``correct``, ``poisson``,
+  ``calendar`` and ``varying-kappa`` scenarios with ``n_sim`` 3 and ``b``
+  60, seeds 0-1, serial, and for each a ``simulate_square`` draw with
+  ``size`` 5: every law the simulated squares draw from, the Poisson
+  limit included;
 - ``reserve-cli``: ``nbreserve reserve`` through the in-process click
   ``main`` on the Australian and Taylor-Ashe CSVs, B=300, levels 0.5,
   0.75 and 0.95, seeds 0-1, ``--threads 1``: its ``reserve.json`` and
@@ -81,6 +86,8 @@ BOOTSTRAP_B = 1000
 STUDY_SEEDS = (0, 1)
 STUDY_DESK_B = 50
 STUDY_BLOCKS_B = 250
+STUDY_SCENARIOS_B = 60
+STUDY_SCENARIOS_SIZE = 5
 RESERVE_CLI_SEEDS = (0, 1)
 KERNEL_DROPS_SEEDS = range(400)
 KERNEL_DROPS_ROWS = 40
@@ -150,6 +157,15 @@ def _bootstrap(h, triangle, warm: bool) -> None:
 def _study(h, b: int) -> None:
     for seed in STUDY_SEEDS:
         _feed(h, nb.simulation.run_study(nb.simulation.default_config(n_sim=4, b=b, seed=seed)))
+
+
+def _study_scenarios(h) -> None:
+    for scenario in nb.simulation.SCENARIOS:
+        for seed in STUDY_SEEDS:
+            config = nb.simulation.default_config(scenario=scenario, n_sim=3, b=STUDY_SCENARIOS_B, seed=seed)
+            _feed(h, nb.simulation.run_study(config))
+            rng = nb._rng.substream(seed, 0, 0)
+            _feed(h, nb.simulation.simulate_square(config, rng, size=STUDY_SCENARIOS_SIZE))
 
 
 def _run_cli(h, args, out: Path, outputs) -> None:
@@ -243,6 +259,7 @@ GROUPS = {
     "bootstrap-ta": lambda: [_hashed(_bootstrap, nb.taylor_ashe(), warm) for warm in (False, True)],
     "study-desk": lambda: [_hashed(_study, STUDY_DESK_B)],
     "study-blocks": lambda: [_hashed(_study, STUDY_BLOCKS_B)],
+    "study-scenarios": lambda: [_hashed(_study_scenarios)],
     "reserve-cli": lambda: [_hashed(_reserve_cli)],
     "kernel-drops": lambda: [_hashed(_kernel_drops)],
     "cli-errors": lambda: [_hashed(_cli_errors)],
