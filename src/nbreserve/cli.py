@@ -10,13 +10,14 @@ default seed comes from the ``NBRESERVE_SEED`` environment variable
 writes a ``manifest.json`` into the output directory and stamps every
 output file with the run id so results can be traced back to the exact
 invocation. Exit codes: 0 on success, 1 on model or numerical failure,
-2 on input or usage errors, each reported as one line of JSON on stderr.
+2 on input or usage errors. One boundary, which the command group runs
+every command through, reports each error of every command as one line
+of JSON on stderr.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 import sys
@@ -38,52 +39,45 @@ from .triangle import read_triangle, to_long, triangle_cells
 _SEED_ENV = "NBRESERVE_SEED"
 
 
-def _fail(kind: str, message: str, code: int) -> None:
-    payload = {"error": {"kind": kind, "message": message}}
-    click.echo(json.dumps(payload), err=True)
+def _reported(call, *args):
+    """``call(*args)``, with any error it raises reported as one JSON line on stderr and its exit code.
+
+    ``_Main`` parses the group's options and runs each command through it,
+    so it is the one error boundary of every command.
+    """
+    try:
+        with warnings.catch_warnings():
+            # a command prints its own warning line for a poorly conditioned fit
+            warnings.simplefilter("ignore", ConditioningWarning)
+            return call(*args)
+    except click.exceptions.NoArgsIsHelpError:  # a bare ``nbreserve`` prints the help
+        raise
+    except click.UsageError as exc:  # a bad or missing argument or option
+        kind, message, code = "Usage", exc.format_message(), 2
+    except OSError as exc:  # kind FileNotFound, IsADirectory, FileExists, ...
+        kind, message, code = type(exc).__name__.removesuffix("Error"), str(exc), 2
+    except (TriangleError, ConfigError) as exc:
+        kind, message, code = exc.kind, str(exc), 2
+    except ValueError as exc:
+        kind, message, code = "InvalidValue", str(exc), 2
+    except ReservingError as exc:
+        if isinstance(exc, BaseFitFailedError) and isinstance(exc.__cause__, TriangleError):
+            exc, code = exc.__cause__, 2  # the input problem a bootstrap's base fit met
+        else:
+            code = 1
+        kind, message = exc.kind, str(exc)
+    click.echo(json.dumps({"error": {"kind": kind, "message": message}}), err=True)
     sys.exit(code)
 
 
-def _guarded(func):
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        try:
-            with warnings.catch_warnings():
-                # a command prints its own warning line for a poorly conditioned fit
-                warnings.simplefilter("ignore", ConditioningWarning)
-                return func(*args, **kwargs)
-        except OSError as exc:  # kind FileNotFound, IsADirectory, FileExists, ...
-            _fail(type(exc).__name__.removesuffix("Error"), str(exc), 2)
-        except (TriangleError, ConfigError) as exc:
-            _fail(exc.kind, str(exc), 2)
-        except ValueError as exc:
-            _fail("InvalidValue", str(exc), 2)
-        except ReservingError as exc:
-            if isinstance(exc, BaseFitFailedError) and isinstance(exc.__cause__, TriangleError):
-                _fail(exc.__cause__.kind, str(exc.__cause__), 2)  # the input problem a bootstrap's base fit met
-            _fail(exc.kind, str(exc), 1)
-
-    return wrapper
-
-
-def _usage_as_json(call, *args):
-    """``call(*args)``, with a click usage error (a bad or missing argument or option) as a typed error."""
-    try:
-        return call(*args)
-    except click.exceptions.NoArgsIsHelpError:  # a bare ``nbreserve`` prints the help
-        raise
-    except click.UsageError as exc:
-        _fail("Usage", exc.format_message(), 2)
-
-
 class _Main(click.Group):
-    """The command group; it parses its own options in ``parse_args`` and its commands' in ``invoke``."""
+    """The command group; it parses its own options in ``parse_args`` and runs a command in ``invoke``."""
 
     def parse_args(self, ctx, args):
-        return _usage_as_json(super().parse_args, ctx, args)
+        return _reported(super().parse_args, ctx, args)
 
     def invoke(self, ctx):
-        return _usage_as_json(super().invoke, ctx)
+        return _reported(super().invoke, ctx)
 
 
 class _Run:
@@ -193,7 +187,6 @@ def main():
 @click.option("--round-amounts", is_flag=True, help="Round monetary amounts to integer counts.")
 @click.option("--out-dir", type=str, default="nbreserve_out", show_default=True)
 @_seed_option
-@_guarded
 def cmd_fit(triangle: str, family: str, round_amounts: bool, out_dir: str, seed: int):
     """Fit the chain-ladder count model and report parameter estimates."""
     t = _load_triangle(triangle, round_amounts)
@@ -285,7 +278,6 @@ def _future_sum(model) -> float:
 @click.option("--round-amounts", is_flag=True)
 @click.option("--out-dir", type=str, default="nbreserve_out", show_default=True)
 @_seed_option
-@_guarded
 def cmd_reserve(triangle, b, levels, no_correct, threads, round_amounts, out_dir, seed):
     """Bootstrap the predictive reserve distribution."""
     levels = predictive._level_set(levels)
@@ -333,7 +325,6 @@ def cmd_reserve(triangle, b, levels, no_correct, threads, round_amounts, out_dir
 @click.option("--config", "config_path", type=str, default=None, help="JSON file overriding the default DGP.")
 @click.option("--out-dir", type=str, default="nbreserve_out", show_default=True)
 @_seed_option
-@_guarded
 def cmd_simulate(scenario, kappa, nsim, b, threads, config_path, out_dir, seed):
     """Run a frequentist coverage study against a known process."""
     overrides = {"scenario": scenario, "kappa_true": kappa, "n_sim": nsim, "b": b, "seed": seed}
@@ -361,7 +352,6 @@ def cmd_simulate(scenario, kappa, nsim, b, threads, config_path, out_dir, seed):
 @click.option("--round-amounts", is_flag=True)
 @click.option("--out-dir", type=str, default="nbreserve_out", show_default=True)
 @_seed_option
-@_guarded
 def cmd_diagnose(triangle, round_amounts, out_dir, seed):
     """Export Pearson residuals and the dispersion profile curve."""
     t = _load_triangle(triangle, round_amounts)

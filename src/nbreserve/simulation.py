@@ -109,6 +109,11 @@ class DgpConfig:
         bad = mu[~((mu >= 0) & (mu <= _MAX_COUNT))]  # NaN fails both
         if bad.size:
             raise ConfigError(f"expected counts must be finite, nonnegative and at most 2**53 - 1, got {bad[0]:.3g}")
+        with np.errstate(over="ignore"):
+            scale = mu / _cell_kappa(self)  # the gamma variate's scale, which a subnormal kappa overflows
+        if not np.all(np.isfinite(scale)):
+            name = "kappa_by_dy" if self.scenario == "varying-kappa" else "kappa_true"
+            raise ConfigError(f"{name} is too small: an expected count divided by it is past float's range")
 
 
 _DEFAULT_KAPPA_BY_DY = (20.0, 18.0, 15.0, 12.0, 10.0, 7.0, 5.0, 4.0, 3.0, 3.0)
@@ -160,6 +165,15 @@ def _mean_matrix(config: DgpConfig) -> np.ndarray:
     return mu
 
 
+def _cell_kappa(config: DgpConfig):
+    """The kappa each cell draws at: ``kappa_true``, ``kappa_by_dy`` by development year, or infinity (``poisson``)."""
+    if config.scenario == "poisson":
+        return math.inf
+    if config.scenario == "varying-kappa":
+        return np.asarray(config.kappa_by_dy)
+    return config.kappa_true
+
+
 def simulate_square(config: DgpConfig, rng: np.random.Generator, size: Optional[int] = None) -> np.ndarray:
     """Draw full I x I count matrices from the configured process.
 
@@ -170,13 +184,7 @@ def simulate_square(config: DgpConfig, rng: np.random.Generator, size: Optional[
     """
     mu = _mean_matrix(config)
     shape = mu.shape if size is None else (size,) + mu.shape
-    if config.scenario == "poisson":
-        kappa = math.inf
-    elif config.scenario == "varying-kappa":
-        kappa = np.asarray(config.kappa_by_dy)
-    else:
-        kappa = config.kappa_true
-    return sample_nb(np.broadcast_to(mu, shape), kappa, rng)
+    return sample_nb(np.broadcast_to(mu, shape), _cell_kappa(config), rng)
 
 
 def generate(config: DgpConfig, replicate_index: int) -> Tuple[RunOffTriangle, int]:

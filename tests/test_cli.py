@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -617,6 +618,37 @@ class TestSimulate:
         err = json.loads(lines[0])["error"]
         assert err["kind"] == "Config" and needle in err["message"]
 
+    # a kappa at which an expected count's gamma scale mu / kappa overflows
+    # used to print two raw numpy warnings and then numpy's "lam value too
+    # large", which names no config key
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"kappa_true": 5e-324}, "kappa_true"),
+            ({"kappa_true": 1e-310}, "kappa_true"),
+            ({"scenario": "varying-kappa", "kappa_by_dy": [5e-324] + [3.0] * 9}, "kappa_by_dy"),
+        ],
+        ids=["smallest-subnormal", "subnormal", "varying-kappa-subnormal"],
+    )
+    def test_subnormal_kappa_is_one_config_line(self, runner, tmp_path, payload, key):
+        cfg = tmp_path / "dgp.json"
+        cfg.write_text(json.dumps(payload))
+        args = ["simulate", "--config", str(cfg), "--nsim", "1", "-B", "5", "--threads", "1"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, [*args, "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2 and not caught
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])["error"]
+        assert err["kind"] == "Config" and err["message"].startswith(f"{key} is too small")
+
+    def test_tiny_normal_kappa_runs(self, runner, tmp_path):
+        cfg = tmp_path / "dgp.json"
+        cfg.write_text(json.dumps({"kappa_true": 1e-300}))
+        run_ok(runner, ["simulate", "--config", str(cfg), "--nsim", "1", "-B", "5", "--threads", "1",
+                        "--out-dir", str(tmp_path / "out")])
+
 
 # nearly flat profiles (kappa-hat about 1.7e4 and 3.2e5) whose quadratic
 # start for the upper interval endpoint lies past exp's range; fit and
@@ -1061,3 +1093,148 @@ class TestErrors:
     def test_help_is_unchanged(self, runner, args):
         result = run_ok(runner, args)
         assert result.output.startswith("Usage:")
+
+    def test_bare_command_prints_the_help(self, runner):
+        # the boundary hands click's no-arguments help through: usage text, no JSON
+        result = runner.invoke(main, [])
+        assert result.exit_code == 2 and isinstance(result.exception, (SystemExit, type(None)))
+        assert result.stdout == "" and result.stderr == run_ok(runner, ["--help"]).stdout
+
+
+# Values an option may be given wrongly: text, NaN, out of range, below
+# float's range (1e-400 reads as 0), subnormal and past float's range.
+_WRONG = ["abc", "", "nan", "inf", "-1", "-7.5", "0", "1.5", "1e-400", "1e-310", "1e400"]
+# numbers past any count, which -B and --nsim never take: there they would be a long run
+_HUGE = [str(10**30), str(2**64), "1e300"]
+
+
+def _valued(name, valid, wrong=_WRONG):
+    """Tokens of the option ``name``: a value from the strategy ``valid`` or a wrong one."""
+    return (valid | st.sampled_from(wrong)).map(lambda value: [name, value])
+
+
+def _flag(name):
+    return st.sampled_from([[name], [f"{name}=1"]])  # a flag given a value is a usage error
+
+
+# Each command's options. -B and --nsim take valid values small enough that
+# no run has four pool units; paths are placeholders for the files of
+# `flag_files`: CSV, MISSING, DIR and LATIN1 (not UTF-8), OUT (a new
+# directory) and FILE (an existing file), CONFIG and MALFORMED.
+_SEED = _valued("--seed", st.integers(0, 2**32).map(str), _WRONG + _HUGE)
+_THREADS = _valued("--threads", st.integers(1, 8).map(str), _WRONG + _HUGE)
+_OUT_DIR = st.sampled_from([["--out-dir", "OUT"], ["--out-dir", "FILE"], ["--out-dir", "FILE/sub"]])
+_ROUND = _flag("--round-amounts")
+_COMMAND_OPTIONS = {
+    "fit": {
+        "--family": _valued("--family", st.sampled_from(["nb", "poisson", "odp"]), ["foo", "NB", ""]),
+        "--round-amounts": _ROUND, "--out-dir": _OUT_DIR, "--seed": _SEED,
+    },
+    "reserve": {
+        "-B": _valued("-B", st.integers(100, 300).map(str), _WRONG + ["99"]),
+        "--level": _valued("--level", st.floats(0.01, 0.99).map(repr), _WRONG + _HUGE + ["1"]),
+        "--no-correct": _flag("--no-correct"), "--threads": _THREADS, "--round-amounts": _ROUND,
+        "--out-dir": _OUT_DIR, "--seed": _SEED,
+    },
+    "simulate": {
+        "--scenario": _valued("--scenario", st.sampled_from(simulation.SCENARIOS), ["foo"]),
+        "--kappa": _valued("--kappa", st.floats(0.5, 1e6).map(repr), _WRONG + _HUGE),
+        "--nsim": _valued("--nsim", st.integers(1, 3).map(str)),
+        "-B": _valued("-B", st.integers(1, 300).map(str)),
+        "--threads": _THREADS,
+        "--config": st.sampled_from(["CONFIG", "MALFORMED", "MISSING", "DIR", "LATIN1", "CSV"]).map(
+            lambda path: ["--config", path]),
+        "--out-dir": _OUT_DIR, "--seed": _SEED,
+    },
+    "diagnose": {"--round-amounts": _ROUND, "--out-dir": _OUT_DIR, "--seed": _SEED},
+}
+# options whose defaults (-B 5000, --nsim 50) would be a long run in a pool
+_ALWAYS_GIVEN = {"reserve": ["-B"], "simulate": ["--nsim", "-B"]}
+_SHARED_OPTIONS = {"--seed": _SEED, "--threads": _THREADS, "--out-dir": _OUT_DIR, "--round-amounts": _ROUND}
+# each command's smallest valid run, to which the shared option's tokens are added
+_SMALL_RUNS = {
+    "fit": ["fit", "CSV"], "reserve": ["reserve", "CSV", "-B", "100"],
+    "simulate": ["simulate", "--nsim", "1", "-B", "5"], "diagnose": ["diagnose", "CSV"],
+}
+
+
+@st.composite
+def flag_argvs(draw):
+    """An ``nbreserve`` argv: a command and a random subset of its options, some repeated, in any order.
+
+    A value is right or wrong (``_WRONG``); some argvs carry an unknown
+    option, and a command that takes ``TRIANGLE`` gets none, one or two.
+    """
+    command = draw(st.sampled_from(sorted(_COMMAND_OPTIONS)))
+    options = _COMMAND_OPTIONS[command]
+    names = _ALWAYS_GIVEN.get(command, []) + draw(st.lists(st.sampled_from(sorted(options)), unique=True))
+    tokens = [draw(options[name]) for name in names for _ in range(draw(st.sampled_from([1] * 5 + [2])))]
+    tokens += draw(st.sampled_from([[]] * 8 + [["--bogus"], ["-Z"]]))
+    if command != "simulate":  # the commands that take TRIANGLE
+        paths = st.sampled_from(["CSV"] * 5 + ["MISSING", "DIR", "LATIN1"])
+        tokens += [[draw(paths)] for _ in range(draw(st.sampled_from([1] * 8 + [0, 2])))]
+    order = draw(st.permutations(range(len(tokens))))
+    return [command] + [token for i in order for token in tokens[i]]
+
+
+@pytest.fixture(scope="module")
+def flag_files(tmp_path_factory, australian):
+    """The paths ``flag_argvs`` names, but OUT, which each run makes in its own directory."""
+    tmp = tmp_path_factory.mktemp("flags")
+    files = {name: tmp / name.lower() for name in ("CSV", "MISSING", "DIR", "LATIN1", "FILE", "CONFIG", "MALFORMED")}
+    files["CSV"].write_text(serialize_triangle(australian), encoding="utf-8")
+    files["DIR"].mkdir()
+    files["LATIN1"].write_bytes("1,2\nZürich,\n".encode("latin-1"))
+    files["FILE"].write_text("")
+    files["CONFIG"].write_text(json.dumps({"inflation_rate": 0.1, "n_sim": 2, "b": 10}))
+    files["MALFORMED"].write_text('{"n_sim": 1,')
+    return {name: str(path) for name, path in files.items()}
+
+
+def _resolved(token: str, files) -> str:
+    """``token`` with a leading placeholder replaced by its path in ``files``; OUT is ``out`` in the run's directory."""
+    if token == "OUT":
+        return "out"
+    head, slash, tail = token.partition("/")
+    return files.get(head, head) + slash + tail
+
+
+def _flag_outcome(argv, files, base):
+    """The error kind of ``argv`` run in process in a new directory under ``base``, or None on success.
+
+    A run exits 0 with nothing on stderr, or 1 or 2 with one JSON error
+    line; it never raises, warns or starts a process.
+    """
+    args = [_resolved(token, files) for token in argv]
+    runner = CliRunner()
+    with runner.isolated_filesystem(temp_dir=base), warnings.catch_warnings(record=True) as caught, \
+            mock.patch("concurrent.futures.ProcessPoolExecutor", side_effect=AssertionError("a pool started")):
+        warnings.simplefilter("always")
+        result = runner.invoke(main, args)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (argv, result.exception)
+    assert "Traceback" not in result.output and not caught, (argv, result.output, [str(w.message) for w in caught])
+    assert result.exit_code in (0, 1, 2), (argv, result.output)
+    if result.exit_code == 0:
+        assert result.stderr == "", (argv, result.stderr)
+        return None
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, (argv, result.stderr)
+    err = json.loads(lines[0])["error"]
+    assert set(err) == {"kind", "message"} and all(isinstance(v, str) for v in err.values()), (argv, err)
+    return err["kind"]
+
+
+@given(argv=flag_argvs(), shared=st.sampled_from(sorted(_SHARED_OPTIONS)).flatmap(
+    lambda name: _SHARED_OPTIONS[name].map(lambda tokens: (name, tokens))))
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+def test_any_flags_run_or_are_one_typed_line(tmp_path_factory, flag_files, argv, shared):
+    # random flags on every command: a result, or one JSON error line with
+    # exit 1 or 2, never a traceback or a raw warning; and a shared option's
+    # value, right or wrong, gets the same outcome from every command that
+    # takes it
+    base = tmp_path_factory.mktemp("argv")
+    _flag_outcome(argv, flag_files, base)
+    name, tokens = shared
+    kinds = {command: _flag_outcome(run + tokens, flag_files, base)
+             for command, run in _SMALL_RUNS.items() if name in _COMMAND_OPTIONS[command]}
+    assert len(set(kinds.values())) == 1, (tokens, kinds)

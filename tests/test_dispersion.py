@@ -37,7 +37,9 @@ from nbreserve.dispersion import (
     _ProfileCache,
     _start_kappa,
 )
-from nbreserve.errors import NoResidualDofError, NotConvergedError, SeparationError
+from nbreserve.errors import (
+    FlatProfileError, NoResidualDofError, NotConvergedError, SeparationError, SingularInformationError,
+)
 from nbreserve.glm import _IRLS_MAX_ITER, _irls, _lgamma, build_design
 from nbreserve.triangle import triangle_cells
 from conftest import drop_pattern, random_triangle, solve_kappa
@@ -1239,3 +1241,28 @@ class TestMomentStart:
         assume(rows is not None)
         y, design = _prepare(to_long(RunOffTriangle.from_rows(rows)))
         assert self.check_rows(y[None], design).all()
+
+
+class TestFailures:
+    """The errors a profile or a joint fit raises when a solve fails, forced where no real triangle is known to."""
+
+    def test_unconverged_profile_refit(self, australian, monkeypatch):
+        monkeypatch.setattr(glm, "_IRLS_MAX_ITER", 1)
+        with pytest.raises(NotConvergedError, match="profile refit at kappa=3 did not converge"):
+            adjusted_profile_loglik(to_long(australian), 3.0)
+
+    def test_unconverged_joint_fit(self, australian, monkeypatch):
+        monkeypatch.setattr(dispersion, "_IRLS_MAX_ITER", 1)
+        y, design = _prepare(to_long(australian))
+        with pytest.raises(NotConvergedError, match="joint NB fit failed"):
+            nb_mle(y, design)
+
+    def test_flat_curvature(self, australian, monkeypatch):
+        monkeypatch.setattr(dispersion, "_profile_curvature", lambda *args: (0.0, None))
+        with pytest.raises(FlatProfileError, match="dispersion not identified"):
+            profile_kappa(to_long(australian))
+
+    def test_singular_information(self, australian, monkeypatch):
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: (0.0, -math.inf))
+        with pytest.raises(SingularInformationError, match="not positive definite at kappa=3"):
+            adjusted_profile_loglik(to_long(australian), 3.0)

@@ -9,7 +9,7 @@ from scipy import stats
 
 from nbreserve import Family, chain_ladder, fit, nb_loglik, pearson_dispersion, poisson_loglik, to_long, to_simplex
 from nbreserve.glm import ConditioningWarning, build_design, score
-from nbreserve.errors import MissingCellError, SeparationError
+from nbreserve.errors import MissingCellError, NotConvergedError, SeparationError
 from conftest import QUASI_SEPARATED, drop_pattern, kept_design, kept_levels, positive_table_exists, random_triangle
 
 
@@ -783,3 +783,37 @@ class TestTriangleCells:
         assert np.array_equal(design.X, design_ref.X)
         assert np.array_equal(design.ay_idx, design_ref.ay_idx)
         assert np.array_equal(design.dy_idx, design_ref.dy_idx)
+
+
+def test_logliks_take_records(australian):
+    records = to_long(australian)
+    y = np.array([r.count for r in records], dtype=float)
+    mu = fit(records, Family.poisson()).fitted_mu
+    assert poisson_loglik(records, mu) == poisson_loglik(y, mu)
+    assert nb_loglik(records, mu, 3.0) == nb_loglik(y, mu, 3.0)
+
+
+def test_design_refuses_zero_based_accident_years():
+    with pytest.raises(ValueError, match="accident years are 1-based"):
+        build_design([0, 1, 1], [0, 1, 0])
+
+
+def test_mean_outside_the_layout(australian):
+    model = fit(to_long(australian), Family.poisson())
+    assert model.mu_at(7, 6) > 0  # a future cell
+    for ay, dy in ((0, 0), (8, 0), (1, -1), (1, 7)):
+        with pytest.raises(KeyError, match="outside the fitted layout"):
+            model.mu_at(ay, dy)
+
+
+def test_pearson_dispersion_refuses_negbin(australian):
+    with pytest.raises(ValueError, match="applies to Poisson-family fits"):
+        pearson_dispersion(fit(to_long(australian), Family.negbin(5.0)))
+
+
+def test_unconverged_fit_raises(australian, monkeypatch):
+    from nbreserve import glm
+
+    monkeypatch.setattr(glm, "_IRLS_MAX_ITER", 1)
+    with pytest.raises(NotConvergedError, match="IRLS stopped unconverged after 1 iterations"):
+        fit(to_long(australian), Family.negbin(5.0))

@@ -997,3 +997,15 @@ class TestSummaries:
         assert lines[0] == "total"
         values = np.array([int(v) for v in lines[1:]])
         assert np.array_equal(values, dist.draws_total)
+
+
+def test_unknown_sampling_family_is_refused():
+    from nbreserve._bootstrap import draw_counts
+
+    with pytest.raises(ValueError, match="unknown sampling family 'gamma'"):
+        draw_counts("gamma", None, np.ones(3), substream(0, 0, 0))
+
+
+def test_no_replicates_is_refused(australian):
+    with pytest.raises(ValueError, match="b must be at least 1"):
+        bootstrap(australian, b=0)

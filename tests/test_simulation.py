@@ -402,3 +402,25 @@ class TestGroupPass:
     @pytest.mark.parametrize("config", [default_config(n_sim=4, b=60, seed=8), THIN], ids=["default", "thin"])
     def test_worker_invariance_all_methods(self, config):
         assert study_json(run_study(config, workers=2)) == study_json(run_study(config, workers=1))
+
+
+def test_failed_base_fit_fails_the_methods_it_serves(monkeypatch):
+    # a joint NB fit that fails on every triangle fails nb_mle and
+    # nb_corrected, each replicate counted in n_failed, and leaves the
+    # Poisson methods as they were
+    from nbreserve import _bootstrap
+
+    real = _bootstrap.fit_kept_levels
+
+    def failing_negbin(Y, design, family):
+        ok, *rest = real(Y, design, family)
+        return (np.zeros_like(ok) if family == "negbin" else ok, *rest)
+
+    config = default_config(n_sim=2, b=20, seed=0)
+    before = {m.method: m for m in run_study(config).methods}
+    monkeypatch.setattr(_bootstrap, "fit_kept_levels", failing_negbin)
+    after = {m.method: m for m in run_study(config).methods}
+    assert {name: (m.n_failed, m.n_completed) for name, m in after.items()} == {
+        "poisson": (0, 2), "odp": (0, 2), "nb_mle": (2, 0), "nb_corrected": (2, 0),
+    }
+    assert after["poisson"] == before["poisson"] and after["odp"] == before["odp"]

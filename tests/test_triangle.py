@@ -382,3 +382,14 @@ class TestOneIngestionRule:
                     call()
                 assert (type(got.value), str(got.value).partition(":")[0]) == want, memo
             profile_kappa(to_long(RunOffTriangle.from_rows(AUSTRALIAN_BI_ROWS)))
+
+
+def test_accessors_and_comparisons(australian):
+    # n_dev is the dimension, a row outside the triangle is a KeyError, a
+    # triangle equals no other type, and the repr names the dimension
+    assert australian.n_dev == australian.dimension == 7
+    for ay in (0, 8):
+        with pytest.raises(KeyError, match=f"accident year {ay} out of range"):
+            australian.row(ay)
+    assert australian.__eq__(5) is NotImplemented and australian != 5
+    assert repr(australian) == f"RunOffTriangle(dimension=7, origin_label={australian.origin_label!r})"

@@ -44,12 +44,20 @@ Groups:
   no finite maximum and a zero chain-ladder divisor: each run's exit code
   and JSON error line, and each success's output files without their
   ``run_id`` lines. Most of these triangles are refused, so the group
-  shows that every command gives each one the same outcome.
+  shows that every command gives each one the same outcome;
+- ``cli-usage``: ``nbreserve`` through click's in-process ``CliRunner``
+  on fixed argv that the command line's error boundary decides: a bare
+  ``nbreserve``, ``--version``, ``--help``, an unknown command or group
+  option, no ``TRIANGLE`` or one that does not exist or is a directory,
+  bad values of ``--family``, ``-B``, ``--level``, ``--threads``,
+  ``--seed`` and ``--nsim``, a negative ``NBRESERVE_SEED``, and malformed,
+  non-object and unknown-key ``simulate --config`` files: each run's exit
+  code, stdout and stderr, with the temporary directory's path replaced.
 
-Every group but ``fit-batch`` and ``kernel-drops`` draws, so its digest
-also depends on the bootstrap's stream contract, whose name the script
-prints first (``nbreserve._bootstrap.STREAM``, the ``stream`` field of a
-manifest); a change of contract moves those groups and no other.
+Every group but ``fit-batch``, ``kernel-drops`` and ``cli-usage`` draws,
+so its digest also depends on the bootstrap's stream contract, whose name
+the script prints first (``nbreserve._bootstrap.STREAM``, the ``stream``
+field of a manifest); a change of contract moves those groups and no other.
 
 Floats are hashed by their exact ``repr`` and arrays by their bytes, so
 two trees print the same digests exactly when every output agrees in
@@ -71,6 +79,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
+from click.testing import CliRunner
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
@@ -93,6 +102,32 @@ KERNEL_DROPS_SEEDS = range(400)
 KERNEL_DROPS_ROWS = 40
 RESERVE_CLI_ARGS = ("-B", "300", "--level", "0.5", "--level", "0.75", "--level", "0.95", "--threads", "1")
 CLI_ERRORS_SEEDS = range(40)
+# (argv, environment); TRIANGLE is the Australian CSV, TMP the temporary directory
+CLI_USAGE_RUNS = [
+    ([], {}),
+    (["--version"], {}),
+    (["--help"], {}),
+    (["reserve", "--help"], {}),
+    (["frob"], {}),
+    (["--bogus"], {}),
+    (["fit"], {}),
+    (["fit", "TMP/missing.csv"], {}),
+    (["fit", "TMP"], {}),
+    (["fit", "TRIANGLE", "--family", "foo"], {}),
+    (["fit", "TRIANGLE", "--bogus"], {}),
+    (["reserve", "TRIANGLE", "-B", "50"], {}),
+    (["reserve", "TRIANGLE", "-B", "abc"], {}),
+    (["reserve", "TRIANGLE", "--level", "nan"], {}),
+    (["reserve", "TRIANGLE", "--threads", "0"], {}),
+    (["diagnose", "TRIANGLE", "--seed", "-1"], {}),
+    (["fit", "TRIANGLE"], {"NBRESERVE_SEED": "-3"}),
+    (["simulate", "--nsim", "0"], {}),
+    (["simulate", "--threads", "-1"], {}),
+    (["simulate", "--config", "TMP/malformed.json"], {}),
+    (["simulate", "--config", "TMP/list.json"], {}),
+    (["simulate", "--config", "TMP/unknown-key.json"], {}),
+]
+CLI_USAGE_CONFIGS = {"malformed.json": '{"kappa_true": ', "list.json": "[1, 2]", "unknown-key.json": '{"kapa_true": 5}'}
 CLI_ERRORS_COMMANDS = {
     "fit": ([], ["fit.json"]),
     "reserve": (["-B", "100", "--threads", "1"], ["reserve.json", "reserve.csv"]),
@@ -226,6 +261,21 @@ def _cli_errors(h) -> None:
                 _run_cli(h, [command, str(csv), *extra], Path(tmp) / f"{seed}-{command}", outputs)
 
 
+def _cli_usage(h) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "australian.csv"
+        csv.write_text(nb.triangle.serialize_triangle(nb.australian_bodily_injury()), encoding="utf-8")
+        for name, text in CLI_USAGE_CONFIGS.items():
+            (Path(tmp) / name).write_text(text, encoding="utf-8")
+        for argv, env in CLI_USAGE_RUNS:
+            args = [str(csv) if a == "TRIANGLE" else a.replace("TMP", tmp) for a in argv]
+            if args and args[0] in nb.cli.main.commands:
+                args += ["--out-dir", str(Path(tmp) / "out")]
+            result = CliRunner().invoke(nb.cli.main, args, env=env, prog_name="nbreserve")
+            raised = None if isinstance(result.exception, (SystemExit, type(None))) else repr(result.exception)
+            _feed(h, [argv, result.exit_code, raised, result.stdout.replace(tmp, "TMP"), result.stderr.replace(tmp, "TMP")])
+
+
 def _kernel_drops(h) -> None:
     for seed in KERNEL_DROPS_SEEDS:
         rng = np.random.default_rng(seed)
@@ -263,6 +313,7 @@ GROUPS = {
     "reserve-cli": lambda: [_hashed(_reserve_cli)],
     "kernel-drops": lambda: [_hashed(_kernel_drops)],
     "cli-errors": lambda: [_hashed(_cli_errors)],
+    "cli-usage": lambda: [_hashed(_cli_usage)],
 }
 
 
