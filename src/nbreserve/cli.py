@@ -61,10 +61,9 @@ def _reported(call, *args):
     except ValueError as exc:
         kind, message, code = "InvalidValue", str(exc), 2
     except ReservingError as exc:
+        code = 1
         if isinstance(exc, BaseFitFailedError) and isinstance(exc.__cause__, TriangleError):
             exc, code = exc.__cause__, 2  # the input problem a bootstrap's base fit met
-        else:
-            code = 1
         kind, message = exc.kind, str(exc)
     click.echo(json.dumps({"error": {"kind": kind, "message": message}}), err=True)
     sys.exit(code)
