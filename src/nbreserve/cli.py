@@ -149,15 +149,17 @@ def _conditioning_lines(model) -> List[str]:
     return ["warning: weighted information is poorly conditioned"] if model.condition_number > _CONDITION_WARN else []
 
 
-def _seed_option(func):
-    return click.option(
-        "--seed",
-        type=click.IntRange(min=0),
-        envvar=_SEED_ENV,
-        default=0,
-        show_default=True,
-        help=f"RNG seed; defaults to ${_SEED_ENV} when set.",
-    )(func)
+# the inputs that more than one command takes, each declared once
+_triangle_argument = click.argument("triangle", type=str)
+_round_amounts_option = click.option("--round-amounts", is_flag=True, help="Round monetary amounts to integer counts.")
+_out_dir_option = click.option("--out-dir", type=str, default="nbreserve_out", show_default=True)
+_threads_option = click.option(
+    "--threads", type=click.IntRange(min=1), help="Worker processes; at most the usable cores, the default."
+)
+_seed_option = click.option(
+    "--seed", type=click.IntRange(min=0), envvar=_SEED_ENV, default=0, show_default=True,
+    help=f"RNG seed; defaults to ${_SEED_ENV} when set.",
+)
 
 
 def _no_nan(ctx, param, values):
@@ -175,7 +177,7 @@ def main():
 
 
 @main.command("fit")
-@click.argument("triangle", type=str)
+@_triangle_argument
 @click.option(
     "--family",
     type=click.Choice(["nb", "poisson", "odp"]),
@@ -183,8 +185,8 @@ def main():
     show_default=True,
     help="nb profiles the dispersion; odp is quasi-Poisson.",
 )
-@click.option("--round-amounts", is_flag=True, help="Round monetary amounts to integer counts.")
-@click.option("--out-dir", type=str, default="nbreserve_out", show_default=True)
+@_round_amounts_option
+@_out_dir_option
 @_seed_option
 def cmd_fit(triangle: str, family: str, round_amounts: bool, out_dir: str, seed: int):
     """Fit the chain-ladder count model and report parameter estimates."""
@@ -263,7 +265,7 @@ def _future_sum(model) -> float:
 
 
 @main.command("reserve")
-@click.argument("triangle", type=str)
+@_triangle_argument
 @click.option(
     "-B", "--bootstrap", "b", type=click.IntRange(min=predictive._MIN_DRAWS), default=5000, show_default=True,
     help="Bootstrap replicates.",
@@ -273,9 +275,9 @@ def _future_sum(model) -> float:
     multiple=True, default=(0.95,), show_default=True,
 )
 @click.option("--no-correct", is_flag=True, help="Skip the dispersion bias correction.")
-@click.option("--threads", type=click.IntRange(min=1), help="Worker processes; at most the usable cores, the default.")
-@click.option("--round-amounts", is_flag=True)
-@click.option("--out-dir", type=str, default="nbreserve_out", show_default=True)
+@_threads_option
+@_round_amounts_option
+@_out_dir_option
 @_seed_option
 def cmd_reserve(triangle, b, levels, no_correct, threads, round_amounts, out_dir, seed):
     """Bootstrap the predictive reserve distribution."""
@@ -295,11 +297,13 @@ def cmd_reserve(triangle, b, levels, no_correct, threads, round_amounts, out_dir
     table = ["accident_year  point      lower      upper      cv_percent"]
     csv_lines = ["ay,level,point,lower,upper,cv_percent"]
     names = [str(label + i - 1) for i in sorted(dist.draws_by_ay)] + ["total"]
+    cl = chain_ladder(t)  # the table's integer points, which add up to its total
+    points = cl.rounded_reserves[1:].tolist() + [cl.rounded_total]
     for level, rows in zip(levels, rows_by_level):
-        for name, row in zip(names, rows):
+        for name, row, point in zip(names, rows, points):
             csv_lines.append(f"{name},{level:g},{row.point:.2f},{row.lower:.2f},{row.upper:.2f},{row.cv_percent:.2f}")
             if level == levels[-1]:
-                table.append(f"{name:<14} {row.point:<10.0f} {row.lower:<10.0f} {row.upper:<10.0f} {row.cv_percent:.1f}")
+                table.append(f"{name:<14} {point:<10} {row.lower:<10.0f} {row.upper:<10.0f} {row.cv_percent:.1f}")
     table.append(
         f"kappa_mle {dist.kappa_mle:.4g}; kappa_adj {dist.kappa_adj:.4g}; "
         f"b_effective {dist.b_effective}; refit failures {dist.refit_failures}"
@@ -320,9 +324,9 @@ def cmd_reserve(triangle, b, levels, no_correct, threads, round_amounts, out_dir
     "-B", "--bootstrap", "b", type=click.IntRange(min=1), default=200, show_default=True,
     help="Bootstrap replicates per fit.",
 )
-@click.option("--threads", type=click.IntRange(min=1), help="Worker processes; at most the usable cores, the default.")
+@_threads_option
 @click.option("--config", "config_path", type=str, default=None, help="JSON file overriding the default DGP.")
-@click.option("--out-dir", type=str, default="nbreserve_out", show_default=True)
+@_out_dir_option
 @_seed_option
 def cmd_simulate(scenario, kappa, nsim, b, threads, config_path, out_dir, seed):
     """Run a frequentist coverage study against a known process."""
@@ -347,9 +351,9 @@ def cmd_simulate(scenario, kappa, nsim, b, threads, config_path, out_dir, seed):
 
 
 @main.command("diagnose")
-@click.argument("triangle", type=str)
-@click.option("--round-amounts", is_flag=True)
-@click.option("--out-dir", type=str, default="nbreserve_out", show_default=True)
+@_triangle_argument
+@_round_amounts_option
+@_out_dir_option
 @_seed_option
 def cmd_diagnose(triangle, round_amounts, out_dir, seed):
     """Export Pearson residuals and the dispersion profile curve."""

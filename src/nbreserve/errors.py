@@ -54,7 +54,13 @@ class ZeroColumnSumError(ReservingError):
 
 
 class SeparationError(TriangleError):
-    """A factor level has all-zero counts, so its coefficient diverges: an input problem in a user's triangle."""
+    """A factor level has all-zero counts, or the likelihood has no finite maximum: an input problem in a user's triangle.
+
+    The first makes that level's coefficient diverge. The second holds
+    when no strictly positive table on the observed cells has their
+    accident- and development-year totals, also with every level holding
+    counts. :func:`nbreserve.glm._poisson_fit` raises both.
+    """
 
 
 class NotConvergedError(ReservingError):

@@ -31,7 +31,8 @@ development year 0 as baselines) and re-expressed on the simplex scale,
 where the development effects exponentiate to weights summing to one.
 
 The other modules share its layout: records to counts and a design
-(:func:`_counts_and_design`, of a run-off triangle's cells;
+(:func:`_counts_and_design`, of a run-off triangle's cells, read by
+:func:`nbreserve.triangle._read_records`;
 :func:`_prepare` adds the checks of the counts, :func:`_check_counts`),
 the coefficient order (:func:`build_design`, read back by
 :func:`_split_coef` and :func:`_effects_from_coef`), and the Pearson
@@ -49,7 +50,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import NoResidualDofError, NotConvergedError, SeparationError
-from .triangle import _MAX_COUNT, _check_layout, _check_year_totals, _coerce_count
+from .triangle import _MAX_COUNT, _check_year_totals, _coerce_count, _read_records
 
 # Linear predictors are clipped here before exponentiation; exp(+-500)
 # stays finite in float64 while leaving real fits untouched.
@@ -190,9 +191,9 @@ def _stirling_remainder(x):
 
 
 def _as_counts(counts) -> np.ndarray:
-    """Accept an array of counts or a sequence of CellRecord-like triples."""
-    if len(counts) and hasattr(counts[0], "count"):
-        return np.array([r.count for r in counts], dtype=float)
+    """Accept an array of counts or a sequence of ``(ay, dy, count)`` records, whose count is at index 2."""
+    if len(counts) and isinstance(counts[0], tuple):
+        return np.array([r[2] for r in counts], dtype=float)
     return np.asarray(counts, dtype=float)
 
 
@@ -674,15 +675,12 @@ def to_simplex(fit: ModelFit) -> ModelFit:
 
 
 def _counts_and_design(data: Sequence) -> Tuple[np.ndarray, Design]:
-    """Counts and design of long-format records, which must be a run-off triangle's cells (``_check_layout``).
+    """Counts and design of long-format records, read by :func:`_read_records`: a run-off triangle's cells.
 
     When numpy cannot read a count as a float (``'abc'``, ``10**400``), the
     first bad count in row-major order raises :func:`_coerce_count`'s error.
     """
-    ay = np.array([r.ay for r in data], dtype=np.int64)
-    dy = np.array([r.dy for r in data], dtype=np.int64)
-    I = _check_layout(ay, dy)
-    counts = [r.count for r in data]
+    ay, dy, counts, I = _read_records(data)
     try:
         y = np.array(counts, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -708,7 +706,7 @@ def _check_counts(y: np.ndarray, design: Design, records: Optional[Sequence] = N
     bad = ~((y >= 0) & (y <= _MAX_COUNT) & (y == np.floor(y)))  # NaN fails every comparison
     if np.count_nonzero(bad):
         k = min(np.nonzero(bad)[0].tolist(), key=lambda k: (design.ay_idx[k], design.dy_idx[k]))
-        value = float(y[k]) if records is None else records[k].count
+        value = float(y[k]) if records is None else records[k][2]
         _coerce_count(value, f"({design.ay_idx[k] + 1}, {design.dy_idx[k]})", False)
     _check_year_totals(y, design.ay_idx)
 
@@ -765,13 +763,15 @@ def fit(data: Sequence, family: Family) -> ModelFit:
     triangles.
 
     Args:
-        data: long-format records with ``ay`` (1-based), ``dy``
-            (0-based) and ``count`` fields, one for each observed cell
-            of a run-off triangle, for example ``triangle.to_long(t)``.
+        data: long-format records, one for each observed cell of a
+            run-off triangle, each read by position as ``(ay, dy, count)``
+            with ``ay`` 1-based and ``dy`` 0-based: ``triangle.to_long(t)``
+            or plain triples (:func:`nbreserve.triangle._read_records`).
         family: Poisson, quasi-Poisson, or fixed-kappa negative binomial.
 
     Raises:
-        TriangleError: the records are not each cell of a triangle
+        TriangleError: a year is not a whole number in int64's range,
+            the records are not each cell of a triangle
             once (MissingCellError, RaggedRowsError or FutureCellError,
             naming the cell), or a count or an accident year's total is
             not an integer in [0, 2**53) (CountTooLargeError and others).

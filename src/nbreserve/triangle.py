@@ -5,8 +5,9 @@ and development year ``j`` (0-based). For a square triangle of
 dimension ``I`` the cell ``(i, j)`` is observed exactly when
 ``i + j <= I``; the remaining cells form the future region that
 reserving techniques must predict. :func:`triangle_cells` states that
-rule once for every module, :func:`_check_layout` checks that records are those
-cells, :func:`_coerce_count` a cell's count and :func:`_check_year_totals` a year's total.
+rule once for every module, :func:`_read_records` reads long-format records,
+:func:`_check_layout` checks that they are those cells, :func:`_coerce_count` a
+cell's count and :func:`_check_year_totals` a year's total.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -25,6 +27,7 @@ from .errors import (
     NegativeCountError,
     NonIntegerCountError,
     RaggedRowsError,
+    TriangleError,
 )
 
 Label = Union[int, str]
@@ -60,25 +63,31 @@ def _check_layout(ay: np.ndarray, dy: np.ndarray, I: Optional[int] = None) -> in
     given. Raises :class:`RaggedRowsError` for I < 2, then names the first
     observed cell in row-major order with no pair (:class:`MissingCellError`)
     or more (:class:`RaggedRowsError`), then the smallest pair outside them
-    (:class:`FutureCellError`). :func:`from_long` and every fit run it.
+    (:class:`FutureCellError`). :func:`from_long` and every fit run it,
+    on records through :func:`_read_records`.
     """
     if ay.size == 0:
         raise MissingCellError("no records supplied")
     I = int(ay.max()) if I is None else I
     if I < 2:
         raise RaggedRowsError("a triangle needs at least 2 accident years")
-    n, i = ay.size, ay - 1
+    # positions count only up to n: rows and a dimension past n + 1 give
+    # positions past it, so they are capped there, where no product of years
+    # below overflows int64 (with I <= n + 1 every row inside is below I already)
+    n = ay.size
+    m = min(I, n + 1)
+    i = ay - 1 if m == I else np.minimum(ay - 1, m)
     outside = (i | dy | (I - ay - dy)) < 0  # a negative year, or ay + dy > I
     # each pair's row-major position among the observed cells: n pairs miss one of
     # the first n + 1, so one last bin takes the later positions and the pairs outside
-    pos = np.minimum(i * (2 * I + 1 - i) // 2 + dy, n)
+    pos = np.minimum(i * (2 * m + 1 - i) // 2 + dy, n)
     pos[outside] = n
     hits = np.bincount(pos, minlength=n + 1)[: min(n + 1, I * (I + 1) // 2)]
     fault = hits != 1
     if np.count_nonzero(fault):
         k = int(np.argmax(fault))
         rows = np.arange(min(I, k + 1))
-        starts = rows * (2 * I + 1 - rows) // 2
+        starts = rows * (2 * m + 1 - rows) // 2
         row = int(np.searchsorted(starts, k, side="right")) - 1
         cell = (row + 1, k - int(starts[row]))
         if hits[k] == 0:
@@ -88,6 +97,39 @@ def _check_layout(ay: np.ndarray, dy: np.ndarray, I: Optional[int] = None) -> in
         a, d = ay[outside], dy[outside]
         raise FutureCellError(f"record for future cell {(int(a.min()), int(d[a == a.min()].min()))} not allowed")
     return I
+
+
+def _read_records(records: Sequence[Sequence], I: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray, List, int]:
+    """(ay, dy, counts, I) of long-format records, each read by position as ``(ay, dy, count)``.
+
+    A :class:`CellRecord` and a plain triple read alike. The years become
+    int64 arrays, the counts stay as the records hold them, and I is
+    :func:`_check_layout`'s, which runs here. :func:`from_long` and every fit
+    read records here alone.
+
+    Raises:
+        TriangleError: a year is not a whole number in int64's range
+            (``1.5``, ``'x'``, None, NaN, ``10**30``), naming the first such
+            record, or as :func:`_check_layout`.
+    """
+    try:
+        ay, dy = np.array([r[0] for r in records]), np.array([r[1] for r in records])
+        whole = ay.dtype == dy.dtype == np.int64  # every year an integer: nothing to check
+    except ValueError:  # a year that is a sequence
+        whole = False
+    if not whole:
+        years = [[_whole_year(r, k, axis) for axis in (0, 1)] for k, r in enumerate(records)]
+        ay, dy = np.array(years, dtype=np.int64).reshape(-1, 2).T.copy()
+    return ay, dy, [r[2] for r in records], _check_layout(ay, dy, I)
+
+
+def _whole_year(record, k: int, axis: int) -> int:
+    """Year ``axis`` (0 accident, 1 development) of record ``k``, when it is a whole number in int64's range."""
+    value = record[axis]
+    whole = isinstance(value, (numbers.Integral, np.bool_)) or isinstance(value, numbers.Real) and float(value).is_integer()
+    if whole and -(2**63) <= value < 2**63:
+        return int(value)
+    raise TriangleError(f"record {k}: {('accident', 'development')[axis]} year {value!r} is not a whole number in int64's range")
 
 
 def _coerce_count(value, where: str, round_amounts: bool) -> int:
@@ -279,16 +321,14 @@ def to_long(t: RunOffTriangle) -> List[CellRecord]:
 
 
 def from_long(records: Sequence[CellRecord], dimension: Optional[int] = None) -> RunOffTriangle:
-    """Rebuild a square triangle from long-format records.
+    """Rebuild a square triangle from long-format records, read as :func:`_read_records` reads them.
 
     The records must cover the observed region exactly once
     (:func:`_check_layout`); the dimension is inferred from the largest
     accident year when not given.
     """
-    ay = np.array([int(r[0]) for r in records], dtype=np.int64)
-    dy = np.array([int(r[1]) for r in records], dtype=np.int64)
-    I = _check_layout(ay, dy, dimension)
-    counts = [records[k][2] for k in np.lexsort((dy, ay)).tolist()]
+    ay, dy, counts, I = _read_records(records, dimension)
+    counts = [counts[k] for k in np.lexsort((dy, ay)).tolist()]
     starts = [i * (2 * I + 1 - i) // 2 for i in range(I + 1)]
     return RunOffTriangle.from_rows([counts[a:b] for a, b in zip(starts, starts[1:])])
 

@@ -335,6 +335,19 @@ class TestReserve:
         assert sum(1 for l in csv_lines if l.startswith("total,")) == 2
         assert sum(1 for l in csv_lines if l.startswith("19")) == 12
 
+    def test_table_points_add_up(self, runner, triangle_csv, australian, tmp_path):
+        # the table's integer points are the chain-ladder's largest-remainder
+        # reserves, so the years add up to the total (3191 on these counts)
+        from nbreserve import chain_ladder
+
+        args = ["reserve", triangle_csv, "-B", "100", "--threads", "1", "--out-dir", str(tmp_path / "out")]
+        table = [line.split() for line in run_ok(runner, args).output.splitlines()[1:australian.dimension + 1]]
+        names, points = [row[0] for row in table], [int(row[1]) for row in table]
+        assert names == [str(1993 + i) for i in range(1, australian.dimension)] + ["total"]
+        cl = chain_ladder(australian)
+        assert points[:-1] == cl.rounded_reserves[1:].tolist()
+        assert sum(points[:-1]) == points[-1] == cl.rounded_total
+
     def test_repeated_level_is_one_level(self, runner, triangle_csv, tmp_path):
         # a repeated --level writes what the level given once writes, run id included
         outputs, out = [], tmp_path / "out"

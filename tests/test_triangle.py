@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from nbreserve.errors import (
     NonIntegerCountError,
     RaggedRowsError,
     ReservingError,
+    TriangleError,
 )
 from conftest import random_triangle
 
@@ -177,6 +179,98 @@ class TestLongFormat:
     def test_empty_rejected(self):
         with pytest.raises(MissingCellError):
             from_long([])
+
+
+def _bits(value):
+    """Every bit of a result: a dataclass field by field, an array by its bytes, a float by its repr."""
+    if dataclasses.is_dataclass(value):
+        return tuple((f.name, _bits(getattr(value, f.name))) for f in dataclasses.fields(value))
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_bits, value))
+    return repr(value)
+
+
+def _entry_points():
+    """(name, call) of each entry point that takes long-format records: from_long and the fits."""
+    from nbreserve import Family, fit, overdispersion_test, profile_kappa
+
+    families = [Family.poisson(), Family.quasi_poisson(), Family.negbin(5.0)]
+    calls = [("from_long", from_long), ("profile_kappa", profile_kappa), ("overdispersion_test", overdispersion_test)]
+    return calls + [(f"fit {f.tag}", lambda records, f=f: fit(records, f)) for f in families]
+
+
+class TestRecordReader:
+    """Every entry point reads a record by position as (ay, dy, count), its years by one rule."""
+
+    def test_plain_triples_read_as_records(self, australian, taylor):
+        from nbreserve import adjusted_profile_loglik, glm, nb_loglik, poisson_loglik
+
+        for t in (australian, taylor):
+            records = to_long(t)
+            mu = np.linspace(1.0, 2.0, len(records))
+            calls = _entry_points() + [
+                ("adjusted_profile_loglik", lambda r: adjusted_profile_loglik(r, 5.0)),
+                ("poisson_loglik", lambda r: poisson_loglik(r, mu)),
+                ("nb_loglik", lambda r: nb_loglik(r, mu, 5.0)),
+            ]
+            for name, call in calls:
+                got = []
+                for form in (records, [tuple(r) for r in records]):
+                    glm._last_joint_fit = ((), None)
+                    got.append(_bits(call(form)))
+                assert got[0] == got[1], name
+
+    @pytest.mark.parametrize("count", [2.5, -5, "abc"], ids=repr)
+    def test_bad_count_of_a_triple_named_as_held(self, australian, count):
+        # a bad count of a plain triple gets a CellRecord's error, naming its value as the record holds it
+        records = to_long(australian)
+        records[5] = records[5]._replace(count=count)
+        for name, call in _entry_points():
+            got = []
+            for form in (records, [tuple(r) for r in records]):
+                with pytest.raises(TriangleError) as raised:
+                    call(form)
+                got.append((type(raised.value), str(raised.value)))
+            assert got[0] == got[1] and repr(count) in got[0][1], name
+
+    @pytest.mark.parametrize("year", [1.5, "x", None, 10**30, math.nan, 2**63], ids=repr)
+    @pytest.mark.parametrize("axis", [0, 1], ids=["ay", "dy"])
+    def test_year_not_a_whole_number_refused(self, australian, year, axis):
+        # one error, naming the first such record and its value, from every
+        # entry point; a fractional year is not truncated
+        field = ("ay", "dy")[axis]
+        records = to_long(australian)
+        records[5] = records[5]._replace(**{field: year})
+        records[9] = records[9]._replace(**{field: 2.5})
+        what = ("accident", "development")[axis]
+        message = f"record 5: {what} year {year!r} is not a whole number in int64's range"
+        for name, call in _entry_points():
+            with pytest.raises(TriangleError) as got:
+                call(records)
+            assert (type(got.value), str(got.value)) == (TriangleError, message), name
+
+    @pytest.mark.parametrize(
+        "convert",
+        [np.int32, np.uint64, float, np.float32, lambda v: True if v == 1 else v],
+        ids=["int32", "uint64", "float", "float32", "True"],
+    )
+    def test_whole_years_read_as_integers(self, australian, convert):
+        # a whole number of any numeric type reads as that year, in from_long and the fits alike
+        records = to_long(australian)
+        converted = [(convert(r.ay), convert(r.dy), r.count) for r in records]
+        for name, call in _entry_points():
+            assert _bits(call(converted)) == _bits(call(records)), name
+
+    @pytest.mark.parametrize("year", [2**62, 2**63 - 1])
+    def test_year_past_the_records_is_a_missing_cell(self, year):
+        # a year int64 holds, whose triangle is far larger than the records,
+        # names the first missing cell, with no int64 overflow on the way
+        records = [(1, 0, 1), (1, 1, 1), (year, 0, 1)]
+        for name, call in _entry_points():
+            with pytest.raises(MissingCellError, match=r"observed cell \(1, 2\) missing from records"):
+                call(records)
 
 
 class TestCsv:
