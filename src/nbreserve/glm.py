@@ -192,7 +192,7 @@ def _stirling_remainder(x):
 
 def _as_counts(counts) -> np.ndarray:
     """Accept an array of counts or a sequence of ``(ay, dy, count)`` records, whose count is at index 2."""
-    if len(counts) and isinstance(counts[0], tuple):
+    if len(counts) and isinstance(counts[0], (tuple, list)):
         return np.array([r[2] for r in counts], dtype=float)
     return np.asarray(counts, dtype=float)
 

@@ -71,16 +71,16 @@ def _check_layout(ay: np.ndarray, dy: np.ndarray, I: Optional[int] = None) -> in
     I = int(ay.max()) if I is None else I
     if I < 2:
         raise RaggedRowsError("a triangle needs at least 2 accident years")
-    # positions count only up to n: rows and a dimension past n + 1 give
-    # positions past it, so they are capped there, where no product of years
-    # below overflows int64 (with I <= n + 1 every row inside is below I already)
+    # positions count only up to n, so the dimension, the rows and dy are
+    # capped past it, where no sum or product of them overflows int64; a row
+    # or dy capped inside the layout gives a position past n all the same
     n = ay.size
     m = min(I, n + 1)
-    i = ay - 1 if m == I else np.minimum(ay - 1, m)
-    outside = (i | dy | (I - ay - dy)) < 0  # a negative year, or ay + dy > I
+    i = np.minimum(np.maximum(ay, 0), m + 1) - 1
+    outside = (i | dy | (I - ay - dy)) < 0  # ay below 1, dy below 0, or ay + dy > I
     # each pair's row-major position among the observed cells: n pairs miss one of
     # the first n + 1, so one last bin takes the later positions and the pairs outside
-    pos = np.minimum(i * (2 * m + 1 - i) // 2 + dy, n)
+    pos = np.minimum(i * (2 * m + 1 - i) // 2 + np.minimum(dy, n), n)
     pos[outside] = n
     hits = np.bincount(pos, minlength=n + 1)[: min(n + 1, I * (I + 1) // 2)]
     fault = hits != 1
@@ -109,8 +109,8 @@ def _read_records(records: Sequence[Sequence], I: Optional[int] = None) -> Tuple
 
     Raises:
         TriangleError: a year is not a whole number in int64's range
-            (``1.5``, ``'x'``, None, NaN, ``10**30``), naming the first such
-            record, or as :func:`_check_layout`.
+            (``1.5``, ``'x'``, None, NaN, ``10**30``; the text ``'3'`` reads
+            as 3), naming the first such record, or as :func:`_check_layout`.
     """
     try:
         ay, dy = np.array([r[0] for r in records]), np.array([r[1] for r in records])
@@ -124,11 +124,18 @@ def _read_records(records: Sequence[Sequence], I: Optional[int] = None) -> Tuple
 
 
 def _whole_year(record, k: int, axis: int) -> int:
-    """Year ``axis`` (0 accident, 1 development) of record ``k``, when it is a whole number in int64's range."""
+    """Year ``axis`` (0 accident, 1 development) of record ``k``, when it is a whole number in int64's range.
+
+    An integer (``True`` too) reads as itself; any other value (``2.0``,
+    ``Decimal('3')``, the text ``'3'``) as the float it converts to.
+    """
     value = record[axis]
-    whole = isinstance(value, (numbers.Integral, np.bool_)) or isinstance(value, numbers.Real) and float(value).is_integer()
-    if whole and -(2**63) <= value < 2**63:
-        return int(value)
+    try:
+        year = value if isinstance(value, numbers.Integral) else float(value)
+        if year == int(year) and -(2**63) <= year < 2**63:
+            return int(year)
+    except (TypeError, ValueError, OverflowError):  # None, 'x', NaN, inf
+        pass
     raise TriangleError(f"record {k}: {('accident', 'development')[axis]} year {value!r} is not a whole number in int64's range")
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 
 import numpy as np
@@ -217,10 +218,10 @@ class TestRecordReader:
             ]
             for name, call in calls:
                 got = []
-                for form in (records, [tuple(r) for r in records]):
+                for form in (records, [tuple(r) for r in records], [list(r) for r in records]):
                     glm._last_joint_fit = ((), None)
                     got.append(_bits(call(form)))
-                assert got[0] == got[1], name
+                assert got[0] == got[1] == got[2], name
 
     @pytest.mark.parametrize("count", [2.5, -5, "abc"], ids=repr)
     def test_bad_count_of_a_triple_named_as_held(self, australian, count):
@@ -253,8 +254,8 @@ class TestRecordReader:
 
     @pytest.mark.parametrize(
         "convert",
-        [np.int32, np.uint64, float, np.float32, lambda v: True if v == 1 else v],
-        ids=["int32", "uint64", "float", "float32", "True"],
+        [np.int32, np.uint64, float, np.float32, lambda v: True if v == 1 else v, lambda v: np.bool_(v) if v < 2 else v, str, decimal.Decimal],
+        ids=["int32", "uint64", "float", "float32", "True", "numpy-bool", "text", "Decimal"],
     )
     def test_whole_years_read_as_integers(self, australian, convert):
         # a whole number of any numeric type reads as that year, in from_long and the fits alike
@@ -263,13 +264,25 @@ class TestRecordReader:
         for name, call in _entry_points():
             assert _bits(call(converted)) == _bits(call(records)), name
 
-    @pytest.mark.parametrize("year", [2**62, 2**63 - 1])
-    def test_year_past_the_records_is_a_missing_cell(self, year):
+    @pytest.mark.parametrize(
+        "year, far",
+        [(2**62, []), (2**63 - 1, []), (2**63 - 1, [(2, 2**63 - 10, 1)])],
+        ids=["4611686018427387904", "9223372036854775807", "9223372036854775807-far-dy"],
+    )
+    def test_year_past_the_records_is_a_missing_cell(self, year, far):
         # a year int64 holds, whose triangle is far larger than the records,
-        # names the first missing cell, with no int64 overflow on the way
-        records = [(1, 0, 1), (1, 1, 1), (year, 0, 1)]
+        # names the first missing cell, with no int64 overflow on the way,
+        # also for a record inside that triangle with a dy far past the records
+        records = [(a, d, 1) for a in range(1, 6) for d in range(6 - a)] + [(year, 0, 1)] + far
         for name, call in _entry_points():
-            with pytest.raises(MissingCellError, match=r"observed cell \(1, 2\) missing from records"):
+            with pytest.raises(MissingCellError, match=r"observed cell \(1, 5\) missing from records"):
+                call(records)
+
+    def test_most_negative_year_is_outside(self):
+        # ay = -2**63 has no ay - 1 in int64: it is still outside the triangle
+        records = [(1, 0, 1), (1, 1, 1), (2, 0, 1), (-(2**63), 2**63 - 1, 1)]
+        for name, call in _entry_points():
+            with pytest.raises(FutureCellError, match=rf"future cell \({-(2**63)}, {2**63 - 1}\)"):
                 call(records)
 
 

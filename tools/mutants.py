@@ -89,6 +89,34 @@ MUTANTS = [
         "the year rule: a year past the records names a missing cell, with no int64 overflow",
     ),
     Mutant(
+        "layout-dy-overflow", "triangle.py",
+        "+ np.minimum(dy, n), n)",
+        "+ dy, n)",
+        ("tests/test_triangle.py::TestRecordReader::test_year_past_the_records_is_a_missing_cell[9223372036854775807-far-dy]",),
+        "the year rule: a dy far past the records names a missing cell, with no int64 overflow",
+    ),
+    Mutant(
+        "layout-row-wraps", "triangle.py",
+        "i = np.minimum(np.maximum(ay, 0), m + 1) - 1",
+        "i = np.minimum(ay - 1, m)",
+        ("tests/test_triangle.py::TestRecordReader::test_most_negative_year_is_outside",),
+        "the year rule: ay = -2**63 is outside the triangle, not a wrapped row",
+    ),
+    Mutant(
+        "year-text-refused", "triangle.py",
+        "year = value if isinstance(value, numbers.Integral) else float(value)",
+        "year = value if isinstance(value, numbers.Integral) else float(value) + 0 * value",
+        ("tests/test_triangle.py::TestRecordReader::test_whole_years_read_as_integers",),
+        "the year rule: a year that reads as a whole number reads as before, its text and Decimal too",
+    ),
+    Mutant(
+        "loglik-list-records-as-counts", "glm.py",
+        "isinstance(counts[0], (tuple, list))",
+        "isinstance(counts[0], tuple)",
+        ("tests/test_triangle.py::TestRecordReader::test_plain_triples_read_as_records",),
+        "the one reader: a list record's count is at index 2 in the log-likelihoods too",
+    ),
+    Mutant(
         "table-rounds-each-year", "cli.py",
         "{point:<10}",
         "{row.point:<10.0f}",
