@@ -562,7 +562,8 @@ def nb_mle(y: np.ndarray, design: Design) -> Tuple[np.ndarray, np.ndarray, float
     Returns (coef, mu, kappa, at_boundary).
 
     Raises:
-        TriangleError: the design's cells are not a triangle's, or a count or an
+        TriangleError: the design's cells are not a triangle's, ``y`` is not
+            one count per design cell (naming both lengths), or a count or an
             accident year's total is not an integer in [0, 2**53), as for ``glm.fit``.
         SeparationError: a factor level has all-zero counts, or the
             likelihood has no finite maximum.

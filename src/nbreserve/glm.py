@@ -32,8 +32,8 @@ where the development effects exponentiate to weights summing to one.
 
 The other modules share its layout: records to counts and a design
 (:func:`_counts_and_design`, of a run-off triangle's cells, read by
-:func:`nbreserve.triangle._read_records`;
-:func:`_prepare` adds the checks of the counts, :func:`_check_counts`),
+:func:`nbreserve.triangle._read_records`, as the log-likelihoods read
+records; :func:`_prepare` adds the checks of the counts, :func:`_check_counts`),
 the coefficient order (:func:`build_design`, read back by
 :func:`_split_coef` and :func:`_effects_from_coef`), and the Pearson
 statistic behind every quasi-Poisson phi (:func:`pearson_statistic`).
@@ -49,7 +49,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import NoResidualDofError, NotConvergedError, SeparationError
+from .errors import NoResidualDofError, NotConvergedError, SeparationError, TriangleError
 from .triangle import _MAX_COUNT, _check_year_totals, _coerce_count, _read_records
 
 # Linear predictors are clipped here before exponentiation; exp(+-500)
@@ -143,7 +143,11 @@ def _lgamma(x: np.ndarray) -> np.ndarray:
 
 
 def poisson_loglik(counts, mu) -> float:
-    """Poisson log-likelihood of ``counts`` at cell means ``mu``."""
+    """Poisson log-likelihood of ``counts`` at cell means ``mu``.
+
+    ``counts`` is a flat array of counts or long-format records, read and
+    checked as every fit reads them (:func:`_as_counts`).
+    """
     y = _as_counts(counts)
     return _poisson_loglik(y, np.asarray(mu, dtype=float), _lgamma(y + 1.0))
 
@@ -161,7 +165,9 @@ def nb_loglik(counts, mu, kappa: float) -> float:
     log Gamma(kappa) are of size kappa log kappa and cancel to a term of
     size y, losing about 1e-6 at kappa = 1e8; from ``_KAPPA_SERIES`` on
     their difference is therefore taken from Stirling's series, whose
-    every term has the size of y.
+    every term has the size of y. ``counts`` is a flat array of counts or
+    long-format records, read and checked as every fit reads them
+    (:func:`_as_counts`).
     """
     _check_kappa(kappa)
     y = _as_counts(counts)
@@ -191,10 +197,15 @@ def _stirling_remainder(x):
 
 
 def _as_counts(counts) -> np.ndarray:
-    """Accept an array of counts or a sequence of ``(ay, dy, count)`` records, whose count is at index 2."""
-    if len(counts) and isinstance(counts[0], (tuple, list)):
-        return np.array([r[2] for r in counts], dtype=float)
-    return np.asarray(counts, dtype=float)
+    """A flat array of counts as floats, as it stands; anything else is long-format records, read by :func:`_prepare`.
+
+    Records raise what :func:`fit` raises on them (a :class:`TriangleError`).
+    """
+    try:
+        flat = np.ndim(counts) < 2
+    except ValueError:  # records of unequal length
+        flat = False
+    return np.asarray(counts, dtype=float) if flat else _prepare(counts)[0]
 
 
 @dataclass(frozen=True)
@@ -698,15 +709,20 @@ def _prepare(data: Sequence) -> Tuple[np.ndarray, Design]:
 
 
 def _check_counts(y: np.ndarray, design: Design, records: Optional[Sequence] = None) -> None:
-    """Check that each count is an integer in [0, 2**53), then each accident year's total (:func:`_check_year_totals`).
+    """Check that there is one count per cell of ``design``, each an integer in [0, 2**53), then each accident year's total.
 
-    The first bad count in row-major order raises the triangle constructors'
-    error, naming its cell and its value as ``records`` hold it, else as a float.
+    A ``y`` of another shape raises :class:`TriangleError` naming both
+    lengths. The first bad count in row-major order raises the triangle
+    constructors' error, naming its cell and its value as ``records`` hold
+    it (read by :func:`_read_records`), else as a float. The totals are
+    :func:`_check_year_totals`'.
     """
+    if y.shape != (design.n,):
+        raise TriangleError(f"counts of shape {y.shape} for a design of {design.n} cells: one count per cell required")
     bad = ~((y >= 0) & (y <= _MAX_COUNT) & (y == np.floor(y)))  # NaN fails every comparison
     if np.count_nonzero(bad):
         k = min(np.nonzero(bad)[0].tolist(), key=lambda k: (design.ay_idx[k], design.dy_idx[k]))
-        value = float(y[k]) if records is None else records[k][2]
+        value = float(y[k]) if records is None else _read_records(records)[2][k]
         _coerce_count(value, f"({design.ay_idx[k] + 1}, {design.dy_idx[k]})", False)
     _check_year_totals(y, design.ay_idx)
 
@@ -764,15 +780,16 @@ def fit(data: Sequence, family: Family) -> ModelFit:
 
     Args:
         data: long-format records, one for each observed cell of a
-            run-off triangle, each read by position as ``(ay, dy, count)``
-            with ``ay`` 1-based and ``dy`` 0-based: ``triangle.to_long(t)``
-            or plain triples (:func:`nbreserve.triangle._read_records`).
+            run-off triangle, each an ``(ay, dy, count)`` triple with ``ay``
+            1-based and ``dy`` 0-based: ``triangle.to_long(t)``, or
+            tuples, lists or the rows of an (n, 3) array
+            (:func:`nbreserve.triangle._read_records`).
         family: Poisson, quasi-Poisson, or fixed-kappa negative binomial.
 
     Raises:
-        TriangleError: a year is not a whole number in int64's range,
-            the records are not each cell of a triangle
-            once (MissingCellError, RaggedRowsError or FutureCellError,
+        TriangleError: a record is not three fields, a year is not a
+            whole number in int64's range, the records are not each cell
+            of a triangle once (MissingCellError, RaggedRowsError or FutureCellError,
             naming the cell), or a count or an accident year's total is
             not an integer in [0, 2**53) (CountTooLargeError and others).
         SeparationError: a factor level has all-zero counts, or the

@@ -56,19 +56,19 @@ def triangle_cells(I: int) -> Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndar
     return np.nonzero(~future), np.nonzero(future)
 
 
-def _check_layout(ay: np.ndarray, dy: np.ndarray, I: Optional[int] = None) -> int:
+def _check_layout(ay: np.ndarray, dy: np.ndarray) -> int:
     """The dimension I of the run-off triangle whose observed cells are the pairs (ay, dy), each once.
 
-    ``ay`` is 1-based, ``dy`` 0-based; I is the largest ``ay`` unless
-    given. Raises :class:`RaggedRowsError` for I < 2, then names the first
-    observed cell in row-major order with no pair (:class:`MissingCellError`)
-    or more (:class:`RaggedRowsError`), then the smallest pair outside them
-    (:class:`FutureCellError`). :func:`from_long` and every fit run it,
-    on records through :func:`_read_records`.
+    ``ay`` is 1-based, ``dy`` 0-based; I is the largest ``ay``. Raises
+    :class:`RaggedRowsError` for I < 2, then names the first observed cell
+    in row-major order with no pair (:class:`MissingCellError`) or more
+    (:class:`RaggedRowsError`), then the smallest pair outside them
+    (:class:`FutureCellError`). Every entry point that takes records runs
+    it through :func:`_read_records`, and ``nb_mle`` on its design.
     """
     if ay.size == 0:
         raise MissingCellError("no records supplied")
-    I = int(ay.max()) if I is None else I
+    I = int(ay.max())
     if I < 2:
         raise RaggedRowsError("a triangle needs at least 2 accident years")
     # positions count only up to n, so the dimension, the rows and dy are
@@ -99,37 +99,52 @@ def _check_layout(ay: np.ndarray, dy: np.ndarray, I: Optional[int] = None) -> in
     return I
 
 
-def _read_records(records: Sequence[Sequence], I: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray, List, int]:
-    """(ay, dy, counts, I) of long-format records, each read by position as ``(ay, dy, count)``.
+def _read_records(records: Sequence[Sequence]) -> Tuple[np.ndarray, np.ndarray, Sequence, int]:
+    """(ay, dy, counts, I) of long-format records, each an ``(ay, dy, count)`` triple.
 
-    A :class:`CellRecord` and a plain triple read alike. The years become
-    int64 arrays, the counts stay as the records hold them, and I is
-    :func:`_check_layout`'s, which runs here. :func:`from_long` and every fit
-    read records here alone.
+    A record is a :class:`CellRecord`, a tuple, a list or a row of an
+    (n, 3) array, its three fields read in order; an array's rows read as
+    lists of Python numbers. The years become int64 arrays, the counts stay
+    as the records hold them, and I is :func:`_check_layout`'s, which runs
+    here. :func:`from_long`, every fit and both log-likelihoods read records
+    here alone.
 
     Raises:
-        TriangleError: a year is not a whole number in int64's range
-            (``1.5``, ``'x'``, None, NaN, ``10**30``; the text ``'3'`` reads
-            as 3), naming the first such record, or as :func:`_check_layout`.
+        TriangleError: a record is not three fields, or a year is not a
+            whole number in int64's range (``1.5``, ``'x'``, None, NaN,
+            ``10**30``, ``[1]``; the text ``'3'`` reads as 3), naming the
+            first such record, or as :func:`_check_layout`.
     """
+    if isinstance(records, np.ndarray):
+        records = records.tolist()  # so that an error names a count as a list of records holds it
     try:
-        ay, dy = np.array([r[0] for r in records]), np.array([r[1] for r in records])
-        whole = ay.dtype == dy.dtype == np.int64  # every year an integer: nothing to check
-    except ValueError:  # a year that is a sequence
+        ay, dy, counts = zip(*records, strict=True)
+        ay, dy = np.array(ay), np.array(dy)
+        whole = ay.dtype == dy.dtype == np.int64 and ay.ndim == dy.ndim == 1  # every year an integer: nothing to check
+    except (TypeError, ValueError):  # no records, a record that is not three fields, or years that are sequences
         whole = False
     if not whole:
-        years = [[_whole_year(r, k, axis) for axis in (0, 1)] for k, r in enumerate(records)]
-        ay, dy = np.array(years, dtype=np.int64).reshape(-1, 2).T.copy()
-    return ay, dy, [r[2] for r in records], _check_layout(ay, dy, I)
+        read = [_read_record(r, k) for k, r in enumerate(records)]
+        ay, dy = np.array([r[:2] for r in read], dtype=np.int64).reshape(-1, 2).T.copy()
+        counts = [r[2] for r in read]
+    return ay, dy, counts, _check_layout(ay, dy)
 
 
-def _whole_year(record, k: int, axis: int) -> int:
-    """Year ``axis`` (0 accident, 1 development) of record ``k``, when it is a whole number in int64's range.
+def _read_record(record, k: int) -> tuple:
+    """Record ``k`` as ``(ay, dy, count)`` with int years, when it is three fields whose years are whole numbers."""
+    try:
+        ay, dy, count = record
+    except (TypeError, ValueError):  # not a sequence, or not of three fields
+        raise TriangleError(f"record {k}: {record!r} is not an (ay, dy, count) triple") from None
+    return _whole_year(ay, k, 0), _whole_year(dy, k, 1), count
+
+
+def _whole_year(value, k: int, axis: int) -> int:
+    """Year ``axis`` (0 accident, 1 development) of record ``k``, ``value``, when it is a whole number in int64's range.
 
     An integer (``True`` too) reads as itself; any other value (``2.0``,
     ``Decimal('3')``, the text ``'3'``) as the float it converts to.
     """
-    value = record[axis]
     try:
         year = value if isinstance(value, numbers.Integral) else float(value)
         if year == int(year) and -(2**63) <= year < 2**63:
@@ -327,14 +342,13 @@ def to_long(t: RunOffTriangle) -> List[CellRecord]:
     return list(t.observed_cells())
 
 
-def from_long(records: Sequence[CellRecord], dimension: Optional[int] = None) -> RunOffTriangle:
+def from_long(records: Sequence[CellRecord]) -> RunOffTriangle:
     """Rebuild a square triangle from long-format records, read as :func:`_read_records` reads them.
 
     The records must cover the observed region exactly once
-    (:func:`_check_layout`); the dimension is inferred from the largest
-    accident year when not given.
+    (:func:`_check_layout`); the dimension is the largest accident year.
     """
-    ay, dy, counts, I = _read_records(records, dimension)
+    ay, dy, counts, I = _read_records(records)
     counts = [counts[k] for k in np.lexsort((dy, ay)).tolist()]
     starts = [i * (2 * I + 1 - i) // 2 for i in range(I + 1)]
     return RunOffTriangle.from_rows([counts[a:b] for a, b in zip(starts, starts[1:])])

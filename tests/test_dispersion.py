@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -39,7 +40,7 @@ from nbreserve.dispersion import (
     _start_kappa,
 )
 from nbreserve.errors import (
-    FlatProfileError, NoResidualDofError, NotConvergedError, SeparationError, SingularInformationError,
+    FlatProfileError, NoResidualDofError, NotConvergedError, SeparationError, SingularInformationError, TriangleError,
 )
 from nbreserve.glm import _IRLS_MAX_ITER, _irls, _lgamma, build_design
 from nbreserve.triangle import triangle_cells
@@ -164,6 +165,18 @@ class TestJointMle:
         _, _, kappa, at_boundary = nb_mle(y, design)
         assert at_boundary
         assert kappa == KAPPA_CAP
+
+    @pytest.mark.parametrize(
+        "counts, shape",
+        [(lambda y: y[:-1], "(27,)"), (lambda y: np.append(y, 1.0), "(29,)"), (lambda y: y[None], "(1, 28)")],
+        ids=["one short", "one over", "2-D"],
+    )
+    def test_one_count_per_cell(self, australian, counts, shape):
+        # counts that are not one per cell of the design are a TriangleError
+        # naming both lengths, not a numpy error from the year totals
+        y, design = _prepare(to_long(australian))
+        with pytest.raises(TriangleError, match=rf"counts of shape {re.escape(shape)} for a design of 28 cells"):
+            nb_mle(counts(y), design)
 
     @pytest.mark.parametrize("name", ["australian", "taylor", "at-cap", "quasi-separated"])
     def test_is_the_remembered_joint_fit(self, name, request, monkeypatch):

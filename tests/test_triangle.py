@@ -183,7 +183,9 @@ class TestLongFormat:
 
 
 def _bits(value):
-    """Every bit of a result: a dataclass field by field, an array by its bytes, a float by its repr."""
+    """Every bit of a result: a triangle by its counts, a dataclass field by field, an array by its bytes, a float by its repr."""
+    if isinstance(value, RunOffTriangle):
+        return _bits(value.grid)
     if dataclasses.is_dataclass(value):
         return tuple((f.name, _bits(getattr(value, f.name))) for f in dataclasses.fields(value))
     if isinstance(value, np.ndarray):
@@ -202,26 +204,153 @@ def _entry_points():
     return calls + [(f"fit {f.tag}", lambda records, f=f: fit(records, f)) for f in families]
 
 
+def _record_calls(n: int):
+    """:func:`_entry_points` and the other entry points that take records, the log-likelihoods at n means."""
+    from nbreserve import adjusted_profile_loglik, nb_loglik, poisson_loglik
+
+    mu = np.linspace(1.0, 2.0, n)
+    return _entry_points() + [
+        ("adjusted_profile_loglik", lambda r: adjusted_profile_loglik(r, 5.0)),
+        ("poisson_loglik", lambda r: poisson_loglik(r, mu)),
+        ("nb_loglik", lambda r: nb_loglik(r, mu, 5.0)),
+    ]
+
+
+def _outcome(call, records):
+    """Every bit of ``call(records)``, or its package error's class and message, from a cold start."""
+    from nbreserve import glm
+
+    glm._last_joint_fit = ((), None)
+    try:
+        return _bits(call(records))
+    except ReservingError as exc:
+        return type(exc), str(exc)
+
+
+def _containers(records):
+    """``records`` as CellRecords, tuples and lists, and as an (n, 3) int array when every record is an int triple.
+
+    An entry that is not a triple stays as it is in every container.
+    """
+    def each(make):
+        return [make(r) if isinstance(r, tuple) and len(r) == 3 else r for r in records]
+
+    forms = {"CellRecord": each(CellRecord._make), "tuple": each(tuple), "list": each(list)}
+    if all(isinstance(r, tuple) and len(r) == 3 and all(type(v) is int for v in r) for r in records):
+        forms["array"] = np.array(records)
+    return forms
+
+
+def _agree_in_every_container(records, clean: bool):
+    """Check that each entry point's outcome on ``records`` (tuples) is the same in every container.
+
+    On ``clean`` records the log-likelihoods equal their value at the
+    count array; on faulty ones they raise what ``fit`` raises.
+    """
+    forms = _containers(records)
+    calls = _record_calls(len(records))
+    outcomes = {}
+    for name, call in calls:
+        got = {kind: _outcome(call, form) for kind, form in forms.items()}
+        assert len(set(got.values())) == 1, (name, got)
+        outcomes[name] = got["tuple"]
+    for name, call in calls[-2:]:
+        if clean:
+            counts = np.array([r[2] for r in records], dtype=float)
+            assert outcomes[name] == _bits(call(counts)), name
+        else:
+            assert outcomes[name] == outcomes["fit poisson"], name
+    return outcomes
+
+
+_RECORD_FAULTS = [
+    None, "short", "non-sequence", "four fields", "bad year", "missing", "repeated", "future", "negative",
+    "fractional", "unreadable",
+]
+
+
 class TestRecordReader:
-    """Every entry point reads a record by position as (ay, dy, count), its years by one rule."""
+    """Every entry point reads a record as an (ay, dy, count) triple, its years by one rule."""
 
     def test_plain_triples_read_as_records(self, australian, taylor):
-        from nbreserve import adjusted_profile_loglik, glm, nb_loglik, poisson_loglik
-
         for t in (australian, taylor):
-            records = to_long(t)
-            mu = np.linspace(1.0, 2.0, len(records))
-            calls = _entry_points() + [
-                ("adjusted_profile_loglik", lambda r: adjusted_profile_loglik(r, 5.0)),
-                ("poisson_loglik", lambda r: poisson_loglik(r, mu)),
-                ("nb_loglik", lambda r: nb_loglik(r, mu, 5.0)),
-            ]
-            for name, call in calls:
-                got = []
-                for form in (records, [tuple(r) for r in records], [list(r) for r in records]):
-                    glm._last_joint_fit = ((), None)
-                    got.append(_bits(call(form)))
-                assert got[0] == got[1] == got[2], name
+            outcomes = _agree_in_every_container([tuple(r) for r in to_long(t)], clean=True)
+            assert not any(isinstance(got[0], type) for got in outcomes.values()), outcomes
+
+    @pytest.mark.parametrize("rows", [[[5, 3], [4]], "australian", "taylor"], ids=["2x2", "australian", "taylor"])
+    def test_logliks_read_every_container(self, rows, request):
+        # an (n, 3) array is records, not a block of counts: both
+        # log-likelihoods give the count array's value, bit for bit
+        from nbreserve import fit, Family, nb_loglik, poisson_loglik
+
+        t = RunOffTriangle.from_rows(rows) if isinstance(rows, list) else request.getfixturevalue(rows)
+        records = to_long(t)
+        counts = np.array([r.count for r in records], dtype=float)
+        mu = fit(records, Family.poisson()).fitted_mu
+        for form in [counts, *_containers([tuple(r) for r in records]).values()]:
+            assert repr(poisson_loglik(form, mu)) == repr(poisson_loglik(counts, mu))
+            assert repr(nb_loglik(form, mu, 5.0)) == repr(nb_loglik(counts, mu, 5.0))
+
+    @pytest.mark.parametrize("record", [(2, 0), 7, (1, 0, 5, 99)], ids=["short", "non-sequence", "four fields"])
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_record_not_three_fields_refused(self, australian, record, k):
+        # one TriangleError naming the record from every entry point, the
+        # log-likelihoods too: no IndexError, TypeError, or ignored field
+        records = [tuple(r) for r in to_long(australian)]
+        records[k] = record
+        outcomes = _agree_in_every_container(records, clean=False)
+        message = f"record {k}: {record!r} is not an (ay, dy, count) triple"
+        assert set(outcomes.values()) == {(TriangleError, message)}
+
+    def test_years_that_are_sequences_refused(self, australian):
+        # a year is a number even when every year is a one-element list
+        records = [([r.ay], [r.dy], r.count) for r in to_long(australian)]
+        message = "record 0: accident year [1] is not a whole number in int64's range"
+        for name, call in _record_calls(len(records)):
+            assert _outcome(call, records) == (TriangleError, message), name
+
+    def test_array_count_named_as_a_list_holds_it(self, australian):
+        # an (n, 3) array's rows read as lists of Python numbers, so a bad
+        # count is named as -5, not np.int64(-5)
+        records = np.array(to_long(australian))
+        records[5, 2] = -5
+        for name, call in _record_calls(len(records)):
+            assert _outcome(call, records) == (NegativeCountError, "cell (1, 5): negative count -5"), name
+
+    @pytest.mark.parametrize("fault", _RECORD_FAULTS, ids=str)
+    @given(dimension=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    def test_every_container_agrees(self, fault, dimension, seed):
+        # a staircase's records, clean or with one fault, give every entry
+        # point one outcome in every container: the same bits or the same
+        # error, and the log-likelihoods the fits' reading of the records
+        rng = np.random.default_rng(seed)
+        records = [tuple(r) for r in to_long(random_triangle(rng, dimension))]
+        k = int(rng.integers(len(records)))
+        ay, dy, count = records[k]
+        if fault == "short":
+            records[k] = (ay, dy)
+        elif fault == "non-sequence":
+            records[k] = count
+        elif fault == "four fields":
+            records[k] = (ay, dy, count, 99)
+        elif fault == "bad year":
+            year = [1.5, "x", None, math.nan][int(rng.integers(4))]
+            records[k] = (year, dy, count) if rng.integers(2) else (ay, year, count)
+        elif fault == "missing":
+            del records[k]
+        elif fault == "repeated":
+            records.append((ay, dy, count + 1))
+        elif fault == "future":
+            ay = int(rng.integers(2, dimension + 1))
+            records.append((ay, int(rng.integers(dimension - ay + 1, dimension)), 1))
+        elif fault is not None:
+            records[k] = (ay, dy, {"negative": -5, "fractional": 2.5, "unreadable": "abc"}[fault])
+        records = [records[j] for j in rng.permutation(len(records))]
+        outcomes = _agree_in_every_container(records, clean=fault is None)
+        refused = isinstance(outcomes["from_long"][0], type)
+        assert refused == (fault is not None)
+        assert not refused or issubclass(outcomes["from_long"][0], TriangleError)
 
     @pytest.mark.parametrize("count", [2.5, -5, "abc"], ids=repr)
     def test_bad_count_of_a_triple_named_as_held(self, australian, count):

@@ -52,12 +52,23 @@ Groups:
   bad values of ``--family``, ``-B``, ``--level``, ``--threads``,
   ``--seed`` and ``--nsim``, a negative ``NBRESERVE_SEED``, and malformed,
   non-object and unknown-key ``simulate --config`` files: each run's exit
-  code, stdout and stderr, with the temporary directory's path replaced.
+  code, stdout and stderr, with the temporary directory's path replaced;
+- ``records``: ``from_long``, ``glm.fit`` under the three families,
+  ``profile_kappa``, ``overdispersion_test``, ``adjusted_profile_loglik``
+  at kappa 5, ``poisson_loglik`` and ``nb_loglik`` at kappa 5 on 44 seeded
+  record lists of staircases of dimension 2-6 with Poisson counts, clean
+  or with one fault (a short, non-sequence or four-field record, a bad
+  year, a missing, repeated or future cell, a negative, fractional or
+  unreadable count), each as ``CellRecord``s, tuples and lists, and as an
+  (n, 3) int array where every record is an int triple: each call's
+  result or error, from a cleared remembered joint fit. It shows how every
+  entry point that takes records reads them.
 
-Every group but ``fit-batch``, ``kernel-drops`` and ``cli-usage`` draws,
-so its digest also depends on the bootstrap's stream contract, whose name
-the script prints first (``nbreserve._bootstrap.STREAM``, the ``stream``
-field of a manifest); a change of contract moves those groups and no other.
+Every group but ``fit-batch``, ``kernel-drops``, ``cli-usage`` and
+``records`` draws, so its digest also depends on the bootstrap's stream
+contract, whose name the script prints first (``nbreserve._bootstrap.STREAM``,
+the ``stream`` field of a manifest); a change of contract moves those groups
+and no other.
 
 Floats are hashed by their exact ``repr`` and arrays by their bytes, so
 two trees print the same digests exactly when every output agrees in
@@ -128,6 +139,11 @@ CLI_USAGE_RUNS = [
     (["simulate", "--config", "TMP/unknown-key.json"], {}),
 ]
 CLI_USAGE_CONFIGS = {"malformed.json": '{"kappa_true": ', "list.json": "[1, 2]", "unknown-key.json": '{"kapa_true": 5}'}
+RECORDS_SEEDS = range(44)
+RECORD_FAULTS = (
+    None, "short", "non-sequence", "four fields", "bad year", "missing", "repeated", "future", "negative",
+    "fractional", "unreadable",
+)
 CLI_ERRORS_COMMANDS = {
     "fit": ([], ["fit.json"]),
     "reserve": (["-B", "100", "--threads", "1"], ["reserve.json", "reserve.csv"]),
@@ -276,6 +292,66 @@ def _cli_usage(h) -> None:
             _feed(h, [argv, result.exit_code, raised, result.stdout.replace(tmp, "TMP"), result.stderr.replace(tmp, "TMP")])
 
 
+def _seeded_records(seed: int) -> list:
+    """Tuple records of a seeded staircase of dimension 2-6 with Poisson counts, with fault ``RECORD_FAULTS[seed % 11]``, shuffled."""
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 7))
+    counts = rng.poisson(np.exp(rng.uniform(3.0, 6.0, size=(dim, 1)) + rng.uniform(-1.0, 1.0, size=dim)))
+    records = [(i + 1, j, int(counts[i, j])) for i in range(dim) for j in range(dim - i)]
+    fault = RECORD_FAULTS[seed % len(RECORD_FAULTS)]
+    k = int(rng.integers(len(records)))
+    ay, dy, count = records[k]
+    if fault == "short":
+        records[k] = (ay, dy)
+    elif fault == "non-sequence":
+        records[k] = count
+    elif fault == "four fields":
+        records[k] = (ay, dy, count, 99)
+    elif fault == "bad year":
+        year = (1.5, "x", None, float("nan"))[int(rng.integers(4))]
+        records[k] = (year, dy, count) if rng.integers(2) else (ay, year, count)
+    elif fault == "missing":
+        del records[k]
+    elif fault == "repeated":
+        records.append((ay, dy, count + 1))
+    elif fault == "future":
+        ay = int(rng.integers(2, dim + 1))
+        records.append((ay, int(rng.integers(dim - ay + 1, dim)), 1))
+    elif fault is not None:
+        records[k] = (ay, dy, {"negative": -5, "fractional": 2.5, "unreadable": "abc"}[fault])
+    return [records[j] for j in rng.permutation(len(records))]
+
+
+def _records(h) -> None:
+    for seed in RECORDS_SEEDS:
+        records = _seeded_records(seed)
+        mu = np.linspace(1.0, 2.0, len(records))
+        calls = {
+            "from_long": lambda r: nb.from_long(r).grid,
+            **{f"fit {f.tag}": lambda r, f=f: nb.glm.fit(r, f)
+               for f in (nb.Family.poisson(), nb.Family.quasi_poisson(), nb.Family.negbin(5.0))},
+            "profile_kappa": nb.dispersion.profile_kappa,
+            "overdispersion_test": nb.dispersion.overdispersion_test,
+            "adjusted_profile_loglik": lambda r: nb.dispersion.adjusted_profile_loglik(r, 5.0),
+            "poisson_loglik": lambda r: nb.glm.poisson_loglik(r, mu),
+            "nb_loglik": lambda r: nb.glm.nb_loglik(r, mu, 5.0),
+        }
+        forms = {kind: [make(r) if isinstance(r, tuple) and len(r) == 3 else r for r in records]
+                 for kind, make in (("CellRecord", nb.CellRecord._make), ("tuple", tuple), ("list", list))}
+        if all(isinstance(r, tuple) and len(r) == 3 and all(type(v) is int for v in r) for r in records):
+            forms["array"] = np.array(records)
+        for kind, form in forms.items():
+            for name, call in calls.items():
+                nb.glm._last_joint_fit = ((), None)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    try:
+                        out = call(form)
+                    except Exception as exc:  # a tree may raise any error here: it is the outcome
+                        out = exc
+                _feed(h, [seed, kind, name, out])
+
+
 def _kernel_drops(h) -> None:
     for seed in KERNEL_DROPS_SEEDS:
         rng = np.random.default_rng(seed)
@@ -314,6 +390,7 @@ GROUPS = {
     "kernel-drops": lambda: [_hashed(_kernel_drops)],
     "cli-errors": lambda: [_hashed(_cli_errors)],
     "cli-usage": lambda: [_hashed(_cli_usage)],
+    "records": lambda: [_hashed(_records)],
 }
 
 

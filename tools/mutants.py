@@ -48,29 +48,29 @@ class Mutant(NamedTuple):
 MUTANTS = [
     Mutant(
         "reader-reads-attributes", "triangle.py",
-        "ay, dy = np.array([r[0] for r in records]), np.array([r[1] for r in records])",
-        "ay, dy = np.array([r.ay for r in records]), np.array([r.dy for r in records])",
+        "ay, dy, counts = zip(*records, strict=True)",
+        "ay, dy, counts = zip(*[(r.ay, r.dy, r.count) for r in records], strict=True)",
         ("tests/test_triangle.py::TestRecordReader::test_plain_triples_read_as_records",),
         "one reader of long-format records: a plain triple reads as a CellRecord",
     ),
     Mutant(
         "reader-count-by-attribute", "triangle.py",
-        "return ay, dy, [r[2] for r in records], _check_layout(ay, dy, I)",
-        "return ay, dy, [r.count for r in records], _check_layout(ay, dy, I)",
-        ("tests/test_triangle.py::TestRecordReader::test_plain_triples_read_as_records",),
-        "one reader of long-format records: a count is read at index 2",
+        "ay, dy, count = record\n",
+        "ay, dy, count = record.ay, record.dy, record.count\n",
+        ("tests/test_triangle.py::TestRecordReader::test_whole_years_read_as_integers",),
+        "one reader of long-format records: a record whose years are checked one by one is a triple too",
     ),
     Mutant(
         "bad-count-by-attribute", "glm.py",
-        "value = float(y[k]) if records is None else records[k][2]",
+        "value = float(y[k]) if records is None else _read_records(records)[2][k]",
         "value = float(y[k]) if records is None else records[k].count",
         ("tests/test_triangle.py::TestRecordReader::test_bad_count_of_a_triple_named_as_held",),
         "one reader of long-format records: a bad count's error names it as a triple holds it",
     ),
     Mutant(
         "loglik-counts-by-attribute", "glm.py",
-        "return np.array([r[2] for r in counts], dtype=float)",
-        "return np.array([r.count for r in counts], dtype=float)",
+        "else _prepare(counts)[0]",
+        "else np.array([r.count for r in counts], dtype=float)",
         ("tests/test_triangle.py::TestRecordReader::test_plain_triples_read_as_records",),
         "one reader of long-format records: poisson_loglik and nb_loglik read a triple's count",
     ),
@@ -111,10 +111,45 @@ MUTANTS = [
     ),
     Mutant(
         "loglik-list-records-as-counts", "glm.py",
-        "isinstance(counts[0], (tuple, list))",
-        "isinstance(counts[0], tuple)",
+        "flat = np.ndim(counts) < 2",
+        "flat = not isinstance(counts[0], tuple)",
         ("tests/test_triangle.py::TestRecordReader::test_plain_triples_read_as_records",),
-        "the one reader: a list record's count is at index 2 in the log-likelihoods too",
+        "the one reader: list records are records in the log-likelihoods too",
+    ),
+    Mutant(
+        "loglik-array-as-counts", "glm.py",
+        "return np.asarray(counts, dtype=float) if flat else",
+        "return np.asarray(counts, dtype=float) if flat or isinstance(counts, np.ndarray) else",
+        ("tests/test_triangle.py::TestRecordReader::test_logliks_read_every_container[2x2]",),
+        "the one reader: an (n, 3) array is records in the log-likelihoods, not a block of counts",
+    ),
+    Mutant(
+        "reader-not-three-fields", "triangle.py",
+        "zip(*records, strict=True)",
+        "zip(*records)",
+        ("tests/test_triangle.py::TestRecordReader::test_record_not_three_fields_refused[5-four fields]",),
+        "a record is three fields: a fourth is refused, not ignored",
+    ),
+    Mutant(
+        "reader-array-rows-as-numpy", "triangle.py",
+        "records = records.tolist()",
+        "records = list(records)",
+        ("tests/test_triangle.py::TestRecordReader::test_array_count_named_as_a_list_holds_it",),
+        "an (n, 3) array's records give the outcome of the same records as a list",
+    ),
+    Mutant(
+        "year-sequence-read", "triangle.py",
+        " and ay.ndim == dy.ndim == 1",
+        "",
+        ("tests/test_triangle.py::TestRecordReader::test_years_that_are_sequences_refused",),
+        "the year rule: a year that is a sequence is refused, also when every year is one",
+    ),
+    Mutant(
+        "counts-shape-unchecked", "glm.py",
+        "    if y.shape != (design.n,):\n        raise TriangleError(",
+        "    if False:\n        raise TriangleError(",
+        ("tests/test_dispersion.py::TestJointMle::test_one_count_per_cell",),
+        "nb_mle takes one count per design cell, a TriangleError otherwise",
     ),
     Mutant(
         "table-rounds-each-year", "cli.py",
